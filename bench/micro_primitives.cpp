@@ -4,9 +4,8 @@
  * cost the paper's design leans on: the device-side-style sync
  * primitives (Fig. 11), the mailbox path, the event queue, the
  * gradient queue's enqueue/dequeue — and the full functional AllReduce
- * per algorithm × message size, run against all three execution
- * engines (persistent rank executor, legacy spawn-per-collective, and
- * the state-machine pool) so one run yields before/after numbers.
+ * per algorithm × message size, run against both execution engines
+ * (the persistent rank threads and the shared state-machine pool).
  *
  * The rank_scaling sweep is the headline of the state-machine
  * runtime: double-tree AllReduce from P=8 up to P=1024 logical ranks,
@@ -185,12 +184,10 @@ BENCHMARK(BM_GradientQueueIteration)->Arg(16)->Arg(128);
 // ---------------------------------------------------------------------------
 // Functional AllReduce latency: algorithm × message size × execution engine.
 //
-// The "persistent" mode runs on the parked RankExecutor threads; the
-// "spawn" mode re-creates every rank/forwarder thread per collective,
-// which is the pre-executor behaviour. Comparing the two is the
-// paper's Fig. 3 argument (invocation granularity) applied to this
-// host runtime. Buffers are zero-filled so repeated iterations keep
-// summing zeros instead of overflowing.
+// The "persistent" mode drives each rank's tasks on that rank's
+// RankExecutor thread; the "statemachine" mode multiplexes the same
+// tasks onto the shared pool. Buffers are zero-filled so repeated
+// iterations keep summing zeros instead of overflowing.
 // ---------------------------------------------------------------------------
 
 enum class Alg { kRing, kTree, kOverlappedTree, kDoubleTree };
@@ -204,8 +201,6 @@ struct AllReduceFixture {
     topo::DoubleTreeEmbedding double_tree = topo::makeDgx1DoubleTree(dgx1);
     ccl::Communicator persistent{8, 4,
                                  ccl::RankExecutor::Mode::kPersistent};
-    ccl::Communicator spawn{8, 4,
-                            ccl::RankExecutor::Mode::kSpawnPerCall};
     ccl::Communicator statemachine{
         8, 4, ccl::RankExecutor::Mode::kStateMachine};
 };
@@ -226,9 +221,7 @@ runAllReduce(benchmark::State& state, Alg alg,
     AllReduceFixture& f = fixture();
     ccl::Communicator& comm =
         mode == ccl::RankExecutor::Mode::kPersistent ? f.persistent
-        : mode == ccl::RankExecutor::Mode::kSpawnPerCall
-            ? f.spawn
-            : f.statemachine;
+                                                     : f.statemachine;
     const auto elems = static_cast<std::size_t>(state.range(0));
     ccl::RankBuffers buffers(8, std::vector<float>(elems, 0.0f));
     for (auto _ : state) {
@@ -275,7 +268,6 @@ registerAllReduceBenchmarks()
     };
     static constexpr ModeEntry kModes[] = {
         {"persistent", ccl::RankExecutor::Mode::kPersistent},
-        {"spawn", ccl::RankExecutor::Mode::kSpawnPerCall},
         {"statemachine", ccl::RankExecutor::Mode::kStateMachine},
     };
     for (const AlgEntry& alg : kAlgs) {
@@ -448,13 +440,10 @@ runRankScaling(benchmark::State& state,
                                  kScalingChunksPerTree,
                                  ccl::TreePhaseMode::kTwoPhase);
 
-    int threads = 0;
-    if (mode == ccl::RankExecutor::Mode::kStateMachine) {
-        threads = ccl::StateMachineEngine::shared().workerCount();
-    } else {
-        threads = comm.executor().threadCount() +
-                  comm.executor().helperCount();
-    }
+    const int threads =
+        mode == ccl::RankExecutor::Mode::kStateMachine
+            ? ccl::StateMachineEngine::shared().workerCount()
+            : comm.executor().workerCount();
     state.counters["ranks"] = static_cast<double>(ranks);
     state.counters["threads"] = static_cast<double>(threads);
     state.counters["ranks_per_core"] =
@@ -472,9 +461,8 @@ registerRankScalingBenchmarks()
         ccl::RankExecutor::Mode mode;
         std::vector<int> ranks;
     };
-    // Thread-per-rank legs stop at 128 ranks (256+ OS threads for the
-    // two-phase double tree already); the state-machine pool carries
-    // the sweep to 1024.
+    // Thread-per-rank legs stop at 128 ranks (128 OS threads); the
+    // state-machine pool carries the sweep to 1024.
     const ModeEntry modes[] = {
         {"persistent", ccl::RankExecutor::Mode::kPersistent,
          {8, 32, 128}},

@@ -20,38 +20,33 @@ using topo::Route;
 
 /**
  * Blocked-op disposition for the task classes: under Simple the task
- * parks on the mailbox semaphore (woken by the peer's post); under LL
- * no semaphore will ever be posted, so the task polls the abort epoch
- * (a dead peer still unwedges the batch via the watchdog) and asks to
- * be rescheduled.
+ * waits on the mailbox semaphore (woken by the peer's post); under LL
+ * no semaphore will ever be posted, so the task asks to be retried
+ * (the engine polls the abort epoch before every step, so a dead peer
+ * still unwedges the batch via the watchdog).
  */
 StepStatus
 awaitArrival(StepContext& ctx, Mailbox& box, Protocol proto)
 {
-    if (proto == Protocol::kLL) {
-        abortPoll();
-        return StepStatus::kContinue;
-    }
+    if (proto == Protocol::kLL)
+        return ctx.retryLater();
     return ctx.parkOnArrival(box);
 }
 
 StepStatus
 awaitFreeSlot(StepContext& ctx, Mailbox& box, Protocol proto)
 {
-    if (proto == Protocol::kLL) {
-        abortPoll();
-        return StepStatus::kContinue;
-    }
+    if (proto == Protocol::kLL)
+        return ctx.retryLater();
     return ctx.parkOnFreeSlot(box);
 }
 
 /**
  * Trace span for resumable tasks. obs::ScopedSpan assumes a phase
- * runs start-to-finish on one OS thread; a task parks and migrates
- * across pool workers mid-phase, so the start stamp lives in task
+ * runs start-to-finish on one OS thread; a pooled task parks and
+ * migrates across workers mid-phase, so the start stamp lives in task
  * state instead and one complete event is emitted at phase end with
- * explicit timestamps. Track 0 keeps every phase of a rank on a
- * single trace row regardless of which worker executed it.
+ * explicit timestamps, on the task's RankTask::traceTrack() row.
  */
 class PhaseSpan
 {
@@ -64,15 +59,15 @@ class PhaseSpan
     }
 
     /** Emits the complete event; a no-op without a matching begin. */
-    void end(std::string_view name, int rank)
+    void end(std::string_view name, const RankTask& task)
     {
         if (start_us_ < 0.0)
             return;
         obs::TraceRecorder& recorder = obs::TraceRecorder::global();
         if (recorder.enabled())
             recorder.completeEvent(name, "ccl.allreduce",
-                                   obs::pids::cclRank(rank),
-                                   /*tid=*/0, start_us_,
+                                   obs::pids::cclRank(task.rank()),
+                                   task.traceTrack(), start_us_,
                                    recorder.wallNowUs() - start_us_);
         start_us_ = -1.0;
     }
@@ -82,9 +77,9 @@ class PhaseSpan
 };
 
 /**
- * Resumable form of the ring body (ring_allreduce.cpp /
- * primitives.cpp): alternating send/recv steps with the same chunk
- * index formulas, one kContinue per completed pipeline step.
+ * One rank of the ring: P−1 Reduce-Scatter steps, then P−1 AllGather
+ * steps, each a send to the next position followed by a receive from
+ * the previous one; one kContinue per completed pipeline step.
  */
 class RingTask final : public RankTask
 {
@@ -100,8 +95,8 @@ class RingTask final : public RankTask
     {
         if (phase_ == RingPhase::kAllGather)
             state_ = St::kAgSend;
-        // Phase spans only for the full AllReduce, matching the
-        // thread body (the one-phase primitives trace nothing).
+        // Phase spans only for the full AllReduce (the one-phase
+        // primitives trace nothing).
         if (phase_ == RingPhase::kAllReduce)
             span_.begin();
     }
@@ -123,7 +118,7 @@ class RingTask final : public RankTask
                     break;
                 }
                 if (!op_begun_) {
-                    to_next_.noteOpBegin(Mailbox::OpKind::kSend);
+                    ctx.beginOp(to_next_, Mailbox::OpKind::kSend);
                     op_begun_ = true;
                 }
                 if (!to_next_.trySend(
@@ -143,7 +138,7 @@ class RingTask final : public RankTask
                     break;
                 }
                 if (!op_begun_) {
-                    from_prev_.noteOpBegin(Mailbox::OpKind::kRecv);
+                    ctx.beginOp(from_prev_, Mailbox::OpKind::kRecv);
                     op_begun_ = true;
                 }
                 int tag = -1;
@@ -160,7 +155,7 @@ class RingTask final : public RankTask
               case St::kAgSend: {
                 if (s_ >= p_ - 1) {
                     if (phase_ == RingPhase::kAllReduce)
-                        span_.end("ring.allgather", rank());
+                        span_.end("ring.allgather", *this);
                     state_ = St::kDone;
                     break;
                 }
@@ -170,7 +165,7 @@ class RingTask final : public RankTask
                     break;
                 }
                 if (!op_begun_) {
-                    to_next_.noteOpBegin(Mailbox::OpKind::kSend);
+                    ctx.beginOp(to_next_, Mailbox::OpKind::kSend);
                     op_begun_ = true;
                 }
                 if (!to_next_.trySend(
@@ -190,7 +185,7 @@ class RingTask final : public RankTask
                     break;
                 }
                 if (!op_begun_) {
-                    from_prev_.noteOpBegin(Mailbox::OpKind::kRecv);
+                    ctx.beginOp(from_prev_, Mailbox::OpKind::kRecv);
                     op_begun_ = true;
                 }
                 int tag = -1;
@@ -222,10 +217,10 @@ class RingTask final : public RankTask
             return;
         }
         // This rank now owns the fully reduced chunk at ring position
-        // (pos+1) mod P — same completion point as the thread body.
+        // (pos+1) mod P — the first chunk available here.
         if (trace_ && !resume_.done((pos_ + 1) % p_))
             trace_->record(rank(), (pos_ + 1) % p_);
-        span_.end("ring.reduce_scatter", rank());
+        span_.end("ring.reduce_scatter", *this);
         span_.begin();
         s_ = 0;
         state_ = St::kAgSend;
@@ -249,17 +244,17 @@ class RingTask final : public RankTask
 };
 
 /**
- * Resumable form of detail::treeRankBody and the one-direction tree
- * primitives. One task covers one pipeline of one rank:
+ * One pipeline of one rank of the tree protocol (AllReduce and the
+ * one-direction primitives):
  *   - Role::kReduce — the reduction pipeline (at the AllReduce root it
  *     also records completion and, depending on the phase mode, fans
  *     the reduced chunk out to the children inline or in a tail loop);
  *   - Role::kBroadcast — the broadcast pipeline (the root variant
  *     sends its own buffer down, the treeBroadcast primitive);
  *   - Role::kBoth — two-phase non-root: reduction chained into
- *     broadcast in the same task, matching the sequential thread body.
- * Overlapped non-root ranks get one kReduce and one kBroadcast task —
- * the state-machine analog of the pooled reducer + inline broadcaster.
+ *     broadcast in the same task, strictly in sequence.
+ * Overlapped non-root ranks get one kReduce and one kBroadcast task:
+ * two concurrent pipelines on the same rank (§III-C).
  */
 class TreeTask final : public RankTask
 {
@@ -294,9 +289,9 @@ class TreeTask final : public RankTask
     TreeTask(int rank, const char* label, Role role, Plan plan)
         : RankTask(rank, label), role_(role), plan_(std::move(plan))
     {
-        // Span placement mirrors detail::treeRankBody: the reduction
-        // and non-root broadcast pipelines each get a span; the
-        // two-phase root's tail fan-out (kRootSend) traces nothing.
+        // The reduction and non-root broadcast pipelines each get a
+        // span; the two-phase root's tail fan-out (kRootSend) traces
+        // nothing.
         if (role_ == Role::kBroadcast) {
             state_ = plan_.is_root ? St::kRootSend : St::kBcastRecv;
             if (!plan_.is_root)
@@ -335,7 +330,7 @@ class TreeTask final : public RankTask
                 }
                 Mailbox& box = *plan_.up_children[child_];
                 if (!op_begun_) {
-                    box.noteOpBegin(Mailbox::OpKind::kRecv);
+                    ctx.beginOp(box, Mailbox::OpKind::kRecv);
                     op_begun_ = true;
                 }
                 int tag = -1;
@@ -351,7 +346,7 @@ class TreeTask final : public RankTask
               }
               case St::kReduceSendUp: {
                 if (!op_begun_) {
-                    plan_.up_parent->noteOpBegin(Mailbox::OpKind::kSend);
+                    ctx.beginOp(*plan_.up_parent, Mailbox::OpKind::kSend);
                     op_begun_ = true;
                 }
                 if (!plan_.up_parent->trySend(constSlice(chunkId()),
@@ -395,7 +390,7 @@ class TreeTask final : public RankTask
               case St::kBcastRecv: {
                 Mailbox& box = *plan_.down_parent;
                 if (!op_begun_) {
-                    box.noteOpBegin(Mailbox::OpKind::kRecv);
+                    ctx.beginOp(box, Mailbox::OpKind::kRecv);
                     op_begun_ = true;
                 }
                 int tag = -1;
@@ -417,7 +412,7 @@ class TreeTask final : public RankTask
                     child_ = 0;
                     ++chunk_;
                     if (chunk_ >= activeCount()) {
-                        span_.end("tree.broadcast", rank());
+                        span_.end("tree.broadcast", *this);
                         state_ = St::kDone;
                         break;
                     }
@@ -464,25 +459,23 @@ class TreeTask final : public RankTask
     }
 
     /** Sends chunk @p chunk to down_children[child_]; false = blocked
-     *  (the caller must return blocked_status_: kParked under Simple,
-     *  kContinue under LL where parking is impossible; a racing post
-     *  already turned the park into an immediate retry via the loop). */
+     *  (the caller must return blocked_status_: kParked when the task
+     *  parked, kContinue when it must be retried — LL, or a pinned
+     *  engine; a racing post already turned a would-be park into an
+     *  immediate retry via the loop). */
     bool trySendChild(StepContext& ctx, int chunk)
     {
         Mailbox& box = *plan_.down_children[child_];
         if (!op_begun_) {
-            box.noteOpBegin(Mailbox::OpKind::kSend);
+            ctx.beginOp(box, Mailbox::OpKind::kSend);
             op_begun_ = true;
         }
         if (!box.trySend(constSlice(chunk), chunk, plan_.proto)) {
-            const StepStatus blocked =
-                awaitFreeSlot(ctx, box, plan_.proto);
-            if (blocked == StepStatus::kParked ||
-                plan_.proto == Protocol::kLL) {
-                blocked_status_ = blocked;
-                return false;
-            }
-            return true; // raced in: retry the send on the next loop
+            blocked_status_ = awaitFreeSlot(ctx, box, plan_.proto);
+            // A raced-in post (kContinue, not blocked) retries the
+            // send on the next loop iteration.
+            return blocked_status_ != StepStatus::kParked &&
+                   !ctx.blocked();
         }
         op_begun_ = false;
         ++child_;
@@ -500,7 +493,7 @@ class TreeTask final : public RankTask
         }
         chunk_ = 0;
         child_ = 0;
-        span_.end("tree.reduce", rank());
+        span_.end("tree.reduce", *this);
         if (plan_.is_root && plan_.root_broadcasts &&
             plan_.mode == TreePhaseMode::kTwoPhase) {
             state_ = St::kRootSend;
@@ -527,9 +520,10 @@ class TreeTask final : public RankTask
 };
 
 /**
- * Resumable detour forwarder (the forwardLoop/forwardChunks helper
- * threads): peek the upstream chunk in place, send it downstream, then
- * release the upstream receive buffer — still zero staging copies.
+ * Detour forwarder on a transit rank (the paper's static forwarding
+ * kernels, §IV-A): peek the upstream chunk in place, send it
+ * downstream, then release the upstream receive buffer — zero staging
+ * copies.
  */
 class ForwardTask final : public RankTask
 {
@@ -550,12 +544,12 @@ class ForwardTask final : public RankTask
             switch (state_) {
               case St::kAwaitChunk: {
                 if (chunk_ >= num_chunks_) {
-                    span_.end(span_name_, rank());
+                    span_.end(span_name_, *this);
                     state_ = St::kDone;
                     break;
                 }
                 if (!in_begun_) {
-                    in_.noteOpBegin(Mailbox::OpKind::kRecv);
+                    ctx.beginOp(in_, Mailbox::OpKind::kRecv);
                     in_begun_ = true;
                 }
                 std::span<const float> data;
@@ -571,7 +565,7 @@ class ForwardTask final : public RankTask
                 const bool have = in_.tryPeek(&data, &tag, proto_);
                 CCUBE_CHECK(have, "claimed forward chunk vanished");
                 if (!out_begun_) {
-                    out_.noteOpBegin(Mailbox::OpKind::kSend);
+                    ctx.beginOp(out_, Mailbox::OpKind::kSend);
                     out_begun_ = true;
                 }
                 if (!out_.trySend(data, tag, proto_))
@@ -668,7 +662,7 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
     const int active_count = static_cast<int>(active.size());
 
     // Detour forwarders of this tree, filtered to the direction(s) in
-    // play — the task analog of submitForwarders / the helpers group.
+    // play.
     for (const topo::ForwardingRule& rule :
          topo::cachedForwardingRules(embedding, /*tree_index=*/0)) {
         const bool reduction =
@@ -742,8 +736,7 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
                     std::move(plan)));
             } else {
                 // Overlapped non-root: concurrent reducer and
-                // broadcaster pipelines, one task each (the thread
-                // mode's pooled reducer + inline broadcaster).
+                // broadcaster pipelines, one task each.
                 TreeTask::Plan bcast_plan = plan;
                 out.push_back(std::make_unique<TreeTask>(
                     rank, "reduce", TreeTask::Role::kReduce,

@@ -3,29 +3,29 @@
 
 /**
  * @file
- * RankTask builders for the collective algorithms — the resumable
- * (state-machine) form of the per-rank bodies in primitives.cpp,
- * ring_allreduce.cpp, tree_allreduce.cpp and double_tree_allreduce.cpp.
+ * RankTask builders for the collective algorithms — the one
+ * implementation of every collective. primitives.cpp,
+ * ring_allreduce.cpp, tree_allreduce.cpp and double_tree_allreduce.cpp
+ * validate their arguments, build a task set here and hand it to
+ * Communicator::runTasks(), which drives it on the persistent rank
+ * threads or the shared pool (ccl/state_machine.h).
  *
  * Every builder constructs the complete task set of one collective up
  * front: one task per rank role (ring body; tree reducer/broadcaster;
  * the second tree of a double tree) plus one ForwardTask per detour
- * forwarding rule — the state-machine analog of the helper threads
- * thread-per-rank mode submits. Mailbox plans are resolved at build
- * time, exactly like the thread bodies hoist them before the chunk
- * loop.
+ * forwarding rule. Mailbox plans are resolved at build time, so the
+ * chunk loops touch no registry and no routes.
  *
- * Protocol fidelity: each task performs the same mailbox operations in
- * the same per-rank order as its blocking counterpart (same Fig. 11
- * post/wait sequence, same reduction order over children, same chunk
- * tags), so float results are byte-identical across engine modes and
- * FaultInjector at-op indices keep their thread-mode meaning.
+ * Protocol fidelity: each task performs the Fig. 11 post/wait sequence
+ * with a fixed reduction order over children and fixed chunk tags, and
+ * calls Mailbox::noteOpBegin() once per logical op, so float results
+ * are byte-identical across engines and FaultInjector at-op indices do
+ * not depend on scheduling.
  *
  * Wire protocol: every builder takes a ccl::Protocol. Under kLL the
  * mailbox never posts a semaphore, so a task cannot park on one — a
- * failed LL try* op polls the abort epoch and returns kContinue
- * (cooperative spinning across the pool) instead of registering a
- * waiter that would never be woken.
+ * failed LL try* op returns StepContext::retryLater() instead of
+ * registering a waiter that would never be woken.
  */
 
 #include <memory>

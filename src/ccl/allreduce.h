@@ -44,7 +44,7 @@ class AllReduceTrace
     void setObserver(Observer observer);
 
     /** Records that @p chunk became available at @p rank (thread-safe
-     *  across the helper threads of a single rank). */
+     *  across the concurrent tasks of a single rank). */
     void record(int rank, int chunk);
 
     /** Completion order at @p rank. */

@@ -74,8 +74,7 @@ RankExecutor&
 Communicator::executor()
 {
     std::call_once(executor_once_, [this]() {
-        executor_ =
-            std::make_unique<RankExecutor>(num_ranks_, exec_mode_);
+        executor_ = std::make_unique<RankExecutor>(num_ranks_);
     });
     return *executor_;
 }
@@ -157,8 +156,8 @@ Communicator::setClearAbortHook(std::function<void()> hook)
 void
 Communicator::clearAbort()
 {
-    // By the time an abort surfaces, run() has joined every rank and
-    // helper, so the mailboxes are quiescent — but they may still hold
+    // By the time an abort surfaces, run() has finished every task of
+    // the collective, so the mailboxes are quiescent — but they may still hold
     // chunks the dead collective posted and never consumed. Flush them
     // so the next collective starts from a clean channel state.
     //
@@ -207,14 +206,7 @@ Communicator::run(const std::function<void(int rank)>& body,
                   const char* op, Protocol proto)
 {
     noteProtocol(proto);
-    runEnvelope(op, [this, &body]() {
-        executor().run([this, &body](int rank) {
-            // Rank bodies (and, transitively, the helpers they submit)
-            // observe this communicator's abort epoch.
-            ScopedFaultContext fault_scope(&fault_);
-            body(rank);
-        });
-    });
+    runEnvelope(op, [this, &body]() { executor().run(body, &fault_); });
 }
 
 void
@@ -223,10 +215,14 @@ Communicator::runTasks(std::vector<std::unique_ptr<RankTask>> tasks,
 {
     noteProtocol(proto);
     // The engine installs the fault context itself around every step
-    // (tasks migrate across pool workers, so a thread-scoped guard
+    // (pooled tasks migrate across workers, so a thread-scoped guard
     // here would cover the wrong threads).
-    runEnvelope(op, [this, &tasks]() {
-        StateMachineEngine::shared().run(std::move(tasks), &fault_);
+    StateMachineEngine& engine =
+        exec_mode_ == RankExecutor::Mode::kStateMachine
+            ? StateMachineEngine::shared()
+            : executor();
+    runEnvelope(op, [&engine, this, &tasks]() {
+        engine.run(std::move(tasks), &fault_);
     });
 }
 

@@ -7,7 +7,8 @@
  * collective library.
  *
  * One persistent thread per rank plays the role of one GPU running
- * persistent kernels (see ccl/executor.h); mailboxes play the role of
+ * persistent kernels (see ccl/executor.h), driving that rank's
+ * RankTasks of every collective; mailboxes play the role of
  * NVLink P2P receive buffers. Mailboxes are keyed by (src, dst, flow)
  * because one physical link may carry several logical flows (e.g. the
  * two trees of a double tree, or a detour passing through a transit
@@ -67,8 +68,8 @@ class Communicator
     /**
      * Creates a communicator of @p num_ranks ranks whose mailboxes
      * have @p mailbox_slots receive buffers each. @p exec_mode selects
-     * the execution engine (persistent parked threads by default; the
-     * legacy spawn-per-collective mode exists for A/B benchmarking).
+     * the engine runTasks() drives collectives on: this communicator's
+     * persistent rank threads (default) or the process-wide pool.
      */
     explicit Communicator(int num_ranks, int mailbox_slots = 4,
                           RankExecutor::Mode exec_mode =
@@ -89,16 +90,16 @@ class Communicator
     Mailbox& mailbox(int src, int dst, FlowId flow);
 
     /**
-     * The persistent execution engine (created on first use; one
-     * long-lived parked thread per rank plus the helper pool).
+     * The persistent rank threads (created on first use; one
+     * long-lived thread per rank).
      */
     RankExecutor& executor();
 
     /**
-     * Runs @p body concurrently on every rank — enqueued into the
-     * executor's persistent rank threads — and waits for all of them.
-     * Nested helper roles (forwarding kernels, the overlapped reducer,
-     * the second tree) go through executor().submit().
+     * Runs @p body concurrently on every rank's persistent thread (in
+     * either mode) and waits for all of them. For rank bodies that
+     * block, e.g. on barrier(); the collective algorithms use
+     * runTasks().
      *
      * @p op names the collective for watchdog/abort attribution (a
      * string literal; stored by pointer). When a deadline is set (see
@@ -118,18 +119,15 @@ class Communicator
              const char* op = "collective",
              Protocol proto = Protocol::kSimple);
 
-    /**
-     * Execution engine this communicator was created with. The
-     * collective algorithms branch on it: Mode::kStateMachine routes
-     * them through runTasks() instead of run().
-     */
+    /** Execution engine this communicator was created with. */
     RankExecutor::Mode engineMode() const { return exec_mode_; }
 
     /**
-     * State-machine counterpart of run(): drives @p tasks to
-     * completion on the shared StateMachineEngine pool, under the same
-     * envelope as run() — poison check, watchdog arm/disarm, monitor
-     * collective edge, abort-wins error surfacing. @p op as in run().
+     * Drives @p tasks to completion on this communicator's engine —
+     * the persistent rank threads, or the shared StateMachineEngine
+     * pool under Mode::kStateMachine — under the same envelope as
+     * run(): poison check, watchdog arm/disarm, monitor collective
+     * edge, abort-wins error surfacing. @p op as in run().
      */
     void runTasks(std::vector<std::unique_ptr<RankTask>> tasks,
                   const char* op = "collective",

@@ -1,13 +1,11 @@
 #include "ccl/executor.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <thread>
+#include <memory>
 #include <utility>
+#include <vector>
 
-#include "ccl/fault.h"
 #include "obs/context.h"
 #include "util/logging.h"
 
@@ -16,62 +14,32 @@ namespace ccl {
 
 namespace {
 
-/** Writes "rank<r>/<role>" into @p buf. */
-void
-formatRole(char* buf, std::size_t len, int rank, const char* role)
+/** A rank body as a task: one step that runs it to completion. */
+class BodyTask final : public RankTask
 {
-    std::snprintf(buf, len, "rank%d/%s", rank, role);
-}
+  public:
+    BodyTask(int rank, const std::function<void(int rank)>& body)
+        : RankTask(rank, "main"), body_(body)
+    {
+    }
+
+    StepStatus step(StepContext&) override
+    {
+        body_(rank());
+        return StepStatus::kDone;
+    }
+
+  private:
+    const std::function<void(int rank)>& body_;
+};
 
 } // namespace
-
-/**
- * One owned thread: a task slot guarded by a mutex/condvar. The thread
- * parks on the condvar between tasks — the host-side stand-in for a
- * persistent kernel spinning on its semaphore.
- */
-struct RankExecutor::Worker {
-    Worker(RankExecutor& owner_in, int rank_in)
-        : owner(owner_in), rank(rank_in)
-    {
-    }
-
-    RankExecutor& owner;
-    const int rank;
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::function<void()> task;
-    bool stop = false;
-
-    std::thread thread;
-};
-
-/** Join state of one run(): a latch plus the first exception. */
-struct RankExecutor::RunState {
-    std::mutex mutex;
-    std::condition_variable cv;
-    int remaining = 0;
-    std::exception_ptr error;
-
-    void
-    finish(std::exception_ptr err)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (err && !error)
-            error = err;
-        if (--remaining == 0)
-            cv.notify_all();
-    }
-};
 
 RankExecutor::Mode
 RankExecutor::defaultMode()
 {
     static const Mode mode = []() {
         const char* env = std::getenv("CCUBE_CCL_EXECUTOR");
-        if (env && std::strcmp(env, "spawn") == 0)
-            return Mode::kSpawnPerCall;
         if (env && (std::strcmp(env, "statemachine") == 0 ||
                     std::strcmp(env, "sm") == 0))
             return Mode::kStateMachine;
@@ -80,272 +48,22 @@ RankExecutor::defaultMode()
     return mode;
 }
 
-RankExecutor::Group::~Group()
-{
-    // A group abandoned without wait() would let helpers signal a dead
-    // object; waiting here keeps misuse safe. Errors were either
-    // observed by an explicit wait() or are swallowed (dtors must not
-    // throw).
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&]() { return pending_ == 0; });
-}
-
-void
-RankExecutor::Group::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&]() { return pending_ == 0; });
-    if (error_) {
-        std::exception_ptr err = error_;
-        error_ = nullptr;
-        lock.unlock();
-        std::rethrow_exception(err);
-    }
-}
-
-RankExecutor::RankExecutor(int num_ranks, Mode mode)
-    : num_ranks_(num_ranks),
-      mode_(mode),
-      free_helpers_(static_cast<std::size_t>(num_ranks)),
-      busy_helpers_(static_cast<std::size_t>(num_ranks), 0)
+RankExecutor::RankExecutor(int num_ranks)
+    : StateMachineEngine(num_ranks, Placement::kRankPinned)
 {
     CCUBE_CHECK(num_ranks >= 1, "executor needs at least one rank");
-    // kStateMachine routes collectives through the shared task engine
-    // before they ever reach run(); legacy blocking callers that still
-    // land here get the persistent-thread treatment.
-    if (mode_ == Mode::kSpawnPerCall)
-        return;
-    mains_.reserve(static_cast<std::size_t>(num_ranks));
-    for (int r = 0; r < num_ranks; ++r) {
-        mains_.push_back(std::make_unique<Worker>(*this, r));
-        Worker& worker = *mains_.back();
-        worker.thread =
-            std::thread([this, &worker]() { workerLoop(worker); });
-    }
-}
-
-RankExecutor::~RankExecutor()
-{
-    auto stopWorker = [](Worker& worker) {
-        {
-            std::lock_guard<std::mutex> lock(worker.mutex);
-            worker.stop = true;
-        }
-        worker.cv.notify_one();
-        if (worker.thread.joinable())
-            worker.thread.join();
-    };
-    for (auto& worker : mains_)
-        stopWorker(*worker);
-    for (auto& worker : helpers_)
-        stopWorker(*worker);
 }
 
 void
-RankExecutor::workerLoop(Worker& worker)
-{
-    obs::setThreadRank(worker.rank);
-    obs::RankCounters& counters = obs::RankCounters::global();
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(worker.mutex);
-            if (!worker.task && !worker.stop) {
-                counters.addExecutorPark();
-                worker.cv.wait(lock, [&]() {
-                    return worker.task || worker.stop;
-                });
-                counters.addExecutorUnpark();
-            }
-            if (worker.task) {
-                task = std::move(worker.task);
-                worker.task = nullptr;
-            } else if (worker.stop) {
-                return;
-            }
-        }
-        if (task) {
-            // Counted before the body so a finished run()/Group::wait()
-            // (whose latch fires inside the task) never observes a
-            // stale count.
-            tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-            task();
-        }
-    }
-}
-
-void
-RankExecutor::dispatch(Worker& worker, std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(worker.mutex);
-        CCUBE_CHECK(!worker.task,
-                    "executor worker for rank " << worker.rank
-                                                << " already busy");
-        worker.task = std::move(task);
-    }
-    worker.cv.notify_one();
-}
-
-void
-RankExecutor::run(const std::function<void(int rank)>& body)
+RankExecutor::run(const std::function<void(int rank)>& body,
+                  CommFaultContext* fault)
 {
     CCUBE_CHECK(body, "executor run() needs a body");
-    RunState state;
-    state.remaining = num_ranks_;
-
-    auto makeTask = [this, &state, &body](int r) {
-        // &body and &state outlive the task: run() blocks on the latch
-        // until every rank body has finished.
-        return [this, &state, &body, r]() {
-            obs::setThreadRank(r);
-            char label[32];
-            formatRole(label, sizeof(label), r, "main");
-            obs::labelThread(label);
-            obs::RankCounters::global().addExecutorTask();
-            std::exception_ptr err;
-            try {
-                body(r);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            state.finish(err);
-        };
-    };
-
-    if (mode_ != Mode::kSpawnPerCall) {
-        for (int r = 0; r < num_ranks_; ++r)
-            dispatch(*mains_[static_cast<std::size_t>(r)], makeTask(r));
-    } else {
-        // Legacy path, kept for A/B benchmarking: fresh threads per
-        // collective, the very cost the persistent mode amortizes.
-        for (int r = 0; r < num_ranks_; ++r) {
-            std::thread(makeTask(r)).detach();
-            tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-
-    std::unique_lock<std::mutex> lock(state.mutex);
-    state.cv.wait(lock, [&]() { return state.remaining == 0; });
-    if (state.error)
-        std::rethrow_exception(state.error);
-}
-
-RankExecutor::Worker&
-RankExecutor::acquireHelper(int rank)
-{
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    auto& free = free_helpers_[static_cast<std::size_t>(rank)];
-    Worker* worker = nullptr;
-    if (!free.empty()) {
-        worker = free.back();
-        free.pop_back();
-    } else {
-        helpers_.push_back(std::make_unique<Worker>(*this, rank));
-        worker = helpers_.back().get();
-        worker->thread =
-            std::thread([this, worker]() { workerLoop(*worker); });
-        helper_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const int busy = ++busy_helpers_[static_cast<std::size_t>(rank)];
-    obs::RankCounters::global().noteExecutorQueueDepth(
-        rank, static_cast<std::uint64_t>(busy));
-    return *worker;
-}
-
-void
-RankExecutor::releaseHelper(Worker& worker)
-{
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    free_helpers_[static_cast<std::size_t>(worker.rank)].push_back(
-        &worker);
-    --busy_helpers_[static_cast<std::size_t>(worker.rank)];
-}
-
-void
-RankExecutor::submit(Group& group, int rank, const char* role,
-                     std::function<void()> fn)
-{
-    CCUBE_CHECK(rank >= 0 && rank < num_ranks_,
-                "bad helper rank " << rank);
-    CCUBE_CHECK(fn, "executor submit() needs a task");
-    // Helpers inherit the submitting thread's fault context so their
-    // spins observe the same abort epoch as the rank body that spawned
-    // them (otherwise an abort would unpark the mains but leave
-    // forwarding helpers wedged).
-    CommFaultContext* fault_ctx = CommFaultContext::current();
-    {
-        std::lock_guard<std::mutex> lock(group.mutex_);
-        ++group.pending_;
-    }
-
-    auto finish = [&group](std::exception_ptr err) {
-        std::lock_guard<std::mutex> lock(group.mutex_);
-        if (err && !group.error_)
-            group.error_ = err;
-        if (--group.pending_ == 0)
-            group.cv_.notify_all();
-    };
-
-    if (mode_ != Mode::kSpawnPerCall) {
-        Worker& worker = acquireHelper(rank);
-        dispatch(worker, [this, &worker, rank, role, fn = std::move(fn),
-                          finish, fault_ctx]() {
-            obs::setThreadRank(rank);
-            ScopedFaultContext fault_scope(fault_ctx);
-            char label[32];
-            formatRole(label, sizeof(label), rank, role);
-            obs::labelThread(label);
-            obs::RankCounters::global().addExecutorTask();
-            std::exception_ptr err;
-            try {
-                fn();
-            } catch (...) {
-                err = std::current_exception();
-            }
-            // Return to the pool before releasing the waiter so a
-            // follow-up collective finds this thread free (no growth).
-            releaseHelper(worker);
-            finish(err);
-        });
-    } else {
-        std::thread([rank, role, fn = std::move(fn), finish,
-                     fault_ctx]() {
-            obs::setThreadRank(rank);
-            ScopedFaultContext fault_scope(fault_ctx);
-            char label[32];
-            formatRole(label, sizeof(label), rank, role);
-            obs::labelThread(label);
-            obs::RankCounters::global().addExecutorTask();
-            std::exception_ptr err;
-            try {
-                fn();
-            } catch (...) {
-                err = std::current_exception();
-            }
-            finish(err);
-        }).detach();
-        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
-int
-RankExecutor::threadCount() const
-{
-    return static_cast<int>(mains_.size()) +
-           helper_count_.load(std::memory_order_relaxed);
-}
-
-int
-RankExecutor::helperCount() const
-{
-    return helper_count_.load(std::memory_order_relaxed);
-}
-
-std::int64_t
-RankExecutor::tasksExecuted() const
-{
-    return tasks_executed_.load(std::memory_order_relaxed);
+    std::vector<std::unique_ptr<RankTask>> tasks;
+    tasks.reserve(static_cast<std::size_t>(workerCount()));
+    for (int r = 0; r < workerCount(); ++r)
+        tasks.push_back(std::make_unique<BodyTask>(r, body));
+    run(std::move(tasks), fault);
 }
 
 CommWatchdog::CommWatchdog()

@@ -9,167 +9,63 @@
  * The paper launches its collective as long-lived CUDA kernels exactly
  * once and then drives every AllReduce through device-side semaphores,
  * amortizing the per-invocation launch cost that dominates small
- * messages (Fig. 3). The functional runtime used to do the opposite:
- * every collective constructed and joined fresh std::threads per rank
- * (plus more per forwarding rule). This executor owns one long-lived
- * parked thread per rank plus a per-rank pool of helper threads
- * (forwarding kernels, the overlapped reducer, the second tree of a
- * double tree); collectives enqueue closures into the already-running
- * threads instead of spawning.
- *
- * A third strategy lives in ccl/state_machine.h: instead of a thread
- * per rank, each rank body is compiled into a resumable RankTask and
- * multiplexed onto a small shared worker pool — the mode that scales
- * the functional runtime to P=512–1024. Selecting it here
- * (Mode::kStateMachine) makes the collective algorithms build task
- * sets; legacy run()/submit() callers still get persistent threads.
+ * messages (Fig. 3). The executor owns one long-lived thread per rank
+ * — a rank-pinned ccl::StateMachineEngine — and every collective hands
+ * each rank's thread the RankTasks of that rank, which it drives in one
+ * loop (see ccl/state_machine.h). The same tasks run on the process-wide
+ * pooled engine when a communicator selects Mode::kStateMachine, so
+ * each algorithm has exactly one implementation.
  *
  * Along with state_machine.cpp, this is one of the only two
  * translation units in src/ccl/ allowed to construct std::thread.
  */
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
+
+#include "ccl/state_machine.h"
 
 namespace ccube {
 namespace ccl {
 
 /**
- * One parked worker thread per rank plus an elastic-but-persistent
- * helper pool per rank. Thread-safe: run() is called from one external
- * thread at a time; submit() may be called from any executor-owned
- * thread while a run() is in flight.
+ * One persistent thread per rank. run() is called from one external
+ * thread at a time.
  */
-class RankExecutor
+class RankExecutor : public StateMachineEngine
 {
   public:
-    /** Execution strategy; kSpawnPerCall keeps the legacy behaviour
-     *  for A/B benchmarking. */
+    /** Which engine a Communicator's collectives run on. */
     enum class Mode {
-        kPersistent,   ///< parked threads, reused across collectives
-        kSpawnPerCall, ///< legacy: construct/join threads per call
-        kStateMachine, ///< resumable rank tasks on a shared pool
+        kPersistent,   ///< this executor: one pinned thread per rank
+        kStateMachine, ///< StateMachineEngine::shared(): pooled workers
     };
 
     /**
      * Default mode: kPersistent, unless the environment variable
-     * CCUBE_CCL_EXECUTOR is set to "spawn" or to
-     * "statemachine"/"sm" (read once per process).
+     * CCUBE_CCL_EXECUTOR is "statemachine" or "sm" (read once per
+     * process).
      */
     static Mode defaultMode();
 
-    /**
-     * Completion tracker for a batch of helper tasks submitted by one
-     * rank body (the analog of joining the forwarder threads).
-     */
-    class Group
-    {
-      public:
-        Group() = default;
-        Group(const Group&) = delete;
-        Group& operator=(const Group&) = delete;
+    /** Starts @p num_ranks threads, asleep until the first run(). */
+    explicit RankExecutor(int num_ranks);
 
-        /** Waits for completion of the whole batch. */
-        ~Group();
-
-        /**
-         * Blocks until every task submitted through this group has
-         * finished; rethrows the first exception any of them threw.
-         */
-        void wait();
-
-      private:
-        friend class RankExecutor;
-
-        std::mutex mutex_;
-        std::condition_variable cv_;
-        int pending_ = 0;
-        std::exception_ptr error_;
-    };
+    using StateMachineEngine::run;
 
     /**
-     * Creates the executor for @p num_ranks ranks. In persistent mode
-     * the rank threads start parked immediately; helper threads are
-     * created on first demand and then reused forever.
+     * Runs @p body(rank) on every rank's thread and waits for all of
+     * them, with @p fault installed around each body. Rethrows the
+     * first exception thrown by any rank body (after every rank body
+     * has finished); the executor stays usable afterwards. A body may
+     * block on its peers: each rank has its own thread.
      */
-    explicit RankExecutor(int num_ranks, Mode mode = defaultMode());
-
-    /** Stops and joins every owned thread. */
-    ~RankExecutor();
-
-    RankExecutor(const RankExecutor&) = delete;
-    RankExecutor& operator=(const RankExecutor&) = delete;
-
-    /** Number of ranks. */
-    int numRanks() const { return num_ranks_; }
-
-    /** Execution strategy in use. */
-    Mode mode() const { return mode_; }
-
-    /**
-     * Runs @p body concurrently on every rank's persistent thread and
-     * waits for all of them. Rethrows the first exception thrown by
-     * any rank body (after every rank body has finished); the executor
-     * stays usable afterwards.
-     */
-    void run(const std::function<void(int rank)>& body);
-
-    /**
-     * Enqueues @p fn onto a pooled helper thread attributed to
-     * @p rank, tracked by @p group. @p role labels the thread's trace
-     * track ("forward", "reduce", "tree1", ...). Safe to call from
-     * inside rank bodies and from other helper tasks.
-     */
-    void submit(Group& group, int rank, const char* role,
-                std::function<void()> fn);
-
-    // ---- telemetry (used by tests and exported via obs) ----
-
-    /** Live threads owned: rank mains + helpers ever created. */
-    int threadCount() const;
-
-    /** Helper threads ever created (persistent once created). */
-    int helperCount() const;
-
-    /** Tasks executed across all owned threads (bodies + helpers). */
-    std::int64_t tasksExecuted() const;
-
-  private:
-    struct Worker;
-    struct RunState;
-
-    /** Hands @p task to @p worker (its task slot must be free). */
-    void dispatch(Worker& worker, std::function<void()> task);
-
-    /** Pops a parked helper for @p rank or creates a new one. */
-    Worker& acquireHelper(int rank);
-
-    /** Returns @p worker to its rank's free list. */
-    void releaseHelper(Worker& worker);
-
-    void workerLoop(Worker& worker);
-
-    const int num_ranks_;
-    const Mode mode_;
-
-    /** Rank main workers, index = rank (persistent mode only). */
-    std::vector<std::unique_ptr<Worker>> mains_;
-
-    /** Helper pool, all ranks (guarded by pool_mutex_). */
-    std::mutex pool_mutex_;
-    std::vector<std::unique_ptr<Worker>> helpers_;
-    std::vector<std::vector<Worker*>> free_helpers_; ///< per rank
-    std::vector<int> busy_helpers_;                  ///< per rank
-
-    std::atomic<int> helper_count_{0};
-    std::atomic<std::int64_t> tasks_executed_{0};
+    void run(const std::function<void(int rank)>& body,
+             CommFaultContext* fault = nullptr);
 };
 
 /**
@@ -182,7 +78,7 @@ class RankExecutor
  * arm()/disarm() pair per collective; disarm() blocks until any
  * in-flight expiry callback has returned, so the caller can safely
  * inspect fired() and tear down afterwards. Lives in the executor
- * header because executor.cpp is the only translation unit in
+ * header because executor.cpp is one of the two translation units in
  * src/ccl/ allowed to construct std::thread.
  */
 class CommWatchdog

@@ -261,7 +261,7 @@ CommFaultContext::noteWaitBegin(const char* label, int flow, int peer)
     // the string contents with it.
     slot.wait_label.store(label, std::memory_order_release);
     // The wait-for graph only accepts the acting rank itself —
-    // helper threads with no rank tag would otherwise alias slot 0.
+    // threads with no rank tag would otherwise alias slot 0.
     const int rank = obs::threadRank();
     if (rank >= 0 && rank < num_ranks_)
         waitfor_.noteWait(rank, peer, label, flow);

@@ -34,10 +34,10 @@
  *                      chosen rank at a chosen mailbox operation, so
  *                      every abort path is actually exercised.
  *
- * Threading: rank bodies and their helpers install the communicator's
- * context via ScopedFaultContext (the Communicator and RankExecutor do
- * this automatically); the watchdog thread only reads atomics and
- * trips the epoch.
+ * Threading: every step of a collective's rank tasks runs with the
+ * communicator's context installed via ScopedFaultContext (the
+ * StateMachineEngine does this automatically); the watchdog thread
+ * only reads atomics and trips the epoch.
  */
 
 #include <atomic>
@@ -238,8 +238,8 @@ class FaultInjector
 
 /**
  * Per-communicator fault runtime: abort epoch, per-rank progress
- * table, optional injector. Installed thread-locally on every rank
- * (and helper) thread of a running collective so the sync primitives
+ * table, optional injector. Installed thread-locally around every step
+ * of a running collective's rank tasks so the sync primitives
  * can poll the abort epoch without any signature plumbing — the
  * host-side analog of the abort flag the paper's persistent kernels
  * would poll in their spin loops.

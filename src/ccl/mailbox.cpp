@@ -163,12 +163,8 @@ Mailbox::setEndpoints(int src, int dst)
 }
 
 void
-Mailbox::send(std::span<const float> data, int tag, Protocol proto)
+Mailbox::send(std::span<const float> data, int tag)
 {
-    if (proto == Protocol::kLL) {
-        llSend(data, tag);
-        return;
-    }
     obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxPost);
     CommFaultContext* fault = CommFaultContext::current();
     if (fault != nullptr)
@@ -248,44 +244,6 @@ Mailbox::llWriteSlot(std::span<const float> data, int tag)
     ++ll_post_seq_;
 }
 
-void
-Mailbox::llSend(std::span<const float> data, int tag)
-{
-    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxPost);
-    CommFaultContext* fault = CommFaultContext::current();
-    if (fault != nullptr)
-        fault->onMailboxOp(trace_label_, flow_); // may throw (injector)
-
-    obs::RankCounters& counters = obs::RankCounters::global();
-    counters.addMailboxSend();
-    const bool stalled = !llSlotFree();
-    if (stalled)
-        counters.addSlotFullStall();
-
-    const std::int64_t seq = post_seq_++;
-    if (fault != nullptr)
-        fault->noteWaitBegin(trace_label_.c_str(), flow_, dst_);
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (recorder.enabled()) {
-        obs::ScopedSpan span(recorder, "post " + trace_label_,
-                             "ccl.mailbox", spanPid(),
-                             obs::threadTrack());
-        span.arg("bytes", static_cast<double>(data.size() *
-                                              sizeof(float)));
-        span.arg("stalled", stalled ? 1.0 : 0.0);
-        span.arg("seq", static_cast<double>(seq));
-        span.arg("ll", 1.0);
-        llSpinUntil([this] { return llSlotFree(); });
-    } else {
-        llSpinUntil([this] { return llSlotFree(); });
-    }
-    if (fault != nullptr) {
-        fault->noteWaitEnd();
-        fault->notePosted(seq);
-    }
-    llWriteSlot(data, tag);
-}
-
 bool
 Mailbox::llTrySend(std::span<const float> data, int tag)
 {
@@ -309,48 +267,6 @@ Mailbox::llTrySend(std::span<const float> data, int tag)
     }
     llWriteSlot(data, tag);
     return true;
-}
-
-Mailbox::LLHeader
-Mailbox::llWaitHeader()
-{
-    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxWait);
-    CommFaultContext* fault = CommFaultContext::current();
-    if (fault != nullptr)
-        fault->onMailboxOp(trace_label_, flow_); // may throw (injector)
-
-    obs::RankCounters::global().addMailboxRecv();
-    const std::int64_t seq = wait_seq_++;
-    if (fault != nullptr)
-        fault->noteWaitBegin(trace_label_.c_str(), flow_, src_);
-
-    LLSlot& slot = ll_ring_[static_cast<std::size_t>(
-        ll_wait_seq_ % static_cast<std::int64_t>(ring_.size()))];
-    const std::uint32_t flag = llFlag(ll_wait_seq_);
-    const auto arrived = [&] {
-        return llLineFlag(slot.header.load(
-                   std::memory_order_acquire)) == flag;
-    };
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (recorder.enabled()) {
-        obs::ScopedSpan span(recorder, "wait " + trace_label_,
-                             "ccl.mailbox", spanPid(),
-                             obs::threadTrack());
-        span.arg("seq", static_cast<double>(seq));
-        span.arg("ll", 1.0);
-        llSpinUntil(arrived);
-    } else {
-        llSpinUntil(arrived);
-    }
-    if (fault != nullptr)
-        fault->noteWaitEnd();
-
-    LLHeader header;
-    header.size = llValue(slot.header.load(std::memory_order_acquire));
-    // tag_line was written before the header we just acquired.
-    header.tag = static_cast<int>(
-        llValue(slot.tag_line.load(std::memory_order_relaxed)));
-    return header;
 }
 
 bool
@@ -605,15 +521,8 @@ Mailbox::releaseFront()
 }
 
 int
-Mailbox::recv(std::vector<float>& out, Protocol proto)
+Mailbox::recv(std::vector<float>& out)
 {
-    if (proto == Protocol::kLL) {
-        const LLHeader header = llWaitHeader();
-        out.resize(header.size);
-        llDecodeBody(header.size, out.data(), /*reduce=*/false);
-        llFinishConsume();
-        return header.tag;
-    }
     return consumeSlot([&](Slot& slot) {
         // Copy out, keep the slot buffer (its capacity is the whole
         // point of the preallocated ring).
@@ -623,17 +532,8 @@ Mailbox::recv(std::vector<float>& out, Protocol proto)
 }
 
 int
-Mailbox::recvInto(std::span<float> out, Protocol proto)
+Mailbox::recvInto(std::span<float> out)
 {
-    if (proto == Protocol::kLL) {
-        const LLHeader header = llWaitHeader();
-        CCUBE_CHECK(header.size == out.size(),
-                    "chunk size mismatch: " << header.size << " vs "
-                                            << out.size());
-        llDecodeBody(header.size, out.data(), /*reduce=*/false);
-        llFinishConsume();
-        return header.tag;
-    }
     return consumeSlot([&](Slot& slot) {
         CCUBE_CHECK(slot.size == out.size(),
                     "chunk size mismatch: " << slot.size << " vs "
@@ -643,45 +543,13 @@ Mailbox::recvInto(std::span<float> out, Protocol proto)
 }
 
 int
-Mailbox::recvReduce(std::span<float> out, Protocol proto)
+Mailbox::recvReduce(std::span<float> out)
 {
-    if (proto == Protocol::kLL) {
-        const LLHeader header = llWaitHeader();
-        CCUBE_CHECK(header.size == out.size(),
-                    "chunk size mismatch: " << header.size << " vs "
-                                            << out.size());
-        llDecodeBody(header.size, out.data(), /*reduce=*/true);
-        llFinishConsume();
-        return header.tag;
-    }
     return consumeSlot([&](Slot& slot) {
         CCUBE_CHECK(slot.size == out.size(),
                     "chunk size mismatch: " << slot.size << " vs "
                                             << out.size());
         kernels::reduceAdd(out.data(), slot.data.data(), slot.size);
-    });
-}
-
-int
-Mailbox::consume(const Visitor& visit, Protocol proto)
-{
-    if (proto == Protocol::kLL) {
-        const LLHeader header = llWaitHeader();
-        if (ll_scratch_.data.size() < header.size)
-            ll_scratch_.data.resize(header.size);
-        llDecodeBody(header.size, ll_scratch_.data.data(),
-                     /*reduce=*/false);
-        ll_scratch_.size = header.size;
-        ll_scratch_.tag = header.tag;
-        llFinishConsume();
-        visit(std::span<const float>(ll_scratch_.data.data(),
-                                     ll_scratch_.size),
-              ll_scratch_.tag);
-        return header.tag;
-    }
-    return consumeSlot([&](Slot& slot) {
-        visit(std::span<const float>(slot.data.data(), slot.size),
-              slot.tag);
     });
 }
 

@@ -12,17 +12,17 @@
  *
  * Fast path: slots are fixed-capacity buffers that are allocated once
  * (first use, or via reserve()) and then reused forever — a send never
- * resizes, and every consume variant reads in place out of the slot
- * buffer. consume() exposes the slot to the caller directly, so
+ * resizes, and every receive variant reads in place out of the slot
+ * buffer. tryPeek() exposes the slot to the caller directly, so
  * forwarders move chunks downstream without a staging copy, mirroring
  * the LL-style "operate on the receive buffer" protocols of real NCCL.
  *
  * Two calling conventions share one ring:
  *
- *  - Blocking (thread-per-rank): send(), the recv variants and
- *    consume() spin in the Fig. 11 post/wait protocol, one dedicated
- *    thread per rank.
- *  - Non-blocking (state-machine runtime): a resumable rank task calls
+ *  - Blocking (Simple protocol only): send() and the recv variants
+ *    spin in the Fig. 11 post/wait protocol — for rank bodies run
+ *    through Communicator::run(), one dedicated thread per rank.
+ *  - Non-blocking (the collective algorithms): a resumable rank task calls
  *    noteOpBegin() once per logical op (fault injection + telemetry,
  *    exactly like the blocking prologue), then retries trySend()/
  *    tryRecv*() and *parks* on arrivalSemaphore()/freeSlotSemaphore()
@@ -30,7 +30,7 @@
  *    forwarder hold the front slot zero-copy while it waits for
  *    downstream capacity.
  *
- * Protocols (ccl/protocol.h): every transfer op takes a Protocol.
+ * Protocols (ccl/protocol.h): every non-blocking op takes a Protocol.
  * kSimple (the default) is the fenced bulk path above. kLL switches
  * the op onto a parallel low-latency ring where each 32-bit payload
  * word rides in a 64-bit line next to an inline flag word carrying
@@ -47,7 +47,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -65,10 +64,6 @@ namespace ccl {
 class Mailbox
 {
   public:
-    /** In-place consumer: sees the arrived chunk and its tag. */
-    using Visitor = std::function<void(std::span<const float> data,
-                                       int tag)>;
-
     /** Creates a mailbox with @p slots receive buffers. */
     explicit Mailbox(int slots);
 
@@ -87,47 +82,29 @@ class Mailbox
      * slot's existing capacity; allocates only when the chunk is
      * larger than anything the slot has carried before.
      */
-    void send(std::span<const float> data, int tag = 0,
-              Protocol proto = Protocol::kSimple);
+    void send(std::span<const float> data, int tag = 0);
 
     /**
      * Blocks until a chunk arrives, copies it into @p out (resized to
      * match), frees the receive buffer, and returns the tag. The slot
      * buffer is retained for reuse.
      */
-    int recv(std::vector<float>& out,
-             Protocol proto = Protocol::kSimple);
+    int recv(std::vector<float>& out);
 
     /**
      * Receives directly into @p out via a single vectorized copy; the
      * incoming chunk must have exactly out.size() elements.
      */
-    int recvInto(std::span<float> out,
-                 Protocol proto = Protocol::kSimple);
+    int recvInto(std::span<float> out);
 
     /**
      * Receives and element-wise accumulates into @p out (the reduction
      * step of AllReduce) via a single vectorized accumulate loop over
-     * the slot buffer; sizes must match. Returns the tag. On the LL
-     * path the accumulation happens per element in ascending index
-     * order as each flag arrives — the same per-element float adds in
-     * the same order as the Simple path, so results stay
-     * byte-identical across protocols.
+     * the slot buffer; sizes must match. Returns the tag.
      */
-    int recvReduce(std::span<float> out,
-                   Protocol proto = Protocol::kSimple);
+    int recvReduce(std::span<float> out);
 
-    /**
-     * Blocks until a chunk arrives and runs @p visit on the slot
-     * buffer in place (zero staging copies), then frees the receive
-     * buffer. The span is valid only during the visit (LL: the chunk
-     * is decoded into an internal staging buffer first). Returns the
-     * tag.
-     */
-    int consume(const Visitor& visit,
-                Protocol proto = Protocol::kSimple);
-
-    // ---- non-blocking surface (state-machine runtime) ----
+    // ---- non-blocking surface (rank tasks) ----
 
     /** Which side of the ring a logical op touches. */
     enum class OpKind { kSend, kRecv };
@@ -136,9 +113,9 @@ class Mailbox
      * The blocking prologue, split out for the non-blocking path:
      * runs the fault injector hook (may throw RankKilled, or block a
      * worker in an injected stall) and counts the op in the per-rank
-     * telemetry. A state-machine task calls this exactly once per
-     * *logical* op — before its first try* attempt — so injector
-     * at-op indices line up with thread-per-rank runs.
+     * telemetry. A rank task calls this (via StepContext::beginOp)
+     * exactly once per *logical* op — before its first try* attempt —
+     * so injector at-op indices do not depend on how often it retries.
      */
     void noteOpBegin(OpKind kind);
 
@@ -162,7 +139,11 @@ class Mailbox
     bool tryRecvInto(std::span<float> out, int* tag = nullptr,
                      Protocol proto = Protocol::kSimple);
 
-    /** Non-blocking recvReduce(); see tryRecvInto(). */
+    /** Non-blocking recvReduce(); see tryRecvInto(). On the LL path
+     *  the accumulation happens per element in ascending index order
+     *  as each flag arrives — the same per-element float adds in the
+     *  same order as the Simple path, so results stay byte-identical
+     *  across protocols. */
     bool tryRecvReduce(std::span<float> out, int* tag = nullptr,
                        Protocol proto = Protocol::kSimple);
 
@@ -291,9 +272,6 @@ class Mailbox
     /** Grows (if needed) and publishes the next LL slot. */
     void llWriteSlot(std::span<const float> data, int tag);
 
-    /** Blocking LL send body (prologue already run by caller). */
-    void llSend(std::span<const float> data, int tag);
-
     bool llTrySend(std::span<const float> data, int tag);
 
     struct LLHeader {
@@ -301,15 +279,9 @@ class Mailbox
         int tag = 0;
     };
 
-    /**
-     * Blocking LL receive prologue: fault hook, telemetry, trace
-     * span, then spins for the front message's header flag. Returns
-     * its size and tag; the payload is still (possibly) in flight —
-     * stream it with llDecodeBody, then llFinishConsume.
-     */
-    LLHeader llWaitHeader();
-
-    /** Non-blocking header check; traces and fills @p out on hit. */
+    /** Non-blocking header check; traces and fills @p out on hit. The
+     *  payload is still (possibly) in flight — stream it with
+     *  llDecodeBody, then llFinishConsume. */
     bool llPeekHeader(LLHeader* out);
 
     /**
@@ -346,7 +318,7 @@ class Mailbox
     std::int64_t ll_post_seq_ = 0; ///< producer thread only
     std::int64_t ll_wait_seq_ = 0; ///< consumer thread only
     std::atomic<std::int64_t> ll_consumed_{0};
-    Slot ll_scratch_;       ///< consumer staging (consume/tryPeek)
+    Slot ll_scratch_;       ///< consumer staging (tryPeek)
     bool ll_front_ = false; ///< tryPeek front came from the LL lane
     CheckableCounter delivered_;
     std::string trace_label_ = "mb ?";

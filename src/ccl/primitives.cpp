@@ -1,6 +1,6 @@
 #include "ccl/primitives.h"
 
-#include <span>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -9,7 +9,6 @@
 #include "ccl/ring_allreduce.h"
 #include "ccl/tree_allreduce.h"
 #include "ccl/tuner.h"
-#include "topo/detour_router.h"
 #include "topo/embedding_search.h"
 #include "util/logging.h"
 
@@ -17,10 +16,6 @@ namespace ccube {
 namespace ccl {
 
 namespace {
-
-using topo::NodeId;
-using topo::PhaseDirection;
-using topo::Route;
 
 void
 checkBuffers(const Communicator& comm, const RankBuffers& buffers)
@@ -33,44 +28,38 @@ checkBuffers(const Communicator& comm, const RankBuffers& buffers)
     }
 }
 
-/** Forwarding loop shared by the one-direction tree primitives:
- *  chunks hop from the upstream slot straight into the downstream
- *  mailbox — no staging vector. */
+/** One direction of the tree protocol over the whole buffer. */
 void
-forwardChunks(Communicator& comm, NodeId upstream, NodeId transit,
-              NodeId downstream, FlowId flow, int num_chunks,
-              Protocol proto)
+runTreeDirection(Communicator& comm, RankBuffers& buffers,
+                 const topo::TreeEmbedding& embedding, int num_chunks,
+                 FlowId flow, Protocol proto, TreeDirection direction,
+                 const char* op)
 {
-    Mailbox& in = comm.mailbox(upstream, transit, flow);
-    Mailbox& out = comm.mailbox(transit, downstream, flow);
-    const Mailbox::Visitor forward =
-        [&out, proto](std::span<const float> data, int tag) {
-            out.send(data, tag, proto);
-        };
-    for (int c = 0; c < num_chunks; ++c)
-        in.consume(forward, proto);
+    checkBuffers(comm, buffers);
+    CCUBE_CHECK(embedding.tree.numNodes() == comm.numRanks(),
+                "tree/communicator size mismatch");
+    std::vector<std::unique_ptr<RankTask>> tasks;
+    appendTreeTasks(tasks, comm, buffers, embedding,
+                    /*region_offset=*/0, buffers[0].size(),
+                    ChunkSplit(buffers[0].size(), num_chunks),
+                    TreePhaseMode::kTwoPhase, TreeFlowIds{flow, flow},
+                    direction, nullptr, /*chunk_id_offset=*/0, "tree",
+                    proto);
+    comm.runTasks(std::move(tasks), op, proto);
 }
 
-/** Enqueues the forwarding tasks this rank owes to @p embedding for
- *  the given phase direction onto the persistent helper pool. */
+/** One phase of the ring protocol. */
 void
-submitForwarders(RankExecutor::Group& group, Communicator& comm,
-                 const topo::TreeEmbedding& embedding, int rank,
-                 PhaseDirection phase, FlowId flow, int num_chunks,
-                 Protocol proto)
+runRingPhase(Communicator& comm, RankBuffers& buffers,
+             const topo::RingEmbedding& ring, Protocol proto,
+             RingPhase phase, const char* op)
 {
-    for (const topo::ForwardingRule& rule :
-         topo::cachedForwardingRules(embedding, 0)) {
-        if (rule.transit != rank || rule.phase != phase)
-            continue;
-        comm.executor().submit(
-            group, rank, "forward",
-            [&comm, rule, flow, num_chunks, proto]() {
-                forwardChunks(comm, rule.upstream, rule.transit,
-                              rule.downstream, flow, num_chunks,
-                              proto);
-            });
-    }
+    checkBuffers(comm, buffers);
+    CCUBE_CHECK(ring.size() == comm.numRanks(),
+                "ring/communicator size mismatch");
+    comm.runTasks(buildRingTasks(comm, buffers, ring, phase, nullptr,
+                                 proto),
+                  op, proto);
 }
 
 } // namespace
@@ -80,62 +69,8 @@ treeBroadcast(Communicator& comm, RankBuffers& buffers,
               const topo::TreeEmbedding& embedding, int num_chunks,
               FlowId flow, Protocol proto)
 {
-    checkBuffers(comm, buffers);
-    CCUBE_CHECK(embedding.tree.numNodes() == comm.numRanks(),
-                "tree/communicator size mismatch");
-    const ChunkSplit split(buffers[0].size(), num_chunks);
-
-    if (comm.engineMode() == RankExecutor::Mode::kStateMachine) {
-        std::vector<std::unique_ptr<RankTask>> tasks;
-        appendTreeTasks(tasks, comm, buffers, embedding,
-                        /*region_offset=*/0, buffers[0].size(), split,
-                        TreePhaseMode::kTwoPhase,
-                        TreeFlowIds{flow, flow},
-                        TreeDirection::kBroadcast, nullptr,
-                        /*chunk_id_offset=*/0, "tree", proto);
-        comm.runTasks(std::move(tasks), "tree_broadcast", proto);
-        return;
-    }
-
-    comm.run([&](int rank) {
-        std::span<float> buffer(buffers[static_cast<std::size_t>(rank)]);
-        RankExecutor::Group forwarders;
-        submitForwarders(forwarders, comm, embedding, rank,
-                         PhaseDirection::kBroadcast, flow, num_chunks,
-                         proto);
-
-        // Resolve the mailbox plan once per rank — the chunk loop then
-        // touches no registry and no routes.
-        const topo::BinaryTree& tree = embedding.tree;
-        const std::vector<NodeId>& children = tree.children(rank);
-        std::vector<Mailbox*> down;
-        for (NodeId child : children)
-            down.push_back(&comm.mailbox(
-                rank, embedding.routeToChild(child).hops[1], flow));
-
-        auto send_down = [&](int chunk) {
-            const std::span<const float> data =
-                split.slice(std::span<const float>(buffer), chunk);
-            for (Mailbox* box : down)
-                box->send(data, chunk, proto);
-        };
-
-        if (tree.root() == rank) {
-            for (int c = 0; c < num_chunks; ++c)
-                send_down(c);
-        } else {
-            const Route& route = embedding.routeToChild(rank);
-            const NodeId parent_hop = route.hops[route.hops.size() - 2];
-            Mailbox& from_parent = comm.mailbox(parent_hop, rank, flow);
-            for (int c = 0; c < num_chunks; ++c) {
-                const int tag =
-                    from_parent.recvInto(split.slice(buffer, c), proto);
-                CCUBE_CHECK(tag == c, "broadcast chunk out of order");
-                send_down(c);
-            }
-        }
-        forwarders.wait();
-    }, "tree_broadcast", proto);
+    runTreeDirection(comm, buffers, embedding, num_chunks, flow, proto,
+                     TreeDirection::kBroadcast, "tree_broadcast");
 }
 
 void
@@ -143,148 +78,24 @@ treeReduce(Communicator& comm, RankBuffers& buffers,
            const topo::TreeEmbedding& embedding, int num_chunks,
            FlowId flow, Protocol proto)
 {
-    checkBuffers(comm, buffers);
-    CCUBE_CHECK(embedding.tree.numNodes() == comm.numRanks(),
-                "tree/communicator size mismatch");
-    const ChunkSplit split(buffers[0].size(), num_chunks);
-
-    if (comm.engineMode() == RankExecutor::Mode::kStateMachine) {
-        std::vector<std::unique_ptr<RankTask>> tasks;
-        appendTreeTasks(tasks, comm, buffers, embedding,
-                        /*region_offset=*/0, buffers[0].size(), split,
-                        TreePhaseMode::kTwoPhase,
-                        TreeFlowIds{flow, flow},
-                        TreeDirection::kReduce, nullptr,
-                        /*chunk_id_offset=*/0, "tree", proto);
-        comm.runTasks(std::move(tasks), "tree_reduce", proto);
-        return;
-    }
-
-    comm.run([&](int rank) {
-        std::span<float> buffer(buffers[static_cast<std::size_t>(rank)]);
-        RankExecutor::Group forwarders;
-        submitForwarders(forwarders, comm, embedding, rank,
-                         PhaseDirection::kReduction, flow, num_chunks,
-                         proto);
-
-        // Mailbox plan resolved once per rank, outside the chunk loop.
-        const topo::BinaryTree& tree = embedding.tree;
-        const std::vector<NodeId>& children = tree.children(rank);
-        std::vector<Mailbox*> from_children;
-        for (NodeId child : children)
-            from_children.push_back(&comm.mailbox(
-                embedding.routeToChild(child).hops[1], rank, flow));
-        Mailbox* to_parent = nullptr;
-        if (tree.root() != rank) {
-            const Route& route = embedding.routeToChild(rank);
-            to_parent = &comm.mailbox(
-                rank, route.hops[route.hops.size() - 2], flow);
-        }
-
-        for (int c = 0; c < num_chunks; ++c) {
-            for (Mailbox* box : from_children) {
-                const int tag =
-                    box->recvReduce(split.slice(buffer, c), proto);
-                CCUBE_CHECK(tag == c, "reduce chunk out of order");
-            }
-            if (to_parent) {
-                to_parent->send(
-                    split.slice(std::span<const float>(buffer), c), c,
-                    proto);
-            }
-        }
-        forwarders.wait();
-    }, "tree_reduce", proto);
+    runTreeDirection(comm, buffers, embedding, num_chunks, flow, proto,
+                     TreeDirection::kReduce, "tree_reduce");
 }
 
 void
 ringReduceScatter(Communicator& comm, RankBuffers& buffers,
                   const topo::RingEmbedding& ring, Protocol proto)
 {
-    checkBuffers(comm, buffers);
-    const int p = comm.numRanks();
-    CCUBE_CHECK(ring.size() == p, "ring/communicator size mismatch");
-    const ChunkSplit split(buffers[0].size(), p);
-
-    if (comm.engineMode() == RankExecutor::Mode::kStateMachine) {
-        comm.runTasks(buildRingTasks(comm, buffers, ring,
-                                     RingPhase::kReduceScatter,
-                                     nullptr, proto),
-                      "ring_reduce_scatter", proto);
-        return;
-    }
-
-    std::vector<int> position(static_cast<std::size_t>(p), -1);
-    for (int pos = 0; pos < p; ++pos)
-        position[static_cast<std::size_t>(
-            ring.order[static_cast<std::size_t>(pos)])] = pos;
-
-    comm.run([&](int rank) {
-        std::span<float> buffer(buffers[static_cast<std::size_t>(rank)]);
-        const int pos = position[static_cast<std::size_t>(rank)];
-        const int next =
-            ring.order[static_cast<std::size_t>((pos + 1) % p)];
-        const int prev =
-            ring.order[static_cast<std::size_t>((pos + p - 1) % p)];
-        Mailbox& to_next = comm.mailbox(rank, next, kFlowRing);
-        Mailbox& from_prev = comm.mailbox(prev, rank, kFlowRing);
-        for (int s = 0; s < p - 1; ++s) {
-            const int send_chunk = (pos - s + p) % p;
-            const int recv_chunk = (pos - s - 1 + p) % p;
-            to_next.send(split.slice(std::span<const float>(buffer),
-                                     send_chunk),
-                         send_chunk, proto);
-            const int tag = from_prev.recvReduce(
-                split.slice(buffer, recv_chunk), proto);
-            CCUBE_CHECK(tag == recv_chunk,
-                        "reduce-scatter chunk out of sequence");
-        }
-    }, "ring_reduce_scatter", proto);
+    runRingPhase(comm, buffers, ring, proto, RingPhase::kReduceScatter,
+                 "ring_reduce_scatter");
 }
 
 void
 ringAllGather(Communicator& comm, RankBuffers& buffers,
               const topo::RingEmbedding& ring, Protocol proto)
 {
-    checkBuffers(comm, buffers);
-    const int p = comm.numRanks();
-    CCUBE_CHECK(ring.size() == p, "ring/communicator size mismatch");
-    const ChunkSplit split(buffers[0].size(), p);
-
-    if (comm.engineMode() == RankExecutor::Mode::kStateMachine) {
-        comm.runTasks(buildRingTasks(comm, buffers, ring,
-                                     RingPhase::kAllGather, nullptr,
-                                     proto),
-                      "ring_all_gather", proto);
-        return;
-    }
-
-    std::vector<int> position(static_cast<std::size_t>(p), -1);
-    for (int pos = 0; pos < p; ++pos)
-        position[static_cast<std::size_t>(
-            ring.order[static_cast<std::size_t>(pos)])] = pos;
-
-    comm.run([&](int rank) {
-        std::span<float> buffer(buffers[static_cast<std::size_t>(rank)]);
-        const int pos = position[static_cast<std::size_t>(rank)];
-        const int next =
-            ring.order[static_cast<std::size_t>((pos + 1) % p)];
-        const int prev =
-            ring.order[static_cast<std::size_t>((pos + p - 1) % p)];
-        Mailbox& to_next = comm.mailbox(rank, next, kFlowRing);
-        Mailbox& from_prev = comm.mailbox(prev, rank, kFlowRing);
-        for (int s = 0; s < p - 1; ++s) {
-            const int send_chunk = (pos + 1 - s + p) % p;
-            const int recv_chunk = (pos - s + p) % p;
-            to_next.send(split.slice(std::span<const float>(buffer),
-                                     send_chunk),
-                         send_chunk, proto);
-            const int tag = from_prev.recvInto(
-                split.slice(buffer, recv_chunk), proto);
-            CCUBE_CHECK(tag == recv_chunk,
-                        "allgather chunk out of sequence");
-        }
-    }, "ring_all_gather", proto);
+    runRingPhase(comm, buffers, ring, proto, RingPhase::kAllGather,
+                 "ring_all_gather");
 }
 
 AllReduceTrace

@@ -1,10 +1,8 @@
 #include "ccl/ring_allreduce.h"
 
-#include <span>
+#include <utility>
 
 #include "ccl/algorithm_tasks.h"
-#include "obs/context.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace ccube {
@@ -27,89 +25,10 @@ ringAllReduce(Communicator& comm, RankBuffers& buffers,
 
     AllReduceTrace trace(p);
     trace.setObserver(std::move(observer));
-
-    if (comm.engineMode() == RankExecutor::Mode::kStateMachine) {
-        comm.runTasks(buildRingTasks(comm, buffers, ring,
-                                     RingPhase::kAllReduce, &trace,
-                                     proto, resume),
-                      "ring_allreduce", proto);
-        return trace;
-    }
-
-    const ChunkSplit split(buffers[0].size(), p);
-
-    // Position of each rank on the logical ring.
-    std::vector<int> position(static_cast<std::size_t>(p), -1);
-    for (int pos = 0; pos < p; ++pos)
-        position[static_cast<std::size_t>(
-            ring.order[static_cast<std::size_t>(pos)])] = pos;
-
-    comm.run([&](int rank) {
-        std::span<float> buffer(buffers[static_cast<std::size_t>(rank)]);
-        const int pos = position[static_cast<std::size_t>(rank)];
-        const int next =
-            ring.order[static_cast<std::size_t>((pos + 1) % p)];
-        const int prev =
-            ring.order[static_cast<std::size_t>((pos + p - 1) % p)];
-        Mailbox& to_next = comm.mailbox(rank, next, kFlowRing);
-        Mailbox& from_prev = comm.mailbox(prev, rank, kFlowRing);
-
-        // Reduce-Scatter: after step s the chunk received in that step
-        // carries partial sums from s+1 ranks; after P−1 steps each
-        // position owns one fully reduced chunk. Resumed chunks are
-        // skipped on BOTH ends: sender and matched receiver compute
-        // the same chunk id per step, so the mailbox FIFO stays in
-        // lockstep across ranks.
-        {
-            obs::ScopedSpan span("ring.reduce_scatter",
-                                 "ccl.allreduce",
-                                 obs::pids::cclRank(rank),
-                                 obs::threadTrack());
-            for (int s = 0; s < p - 1; ++s) {
-                const int send_chunk = (pos - s + p) % p;
-                const int recv_chunk = (pos - s - 1 + p) % p;
-                if (!resume.done(send_chunk))
-                    to_next.send(
-                        split.slice(std::span<const float>(buffer),
-                                    send_chunk),
-                        send_chunk, proto);
-                if (!resume.done(recv_chunk)) {
-                    const int tag = from_prev.recvReduce(
-                        split.slice(buffer, recv_chunk), proto);
-                    CCUBE_CHECK(tag == recv_chunk,
-                                "ring chunk out of sequence");
-                }
-            }
-        }
-        // This rank now owns the fully reduced chunk at ring position
-        // (pos+1) mod P — the first chunk available here.
-        const int owned = (pos + 1) % p;
-        if (!resume.done(owned))
-            trace.record(rank, owned);
-
-        // AllGather: circulate the fully reduced chunks.
-        {
-            obs::ScopedSpan span("ring.allgather", "ccl.allreduce",
-                                 obs::pids::cclRank(rank),
-                                 obs::threadTrack());
-            for (int s = 0; s < p - 1; ++s) {
-                const int send_chunk = (pos + 1 - s + p) % p;
-                const int recv_chunk = (pos - s + p) % p;
-                if (!resume.done(send_chunk))
-                    to_next.send(
-                        split.slice(std::span<const float>(buffer),
-                                    send_chunk),
-                        send_chunk, proto);
-                if (!resume.done(recv_chunk)) {
-                    const int tag = from_prev.recvInto(
-                        split.slice(buffer, recv_chunk), proto);
-                    CCUBE_CHECK(tag == recv_chunk,
-                                "ring chunk out of sequence");
-                    trace.record(rank, recv_chunk);
-                }
-            }
-        }
-    }, "ring_allreduce");
+    comm.runTasks(buildRingTasks(comm, buffers, ring,
+                                 RingPhase::kAllReduce, &trace, proto,
+                                 resume),
+                  "ring_allreduce", proto);
     return trace;
 }
 

@@ -1,6 +1,7 @@
 #include "ccl/state_machine.h"
 
 #include <chrono>
+#include <cstddef>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -44,14 +45,18 @@ struct StateMachineEngine::Batch {
     std::exception_ptr error;
 };
 
-StateMachineEngine::StateMachineEngine(int num_workers)
-    : queues_(static_cast<std::size_t>(num_workers < 1 ? 1
+StateMachineEngine::StateMachineEngine(int num_workers,
+                                       Placement placement)
+    : placement_(placement),
+      queues_(static_cast<std::size_t>(num_workers < 1 ? 1
                                                        : num_workers))
 {
     const int count = static_cast<int>(queues_.size());
     workers_.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i)
         workers_.emplace_back([this, i]() { workerLoop(i); });
+    if (placement_ == Placement::kRankPinned)
+        return;
 
     // Live engine gauges for obs::Monitor snapshots: pool size,
     // parked/runnable task counts, cumulative park/steal activity.
@@ -73,12 +78,17 @@ StateMachineEngine::StateMachineEngine(int num_workers)
 
 StateMachineEngine::~StateMachineEngine()
 {
-    obs::Monitor::global().removeSource(monitor_token_);
+    if (monitor_token_ >= 0)
+        obs::Monitor::global().removeSource(monitor_token_);
     {
         std::lock_guard<std::mutex> lock(idle_mutex_);
         stop_ = true;
     }
     idle_cv_.notify_all();
+    for (WorkerQueue& queue : queues_) {
+        std::lock_guard<std::mutex> lock(queue.mutex);
+        queue.ready.notify_all();
+    }
     for (std::thread& worker : workers_)
         worker.join();
 }
@@ -118,6 +128,11 @@ StateMachineEngine::enqueue(RankTask& task)
     {
         std::lock_guard<std::mutex> lock(queue.mutex);
         queue.tasks.push_back(&task);
+        queue.nonempty.store(true, std::memory_order_release);
+    }
+    if (placement_ == Placement::kRankPinned) {
+        queue.ready.notify_one();
+        return;
     }
     {
         // The increment happens under idle_mutex_ so a worker checking
@@ -202,6 +217,10 @@ StateMachineEngine::tryPop(int index, bool* stolen)
 void
 StateMachineEngine::workerLoop(int index)
 {
+    if (placement_ == Placement::kRankPinned) {
+        pinnedLoop(index);
+        return;
+    }
     obs::setThreadRank(-1);
     obs::labelThread(
         ("sm worker " + std::to_string(index)).c_str());
@@ -228,6 +247,158 @@ StateMachineEngine::workerLoop(int index)
 }
 
 void
+StateMachineEngine::pinnedLoop(int index)
+{
+    // Rank @p index's persistent thread: one loop over the rank's step
+    // list, the shape of an NCCL channel's persistent kernel.
+    obs::setThreadRank(index);
+    obs::labelThread(("rank " + std::to_string(index)).c_str());
+    WorkerQueue& queue = queues_[static_cast<std::size_t>(index)];
+    obs::RankCounters& counters = obs::RankCounters::global();
+    std::vector<RankTask*> tasks;
+    RankTask* shown = nullptr; ///< task whose wait site is published
+    const char* shown_label = nullptr; ///< ...and which of its sites
+    util::SpinWait backoff;
+    for (;;) {
+        if (tasks.empty() ||
+            queue.nonempty.load(std::memory_order_acquire)) {
+            std::unique_lock<std::mutex> lock(queue.mutex);
+            if (tasks.empty() && queue.tasks.empty()) {
+                // Between collectives: sleep until run() hands over
+                // this rank's next tasks.
+                if (stop_)
+                    return;
+                counters.addExecutorPark();
+                queue.ready.wait(lock, [&]() {
+                    return stop_ || !queue.tasks.empty();
+                });
+                counters.addExecutorUnpark();
+                if (queue.tasks.empty())
+                    return;
+            }
+            for (RankTask* task : queue.tasks) {
+                task->trace_track_ = obs::threadTrack();
+                tasks.push_back(task);
+            }
+            queue.tasks.clear();
+            queue.nonempty.store(false, std::memory_order_relaxed);
+        }
+        bool progressed = false;
+        for (std::size_t i = 0; i < tasks.size();) {
+            RankTask& task = *tasks[i];
+            StepContext ctx(*this, task);
+            const StepStatus status = stepTask(task, ctx);
+            if (!ctx.blocked_ || ctx.began_op_)
+                progressed = true;
+            if (status == StepStatus::kDone) {
+                // The task may already be freed: compare, never touch.
+                if (shown == &task)
+                    shown = nullptr;
+                tasks.erase(tasks.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+                continue;
+            }
+            if (shown == &task && !task.wait_published_)
+                shown = nullptr; // stepTask cleared the site
+            ++i;
+        }
+        if (progressed || tasks.empty()) {
+            backoff = util::SpinWait();
+            continue;
+        }
+        // Every task is waiting on a peer. Publish one wait site for
+        // watchdog blame (rewriting it only when it changed), then back
+        // off exactly like a blocked thread-per-rank wait (PAUSE
+        // bursts, then yield).
+        RankTask& front = *tasks.front();
+        if (&front != shown || front.wait_label_ != shown_label) {
+            if (shown != nullptr)
+                shown->wait_published_ = false;
+            publishWait(front);
+            shown = &front;
+            shown_label = front.wait_label_;
+        }
+        backoff.once([]() {});
+    }
+}
+
+void
+StateMachineEngine::beginStall(RankTask& task, bool slot_full)
+{
+    // Only a pinned task polls through its waits; a pooled one parks,
+    // and its parks are counted as such (sm_parks, parked time).
+    if (placement_ != Placement::kRankPinned || task.stall_begin_ns_ != 0)
+        return;
+    task.stall_begin_ns_ = steadyNowNs();
+    obs::RankCounters& counters = obs::RankCounters::global();
+    counters.addWaitStall();
+    if (slot_full)
+        counters.addSlotFullStall();
+}
+
+void
+StateMachineEngine::endStall(RankTask& task)
+{
+    if (task.stall_begin_ns_ == 0)
+        return;
+    const std::uint64_t now = steadyNowNs();
+    if (now > task.stall_begin_ns_)
+        obs::RankCounters::global().addWaitStallNs(
+            now - task.stall_begin_ns_);
+    task.stall_begin_ns_ = 0;
+}
+
+void
+StateMachineEngine::publishWait(RankTask& task)
+{
+    CommFaultContext* fault = task.batch_->fault;
+    if (fault == nullptr || task.wait_label_ == nullptr)
+        return;
+    fault->noteWaitBegin(task.wait_label_, task.wait_flow_,
+                         task.wait_peer_);
+    task.wait_published_ = true;
+}
+
+StepStatus
+StateMachineEngine::stepTask(RankTask& task, StepContext& ctx)
+{
+    Batch* batch = task.batch_;
+    obs::setThreadRank(task.rank());
+    ScopedFaultContext fault_scope(batch->fault);
+    StepStatus status = StepStatus::kDone;
+    std::exception_ptr error;
+    try {
+        // Abort/deadline check at every resume point — the state-
+        // machine analog of the bounded spins' periodic abortPoll.
+        abortPoll();
+        obs::ScopedProfPhase prof(obs::ProfPhase::kStep, task.rank());
+        status = task.step(ctx);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    // A retry that found its op still blocked is not counted: on a
+    // pinned engine it is the analog of a pooled task sitting parked.
+    if (!ctx.blocked_)
+        steps_.fetch_add(1, std::memory_order_relaxed);
+    if (error || !(ctx.blocked_ || status == StepStatus::kParked))
+        endStall(task);
+    if (error) {
+        finishTask(task, error);
+        return StepStatus::kDone;
+    }
+    if (task.wait_published_ && !ctx.blocked_) {
+        // Pinned: the wait publishWait() announced is over.
+        task.wait_published_ = false;
+        batch->fault->noteWaitEnd();
+    }
+    if (status == StepStatus::kDone) {
+        obs::RankCounters::global().addExecutorTask();
+        finishTask(task, nullptr);
+    }
+    return status;
+}
+
+void
 StateMachineEngine::runTask(RankTask& task, int worker, bool stolen)
 {
     Batch* batch = task.batch_;
@@ -238,7 +409,6 @@ StateMachineEngine::runTask(RankTask& task, int worker, bool stolen)
     task.home_worker_ = worker;
 
     obs::setThreadRank(task.rank());
-    ScopedFaultContext fault_scope(batch->fault);
     obs::RankCounters& counters = obs::RankCounters::global();
     if (stolen) {
         counters.addSmSteal();
@@ -262,26 +432,12 @@ StateMachineEngine::runTask(RankTask& task, int worker, bool stolen)
         }
     }
 
-    StepStatus status;
-    try {
-        // Abort/deadline check at every resume point — the state-
-        // machine analog of the bounded spins' periodic abortPoll.
-        abortPoll();
-        steps_.fetch_add(1, std::memory_order_relaxed);
-        StepContext ctx(*this, task);
-        obs::ScopedProfPhase prof(obs::ProfPhase::kStep, task.rank());
-        status = task.step(ctx);
-    } catch (...) {
-        obs::setThreadRank(-1);
-        finishTask(task, std::current_exception());
-        return;
-    }
+    StepContext ctx(*this, task);
+    const StepStatus status = stepTask(task, ctx);
     obs::setThreadRank(-1);
 
     switch (status) {
       case StepStatus::kDone:
-        counters.addExecutorTask();
-        finishTask(task, nullptr);
         return;
       case StepStatus::kContinue:
         enqueue(task);
@@ -335,6 +491,14 @@ StateMachineEngine::run(std::vector<std::unique_ptr<RankTask>> tasks,
         task->park_state_.store(RankTask::kRunning,
                                 std::memory_order_relaxed);
         task->resuming_ = false;
+        task->wait_published_ = false;
+        task->trace_track_ = 0;
+        if (placement_ == Placement::kRankPinned) {
+            CCUBE_CHECK(task->rank() >= 0 && task->rank() < worker_count,
+                        "rank " << task->rank() << " has no pinned worker");
+            task->home_worker_ = task->rank();
+            continue;
+        }
         // Initial placement: round-robin over the pool; after that a
         // task sticks to the worker it last ran on (minus steals).
         task->home_worker_ = next_worker;
@@ -360,9 +524,19 @@ StateMachineEngine::run(std::vector<std::unique_ptr<RankTask>> tasks,
         std::rethrow_exception(batch.error);
 }
 
+void
+StepContext::beginOp(Mailbox& box, Mailbox::OpKind kind)
+{
+    // The task's previous op completed before this one began.
+    StateMachineEngine::endStall(task_);
+    box.noteOpBegin(kind);
+    began_op_ = true;
+}
+
 StepStatus
 StepContext::parkOnArrival(Mailbox& box)
 {
+    engine_.beginStall(task_, /*slot_full=*/false);
     // Waiting on a chunk arrival = waiting on the producer rank.
     return parkOn(box.arrivalSemaphore(), box.traceLabel().c_str(),
                   box.flowId(), box.srcRank());
@@ -371,6 +545,7 @@ StepContext::parkOnArrival(Mailbox& box)
 StepStatus
 StepContext::parkOnFreeSlot(Mailbox& box)
 {
+    engine_.beginStall(task_, /*slot_full=*/true);
     // Waiting on a free receive buffer = waiting on the consumer.
     return parkOn(box.freeSlotSemaphore(), box.traceLabel().c_str(),
                   box.flowId(), box.dstRank());
@@ -380,6 +555,17 @@ StepStatus
 StepContext::parkOn(BoundedSemaphore& sem, const char* label, int flow,
                     int peer)
 {
+    if (engine_.placement_ ==
+        StateMachineEngine::Placement::kRankPinned) {
+        // A pinned worker polls instead of parking. It publishes this
+        // wait site (publishWait) only if the whole rank stays blocked,
+        // so a deadline overrun still blames this rank here.
+        task_.wait_label_ = label;
+        task_.wait_flow_ = flow;
+        task_.wait_peer_ = peer;
+        return retryLater();
+    }
+
     // Small-message fast path: while the pool has nothing else to run,
     // a bounded spin beats the park/resume round trip (PR 2 measured
     // the pure-spin protocol at a few microseconds per chunk). Under

@@ -3,24 +3,34 @@
 
 /**
  * @file
- * Async state-machine rank runtime: resumable per-rank collectives on
- * a small worker pool.
+ * The rank runtime: resumable per-rank collectives driven by worker
+ * threads. Every collective algorithm is a set of RankTasks (built in
+ * ccl/algorithm_tasks.h); this engine is the only thing that runs them.
  *
- * Thread-per-rank caps the functional runtime at a few dozen ranks —
- * every rank (plus every forwarder and overlapped reducer) needs a
- * dedicated OS thread that mostly blocks in the Fig. 11 spin protocol.
- * Real stacks don't do that: NCCL multiplexes many channels' progress
- * onto a handful of proxy threads, and Motr-style request handlers
- * (the FOM pattern) run as non-blocking state machines that *park* on
- * a condition and are resumed by the post. This header is that third
- * engine mode: each rank's collective body becomes a RankTask whose
- * step() advances until a mailbox would block, then parks on the
- * mailbox's semaphore via the SemaphoreWaiter registration in
- * sync_primitives.h. A post() pops the waiter and reschedules the
- * task onto the pool — so P=512–1024 functional ranks run on two
- * workers instead of a thousand threads.
+ * Each task's step() advances its rank's mailbox plan until an op
+ * would block, then hands the wait to its StepContext. What happens
+ * next depends on the engine's placement:
  *
- * Park/wake protocol (exactly-once resume, no lost wakeups):
+ *  - Placement::kRankPinned — the persistent threads. One worker per
+ *    rank, each task pinned to its rank's worker. The worker runs one
+ *    loop over its rank's step list, the way an NCCL channel loops over
+ *    its steps: a blocked task simply yields the loop to the rank's
+ *    next task, and once every task is blocked the worker backs off on
+ *    the util::SpinWait ladder. Nothing parks, so a post never pays a
+ *    wake. A ccl::RankExecutor owned by each Communicator is this form.
+ *  - Placement::kPooled — thread-per-rank caps the runtime at a few
+ *    dozen ranks, so the process-wide shared() pool multiplexes tasks
+ *    onto a handful of workers. NCCL multiplexes many channels'
+ *    progress onto a few proxy threads, and Motr-style request handlers
+ *    (the FOM pattern) run as non-blocking state machines that *park*
+ *    on a condition and are resumed by the post. A blocked task parks on
+ *    the mailbox's semaphore via the SemaphoreWaiter registration in
+ *    sync_primitives.h; the post pops the waiter and reschedules the
+ *    task onto the pool — so P=512–1024 functional ranks run on a few
+ *    workers instead of a thousand threads.
+ *
+ * Park/wake protocol of the pooled placement (exactly-once resume, no
+ * lost wakeups):
  *
  *   1. step() fails a try* mailbox op and calls StepContext::parkOn.
  *      The task's park_state goes kRunning → kParking and the task
@@ -46,13 +56,13 @@
  *      wait-site label published so the watchdog blames the right
  *      rank.
  *
- * Work stealing: each worker owns a deque; enqueues go to the task's
- * home worker (rank-affine), idle workers steal from the back of
- * other queues. Steals, parks, and resumes land in obs::RankCounters
- * and the engine exports live ccl.sm.* gauges to obs::Monitor.
+ * Work stealing (pooled): each worker owns a deque; enqueues go to the
+ * task's home worker, idle workers steal from the back of other
+ * queues. Steals, parks, and resumes land in obs::RankCounters and the
+ * engine exports live ccl.sm.* gauges to obs::Monitor.
  *
  * Along with executor.cpp, this is a translation unit in src/ccl/
- * allowed to construct std::thread (the pool workers).
+ * allowed to construct std::thread (the workers).
  */
 
 #include <atomic>
@@ -64,36 +74,46 @@
 #include <thread>
 #include <vector>
 
+#include "ccl/mailbox.h"
 #include "ccl/sync_primitives.h"
 
 namespace ccube {
 namespace ccl {
 
 class CommFaultContext;
-class Mailbox;
 class RankTask;
 class StepContext;
 
 /** What one step() invocation accomplished. */
 enum class StepStatus {
     kDone,     ///< the task finished its whole protocol
-    kContinue, ///< progress made; reschedule (fairness boundary)
+    kContinue, ///< progress made, or retry later (see StepContext)
     kParked,   ///< registered on a semaphore; resume on post
 };
 
 /**
- * The worker pool driving RankTask state machines. One engine is
- * shared per process (shared()) so N concurrent communicators
- * multiplex onto the same handful of threads; tests may build private
- * engines with explicit worker counts.
+ * The worker threads driving RankTask state machines. One pooled
+ * engine is shared per process (shared()) so N concurrent
+ * communicators multiplex onto the same handful of threads; each
+ * Communicator in persistent mode owns a rank-pinned one (its
+ * RankExecutor); tests may build private engines with explicit worker
+ * counts.
  */
 class StateMachineEngine
 {
   public:
-    /** Pool with @p num_workers threads (min 1). */
-    explicit StateMachineEngine(int num_workers);
+    /** How tasks map onto workers (see the file comment). */
+    enum class Placement {
+        kPooled,     ///< any worker; steal, park on block
+        kRankPinned, ///< rank r on worker r only; poll, never park
+    };
 
-    /** Joins the pool (all run() calls must have returned). */
+    /** Engine with @p num_workers threads (min 1). A rank-pinned
+     *  engine needs one worker per rank of the tasks it runs. */
+    explicit StateMachineEngine(int num_workers,
+                                Placement placement = Placement::kPooled);
+
+    /** Joins the workers (all run() calls must have returned). */
     ~StateMachineEngine();
 
     StateMachineEngine(const StateMachineEngine&) = delete;
@@ -133,7 +153,10 @@ class StateMachineEngine
         return static_cast<int>(workers_.size());
     }
 
-    /** step() invocations executed. */
+    Placement placement() const { return placement_; }
+
+    /** step() invocations executed, not counting retries that found
+     *  their op still blocked (StepContext::retryLater). */
     std::uint64_t stepsExecuted() const
     {
         return steps_.load(std::memory_order_relaxed);
@@ -172,10 +195,13 @@ class StateMachineEngine
 
     struct Batch;
 
-    /** One worker's run queue (owner pops front, thieves pop back). */
+    /** One worker's run queue (owner pops front, thieves pop back).
+     *  A pinned worker sleeps on @c ready between collectives. */
     struct WorkerQueue {
         std::mutex mutex;
+        std::condition_variable ready;
         std::deque<RankTask*> tasks;
+        std::atomic<bool> nonempty{false}; ///< pinned: tasks != empty
     };
 
     void enqueue(RankTask& task);
@@ -187,17 +213,41 @@ class StateMachineEngine
     void sweepAborted(Batch& batch);
 
     void workerLoop(int index);
+    void pinnedLoop(int index);
+
+    /** Announces @p task's last wait site for watchdog blame. */
+    void publishWait(RankTask& task);
+
+    /**
+     * Stall telemetry of a blocked mailbox op on a rank-pinned engine,
+     * as the blocking waits count it: beginStall() opens the episode on
+     * the op's first block (a wait stall; a slot-full stall too for a
+     * send), endStall() adds its duration once the op has completed.
+     * No-ops when pooled, when no episode is open / one already is.
+     */
+    void beginStall(RankTask& task, bool slot_full);
+    static void endStall(RankTask& task);
+
     RankTask* tryPop(int index, bool* stolen);
     void runTask(RankTask& task, int worker, bool stolen);
+
+    /** One step() of @p task with its rank and batch fault context
+     *  installed. A finished or failed task is handed to finishTask()
+     *  and must not be touched again; its status reads kDone. */
+    StepStatus stepTask(RankTask& task, StepContext& ctx);
+
     void finishTask(RankTask& task, std::exception_ptr error);
 
+    const Placement placement_;
     std::vector<WorkerQueue> queues_;
     std::vector<std::thread> workers_;
 
     std::mutex idle_mutex_;
     std::condition_variable idle_cv_;
     std::atomic<std::size_t> pending_{0}; ///< increments under idle_mutex_
-    bool stop_ = false;                   ///< guarded by idle_mutex_
+    /** Set once, under idle_mutex_; the destructor then takes each
+     *  queue mutex before notifying, so no pinned worker misses it. */
+    std::atomic<bool> stop_{false};
 
     std::atomic<std::uint64_t> steps_{0};
     std::atomic<std::uint64_t> parks_{0};
@@ -216,8 +266,8 @@ class StateMachineEngine
  * what StepContext::parkOn* gives back when an op would block, and
  * kDone when the protocol is finished. step() runs with the batch's
  * fault context installed and the task's rank set as the thread rank,
- * so mailbox telemetry, fault injection, and watchdog blame all
- * attribute exactly as in thread-per-rank mode.
+ * so mailbox telemetry, fault injection, and watchdog blame attribute
+ * to the task's rank whichever worker runs it.
  */
 class RankTask : public SemaphoreWaiter
 {
@@ -231,6 +281,13 @@ class RankTask : public SemaphoreWaiter
 
     /** Role label ("rank", "tree1", "forward", ...). */
     const char* role() const { return role_; }
+
+    /**
+     * Trace track (tid) for the task's phase spans: its rank thread's
+     * track on a pinned engine, where the rank's mailbox spans land
+     * too; 0 on the pool, where the task migrates across workers.
+     */
+    int traceTrack() const { return trace_track_; }
 
   private:
     friend class StateMachineEngine;
@@ -247,6 +304,14 @@ class RankTask : public SemaphoreWaiter
     std::atomic<int> park_state_{kRunning};
     BoundedSemaphore* parked_sem_ = nullptr; ///< for the abort sweep
     bool resuming_ = false; ///< next execution is a park resume
+    // Pinned: the last wait site parkOn saw, and whether publishWait()
+    // announced it to the fault context.
+    const char* wait_label_ = nullptr;
+    int wait_flow_ = -1;
+    int wait_peer_ = -1;
+    bool wait_published_ = false;
+    int trace_track_ = 0;
+    std::uint64_t stall_begin_ns_ = 0; ///< open stall episode, or 0
     // Steady-clock stamp of the last park, so the resume path can
     // attribute the parked interval to the rank in obs::Profiler.
     // Plain field: the park/wake handoff (queue + state CAS) orders
@@ -264,11 +329,18 @@ class StepContext
 {
   public:
     /**
+     * Starts a logical mailbox op: Mailbox::noteOpBegin() (fault hook
+     * and telemetry), and marks the step as having made progress — a
+     * task only begins an op once its previous one completed.
+     */
+    void beginOp(Mailbox& box, Mailbox::OpKind kind);
+
+    /**
      * Parks the task until @p box has an arrived chunk. Call after a
      * failed tryRecv variant or tryPeek and return the result from
      * step() immediately: kParked when the task actually parked,
-     * kContinue when the chunk raced in (retry the op on the next
-     * step).
+     * kContinue when the chunk raced in or the engine is rank-pinned
+     * (retry the op on the next step).
      */
     StepStatus parkOnArrival(Mailbox& box);
 
@@ -279,12 +351,28 @@ class StepContext
      * General form: parks on @p sem, publishing @p label / @p flow as
      * the task's blocked wait site for watchdog blame and @p peer as
      * the rank expected to post the semaphore (the wait-for graph
-     * edge; -1 = unknown). Spins a bounded util::SpinWait ladder
-     * first while the pool is otherwise idle — the small-message fast
-     * path — then registers.
+     * edge; -1 = unknown). Pooled: spins a bounded util::SpinWait
+     * ladder first while the pool is otherwise idle — the
+     * small-message fast path — then registers. Rank-pinned: records
+     * the wait site (published once the whole rank is blocked) and
+     * returns retryLater().
      */
     StepStatus parkOn(BoundedSemaphore& sem, const char* label,
                       int flow, int peer = -1);
+
+    /**
+     * The op would block on a condition no semaphore announces (an LL
+     * flag): returns kContinue, marking the step as blocked so a
+     * pinned worker backs off once its whole step list is blocked.
+     */
+    StepStatus retryLater()
+    {
+        blocked_ = true;
+        return StepStatus::kContinue;
+    }
+
+    /** Whether this step already ended in a wait (retryLater()). */
+    bool blocked() const { return blocked_; }
 
   private:
     friend class StateMachineEngine;
@@ -296,6 +384,8 @@ class StepContext
 
     StateMachineEngine& engine_;
     RankTask& task_;
+    bool blocked_ = false;  ///< the step ended waiting (retryLater)
+    bool began_op_ = false; ///< the step started a mailbox op
 };
 
 } // namespace ccl

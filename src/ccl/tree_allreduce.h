@@ -11,12 +11,10 @@
  * broadcast the moment it is fully reduced at the root, using the
  * otherwise-idle downlinks (Observations #1 and #2).
  *
- * Detour edges of the embedding are serviced by forwarding threads on
+ * Detour edges of the embedding are serviced by forwarding tasks on
  * the transit ranks — the analog of the paper's static forwarding
  * kernels (§IV-A).
  */
-
-#include <span>
 
 #include "ccl/allreduce.h"
 #include "ccl/communicator.h"
@@ -51,25 +49,6 @@ AllReduceTrace treeAllReduce(Communicator& comm, RankBuffers& buffers,
                              AllReduceTrace::Observer observer = {},
                              Protocol proto = Protocol::kSimple,
                              const SkipMask& resume = {});
-
-namespace detail {
-
-/**
- * Per-rank body of the tree algorithm, for composition by the double
- * tree: runs rank @p rank's role over @p buffer (this rank's view of
- * the region this tree owns). Chunk ids recorded into @p trace are
- * offset by @p chunk_id_offset; @p resume is consulted at those
- * offset (global) ids.
- */
-void treeRankBody(Communicator& comm, int rank, std::span<float> buffer,
-                  const topo::TreeEmbedding& embedding,
-                  const ChunkSplit& split, TreePhaseMode mode,
-                  TreeFlowIds flows, AllReduceTrace& trace,
-                  int chunk_id_offset,
-                  Protocol proto = Protocol::kSimple,
-                  const SkipMask& resume = {});
-
-} // namespace detail
 
 } // namespace ccl
 } // namespace ccube

@@ -66,13 +66,6 @@ RankCounters::current()
     return slots_[index];
 }
 
-RankCounters::Slot&
-RankCounters::slotFor(int rank)
-{
-    const int index = (rank >= 0 && rank < kMaxRanks) ? rank + 1 : 0;
-    return slots_[index];
-}
-
 const RankCounters::Slot&
 RankCounters::slot(int rank) const
 {
@@ -144,18 +137,6 @@ void
 RankCounters::addExecutorUnpark()
 {
     current().executor_unparks.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-RankCounters::noteExecutorQueueDepth(int rank, std::uint64_t depth)
-{
-    std::atomic<std::uint64_t>& peak =
-        slotFor(rank).executor_queue_peak;
-    std::uint64_t seen = peak.load(std::memory_order_relaxed);
-    while (seen < depth &&
-           !peak.compare_exchange_weak(seen, depth,
-                                       std::memory_order_relaxed)) {
-    }
 }
 
 void
@@ -248,13 +229,6 @@ std::uint64_t
 RankCounters::executorUnparks(int rank) const
 {
     return slot(rank).executor_unparks.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-RankCounters::executorQueuePeak(int rank) const
-{
-    return slot(rank).executor_queue_peak.load(
-        std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -374,7 +348,6 @@ RankCounters::exportTo(MetricRegistry& registry) const
         {"executor_tasks", &RankCounters::executorTasks},
         {"executor_parks", &RankCounters::executorParks},
         {"executor_unparks", &RankCounters::executorUnparks},
-        {"executor_queue_peak", &RankCounters::executorQueuePeak},
         {"sm_parks", &RankCounters::smParks},
         {"sm_resumes", &RankCounters::smResumes},
         {"sm_steals", &RankCounters::smSteals},
@@ -414,7 +387,6 @@ RankCounters::reset()
         s.executor_tasks.store(0, std::memory_order_relaxed);
         s.executor_parks.store(0, std::memory_order_relaxed);
         s.executor_unparks.store(0, std::memory_order_relaxed);
-        s.executor_queue_peak.store(0, std::memory_order_relaxed);
         s.ll_spins.store(0, std::memory_order_relaxed);
         s.ll_spin_ns.store(0, std::memory_order_relaxed);
         s.sm_parks.store(0, std::memory_order_relaxed);

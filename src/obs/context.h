@@ -6,9 +6,9 @@
  * Per-thread observability context and per-rank synchronization
  * counters for the functional (`ccl::`) runtime.
  *
- * The functional path runs one thread per rank plus helper threads
- * (forwarding kernels, the overlapped reducer, the second tree).
- * `setThreadRank()` tags each such thread with the rank it acts for;
+ * The functional path runs each rank's tasks (ring body, tree
+ * pipelines, forwarding kernels) on a thread that acts for that rank.
+ * `setThreadRank()` tags the thread with the rank it currently acts for;
  * the low-level primitives (`SpinLock`, `BoundedSemaphore`, `Mailbox`)
  * then attribute their counters to the current rank without taking
  * any lock — each rank slot is a cache-padded atomic, the thread
@@ -27,10 +27,9 @@
  *                        occupied (the flow-control backpressure of
  *                        the paper's bounded receive rings);
  *   - mailbox_sends / mailbox_recvs — chunk traffic per rank;
- *   - executor_tasks / executor_parks / executor_unparks /
- *     executor_queue_peak — persistent-executor activity, so traces
- *     can distinguish a parked-thread wakeup from the old per-
- *     collective spawn cost;
+ *   - executor_tasks / executor_parks / executor_unparks — tasks
+ *     finished, and persistent rank threads going to sleep between
+ *     collectives and waking for the next one;
  *   - ll_spins / ll_spin_ns — LL-protocol flag spins: episodes where
  *     an LL mailbox op actually spun on an inline arrival flag, and
  *     the wall time spent doing so. Kept separate from wait_stall_ns
@@ -41,8 +40,7 @@
  *     activity: rank tasks parking on a semaphore waiter, being
  *     rescheduled by a post, and migrating between pool workers via
  *     work stealing. Together with the engine's live gauges
- *     (ccl.sm.* in obs::Monitor) these close the executor-mode
- *     telemetry gap: helper-pool/worker occupancy is now visible per
+ *     (ccl.sm.* in obs::Monitor) they make pool occupancy visible per
  *     rank and per snapshot.
  */
 
@@ -62,7 +60,7 @@ int threadRank();
 
 /**
  * Stable per-thread trace track id (assigned on first use). Distinct
- * helper threads of one rank get distinct tracks so their concurrent
+ * threads acting for one rank get distinct tracks so their concurrent
  * spans render side by side instead of stacking.
  */
 int threadTrack();
@@ -114,20 +112,14 @@ class RankCounters
     /** Records one mailbox receive. */
     void addMailboxRecv();
 
-    /** Records one task executed by the rank executor. */
+    /** Records one rank task run to completion. */
     void addExecutorTask();
 
-    /** Records one executor thread parking (no task pending). */
+    /** Records one persistent rank thread parking (no task pending). */
     void addExecutorPark();
 
-    /** Records one executor thread waking with a task. */
+    /** Records one persistent rank thread waking with a task. */
     void addExecutorUnpark();
-
-    /**
-     * Records @p depth concurrently-busy executor helpers for
-     * @p rank; the per-rank peak is kept (monotonic max).
-     */
-    void noteExecutorQueueDepth(int rank, std::uint64_t depth);
 
     /** Records one LL flag-spin episode lasting @p ns. */
     void addLLSpin(std::uint64_t ns);
@@ -153,7 +145,6 @@ class RankCounters
     std::uint64_t executorTasks(int rank) const;
     std::uint64_t executorParks(int rank) const;
     std::uint64_t executorUnparks(int rank) const;
-    std::uint64_t executorQueuePeak(int rank) const;
     std::uint64_t llSpins(int rank) const;
     std::uint64_t llSpinNs(int rank) const;
     std::uint64_t smParks(int rank) const;
@@ -193,7 +184,6 @@ class RankCounters
         std::atomic<std::uint64_t> executor_tasks{0};
         std::atomic<std::uint64_t> executor_parks{0};
         std::atomic<std::uint64_t> executor_unparks{0};
-        std::atomic<std::uint64_t> executor_queue_peak{0};
         std::atomic<std::uint64_t> ll_spins{0};
         std::atomic<std::uint64_t> ll_spin_ns{0};
         std::atomic<std::uint64_t> sm_parks{0};
@@ -203,7 +193,6 @@ class RankCounters
 
     /** Slot for the calling thread (0 = unknown rank). */
     Slot& current();
-    Slot& slotFor(int rank);
     const Slot& slot(int rank) const;
 
     Slot slots_[kMaxRanks + 1];

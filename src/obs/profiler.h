@@ -249,7 +249,7 @@ class ScopedProfPhase
  *
  * Labels are stored by pointer (mailbox trace labels outlive the
  * communicator; tests use string literals). One slot per rank:
- * when several helper roles of one rank block concurrently the last
+ * when several tasks of one rank block concurrently the last
  * writer wins — the graph is a best-effort snapshot, and a chain
  * simply ends early when an edge is missing.
  */

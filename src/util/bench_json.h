@@ -33,7 +33,7 @@ struct BenchRecord {
     std::string source; ///< emitting binary, e.g. "micro_primitives"
     std::string kind;   ///< e.g. "allreduce_latency"
     std::string name;   ///< algorithm / strategy under test
-    std::string mode;   ///< "persistent" or "spawn"
+    std::string mode;   ///< engine, e.g. "persistent" or "statemachine"
     std::int64_t bytes = 0;  ///< message size (0 when not applicable)
     double ns_per_op = 0.0;  ///< nanoseconds per operation
     std::map<std::string, double> extra; ///< free-form numeric fields

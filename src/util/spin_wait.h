@@ -29,7 +29,7 @@
  * The state-machine runtime adds a fourth rung: after kParkThreshold
  * rounds a resumable task should stop spinning and park on a waiter
  * registration instead (see ccl/state_machine.h). shouldPark() is
- * that cutover test; thread-per-rank callers simply never ask.
+ * that cutover test; blocking callers simply never ask.
  */
 
 #include <cstdint>

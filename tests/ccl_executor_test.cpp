@@ -1,16 +1,18 @@
 /**
  * @file
- * Tests for the persistent RankExecutor: thread reuse across
- * back-to-back collectives (the whole point — no per-collective
- * spawning), correct results under every AllReduce algorithm on both
- * execution engines, exception propagation out of rank bodies with the
- * executor left usable, and the obs-exported telemetry.
+ * Tests for the persistent RankExecutor: one thread per rank reused
+ * across back-to-back collectives (the whole point — no per-collective
+ * spawning), every task of a rank pinned to that rank's thread,
+ * correct results under every AllReduce algorithm on both engines,
+ * exception propagation out of rank bodies and tasks with the executor
+ * left usable, and the obs-exported telemetry.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -22,7 +24,6 @@
 #include "ccl/ring_allreduce.h"
 #include "ccl/tree_allreduce.h"
 #include "obs/context.h"
-#include "topo/detour_router.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -114,85 +115,91 @@ TEST(RankExecutor, PersistentModeAllAlgorithmsCorrect)
     runAllAlgorithms(comm, topo, rng);
 }
 
-TEST(RankExecutor, SpawnModeAllAlgorithmsCorrect)
+TEST(RankExecutor, SharedPoolModeAllAlgorithmsCorrect)
 {
     const Topologies topo;
     ccl::Communicator comm(kRanks, 4,
-                           ccl::RankExecutor::Mode::kSpawnPerCall);
+                           ccl::RankExecutor::Mode::kStateMachine);
     util::Rng rng(12);
     runAllAlgorithms(comm, topo, rng);
 }
 
-TEST(RankExecutor, NoThreadGrowthAcrossBackToBackRingCollectives)
+TEST(RankExecutor, NoThreadGrowthAcrossBackToBackCollectives)
 {
-    // The ring uses no helpers, so the thread census is exact: the
-    // eight parked rank mains and nothing else, forever.
+    // Forwarders, overlapped reducers and the second tree are tasks on
+    // their rank's thread, so the census is exact for every algorithm:
+    // one thread per rank, forever, while the step count keeps growing.
     const Topologies topo;
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kPersistent);
     util::Rng rng(13);
-    std::vector<float> expected;
-    for (int iter = 0; iter < 10; ++iter) {
-        ccl::RankBuffers buffers = randomBuffers(rng, expected);
-        ccl::ringAllReduce(comm, buffers, topo.ring);
-        expectAllReduced(buffers, expected);
-        EXPECT_EQ(comm.executor().threadCount(), kRanks);
-        EXPECT_EQ(comm.executor().helperCount(), 0);
-    }
-}
-
-/** Forwarding rules hosted on @p rank (helpers one collective needs). */
-int
-forwarderCount(const topo::TreeEmbedding& embedding, int rank)
-{
-    int count = 0;
-    for (const topo::ForwardingRule& rule :
-         topo::cachedForwardingRules(embedding, 0))
-        if (rule.transit == rank)
-            ++count;
-    return count;
-}
-
-TEST(RankExecutor, HelperPoolBoundedAcrossBackToBackCollectives)
-{
-    // Helpers are created only when concurrent demand exceeds the
-    // historical peak, so the thread census must stay bounded by the
-    // worst-case per-rank demand of the algorithm suite — independent
-    // of how many collectives run — while tasksExecuted keeps growing
-    // linearly. That is the "no per-collective thread" property.
-    const Topologies topo;
-    ccl::Communicator comm(kRanks, 4,
-                           ccl::RankExecutor::Mode::kPersistent);
-    util::Rng rng(13);
-
-    int bound = kRanks; // parked rank mains
-    for (int r = 0; r < kRanks; ++r) {
-        // Overlapped single tree: forwarders + one reducer.
-        const int single = forwarderCount(topo.tree, r) + 1;
-        // Double tree: the tree1 body plus, per tree, forwarders and
-        // one overlapped reducer.
-        const int dbl = 1 + forwarderCount(topo.double_tree.tree0, r) +
-                        forwarderCount(topo.double_tree.tree1, r) + 2;
-        bound += std::max(single, dbl);
-    }
-
     constexpr int kIters = 10;
     for (int iter = 0; iter < kIters; ++iter) {
         runAllAlgorithms(comm, topo, rng);
-        EXPECT_LE(comm.executor().threadCount(), bound);
+        EXPECT_EQ(comm.executor().workerCount(), kRanks);
     }
-    // 4 collectives per iteration, at least one task per rank each.
-    EXPECT_GE(comm.executor().tasksExecuted(),
-              static_cast<std::int64_t>(kIters) * 4 * kRanks);
+    // 4 collectives per iteration, at least one step per rank each.
+    EXPECT_GE(comm.executor().stepsExecuted(),
+              static_cast<std::uint64_t>(kIters) * 4 * kRanks);
 }
 
-TEST(RankExecutor, TasksExecutedAdvances)
+/** Records the thread each step of rank() ran on, over @p steps steps. */
+class ThreadProbeTask : public ccl::RankTask
+{
+  public:
+    ThreadProbeTask(int rank, int steps,
+                    std::vector<std::thread::id>& seen)
+        : RankTask(rank, "probe"), steps_(steps), seen_(seen)
+    {
+    }
+
+    ccl::StepStatus step(ccl::StepContext&) override
+    {
+        seen_.push_back(std::this_thread::get_id());
+        return --steps_ == 0 ? ccl::StepStatus::kDone
+                             : ccl::StepStatus::kContinue;
+    }
+
+  private:
+    int steps_;
+    std::vector<std::thread::id>& seen_;
+};
+
+TEST(RankExecutor, EveryTaskOfARankRunsOnThatRanksThread)
+{
+    ccl::RankExecutor executor(4);
+    // Two tasks per rank, several steps each, over two collectives.
+    std::vector<std::vector<std::thread::id>> seen(8);
+    for (int run = 0; run < 2; ++run) {
+        std::vector<std::unique_ptr<ccl::RankTask>> tasks;
+        for (int i = 0; i < 8; ++i)
+            tasks.push_back(std::make_unique<ThreadProbeTask>(
+                i % 4, 3, seen[static_cast<std::size_t>(i)]));
+        executor.run(std::move(tasks), nullptr);
+    }
+    std::vector<std::thread::id> owner(4);
+    for (int i = 0; i < 8; ++i) {
+        const auto& ids = seen[static_cast<std::size_t>(i)];
+        ASSERT_EQ(ids.size(), 6u);
+        std::thread::id& rank_thread = owner[static_cast<std::size_t>(i % 4)];
+        if (rank_thread == std::thread::id())
+            rank_thread = ids.front();
+        for (std::thread::id id : ids)
+            EXPECT_EQ(id, rank_thread) << "task " << i;
+    }
+    for (int a = 0; a < 4; ++a)
+        for (int b = a + 1; b < 4; ++b)
+            EXPECT_NE(owner[static_cast<std::size_t>(a)],
+                      owner[static_cast<std::size_t>(b)]);
+}
+
+TEST(RankExecutor, StepsExecutedAdvances)
 {
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kPersistent);
-    const std::int64_t before = comm.executor().tasksExecuted();
+    const std::uint64_t before = comm.executor().stepsExecuted();
     comm.run([](int) {});
-    EXPECT_GE(comm.executor().tasksExecuted(), before + kRanks);
+    EXPECT_GE(comm.executor().stepsExecuted(), before + kRanks);
 }
 
 TEST(RankExecutor, RankBodyExceptionPropagatesAndExecutorSurvives)
@@ -212,19 +219,30 @@ TEST(RankExecutor, RankBodyExceptionPropagatesAndExecutorSurvives)
     runAllAlgorithms(comm, topo, rng);
 }
 
-TEST(RankExecutor, HelperExceptionPropagatesThroughGroup)
+/** Fails on its first step. */
+class ThrowingTask : public ccl::RankTask
 {
-    ccl::RankExecutor executor(2,
-                               ccl::RankExecutor::Mode::kPersistent);
-    executor.run([&](int rank) {
-        if (rank != 0)
-            return;
-        ccl::RankExecutor::Group group;
-        executor.submit(group, rank, "test", []() {
-            throw std::logic_error("helper failed");
-        });
-        EXPECT_THROW(group.wait(), std::logic_error);
-    });
+  public:
+    explicit ThrowingTask(int rank) : RankTask(rank, "throw") {}
+
+    ccl::StepStatus step(ccl::StepContext&) override
+    {
+        throw std::logic_error("task failed");
+    }
+};
+
+TEST(RankExecutor, TaskExceptionPropagatesAfterTheRanksOtherTasks)
+{
+    ccl::RankExecutor executor(2);
+    std::vector<std::thread::id> seen;
+    std::vector<std::unique_ptr<ccl::RankTask>> tasks;
+    tasks.push_back(std::make_unique<ThrowingTask>(0));
+    tasks.push_back(std::make_unique<ThreadProbeTask>(0, 5, seen));
+    EXPECT_THROW(executor.run(std::move(tasks), nullptr),
+                 std::logic_error);
+    // run() returned only after the surviving task on the same rank
+    // finished its protocol.
+    EXPECT_EQ(seen.size(), 5u);
 }
 
 TEST(RankExecutor, ExecutorTelemetryExportedViaObs)

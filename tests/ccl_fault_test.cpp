@@ -363,14 +363,11 @@ TEST_P(FaultedCollective, ClearAbortIsIdempotent)
 INSTANTIATE_TEST_SUITE_P(
     Modes, FaultedCollective,
     ::testing::Values(RankExecutor::Mode::kPersistent,
-                      RankExecutor::Mode::kSpawnPerCall,
                       RankExecutor::Mode::kStateMachine),
     [](const ::testing::TestParamInfo<RankExecutor::Mode>& info) {
         switch (info.param) {
           case RankExecutor::Mode::kPersistent:
             return "persistent";
-          case RankExecutor::Mode::kSpawnPerCall:
-            return "spawn";
           case RankExecutor::Mode::kStateMachine:
             return "statemachine";
         }

@@ -170,14 +170,13 @@ dgx1Scenarios(const Dgx1Topologies& topo)
     };
 }
 
-// ------------------- LL vs Simple byte identity (DGX-1, P=8, 3 engines)
+// ------------------- LL vs Simple byte identity (DGX-1, P=8, 2 engines)
 
 TEST(ProtocolByteIdentity, LLMatchesSimpleAllEnginesOnDgx1)
 {
     const Dgx1Topologies topo;
     const std::vector<RankExecutor::Mode> modes = {
         RankExecutor::Mode::kPersistent,
-        RankExecutor::Mode::kSpawnPerCall,
         RankExecutor::Mode::kStateMachine,
     };
     std::uint64_t seed = 301;
@@ -218,7 +217,6 @@ TEST(ProtocolByteIdentity, AutoMatchesSimpleThroughDispatcher)
     };
     const std::vector<RankExecutor::Mode> modes = {
         RankExecutor::Mode::kPersistent,
-        RankExecutor::Mode::kSpawnPerCall,
         RankExecutor::Mode::kStateMachine,
     };
     std::uint64_t seed = 401;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the async state-machine rank runtime (state_machine.h):
- * byte-identical collective results across all three engine modes,
+ * Tests for the state-machine rank runtime (state_machine.h):
+ * byte-identical collective results on both engine placements,
  * large-P functional runs on a handful of pool threads, concurrent
  * communicators multiplexed onto the shared engine, fault kill/stall
  * mid-park with correct watchdog blame, and the park/resume/steal
@@ -146,7 +146,7 @@ struct Scenario {
 /**
  * Runs @p scenario once per engine mode on fresh communicators and
  * identical seeded inputs, and requires the resulting buffers of every
- * mode to be byte-identical to the thread-per-rank reference.
+ * mode to be byte-identical to the persistent-thread reference.
  */
 void
 expectModesAgree(int ranks, int elems, const Scenario& scenario,
@@ -220,7 +220,6 @@ TEST(StateMachineByteIdentity, AllCollectivesAllEnginesOnDgx1)
 {
     const Dgx1Topologies topo;
     const std::vector<RankExecutor::Mode> modes = {
-        RankExecutor::Mode::kSpawnPerCall,
         RankExecutor::Mode::kStateMachine,
     };
     std::uint64_t seed = 101;

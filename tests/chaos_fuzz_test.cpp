@@ -297,10 +297,6 @@ INSTANTIATE_TEST_SUITE_P(
                    ccl::Protocol::kSimple, "persistent_simple"},
         FuzzConfig{ccl::RankExecutor::Mode::kPersistent,
                    ccl::Protocol::kLL, "persistent_ll"},
-        FuzzConfig{ccl::RankExecutor::Mode::kSpawnPerCall,
-                   ccl::Protocol::kSimple, "spawn_simple"},
-        FuzzConfig{ccl::RankExecutor::Mode::kSpawnPerCall,
-                   ccl::Protocol::kLL, "spawn_ll"},
         FuzzConfig{ccl::RankExecutor::Mode::kStateMachine,
                    ccl::Protocol::kSimple, "statemachine_simple"},
         FuzzConfig{ccl::RankExecutor::Mode::kStateMachine,

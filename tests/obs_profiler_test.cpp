@@ -239,14 +239,11 @@ TEST_P(StallReportE2e, KillAtP64RingChainTerminatesAtKilledRank)
 INSTANTIATE_TEST_SUITE_P(
     Modes, StallReportE2e,
     ::testing::Values(ccl::RankExecutor::Mode::kPersistent,
-                      ccl::RankExecutor::Mode::kSpawnPerCall,
                       ccl::RankExecutor::Mode::kStateMachine),
     [](const auto& info) {
         switch (info.param) {
         case ccl::RankExecutor::Mode::kPersistent:
             return "Persistent";
-        case ccl::RankExecutor::Mode::kSpawnPerCall:
-            return "SpawnPerCall";
         case ccl::RankExecutor::Mode::kStateMachine:
             return "StateMachine";
         }

@@ -365,7 +365,7 @@ TEST(RankCounters, TwoRankRingAllReduceMatchesHandCount)
     }
     EXPECT_EQ(counters.totalMailboxSends(), 4u);
     EXPECT_EQ(counters.totalMailboxRecvs(), 4u);
-    // No helper threads ran, so nothing lands in the unknown slot.
+    // Every op ran on a rank-tagged thread: nothing in the unknown slot.
     EXPECT_EQ(counters.mailboxSends(-1), 0u);
 
     // The capture contains the allreduce phase spans and the mailbox

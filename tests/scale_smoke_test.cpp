@@ -3,11 +3,12 @@
  * P=512 functional smoke for the state-machine runtime — the headline
  * acceptance of the async rank-task engine: a double-tree AllReduce
  * with 512 logical ranks runs on a handful of pool threads and
- * produces byte-identical results to thread-per-rank mode.
+ * produces byte-identical results to the persistent one-thread-per-
+ * rank engine.
  *
  * Labeled "scale" in tests/CMakeLists.txt; CI runs it in the Release
  * perf-gate job (`ctest -L scale`) where the thread-per-rank reference
- * leg (512+ OS threads) stays comfortably inside the timeout.
+ * leg (512 OS threads) stays comfortably inside the timeout.
  */
 
 #include <gtest/gtest.h>
@@ -66,7 +67,7 @@ TEST(ScaleSmoke, DoubleTreeP512ByteIdenticalToThreadPerRank)
 {
     const topo::DoubleTreeEmbedding dt = logicalDoubleTree(kRanks);
 
-    // Thread-per-rank reference: 512 rank threads (+ tree1 helpers).
+    // Thread-per-rank reference: 512 persistent rank threads.
     ccl::RankBuffers reference = seededBuffers(kRanks, kElems, 7);
     {
         ccl::Communicator comm(kRanks, kSlots,

@@ -325,8 +325,8 @@ TEST_P(SupervisedCollective, ExhaustedBudgetRestoresOriginalInputs)
     options.max_retries = 1;
     ResilienceSupervisor supervisor(comm, graph, options);
 
-    // Helper threads serving the victim rank tick its injector op
-    // counter too, so a second pre-armed op index could still fire
+    // Every task of the victim rank (forwarders, both trees) ticks its
+    // injector op counter, so a second pre-armed op index could fire
     // inside attempt 1. Arm the retry's kill from the clearAbort
     // window instead: at that point the engine is quiescent and
     // opsSeen() is exactly the next op the revived rank will issue,
@@ -367,15 +367,12 @@ TEST_P(SupervisedCollective, ExhaustedBudgetRestoresOriginalInputs)
 INSTANTIATE_TEST_SUITE_P(
     Modes, SupervisedCollective,
     ::testing::Values(ccl::RankExecutor::Mode::kPersistent,
-                      ccl::RankExecutor::Mode::kSpawnPerCall,
                       ccl::RankExecutor::Mode::kStateMachine),
     [](const ::testing::TestParamInfo<ccl::RankExecutor::Mode>&
            info) {
         switch (info.param) {
           case ccl::RankExecutor::Mode::kPersistent:
             return "persistent";
-          case ccl::RankExecutor::Mode::kSpawnPerCall:
-            return "spawn";
           case ccl::RankExecutor::Mode::kStateMachine:
             return "statemachine";
         }
