@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ccl/sync_primitives.h"
+#include "sched/program.h"
 
 namespace ccube {
 namespace ccl {
@@ -63,58 +64,11 @@ class AllReduceTrace
 };
 
 /**
- * Immutable per-chunk skip mask for resumed collectives: chunk c is
- * skipped by every rank when done(c) — its final reduced value is
- * already present in every rank's buffer (ccl::ChunkCheckpoint commits
- * a chunk only once all ranks recorded it). The mask is consulted at
- * GLOBAL chunk ids (the ids AllReduceTrace records, i.e. including any
- * per-tree chunk_id_offset). A default-constructed mask skips nothing,
- * so every algorithm entry point takes one with zero overhead on the
- * healthy path. Skipping is consistent across ranks because every rank
- * consults the same immutable mask with the same chunk-id formulas the
- * mailbox matching already relies on.
+ * Per-chunk skip mask for resumed collectives (global chunk ids; see
+ * sched::SkipMask and ccl::ChunkCheckpoint). Every algorithm entry
+ * point takes one; the default skips nothing.
  */
-class SkipMask
-{
-  public:
-    SkipMask() = default;
-
-    explicit SkipMask(std::vector<std::uint8_t> done)
-        : done_(std::move(done))
-    {
-    }
-
-    /** Whether any chunk is marked done (fast reject). */
-    bool any() const
-    {
-        for (std::uint8_t bit : done_) {
-            if (bit != 0)
-                return true;
-        }
-        return false;
-    }
-
-    /** Whether chunk @p chunk should be skipped. Ids outside the mask
-     *  are never skipped (a fresh run with an empty mask). */
-    bool done(int chunk) const
-    {
-        return chunk >= 0 &&
-               static_cast<std::size_t>(chunk) < done_.size() &&
-               done_[static_cast<std::size_t>(chunk)] != 0;
-    }
-
-    /** Count of done chunks. */
-    int doneCount() const
-    {
-        int count = 0;
-        for (std::uint8_t bit : done_)
-            count += bit != 0 ? 1 : 0;
-        return count;
-    }
-
-  private:
-    std::vector<std::uint8_t> done_;
-};
+using SkipMask = sched::SkipMask;
 
 /**
  * Splits [0, total) into @p chunks half-open subranges of near-equal

@@ -109,11 +109,47 @@ AbortState::info() const
 void
 FaultInjector::arm(const Fault& fault)
 {
-    CCUBE_CHECK(fault.rank >= 0 && fault.rank < kMaxRanks,
-                "fault rank out of range: " << fault.rank);
+    CCUBE_CHECK(fault.rank >= 0, "fault rank out of range: " << fault.rank);
     std::lock_guard<std::mutex> guard(mutex_);
+    growLocked(fault.rank + 1);
     plan_.push_back(fault);
     fired_.push_back(false);
+}
+
+void
+FaultInjector::attach(int num_ranks)
+{
+    std::lock_guard<std::mutex> guard(mutex_);
+    growLocked(num_ranks);
+    ++attachments_;
+}
+
+void
+FaultInjector::detach()
+{
+    std::lock_guard<std::mutex> guard(mutex_);
+    if (attachments_ > 0)
+        --attachments_;
+}
+
+void
+FaultInjector::growLocked(int num_ranks)
+{
+    if (num_ranks <= num_slots_)
+        return;
+    // onOp()/opsSeen() index the counters without the lock; swapping
+    // the array under an attached communicator would free them mid-use.
+    CCUBE_CHECK(attachments_ == 0,
+                "fault injector attached: op counters cover "
+                    << num_slots_ << " ranks, " << num_ranks
+                    << " needed");
+    auto slots =
+        std::make_unique<Slot[]>(static_cast<std::size_t>(num_ranks));
+    for (int r = 0; r < num_slots_; ++r)
+        slots[r].ops.store(slots_[r].ops.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+    slots_ = std::move(slots);
+    num_slots_ = num_ranks;
 }
 
 void
@@ -122,14 +158,14 @@ FaultInjector::reset()
     std::lock_guard<std::mutex> guard(mutex_);
     plan_.clear();
     fired_.clear();
-    for (Slot& slot : slots_)
-        slot.ops.store(0, std::memory_order_relaxed);
+    for (int r = 0; r < num_slots_; ++r)
+        slots_[r].ops.store(0, std::memory_order_relaxed);
 }
 
 std::int64_t
 FaultInjector::opsSeen(int rank) const
 {
-    if (rank < 0 || rank >= kMaxRanks)
+    if (rank < 0 || rank >= num_slots_)
         return 0;
     return slots_[rank].ops.load(std::memory_order_relaxed);
 }
@@ -137,7 +173,7 @@ FaultInjector::opsSeen(int rank) const
 bool
 FaultInjector::onOp(int rank, Fault* out)
 {
-    if (rank < 0 || rank >= kMaxRanks)
+    if (rank < 0 || rank >= num_slots_)
         return false;
     const std::int64_t op =
         slots_[rank].ops.fetch_add(1, std::memory_order_relaxed);
@@ -162,7 +198,12 @@ CommFaultContext::CommFaultContext(int num_ranks)
 void
 CommFaultContext::setInjector(FaultInjector* injector)
 {
-    injector_.store(injector, std::memory_order_release);
+    if (injector != nullptr)
+        injector->attach(num_ranks_);
+    FaultInjector* previous =
+        injector_.exchange(injector, std::memory_order_acq_rel);
+    if (previous != nullptr)
+        previous->detach();
 }
 
 void

@@ -42,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -207,8 +208,24 @@ class FaultInjector
     FaultInjector(const FaultInjector&) = delete;
     FaultInjector& operator=(const FaultInjector&) = delete;
 
-    /** Adds @p fault to the plan. */
+    /**
+     * Adds @p fault to the plan. A detached injector takes any rank
+     * ≥ 0; an attached one only ranks its op counters already cover.
+     */
     void arm(const Fault& fault);
+
+    /**
+     * Communicator side of setFaultInjector(): sizes the per-rank op
+     * counters to cover @p num_ranks ranks and every armed rank. The
+     * counters only grow while no communicator holds the injector —
+     * running collectives read them without a lock — so attaching to
+     * a second, larger communicator first needs the other detached.
+     * A communicator destroyed while attached stays counted.
+     */
+    void attach(int num_ranks);
+
+    /** Undoes one attach(). */
+    void detach();
 
     /** Clears the plan and the per-rank op counters. */
     void reset();
@@ -224,13 +241,16 @@ class FaultInjector
     bool onOp(int rank, Fault* out);
 
   private:
-    static constexpr int kMaxRanks = 64;
-
     struct alignas(64) Slot {
         std::atomic<std::int64_t> ops{0};
     };
 
-    Slot slots_[kMaxRanks];
+    /** Covers @p num_ranks ranks; panics when attached and short. */
+    void growLocked(int num_ranks);
+
+    std::unique_ptr<Slot[]> slots_; ///< per rank, grown while detached
+    int num_slots_ = 0;
+    int attachments_ = 0; ///< communicators holding the injector
     mutable std::mutex mutex_;
     std::vector<Fault> plan_;
     std::vector<bool> fired_;
@@ -256,7 +276,9 @@ class CommFaultContext
     AbortState& abortState() { return abort_; }
     const AbortState& abortState() const { return abort_; }
 
-    /** Attaches @p injector (borrowed; null detaches). */
+    /** Attaches @p injector (borrowed; null detaches), sizing its
+     *  op counters for this communicator's ranks. No collective may
+     *  be running. */
     void setInjector(FaultInjector* injector);
 
     FaultInjector* injector() const

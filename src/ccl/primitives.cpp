@@ -1,11 +1,10 @@
 #include "ccl/primitives.h"
 
-#include <memory>
 #include <utility>
-#include <vector>
 
-#include "ccl/algorithm_tasks.h"
 #include "ccl/double_tree_allreduce.h"
+#include "ccl/overlapped_tree_allreduce.h"
+#include "ccl/program_task.h"
 #include "ccl/ring_allreduce.h"
 #include "ccl/tree_allreduce.h"
 #include "ccl/tuner.h"
@@ -17,60 +16,90 @@ namespace ccl {
 
 namespace {
 
-void
-checkBuffers(const Communicator& comm, const RankBuffers& buffers)
-{
-    CCUBE_CHECK(static_cast<int>(buffers.size()) == comm.numRanks(),
-                "one buffer per rank required");
-    for (const auto& b : buffers) {
-        CCUBE_CHECK(b.size() == buffers[0].size(),
-                    "all buffers must be equally sized");
-    }
-}
+// sched::ringProgram and sched::doubleTreeProgram hard-code the ccl
+// flow-id convention.
+static_assert(kFlowRing == 0);
+static_assert(kFlowTree0Reduce == 1 && kFlowTree0Broadcast == 2 &&
+              kFlowTree1Reduce == 3 && kFlowTree1Broadcast == 4);
 
-/** One direction of the tree protocol over the whole buffer. */
-void
-runTreeDirection(Communicator& comm, RankBuffers& buffers,
-                 const topo::TreeEmbedding& embedding, int num_chunks,
-                 FlowId flow, Protocol proto, TreeDirection direction,
-                 const char* op)
+/** Runs an AllReduce program, recording its final markers. */
+AllReduceTrace
+runAllReduce(Communicator& comm, RankBuffers& buffers,
+             sched::Program program, AllReduceTrace::Observer observer,
+             Protocol proto, const char* op)
 {
-    checkBuffers(comm, buffers);
-    CCUBE_CHECK(embedding.tree.numNodes() == comm.numRanks(),
-                "tree/communicator size mismatch");
-    std::vector<std::unique_ptr<RankTask>> tasks;
-    appendTreeTasks(tasks, comm, buffers, embedding,
-                    /*region_offset=*/0, buffers[0].size(),
-                    ChunkSplit(buffers[0].size(), num_chunks),
-                    TreePhaseMode::kTwoPhase, TreeFlowIds{flow, flow},
-                    direction, nullptr, /*chunk_id_offset=*/0, "tree",
-                    proto);
-    comm.runTasks(std::move(tasks), op, proto);
-}
-
-/** One phase of the ring protocol. */
-void
-runRingPhase(Communicator& comm, RankBuffers& buffers,
-             const topo::RingEmbedding& ring, Protocol proto,
-             RingPhase phase, const char* op)
-{
-    checkBuffers(comm, buffers);
-    CCUBE_CHECK(ring.size() == comm.numRanks(),
-                "ring/communicator size mismatch");
-    comm.runTasks(buildRingTasks(comm, buffers, ring, phase, nullptr,
-                                 proto),
-                  op, proto);
+    AllReduceTrace trace(comm.numRanks());
+    trace.setObserver(std::move(observer));
+    runProgram(comm, buffers, std::move(program), &trace, proto, op);
+    return trace;
 }
 
 } // namespace
+
+AllReduceTrace
+ringAllReduce(Communicator& comm, RankBuffers& buffers,
+              const topo::RingEmbedding& ring,
+              AllReduceTrace::Observer observer, Protocol proto,
+              const SkipMask& resume)
+{
+    return runAllReduce(comm, buffers,
+                        sched::ringProgram(ring, sched::RingPhase::kAllReduce,
+                                           resume),
+                        std::move(observer), proto, "ring_allreduce");
+}
+
+AllReduceTrace
+treeAllReduce(Communicator& comm, RankBuffers& buffers,
+              const topo::TreeEmbedding& embedding, int num_chunks,
+              TreePhaseMode mode, TreeFlowIds flows,
+              AllReduceTrace::Observer observer, Protocol proto,
+              const SkipMask& resume)
+{
+    return runAllReduce(
+        comm, buffers,
+        sched::treeProgram(embedding, sched::TreeDirection::kAllReduce,
+                           mode, num_chunks,
+                           sched::TreeFlows{flows.reduce, flows.broadcast},
+                           {}, resume),
+        std::move(observer), proto, "tree_allreduce");
+}
+
+AllReduceTrace
+overlappedTreeAllReduce(Communicator& comm, RankBuffers& buffers,
+                        const topo::TreeEmbedding& embedding,
+                        int num_chunks, TreeFlowIds flows, Protocol proto,
+                        AllReduceTrace::Observer observer,
+                        const SkipMask& resume)
+{
+    return treeAllReduce(comm, buffers, embedding, num_chunks,
+                         TreePhaseMode::kOverlapped, flows,
+                         std::move(observer), proto, resume);
+}
+
+AllReduceTrace
+doubleTreeAllReduce(Communicator& comm, RankBuffers& buffers,
+                    const topo::DoubleTreeEmbedding& embedding,
+                    int chunks_per_tree, TreePhaseMode mode,
+                    AllReduceTrace::Observer observer, Protocol proto,
+                    const SkipMask& resume)
+{
+    return runAllReduce(comm, buffers,
+                        sched::doubleTreeProgram(
+                            embedding, mode, chunks_per_tree,
+                            sched::LanePolicy::kPointToPoint, resume),
+                        std::move(observer), proto, "double_tree_allreduce");
+}
 
 void
 treeBroadcast(Communicator& comm, RankBuffers& buffers,
               const topo::TreeEmbedding& embedding, int num_chunks,
               FlowId flow, Protocol proto)
 {
-    runTreeDirection(comm, buffers, embedding, num_chunks, flow, proto,
-                     TreeDirection::kBroadcast, "tree_broadcast");
+    runProgram(comm, buffers,
+               sched::treeProgram(embedding, sched::TreeDirection::kBroadcast,
+                                  sched::PhaseMode::kTwoPhase, num_chunks,
+                                  sched::TreeFlows{flow, flow}),
+               nullptr, proto, "tree_broadcast");
 }
 
 void
@@ -78,24 +107,29 @@ treeReduce(Communicator& comm, RankBuffers& buffers,
            const topo::TreeEmbedding& embedding, int num_chunks,
            FlowId flow, Protocol proto)
 {
-    runTreeDirection(comm, buffers, embedding, num_chunks, flow, proto,
-                     TreeDirection::kReduce, "tree_reduce");
+    runProgram(comm, buffers,
+               sched::treeProgram(embedding, sched::TreeDirection::kReduce,
+                                  sched::PhaseMode::kTwoPhase, num_chunks,
+                                  sched::TreeFlows{flow, flow}),
+               nullptr, proto, "tree_reduce");
 }
 
 void
 ringReduceScatter(Communicator& comm, RankBuffers& buffers,
                   const topo::RingEmbedding& ring, Protocol proto)
 {
-    runRingPhase(comm, buffers, ring, proto, RingPhase::kReduceScatter,
-                 "ring_reduce_scatter");
+    runProgram(comm, buffers,
+               sched::ringProgram(ring, sched::RingPhase::kReduceScatter),
+               nullptr, proto, "ring_reduce_scatter");
 }
 
 void
 ringAllGather(Communicator& comm, RankBuffers& buffers,
               const topo::RingEmbedding& ring, Protocol proto)
 {
-    runRingPhase(comm, buffers, ring, proto, RingPhase::kAllGather,
-                 "ring_all_gather");
+    runProgram(comm, buffers,
+               sched::ringProgram(ring, sched::RingPhase::kAllGather),
+               nullptr, proto, "ring_all_gather");
 }
 
 AllReduceTrace

@@ -1,0 +1,44 @@
+#ifndef CCUBE_CCL_PROGRAM_TASK_H_
+#define CCUBE_CCL_PROGRAM_TASK_H_
+
+/**
+ * @file
+ * The functional interpreter of sched::Program — the one
+ * implementation of every ccl:: collective. Every entry point
+ * (primitives.cpp) builds a program and hands it here; each
+ * program thread becomes one RankTask driven by Communicator::runTasks()
+ * on the persistent rank threads or the shared pool
+ * (ccl/state_machine.h).
+ *
+ * A task walks its thread's steps with the non-blocking mailbox ops:
+ * every logical op starts through StepContext::beginOp() exactly once
+ * (so FaultInjector at-op indices do not depend on retries), a blocked
+ * op parks on its semaphore (Simple) or asks to be retried (LL: no
+ * semaphore is ever posted), and the task yields at the end of every
+ * loop iteration. Edges resolve to mailboxes once, at build time, so
+ * the chunk loops touch no registry and no routes. Reduction order
+ * over children and chunk tags are fixed by the program, so float
+ * results are byte-identical across engines and protocols.
+ */
+
+#include "ccl/allreduce.h"
+#include "ccl/communicator.h"
+#include "sched/program.h"
+
+namespace ccube {
+namespace ccl {
+
+/**
+ * Runs @p program over @p buffers (one per rank, equal length — both
+ * checked, as is the program's rank count) as the collective @p op (a
+ * string literal, for watchdog attribution). Final markers are
+ * recorded into @p trace when non-null.
+ */
+void runProgram(Communicator& comm, RankBuffers& buffers,
+                sched::Program program, AllReduceTrace* trace,
+                Protocol proto, const char* op);
+
+} // namespace ccl
+} // namespace ccube
+
+#endif // CCUBE_CCL_PROGRAM_TASK_H_

@@ -4,8 +4,9 @@
 /**
  * @file
  * The rank runtime: resumable per-rank collectives driven by worker
- * threads. Every collective algorithm is a set of RankTasks (built in
- * ccl/algorithm_tasks.h); this engine is the only thing that runs them.
+ * threads. Every collective algorithm is a set of RankTasks (one per
+ * sched::Program thread, see ccl/program_task.h); this engine is the
+ * only thing that runs them.
  *
  * Each task's step() advances its rank's mailbox plan until an op
  * would block, then hands the wait to its StepContext. What happens

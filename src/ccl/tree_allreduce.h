@@ -11,7 +11,7 @@
  * broadcast the moment it is fully reduced at the root, using the
  * otherwise-idle downlinks (Observations #1 and #2).
  *
- * Detour edges of the embedding are serviced by forwarding tasks on
+ * Detour edges of the embedding are serviced by forwarder threads on
  * the transit ranks — the analog of the paper's static forwarding
  * kernels (§IV-A).
  */
@@ -23,11 +23,8 @@
 namespace ccube {
 namespace ccl {
 
-/** Phase organisation of the tree algorithm. */
-enum class TreePhaseMode {
-    kTwoPhase,   ///< baseline: broadcast strictly after reduction
-    kOverlapped, ///< C1: reduction-broadcast chaining
-};
+/** Phase organisation of the tree algorithm (see sched::). */
+using TreePhaseMode = sched::PhaseMode;
 
 /** Flow ids used by one tree instance. */
 struct TreeFlowIds {

@@ -185,14 +185,14 @@ IterationScheduler::perGpuNormalizedPerf(Mode mode,
                                          double tax_per_kernel,
                                          const sweep::Options& pool) const
 {
-    // Count forwarding kernels per GPU from the detour rules.
-    // Switch transits (NVSwitch planes, fabric switches) forward in
-    // hardware and cost no GPU SMs.
+    // Count forwarding kernels per GPU from the detour rules. Only
+    // rank transits run one; switch transits (NVSwitch planes, fabric
+    // switches) forward in hardware and cost no GPU SMs.
     const int num_gpus = rings_.front().size();
     std::vector<int> kernels(static_cast<std::size_t>(num_gpus), 0);
     for (const topo::ForwardingRule& rule :
          topo::extractForwardingRules(double_tree_)) {
-        if (rule.transit < num_gpus && !graph_.isSwitch(rule.transit))
+        if (topo::isRankTransit(rule.transit, num_gpus))
             ++kernels[static_cast<std::size_t>(rule.transit)];
     }
 

@@ -21,21 +21,5 @@ ScheduleResult::effectiveBandwidth(double bytes) const
     return bytes / completion_time;
 }
 
-void
-ScheduleResult::merge(const ScheduleResult& other)
-{
-    CCUBE_CHECK(chunk_at_rank.size() == other.chunk_at_rank.size(),
-                "merging results with different rank counts");
-    num_chunks += other.num_chunks;
-    completion_time = std::max(completion_time, other.completion_time);
-    for (std::size_t r = 0; r < chunk_at_rank.size(); ++r) {
-        chunk_at_rank[r].insert(chunk_at_rank[r].end(),
-                                other.chunk_at_rank[r].begin(),
-                                other.chunk_at_rank[r].end());
-    }
-    chunk_ready.insert(chunk_ready.end(), other.chunk_ready.begin(),
-                       other.chunk_ready.end());
-}
-
 } // namespace simnet
 } // namespace ccube

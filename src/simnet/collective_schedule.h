@@ -12,17 +12,15 @@
  * scheduler (Fig. 13).
  */
 
-#include <limits>
 #include <vector>
+
+#include "sched/program.h"
 
 namespace ccube {
 namespace simnet {
 
-/** Phase organisation of a timed tree schedule. */
-enum class PhaseMode {
-    kTwoPhase,   ///< baseline: broadcast after the full reduction
-    kOverlapped, ///< C1: per-chunk reduction→broadcast chaining
-};
+/** Phase organisation of a timed tree schedule (see sched::). */
+using PhaseMode = sched::PhaseMode;
 
 /** Outcome of one timed collective run. */
 struct ScheduleResult {
@@ -49,9 +47,6 @@ struct ScheduleResult {
 
     /** Effective algorithm bandwidth for a payload of @p bytes. */
     double effectiveBandwidth(double bytes) const;
-
-    /** Merges another result (disjoint chunk id spaces) into this. */
-    void merge(const ScheduleResult& other);
 };
 
 } // namespace simnet

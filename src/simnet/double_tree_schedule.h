@@ -6,11 +6,12 @@
  * Timed double-tree AllReduce: the paper's baseline B (two-phase) and
  * the C-Cube double tree (overlapped) on a conflict-aware embedding.
  *
- * Each tree carries half the payload concurrently. Tree 0 prefers
- * channel lane 0 and tree 1 lane 1, so on double-NVLink pairs the two
- * trees ride private channels; on shared single channels the FIFO
- * resource makes them contend — exactly the behaviour that renders
- * the naive embedding of Fig. 10(a) unable to overlap.
+ * Each tree carries half the payload concurrently. Under
+ * LanePolicy::kPointToPoint tree 0 prefers channel lane 0 and tree 1
+ * lane 1, so on double-NVLink pairs the two trees ride private
+ * channels; on shared single channels the FIFO resource makes them
+ * contend — exactly the behaviour that renders the naive embedding of
+ * Fig. 10(a) unable to overlap.
  */
 
 #include "simnet/tree_schedule.h"
@@ -19,21 +20,8 @@
 namespace ccube {
 namespace simnet {
 
-/**
- * Channel-lane assignment per tree and direction.
- *
- * kPointToPoint suits topologies where every logical edge owns a
- * dedicated physical pair (DGX-1): tree i keeps lane i for both
- * directions, so the two trees split double links. kSharedPort suits
- * switched fabrics where all of a node's flows exit through its
- * endpoint links: reduction rides lane 0 and broadcast lane 1, so an
- * early chunk's broadcast never queues behind reduction traffic
- * (preserving Observation #2's separate-channel premise).
- */
-enum class LanePolicy {
-    kPointToPoint,
-    kSharedPort,
-};
+/** Channel-lane assignment per tree and direction (see sched::). */
+using LanePolicy = sched::LanePolicy;
 
 /**
  * Runs a double-tree AllReduce of @p total_bytes. Global chunk ids:

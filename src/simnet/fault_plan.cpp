@@ -1,6 +1,7 @@
 #include "simnet/fault_plan.h"
 
 #include "obs/monitor.h"
+#include "simnet/program_driver.h"
 #include "util/logging.h"
 
 namespace ccube {
@@ -91,23 +92,12 @@ runDoubleTreeWithFaults(sim::Simulation& simulation, Network& network,
                         int chunks_per_tree, const FaultPlan& plan,
                         LanePolicy lanes)
 {
-    CCUBE_CHECK(total_bytes > 0.0, "non-positive payload");
-    CCUBE_CHECK(chunks_per_tree >= 1,
-                "need at least one chunk per tree");
-
-    const bool p2p = lanes == LanePolicy::kPointToPoint;
-    const int t0_up = 0;
-    const int t0_down = p2p ? 0 : 1;
-    const int t1_up = p2p ? 1 : 0;
-    const int t1_down = 1;
-    TreeSchedule first(network, embedding.tree0, total_bytes / 2.0,
-                       mode, chunks_per_tree, t0_up, t0_down);
-    TreeSchedule second(network, embedding.tree1, total_bytes / 2.0,
-                        mode, chunks_per_tree, t1_up, t1_down);
+    const sched::Program program = sched::doubleTreeProgram(
+        embedding, mode, chunks_per_tree, lanes);
+    ProgramDriver driver(network, program, total_bytes);
     const std::uint64_t dropped_before = network.droppedTransfers();
     const double at = simulation.now();
-    first.start(at);
-    second.start(at);
+    driver.start(at);
     applyFaultPlan(network, plan);
     // With a lethal plan the event queue simply drains (dropped
     // transfers never complete, so no further events are scheduled)
@@ -116,12 +106,11 @@ runDoubleTreeWithFaults(sim::Simulation& simulation, Network& network,
     const double end = simulation.run();
 
     FaultedRunResult out;
-    out.completed = first.finished() && second.finished();
+    out.completed = driver.finished();
     out.end_time = end;
     out.dropped_transfers =
         network.droppedTransfers() - dropped_before;
-    out.result = first.partialResult(end);
-    out.result.merge(second.partialResult(end));
+    out.result = driver.partialResult(end);
 
     obs::Monitor& monitor = obs::Monitor::global();
     if (monitor.enabled())

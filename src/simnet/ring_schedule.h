@@ -3,76 +3,23 @@
 
 /**
  * @file
- * Timed ring AllReduce schedule (the paper's R baseline).
+ * Timed ring AllReduce (the paper's R baseline).
  *
  * 2(P−1) steps of neighbor exchange with N/P-byte chunks; each rank
  * advances to step s+1 once its step-s send has drained and its step-s
  * chunk has arrived. Matches Eq. (2) on uniform links while capturing
- * skew on non-uniform routes (e.g. switch fabrics).
+ * skew on non-uniform routes (e.g. switch fabrics). The schedule is
+ * sched::ringProgram run by simnet::ProgramDriver.
  */
 
-#include <functional>
-#include <vector>
-
-#include "simnet/collective_schedule.h"
-#include "simnet/transfer_engine.h"
+#include "simnet/program_driver.h"
 #include "topo/ring_embedding.h"
 
 namespace ccube {
 namespace simnet {
 
-/**
- * One timed ring AllReduce.
- */
-class RingSchedule
-{
-  public:
-    /** Picks the channel lane for a (src, dst) hop. */
-    using LaneFn = std::function<int(topo::NodeId, topo::NodeId)>;
-
-    RingSchedule(Network& network, const topo::RingEmbedding& ring,
-                 double total_bytes, LaneFn lane_fn = nullptr);
-
-    /** Selects the wire protocol the transfers model (LL inflates
-     *  bytes, discounts per-transfer latency); call before start(). */
-    void setProtocol(ccl::Protocol proto)
-    {
-        engine_.setProtocol(proto);
-    }
-
-    /** Registers the step-0 sends at simulated time @p at. */
-    void start(double at = 0.0);
-
-    /** True once every rank completed all 2(P−1) steps. */
-    bool finished() const { return ranks_done_ == ring_.size(); }
-
-    /** Result; chunk k is the slice owned by ring position k. */
-    ScheduleResult result() const;
-
-  private:
-    void startStep(int pos, int step);
-    void onSendDrained(int pos, int step);
-    void onChunkArrived(int pos, int step);
-    void maybeAdvance(int pos);
-    void recordAvailable(int pos, int chunk);
-
-    Network& net_;
-    TransferEngine engine_;
-    const topo::RingEmbedding& ring_;
-    LaneFn lane_fn_;
-    const double chunk_bytes_;
-    const int total_steps_;
-
-    std::vector<int> send_done_;  ///< per position: last drained step
-    std::vector<int> recv_done_;  ///< per position: last arrived step
-    std::vector<int> current_;    ///< per position: step in flight
-    int ranks_done_ = 0;
-
-    std::vector<std::vector<double>> available_at_; ///< [rank][chunk]
-    double completion_time_ = 0.0;
-};
-
-/** Convenience: run one ring schedule to completion. */
+/** Runs one ring AllReduce to completion; chunk k is the slice owned
+ *  by ring position k. */
 ScheduleResult runRingSchedule(sim::Simulation& simulation,
                                Network& network,
                                const topo::RingEmbedding& ring,

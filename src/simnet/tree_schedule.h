@@ -3,115 +3,30 @@
 
 /**
  * @file
- * Timed tree AllReduce schedule (baseline and overlapped).
+ * Timed tree AllReduce (baseline and overlapped).
  *
- * Event-driven per-chunk pipeline over an embedded tree: leaves stream
- * chunks up; interior nodes reduce and forward; the root either waits
- * for the full reduction (two-phase baseline, Fig. 7(a)) or chains
- * each chunk straight into its broadcast (overlapped, Fig. 7(b)).
+ * Per-chunk pipeline over an embedded tree: leaves stream chunks up;
+ * interior nodes reduce and forward; the root either waits for the
+ * full reduction (two-phase baseline, Fig. 7(a)) or chains each chunk
+ * straight into its broadcast (overlapped, Fig. 7(b)). The schedule
+ * is sched::treeProgram run by simnet::ProgramDriver.
  */
 
-#include <memory>
 #include <vector>
 
-#include "simnet/collective_schedule.h"
-#include "simnet/transfer_engine.h"
+#include "simnet/program_driver.h"
 #include "topo/tree_embedding.h"
 
 namespace ccube {
 namespace simnet {
 
 /**
- * One timed tree AllReduce over one embedded tree.
- *
- * Usage: construct, start(), run the simulation, read result(). Two
- * schedules may share a Network (the double tree does exactly that).
+ * Runs one tree AllReduce of @p total_bytes in @p num_chunks chunks to
+ * completion. @p up_lane is the parallel-channel preference for
+ * reduction sends (child → parent), @p down_lane for broadcast sends
+ * (−1: same as up); on shared-port fabrics a separate lane keeps the
+ * broadcast of early chunks from queuing behind reduction traffic.
  */
-class TreeSchedule
-{
-  public:
-    /**
-     * @param network      fabric to run on
-     * @param embedding    logical tree + physical routes
-     * @param total_bytes  payload carried by *this* tree
-     * @param mode         two-phase baseline or overlapped
-     * @param num_chunks   pipeline chunk count (K)
-     * @param up_lane      parallel-channel preference for reduction
-     *                     sends (child → parent direction)
-     * @param down_lane    parallel-channel preference for broadcast
-     *                     sends; on shared-port fabrics a separate
-     *                     lane keeps the broadcast of early chunks
-     *                     from queuing behind reduction traffic
-     *
-     * Global chunk ids are assigned by composition: the double tree
-     * merges results, so tree 1's chunks follow tree 0's.
-     */
-    TreeSchedule(Network& network, const topo::TreeEmbedding& embedding,
-                 double total_bytes, PhaseMode mode, int num_chunks,
-                 int up_lane = 0, int down_lane = -1);
-
-    /** Selects the wire protocol the transfers model (LL inflates
-     *  bytes, discounts per-transfer latency); call before start(). */
-    void setProtocol(ccl::Protocol proto)
-    {
-        engine_.setProtocol(proto);
-    }
-
-    /** Registers the initial leaf sends at simulated time @p at. */
-    void start(double at = 0.0);
-
-    /** True once every rank has every chunk. */
-    bool finished() const { return pending_arrivals_ == 0; }
-
-    /** Chunk arrivals still outstanding (nonzero after a run whose
-     *  traffic died on a failed channel). */
-    int pendingArrivals() const { return pending_arrivals_; }
-
-    /** Result (tree-local chunk ids); valid after the simulation has
-     *  drained. */
-    ScheduleResult result() const;
-
-    /**
-     * Like result() but tolerates an unfinished schedule (a faulted
-     * run whose transfers died on a failed channel): chunks that never
-     * arrived keep the -1.0 sentinel in chunk_at_rank / chunk_ready,
-     * and completion_time is @p stalled_at (the time the simulation
-     * drained with the schedule still incomplete).
-     */
-    ScheduleResult partialResult(double stalled_at) const;
-
-  private:
-    void onReduceArrival(topo::NodeId node, int chunk);
-    void chunkReduced(topo::NodeId node, int chunk);
-    void onBroadcastArrival(topo::NodeId node, int chunk);
-    void sendUp(topo::NodeId node, int chunk);
-    void sendDown(topo::NodeId node, int chunk);
-    void recordAvailable(topo::NodeId node, int chunk);
-
-    Network& net_;
-    TransferEngine engine_;
-    const topo::TreeEmbedding& embedding_;
-    const PhaseMode mode_;
-    const int num_chunks_;
-    const int up_lane_;
-    const int down_lane_;
-    const double chunk_bytes_;
-
-    /** Reversed child→parent routes, one per non-root node. */
-    std::vector<topo::Route> up_routes_;
-    /** Parent→child routes keyed by child. */
-    std::vector<topo::Route> down_routes_;
-
-    /** reduce_arrivals_[node][chunk]: children contributions so far. */
-    std::vector<std::vector<int>> reduce_arrivals_;
-    int root_chunks_done_ = 0;
-    int pending_arrivals_ = 0;
-
-    std::vector<std::vector<double>> available_at_;
-    double completion_time_ = 0.0;
-};
-
-/** Convenience: run one tree schedule to completion on a fresh clock. */
 ScheduleResult runTreeSchedule(sim::Simulation& simulation,
                                Network& network,
                                const topo::TreeEmbedding& embedding,
@@ -122,7 +37,7 @@ ScheduleResult runTreeSchedule(sim::Simulation& simulation,
                                    ccl::Protocol::kSimple);
 
 /**
- * The physical channel ids a TreeSchedule on @p embedding occupies in
+ * The physical channel ids a tree schedule on @p embedding occupies in
  * one direction, replicating the engine's lane selection exactly
  * (channelIds(a, b) indexed by @p lane clamped to the parallel-channel
  * count). @p down selects broadcast-direction (parent → child) routes;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace ccube {
 namespace topo {
 
@@ -26,22 +24,6 @@ extractForwardingRules(const TreeEmbedding& embedding, int tree_index)
         }
     }
     return rules;
-}
-
-const std::vector<ForwardingRule>&
-cachedForwardingRules(const TreeEmbedding& embedding, int tree_index)
-{
-    CCUBE_CHECK(tree_index >= 0 &&
-                    tree_index < ForwardingRuleCache::kMaxTreeIndex,
-                "tree index " << tree_index << " out of cache range");
-    CCUBE_CHECK(embedding.forwarding_cache,
-                "embedding has no forwarding cache");
-    ForwardingRuleCache& cache = *embedding.forwarding_cache;
-    std::call_once(cache.once[tree_index], [&]() {
-        cache.rules[tree_index] =
-            extractForwardingRules(embedding, tree_index);
-    });
-    return cache.rules[tree_index];
 }
 
 std::vector<ForwardingRule>

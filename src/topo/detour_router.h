@@ -13,7 +13,6 @@
  * host (DESIGN.md invariant #7).
  */
 
-#include <mutex>
 #include <vector>
 
 #include "topo/double_tree.h"
@@ -54,27 +53,6 @@ struct ForwardingRule {
 /** Extracts forwarding rules from a single embedded tree. */
 std::vector<ForwardingRule>
 extractForwardingRules(const TreeEmbedding& embedding, int tree_index);
-
-/**
- * Per-embedding cache of extracted forwarding rules, one entry per
- * supported tree index. Owned (shared) by TreeEmbedding; built at most
- * once per index via cachedForwardingRules() (thread-safe).
- */
-struct ForwardingRuleCache {
-    static constexpr int kMaxTreeIndex = 2;
-    std::once_flag once[kMaxTreeIndex];
-    std::vector<ForwardingRule> rules[kMaxTreeIndex];
-};
-
-/**
- * The forwarding rules of @p embedding for @p tree_index, computed on
- * first call and cached on the embedding afterwards — collectives call
- * this per invocation (and per rank) without recomputing the route
- * scan. The reference stays valid as long as any copy of the embedding
- * lives.
- */
-const std::vector<ForwardingRule>&
-cachedForwardingRules(const TreeEmbedding& embedding, int tree_index);
 
 /** Extracts forwarding rules from both trees of a double tree. */
 std::vector<ForwardingRule>

@@ -205,8 +205,7 @@ Route::reversed() const
 }
 
 TreeEmbedding::TreeEmbedding(BinaryTree t)
-    : tree(std::move(t)),
-      forwarding_cache(std::make_shared<ForwardingRuleCache>())
+    : tree(std::move(t))
 {
 }
 

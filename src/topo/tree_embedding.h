@@ -12,7 +12,6 @@
  * §IV-A).
  */
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -118,8 +117,18 @@ struct Route {
     Route reversed() const;
 };
 
-/** Lazily-built forwarding-rule cache (defined in detour_router.h). */
-struct ForwardingRuleCache;
+/**
+ * True when inner route node @p node of a collective over @p num_ranks
+ * ranks is a rank transit: a GPU whose forwarding kernel stores and
+ * re-sends the data (§IV-A). The ranks are nodes [0, num_ranks) —
+ * every graph builder numbers GPUs first — so any other inner node
+ * (a switch, a GPU outside the collective) forwards in hardware.
+ */
+inline bool
+isRankTransit(NodeId node, int num_ranks)
+{
+    return node >= 0 && node < num_ranks;
+}
 
 /**
  * A logical tree plus the physical route for each edge.
@@ -128,15 +137,6 @@ struct TreeEmbedding {
     BinaryTree tree;
     /** routes[i] corresponds to tree.edges()[i], parent → child. */
     std::vector<Route> routes;
-
-    /**
-     * Shared cache of the embedding's detour forwarding rules, filled
-     * lazily by topo::cachedForwardingRules(). Copies of an embedding
-     * share the cache; routes are expected to be immutable once the
-     * embedding is in use (they are — embeddings are built once and
-     * then only read by the collectives).
-     */
-    std::shared_ptr<ForwardingRuleCache> forwarding_cache;
 
     explicit TreeEmbedding(BinaryTree t);
 

@@ -128,6 +128,30 @@ TEST(FaultInjector, FiresOnceAtTheArmedOperation)
     EXPECT_EQ(injector.opsSeen(5), 0);
 }
 
+TEST(FaultInjectorDeathTest, AttachedOpCountersNeverGrow)
+{
+    FaultInjector injector;
+    FaultInjector::Fault beyond;
+    beyond.rank = 4;
+    beyond.action = FaultInjector::Action::kKill;
+
+    CommFaultContext small(4);
+    small.setInjector(&injector);
+    EXPECT_DEATH(injector.arm(beyond), "injector attached");
+    CommFaultContext large(8);
+    EXPECT_DEATH(large.setInjector(&injector), "injector attached");
+
+    // Detached, the counters grow for the larger communicator.
+    small.setInjector(nullptr);
+    large.setInjector(&injector);
+    injector.arm(beyond);
+    FaultInjector::Fault fired;
+    EXPECT_TRUE(injector.onOp(4, &fired));
+    EXPECT_EQ(fired.rank, 4);
+    EXPECT_EQ(injector.opsSeen(7), 0);
+    large.setInjector(nullptr);
+}
+
 TEST(CommWatchdog, FiresAfterDeadlineAndDisarmBlocksCallback)
 {
     CommWatchdog watchdog;

@@ -176,7 +176,7 @@ TEST(ScaleSmoke, WatchdogKillEmitsStallChainAtP512)
     // the terminus assertion is exact. The profiler samples the whole
     // aborted run; CI harvests both artifacts via the env hooks below.
     using namespace std::chrono_literals;
-    constexpr int kKilled = 17; // FaultInjector caps ranks at 64
+    constexpr int kKilled = 17;
 
     obs::Profiler& profiler = obs::Profiler::global();
     profiler.start(0.0); // default rate
@@ -225,6 +225,45 @@ TEST(ScaleSmoke, WatchdogKillEmitsStallChainAtP512)
         std::ofstream out(path);
         profiler.writeCollapsed(out);
     }
+}
+
+TEST(ScaleSmoke, KillAtTopRankOfP512FailsStructured)
+{
+    // The injector sizes its per-rank counters from the communicator,
+    // so the last of 512 ranks can be killed like any other: the
+    // collective must end in a CollectiveError naming it, not a hang.
+    using namespace std::chrono_literals;
+    constexpr int kKilled = kRanks - 1;
+
+    ccl::Communicator comm(kRanks, kSlots,
+                           RankExecutor::Mode::kStateMachine);
+    comm.setDeadline(2s);
+    ccl::FaultInjector injector;
+    ccl::FaultInjector::Fault fault;
+    fault.rank = kKilled;
+    fault.action = ccl::FaultInjector::Action::kKill;
+    fault.at_op = 5;
+    injector.arm(fault);
+    comm.setFaultInjector(&injector);
+
+    const topo::RingEmbedding ring = topo::makeSequentialRing(kRanks);
+    ccl::RankBuffers buffers(kRanks);
+    for (auto& b : buffers)
+        b.assign(kRanks, 1.0f);
+
+    bool caught = false;
+    try {
+        ccl::ringAllReduce(comm, buffers, ring);
+    } catch (const ccl::CollectiveError& error) {
+        caught = true;
+        EXPECT_EQ(error.info().failed_rank, kKilled);
+        EXPECT_EQ(error.info().chain_terminus, kKilled)
+            << error.info().stall_chain;
+    }
+    EXPECT_TRUE(caught) << "collective completed despite kill";
+    EXPECT_EQ(injector.opsSeen(kKilled), 6);
+    comm.clearAbort();
+    comm.setFaultInjector(nullptr);
 }
 
 } // namespace

@@ -365,23 +365,14 @@ TEST(DoubleTreeSchedule, MergedChunkIdsCoverBothTrees)
     }
 }
 
-TEST(ScheduleResult, MergeTakesMaxCompletion)
+TEST(ScheduleResult, TurnaroundIsEarliestChunkReady)
 {
-    ScheduleResult a;
-    a.num_chunks = 1;
-    a.completion_time = 2.0;
-    a.chunk_at_rank = {{1.0}, {2.0}};
-    a.chunk_ready = {2.0};
-    ScheduleResult b;
-    b.num_chunks = 1;
-    b.completion_time = 3.0;
-    b.chunk_at_rank = {{3.0}, {2.5}};
-    b.chunk_ready = {3.0};
-    a.merge(b);
-    EXPECT_EQ(a.num_chunks, 2);
-    EXPECT_DOUBLE_EQ(a.completion_time, 3.0);
-    EXPECT_DOUBLE_EQ(a.turnaroundTime(), 2.0);
-    EXPECT_EQ(a.chunk_at_rank[0].size(), 2u);
+    ScheduleResult result;
+    result.num_chunks = 2;
+    result.completion_time = 3.0;
+    result.chunk_at_rank = {{1.0, 3.0}, {2.0, 2.5}};
+    result.chunk_ready = {2.0, 3.0};
+    EXPECT_DOUBLE_EQ(result.turnaroundTime(), 2.0);
 }
 
 } // namespace
