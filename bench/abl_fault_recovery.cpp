@@ -32,6 +32,7 @@
 #include "core/recovery.h"
 #include "core/report.h"
 #include "obs/analyze.h"
+#include "obs/capture.h"
 #include "obs/diff.h"
 #include "obs/session.h"
 #include "obs/trace.h"
@@ -130,13 +131,13 @@ main(int argc, char** argv)
         topo::makeDgx1DoubleTree(graph);
 
     // Healthy baseline: what the fabric delivers with no faults. The
-    // trace is kept (local recorder, redirected) as the obs::diff
+    // trace is kept (a trace-only capture) as the obs::diff
     // baseline for every fault scenario.
     double healthy_time = 0.0;
     obs::TraceRecorder healthy_recorder;
     healthy_recorder.enable();
     {
-        obs::ScopedTraceRedirect redirect(&healthy_recorder);
+        obs::ScopedCapture capture{obs::Capture(&healthy_recorder)};
         sim::Simulation sim;
         simnet::Network net(sim, graph);
         healthy_time =
@@ -182,7 +183,7 @@ main(int argc, char** argv)
         faulted_recorder.enable();
         simnet::FaultedRunResult faulted;
         {
-            obs::ScopedTraceRedirect redirect(&faulted_recorder);
+            obs::ScopedCapture capture{obs::Capture(&faulted_recorder)};
             sim::Simulation sim;
             simnet::Network net(sim, graph);
             simnet::FaultPlan plan;

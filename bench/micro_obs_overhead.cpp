@@ -44,6 +44,7 @@
 
 #include "ccl/communicator.h"
 #include "ccl/double_tree_allreduce.h"
+#include "obs/capture.h"
 #include "obs/monitor.h"
 #include "obs/profiler.h"
 #include "sim/simulation.h"
@@ -83,15 +84,16 @@ struct PairedResult {
 
 /**
  * Runs @p rounds alternating off/on blocks of @p reps calls each; the
- * monitor redirect is installed only around the on blocks.
+ * monitor capture is installed only around the on blocks.
  */
 PairedResult
 measurePaired(obs::Monitor& monitor, int rounds, int reps, int warmup,
               const std::function<double()>& op)
 {
+    const obs::Capture on_capture(nullptr, nullptr, &monitor);
     for (int i = 0; i < warmup; ++i) {
         timeBlock(reps, op);
-        obs::ScopedMonitorRedirect redirect(&monitor);
+        obs::ScopedCapture scope(on_capture);
         timeBlock(reps, op);
     }
     std::vector<double> off_rounds, on_rounds, ratios;
@@ -99,7 +101,7 @@ measurePaired(obs::Monitor& monitor, int rounds, int reps, int warmup,
         const double off = timeBlock(reps, op);
         double on = 0.0;
         {
-            obs::ScopedMonitorRedirect redirect(&monitor);
+            obs::ScopedCapture scope(on_capture);
             on = timeBlock(reps, op);
         }
         off_rounds.push_back(off);

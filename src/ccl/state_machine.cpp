@@ -60,7 +60,7 @@ StateMachineEngine::StateMachineEngine(int num_workers,
 
     // Live engine gauges for obs::Monitor snapshots: pool size,
     // parked/runnable task counts, cumulative park/steal activity.
-    monitor_token_ = obs::Monitor::global().addSource(
+    monitor_source_ = obs::Monitor::global().addSource(
         [this](double,
                std::vector<std::pair<std::string, double>>& out) {
             out.emplace_back("ccl.sm.workers",
@@ -78,8 +78,7 @@ StateMachineEngine::StateMachineEngine(int num_workers,
 
 StateMachineEngine::~StateMachineEngine()
 {
-    if (monitor_token_ >= 0)
-        obs::Monitor::global().removeSource(monitor_token_);
+    monitor_source_.reset();
     {
         std::lock_guard<std::mutex> lock(idle_mutex_);
         stop_ = true;

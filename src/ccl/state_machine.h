@@ -77,6 +77,7 @@
 
 #include "ccl/mailbox.h"
 #include "ccl/sync_primitives.h"
+#include "obs/monitor.h"
 
 namespace ccube {
 namespace ccl {
@@ -256,7 +257,8 @@ class StateMachineEngine
     std::atomic<std::uint64_t> steals_{0};
     std::atomic<int> parked_now_{0};
 
-    int monitor_token_ = -1;
+    /// Live ccl.sm.* gauges (pooled engines only).
+    obs::Monitor::SourceHandle monitor_source_;
 };
 
 /**

@@ -15,12 +15,20 @@ thread_local int t_track = 0;
 
 std::atomic<int> g_next_track{1};
 
+/** One past the highest rank setThreadRank() has seen. */
+std::atomic<int> g_rank_bound{0};
+
 } // namespace
 
 void
 setThreadRank(int rank)
 {
     t_rank = rank;
+    int bound = g_rank_bound.load(std::memory_order_relaxed);
+    while (rank >= bound &&
+           !g_rank_bound.compare_exchange_weak(
+               bound, rank + 1, std::memory_order_relaxed)) {
+    }
 }
 
 int
@@ -58,19 +66,23 @@ RankCounters::global()
     return counters;
 }
 
+int
+RankCounters::rankBound()
+{
+    const int bound = g_rank_bound.load(std::memory_order_relaxed);
+    return bound < kMaxRanks ? bound : kMaxRanks;
+}
+
 RankCounters::Slot&
 RankCounters::current()
 {
-    const int rank = t_rank;
-    const int index = (rank >= 0 && rank < kMaxRanks) ? rank + 1 : 0;
-    return slots_[index];
+    return slots_[slotOf(t_rank)];
 }
 
 const RankCounters::Slot&
 RankCounters::slot(int rank) const
 {
-    const int index = (rank >= 0 && rank < kMaxRanks) ? rank + 1 : 0;
-    return slots_[index];
+    return slots_[slotOf(rank)];
 }
 
 void
@@ -267,8 +279,9 @@ template <typename Member>
 std::uint64_t
 sumSlots(const RankCounters& counters, Member member)
 {
+    const int bound = RankCounters::rankBound();
     std::uint64_t total = 0;
-    for (int rank = -1; rank < RankCounters::kMaxRanks; ++rank)
+    for (int rank = -1; rank < bound; ++rank)
         total += (counters.*member)(rank);
     return total;
 }
@@ -354,9 +367,10 @@ RankCounters::exportTo(MetricRegistry& registry) const
         {"ll_spins", &RankCounters::llSpins},
         {"ll_spin_ns", &RankCounters::llSpinNs},
     };
+    const int bound = rankBound();
     for (const Field& field : kFields) {
         std::uint64_t total = 0;
-        for (int rank = -1; rank < kMaxRanks; ++rank) {
+        for (int rank = -1; rank < bound; ++rank) {
             const std::uint64_t value = (this->*field.read)(rank);
             total += value;
             if (value == 0)

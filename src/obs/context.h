@@ -79,7 +79,22 @@ void labelThread(const char* label);
 class RankCounters
 {
   public:
-    static constexpr int kMaxRanks = 64;
+    /** Per-rank slots of every per-rank table (these counters and
+     *  the obs::Profiler's sample and park tables). The state-machine
+     *  runtime targets P=512–1024. */
+    static constexpr int kMaxRanks = 1024;
+
+    /** Table index of @p rank: rank + 1 inside [0, kMaxRanks); every
+     *  other rank folds into slot 0, the unknown slot. */
+    static constexpr int slotOf(int rank)
+    {
+        return rank >= 0 && rank < kMaxRanks ? rank + 1 : 0;
+    }
+
+    /** One past the highest rank any thread was tagged with, at most
+     *  kMaxRanks: every rank slot from there on is zero, so per-rank
+     *  scans (snapshots, exports, totals) stop there. */
+    static int rankBound();
 
     /** Process-wide instance. */
     static RankCounters& global();

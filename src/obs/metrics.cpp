@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "obs/capture.h"
+
 namespace ccube {
 namespace obs {
 
@@ -22,24 +24,10 @@ writeJsonKey(std::ostream& out, const std::string& s)
 
 } // namespace
 
-namespace {
-
-/** Per-thread redirect target installed by ScopedMetricsRedirect. */
-thread_local MetricRegistry* t_redirect = nullptr;
-
-} // namespace
-
 MetricRegistry&
 MetricRegistry::global()
 {
-    return t_redirect ? *t_redirect : process();
-}
-
-MetricRegistry&
-MetricRegistry::process()
-{
-    static MetricRegistry registry;
-    return registry;
+    return Capture::current().metrics();
 }
 
 void
@@ -56,21 +44,6 @@ MetricRegistry::absorb(const MetricRegistry& other)
         histograms_[name].merge(stats);
     for (const auto& [name, histogram] : other.quantile_histograms_)
         quantile_histograms_[name].merge(histogram);
-}
-
-ScopedMetricsRedirect::ScopedMetricsRedirect(MetricRegistry* registry)
-{
-    if (!registry)
-        return;
-    previous_ = t_redirect;
-    t_redirect = registry;
-    active_ = true;
-}
-
-ScopedMetricsRedirect::~ScopedMetricsRedirect()
-{
-    if (active_)
-        t_redirect = previous_;
 }
 
 void

@@ -40,15 +40,9 @@ class MetricRegistry
     MetricRegistry(const MetricRegistry&) = delete;
     MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-    /**
-     * The registry instrumentation writes through: the process-wide
-     * instance, unless the calling thread has an active
-     * ScopedMetricsRedirect (per-task capture in sweep::run()).
-     */
+    /** The registry instrumentation writes through: the calling
+     *  thread's obs::Capture::current() metrics sink. */
     static MetricRegistry& global();
-
-    /** The process-wide instance, ignoring any thread redirect. */
-    static MetricRegistry& process();
 
     /**
      * Merges @p other into this registry as if its writes had happened
@@ -132,26 +126,6 @@ class MetricRegistry
     std::map<std::string, double> gauges_;
     std::map<std::string, util::RunningStats> histograms_;
     std::map<std::string, LogHistogram> quantile_histograms_;
-};
-
-/**
- * RAII thread-local redirect: while alive, MetricRegistry::global()
- * on this thread returns @p registry instead of the process instance.
- * Nests; a null registry is a no-op.
- */
-class ScopedMetricsRedirect
-{
-  public:
-    explicit ScopedMetricsRedirect(MetricRegistry* registry);
-    ~ScopedMetricsRedirect();
-
-    ScopedMetricsRedirect(const ScopedMetricsRedirect&) = delete;
-    ScopedMetricsRedirect&
-    operator=(const ScopedMetricsRedirect&) = delete;
-
-  private:
-    MetricRegistry* previous_ = nullptr;
-    bool active_ = false;
 };
 
 } // namespace obs

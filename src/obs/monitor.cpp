@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/capture.h"
 #include "obs/context.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -15,9 +16,6 @@ namespace ccube {
 namespace obs {
 
 namespace {
-
-/** Per-thread redirect target installed by ScopedMonitorRedirect. */
-thread_local Monitor* t_redirect = nullptr;
 
 double
 envMs(const char* name)
@@ -81,29 +79,7 @@ SloSpec::fromFlags(const util::Flags& flags)
 Monitor&
 Monitor::global()
 {
-    return t_redirect ? *t_redirect : process();
-}
-
-Monitor&
-Monitor::process()
-{
-    static Monitor monitor;
-    return monitor;
-}
-
-ScopedMonitorRedirect::ScopedMonitorRedirect(Monitor* monitor)
-{
-    if (!monitor)
-        return;
-    previous_ = t_redirect;
-    t_redirect = monitor;
-    active_ = true;
-}
-
-ScopedMonitorRedirect::~ScopedMonitorRedirect()
-{
-    if (active_)
-        t_redirect = previous_;
+    return Capture::current().monitor();
 }
 
 void
@@ -134,13 +110,13 @@ Monitor::slo() const
     return slo_;
 }
 
-int
+Monitor::SourceHandle
 Monitor::addSource(SampleFn fn)
 {
     std::lock_guard<std::mutex> guard(mutex_);
     const int token = next_token_++;
     sources_.push_back(Source{token, std::move(fn)});
-    return token;
+    return SourceHandle(this, SourceRemover{token});
 }
 
 void
@@ -440,7 +416,8 @@ Monitor::sampleLocked(double t_s)
     // retries). Zero — and therefore absent — in pure-DES runs, which
     // keeps DES snapshot series wall-clock free and deterministic.
     const RankCounters& ranks = RankCounters::global();
-    for (int rank = 0; rank < RankCounters::kMaxRanks; ++rank) {
+    const int bound = RankCounters::rankBound();
+    for (int rank = 0; rank < bound; ++rank) {
         const std::uint64_t cas = ranks.casRetries(rank);
         const std::uint64_t post_ns = ranks.postStallNs(rank);
         const std::uint64_t wait_ns = ranks.waitStallNs(rank);

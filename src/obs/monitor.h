@@ -20,10 +20,10 @@
  * Snapshots are appended to a bounded in-memory series and serialized
  * as JSONL plus an OpenMetrics-style text endpoint file by
  * ObsSession::finish(). Latencies go into LogHistogram (p50/p99/p999
- * with deterministic merge), and the whole monitor follows the same
- * per-task capture + absorb-in-task-order protocol as the trace
- * recorder and metric registry, so a sweep's monitor series is
- * byte-identical for --jobs=1 and --jobs=8.
+ * with deterministic merge), and the monitor is one of the three
+ * sinks of an obs::Capture, forked per sweep task and absorbed in
+ * task order like the trace recorder and metric registry, so a
+ * sweep's monitor series is byte-identical for --jobs=1 and --jobs=8.
  *
  * Timestamps are simulated seconds within a run plus a run ordinal
  * (every Simulation::run() under an enabled monitor opens a new run):
@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -98,19 +99,30 @@ class Monitor
     using SampleFn = std::function<void(
         double t_s, std::vector<std::pair<std::string, double>>&)>;
 
+    /** Deleter of a SourceHandle: removes its source. */
+    struct SourceRemover {
+        int token = 0;
+        void operator()(Monitor* monitor) const
+        {
+            monitor->removeSource(token);
+        }
+    };
+
+    /**
+     * Owns one registered gauge source: destroying or resetting the
+     * handle removes the source from the monitor it was added to,
+     * whichever capture is current by then. Must not outlive that
+     * monitor.
+     */
+    using SourceHandle = std::unique_ptr<Monitor, SourceRemover>;
+
     Monitor() = default;
     Monitor(const Monitor&) = delete;
     Monitor& operator=(const Monitor&) = delete;
 
-    /**
-     * The monitor instrumentation writes through: the process-wide
-     * instance, unless the calling thread has an active
-     * ScopedMonitorRedirect (per-task capture in sweep::run()).
-     */
+    /** The monitor instrumentation writes through: the calling
+     *  thread's obs::Capture::current() monitor sink. */
     static Monitor& global();
-
-    /** The process-wide instance, ignoring any thread redirect. */
-    static Monitor& process();
 
     /** Opens the gate for instrumentation that writes through here. */
     void enable() { enabled_.store(true, std::memory_order_release); }
@@ -138,14 +150,11 @@ class Monitor
     SloSpec slo() const;
 
     /**
-     * Registers a gauge source sampled at every snapshot; returns a
-     * token for removeSource(). Sources must tolerate being sampled
-     * from the thread that drives the simulation.
+     * Registers a gauge source sampled at every snapshot until the
+     * returned handle goes. Sources must tolerate being sampled from
+     * the thread that drives the simulation.
      */
-    int addSource(SampleFn fn);
-
-    /** Unregisters a source; unknown tokens are ignored. */
-    void removeSource(int token);
+    [[nodiscard]] SourceHandle addSource(SampleFn fn);
 
     /** Opens a new run ordinal (called by sim::Simulation::run). */
     void beginRun();
@@ -224,6 +233,9 @@ class Monitor
         SampleFn fn;
     };
 
+    /** Unregisters a source (SourceRemover). */
+    void removeSource(int token);
+
     /** Appends one snapshot; assumes mutex_ held. */
     void snapshotLocked(const char* trigger, const std::string& label,
                         double t_s,
@@ -258,26 +270,6 @@ class Monitor
     LogHistogram collective_latency_s_;
     LogHistogram iteration_latency_s_;
     LogHistogram recovery_mttr_s_;
-};
-
-/**
- * RAII thread-local redirect: while alive, Monitor::global() on this
- * thread returns @p monitor instead of the process instance. Nests; a
- * null monitor is a no-op.
- */
-class ScopedMonitorRedirect
-{
-  public:
-    explicit ScopedMonitorRedirect(Monitor* monitor);
-    ~ScopedMonitorRedirect();
-
-    ScopedMonitorRedirect(const ScopedMonitorRedirect&) = delete;
-    ScopedMonitorRedirect&
-    operator=(const ScopedMonitorRedirect&) = delete;
-
-  private:
-    Monitor* previous_ = nullptr;
-    bool active_ = false;
 };
 
 } // namespace obs

@@ -14,6 +14,11 @@
 namespace ccube {
 namespace obs {
 
+namespace {
+/** Rank slots per phase: RankCounters::slotOf() indexes them. */
+constexpr int kRankSlots = RankCounters::kMaxRanks + 1;
+} // namespace
+
 const char* profPhaseName(ProfPhase phase)
 {
     switch (phase) {
@@ -50,16 +55,16 @@ Profiler::~Profiler()
     stop();
 }
 
-// Packed slot layout: high 32 bits = phase + 1, low 32 bits =
-// rank + 1. Zero means "nothing published", which is also what
-// restore(0) writes, so an empty previous-state round-trips.
+// Packed slot layout: high 32 bits = phase + 1, low 32 bits = the
+// rank's RankCounters::slotOf() slot. Zero means "nothing published",
+// which is also what restore(0) writes, so an empty previous-state
+// round-trips.
 std::uint64_t Profiler::pack(ProfPhase phase, int rank)
 {
     const std::uint64_t p = static_cast<std::uint64_t>(
         static_cast<int>(phase) + 1);
-    const std::uint64_t r =
-        static_cast<std::uint32_t>(std::min(rank, kMaxRanks - 1) + 1);
-    return (p << 32) | r;
+    return (p << 32) |
+           static_cast<std::uint64_t>(RankCounters::slotOf(rank));
 }
 
 int Profiler::threadSlot()
@@ -99,16 +104,14 @@ void Profiler::restore(std::uint64_t packed)
 
 void Profiler::addParkedNs(int rank, std::uint64_t ns)
 {
-    const int idx =
-        (rank >= 0 && rank < kMaxRanks) ? rank + 1 : 0;
-    parked_ns_[idx].ns.fetch_add(ns, std::memory_order_relaxed);
+    parked_ns_[RankCounters::slotOf(rank)].ns.fetch_add(
+        ns, std::memory_order_relaxed);
 }
 
 std::uint64_t Profiler::parkedNs(int rank) const
 {
-    const int idx =
-        (rank >= 0 && rank < kMaxRanks) ? rank + 1 : 0;
-    return parked_ns_[idx].ns.load(std::memory_order_relaxed);
+    return parked_ns_[RankCounters::slotOf(rank)].ns.load(
+        std::memory_order_relaxed);
 }
 
 std::uint64_t Profiler::totalParkedNs() const
@@ -123,9 +126,8 @@ std::uint64_t Profiler::totalParkedNs() const
 void Profiler::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    counts_.assign(
-        static_cast<std::size_t>(kProfPhaseCount) * (kMaxRanks + 1),
-        0);
+    counts_.assign(static_cast<std::size_t>(kProfPhaseCount) * kRankSlots,
+                   0);
     for (ParkSlot& slot : parked_ns_) {
         slot.ns.store(0, std::memory_order_relaxed);
     }
@@ -144,8 +146,7 @@ void Profiler::start(double hz)
     enabled_.store(true, std::memory_order_release);
     sampler_ = std::thread([this] { samplerLoop(); });
 
-    Monitor& monitor = Monitor::process();
-    monitor_token_ = monitor.addSource(
+    monitor_source_ = Monitor::global().addSource(
         [this](double,
                std::vector<std::pair<std::string, double>>& values) {
             values.emplace_back(
@@ -164,7 +165,7 @@ void Profiler::start(double hz)
 void Profiler::stop()
 {
     std::thread sampler;
-    int token = -1;
+    Monitor::SourceHandle source; // removed after the join below
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (!running_) {
@@ -173,14 +174,10 @@ void Profiler::stop()
         running_ = false;
         enabled_.store(false, std::memory_order_release);
         sampler = std::move(sampler_);
-        token = monitor_token_;
-        monitor_token_ = -1;
+        source = std::move(monitor_source_);
     }
     if (sampler.joinable()) {
         sampler.join();
-    }
-    if (token >= 0) {
-        Monitor::process().removeSource(token);
     }
 }
 
@@ -200,16 +197,11 @@ void Profiler::samplerLoop()
                 continue;
             }
             const int phase = static_cast<int>(packed >> 32) - 1;
-            const int rank =
-                static_cast<int>(packed & 0xffffffffu) - 1;
+            const int ridx = static_cast<int>(packed & 0xffffffffu);
             if (phase < 0 || phase >= kProfPhaseCount) {
                 continue;
             }
-            const int ridx =
-                (rank >= 0 && rank < kMaxRanks) ? rank + 1 : 0;
-            ++counts_[static_cast<std::size_t>(phase) *
-                          (kMaxRanks + 1) +
-                      ridx];
+            ++counts_[static_cast<std::size_t>(phase) * kRankSlots + ridx];
         }
         ticks_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -222,10 +214,9 @@ std::uint64_t Profiler::samples(ProfPhase phase) const
         return 0;
     }
     const std::size_t base =
-        static_cast<std::size_t>(static_cast<int>(phase)) *
-        (kMaxRanks + 1);
+        static_cast<std::size_t>(static_cast<int>(phase)) * kRankSlots;
     std::uint64_t total = 0;
-    for (int r = 0; r <= kMaxRanks; ++r) {
+    for (int r = 0; r < kRankSlots; ++r) {
         total += counts_[base + r];
     }
     return total;
@@ -237,12 +228,9 @@ std::uint64_t Profiler::samples(ProfPhase phase, int rank) const
     if (counts_.empty()) {
         return 0;
     }
-    const int ridx =
-        (rank >= 0 && rank < kMaxRanks) ? rank + 1 : 0;
-    return counts_[static_cast<std::size_t>(
-                       static_cast<int>(phase)) *
-                       (kMaxRanks + 1) +
-                   ridx];
+    return counts_[static_cast<std::size_t>(static_cast<int>(phase)) *
+                       kRankSlots +
+                   RankCounters::slotOf(rank)];
 }
 
 void Profiler::writeCollapsed(std::ostream& out) const
@@ -259,8 +247,8 @@ void Profiler::writeCollapsed(std::ostream& out) const
                 continue; // exact feed below, not sampled counts
             }
             const std::size_t base =
-                static_cast<std::size_t>(phase) * (kMaxRanks + 1);
-            for (int ridx = 0; ridx <= kMaxRanks; ++ridx) {
+                static_cast<std::size_t>(phase) * kRankSlots;
+            for (int ridx = 0; ridx < kRankSlots; ++ridx) {
                 const std::uint64_t n = counts_[base + ridx];
                 if (n == 0) {
                     continue;
@@ -278,7 +266,7 @@ void Profiler::writeCollapsed(std::ostream& out) const
             }
         }
     }
-    for (int ridx = 0; ridx <= kMaxRanks; ++ridx) {
+    for (int ridx = 0; ridx < kRankSlots; ++ridx) {
         const std::uint64_t ns =
             parked_ns_[ridx].ns.load(std::memory_order_relaxed);
         if (ns == 0) {

@@ -60,6 +60,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/context.h"
+#include "obs/monitor.h"
+
 namespace ccube {
 namespace obs {
 
@@ -92,10 +95,6 @@ class Profiler
   public:
     /** Publication slots; threads beyond this are not sampled. */
     static constexpr int kMaxThreads = 256;
-
-    /** Per-rank attribution slots (the state-machine runtime targets
-     *  P=512–1024; deliberately NOT RankCounters::kMaxRanks). */
-    static constexpr int kMaxRanks = 1024;
 
     /** Default sampling rate (prime, so it cannot phase-lock with
      *  millisecond-periodic runtime behavior). */
@@ -205,15 +204,16 @@ class Profiler
 
     std::atomic<int> slots_used_{0};
     ThreadSlot thread_slots_[kMaxThreads];
-    ParkSlot parked_ns_[kMaxRanks + 1]; ///< [0] = unknown rank
+    /// Indexed by RankCounters::slotOf(rank).
+    ParkSlot parked_ns_[RankCounters::kMaxRanks + 1];
 
     // Sample accumulation: written by the sampler thread, read by
     // reporters; the mutex also serializes start/stop.
     mutable std::mutex mutex_;
-    std::vector<std::uint64_t> counts_; ///< [phase][rank+1], flat
+    std::vector<std::uint64_t> counts_; ///< [phase][rank slot], flat
     std::thread sampler_;
     bool running_ = false; ///< guarded by mutex_
-    int monitor_token_ = -1;
+    Monitor::SourceHandle monitor_source_;
 };
 
 /**

@@ -1,9 +1,9 @@
 #include "obs/session.h"
 
 #include <fstream>
-#include <utility>
 
 #include "obs/analyze.h"
+#include "obs/capture.h"
 #include "obs/context.h"
 #include "obs/diff.h"
 #include "obs/metrics.h"
@@ -33,13 +33,13 @@ applyRetentionFlags(const util::Flags& flags)
 {
     const int capacity = flags.getInt("trace-capacity", 0);
     const std::string mode = flags.get("trace-mode");
+    TraceRecorder& recorder = Capture::current().trace();
     if (mode == "flight") {
-        TraceRecorder::global().setFlightCapacity(
+        recorder.setFlightCapacity(
             capacity > 0 ? static_cast<std::size_t>(capacity)
-                         : TraceRecorder::global().capacity());
+                         : recorder.capacity());
     } else if (capacity > 0) {
-        TraceRecorder::global().setCapacity(
-            static_cast<std::size_t>(capacity));
+        recorder.setCapacity(static_cast<std::size_t>(capacity));
     }
 }
 
@@ -53,45 +53,29 @@ ObsSession::ObsSession(const util::Flags& flags)
       openmetrics_path_(flags.get("monitor-openmetrics")),
       rootcause_path_(flags.get("rootcause-out")),
       profile_path_(flags.get("profile-out")),
-      monitor_interval_s_(flags.getDouble("monitor-interval", 0.0)),
       profile_hz_(flags.getDouble("profile-hz", 0.0))
 {
     applyRetentionFlags(flags);
+    const Capture& capture = Capture::current();
+    if (tracing() || reporting() || rootCause())
+        capture.trace().enable();
+    if (metrics())
+        capture.metrics().enable();
     if (monitoring()) {
         if (openmetrics_path_.empty())
             openmetrics_path_ = monitor_path_ + ".om";
-        Monitor& monitor = Monitor::global();
-        monitor.setInterval(monitor_interval_s_);
+        Monitor& monitor = capture.monitor();
+        monitor.setInterval(flags.getDouble("monitor-interval", 0.0));
         monitor.setSlo(SloSpec::fromFlags(flags));
+        monitor.enable();
     }
-    start();
-}
-
-ObsSession::ObsSession(std::string trace_path, std::string metrics_path,
-                       std::string report_path)
-    : trace_path_(std::move(trace_path)),
-      metrics_path_(std::move(metrics_path)),
-      report_path_(std::move(report_path))
-{
-    start();
+    if (profiling())
+        Profiler::global().start(profile_hz_);
 }
 
 ObsSession::~ObsSession()
 {
     finish();
-}
-
-void
-ObsSession::start()
-{
-    if (tracing() || reporting() || rootCause())
-        TraceRecorder::global().enable();
-    if (metrics())
-        MetricRegistry::global().enable();
-    if (monitoring())
-        Monitor::global().enable();
-    if (profiling())
-        Profiler::global().start(profile_hz_);
 }
 
 void
@@ -101,9 +85,10 @@ ObsSession::finish()
         return;
     finished_ = true;
 
-    TraceRecorder& recorder = TraceRecorder::global();
-    MetricRegistry& registry = MetricRegistry::global();
-    Monitor& monitor = Monitor::global();
+    const Capture& capture = Capture::current();
+    TraceRecorder& recorder = capture.trace();
+    MetricRegistry& registry = capture.metrics();
+    Monitor& monitor = capture.monitor();
 
     if (profiling()) {
         Profiler& profiler = Profiler::global();

@@ -45,9 +45,9 @@ namespace ccube {
 namespace obs {
 
 /**
- * RAII capture session: enables the global recorder/registry on
- * construction, flushes them to the requested files on finish() or
- * destruction.
+ * RAII capture session: enables the requested sinks of the current
+ * obs::Capture on construction and flushes them to the requested
+ * files on finish() or destruction.
  */
 class ObsSession
 {
@@ -58,10 +58,6 @@ class ObsSession
      *  `--slo-iteration-ms` / `--trace-capacity` / `--trace-mode`
      *  from @p flags. */
     explicit ObsSession(const util::Flags& flags);
-
-    /** Direct construction (empty path = facility off). */
-    ObsSession(std::string trace_path, std::string metrics_path,
-               std::string report_path = "");
 
     /** Flushes on scope exit when finish() was not called. */
     ~ObsSession();
@@ -95,8 +91,6 @@ class ObsSession
     void finish();
 
   private:
-    void start();
-
     std::string trace_path_;
     std::string metrics_path_;
     std::string report_path_;
@@ -104,7 +98,6 @@ class ObsSession
     std::string openmetrics_path_;
     std::string rootcause_path_;
     std::string profile_path_;
-    double monitor_interval_s_ = 0.0;
     double profile_hz_ = 0.0;
     bool finished_ = false;
 };

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <ostream>
 
+#include "obs/capture.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -11,9 +12,6 @@ namespace ccube {
 namespace obs {
 
 namespace {
-
-/** Per-thread redirect target installed by ScopedTraceRedirect. */
-thread_local TraceRecorder* t_redirect = nullptr;
 
 /** Escapes a string for embedding in a JSON string literal. */
 void
@@ -76,14 +74,7 @@ TraceRecorder::~TraceRecorder() = default;
 TraceRecorder&
 TraceRecorder::global()
 {
-    return t_redirect ? *t_redirect : process();
-}
-
-TraceRecorder&
-TraceRecorder::process()
-{
-    static TraceRecorder recorder;
-    return recorder;
+    return Capture::current().trace();
 }
 
 void
@@ -116,21 +107,6 @@ TraceRecorder::absorb(const TraceRecorder& other)
     for (const auto& [key, name] : other.thread_names_)
         thread_names_[key] = name;
     sim_offset_us_ += other.sim_offset_us_;
-}
-
-ScopedTraceRedirect::ScopedTraceRedirect(TraceRecorder* recorder)
-{
-    if (!recorder)
-        return;
-    previous_ = t_redirect;
-    t_redirect = recorder;
-    active_ = true;
-}
-
-ScopedTraceRedirect::~ScopedTraceRedirect()
-{
-    if (active_)
-        t_redirect = previous_;
 }
 
 void

@@ -99,17 +99,9 @@ class TraceRecorder
     TraceRecorder(const TraceRecorder&) = delete;
     TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-    /**
-     * The recorder the instrumentation hooks feed: the process-wide
-     * instance, unless the calling thread has an active
-     * ScopedTraceRedirect — the mechanism the sweep runner uses to give
-     * each parallel task a private capture that is later absorb()ed
-     * into the parent in deterministic task order.
-     */
+    /** The recorder the instrumentation hooks feed: the calling
+     *  thread's obs::Capture::current() trace sink. */
     static TraceRecorder& global();
-
-    /** The process-wide instance, ignoring any thread redirect. */
-    static TraceRecorder& process();
 
     /**
      * Merges @p other into this recorder as if its events had been
@@ -229,27 +221,6 @@ class TraceRecorder
     std::map<int, std::string> process_names_;
     std::map<std::pair<int, int>, std::string> thread_names_;
     double sim_offset_us_ = 0.0;
-};
-
-/**
- * RAII thread-local redirect: while alive, TraceRecorder::global() on
- * this thread returns @p recorder instead of the process instance.
- * Redirects nest (restores the previous target on destruction); a
- * null recorder is a no-op. This is how sweep::run() gives each
- * worker-thread task a private capture.
- */
-class ScopedTraceRedirect
-{
-  public:
-    explicit ScopedTraceRedirect(TraceRecorder* recorder);
-    ~ScopedTraceRedirect();
-
-    ScopedTraceRedirect(const ScopedTraceRedirect&) = delete;
-    ScopedTraceRedirect& operator=(const ScopedTraceRedirect&) = delete;
-
-  private:
-    TraceRecorder* previous_ = nullptr;
-    bool active_ = false;
 };
 
 /**

@@ -34,21 +34,14 @@ Network::Network(sim::Simulation& simulation, const topo::Graph& graph,
 
     obs::Monitor& monitor = obs::Monitor::global();
     if (monitor.enabled()) {
-        monitor_ = &monitor;
         monitor_cursor_.assign(
             static_cast<std::size_t>(graph.channelCount()), 0);
-        monitor_token_ = monitor.addSource(
+        monitor_source_ = monitor.addSource(
             [this](double t_s,
                    std::vector<std::pair<std::string, double>>& out) {
                 sampleMonitorGauges(t_s, out);
             });
     }
-}
-
-Network::~Network()
-{
-    if (monitor_)
-        monitor_->removeSource(monitor_token_);
 }
 
 void

@@ -45,9 +45,6 @@ class Network
     Network(sim::Simulation& simulation, const topo::Graph& graph,
             double bandwidth_scale = 1.0);
 
-    /** Unregisters this network's live-monitor gauge source. */
-    ~Network();
-
     Network(const Network&) = delete;
     Network& operator=(const Network&) = delete;
 
@@ -208,11 +205,11 @@ class Network
     std::uint64_t net_transfers_ = 0;
     std::uint64_t dropped_transfers_ = 0;
     double dropped_bytes_ = 0.0;
-    obs::Monitor* monitor_ = nullptr; ///< set while registered
-    int monitor_token_ = 0;
     std::vector<std::size_t> monitor_cursor_; ///< per-channel interval
                                               ///< index already sampled
     double monitor_last_t_ = 0.0;
+    /// Live-monitor gauge source; last, so it goes first.
+    obs::Monitor::SourceHandle monitor_source_;
 };
 
 } // namespace simnet

@@ -2,13 +2,10 @@
 
 #include <atomic>
 #include <exception>
-#include <memory>
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/monitor.h"
-#include "obs/trace.h"
+#include "obs/capture.h"
 #include "util/flags.h"
 #include "util/logging.h"
 
@@ -43,17 +40,10 @@ struct PoolState {
 
     std::vector<Task>& tasks;
     std::atomic<std::size_t> next{0};
-    bool capture_trace = false;
-    bool capture_metrics = false;
-    bool capture_monitor = false;
-    std::size_t trace_capacity = 0;
-    bool trace_flight = false;
-    double monitor_interval = 0.0;
-    obs::SloSpec monitor_slo;
+    /** Capture the tasks fork from; null when capture_obs is off. */
+    const obs::Capture* parent = nullptr;
     /** Per-task captures, filled by workers, merged by the caller. */
-    std::vector<std::unique_ptr<obs::TraceRecorder>> recorders;
-    std::vector<std::unique_ptr<obs::MetricRegistry>> registries;
-    std::vector<std::unique_ptr<obs::Monitor>> monitors;
+    std::vector<obs::Capture> captures;
     /** First (by task index) exception thrown by a task. */
     std::vector<std::exception_ptr> errors;
 };
@@ -68,49 +58,15 @@ workerLoop(PoolState& state)
         if (index >= count)
             return;
 
-        std::unique_ptr<obs::TraceRecorder> recorder;
-        std::unique_ptr<obs::MetricRegistry> registry;
-        if (state.capture_trace) {
-            recorder = std::make_unique<obs::TraceRecorder>();
-            if (state.trace_flight)
-                recorder->setFlightCapacity(state.trace_capacity);
-            else
-                recorder->setCapacity(state.trace_capacity);
-            recorder->enable();
-        }
-        if (state.capture_metrics) {
-            registry = std::make_unique<obs::MetricRegistry>();
-            registry->enable();
-        }
-        std::unique_ptr<obs::Monitor> monitor;
-        if (state.capture_monitor) {
-            monitor = std::make_unique<obs::Monitor>();
-            monitor->setInterval(state.monitor_interval);
-            monitor->setSlo(state.monitor_slo);
-            monitor->enable();
-        }
-        {
-            SweepTaskScope task_scope;
-            obs::ScopedTraceRedirect trace_redirect(recorder.get());
-            obs::ScopedMetricsRedirect metrics_redirect(registry.get());
-            obs::ScopedMonitorRedirect monitor_redirect(monitor.get());
-            try {
-                state.tasks[index]();
-            } catch (...) {
-                state.errors[index] = std::current_exception();
-            }
-        }
-        if (recorder) {
-            recorder->disable();
-            state.recorders[index] = std::move(recorder);
-        }
-        if (registry) {
-            registry->disable();
-            state.registries[index] = std::move(registry);
-        }
-        if (monitor) {
-            monitor->disable();
-            state.monitors[index] = std::move(monitor);
+        obs::Capture& capture = state.captures[index];
+        if (state.parent)
+            capture = state.parent->fork();
+        SweepTaskScope task_scope;
+        obs::ScopedCapture capture_scope(capture);
+        try {
+            state.tasks[index]();
+        } catch (...) {
+            state.errors[index] = std::current_exception();
         }
     }
 }
@@ -141,31 +97,15 @@ run(const Options& options, std::vector<Task> tasks)
     if (tasks.empty())
         return;
 
-    // The parent capture targets: whatever global() resolves to on the
-    // calling thread, so nested sweeps compose (a task running its own
-    // sweep merges grandchild captures into its private recorder).
-    obs::TraceRecorder& parent_recorder = obs::TraceRecorder::global();
-    obs::MetricRegistry& parent_registry = obs::MetricRegistry::global();
-    obs::Monitor& parent_monitor = obs::Monitor::global();
+    // The parent capture is whatever is current on the calling thread,
+    // so nested sweeps compose (a task running its own sweep merges
+    // grandchild captures into its private capture).
+    const obs::Capture& parent = obs::Capture::current();
 
     PoolState state(tasks);
-    state.capture_trace =
-        options.capture_obs && parent_recorder.enabled();
-    state.capture_metrics =
-        options.capture_obs && parent_registry.enabled();
-    state.capture_monitor =
-        options.capture_obs && parent_monitor.enabled();
-    if (state.capture_trace) {
-        state.trace_capacity = parent_recorder.capacity();
-        state.trace_flight = parent_recorder.flightMode();
-    }
-    if (state.capture_monitor) {
-        state.monitor_interval = parent_monitor.interval();
-        state.monitor_slo = parent_monitor.slo();
-    }
-    state.recorders.resize(tasks.size());
-    state.registries.resize(tasks.size());
-    state.monitors.resize(tasks.size());
+    if (options.capture_obs)
+        state.parent = &parent;
+    state.captures.resize(tasks.size());
     state.errors.resize(tasks.size());
 
     const int jobs = options.effectiveJobs(tasks.size());
@@ -181,15 +121,9 @@ run(const Options& options, std::vector<Task> tasks)
     }
 
     // Deterministic merge: task-index order regardless of completion
-    // order, so the combined trace/metrics are independent of jobs.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (state.recorders[i])
-            parent_recorder.absorb(*state.recorders[i]);
-        if (state.registries[i])
-            parent_registry.absorb(*state.registries[i]);
-        if (state.monitors[i])
-            parent_monitor.absorb(*state.monitors[i]);
-    }
+    // order, so the combined capture is independent of jobs.
+    for (const obs::Capture& capture : state.captures)
+        parent.absorb(capture);
 
     for (const std::exception_ptr& error : state.errors) {
         if (error)

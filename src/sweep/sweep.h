@@ -14,11 +14,13 @@
  *
  *  - each task writes its results into its own pre-assigned slot
  *    (callers index by task, never append from workers);
- *  - while an obs capture is enabled, each task records into a
- *    *private* TraceRecorder/MetricRegistry (installed thread-locally
- *    via ScopedTraceRedirect/ScopedMetricsRedirect) and the captures
- *    are absorbed into the parent in task-index order — exactly
- *    reproducing the sim-epoch accumulation of a serial run;
+ *  - each task runs under its own obs::Capture, forked from the
+ *    caller's current capture: a private trace recorder, metric
+ *    registry and monitor for every sink the caller has enabled,
+ *    configured alike. The caller absorbs the task captures in
+ *    task-index order, exactly reproducing the sim-epoch and run
+ *    numbering of a serial run. A task that runs its own sweep forks
+ *    from its task capture, so nested sweeps merge the same way;
  *  - `--jobs=1` takes the same capture/merge path, so job count can
  *    never change the output, only the wall clock.
  *
@@ -46,7 +48,7 @@ struct Options {
 
     /**
      * Give each task a private obs capture merged in task order
-     * (only relevant while the parent recorder/registry is enabled).
+     * (only relevant while a sink of the caller's capture is enabled).
      * Turn off for compute-only sweeps that never record, e.g. the
      * embedding-search attempt pool.
      */

@@ -14,7 +14,10 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -26,7 +29,9 @@
 #include "ccl/ring_allreduce.h"
 #include "ccl/state_machine.h"
 #include "ccl/tree_allreduce.h"
+#include "obs/capture.h"
 #include "obs/context.h"
+#include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
@@ -494,6 +499,73 @@ TEST(StateMachineTelemetry, EngineGaugesAppearInMonitorSnapshots)
     EXPECT_TRUE(saw_workers);
     EXPECT_TRUE(saw_parks);
     monitor.clear();
+}
+
+
+TEST(StateMachineTelemetry, RanksPastSixtyFourGetTheirOwnSlots)
+{
+    // One rank cap for every per-rank table: a P=256 run on rank-pinned
+    // engine threads (which poll, so they count wait stalls) exports
+    // rank 200 under its own name, in the registry and in the monitor.
+    constexpr int kRanks = 256;
+    const LogicalTopologies topo(kRanks);
+    obs::RankCounters& counters = obs::RankCounters::global();
+    counters.reset();
+    ccl::Communicator comm(kRanks, kSlots,
+                           RankExecutor::Mode::kPersistent);
+    ccl::RankBuffers buffers = integerBuffers(kRanks, 256);
+    ccl::ringAllReduce(comm, buffers, topo.ring);
+
+    obs::MetricRegistry registry;
+    counters.exportTo(registry);
+    EXPECT_DOUBLE_EQ(registry.counter("ccl.rank200.mailbox_sends"),
+                     static_cast<double>(2 * (kRanks - 1)));
+    EXPECT_DOUBLE_EQ(registry.counter("ccl.unknown.mailbox_sends"), 0.0);
+    ASSERT_GT(counters.waitStallNs(200), 0u);
+
+    obs::Monitor monitor;
+    monitor.heartbeat(0.0);
+    const auto snapshots = monitor.snapshots();
+    bool saw_rank200 = false;
+    for (const auto& [name, value] : snapshots.back().values)
+        saw_rank200 = saw_rank200 || name == "rank.200.wait_stall_ns";
+    EXPECT_TRUE(saw_rank200);
+    counters.reset();
+}
+
+TEST(StateMachineTelemetry, EngineGaugesLeaveTheMonitorTheyJoined)
+{
+    // A pooled engine built under capture A and destroyed under
+    // capture B must remove its gauges from A, and only from A: B's
+    // own source (which may hold the same token) stays.
+    obs::Monitor a;
+    obs::Monitor b;
+    const obs::Capture capture_a(nullptr, nullptr, &a);
+    const obs::Capture capture_b(nullptr, nullptr, &b);
+    const auto mine = b.addSource(
+        [](double, std::vector<std::pair<std::string, double>>& out) {
+            out.emplace_back("mine", 1.0);
+        });
+    std::unique_ptr<ccl::StateMachineEngine> engine;
+    {
+        obs::ScopedCapture scope(capture_a);
+        engine = std::make_unique<ccl::StateMachineEngine>(2);
+    }
+    {
+        obs::ScopedCapture scope(capture_b);
+        engine.reset();
+    }
+    a.heartbeat(0.0);
+    b.heartbeat(0.0);
+    auto has = [](const obs::Monitor& monitor, const std::string& key) {
+        const auto snapshots = monitor.snapshots();
+        for (const auto& [name, value] : snapshots.back().values)
+            if (name == key)
+                return true;
+        return false;
+    };
+    EXPECT_FALSE(has(a, "ccl.sm.workers"));
+    EXPECT_TRUE(has(b, "mine"));
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/analyze.h"
+#include "obs/capture.h"
 #include "obs/diff.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -164,7 +165,7 @@ TEST(Monitor, HeartbeatSnapshotsFromSimulation)
     obs::Monitor monitor;
     monitor.setInterval(1.0);
     monitor.enable();
-    obs::ScopedMonitorRedirect redirect(&monitor);
+    obs::ScopedCapture capture{obs::Capture(nullptr, nullptr, &monitor)};
 
     sim::Simulation sim;
     for (int i = 0; i < 5; ++i)
@@ -310,7 +311,7 @@ TEST(RootCause, NamesInjectedDgx1Failure)
     obs::TraceRecorder recorder;
     recorder.enable();
     {
-        obs::ScopedTraceRedirect redirect(&recorder);
+        obs::ScopedCapture capture{obs::Capture(&recorder)};
         sim::Simulation sim;
         simnet::Network net(sim, graph);
         simnet::FaultPlan plan;

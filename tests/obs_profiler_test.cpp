@@ -24,6 +24,7 @@
 #include "ccl/executor.h"
 #include "ccl/fault.h"
 #include "ccl/ring_allreduce.h"
+#include "obs/context.h"
 #include "obs/profiler.h"
 #include "topo/ring_embedding.h"
 
@@ -180,6 +181,42 @@ TEST(ProfilerSampler, DisabledPublishIsANoOp)
     std::this_thread::sleep_for(20ms);
     profiler.stop();
     EXPECT_EQ(profiler.samples(ProfPhase::kMailboxPost, 7), 0u);
+}
+
+TEST(ProfilerSampler, RanksPastTheCapFoldIntoTheUnknownSlot)
+{
+    // One fold rule for every per-rank table: a rank outside
+    // [0, RankCounters::kMaxRanks) is billed to the unknown slot, not
+    // clamped onto the last rank.
+    constexpr int kBeyond = 2000;
+    static_assert(kBeyond >= obs::RankCounters::kMaxRanks);
+    constexpr int kLast = obs::RankCounters::kMaxRanks - 1;
+    Profiler& profiler = Profiler::global();
+    profiler.start(4000.0);
+    std::atomic<bool> stop{false};
+    std::thread worker([&]() {
+        obs::ScopedProfPhase phase(ProfPhase::kStep, kBeyond);
+        while (!stop.load(std::memory_order_relaxed))
+            std::this_thread::sleep_for(1ms);
+    });
+    std::this_thread::sleep_for(100ms);
+    stop.store(true, std::memory_order_relaxed);
+    worker.join();
+    profiler.addParkedNs(kBeyond, 5);
+    profiler.stop();
+    EXPECT_GT(profiler.samples(ProfPhase::kStep, -1), 0u);
+    EXPECT_EQ(profiler.samples(ProfPhase::kStep, kLast), 0u);
+    EXPECT_EQ(profiler.parkedNs(-1), 5u);
+    EXPECT_EQ(profiler.parkedNs(kLast), 0u);
+
+    obs::RankCounters& counters = obs::RankCounters::global();
+    counters.reset();
+    obs::setThreadRank(kBeyond);
+    counters.addMailboxSend();
+    obs::setThreadRank(-1);
+    EXPECT_EQ(counters.mailboxSends(-1), 1u);
+    EXPECT_EQ(counters.mailboxSends(kLast), 0u);
+    counters.reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "ccl/tuner.h"
+#include "obs/capture.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/trace.h"
@@ -129,7 +130,7 @@ runGrid(int jobs, std::vector<Cell>& cells)
         // Make the local recorder the absorb target of the sweep, so
         // the test neither touches nor depends on process-global obs
         // state.
-        obs::ScopedTraceRedirect redirect(&recorder);
+        obs::ScopedCapture capture{obs::Capture(&recorder)};
         cells.assign(sizes.size() * chunk_counts.size(), Cell{});
         sweep::runIndexed(
             withJobs(jobs), cells.size(), [&](std::size_t i) {
@@ -180,7 +181,8 @@ TEST(SweepRun, MetricsMergeIsJobsInvariant)
         registry.enable();
         std::string json;
         {
-            obs::ScopedMetricsRedirect redirect(&registry);
+            obs::ScopedCapture capture{
+                obs::Capture(nullptr, &registry)};
             sweep::runIndexed(
                 withJobs(jobs), 8, [&](std::size_t i) {
                     obs::MetricRegistry& sink =
@@ -214,7 +216,8 @@ TEST(SweepRun, MonitorSnapshotsAreJobsInvariant)
         monitor.enable();
         std::string jsonl;
         {
-            obs::ScopedMonitorRedirect redirect(&monitor);
+            obs::ScopedCapture capture{
+                obs::Capture(nullptr, nullptr, &monitor)};
             sweep::runIndexed(withJobs(jobs), 4, [&](std::size_t i) {
                 sim::Simulation sim;
                 simnet::Network net(sim, graph);
@@ -234,6 +237,81 @@ TEST(SweepRun, MonitorSnapshotsAreJobsInvariant)
     EXPECT_NE(serial.find("allreduce.double_tree"), std::string::npos);
     for (int jobs : {2, 8})
         EXPECT_EQ(serial, run(jobs)) << "jobs=" << jobs;
+}
+
+/** Every sink of one capture, serialized. */
+struct CaptureText {
+    std::string trace;
+    std::string metrics; ///< CSV minus the wall-clock events/s row
+    std::string monitor;
+};
+
+TEST(SweepRun, WholeCaptureWithNestedSweepsIsJobsInvariant)
+{
+    // Trace, metrics and monitor enabled together, and every task runs
+    // its own sweep: the grandchild captures merge into the task's
+    // capture and the task captures into the parent, each in task
+    // order, so all three outputs are byte-identical at any job count.
+    const topo::Graph graph = topo::makeDgx1();
+    const topo::DoubleTreeEmbedding embedding =
+        topo::makeDgx1DoubleTree(graph);
+    auto run = [&](int jobs) {
+        obs::TraceRecorder recorder;
+        obs::MetricRegistry registry;
+        obs::Monitor monitor;
+        recorder.enable();
+        registry.enable();
+        monitor.setInterval(1e-4);
+        monitor.enable();
+        {
+            obs::ScopedCapture capture{
+                obs::Capture(&recorder, &registry, &monitor)};
+            sweep::runIndexed(withJobs(jobs), 3, [&](std::size_t outer) {
+                obs::MetricRegistry::global().addCounter(
+                    "sweep.test.outer", 1.0);
+                sweep::runIndexed(
+                    withJobs(jobs), 2, [&](std::size_t inner) {
+                        sim::Simulation sim;
+                        simnet::Network net(sim, graph);
+                        const auto result = simnet::runDoubleTreeSchedule(
+                            sim, net, embedding, util::mib(1 + outer),
+                            simnet::PhaseMode::kOverlapped, 4 << inner);
+                        net.closeTraceEpoch(result.completion_time);
+                        obs::MetricRegistry::global().observe(
+                            "sweep.test.completion_s",
+                            result.completion_time);
+                    });
+            });
+        }
+        CaptureText text;
+        std::ostringstream trace, metrics, jsonl;
+        recorder.writeJson(trace);
+        registry.writeCsv(metrics);
+        monitor.writeJsonl(jsonl);
+        text.trace = trace.str();
+        std::istringstream rows(metrics.str());
+        for (std::string row; std::getline(rows, row);)
+            if (row.rfind("sim.events_per_sec,", 0) != 0)
+                text.metrics += row + '\n';
+        text.monitor = jsonl.str();
+        return text;
+    };
+    const CaptureText serial = run(1);
+    EXPECT_NE(serial.trace.find("simnet"), std::string::npos);
+    EXPECT_NE(serial.metrics.find("sweep.test.outer,counter"),
+              std::string::npos);
+    EXPECT_NE(serial.metrics.find("sweep.test.completion_s"),
+              std::string::npos);
+    EXPECT_NE(serial.monitor.find("\"trigger\": \"heartbeat\""),
+              std::string::npos);
+    // Six inner simulations, six monitor runs, renumbered in order.
+    EXPECT_NE(serial.monitor.find("\"run\": 6"), std::string::npos);
+    for (int jobs : {2, 8}) {
+        const CaptureText parallel = run(jobs);
+        EXPECT_EQ(serial.trace, parallel.trace) << "jobs=" << jobs;
+        EXPECT_EQ(serial.metrics, parallel.metrics) << "jobs=" << jobs;
+        EXPECT_EQ(serial.monitor, parallel.monitor) << "jobs=" << jobs;
+    }
 }
 
 TEST(SweepRun, TunerTablesAreJobsInvariant)
