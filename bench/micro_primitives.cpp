@@ -443,7 +443,7 @@ runRankScaling(benchmark::State& state,
     const int threads =
         mode == ccl::RankExecutor::Mode::kStateMachine
             ? ccl::StateMachineEngine::shared().workerCount()
-            : comm.executor().workerCount();
+            : ranks; // one persistent thread per rank
     state.counters["ranks"] = static_cast<double>(ranks);
     state.counters["threads"] = static_cast<double>(threads);
     state.counters["ranks_per_core"] =

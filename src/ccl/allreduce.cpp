@@ -55,10 +55,9 @@ AllReduceTrace::inOrder() const
 ChunkSplit::ChunkSplit(std::size_t total, int chunks)
     : total_(total), chunks_(chunks)
 {
+    // Fewer elements than chunks leaves some chunks empty; they travel
+    // as zero-length messages, so the program keeps its shape.
     CCUBE_CHECK(chunks >= 1, "need at least one chunk");
-    CCUBE_CHECK(total >= static_cast<std::size_t>(chunks),
-                "fewer elements (" << total << ") than chunks ("
-                                   << chunks << ")");
 }
 
 std::size_t

@@ -72,7 +72,8 @@ using SkipMask = sched::SkipMask;
 
 /**
  * Splits [0, total) into @p chunks half-open subranges of near-equal
- * size; chunk c covers [begin(c), end(c)).
+ * size; chunk c covers [begin(c), end(c)). With fewer elements than
+ * chunks, some chunks are empty.
  */
 class ChunkSplit
 {

@@ -4,7 +4,6 @@
 #include <exception>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "ccl/state_machine.h"
 #include "obs/context.h"
@@ -199,14 +198,40 @@ noteProtocol(Protocol proto)
         std::string("ccl.proto.") + protocolName(proto), 1.0);
 }
 
+/** A rank body as a task: one step that runs it to completion. */
+class BodyStep final : public RankTask
+{
+  public:
+    BodyStep(int rank, const std::function<void(int rank)>& body)
+        : RankTask(rank, "main"), body_(body)
+    {
+    }
+
+    StepStatus step(StepContext&) override
+    {
+        body_(rank());
+        return StepStatus::kDone;
+    }
+
+  private:
+    const std::function<void(int rank)>& body_;
+};
+
 } // namespace
 
 void
 Communicator::run(const std::function<void(int rank)>& body,
                   const char* op, Protocol proto)
 {
+    CCUBE_CHECK(body, "run() needs a body");
+    std::vector<std::unique_ptr<RankTask>> tasks;
+    tasks.reserve(static_cast<std::size_t>(num_ranks_));
+    for (int r = 0; r < num_ranks_; ++r)
+        tasks.push_back(std::make_unique<BodyStep>(r, body));
     noteProtocol(proto);
-    runEnvelope(op, [this, &body]() { executor().run(body, &fault_); });
+    runEnvelope(op, [this, &tasks]() {
+        executor().run(std::move(tasks), &fault_);
+    });
 }
 
 void
@@ -288,26 +313,6 @@ Communicator::runEnvelope(const char* op,
         throw CollectiveError(fault_.abortState().info());
     if (err)
         std::rethrow_exception(err);
-}
-
-void
-Communicator::barrier()
-{
-    obs::ScopedSpan span("barrier", "ccl.sync",
-                         obs::pids::cclRank(obs::threadRank()),
-                         obs::threadTrack());
-    const int sense = barrier_sense_.load(std::memory_order_acquire);
-    if (barrier_count_.fetch_add(1, std::memory_order_acq_rel) ==
-        num_ranks_ - 1) {
-        barrier_count_.store(0, std::memory_order_relaxed);
-        barrier_sense_.store(1 - sense, std::memory_order_release);
-    } else {
-        while (barrier_sense_.load(std::memory_order_acquire) ==
-               sense) {
-            abortPoll(); // a dead peer must not wedge the barrier
-            std::this_thread::yield();
-        }
-    }
 }
 
 } // namespace ccl

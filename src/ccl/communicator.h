@@ -90,16 +90,10 @@ class Communicator
     Mailbox& mailbox(int src, int dst, FlowId flow);
 
     /**
-     * The persistent rank threads (created on first use; one
-     * long-lived thread per rank).
-     */
-    RankExecutor& executor();
-
-    /**
      * Runs @p body concurrently on every rank's persistent thread (in
-     * either mode) and waits for all of them. For rank bodies that
-     * block, e.g. on barrier(); the collective algorithms use
-     * runTasks().
+     * either mode) and waits for all of them: one single-step task
+     * per rank, so a body may block on its peers. The collective
+     * algorithms use runTasks().
      *
      * @p op names the collective for watchdog/abort attribution (a
      * string literal; stored by pointer). When a deadline is set (see
@@ -137,18 +131,11 @@ class Communicator
      * Auto-tuned AllReduce: consults the ccl::Tuner's cached selection
      * table for (topology shape, P, message size) and runs the chosen
      * (algorithm × protocol × chunking) cell — the NCCL-style "just
-     * give me the fastest schedule" entry point. Honors
-     * CCUBE_CCL_PROTO=ll|simple as a protocol override. Defined in
+     * give me the fastest schedule" entry point. Defined in
      * tuner.cpp.
      */
     AllReduceTrace runAuto(RankBuffers& buffers,
                            const topo::Graph& graph);
-
-    /**
-     * Sense-reversing barrier across all ranks; callable only from
-     * inside run().
-     */
-    void barrier();
 
     // ---- fault tolerance ----
 
@@ -204,6 +191,10 @@ class Communicator
   private:
     std::size_t tableIndex(int src, int dst, FlowId flow) const;
 
+    /** The persistent rank threads (created on first use; one
+     *  long-lived thread per rank). */
+    RankExecutor& executor();
+
     /** Shared collective envelope of run()/runTasks(): poison check,
      *  watchdog arm/disarm, monitor edge, abort-wins surfacing around
      *  @p launch (which blocks until the collective finishes). */
@@ -229,10 +220,6 @@ class Communicator
     std::chrono::nanoseconds deadline_ = defaultDeadline();
     std::once_flag watchdog_once_;
     std::unique_ptr<CommWatchdog> watchdog_;
-
-    // Barrier state.
-    std::atomic<int> barrier_count_{0};
-    std::atomic<int> barrier_sense_{0};
 
     // Test-only interposition point inside clearAbort() (see
     // setClearAbortHook).

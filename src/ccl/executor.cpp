@@ -1,10 +1,6 @@
 #include "ccl/executor.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "obs/context.h"
 #include "util/logging.h"
@@ -12,58 +8,10 @@
 namespace ccube {
 namespace ccl {
 
-namespace {
-
-/** A rank body as a task: one step that runs it to completion. */
-class BodyTask final : public RankTask
-{
-  public:
-    BodyTask(int rank, const std::function<void(int rank)>& body)
-        : RankTask(rank, "main"), body_(body)
-    {
-    }
-
-    StepStatus step(StepContext&) override
-    {
-        body_(rank());
-        return StepStatus::kDone;
-    }
-
-  private:
-    const std::function<void(int rank)>& body_;
-};
-
-} // namespace
-
-RankExecutor::Mode
-RankExecutor::defaultMode()
-{
-    static const Mode mode = []() {
-        const char* env = std::getenv("CCUBE_CCL_EXECUTOR");
-        if (env && (std::strcmp(env, "statemachine") == 0 ||
-                    std::strcmp(env, "sm") == 0))
-            return Mode::kStateMachine;
-        return Mode::kPersistent;
-    }();
-    return mode;
-}
-
 RankExecutor::RankExecutor(int num_ranks)
     : StateMachineEngine(num_ranks, Placement::kRankPinned)
 {
     CCUBE_CHECK(num_ranks >= 1, "executor needs at least one rank");
-}
-
-void
-RankExecutor::run(const std::function<void(int rank)>& body,
-                  CommFaultContext* fault)
-{
-    CCUBE_CHECK(body, "executor run() needs a body");
-    std::vector<std::unique_ptr<RankTask>> tasks;
-    tasks.reserve(static_cast<std::size_t>(workerCount()));
-    for (int r = 0; r < workerCount(); ++r)
-        tasks.push_back(std::make_unique<BodyTask>(r, body));
-    run(std::move(tasks), fault);
 }
 
 CommWatchdog::CommWatchdog()

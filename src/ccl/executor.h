@@ -45,27 +45,12 @@ class RankExecutor : public StateMachineEngine
         kStateMachine, ///< StateMachineEngine::shared(): pooled workers
     };
 
-    /**
-     * Default mode: kPersistent, unless the environment variable
-     * CCUBE_CCL_EXECUTOR is "statemachine" or "sm" (read once per
-     * process).
-     */
-    static Mode defaultMode();
+    /** kPersistent; Communicator's Mode argument overrides it for
+     *  A/B runs of the two placements. */
+    static Mode defaultMode() { return Mode::kPersistent; }
 
     /** Starts @p num_ranks threads, asleep until the first run(). */
     explicit RankExecutor(int num_ranks);
-
-    using StateMachineEngine::run;
-
-    /**
-     * Runs @p body(rank) on every rank's thread and waits for all of
-     * them, with @p fault installed around each body. Rethrows the
-     * first exception thrown by any rank body (after every rank body
-     * has finished); the executor stays usable afterwards. A body may
-     * block on its peers: each rank has its own thread.
-     */
-    void run(const std::function<void(int rank)>& body,
-             CommFaultContext* fault = nullptr);
 };
 
 /**

@@ -84,7 +84,7 @@ class CollectiveError : public std::runtime_error
 };
 
 /**
- * Thrown out of a bounded spin (semaphore wait, lock, barrier, check)
+ * Thrown out of a bounded spin (semaphore wait, lock, check)
  * when the communicator's abort epoch flips. Internal control flow:
  * Communicator::run converts it into the communicator's structured
  * CollectiveError before returning to the caller.
@@ -332,13 +332,6 @@ class CommFaultContext
 
     /** Marks @p rank dead (killed or wedged by the injector). */
     void markDead(int rank);
-
-    /** Live rank→rank wait-for graph (the profiler's stall-chain
-     *  substrate; deadlineInfo() walks it for the stall report). */
-    const obs::WaitForRegistry& waitForGraph() const
-    {
-        return waitfor_;
-    }
 
     /** The context installed on the calling thread (null outside a
      *  running collective). */

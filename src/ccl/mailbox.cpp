@@ -24,16 +24,24 @@ spanPid()
     return obs::pids::cclRank(obs::threadRank());
 }
 
-/** Emits the consumer-side "wait" span for a non-blocking receive. */
 void
-traceTryWaitSpan(const std::string& label, std::int64_t seq)
+checkChunkSize(std::size_t size, std::span<float> out)
 {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (!recorder.enabled())
-        return;
-    obs::ScopedSpan span(recorder, "wait " + label, "ccl.mailbox",
-                         spanPid(), obs::threadTrack());
-    span.arg("seq", static_cast<double>(seq));
+    CCUBE_CHECK(size == out.size(),
+                "chunk size mismatch: " << size << " vs " << out.size());
+}
+
+/** Copies (or, with @p reduce, accumulates) a received chunk of
+ *  @p size floats at @p src into @p out, which must match its size. */
+void
+foldChunk(const float* src, std::size_t size, std::span<float> out,
+          bool reduce)
+{
+    checkChunkSize(size, out);
+    if (reduce)
+        kernels::reduceAdd(out.data(), src, size);
+    else
+        kernels::copyInto(out.data(), src, size);
 }
 
 /** Packs an LL line: payload word low, arrival flag high. */
@@ -166,24 +174,38 @@ void
 Mailbox::send(std::span<const float> data, int tag)
 {
     obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxPost);
-    CommFaultContext* fault = CommFaultContext::current();
-    if (fault != nullptr)
-        fault->onMailboxOp(trace_label_, flow_); // may throw (injector)
-
-    obs::RankCounters& counters = obs::RankCounters::global();
-    counters.addMailboxSend();
+    noteOpBegin(OpKind::kSend); // may throw (injector)
     // Flow control (paper Fig. 11): all receive buffers occupied means
     // the producer stalls until the consumer frees one. The snapshot
     // is racy but only feeds telemetry, never the protocol.
     const bool stalled = empty_.value() == 0;
     if (stalled)
-        counters.addSlotFullStall();
-
-    const std::int64_t seq = post_seq_++;
+        obs::RankCounters::global().addSlotFullStall();
     // A producer stalled on a full ring is waiting for the consumer
     // (dst_) to free a slot — that is its wait-for edge.
-    if (fault != nullptr)
-        fault->noteWaitBegin(trace_label_.c_str(), flow_, dst_);
+    postChunk(data, tag, Protocol::kSimple, stalled,
+              [this] { blockOn(empty_, dst_); });
+}
+
+bool
+Mailbox::trySend(std::span<const float> data, int tag, Protocol proto)
+{
+    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxPost);
+    if (proto == Protocol::kLL ? !llSlotFree() : !empty_.tryWait())
+        return false;
+    postChunk(data, tag, proto, /*stalled=*/false, [] {});
+    return true;
+}
+
+template <typename Claim>
+void
+Mailbox::postChunk(std::span<const float> data, int tag, Protocol proto,
+                   bool stalled, Claim&& claim)
+{
+    // The post span wraps the claim, so a blocking send shows its
+    // stall; on the try path the slot is already claimed and the span
+    // is empty, but its seq arg keeps post/wait pairing alive.
+    const std::int64_t seq = post_seq_++;
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (recorder.enabled()) {
         obs::ScopedSpan span(recorder, "post " + trace_label_,
@@ -193,13 +215,17 @@ Mailbox::send(std::span<const float> data, int tag)
                                               sizeof(float)));
         span.arg("stalled", stalled ? 1.0 : 0.0);
         span.arg("seq", static_cast<double>(seq));
-        empty_.wait(); // block while all receive buffers are occupied
+        if (proto == Protocol::kLL)
+            span.arg("ll", 1.0);
+        claim();
     } else {
-        empty_.wait();
+        claim();
     }
-    if (fault != nullptr) {
-        fault->noteWaitEnd();
+    if (CommFaultContext* fault = CommFaultContext::current())
         fault->notePosted(seq);
+    if (proto == Protocol::kLL) {
+        llWriteSlot(data, tag);
+        return;
     }
     Slot& slot = ring_[head_];
     // Fixed-capacity fast path: the slot buffer grows at most once per
@@ -211,6 +237,17 @@ Mailbox::send(std::span<const float> data, int tag)
     slot.tag = tag;
     head_ = (head_ + 1) % ring_.size();
     full_.post(); // signal arrival (paper: post on chunk arrival)
+}
+
+void
+Mailbox::blockOn(BoundedSemaphore& sem, int peer)
+{
+    CommFaultContext* fault = CommFaultContext::current();
+    if (fault != nullptr)
+        fault->noteWaitBegin(trace_label_.c_str(), flow_, peer);
+    sem.wait();
+    if (fault != nullptr)
+        fault->noteWaitEnd();
 }
 
 void
@@ -245,31 +282,6 @@ Mailbox::llWriteSlot(std::span<const float> data, int tag)
 }
 
 bool
-Mailbox::llTrySend(std::span<const float> data, int tag)
-{
-    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxPost);
-    if (!llSlotFree())
-        return false;
-    const std::int64_t seq = post_seq_++;
-    CommFaultContext* fault = CommFaultContext::current();
-    if (fault != nullptr)
-        fault->notePosted(seq);
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (recorder.enabled()) {
-        obs::ScopedSpan span(recorder, "post " + trace_label_,
-                             "ccl.mailbox", spanPid(),
-                             obs::threadTrack());
-        span.arg("bytes", static_cast<double>(data.size() *
-                                              sizeof(float)));
-        span.arg("stalled", 0.0);
-        span.arg("seq", static_cast<double>(seq));
-        span.arg("ll", 1.0);
-    }
-    llWriteSlot(data, tag);
-    return true;
-}
-
-bool
 Mailbox::llPeekHeader(LLHeader* out)
 {
     LLSlot& slot = ll_ring_[static_cast<std::size_t>(
@@ -279,7 +291,7 @@ Mailbox::llPeekHeader(LLHeader* out)
         slot.header.load(std::memory_order_acquire);
     if (llLineFlag(header) != flag)
         return false;
-    traceTryWaitSpan(trace_label_, wait_seq_++);
+    traceWait([] {});
     out->size = llValue(header);
     out->tag = static_cast<int>(
         llValue(slot.tag_line.load(std::memory_order_relaxed)));
@@ -316,33 +328,28 @@ Mailbox::llFinishConsume()
     delivered_.post();
 }
 
-template <typename Fn>
-int
-Mailbox::consumeSlot(Fn&& consume)
+template <typename Claim>
+void
+Mailbox::traceWait(Claim&& claim)
 {
-    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxWait);
-    CommFaultContext* fault = CommFaultContext::current();
-    if (fault != nullptr)
-        fault->onMailboxOp(trace_label_, flow_); // may throw (injector)
-
-    obs::RankCounters::global().addMailboxRecv();
     const std::int64_t seq = wait_seq_++;
-    // A consumer blocked on an empty ring is waiting for the
-    // producer (src_) to post a chunk.
-    if (fault != nullptr)
-        fault->noteWaitBegin(trace_label_.c_str(), flow_, src_);
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (recorder.enabled()) {
         obs::ScopedSpan span(recorder, "wait " + trace_label_,
                              "ccl.mailbox", spanPid(),
                              obs::threadTrack());
         span.arg("seq", static_cast<double>(seq));
-        full_.wait();
+        claim();
     } else {
-        full_.wait();
+        claim();
     }
-    if (fault != nullptr)
-        fault->noteWaitEnd();
+}
+
+template <typename Claim, typename Consume>
+int
+Mailbox::takeChunk(Claim&& claim, Consume&& consume)
+{
+    traceWait(claim);
     Slot& slot = ring_[tail_];
     const int tag = slot.tag;
     consume(slot);
@@ -363,43 +370,6 @@ Mailbox::noteOpBegin(OpKind kind)
         counters.addMailboxRecv();
 }
 
-bool
-Mailbox::trySend(std::span<const float> data, int tag, Protocol proto)
-{
-    if (proto == Protocol::kLL)
-        return llTrySend(data, tag);
-    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxPost);
-    if (!empty_.tryWait())
-        return false;
-    // A slot is claimed — from here this is the tail of send():
-    // stamp the post sequence, trace the post span (zero wait time on
-    // this path, but the seq arg keeps post/wait edge pairing alive in
-    // the analyzer), copy, publish.
-    const std::int64_t seq = post_seq_++;
-    CommFaultContext* fault = CommFaultContext::current();
-    if (fault != nullptr)
-        fault->notePosted(seq);
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (recorder.enabled()) {
-        obs::ScopedSpan span(recorder, "post " + trace_label_,
-                             "ccl.mailbox", spanPid(),
-                             obs::threadTrack());
-        span.arg("bytes", static_cast<double>(data.size() *
-                                              sizeof(float)));
-        span.arg("stalled", 0.0);
-        span.arg("seq", static_cast<double>(seq));
-    }
-    Slot& slot = ring_[head_];
-    if (slot.data.size() < data.size())
-        slot.data.resize(data.size());
-    kernels::copyInto(slot.data.data(), data.data(), data.size());
-    slot.size = data.size();
-    slot.tag = tag;
-    head_ = (head_ + 1) % ring_.size();
-    full_.post();
-    return true;
-}
-
 void
 Mailbox::finishConsume()
 {
@@ -409,17 +379,16 @@ Mailbox::finishConsume()
 }
 
 bool
-Mailbox::tryRecvInto(std::span<float> out, int* tag, Protocol proto)
+Mailbox::tryReceive(std::span<float> out, int* tag, Protocol proto,
+                    bool reduce)
 {
     obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxWait);
     if (proto == Protocol::kLL) {
         LLHeader header;
         if (!llPeekHeader(&header))
             return false;
-        CCUBE_CHECK(header.size == out.size(),
-                    "chunk size mismatch: " << header.size << " vs "
-                                            << out.size());
-        llDecodeBody(header.size, out.data(), /*reduce=*/false);
+        checkChunkSize(header.size, out);
+        llDecodeBody(header.size, out.data(), reduce);
         if (tag != nullptr)
             *tag = header.tag;
         llFinishConsume();
@@ -427,47 +396,24 @@ Mailbox::tryRecvInto(std::span<float> out, int* tag, Protocol proto)
     }
     if (!full_.tryWait())
         return false;
-    traceTryWaitSpan(trace_label_, wait_seq_++);
-    Slot& slot = ring_[tail_];
-    CCUBE_CHECK(slot.size == out.size(),
-                "chunk size mismatch: " << slot.size << " vs "
-                                        << out.size());
-    kernels::copyInto(out.data(), slot.data.data(), slot.size);
+    const int got = takeChunk([] {}, [&](const Slot& slot) {
+        foldChunk(slot.data.data(), slot.size, out, reduce);
+    });
     if (tag != nullptr)
-        *tag = slot.tag;
-    finishConsume();
+        *tag = got;
     return true;
+}
+
+bool
+Mailbox::tryRecvInto(std::span<float> out, int* tag, Protocol proto)
+{
+    return tryReceive(out, tag, proto, /*reduce=*/false);
 }
 
 bool
 Mailbox::tryRecvReduce(std::span<float> out, int* tag, Protocol proto)
 {
-    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxWait);
-    if (proto == Protocol::kLL) {
-        LLHeader header;
-        if (!llPeekHeader(&header))
-            return false;
-        CCUBE_CHECK(header.size == out.size(),
-                    "chunk size mismatch: " << header.size << " vs "
-                                            << out.size());
-        llDecodeBody(header.size, out.data(), /*reduce=*/true);
-        if (tag != nullptr)
-            *tag = header.tag;
-        llFinishConsume();
-        return true;
-    }
-    if (!full_.tryWait())
-        return false;
-    traceTryWaitSpan(trace_label_, wait_seq_++);
-    Slot& slot = ring_[tail_];
-    CCUBE_CHECK(slot.size == out.size(),
-                "chunk size mismatch: " << slot.size << " vs "
-                                        << out.size());
-    kernels::reduceAdd(out.data(), slot.data.data(), slot.size);
-    if (tag != nullptr)
-        *tag = slot.tag;
-    finishConsume();
-    return true;
+    return tryReceive(out, tag, proto, /*reduce=*/true);
 }
 
 bool
@@ -495,7 +441,7 @@ Mailbox::tryPeek(std::span<const float>* data, int* tag,
         } else {
             if (!full_.tryWait())
                 return false;
-            traceTryWaitSpan(trace_label_, wait_seq_++);
+            traceWait([] {});
             front_claimed_ = true;
         }
     }
@@ -523,34 +469,30 @@ Mailbox::releaseFront()
 int
 Mailbox::recv(std::vector<float>& out)
 {
-    return consumeSlot([&](Slot& slot) {
-        // Copy out, keep the slot buffer (its capacity is the whole
-        // point of the preallocated ring).
-        out.resize(slot.size);
-        kernels::copyInto(out.data(), slot.data.data(), slot.size);
-    });
-}
-
-int
-Mailbox::recvInto(std::span<float> out)
-{
-    return consumeSlot([&](Slot& slot) {
-        CCUBE_CHECK(slot.size == out.size(),
-                    "chunk size mismatch: " << slot.size << " vs "
-                                            << out.size());
-        kernels::copyInto(out.data(), slot.data.data(), slot.size);
-    });
+    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxWait);
+    noteOpBegin(OpKind::kRecv); // may throw (injector)
+    // A consumer blocked on an empty ring is waiting for the producer
+    // (src_) to post a chunk.
+    return takeChunk([this] { blockOn(full_, src_); },
+                     [&](const Slot& slot) {
+                         // Copy out, keep the slot buffer (its capacity
+                         // is the whole point of the preallocated ring).
+                         out.resize(slot.size);
+                         foldChunk(slot.data.data(), slot.size, out,
+                                   /*reduce=*/false);
+                     });
 }
 
 int
 Mailbox::recvReduce(std::span<float> out)
 {
-    return consumeSlot([&](Slot& slot) {
-        CCUBE_CHECK(slot.size == out.size(),
-                    "chunk size mismatch: " << slot.size << " vs "
-                                            << out.size());
-        kernels::reduceAdd(out.data(), slot.data.data(), slot.size);
-    });
+    obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxWait);
+    noteOpBegin(OpKind::kRecv); // may throw (injector)
+    return takeChunk([this] { blockOn(full_, src_); },
+                     [&](const Slot& slot) {
+                         foldChunk(slot.data.data(), slot.size, out,
+                                   /*reduce=*/true);
+                     });
 }
 
 } // namespace ccl

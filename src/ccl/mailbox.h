@@ -30,6 +30,9 @@
  *    forwarder hold the front slot zero-copy while it waits for
  *    downstream capacity.
  *
+ * The two conventions share one body per op and differ only in how
+ * they claim a slot: the blocking prologue plus wait(), or tryWait().
+ *
  * Protocols (ccl/protocol.h): every non-blocking op takes a Protocol.
  * kSimple (the default) is the fenced bulk path above. kLL switches
  * the op onto a parallel low-latency ring where each 32-bit payload
@@ -92,12 +95,6 @@ class Mailbox
     int recv(std::vector<float>& out);
 
     /**
-     * Receives directly into @p out via a single vectorized copy; the
-     * incoming chunk must have exactly out.size() elements.
-     */
-    int recvInto(std::span<float> out);
-
-    /**
      * Receives and element-wise accumulates into @p out (the reduction
      * step of AllReduce) via a single vectorized accumulate loop over
      * the slot buffer; sizes must match. Returns the tag.
@@ -122,19 +119,20 @@ class Mailbox
     /**
      * Non-blocking send(): returns false (no side effects) while all
      * receive buffers are occupied. On success the chunk is copied,
-     * its arrival posted, and the post sequence advanced — identical
-     * to send() minus the blocking prologue (see noteOpBegin).
+     * its arrival posted, and the post sequence advanced — the same
+     * body as send(), minus the blocking prologue (see noteOpBegin).
      */
     bool trySend(std::span<const float> data, int tag = 0,
                  Protocol proto = Protocol::kSimple);
 
     /**
-     * Non-blocking recvInto(): returns false while no chunk has
-     * arrived; on success behaves exactly like recvInto(), storing
-     * the tag in @p tag when non-null. The LL variant returns false
-     * while the message header flag has not landed; once it has, the
-     * producer is committed to the whole message, so the remaining
-     * per-word flag spins are bounded.
+     * Non-blocking receive that copies the chunk into @p out (which
+     * must have exactly the chunk's size): returns false while no
+     * chunk has arrived; on success stores the tag in @p tag when
+     * non-null. The LL variant returns false while the message header
+     * flag has not landed; once it has, the producer is committed to
+     * the whole message, so the remaining per-word flag spins are
+     * bounded.
      */
     bool tryRecvInto(std::span<float> out, int* tag = nullptr,
                      Protocol proto = Protocol::kSimple);
@@ -245,9 +243,37 @@ class Mailbox
         std::size_t capacity = 0; ///< allocated lines
     };
 
-    /** Runs @p consume on the arrived slot, then releases it. */
-    template <typename Fn>
-    int consumeSlot(Fn&& consume);
+    /**
+     * The one send body: stamps the post sequence, runs @p claim
+     * (which secures a free slot on @p proto's lane) inside the traced
+     * post span, then writes and publishes the chunk. send() claims by
+     * blocking, trySend() has claimed already and passes a no-op.
+     */
+    template <typename Claim>
+    void postChunk(std::span<const float> data, int tag, Protocol proto,
+                   bool stalled, Claim&& claim);
+
+    /** Blocking claim: waits on @p sem with the wait-for edge to
+     *  @p peer published for watchdog blame. */
+    void blockOn(BoundedSemaphore& sem, int peer);
+
+    /** Stamps the next wait sequence number and runs @p claim inside
+     *  the traced "wait" span (every receive's consumer-side span). */
+    template <typename Claim>
+    void traceWait(Claim&& claim);
+
+    /**
+     * The one Simple receive body: claims the front slot via
+     * traceWait(@p claim), hands it to @p consume (copy or reduce),
+     * releases it and returns its tag. The blocking receives claim by
+     * blocking, the try forms have claimed already.
+     */
+    template <typename Claim, typename Consume>
+    int takeChunk(Claim&& claim, Consume&& consume);
+
+    /** tryRecvInto() / tryRecvReduce(), by @p reduce. */
+    bool tryReceive(std::span<float> out, int* tag, Protocol proto,
+                    bool reduce);
 
     /** Shared tail of every successful receive: advance the consumer
      *  cursor, free the slot, count the delivery. */
@@ -271,8 +297,6 @@ class Mailbox
 
     /** Grows (if needed) and publishes the next LL slot. */
     void llWriteSlot(std::span<const float> data, int tag);
-
-    bool llTrySend(std::span<const float> data, int tag);
 
     struct LLHeader {
         std::size_t size = 0;

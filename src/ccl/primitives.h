@@ -71,9 +71,8 @@ struct AllReduceOptions {
     AllReduceAlgorithm algorithm = AllReduceAlgorithm::kCCubeDoubleTree;
     int num_chunks = 8; ///< per tree for tree algorithms
     /** Wire protocol: kSimple (fenced bulk), kLL (inline flags), or
-     *  kAuto — resolved via the ccl::Tuner's model per message size.
-     *  Defaults to CCUBE_CCL_PROTO when set. */
-    Protocol protocol = protocolFromEnv();
+     *  kAuto — resolved via the ccl::Tuner's model per message size. */
+    Protocol protocol = Protocol::kSimple;
     /** Live per-chunk availability callback (gradient-queue hook). */
     AllReduceTrace::Observer observer;
 };

@@ -25,9 +25,6 @@
  * the per-message latency term to a quarter.
  */
 
-#include <cstdlib>
-#include <cstring>
-
 namespace ccube {
 namespace ccl {
 
@@ -50,24 +47,6 @@ protocolName(Protocol proto)
         return "auto";
     }
     return "?";
-}
-
-/**
- * Protocol selected by $CCUBE_CCL_PROTO (ll | simple | auto).
- * Unset or unrecognized means kSimple — the fenced path is the
- * pre-protocol behaviour and every existing baseline assumes it.
- */
-inline Protocol
-protocolFromEnv()
-{
-    const char* env = std::getenv("CCUBE_CCL_PROTO");
-    if (env == nullptr)
-        return Protocol::kSimple;
-    if (std::strcmp(env, "ll") == 0)
-        return Protocol::kLL;
-    if (std::strcmp(env, "auto") == 0)
-        return Protocol::kAuto;
-    return Protocol::kSimple;
 }
 
 /**

@@ -143,7 +143,7 @@ class StateMachineEngine
      * tripped abort epoch wakes the batch's parked tasks so the run
      * unwinds instead of hanging. Rethrows the first exception any
      * task threw — after every task of the batch has finished or
-     * aborted, mirroring RankExecutor::run.
+     * aborted.
      */
     void run(std::vector<std::unique_ptr<RankTask>> tasks,
              CommFaultContext* fault);

@@ -1,5 +1,6 @@
 #include "ccl/sync_primitives.h"
 
+#include <chrono>
 #include <cstdint>
 
 #include "ccl/fault.h"
@@ -45,11 +46,6 @@ class StallTimer
             counters.addWaitStallNs(ns);
     }
 
-    bool expired(std::chrono::nanoseconds timeout) const
-    {
-        return SteadyClock::now() - start_ >= timeout;
-    }
-
   private:
     const Kind kind_;
     const SteadyClock::time_point start_;
@@ -87,52 +83,11 @@ SpinLock::lock()
         obs::RankCounters::global().addCasRetries(spin.rounds());
 }
 
-bool
-SpinLock::lockFor(std::chrono::nanoseconds timeout)
-{
-    int expected = 0;
-    util::SpinWait spin;
-    SteadyClock::time_point deadline{};
-    bool deadline_set = false;
-    while (!flag_.compare_exchange_weak(expected, 1,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-        expected = 0;
-        // The deadline clock starts on the first failed attempt so the
-        // uncontended path never reads the clock at all.
-        if (!deadline_set) {
-            deadline = SteadyClock::now() + timeout;
-            deadline_set = true;
-        } else if (SteadyClock::now() >= deadline) {
-            obs::RankCounters::global().addCasRetries(spin.rounds());
-            return false;
-        }
-        spin.once(pollAbort);
-    }
-    if (spin.rounds() > 0)
-        obs::RankCounters::global().addCasRetries(spin.rounds());
-    return true;
-}
-
 void
 SpinLock::unlock()
 {
     // Paper: threadfence(); atomicExch(lock, 0).
     flag_.store(0, std::memory_order_release);
-}
-
-bool
-SpinLock::tryLock()
-{
-    int expected = 0;
-    if (flag_.compare_exchange_strong(expected, 1,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed))
-        return true;
-    // A failed tryLock is one failed CAS — same contention signal as a
-    // retry inside lock(), so it lands in the same counter.
-    obs::RankCounters::global().addCasRetries(1);
-    return false;
 }
 
 BoundedSemaphore::BoundedSemaphore(int capacity, int initial)
@@ -203,75 +158,12 @@ BoundedSemaphore::wait()
 }
 
 bool
-BoundedSemaphore::postFor(std::chrono::nanoseconds timeout)
-{
-    lock_.lock();
-    if (count_ == capacity_) {
-        obs::RankCounters::global().addPostStall();
-        StallTimer timer(StallTimer::Kind::kPost);
-        util::SpinWait spin;
-        while (count_ == capacity_) {
-            lock_.unlock();
-            abortPoll();
-            if (timer.expired(timeout))
-                return false;
-            spin.once(pollAbort);
-            lock_.lock();
-        }
-    }
-    ++count_;
-    SemaphoreWaiter* waiter = popWaiterLocked();
-    lock_.unlock();
-    if (waiter != nullptr)
-        waiter->semaphoreReady();
-    return true;
-}
-
-bool
-BoundedSemaphore::waitFor(std::chrono::nanoseconds timeout)
-{
-    lock_.lock();
-    if (count_ == 0) {
-        obs::RankCounters::global().addWaitStall();
-        StallTimer timer(StallTimer::Kind::kWait);
-        util::SpinWait spin;
-        while (count_ == 0) {
-            lock_.unlock();
-            abortPoll();
-            if (timer.expired(timeout))
-                return false;
-            spin.once(pollAbort);
-            lock_.lock();
-        }
-    }
-    --count_;
-    lock_.unlock();
-    return true;
-}
-
-bool
 BoundedSemaphore::tryWait()
 {
     SpinLockGuard guard(lock_);
     if (count_ == 0)
         return false;
     --count_;
-    return true;
-}
-
-bool
-BoundedSemaphore::tryPost()
-{
-    lock_.lock();
-    if (count_ == capacity_) {
-        lock_.unlock();
-        return false;
-    }
-    ++count_;
-    SemaphoreWaiter* waiter = popWaiterLocked();
-    lock_.unlock();
-    if (waiter != nullptr)
-        waiter->semaphoreReady();
     return true;
 }
 
@@ -354,26 +246,6 @@ CheckableCounter::check(std::int64_t value) const
         lock_.lock();
     }
     lock_.unlock();
-}
-
-bool
-CheckableCounter::checkFor(std::int64_t value,
-                           std::chrono::nanoseconds timeout) const
-{
-    const SteadyClock::time_point deadline =
-        SteadyClock::now() + timeout;
-    lock_.lock();
-    util::SpinWait spin;
-    while (count_ < value) {
-        lock_.unlock();
-        abortPoll();
-        if (SteadyClock::now() >= deadline)
-            return false;
-        spin.once(pollAbort);
-        lock_.lock();
-    }
-    lock_.unlock();
-    return true;
 }
 
 bool

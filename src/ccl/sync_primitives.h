@@ -18,8 +18,7 @@
  * fault.h) and throws AbortedWait when a watchdog or explicit
  * Communicator::abort() has tripped it, so a dead peer can never
  * wedge a waiter forever. Threads with no installed context pay one
- * thread-local load per iteration and never throw. The *For variants
- * additionally give up after a caller-supplied timeout. All blocking
+ * thread-local load per iteration and never throw. All blocking
  * loops share the util::SpinWait backoff ladder, so the abort-epoch
  * poll cadence is defined in exactly one place.
  *
@@ -27,12 +26,11 @@
  * style: instead of blocking, a resumable rank task *parks* — it
  * registers a SemaphoreWaiter on the semaphore and returns its worker
  * thread to the pool; the next post() pops the waiter and reschedules
- * the task. The tryWait/tryPost/parkOnWait/cancelPark quartet below
- * is that non-blocking surface.
+ * the task. The tryWait/parkOnWait/cancelPark trio below is that
+ * non-blocking surface.
  */
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "util/spin_wait.h"
@@ -55,18 +53,8 @@ class SpinLock
      *  epoch every kAbortPollInterval retries. */
     void lock();
 
-    /**
-     * Deadline-aware lock(): returns false if the lock could not be
-     * acquired within @p timeout. Throws AbortedWait on abort.
-     */
-    bool lockFor(std::chrono::nanoseconds timeout);
-
     /** Releases: fence then store 0 (atomicExch in the paper). */
     void unlock();
-
-    /** Non-blocking acquisition attempt (failures count toward the
-     *  CAS-retry telemetry, like contended lock() spins). */
-    bool tryLock();
 
     /** Abort-epoch poll cadence inside lock()'s CAS loop (alias of
      *  the shared util::SpinWait cadence). */
@@ -94,7 +82,7 @@ class SpinLockGuard
  * Intrusive node a parked state machine registers on a semaphore it
  * is waiting on. The semaphore owns the node only while it sits on
  * the waiter list; whoever removes it (a poster via the pop inside
- * post()/tryPost(), or the task itself via cancelPark()) claims the
+ * post(), or the task itself via cancelPark()) claims the
  * exclusive right to reschedule the parked task — that list-removal-
  * as-ownership rule is what makes the wake exactly-once.
  */
@@ -141,31 +129,12 @@ class BoundedSemaphore
     void wait();
 
     /**
-     * Deadline-aware post(): returns false if the count stayed at
-     * capacity for @p timeout. Throws AbortedWait on abort.
-     */
-    bool postFor(std::chrono::nanoseconds timeout);
-
-    /**
-     * Deadline-aware wait(): returns false if the count stayed zero
-     * for @p timeout. Throws AbortedWait on abort.
-     */
-    bool waitFor(std::chrono::nanoseconds timeout);
-
-    /**
      * Non-blocking wait(): decrements and returns true if the count
      * was nonzero, otherwise returns false without blocking. Never
      * touches the fault layer — state-machine callers poll abort at
      * their step boundary instead.
      */
     bool tryWait();
-
-    /**
-     * Non-blocking post(): increments and returns true if the count
-     * was below capacity, otherwise returns false. On success, pops
-     * and wakes one parked waiter (like post()).
-     */
-    bool tryPost();
 
     /**
      * Registers @p waiter to be woken by a future post(). Rechecks
@@ -229,13 +198,6 @@ class CheckableCounter
 
     /** Blocks until the counter is ≥ @p value (paper's check()). */
     void check(std::int64_t value) const;
-
-    /**
-     * Deadline-aware check(): returns false if the counter stayed
-     * below @p value for @p timeout. Throws AbortedWait on abort.
-     */
-    bool checkFor(std::int64_t value,
-                  std::chrono::nanoseconds timeout) const;
 
     /** Non-blocking form of check(). */
     bool checkNow(std::int64_t value) const;

@@ -1,10 +1,7 @@
 #include "ccl/tuner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -12,7 +9,6 @@
 #include "model/ring_model.h"
 #include "model/tree_model.h"
 #include "obs/metrics.h"
-#include "sweep/sweep.h"
 #include "topo/graph.h"
 #include "util/logging.h"
 
@@ -153,45 +149,6 @@ predictSeconds(AllReduceAlgorithm algorithm, const model::AlphaBeta& link,
     return t;
 }
 
-bool
-measureEnabled()
-{
-    const char* env = std::getenv("CCUBE_TUNER_MEASURE");
-    return env != nullptr && std::strcmp(env, "1") == 0 &&
-           !sweep::inSweepTask();
-}
-
-/**
- * Wall-clock nanoseconds of one functional AllReduce (after one
- * warmup) at the given cell — the measurement refinement. Returns
- * infinity when the algorithm cannot run on this topology.
- */
-double
-measureNs(const topo::Graph& graph, int p, std::size_t elems,
-          AllReduceAlgorithm algorithm, int num_chunks, Protocol proto)
-{
-    try {
-        Communicator comm(p);
-        RankBuffers buffers(
-            static_cast<std::size_t>(p),
-            std::vector<float>(std::max<std::size_t>(elems, 1), 1.0f));
-        AllReduceOptions options;
-        options.algorithm = algorithm;
-        options.num_chunks = num_chunks;
-        options.protocol = proto;
-        allReduce(comm, buffers, graph, options); // warmup
-        const auto start = std::chrono::steady_clock::now();
-        allReduce(comm, buffers, graph, options);
-        const auto end = std::chrono::steady_clock::now();
-        return static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                end - start)
-                .count());
-    } catch (...) {
-        return std::numeric_limits<double>::infinity();
-    }
-}
-
 } // namespace
 
 const char*
@@ -272,37 +229,11 @@ Tuner::choose(const topo::Graph& graph, int p, std::size_t elems)
 {
     const double bytes =
         static_cast<double>(elems) * sizeof(float);
-    TunerChoice choice;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Table& table = tableFor(graph, p);
-        Cell& cell = table.buckets[static_cast<std::size_t>(
-            bucketFor(bytes))];
-        choice = cell.best;
-    }
-    // Measurement refinement (opt-in, never inside a sweep task):
-    // time the two protocols for the model's algorithm pick and keep
-    // the faster — overriding the model where reality disagrees.
-    if (measureEnabled() && elems > 0) {
-        const double simple_ns =
-            measureNs(graph, p, elems, choice.algorithm,
-                      choice.num_chunks, Protocol::kSimple);
-        const double ll_ns =
-            measureNs(graph, p, elems, choice.algorithm,
-                      choice.num_chunks, Protocol::kLL);
-        if (std::isfinite(simple_ns) || std::isfinite(ll_ns)) {
-            const Protocol measured = ll_ns < simple_ns
-                                          ? Protocol::kLL
-                                          : Protocol::kSimple;
-            std::lock_guard<std::mutex> lock(mutex_);
-            Table& table = tableFor(graph, p);
-            Cell& cell = table.buckets[static_cast<std::size_t>(
-                bucketFor(bytes))];
-            cell.best.protocol = measured;
-            cell.measured = true;
-            choice = cell.best;
-        }
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    TunerChoice choice =
+        tableFor(graph, p)
+            .buckets[static_cast<std::size_t>(bucketFor(bytes))]
+            .best;
     // Never split finer than the buffer has elements.
     if (elems > 0)
         choice.num_chunks = std::min(
@@ -353,7 +284,7 @@ Tuner::formatTable(const topo::Graph& graph, int p)
         out << "\t" << algorithmName(cell.best.algorithm) << "\t"
             << protocolName(cell.best.protocol) << "\t"
             << cell.best.num_chunks << "\t" << cell.best.predicted_us
-            << (cell.measured ? "\t(measured)" : "") << "\n";
+            << "\n";
     }
     return out.str();
 }
@@ -369,12 +300,8 @@ AllReduceTrace
 Communicator::runAuto(RankBuffers& buffers, const topo::Graph& graph)
 {
     const std::size_t elems = buffers.empty() ? 0 : buffers[0].size();
-    TunerChoice cell = Tuner::global().choose(graph, numRanks(), elems);
-    // CCUBE_CCL_PROTO=ll|simple overrides the tuner's protocol (auto,
-    // the default for runAuto, keeps the table's pick).
-    const char* env = std::getenv("CCUBE_CCL_PROTO");
-    if (env != nullptr && std::strcmp(env, "auto") != 0)
-        cell.protocol = protocolFromEnv();
+    const TunerChoice cell =
+        Tuner::global().choose(graph, numRanks(), elems);
     obs::MetricRegistry& metrics = obs::MetricRegistry::global();
     metrics.addCounter(std::string("ccl.tuner.alg.") +
                            algorithmName(cell.algorithm),

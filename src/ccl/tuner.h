@@ -16,12 +16,9 @@
  * map find plus a bucket index — cheap enough to sit on the allReduce
  * dispatch path for Protocol::kAuto.
  *
- * Determinism: the model path never reads the wall clock, so tuner
- * tables are identical across runs and across sweep job counts.
- * Optional measurement refinement (CCUBE_TUNER_MEASURE=1) times the
- * candidate protocols on a scratch Communicator and overrides the
- * model's protocol pick; it is suppressed inside sweep tasks
- * (sweep::inSweepTask()) so `--jobs=N` can never perturb outputs.
+ * Determinism: the table is a pure function of the graph and P (no
+ * wall clock), so tuner tables are identical across runs and across
+ * sweep job counts.
  */
 
 #include <cstddef>
@@ -101,7 +98,6 @@ class Tuner
         /** Best protocol per algorithm, indexed by the enum value. */
         std::vector<Protocol> proto_by_alg;
         TunerChoice best;
-        bool measured = false; ///< measurement refinement applied
     };
     struct Table {
         model::AlphaBeta link; ///< Simple-protocol channel model

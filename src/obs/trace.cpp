@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 
@@ -51,23 +50,9 @@ writeEventCommon(std::ostream& out, std::string_view name,
         << ",\"tid\":" << tid << ",\"ts\":" << ts_us;
 }
 
-/** CCUBE_TRACE_CAPACITY, or the compiled-in default when unset. */
-std::size_t
-envCapacity()
-{
-    const char* env = std::getenv("CCUBE_TRACE_CAPACITY");
-    if (!env || !*env)
-        return TraceRecorder::kDefaultCapacity;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(env, &end, 10);
-    if (end == env || value == 0)
-        return TraceRecorder::kDefaultCapacity;
-    return static_cast<std::size_t>(value);
-}
-
 } // namespace
 
-TraceRecorder::TraceRecorder() : capacity_(envCapacity()) {}
+TraceRecorder::TraceRecorder() = default;
 
 TraceRecorder::~TraceRecorder() = default;
 

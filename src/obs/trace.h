@@ -14,7 +14,7 @@
  *     time (channel occupancy, queue wait, multi-hop flows);
  *   - `pids::cclRank(r)`  — functional-runtime rank threads; spans
  *     carry *wall-clock* time since the recorder was enabled (mailbox
- *     post/wait, allreduce roles, barrier);
+ *     post/wait, allreduce roles);
  *   - `pids::core()`      — analytic iteration timelines (backward /
  *     allreduce-chunk / forward phases, trainer iterations).
  *
@@ -27,8 +27,8 @@
  * branch per call site and records nothing.
  *
  * Memory discipline: retention is bounded. By default events land in a
- * vector capped at `capacity()` (overridable with setCapacity() or the
- * CCUBE_TRACE_CAPACITY environment variable); events beyond the cap
+ * vector capped at `capacity()` (overridable with setCapacity(), which
+ * ObsSession's `--trace-capacity` calls); events beyond the cap
  * are counted in droppedEvents() instead of accumulating without
  * limit, so long sweeps with tracing left on cannot OOM. Alternatively
  * setFlightCapacity() swaps the backend for an obs::FlightRecorder
@@ -91,7 +91,7 @@ struct TraceEvent {
 class TraceRecorder
 {
   public:
-    /** Default event cap when CCUBE_TRACE_CAPACITY is not set. */
+    /** Event cap until setCapacity() changes it. */
     static constexpr std::size_t kDefaultCapacity = 1u << 20;
 
     TraceRecorder();

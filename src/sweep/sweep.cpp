@@ -14,16 +14,6 @@ namespace sweep {
 
 namespace {
 
-thread_local bool t_in_sweep_task = false;
-
-/** RAII flag flip: workerLoop may run on the caller's own thread
- *  (jobs == 1), so the previous value must be restored. */
-struct SweepTaskScope {
-    bool previous = t_in_sweep_task;
-    SweepTaskScope() { t_in_sweep_task = true; }
-    ~SweepTaskScope() { t_in_sweep_task = previous; }
-};
-
 int
 hardwareJobs()
 {
@@ -61,7 +51,6 @@ workerLoop(PoolState& state)
         obs::Capture& capture = state.captures[index];
         if (state.parent)
             capture = state.parent->fork();
-        SweepTaskScope task_scope;
         obs::ScopedCapture capture_scope(capture);
         try {
             state.tasks[index]();
@@ -129,12 +118,6 @@ run(const Options& options, std::vector<Task> tasks)
         if (error)
             std::rethrow_exception(error);
     }
-}
-
-bool
-inSweepTask()
-{
-    return t_in_sweep_task;
 }
 
 void

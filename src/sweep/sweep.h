@@ -75,14 +75,6 @@ void run(const Options& options, std::vector<Task> tasks);
 void runIndexed(const Options& options, std::size_t count,
                 const std::function<void(std::size_t)>& task);
 
-/**
- * True on a thread currently executing a sweep task. Code that is
- * jobs-invariant only because a side effect is suppressed during
- * sweeps (e.g. the ccl::Tuner's wall-clock measurement refinement)
- * branches on this.
- */
-bool inSweepTask();
-
 } // namespace sweep
 } // namespace ccube
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -124,22 +125,48 @@ TEST(RankExecutor, SharedPoolModeAllAlgorithmsCorrect)
     runAllAlgorithms(comm, topo, rng);
 }
 
+/** The thread each rank's body runs on, one Communicator::run. */
+std::vector<std::thread::id>
+rankThreads(ccl::Communicator& comm)
+{
+    std::vector<std::thread::id> ids(static_cast<std::size_t>(kRanks));
+    comm.run([&](int rank) {
+        ids[static_cast<std::size_t>(rank)] = std::this_thread::get_id();
+    });
+    return ids;
+}
+
+/** Rank tasks finished so far on ranks [0, kRanks). */
+std::uint64_t
+tasksFinished()
+{
+    std::uint64_t total = 0;
+    for (int r = 0; r < kRanks; ++r)
+        total += obs::RankCounters::global().executorTasks(r);
+    return total;
+}
+
 TEST(RankExecutor, NoThreadGrowthAcrossBackToBackCollectives)
 {
     // Forwarders, overlapped reducers and the second tree are tasks on
     // their rank's thread, so the census is exact for every algorithm:
-    // one thread per rank, forever, while the step count keeps growing.
+    // one thread per rank, forever, while the task count keeps growing.
     const Topologies topo;
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kPersistent);
+    const std::vector<std::thread::id> threads = rankThreads(comm);
+    EXPECT_EQ(std::set<std::thread::id>(threads.begin(), threads.end())
+                  .size(),
+              static_cast<std::size_t>(kRanks));
+    const std::uint64_t before = tasksFinished();
     util::Rng rng(13);
     constexpr int kIters = 10;
     for (int iter = 0; iter < kIters; ++iter) {
         runAllAlgorithms(comm, topo, rng);
-        EXPECT_EQ(comm.executor().workerCount(), kRanks);
+        EXPECT_EQ(rankThreads(comm), threads);
     }
-    // 4 collectives per iteration, at least one step per rank each.
-    EXPECT_GE(comm.executor().stepsExecuted(),
+    // 4 collectives per iteration, at least one task per rank each.
+    EXPECT_GE(tasksFinished() - before,
               static_cast<std::uint64_t>(kIters) * 4 * kRanks);
 }
 
@@ -193,13 +220,13 @@ TEST(RankExecutor, EveryTaskOfARankRunsOnThatRanksThread)
                       owner[static_cast<std::size_t>(b)]);
 }
 
-TEST(RankExecutor, StepsExecutedAdvances)
+TEST(RankExecutor, RunFinishesOneTaskPerRank)
 {
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kPersistent);
-    const std::uint64_t before = comm.executor().stepsExecuted();
+    const std::uint64_t before = tasksFinished();
     comm.run([](int) {});
-    EXPECT_GE(comm.executor().stepsExecuted(), before + kRanks);
+    EXPECT_EQ(tasksFinished(), before + kRanks);
 }
 
 TEST(RankExecutor, RankBodyExceptionPropagatesAndExecutorSurvives)
@@ -251,17 +278,21 @@ TEST(RankExecutor, ExecutorTelemetryExportedViaObs)
     counters.reset();
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kPersistent);
-    // Force executor creation and wait until rank 0's worker has
-    // parked at least once, so the next dispatch is a guaranteed
-    // park→unpark transition.
-    comm.executor();
-    for (int i = 0; i < 2000 && counters.executorParks(0) == 0; ++i)
+    // Start the rank threads and wait until rank 0's worker has
+    // parked again after its first collective, so the next dispatch
+    // is a guaranteed park→unpark transition.
+    comm.run([](int) {});
+    for (int i = 0; i < 2000 && counters.executorParks(0) <=
+                                    counters.executorUnparks(0);
+         ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_GT(counters.executorParks(0), 0u);
+    ASSERT_GT(counters.executorParks(0), counters.executorUnparks(0));
+    const std::uint64_t tasks = counters.executorTasks(0);
+    const std::uint64_t unparks = counters.executorUnparks(0);
 
     comm.run([](int) {});
-    EXPECT_GT(counters.executorTasks(0), 0u);
-    EXPECT_GT(counters.executorUnparks(0), 0u);
+    EXPECT_GT(counters.executorTasks(0), tasks);
+    EXPECT_GT(counters.executorUnparks(0), unparks);
 }
 
 } // namespace

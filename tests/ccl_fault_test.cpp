@@ -25,43 +25,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// ------------------------------------------------- timed primitives
-
-TEST(TimedWait, WaitForTimesOutOnEmptySemaphore)
-{
-    BoundedSemaphore sem(2, 0);
-    EXPECT_FALSE(sem.waitFor(5ms));
-    sem.post();
-    EXPECT_TRUE(sem.waitFor(5ms));
-}
-
-TEST(TimedWait, PostForTimesOutAtCapacity)
-{
-    BoundedSemaphore sem(1, 1);
-    EXPECT_FALSE(sem.postFor(5ms));
-    sem.wait();
-    EXPECT_TRUE(sem.postFor(5ms));
-}
-
-TEST(TimedWait, LockForTimesOutOnHeldLock)
-{
-    SpinLock lock;
-    lock.lock();
-    EXPECT_FALSE(lock.lockFor(5ms));
-    lock.unlock();
-    EXPECT_TRUE(lock.lockFor(5ms));
-    lock.unlock();
-}
-
-TEST(TimedWait, CheckForTimesOutBelowTarget)
-{
-    CheckableCounter counter;
-    counter.post();
-    EXPECT_FALSE(counter.checkFor(2, 5ms));
-    counter.post();
-    EXPECT_TRUE(counter.checkFor(2, 5ms));
-}
-
 // ------------------------------------------------------ abort epoch
 
 TEST(AbortState, EpochParityAndFirstTripWins)

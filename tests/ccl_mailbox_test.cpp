@@ -1,17 +1,24 @@
 /**
  * @file
- * Tests for the P2P mailbox (receive-buffer model) and communicator.
+ * Tests for the P2P mailbox (receive-buffer model) and communicator,
+ * including the blocking and non-blocking forms of each op agreeing
+ * on results, traffic counters and post/wait span pairing.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ccl/communicator.h"
 #include "ccl/mailbox.h"
+#include "obs/capture.h"
+#include "obs/context.h"
+#include "obs/trace.h"
 
 namespace ccube {
 namespace ccl {
@@ -22,19 +29,19 @@ TEST(Mailbox, SendRecvRoundTrip)
     Mailbox box(2);
     const std::vector<float> payload{1.0f, 2.0f, 3.0f};
     box.send(payload, /*tag=*/7);
-    std::vector<float> out;
+    std::vector<float> out{9.0f, 9.0f, 9.0f, 9.0f}; // overwritten
     EXPECT_EQ(box.recv(out), 7);
     EXPECT_EQ(out, payload);
     EXPECT_EQ(box.delivered(), 1);
-}
 
-TEST(Mailbox, RecvIntoOverwrites)
-{
-    Mailbox box(1);
-    box.send(std::vector<float>{5.0f, 6.0f}, 1);
-    std::vector<float> out{0.0f, 0.0f};
-    EXPECT_EQ(box.recvInto(out), 1);
-    EXPECT_EQ(out, (std::vector<float>{5.0f, 6.0f}));
+    // The non-blocking copy overwrites a sized buffer in place.
+    box.noteOpBegin(Mailbox::OpKind::kSend);
+    ASSERT_TRUE(box.trySend(std::vector<float>{5.0f, 6.0f}, 1));
+    std::vector<float> into{0.0f, 0.0f};
+    int tag = -1;
+    ASSERT_TRUE(box.tryRecvInto(into, &tag));
+    EXPECT_EQ(tag, 1);
+    EXPECT_EQ(into, (std::vector<float>{5.0f, 6.0f}));
 }
 
 TEST(Mailbox, RecvReduceAccumulates)
@@ -44,6 +51,114 @@ TEST(Mailbox, RecvReduceAccumulates)
     std::vector<float> acc{10.0f, 20.0f};
     box.recvReduce(acc);
     EXPECT_EQ(acc, (std::vector<float>{11.0f, 22.0f}));
+}
+
+/** What one pass of exchange() observed. */
+struct Exchange {
+    std::vector<float> acc{10.0f, 20.0f};
+    std::uint64_t sends = 0; ///< mailbox_sends delta of rank 0
+    std::uint64_t recvs = 0; ///< mailbox_recvs delta of rank 0
+    std::vector<double> post_seqs;
+    std::vector<double> wait_seqs;
+    int ll_posts = 0; ///< post spans marked ll
+};
+
+/**
+ * Sends three chunks through @p box and reduces each into
+ * @p result->acc, as rank 0 under a private trace capture: with the
+ * blocking send()/recvReduce(), or the way a rank task does it —
+ * noteOpBegin() once per op, then trySend()/tryRecvReduce().
+ */
+void
+exchange(Mailbox& box, bool blocking, Protocol proto, Exchange* result)
+{
+    obs::TraceRecorder recorder;
+    recorder.enable();
+    obs::ScopedCapture capture{obs::Capture(&recorder)};
+    obs::setThreadRank(0);
+    const obs::RankCounters& counters = obs::RankCounters::global();
+    const std::uint64_t sends = counters.mailboxSends(0);
+    const std::uint64_t recvs = counters.mailboxRecvs(0);
+    for (int c = 0; c < 3; ++c) {
+        const std::vector<float> chunk{static_cast<float>(c),
+                                       static_cast<float>(c + 1)};
+        int tag = -1;
+        if (blocking) {
+            box.send(chunk, c);
+            tag = box.recvReduce(result->acc);
+        } else {
+            box.noteOpBegin(Mailbox::OpKind::kSend);
+            EXPECT_TRUE(box.trySend(chunk, c, proto));
+            box.noteOpBegin(Mailbox::OpKind::kRecv);
+            EXPECT_TRUE(box.tryRecvReduce(result->acc, &tag, proto));
+        }
+        EXPECT_EQ(tag, c);
+    }
+    result->sends = counters.mailboxSends(0) - sends;
+    result->recvs = counters.mailboxRecvs(0) - recvs;
+    obs::setThreadRank(-1);
+    for (const obs::TraceEvent& event : recorder.snapshot()) {
+        const bool post = event.name.rfind("post ", 0) == 0;
+        for (const auto& [key, value] : event.args) {
+            if (key == "seq")
+                (post ? result->post_seqs : result->wait_seqs)
+                    .push_back(value);
+            if (key == "ll" && value == 1.0)
+                ++result->ll_posts;
+        }
+    }
+}
+
+TEST(Mailbox, BlockingAndTryFormsAgree)
+{
+    // One mailbox, three passes: the sequence numbers run on across
+    // passes and lanes, so pass k pairs post #n with wait #n from 3k.
+    Mailbox box(2);
+    Exchange blocking;
+    Exchange simple;
+    Exchange ll;
+    exchange(box, /*blocking=*/true, Protocol::kSimple, &blocking);
+    exchange(box, /*blocking=*/false, Protocol::kSimple, &simple);
+    exchange(box, /*blocking=*/false, Protocol::kLL, &ll);
+    const std::vector<float> expected{10.0f + 0 + 1 + 2, 20.0f + 1 + 2 + 3};
+    int pass = 0;
+    for (const Exchange* e : {&blocking, &simple, &ll}) {
+        SCOPED_TRACE(pass);
+        EXPECT_EQ(e->acc, expected);
+        EXPECT_EQ(e->sends, 3u);
+        EXPECT_EQ(e->recvs, 3u);
+        const double base = 3.0 * pass;
+        EXPECT_EQ(e->post_seqs,
+                  (std::vector<double>{base, base + 1, base + 2}));
+        EXPECT_EQ(e->wait_seqs, e->post_seqs);
+        ++pass;
+    }
+    EXPECT_EQ(blocking.ll_posts, 0);
+    EXPECT_EQ(simple.ll_posts, 0);
+    EXPECT_EQ(ll.ll_posts, 3);
+    EXPECT_EQ(box.delivered(), 9);
+}
+
+TEST(Mailbox, BlockedRecvCountsAWaitStall)
+{
+    Mailbox box(1);
+    const obs::RankCounters& counters = obs::RankCounters::global();
+    const std::uint64_t stalls = counters.waitStalls(1);
+    const std::uint64_t stall_ns = counters.waitStallNs(1);
+    std::thread consumer([&]() {
+        obs::setThreadRank(1);
+        std::vector<float> out;
+        EXPECT_EQ(box.recv(out), 4);
+        obs::setThreadRank(-1);
+    });
+    // The stall is counted as the consumer starts to block; send once
+    // it has (bounded, so a missing count fails instead of hanging).
+    for (int i = 0; i < 10000 && counters.waitStalls(1) == stalls; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    box.send(std::vector<float>{1.0f}, 4);
+    consumer.join();
+    EXPECT_EQ(counters.waitStalls(1), stalls + 1);
+    EXPECT_GT(counters.waitStallNs(1), stall_ns);
 }
 
 TEST(Mailbox, PreservesFifoOrderAcrossThreads)
@@ -104,38 +219,6 @@ TEST(Communicator, RunExecutesEveryRank)
     comm.run([&](int rank) { hits[static_cast<std::size_t>(rank)]++; });
     for (const auto& h : hits)
         EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Communicator, BarrierSynchronizes)
-{
-    Communicator comm(4);
-    std::atomic<int> before{0};
-    std::atomic<bool> violated{false};
-    comm.run([&](int) {
-        before.fetch_add(1);
-        comm.barrier();
-        if (before.load() != 4)
-            violated.store(true);
-    });
-    EXPECT_FALSE(violated.load());
-}
-
-TEST(Communicator, BarrierReusable)
-{
-    Communicator comm(3);
-    std::atomic<int> phase_sum{0};
-    std::atomic<bool> violated{false};
-    comm.run([&](int) {
-        for (int phase = 0; phase < 5; ++phase) {
-            phase_sum.fetch_add(1);
-            comm.barrier();
-            if (phase_sum.load() < (phase + 1) * 3)
-                violated.store(true);
-            comm.barrier();
-        }
-    });
-    EXPECT_FALSE(violated.load());
-    EXPECT_EQ(phase_sum.load(), 15);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -28,6 +29,8 @@
 #include "ccl/tree_allreduce.h"
 #include "ccl/tuner.h"
 #include "model/ring_model.h"
+#include "obs/capture.h"
+#include "obs/metrics.h"
 #include "sim/simulation.h"
 #include "simnet/channel.h"
 #include "simnet/ring_schedule.h"
@@ -265,6 +268,60 @@ TEST(ProtocolByteIdentity, RunAutoComputesExactSums)
     }
 }
 
+// ----------------------------- buffers with fewer elements than chunks
+
+/** Every rank of @p buffers holds integerSums(8, elems). */
+void
+expectIntegerSums(const ccl::RankBuffers& buffers, int elems,
+                  const std::string& what)
+{
+    const std::vector<float> expected = integerSums(8, elems);
+    for (std::size_t r = 0; r < buffers.size(); ++r)
+        EXPECT_EQ(buffers[r], expected) << what << " rank " << r;
+}
+
+TEST(ProtocolByteIdentity, SmallBuffersComputeExactSums)
+{
+    // Fewer floats than chunks leaves chunks empty; they travel as
+    // zero-length messages. The ring splits into P = 8 chunks, the
+    // trees into 8 per tree (the dispatcher default), the double trees
+    // into two parts of 8 each.
+    const topo::Graph graph = topo::makeDgx1();
+    const ccl::AllReduceAlgorithm algorithms[] = {
+        ccl::AllReduceAlgorithm::kRing,
+        ccl::AllReduceAlgorithm::kTree,
+        ccl::AllReduceAlgorithm::kOverlappedTree,
+        ccl::AllReduceAlgorithm::kDoubleTree,
+        ccl::AllReduceAlgorithm::kCCubeDoubleTree,
+    };
+    for (RankExecutor::Mode mode : {RankExecutor::Mode::kPersistent,
+                                    RankExecutor::Mode::kStateMachine}) {
+        ccl::Communicator comm(8, kSlots, mode);
+        for (int elems : {0, 1, 3, 4, 7, 15}) {
+            for (ccl::AllReduceAlgorithm algorithm : algorithms) {
+                for (Protocol proto : {Protocol::kSimple, Protocol::kLL}) {
+                    ccl::RankBuffers buffers = integerBuffers(8, elems);
+                    ccl::AllReduceOptions options;
+                    options.algorithm = algorithm;
+                    options.protocol = proto;
+                    ccl::allReduce(comm, buffers, graph, options);
+                    expectIntegerSums(
+                        buffers, elems,
+                        std::string(ccl::algorithmName(algorithm)) + "/" +
+                            ccl::protocolName(proto) + "/" +
+                            std::to_string(elems));
+                }
+            }
+        }
+        for (int elems : {0, 1}) {
+            ccl::RankBuffers buffers = integerBuffers(8, elems);
+            comm.runAuto(buffers, graph);
+            expectIntegerSums(buffers, elems,
+                              "runAuto/" + std::to_string(elems));
+        }
+    }
+}
+
 // ----------------------------------------- LL at P = 64 (state machine)
 
 TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
@@ -429,6 +486,46 @@ TEST(Tuner, PicksLLBelowCrossoverAndSimpleAbove)
     EXPECT_EQ(tuner.choose(graph, 8, 256).protocol, Protocol::kLL);
     EXPECT_EQ(tuner.choose(graph, 8, 64 * 1024 * 1024).protocol,
               Protocol::kSimple);
+}
+
+TEST(Tuner, RunAutoRunsTheTunersCell)
+{
+    // runAuto's counters must name exactly the cell Tuner::choose
+    // picks, and the collective must run on that cell's protocol.
+    // 1 KiB picks LL and 4 MiB Simple, so overriding either protocol
+    // fails one of the two sizes.
+    const topo::Graph graph = topo::makeDgx1();
+    std::vector<Protocol> picked;
+    for (int elems : {256, 1 << 20}) {
+        SCOPED_TRACE(elems);
+        const ccl::TunerChoice choice = ccl::Tuner::global().choose(
+            graph, 8, static_cast<std::size_t>(elems));
+        picked.push_back(choice.protocol);
+        obs::MetricRegistry registry;
+        registry.enable();
+        {
+            obs::ScopedCapture capture{obs::Capture(nullptr, &registry)};
+            ccl::Communicator comm(8, kSlots);
+            ccl::RankBuffers buffers = integerBuffers(8, elems);
+            comm.runAuto(buffers, graph);
+        }
+        const std::string alg = ccl::algorithmName(choice.algorithm);
+        const std::string proto = ccl::protocolName(choice.protocol);
+        const std::vector<std::string> want = {
+            "ccl.proto." + proto, "ccl.tuner.alg." + alg,
+            "ccl.tuner.proto." + proto};
+        std::vector<std::string> got;
+        for (const auto& entry : registry.names())
+            if (entry.first.rfind("ccl.proto.", 0) == 0 ||
+                entry.first.rfind("ccl.tuner.", 0) == 0)
+                got.push_back(entry.first);
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want);
+        for (const std::string& name : want)
+            EXPECT_EQ(registry.counter(name), 1.0) << name;
+    }
+    EXPECT_EQ(picked,
+              (std::vector<Protocol>{Protocol::kLL, Protocol::kSimple}));
 }
 
 TEST(Tuner, TableIsCachedAndDeterministic)

@@ -36,16 +36,6 @@ TEST(SpinLock, MutualExclusionUnderContention)
     EXPECT_EQ(counter, kThreads * kIters);
 }
 
-TEST(SpinLock, TryLock)
-{
-    SpinLock lock;
-    EXPECT_TRUE(lock.tryLock());
-    EXPECT_FALSE(lock.tryLock());
-    lock.unlock();
-    EXPECT_TRUE(lock.tryLock());
-    lock.unlock();
-}
-
 TEST(BoundedSemaphore, PostThenWait)
 {
     BoundedSemaphore sem(4);

@@ -15,13 +15,13 @@
  *
  *  - Functional: core::ResilienceSupervisor runs real threaded
  *    collectives under injected rank kills and channel-event churn,
- *    across all three engine modes and both wire protocols. Every
+ *    on both engine placements and both wire protocols. Every
  *    call must return (never hang); a completion must carry the
  *    exact float sums; a non-completion must surface a structured
  *    CollectiveError message and restore the caller's original
  *    inputs bit-for-bit — never a silent wrong answer.
  *
- * Total seeded runs: 80 DES + 132 functional = 212.
+ * Total seeded runs: 80 DES + 88 functional = 168.
  */
 
 #include <gtest/gtest.h>

@@ -316,18 +316,15 @@ TEST(SweepRun, WholeCaptureWithNestedSweepsIsJobsInvariant)
 
 TEST(SweepRun, TunerTablesAreJobsInvariant)
 {
-    // The tuner's measurement refinement is wall-clock-based and must
-    // be suppressed inside sweep tasks (sweep::inSweepTask()), so the
-    // tables every task sees — and the per-protocol DES results built
-    // from them — are identical at jobs=1 and jobs=8, byte for byte.
-    EXPECT_FALSE(sweep::inSweepTask());
+    // The tables every task sees — and the per-protocol DES results
+    // built from them — are identical at jobs=1 and jobs=8, byte for
+    // byte.
     const topo::Graph graph = topo::makeDgx1();
     auto run = [&](int jobs) {
         ccl::Tuner::global().clearCache();
         std::vector<std::string> tables(4);
         std::vector<double> completions(4, 0.0);
         sweep::runIndexed(withJobs(jobs), 4, [&](std::size_t i) {
-            EXPECT_TRUE(sweep::inSweepTask());
             tables[i] = ccl::Tuner::global().formatTable(graph, 8);
             const std::size_t elems = std::size_t{256} << (4 * i);
             const ccl::Protocol proto =
@@ -353,7 +350,6 @@ TEST(SweepRun, TunerTablesAreJobsInvariant)
     EXPECT_NE(serial.find("tuner table"), std::string::npos);
     for (int jobs : {2, 8})
         EXPECT_EQ(serial, run(jobs)) << "jobs=" << jobs;
-    EXPECT_FALSE(sweep::inSweepTask());
 }
 
 TEST(SweepRun, EmbeddingSearchIsJobsInvariant)
