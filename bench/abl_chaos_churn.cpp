@@ -1,7 +1,7 @@
 /**
  * @file
  * Ablation: fault churn under the resilience supervisor — the MTTR
- * and re-promotion bandwidth gate (BENCH_fault.json).
+ * and re-promotion bandwidth gate.
  *
  * Two measurements:
  *
@@ -19,11 +19,16 @@
  *   2. Chaos-fuzz summary: seeded simnet::ChaosPlan schedules against
  *      the DES fabric, counting completions, casualties, and dropped
  *      transfers — the same liveness/safety surface as
- *      chaos_fuzz_test, summarized for the perf-gate artifact.
+ *      chaos_fuzz_test, summarized for the CI artifact.
  *
- * Artifacts: bench_ccl/v1 records (append), --mttr-out (MTTR table),
- * --chaos-summary-out (chaos-fuzz summary). The MTTR SLO budget comes
- * from --slo-mttr-ms / $CCUBE_SLO_MTTR_MS via obs::Monitor.
+ * Exit status: 1 when obs::Monitor counted any MTTR-budget violation
+ * or the worst post-churn bandwidth ratio is below kMinRecoveredRatio
+ * (95%), 0 otherwise. The MTTR budget comes from --slo-mttr-ms /
+ * $CCUBE_SLO_MTTR_MS; without one no violation is counted. The ratio
+ * is a DES quotient, so it is the same on every host.
+ *
+ * Artifacts, only when asked for: --mttr-out (MTTR table),
+ * --chaos-summary-out (chaos-fuzz summary).
  */
 
 #include <algorithm>
@@ -49,7 +54,6 @@
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/graph.h"
-#include "util/bench_json.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -60,6 +64,9 @@ using namespace ccube;
 using namespace std::chrono_literals;
 
 constexpr int kRanks = 8;
+
+/** Smallest re-promoted / healthy bandwidth ratio the gate accepts. */
+constexpr double kMinRecoveredRatio = 0.95;
 
 /**
  * DGX-1 NVLink fabric plus a PCIe peer ring (same testbed as
@@ -177,7 +184,6 @@ main(int argc, char** argv)
                              "recovered_bw_ratio_%"});
     std::vector<double> mttr_ms_samples;
     std::vector<double> ratio_samples;
-    std::vector<util::BenchRecord> records;
 
     for (int cycle = 0; cycle < cycles; ++cycle) {
         // Steady state on C-Cube before the fault lands.
@@ -235,28 +241,6 @@ main(int argc, char** argv)
              std::to_string(settle_runs),
              core::recoveryKindName(promoted.rung),
              util::formatDouble(ratio * 100.0, 1)});
-
-        util::BenchRecord record;
-        record.source = "abl_chaos_churn";
-        record.kind = "chaos_churn";
-        record.name = "cycle_" + std::to_string(cycle);
-        record.mode = core::recoveryKindName(fallback_rung);
-        record.bytes = static_cast<std::int64_t>(bytes);
-        record.ns_per_op = fault_report.mttr_s * 1e9;
-        record.extra["mttr_ms"] = mttr_ms;
-        record.extra["retries"] =
-            static_cast<double>(fault_report.attempts - 1);
-        record.extra["replans"] =
-            static_cast<double>(fault_report.replans);
-        record.extra["recovered_bw_ratio"] = ratio;
-        record.extra["healthy_bw_gbps"] = healthy_bw / 1e9;
-        record.extra["fallback_rung"] = static_cast<double>(
-            static_cast<int>(fallback_rung));
-        record.extra["recovered_rung"] =
-            static_cast<double>(static_cast<int>(promoted.rung));
-        record.extra["settle_runs"] =
-            static_cast<double>(settle_runs);
-        records.push_back(std::move(record));
     }
     comm.setFaultInjector(nullptr);
     monitor.disable();
@@ -283,7 +267,7 @@ main(int argc, char** argv)
     mttr_table.print(std::cout);
 
     // Chaos-fuzz summary: seeded DES chaos plans, the liveness/safety
-    // counts for the perf-gate artifact.
+    // counts for the CI artifact.
     const topo::Graph dgx1 = topo::makeDgx1();
     const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
     double des_healthy = 0.0;
@@ -323,28 +307,6 @@ main(int argc, char** argv)
                  << " dropped transfers, 0 hangs\n";
     std::cout << "\n" << fuzz_summary.str();
 
-    util::BenchRecord fuzz_record;
-    fuzz_record.source = "abl_chaos_churn";
-    fuzz_record.kind = "chaos_fuzz";
-    fuzz_record.name = "des_sweep";
-    fuzz_record.mode = "seeded";
-    fuzz_record.bytes = static_cast<std::int64_t>(util::mib(1));
-    fuzz_record.ns_per_op = 0.0;
-    fuzz_record.extra["runs"] = static_cast<double>(fuzz_runs);
-    fuzz_record.extra["completions"] =
-        static_cast<double>(fuzz_completions);
-    fuzz_record.extra["casualties"] =
-        static_cast<double>(fuzz_casualties);
-    fuzz_record.extra["dropped_transfers"] =
-        static_cast<double>(fuzz_dropped);
-    fuzz_record.extra["worst_recovered_bw_ratio"] = worst_ratio;
-    records.push_back(std::move(fuzz_record));
-
-    const std::string path = util::benchOutputPath();
-    util::writeBenchRecords(path, records, /*append=*/true);
-    std::cout << "\nwrote " << records.size() << " records to " << path
-              << "\n";
-
     const std::string mttr_path = flags.get("mttr-out", "");
     if (!mttr_path.empty()) {
         std::ofstream out(mttr_path);
@@ -360,5 +322,17 @@ main(int argc, char** argv)
         std::cout << "wrote chaos-fuzz summary to " << summary_path
                   << "\n";
     }
-    return 0;
+
+    bool pass = true;
+    if (monitor.recoveryViolations() > 0) {
+        std::cerr << "FAIL: " << monitor.recoveryViolations()
+                  << " MTTR budget violations\n";
+        pass = false;
+    }
+    if (worst_ratio < kMinRecoveredRatio) {
+        std::cerr << "FAIL: worst post-churn bandwidth ratio "
+                  << worst_ratio << " < " << kMinRecoveredRatio << "\n";
+        pass = false;
+    }
+    return pass ? 0 : 1;
 }

@@ -17,8 +17,7 @@
  *      disjoint rings),
  *
  * and reports time-to-recover (detect + search + re-run) and
- * post-recovery bandwidth per fault scenario, as a table and as
- * bench_ccl/v1 records.
+ * post-recovery bandwidth per fault scenario, as a table.
  */
 
 #include <algorithm>
@@ -42,7 +41,6 @@
 #include "simnet/multi_ring_schedule.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
-#include "util/bench_json.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -163,7 +161,6 @@ main(int argc, char** argv)
                        "search_ms", "rerun_ms", "recover_ms",
                        "post_bw_GB/s", "bw_retained_%", "blamed",
                        "diff_attr_%"});
-    std::vector<util::BenchRecord> records;
     std::ostringstream scenario_reports;
     std::vector<double> recover_ms_samples;
     int blamed_channel_ok = 0;
@@ -236,8 +233,6 @@ main(int argc, char** argv)
         const double post_bw =
             rerun_time > 0.0 ? bytes / rerun_time : 0.0;
 
-        const std::string pair_name = std::to_string(pair.first) +
-                                      "_" + std::to_string(pair.second);
         table.addRow(
             {"(" + std::to_string(pair.first) + "," +
                  std::to_string(pair.second) + ")",
@@ -264,30 +259,6 @@ main(int argc, char** argv)
         obs::writeDiffReport(scenario_reports, diff,
                              /*max_segments=*/8);
         scenario_reports << "\n";
-
-        util::BenchRecord record;
-        record.source = "abl_fault_recovery";
-        record.kind = "fault_recovery";
-        record.name = "pair_" + pair_name;
-        record.mode = core::recoveryKindName(recovery.kind);
-        record.bytes = static_cast<std::int64_t>(bytes);
-        record.ns_per_op = recover_s * 1e9;
-        record.extra["t_fail_s"] = t_fail;
-        record.extra["detect_s"] = detect_s;
-        record.extra["search_s"] = recovery.search_seconds;
-        record.extra["rerun_s"] = rerun_time;
-        record.extra["post_bw_gbps"] = post_bw / 1e9;
-        record.extra["healthy_bw_gbps"] = healthy_bw / 1e9;
-        record.extra["dropped_transfers"] =
-            static_cast<double>(faulted.dropped_transfers);
-        record.extra["rung"] =
-            static_cast<double>(static_cast<int>(recovery.kind));
-        record.extra["blamed_channel"] =
-            static_cast<double>(root_cause.blamed_channel);
-        record.extra["blamed_rank"] =
-            static_cast<double>(root_cause.blamed_rank);
-        record.extra["diff_attributed_frac"] = attr;
-        records.push_back(std::move(record));
     }
 
     table.print(std::cout);
@@ -326,8 +297,7 @@ main(int argc, char** argv)
             sim, net, healthy_tree, bytes,
             simnet::PhaseMode::kOverlapped, 32, plan);
     };
-    auto addDegradeRow = [&](const std::string& scenario,
-                             const std::string& kind, double factor,
+    auto addDegradeRow = [&](const std::string& scenario, double factor,
                              int runs, int completed,
                              std::vector<double> times) {
         std::sort(times.begin(), times.end());
@@ -340,21 +310,6 @@ main(int argc, char** argv)
              util::formatDouble(median * 1e3, 3),
              util::formatDouble(worst * 1e3, 3),
              util::formatDouble(retained, 1)});
-        util::BenchRecord record;
-        record.source = "abl_fault_recovery";
-        record.kind = kind;
-        record.name = scenario + "_f" + util::formatDouble(factor, 2);
-        record.mode = "degraded";
-        record.bytes = static_cast<std::int64_t>(bytes);
-        record.ns_per_op = worst * 1e9;
-        record.extra["factor"] = factor;
-        record.extra["runs"] = static_cast<double>(runs);
-        record.extra["completed"] = static_cast<double>(completed);
-        record.extra["median_s"] = median;
-        record.extra["worst_s"] = worst;
-        record.extra["healthy_s"] = healthy_time;
-        record.extra["worst_bw_retained_frac"] = healthy_time / worst;
-        records.push_back(std::move(record));
     };
 
     for (const double factor : {0.5, 0.25, 0.1}) {
@@ -370,8 +325,8 @@ main(int argc, char** argv)
             times.push_back(run.end_time);
             ++runs;
         }
-        addDegradeRow("channel_degrade", "fault_degrade", factor, runs,
-                      completed, std::move(times));
+        addDegradeRow("channel_degrade", factor, runs, completed,
+                      std::move(times));
     }
     for (const double factor : {0.5, 0.25}) {
         std::vector<double> times;
@@ -385,19 +340,14 @@ main(int argc, char** argv)
             times.push_back(run.end_time);
             ++runs;
         }
-        addDegradeRow("node_slowdown", "fault_slowdown", factor, runs,
-                      completed, std::move(times));
+        addDegradeRow("node_slowdown", factor, runs, completed,
+                      std::move(times));
     }
     degrade_table.print(std::cout);
     std::cout << "\nDegrades and slowdowns are survivable by "
                  "construction: every sweep run completed without a "
                  "re-plan, so the resilience supervisor treats them as "
                  "health-score inputs rather than exclusions.\n";
-
-    const std::string path = util::benchOutputPath();
-    util::writeBenchRecords(path, records, /*append=*/true);
-    std::cout << "\nwrote " << records.size() << " records to " << path
-              << "\n";
 
     obs_session.finish();
     // Per-scenario root-cause + diff reports replace the session's

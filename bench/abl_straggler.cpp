@@ -20,7 +20,6 @@
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
-#include "util/bench_json.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -106,33 +105,5 @@ main(int argc, char** argv)
                  "the ring's loss tracks the inverse link factor "
                  "directly, while the tree is partially shielded by "
                  "its pipelining until the slow pair dominates.\n";
-
-    std::vector<util::BenchRecord> records;
-    for (std::size_t i = 0; i < factors.size(); ++i) {
-        const struct {
-            const char* name;
-            double secs;
-            double healthy_secs;
-        } algos[] = {
-            {"multi_ring", timings[i].ring, healthy.ring},
-            {"tree_c1", timings[i].tree_c1, healthy.tree_c1},
-        };
-        for (const auto& algo : algos) {
-            util::BenchRecord record;
-            record.source = "abl_straggler";
-            record.kind = "straggler_slowdown";
-            record.name = algo.name;
-            record.bytes = static_cast<std::int64_t>(bytes);
-            record.ns_per_op = algo.secs * 1e9;
-            record.extra["link_factor"] = factors[i];
-            record.extra["loss_pct"] =
-                (algo.secs / algo.healthy_secs - 1.0) * 100.0;
-            records.push_back(std::move(record));
-        }
-    }
-    const std::string path = util::benchOutputPath();
-    util::writeBenchRecords(path, records, /*append=*/true);
-    std::cout << "\nwrote " << records.size() << " records to " << path
-              << "\n";
     return 0;
 }

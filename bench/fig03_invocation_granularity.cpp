@@ -15,8 +15,7 @@
  *     thread spawn, so fine granularity costs only the per-collective
  *     envelope. The pre-executor spawn-per-collective numbers (the
  *     "before" of this argument) are recorded in docs/performance.md;
- *     the analytic model above reproduces the paper's shape. Results
- *     also land in BENCH_ccl.json (bench_ccl/v1).
+ *     the analytic model above reproduces the paper's shape.
  */
 
 #include <algorithm>
@@ -33,7 +32,6 @@
 #include "model/invocation_model.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
-#include "util/bench_json.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -185,7 +183,6 @@ main()
 
     util::Table measured({"strategy", "invocations", "mode",
                           "sweep_ms", "slowdown_vs_oneshot"});
-    std::vector<util::BenchRecord> records;
     for (const auto& mode : modes) {
         ccl::Communicator comm(kRanks, 4, mode.mode);
         double mode_one_shot = 0.0;
@@ -200,19 +197,6 @@ main()
                 {sweep.name, std::to_string(sweep.invocations.size()),
                  mode.name, util::formatDouble(secs * 1e3, 3),
                  util::formatDouble(slowdown, 2)});
-
-            util::BenchRecord record;
-            record.source = "fig03_invocation_granularity";
-            record.kind = "invocation_sweep";
-            record.name = sweep.name;
-            record.mode = mode.name;
-            record.bytes = static_cast<std::int64_t>(
-                kTotalElems * sizeof(float));
-            record.ns_per_op = secs * 1e9;
-            record.extra["invocations"] =
-                static_cast<double>(sweep.invocations.size());
-            record.extra["slowdown_vs_oneshot"] = slowdown;
-            records.push_back(std::move(record));
         }
     }
     measured.print(std::cout);
@@ -221,10 +205,5 @@ main()
                  "paper's persistent kernels — so fine-grained "
                  "invocation pays the collective envelope, never a "
                  "thread spawn.\n";
-
-    const std::string path = util::benchOutputPath();
-    util::writeBenchRecords(path, records, /*append=*/true);
-    std::cout << "\nwrote " << records.size() << " records to " << path
-              << "\n";
     return 0;
 }

@@ -13,8 +13,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
@@ -29,7 +27,6 @@
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
 #include "topo/switch_fabric.h"
-#include "util/bench_json.h"
 #include "util/flags.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -104,7 +101,6 @@ main(int argc, char** argv)
     std::vector<Cell> cells(sizes.size() * node_counts.size());
     const sweep::Options pool = sweep::Options::fromFlags(flags);
 
-    const auto sweep_start = std::chrono::steady_clock::now();
     sweep::runIndexed(pool, cells.size(), [&](std::size_t i) {
         const double bytes = sizes[i / node_counts.size()].second;
         const int p = node_counts[i % node_counts.size()];
@@ -141,10 +137,6 @@ main(int argc, char** argv)
             base.turnaroundTime() / c1.turnaroundTime(),
             (2.0 * logp + chunks) / (2.0 * logp + 1.0)};
     });
-    const double sweep_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sweep_start)
-            .count();
 
     for (std::size_t s = 0; s < sizes.size(); ++s) {
         std::vector<std::string> ratio_row{sizes[s].first};
@@ -161,25 +153,6 @@ main(int argc, char** argv)
         ratio_table.addRow(std::move(ratio_row));
         turnaround_table.addRow(std::move(ta_row));
         analytic_table.addRow(std::move(an_row));
-    }
-
-    // Wall-clock record for the perf gate; only when a bench output
-    // is requested (wall times are inherently non-deterministic, so
-    // the default run stays byte-reproducible).
-    if (std::getenv("CCUBE_BENCH_OUT")) {
-        util::BenchRecord record;
-        record.source = "fig14_scaleout";
-        record.kind = "sweep_wall_clock";
-        record.name = "size_x_nodes_grid";
-        record.mode = "jobs" + std::to_string(
-                                   pool.effectiveJobs(cells.size()));
-        record.ns_per_op = sweep_seconds * 1e9 /
-                           static_cast<double>(cells.size());
-        record.extra["jobs"] = pool.effectiveJobs(cells.size());
-        record.extra["tasks"] = static_cast<double>(cells.size());
-        record.extra["wall_seconds"] = sweep_seconds;
-        util::writeBenchRecords(util::benchOutputPath(), {record},
-                                /*append=*/true);
     }
 
     std::cout << "(a) C1 communication speedup over ring "

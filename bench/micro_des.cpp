@@ -16,10 +16,9 @@
  *    (the legacy queue carries the done-callback inside the release
  *    closure exactly as the old FifoResource did).
  *
- * Results land in BENCH_sim.json (schema bench_ccl/v1); set
- * CCUBE_BENCH_OUT to override the path. A "des_speedup" record with
- * the new/legacy events-per-second ratio is appended for the perf
- * gate.
+ * After the run, the fig07_mix new/legacy events-per-second ratio is
+ * printed. Nothing is written unless a flag asks for it
+ * (--benchmark_out=F --benchmark_out_format=json).
  */
 
 #include <benchmark/benchmark.h>
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "util/bench_json.h"
 
 namespace {
 
@@ -135,7 +133,6 @@ struct NewTraits {
     /** New Network::transfer shape: cached lane table + plain
      *  counters — no per-transfer allocation or string hashing. */
     static constexpr bool kStringNetStats = false;
-    static constexpr const char* kName = "event_pool";
 };
 
 struct LegacyTraits {
@@ -150,7 +147,6 @@ struct LegacyTraits {
      *  on the heap and stats were string-keyed map updates, both once
      *  per transfer. */
     static constexpr bool kStringNetStats = true;
-    static constexpr const char* kName = "std_function_heap";
 };
 
 // ---------------------------------------------------------------------------
@@ -504,62 +500,18 @@ main(int argc, char** argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
-    std::vector<util::BenchRecord> records;
     double fig07_new = 0.0;
     double fig07_legacy = 0.0;
     for (const auto& run : reporter.runs) {
         const std::string name = run.benchmark_name();
-        util::BenchRecord record;
-        record.source = "micro_des";
-        record.kind = "des_throughput";
-        // des/<mix>/<impl>[/<arg>]
-        const std::size_t first = name.find('/');
-        const std::size_t second = name.find('/', first + 1);
-        const std::size_t third = name.find('/', second + 1);
-        record.name = name.substr(first + 1, second - first - 1);
-        record.mode = name.substr(
-            second + 1,
-            third == std::string::npos ? std::string::npos
-                                       : third - second - 1);
-        record.mode = record.mode == "new"
-                          ? NewTraits::kName
-                          : (record.mode == "legacy"
-                                 ? LegacyTraits::kName
-                                 : record.mode);
-        record.ns_per_op =
-            run.iterations > 0
-                ? run.real_accumulated_time /
-                      static_cast<double>(run.iterations) * 1e9
-                : 0.0;
-        record.extra["events_per_sec"] = eventsPerSec(run);
-        records.push_back(record);
-        if (record.name == "fig07_mix") {
-            if (record.mode == NewTraits::kName)
-                fig07_new = record.extra["events_per_sec"];
-            else if (record.mode == LegacyTraits::kName)
-                fig07_legacy = record.extra["events_per_sec"];
-        }
+        if (name.rfind("des/fig07_mix/new", 0) == 0)
+            fig07_new = eventsPerSec(run);
+        else if (name.rfind("des/fig07_mix/legacy", 0) == 0)
+            fig07_legacy = eventsPerSec(run);
     }
-    if (fig07_new > 0.0 && fig07_legacy > 0.0) {
-        util::BenchRecord speedup;
-        speedup.source = "micro_des";
-        speedup.kind = "des_speedup";
-        speedup.name = "fig07_mix";
-        speedup.mode = "new_over_legacy";
-        speedup.extra["ratio"] = fig07_new / fig07_legacy;
-        speedup.extra["new_events_per_sec"] = fig07_new;
-        speedup.extra["legacy_events_per_sec"] = fig07_legacy;
-        records.push_back(speedup);
+    if (fig07_new > 0.0 && fig07_legacy > 0.0)
         std::printf("\nfig07_mix events/sec: new %.3g, legacy %.3g, "
                     "speedup %.2fx\n",
                     fig07_new, fig07_legacy, fig07_new / fig07_legacy);
-    }
-    if (!records.empty()) {
-        const std::string path =
-            util::benchOutputPath("BENCH_sim.json");
-        util::writeBenchRecords(path, records, /*append=*/true);
-        std::fprintf(stderr, "wrote %zu records to %s\n",
-                     records.size(), path.c_str());
-    }
     return 0;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Monitoring-overhead microbenchmark for the perf gate.
+ * Monitoring- and profiler-overhead gate.
  *
  * Two workloads are each timed with observability fully off and with
  * the live obs::Monitor enabled:
@@ -14,7 +14,7 @@
  *    Telemetry density per unit of wall time is orders of magnitude
  *    higher than any real deployment (the DES collapses milliseconds
  *    of simulated transfer into microseconds of wall time), so this
- *    ratio is recorded for trend-watching, not gated at 5%.
+ *    ratio is printed for trend-watching, not gated.
  *
  * A third paired workload gates the obs::Profiler: a P=256 double-
  * tree AllReduce on the state-machine pool — the engine whose park/
@@ -27,11 +27,11 @@
  * sides equally, and the reported ratio is the median of per-round
  * ratios, which shrugs off one-off scheduling spikes.
  *
- * Results land in BENCH_obs.json (schema bench_ccl/v1; set
- * CCUBE_BENCH_OUT to override): ns/op per workload and side, plus a
- * dimensionless "monitor_overhead_ratio" record (on/off, so 1.05 =
- * 5% overhead) that bench_compare diffs against
- * bench/baselines/BENCH_obs_baseline.json with --threshold=0.05.
+ * Exit status: 1 when either gated median ratio (functional monitor,
+ * profiler) is above kMaxOverheadRatio — 1.05, i.e. 5% overhead — and
+ * 0 otherwise. The ratios are dimensionless on/off quotients of the
+ * same host, so the bound means the same on any machine; a single run
+ * still carries a few percent of scheduling noise.
  */
 
 #include <chrono>
@@ -40,6 +40,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -53,7 +54,6 @@
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/tree_embedding.h"
-#include "util/bench_json.h"
 #include "util/flags.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -63,6 +63,9 @@ namespace {
 using namespace ccube;
 
 double sink_ = 0.0; ///< defeats over-eager dead-code elimination
+
+/** Largest median on/off ratio a gated workload may show (5%). */
+constexpr double kMaxOverheadRatio = 1.05;
 
 /** Wall ns/op over @p reps back-to-back calls of @p op. */
 double
@@ -259,77 +262,15 @@ main(int argc, char** argv)
               << monitor.collectivesTotal() << " collectives ("
               << functional_collectives << " functional)\n";
 
-    std::vector<util::BenchRecord> records;
-    {
-        util::BenchRecord record;
-        record.source = "micro_obs_overhead";
-        record.kind = "latency";
-        record.mode = "functional";
-        record.bytes = static_cast<std::int64_t>(elems * sizeof(float));
-        record.name = "allreduce_monitor_off";
-        record.ns_per_op = functional.off_ns;
-        records.push_back(record);
-        record.name = "allreduce_monitor_on";
-        record.ns_per_op = functional.on_ns;
-        records.push_back(record);
-        record.mode = "des";
-        record.bytes = static_cast<std::int64_t>(des_bytes);
-        record.name = "allreduce_monitor_off";
-        record.ns_per_op = des.off_ns;
-        records.push_back(record);
-        record.name = "allreduce_monitor_on";
-        record.ns_per_op = des.on_ns;
-        records.push_back(record);
-
-        // Dimensionless on/off ratios: stable across machines, so the
-        // perf gate can hold the functional one to a tight threshold
-        // (1.05 = 5% overhead).
-        util::BenchRecord gate;
-        gate.source = "micro_obs_overhead";
-        gate.kind = "overhead";
-        gate.name = "monitor_overhead_ratio";
-        gate.mode = "functional";
-        gate.bytes = 0;
-        gate.ns_per_op = functional.ratio;
-        gate.extra["off_ns"] = functional.off_ns;
-        gate.extra["on_ns"] = functional.on_ns;
-        records.push_back(gate);
-        gate.name = "monitor_overhead_ratio_des";
-        gate.mode = "des";
-        gate.ns_per_op = des.ratio;
-        gate.extra["off_ns"] = des.off_ns;
-        gate.extra["on_ns"] = des.on_ns;
-        gate.extra["snapshots"] =
-            static_cast<double>(monitor.snapshotCount());
-        records.push_back(gate);
-
-        // Sampling-profiler gate: P=256 double tree on the state-
-        // machine pool, sampler off vs on (same 5% threshold).
-        record.kind = "latency";
-        record.mode = "statemachine";
-        record.bytes =
-            static_cast<std::int64_t>(prof_elems * sizeof(float));
-        record.name = "allreduce_profiler_off";
-        record.ns_per_op = profiled.off_ns;
-        records.push_back(record);
-        record.name = "allreduce_profiler_on";
-        record.ns_per_op = profiled.on_ns;
-        records.push_back(record);
-
-        util::BenchRecord prof_gate;
-        prof_gate.source = "micro_obs_overhead";
-        prof_gate.kind = "overhead";
-        prof_gate.name = "profiler_overhead_ratio";
-        prof_gate.mode = "statemachine";
-        prof_gate.bytes = 0;
-        prof_gate.ns_per_op = profiled.ratio;
-        prof_gate.extra["off_ns"] = profiled.off_ns;
-        prof_gate.extra["on_ns"] = profiled.on_ns;
-        records.push_back(prof_gate);
+    bool pass = true;
+    for (const auto& [label, r] :
+         {std::pair{"monitor_overhead_ratio", functional},
+          std::pair{"profiler_overhead_ratio", profiled}}) {
+        if (r.ratio > kMaxOverheadRatio) {
+            std::cerr << "FAIL: " << label << " " << r.ratio << " > "
+                      << kMaxOverheadRatio << "\n";
+            pass = false;
+        }
     }
-    const std::string path = util::benchOutputPath("BENCH_obs.json");
-    util::writeBenchRecords(path, records, /*append=*/true);
-    std::cout << "wrote " << records.size() << " records to " << path
-              << "\n";
-    return 0;
+    return pass ? 0 : 1;
 }

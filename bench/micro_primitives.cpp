@@ -13,28 +13,21 @@
  * ranks-per-thread density. Thread-per-rank legs are capped at P=128
  * (beyond that they need many hundreds of threads — which is the
  * point); the state-machine legs run to P=1024 on the shared pool.
- * Pin CCUBE_CCL_SM_WORKERS to make the density records deterministic
- * across machines (CI pins 4).
+ * Pin CCUBE_CCL_SM_WORKERS to make the thread counters deterministic
+ * across machines.
  *
- * AllReduce results are exported to BENCH_ccl.json (schema
- * bench_ccl/v1, see util/bench_json.h); set CCUBE_BENCH_OUT to
- * override the path. Every rank_scaling/statemachine record also
- * emits a "ranks_per_core_gate" companion whose ns_per_op is
- * 1e6 × threads ÷ ranks — a lower-is-better scalar bench_compare can
- * gate, so a change that silently grows the pool (or forces the sweep
- * back onto thread-per-rank) trips the perf gate.
+ * Output is google-benchmark's own: the console table, or rows in a
+ * file with --benchmark_out=F --benchmark_out_format=json. Nothing is
+ * written unless a flag asks for it.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -47,7 +40,6 @@
 #include "ccl/state_machine.h"
 #include "ccl/sync_primitives.h"
 #include "ccl/tree_allreduce.h"
-#include "ccl/tuner.h"
 #include "core/gradient_queue.h"
 #include "sim/event_queue.h"
 #include "sim/resource.h"
@@ -56,7 +48,6 @@
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
 #include "obs/session.h"
-#include "util/bench_json.h"
 #include "util/flags.h"
 
 namespace {
@@ -294,9 +285,9 @@ registerAllReduceBenchmarks()
 // The LL path trades 2x wire bytes for skipping the semaphore
 // lock/post/fence round-trip on every chunk; below the crossover the
 // per-chunk sync alpha dominates and LL wins, above it the doubled
-// serialization loses. main() derives the "ll_small_msg_speedup"
-// gate records (ns_per_op = LL ÷ Simple, lower is better) and a
-// per-(alg, engine) crossover record from these rows.
+// serialization loses. No gate holds the measured LL ÷ Simple ratio
+// (it swings run to run); the tuner's crossover is pinned by the
+// deterministic Tuner/ProtocolModel/ProtocolDes tests instead.
 // ---------------------------------------------------------------------------
 
 void
@@ -483,89 +474,6 @@ registerRankScalingBenchmarks()
     }
 }
 
-/** Console output plus a copy of every per-iteration run. */
-class CaptureReporter : public benchmark::ConsoleReporter {
-public:
-    std::vector<Run> runs;
-
-    void
-    ReportRuns(const std::vector<Run>& report) override
-    {
-        for (const Run& run : report) {
-            if (run.run_type == Run::RT_Iteration &&
-                !run.error_occurred)
-                runs.push_back(run);
-        }
-        ConsoleReporter::ReportRuns(report);
-    }
-};
-
-std::vector<std::string>
-splitName(const std::string& name)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t slash = name.find('/', start);
-        if (slash == std::string::npos) {
-            parts.push_back(name.substr(start));
-            return parts;
-        }
-        parts.push_back(name.substr(start, slash - start));
-        start = slash + 1;
-    }
-}
-
-util::BenchRecord
-toRecord(const benchmark::BenchmarkReporter::Run& run)
-{
-    util::BenchRecord record;
-    record.source = "micro_primitives";
-    record.ns_per_op =
-        run.iterations > 0
-            ? run.real_accumulated_time /
-                  static_cast<double>(run.iterations) * 1e9
-            : 0.0;
-    const std::vector<std::string> parts =
-        splitName(run.benchmark_name());
-    // allreduce_latency/<alg>/<mode>/<elems>[/real_time]
-    if (parts.size() >= 4 && parts[0] == "allreduce_latency") {
-        record.kind = parts[0];
-        record.name = parts[1];
-        record.mode = parts[2];
-        record.bytes = std::strtoll(parts[3].c_str(), nullptr, 10) *
-                       static_cast<std::int64_t>(sizeof(float));
-    } else if (parts.size() >= 5 && parts[0] == "allreduce_proto") {
-        // allreduce_proto/<alg>/<proto>/<mode>/<elems>[/real_time]
-        record.kind = parts[0];
-        record.name = parts[1] + "/" + parts[2];
-        record.mode = parts[3];
-        record.bytes = std::strtoll(parts[4].c_str(), nullptr, 10) *
-                       static_cast<std::int64_t>(sizeof(float));
-    } else if (parts.size() >= 4 && parts[0] == "rank_scaling") {
-        // rank_scaling/<alg>/<mode>/<ranks>[/real_time] — the rank
-        // count goes into the name so every P is its own gate key.
-        record.kind = parts[0];
-        record.name = parts[1] + "_p" + parts[3];
-        record.mode = parts[2];
-        record.bytes = kScalingElems *
-                       static_cast<std::int64_t>(sizeof(float));
-        for (const auto& [counter, value] : run.counters)
-            record.extra[counter] = value;
-    } else {
-        record.kind = "micro";
-        record.name = run.benchmark_name();
-        if (parts.size() >= 2) {
-            char* end = nullptr;
-            const double arg =
-                std::strtod(parts.back().c_str(), &end);
-            if (end && *end == '\0')
-                record.extra["arg"] = arg;
-        }
-    }
-    return record;
-}
-
 } // namespace
 
 int
@@ -603,103 +511,7 @@ main(int argc, char** argv)
     if (benchmark::ReportUnrecognizedArguments(bench_argc,
                                                bench_args.data()))
         return 1;
-    CaptureReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-
-    std::vector<ccube::util::BenchRecord> records;
-    records.reserve(reporter.runs.size());
-    for (const auto& run : reporter.runs)
-        records.push_back(toRecord(run));
-    // Derive the lower-is-better density gate from the state-machine
-    // scaling rows: ns_per_op = 1e6 × threads ÷ ranks ("thread cost
-    // per rank"). With CCUBE_CCL_SM_WORKERS pinned this is exact and
-    // machine-independent, so bench_compare can hold it tight.
-    const std::size_t measured = records.size();
-    for (std::size_t i = 0; i < measured; ++i) {
-        const ccube::util::BenchRecord& r = records[i];
-        if (r.kind != "rank_scaling" || r.mode != "statemachine")
-            continue;
-        const auto ranks = r.extra.find("ranks");
-        const auto threads = r.extra.find("threads");
-        if (ranks == r.extra.end() || threads == r.extra.end() ||
-            ranks->second <= 0.0)
-            continue;
-        ccube::util::BenchRecord gate = r;
-        gate.kind = "ranks_per_core_gate";
-        gate.ns_per_op = 1e6 * threads->second / ranks->second;
-        records.push_back(std::move(gate));
-    }
-    // Derive the LL-vs-Simple protocol gates from the proto sweep:
-    //  - "ll_small_msg_speedup": ns_per_op = LL ÷ Simple at one
-    //    (alg, engine, size) cell, lower is better. The headline gate
-    //    cell is ring/persistent at ≤ 4 KiB, where LL should be
-    //    ≥ 1.3x faster (ratio ≤ 0.77).
-    //  - "ll_crossover": ns_per_op = the largest swept message size
-    //    (bytes) at which LL still beat Simple for that (alg, engine).
-    {
-        // (alg, mode, bytes) → ns per protocol.
-        std::map<std::tuple<std::string, std::string, std::int64_t>,
-                 std::map<std::string, double>>
-            cells;
-        for (const ccube::util::BenchRecord& r : records) {
-            if (r.kind != "allreduce_proto")
-                continue;
-            const std::size_t slash = r.name.find('/');
-            if (slash == std::string::npos)
-                continue;
-            cells[{r.name.substr(0, slash), r.mode, r.bytes}]
-                 [r.name.substr(slash + 1)] = r.ns_per_op;
-        }
-        std::map<std::pair<std::string, std::string>, double> crossover;
-        for (const auto& [key, protos] : cells) {
-            const auto simple = protos.find("simple");
-            const auto ll = protos.find("ll");
-            if (simple == protos.end() || ll == protos.end() ||
-                simple->second <= 0.0)
-                continue;
-            const auto& [alg, mode, bytes] = key;
-            if (bytes <= 4096) {
-                ccube::util::BenchRecord gate;
-                gate.source = "micro_primitives";
-                gate.kind = "ll_small_msg_speedup";
-                gate.name = alg;
-                gate.mode = mode;
-                gate.bytes = bytes;
-                gate.ns_per_op = ll->second / simple->second;
-                gate.extra["speedup"] =
-                    ll->second > 0.0 ? simple->second / ll->second
-                                     : 0.0;
-                records.push_back(std::move(gate));
-            }
-            double& best = crossover[{alg, mode}];
-            if (ll->second < simple->second &&
-                static_cast<double>(bytes) > best)
-                best = static_cast<double>(bytes);
-        }
-        for (const auto& [key, bytes] : crossover) {
-            ccube::util::BenchRecord record;
-            record.source = "micro_primitives";
-            record.kind = "ll_crossover";
-            record.name = key.first;
-            record.mode = key.second;
-            record.ns_per_op = bytes; // largest size where LL won
-            records.push_back(std::move(record));
-        }
-    }
-    if (!records.empty()) {
-        const std::string path = ccube::util::benchOutputPath();
-        ccube::util::writeBenchRecords(path, records, /*append=*/true);
-        std::fprintf(stderr, "wrote %zu records to %s\n",
-                     records.size(), path.c_str());
-    }
-    // Archive the tuner's selection table (DGX-1, P=8) when asked —
-    // CI uploads this as the tuner_table.txt artifact.
-    if (const char* table_out = std::getenv("CCUBE_TUNER_TABLE_OUT")) {
-        const ccube::topo::Graph dgx1 = ccube::topo::makeDgx1();
-        std::ofstream out(table_out);
-        out << ccube::ccl::Tuner::global().formatTable(dgx1, 8);
-        std::fprintf(stderr, "wrote tuner table to %s\n", table_out);
-    }
     return 0;
 }

@@ -47,7 +47,7 @@ enum class RecoveryKind {
     kNone,       ///< unrecoverable: surviving graph cannot route
 };
 
-/** Stable name for table/bench_json output. */
+/** Stable name for table and report output. */
 const char* recoveryKindName(RecoveryKind kind);
 
 /** Knobs for recoverSchedule. */

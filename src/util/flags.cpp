@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <cstdlib>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -67,7 +68,9 @@ Flags::getInt(const std::string& name, int fallback) const
         return fallback;
     char* end = nullptr;
     const long value = std::strtol(entry->value.c_str(), &end, 10);
-    CCUBE_CHECK(end && *end == '\0',
+    CCUBE_CHECK(!entry->value.empty() && *end == '\0' &&
+                    value >= std::numeric_limits<int>::min() &&
+                    value <= std::numeric_limits<int>::max(),
                 "--" << name << " wants an integer, got '"
                      << entry->value << "'");
     return static_cast<int>(value);
@@ -81,7 +84,7 @@ Flags::getDouble(const std::string& name, double fallback) const
         return fallback;
     char* end = nullptr;
     const double value = std::strtod(entry->value.c_str(), &end);
-    CCUBE_CHECK(end && *end == '\0',
+    CCUBE_CHECK(!entry->value.empty() && *end == '\0',
                 "--" << name << " wants a number, got '"
                      << entry->value << "'");
     return value;

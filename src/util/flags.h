@@ -32,10 +32,12 @@ class Flags
     std::string get(const std::string& name,
                     const std::string& fallback = "") const;
 
-    /** Integer value of --name, or @p fallback; dies on garbage. */
+    /** Integer value of --name, or @p fallback; dies on garbage, an
+     *  empty value, or a value outside int range. */
     int getInt(const std::string& name, int fallback) const;
 
-    /** Double value of --name, or @p fallback; dies on garbage. */
+    /** Double value of --name, or @p fallback; dies on garbage or an
+     *  empty value. */
     double getDouble(const std::string& name, double fallback) const;
 
     /** Positional (non-flag) arguments in order. */

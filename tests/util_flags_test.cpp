@@ -67,6 +67,32 @@ TEST(Flags, DiesOnGarbageNumbers)
     EXPECT_DEATH(flags.getInt("batch", 0), "integer");
 }
 
+TEST(Flags, DiesOnEmptyNumbers)
+{
+    // `--rounds=` must neither read as 0 nor fall back silently.
+    const auto flags = parse({"--rounds=", "--bw="});
+    EXPECT_DEATH(flags.getInt("rounds", 24), "wants an integer");
+    EXPECT_DEATH(flags.getDouble("bw", 1.0), "wants a number");
+}
+
+TEST(Flags, DiesOnIntOutOfRange)
+{
+    // 2^32 + 1 would wrap to 1 through a long -> int cast.
+    const auto flags = parse({"--reps=4294967297", "--lo=-2147483649",
+                              "--huge=99999999999999999999"});
+    EXPECT_DEATH(flags.getInt("reps", 8), "wants an integer");
+    EXPECT_DEATH(flags.getInt("lo", 8), "wants an integer");
+    EXPECT_DEATH(flags.getInt("huge", 8), "wants an integer");
+}
+
+TEST(Flags, AcceptsIntRangeEdges)
+{
+    const auto flags =
+        parse({"--max=2147483647", "--min=-2147483648"});
+    EXPECT_EQ(flags.getInt("max", 0), 2147483647);
+    EXPECT_EQ(flags.getInt("min", 0), -2147483647 - 1);
+}
+
 TEST(CatalogExtra, AlexNetParameterCount)
 {
     // Published AlexNet: ~61 M parameters, FC-dominated.
