@@ -196,7 +196,7 @@ main(int argc, char** argv)
         ccl::FaultInjector::Fault kill;
         kill.rank = victim;
         kill.action = ccl::FaultInjector::Action::kKill;
-        kill.at_op = injector.opsSeen(victim);
+        kill.at_op = comm.faultContext().opsSeen(victim);
         injector.arm(kill);
         std::atomic<bool> fed{false};
         comm.setClearAbortHook([&]() {

@@ -39,14 +39,8 @@ main(int argc, char** argv)
     const topo::Graph dgx2 = topo::makeDgx2(params);
     const auto dt = topo::makeDgx2DoubleTree(dgx2, params);
 
-    int gpu_forwarding_kernels = 0;
-    for (const topo::ForwardingRule& rule :
-         topo::extractForwardingRules(dt)) {
-        if (!dgx2.isSwitch(rule.transit))
-            ++gpu_forwarding_kernels;
-    }
     std::cout << "GPU detour forwarding kernels needed: "
-              << gpu_forwarding_kernels
+              << topo::extractForwardingRules(dt).size()
               << " (the switch planes are the detour)\n";
     std::cout << "Overlap-conflict check: "
               << (topo::isConflictFree(dgx2, dt) ? "conflict-free"

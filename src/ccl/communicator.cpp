@@ -1,6 +1,5 @@
 #include "ccl/communicator.h"
 
-#include <cstdlib>
 #include <exception>
 #include <sstream>
 #include <string>
@@ -10,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/trace.h"
+#include "util/flags.h"
 #include "util/logging.h"
 
 namespace ccube {
@@ -81,16 +81,10 @@ Communicator::executor()
 std::chrono::nanoseconds
 Communicator::defaultDeadline()
 {
-    static const std::chrono::nanoseconds deadline = []() {
-        const char* env = std::getenv("CCUBE_CCL_DEADLINE_MS");
-        if (env == nullptr)
-            return std::chrono::nanoseconds{0};
-        const long ms = std::strtol(env, nullptr, 10);
-        if (ms <= 0)
-            return std::chrono::nanoseconds{0};
-        return std::chrono::nanoseconds{
-            std::chrono::milliseconds{ms}};
-    }();
+    // Zero (or unset) disables the watchdog.
+    static const std::chrono::nanoseconds deadline =
+        std::chrono::milliseconds{
+            util::envInt("CCUBE_CCL_DEADLINE_MS", 0)};
     return deadline;
 }
 

@@ -109,9 +109,12 @@ AbortState::info() const
 void
 FaultInjector::arm(const Fault& fault)
 {
-    CCUBE_CHECK(fault.rank >= 0, "fault rank out of range: " << fault.rank);
     std::lock_guard<std::mutex> guard(mutex_);
-    growLocked(fault.rank + 1);
+    CCUBE_CHECK(fault.rank >= 0 &&
+                    (num_ranks_ == 0 || fault.rank < num_ranks_),
+                "fault rank out of range: " << fault.rank
+                    << " (attached communicator has " << num_ranks_
+                    << " ranks)");
     plan_.push_back(fault);
     fired_.push_back(false);
 }
@@ -120,63 +123,12 @@ void
 FaultInjector::attach(int num_ranks)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    growLocked(num_ranks);
-    ++attachments_;
-}
-
-void
-FaultInjector::detach()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (attachments_ > 0)
-        --attachments_;
-}
-
-void
-FaultInjector::growLocked(int num_ranks)
-{
-    if (num_ranks <= num_slots_)
-        return;
-    // onOp()/opsSeen() index the counters without the lock; swapping
-    // the array under an attached communicator would free them mid-use.
-    CCUBE_CHECK(attachments_ == 0,
-                "fault injector attached: op counters cover "
-                    << num_slots_ << " ranks, " << num_ranks
-                    << " needed");
-    auto slots =
-        std::make_unique<Slot[]>(static_cast<std::size_t>(num_ranks));
-    for (int r = 0; r < num_slots_; ++r)
-        slots[r].ops.store(slots_[r].ops.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    slots_ = std::move(slots);
-    num_slots_ = num_ranks;
-}
-
-void
-FaultInjector::reset()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    plan_.clear();
-    fired_.clear();
-    for (int r = 0; r < num_slots_; ++r)
-        slots_[r].ops.store(0, std::memory_order_relaxed);
-}
-
-std::int64_t
-FaultInjector::opsSeen(int rank) const
-{
-    if (rank < 0 || rank >= num_slots_)
-        return 0;
-    return slots_[rank].ops.load(std::memory_order_relaxed);
+    num_ranks_ = num_ranks;
 }
 
 bool
-FaultInjector::onOp(int rank, Fault* out)
+FaultInjector::onOp(int rank, std::int64_t op, Fault* out)
 {
-    if (rank < 0 || rank >= num_slots_)
-        return false;
-    const std::int64_t op =
-        slots_[rank].ops.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> guard(mutex_);
     for (std::size_t i = 0; i < plan_.size(); ++i) {
         if (fired_[i] || plan_[i].rank != rank || plan_[i].at_op != op)
@@ -190,8 +142,7 @@ FaultInjector::onOp(int rank, Fault* out)
 
 CommFaultContext::CommFaultContext(int num_ranks)
     : num_ranks_(num_ranks),
-      slots_(static_cast<std::size_t>(num_ranks > 0 ? num_ranks : 1)),
-      waitfor_(num_ranks)
+      slots_(static_cast<std::size_t>(num_ranks > 0 ? num_ranks : 0))
 {
 }
 
@@ -200,10 +151,12 @@ CommFaultContext::setInjector(FaultInjector* injector)
 {
     if (injector != nullptr)
         injector->attach(num_ranks_);
+    for (RankSlot& slot : slots_)
+        slot.ops_seen.store(0, std::memory_order_relaxed);
     FaultInjector* previous =
         injector_.exchange(injector, std::memory_order_acq_rel);
-    if (previous != nullptr)
-        previous->detach();
+    if (previous != nullptr && previous != injector)
+        previous->attach(0);
 }
 
 void
@@ -213,10 +166,10 @@ CommFaultContext::beginCollective(const char* op)
         slot.ops.store(0, std::memory_order_relaxed);
         slot.posted_seq.store(-1, std::memory_order_relaxed);
         slot.wait_label.store(nullptr, std::memory_order_relaxed);
+        slot.wait_peer.store(-1, std::memory_order_relaxed);
         slot.wait_flow.store(-1, std::memory_order_relaxed);
         slot.dead.store(false, std::memory_order_relaxed);
     }
-    waitfor_.reset();
     op_.store(op, std::memory_order_release);
 }
 
@@ -234,96 +187,94 @@ CommFaultContext::currentOp() const
     return op != nullptr ? op : "";
 }
 
-CommFaultContext::RankSlot&
+CommFaultContext::RankSlot*
 CommFaultContext::slotForCurrentThread()
 {
     const int rank = obs::threadRank();
     if (rank >= 0 && rank < num_ranks_)
-        return slots_[static_cast<std::size_t>(rank)];
-    return slots_[0];
+        return &slots_[static_cast<std::size_t>(rank)];
+    return nullptr;
 }
 
 void
-CommFaultContext::onMailboxOp(const std::string& label, int flow)
+CommFaultContext::onMailboxOp(int flow)
 {
     const int rank = obs::threadRank();
+    if (rank < 0 || rank >= num_ranks_)
+        return;
+    RankSlot& slot = slots_[static_cast<std::size_t>(rank)];
     FaultInjector* injector = injector_.load(std::memory_order_acquire);
-    if (injector != nullptr && rank >= 0) {
-        FaultInjector::Fault fault;
-        if (injector->onOp(rank, &fault)) {
-            obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-            switch (fault.action) {
-            case FaultInjector::Action::kKill:
-                markDead(rank);
-                if (recorder.enabled())
-                    recorder.instantEvent(
-                        "fault.kill", "ccl.fault",
-                        obs::pids::cclRank(rank), 0,
-                        recorder.wallNowUs());
-                throw RankKilled(rank);
-            case FaultInjector::Action::kStall: {
-                markDead(rank);
-                noteWaitBegin("<stalled>", flow);
-                if (recorder.enabled())
-                    recorder.instantEvent(
-                        "fault.stall", "ccl.fault",
-                        obs::pids::cclRank(rank), 0,
-                        recorder.wallNowUs());
-                // Wedge until the watchdog trips the abort epoch; the
-                // poll throws AbortedWait on our behalf.
-                while (true) {
-                    abortPoll();
-                    std::this_thread::yield();
-                }
-            }
-            case FaultInjector::Action::kDelay:
-                if (recorder.enabled())
-                    recorder.instantEvent(
-                        "fault.delay", "ccl.fault",
-                        obs::pids::cclRank(rank), 0,
-                        recorder.wallNowUs());
-                std::this_thread::sleep_for(std::chrono::duration<double>(
-                    fault.delay_s));
-                break;
+    FaultInjector::Fault fault;
+    if (injector != nullptr &&
+        injector->onOp(
+            rank, slot.ops_seen.fetch_add(1, std::memory_order_relaxed),
+            &fault)) {
+        obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+        switch (fault.action) {
+        case FaultInjector::Action::kKill:
+            markDead(rank);
+            if (recorder.enabled())
+                recorder.instantEvent("fault.kill", "ccl.fault",
+                                      obs::pids::cclRank(rank), 0,
+                                      recorder.wallNowUs());
+            throw RankKilled(rank);
+        case FaultInjector::Action::kStall: {
+            markDead(rank);
+            noteWaitBegin("<stalled>", flow);
+            if (recorder.enabled())
+                recorder.instantEvent("fault.stall", "ccl.fault",
+                                      obs::pids::cclRank(rank), 0,
+                                      recorder.wallNowUs());
+            // Wedge until the watchdog trips the abort epoch; the
+            // poll throws AbortedWait on our behalf.
+            while (true) {
+                abortPoll();
+                std::this_thread::yield();
             }
         }
+        case FaultInjector::Action::kDelay:
+            if (recorder.enabled())
+                recorder.instantEvent("fault.delay", "ccl.fault",
+                                      obs::pids::cclRank(rank), 0,
+                                      recorder.wallNowUs());
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(fault.delay_s));
+            break;
+        }
     }
-    (void)label;
-    slotForCurrentThread().ops.fetch_add(1, std::memory_order_relaxed);
+    slot.ops.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
 CommFaultContext::noteWaitBegin(const char* label, int flow, int peer)
 {
-    RankSlot& slot = slotForCurrentThread();
-    slot.wait_flow.store(flow, std::memory_order_relaxed);
-    // Release: the watchdog dereferences this pointer (the mailbox's
-    // label string) from its own thread, so publishing it must carry
-    // the string contents with it.
-    slot.wait_label.store(label, std::memory_order_release);
-    // The wait-for graph only accepts the acting rank itself —
-    // threads with no rank tag would otherwise alias slot 0.
-    const int rank = obs::threadRank();
-    if (rank >= 0 && rank < num_ranks_)
-        waitfor_.noteWait(rank, peer, label, flow);
+    RankSlot* slot = slotForCurrentThread();
+    if (slot == nullptr)
+        return;
+    slot->wait_peer.store(peer, std::memory_order_relaxed);
+    slot->wait_flow.store(flow, std::memory_order_relaxed);
+    // Release: the label doubles as the "this rank is waiting" flag
+    // and the watchdog dereferences it (the mailbox's label string)
+    // from its own thread, so publishing it must carry the peer/flow
+    // pair and the string contents with it.
+    slot->wait_label.store(label, std::memory_order_release);
 }
 
 void
 CommFaultContext::noteWaitEnd()
 {
-    RankSlot& slot = slotForCurrentThread();
-    slot.wait_label.store(nullptr, std::memory_order_relaxed);
-    slot.wait_flow.store(-1, std::memory_order_relaxed);
-    const int rank = obs::threadRank();
-    if (rank >= 0 && rank < num_ranks_)
-        waitfor_.clearWait(rank);
+    RankSlot* slot = slotForCurrentThread();
+    if (slot == nullptr)
+        return;
+    slot->wait_label.store(nullptr, std::memory_order_release);
+    slot->wait_flow.store(-1, std::memory_order_relaxed);
 }
 
 void
 CommFaultContext::notePosted(std::int64_t seq)
 {
-    slotForCurrentThread().posted_seq.store(seq,
-                                            std::memory_order_relaxed);
+    if (RankSlot* slot = slotForCurrentThread())
+        slot->posted_seq.store(seq, std::memory_order_relaxed);
 }
 
 CollectiveError::Info
@@ -336,9 +287,9 @@ CommFaultContext::deadlineInfo(double deadline_s) const
     // Walk the wait-for graph first, while every blocked rank's edge
     // is still registered: this runs inside the watchdog callback
     // before the abort epoch trips and wakes the waiters.
-    const obs::WaitForRegistry::Chain chain = waitfor_.longestChain();
+    const WaitChain chain = longestChain();
     if (!chain.empty()) {
-        info.stall_chain = obs::WaitForRegistry::formatChain(chain);
+        info.stall_chain = formatChain(chain);
         info.chain_terminus = chain.terminus;
         info.chain_len = static_cast<int>(chain.length());
     }
@@ -398,11 +349,92 @@ CommFaultContext::deadlineInfo(double deadline_s) const
 void
 CommFaultContext::markDead(int rank)
 {
-    if (rank >= 0 && rank < num_ranks_) {
+    if (rank >= 0 && rank < num_ranks_)
         slots_[static_cast<std::size_t>(rank)].dead.store(
             true, std::memory_order_release);
-        waitfor_.markDead(rank);
+}
+
+std::int64_t
+CommFaultContext::opsSeen(int rank) const
+{
+    if (rank < 0 || rank >= num_ranks_)
+        return 0;
+    return slots_[static_cast<std::size_t>(rank)].ops_seen.load(
+        std::memory_order_relaxed);
+}
+
+CommFaultContext::WaitChain
+CommFaultContext::chain(int start) const
+{
+    WaitChain chain;
+    std::vector<bool> visited(slots_.size(), false);
+    int rank = start;
+    while (rank >= 0 && rank < num_ranks_) {
+        const RankSlot& slot = slots_[static_cast<std::size_t>(rank)];
+        const char* label = slot.wait_label.load(std::memory_order_acquire);
+        if (label == nullptr) {
+            // Not waiting: the chain terminates here.
+            chain.terminus = rank;
+            chain.terminus_dead = slot.dead.load(std::memory_order_acquire);
+            return chain;
+        }
+        if (visited[static_cast<std::size_t>(rank)]) {
+            chain.terminus = rank;
+            chain.cycle = true;
+            return chain;
+        }
+        visited[static_cast<std::size_t>(rank)] = true;
+        WaitLink link;
+        link.rank = rank;
+        link.peer = slot.wait_peer.load(std::memory_order_relaxed);
+        link.label = label;
+        link.flow = slot.wait_flow.load(std::memory_order_relaxed);
+        chain.links.push_back(std::move(link));
+        rank = chain.links.back().peer;
     }
+    // Fell off the table: expected poster unknown or out of range.
+    chain.terminus = -1;
+    return chain;
+}
+
+CommFaultContext::WaitChain
+CommFaultContext::longestChain() const
+{
+    WaitChain best;
+    for (int rank = 0; rank < num_ranks_; ++rank) {
+        if (slots_[static_cast<std::size_t>(rank)].wait_label.load(
+                std::memory_order_acquire) == nullptr)
+            continue;
+        WaitChain candidate = chain(rank);
+        if (candidate.length() > best.length())
+            best = std::move(candidate);
+    }
+    return best;
+}
+
+std::string
+CommFaultContext::formatChain(const WaitChain& chain)
+{
+    if (chain.empty())
+        return std::string();
+    std::ostringstream out;
+    for (std::size_t i = 0; i < chain.links.size(); ++i) {
+        if (i > 0)
+            out << " <- ";
+        out << 'r' << chain.links[i].rank << " parked on "
+            << chain.links[i].label;
+    }
+    if (!chain.links.empty())
+        out << " <- ";
+    if (chain.cycle)
+        out << 'r' << chain.terminus << " (wait cycle)";
+    else if (chain.terminus < 0)
+        out << "<external>";
+    else if (chain.terminus_dead)
+        out << 'r' << chain.terminus << " killed";
+    else
+        out << 'r' << chain.terminus << " running";
+    return out.str();
 }
 
 CommFaultContext*

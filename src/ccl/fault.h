@@ -25,11 +25,16 @@
  *                      flow, last posted sequence number) instead of a
  *                      hang.
  *   - CommFaultContext — per-communicator runtime state: the abort
- *                      epoch, a per-rank progress table (mailbox ops,
- *                      last posted seq, current blocking wait site)
- *                      that the watchdog snapshots to attribute a
- *                      deadline overrun to the slowest rank, and the
- *                      optional FaultInjector.
+ *                      epoch, the optional FaultInjector, and the one
+ *                      per-rank progress table (mailbox ops, last
+ *                      posted seq, current blocking wait site and the
+ *                      peer expected to post it, dead mark). The
+ *                      watchdog snapshots it at deadline expiry: it
+ *                      walks the rank→rank wait-for graph the peer
+ *                      edges form into a stall chain
+ *                      (`r17 parked on mb 3->17/f2 <- r3 parked on
+ *                      mb 9->3/f1 <- r9 killed`) and blames the
+ *                      chain's terminus, a dead rank, or the slowest.
  *   - FaultInjector  — test hook that kills, stalls, or delays a
  *                      chosen rank at a chosen mailbox operation, so
  *                      every abort path is actually exercised.
@@ -42,13 +47,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "obs/profiler.h"
 
 namespace ccube {
 namespace ccl {
@@ -210,48 +212,27 @@ class FaultInjector
 
     /**
      * Adds @p fault to the plan. A detached injector takes any rank
-     * ≥ 0; an attached one only ranks its op counters already cover.
+     * ≥ 0; an attached one only the ranks of its communicator.
      */
     void arm(const Fault& fault);
 
     /**
-     * Communicator side of setFaultInjector(): sizes the per-rank op
-     * counters to cover @p num_ranks ranks and every armed rank. The
-     * counters only grow while no communicator holds the injector —
-     * running collectives read them without a lock — so attaching to
-     * a second, larger communicator first needs the other detached.
-     * A communicator destroyed while attached stays counted.
+     * Communicator side of setFaultInjector(): limits arm() to
+     * @p num_ranks ranks (0 = detached, any rank). An injector serves
+     * one communicator at a time.
      */
     void attach(int num_ranks);
 
-    /** Undoes one attach(). */
-    void detach();
-
-    /** Clears the plan and the per-rank op counters. */
-    void reset();
-
-    /** Mailbox operations observed for @p rank so far. */
-    std::int64_t opsSeen(int rank) const;
-
     /**
-     * Runtime side: counts one mailbox operation for @p rank and
-     * checks the plan. Returns true (filling @p out) when an armed
-     * fault fires at this operation; each armed fault fires once.
+     * Runtime side: checks the plan against @p rank's @p op-th mailbox
+     * operation (the communicator's context counts them). Returns true
+     * (filling @p out) when an armed fault fires; each fires once.
      */
-    bool onOp(int rank, Fault* out);
+    bool onOp(int rank, std::int64_t op, Fault* out);
 
   private:
-    struct alignas(64) Slot {
-        std::atomic<std::int64_t> ops{0};
-    };
-
-    /** Covers @p num_ranks ranks; panics when attached and short. */
-    void growLocked(int num_ranks);
-
-    std::unique_ptr<Slot[]> slots_; ///< per rank, grown while detached
-    int num_slots_ = 0;
-    int attachments_ = 0; ///< communicators holding the injector
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
+    int num_ranks_ = 0; ///< attached communicator's ranks (0 = none)
     std::vector<Fault> plan_;
     std::vector<bool> fired_;
 };
@@ -276,9 +257,8 @@ class CommFaultContext
     AbortState& abortState() { return abort_; }
     const AbortState& abortState() const { return abort_; }
 
-    /** Attaches @p injector (borrowed; null detaches), sizing its
-     *  op counters for this communicator's ranks. No collective may
-     *  be running. */
+    /** Attaches @p injector (borrowed; null detaches) and restarts
+     *  every rank's opsSeen() count. No collective may be running. */
     void setInjector(FaultInjector* injector);
 
     FaultInjector* injector() const
@@ -299,18 +279,22 @@ class CommFaultContext
 
     // ---- hooks called by Mailbox on the acting rank's thread ----
 
+    // Every hook writes the calling thread's rank slot; a thread with
+    // no rank tag (obs::threadRank() < 0) writes nothing.
+
     /**
      * Called at the top of every mailbox send/recv. Runs the injector
      * (may throw RankKilled, stall until abort, or sleep) and counts
      * the op against the calling thread's rank.
      */
-    void onMailboxOp(const std::string& label, int flow);
+    void onMailboxOp(int flow);
 
     /**
      * Declares the calling rank blocked on @p label / @p flow,
      * expecting @p peer to post it (-1 = unknown). The peer edge
      * feeds the wait-for graph the watchdog walks at deadline
-     * expiry; progress-table attribution works without it.
+     * expiry; progress-table attribution works without it. Labels
+     * are stored by pointer (mailbox labels outlive the collective).
      */
     void noteWaitBegin(const char* label, int flow, int peer = -1);
 
@@ -333,6 +317,53 @@ class CommFaultContext
     /** Marks @p rank dead (killed or wedged by the injector). */
     void markDead(int rank);
 
+    /** Mailbox operations @p rank has started while the current
+     *  injector was attached (setInjector restarts the count): the
+     *  index the injector matches Fault::at_op against. */
+    std::int64_t opsSeen(int rank) const;
+
+    /** One wait-for edge snapshot. */
+    struct WaitLink {
+        int rank = -1;     ///< the blocked rank
+        int peer = -1;     ///< rank expected to post (-1 unknown)
+        std::string label; ///< mailbox/semaphore label
+        int flow = -1;
+    };
+
+    /** A materialized stall chain. */
+    struct WaitChain {
+        std::vector<WaitLink> links; ///< blocked ranks, waiter first
+        int terminus = -1;           ///< first non-waiting rank reached
+        bool terminus_dead = false;
+        bool cycle = false; ///< terminus closes a wait-for cycle
+
+        bool empty() const { return links.empty() && terminus < 0; }
+        std::size_t length() const { return links.size(); }
+    };
+
+    /**
+     * Follows wait-for edges from @p start until a rank that is not
+     * waiting (the terminus — dead, running, or outside the table) or
+     * a previously-visited rank (a cycle). Each link is a snapshot;
+     * concurrent wakes can truncate the chain but never loop it. When
+     * several tasks of one rank block at once the last writer wins,
+     * so a chain may simply end early.
+     */
+    WaitChain chain(int start) const;
+
+    /** The longest chain over all currently-waiting start ranks
+     *  (ties: lowest start rank). Empty when nobody waits. */
+    WaitChain longestChain() const;
+
+    /**
+     * One-line rendering of @p chain:
+     * `r17 parked on mb 3->17/f2 <- r3 parked on mb 9->3/f1
+     *  <- r9 killed`. The terminus renders as `killed` (dead),
+     * `running` (alive, not waiting), `wait cycle` (cycle), or the
+     * chain ends at `<external>` when the poster is unknown.
+     */
+    static std::string formatChain(const WaitChain& chain);
+
     /** The context installed on the calling thread (null outside a
      *  running collective). */
     static CommFaultContext* current();
@@ -341,19 +372,23 @@ class CommFaultContext
     friend class ScopedFaultContext;
 
     struct alignas(64) RankSlot {
-        std::atomic<std::int64_t> ops{0};
+        std::atomic<std::int64_t> ops{0};      ///< this collective
+        std::atomic<std::int64_t> ops_seen{0}; ///< since setInjector
         std::atomic<std::int64_t> posted_seq{-1};
+        /// Null = not waiting. Stored last (release), after peer and
+        /// flow, so a reader that sees it also sees a matching pair.
         std::atomic<const char*> wait_label{nullptr};
+        std::atomic<int> wait_peer{-1};
         std::atomic<int> wait_flow{-1};
         std::atomic<bool> dead{false};
     };
 
-    RankSlot& slotForCurrentThread();
+    /** The calling thread's rank slot; null when it has no rank tag. */
+    RankSlot* slotForCurrentThread();
 
     const int num_ranks_;
     std::vector<RankSlot> slots_;
     AbortState abort_;
-    obs::WaitForRegistry waitfor_;
     std::atomic<const char*> op_{nullptr};
     std::atomic<FaultInjector*> injector_{nullptr};
 };

@@ -362,7 +362,7 @@ Mailbox::noteOpBegin(OpKind kind)
 {
     CommFaultContext* fault = CommFaultContext::current();
     if (fault != nullptr)
-        fault->onMailboxOp(trace_label_, flow_); // may throw (injector)
+        fault->onMailboxOp(flow_); // may throw (injector)
     obs::RankCounters& counters = obs::RankCounters::global();
     if (kind == OpKind::kSend)
         counters.addMailboxSend();

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "obs/context.h"
 #include "obs/monitor.h"
 #include "obs/profiler.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/spin_wait.h"
 
@@ -107,11 +107,9 @@ int
 StateMachineEngine::defaultWorkerCount()
 {
     static const int count = []() {
-        if (const char* env = std::getenv("CCUBE_CCL_SM_WORKERS")) {
-            const long n = std::strtol(env, nullptr, 10);
-            if (n >= 1)
-                return static_cast<int>(n);
-        }
+        // Zero (or unset) picks the hardware default.
+        if (const int n = util::envInt("CCUBE_CCL_SM_WORKERS", 0))
+            return n;
         const unsigned hw = std::thread::hardware_concurrency();
         const int doubled = static_cast<int>(hw) * 2;
         return doubled < 2 ? 2 : doubled;

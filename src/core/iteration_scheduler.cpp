@@ -185,16 +185,13 @@ IterationScheduler::perGpuNormalizedPerf(Mode mode,
                                          double tax_per_kernel,
                                          const sweep::Options& pool) const
 {
-    // Count forwarding kernels per GPU from the detour rules. Only
-    // rank transits run one; switch transits (NVSwitch planes, fabric
-    // switches) forward in hardware and cost no GPU SMs.
+    // Count forwarding kernels per GPU from the detour rules (switch
+    // transits forward in hardware and have no rule).
     const int num_gpus = rings_.front().size();
     std::vector<int> kernels(static_cast<std::size_t>(num_gpus), 0);
     for (const topo::ForwardingRule& rule :
-         topo::extractForwardingRules(double_tree_)) {
-        if (topo::isRankTransit(rule.transit, num_gpus))
-            ++kernels[static_cast<std::size_t>(rule.transit)];
-    }
+         topo::extractForwardingRules(double_tree_))
+        ++kernels[static_cast<std::size_t>(rule.transit)];
 
     const IterationResult nominal =
         evaluate(mode, config, /*compute_slowdown=*/1.0);

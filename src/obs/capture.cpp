@@ -49,10 +49,7 @@ Capture::fork() const
     Capture child(trace_, metrics_, monitor_);
     if (trace_->enabled()) {
         child.own_trace_ = std::make_unique<TraceRecorder>();
-        if (trace_->flightMode())
-            child.own_trace_->setFlightCapacity(trace_->capacity());
-        else
-            child.own_trace_->setCapacity(trace_->capacity());
+        child.own_trace_->setCapacity(trace_->capacity());
         child.own_trace_->enable();
         child.trace_ = child.own_trace_.get();
     }

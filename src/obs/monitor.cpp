@@ -10,21 +10,10 @@
 #include "util/flags.h"
 #include "util/logging.h"
 
-#include <cstdlib>
-
 namespace ccube {
 namespace obs {
 
 namespace {
-
-double
-envMs(const char* name)
-{
-    const char* value = std::getenv(name);
-    if (!value || !*value)
-        return 0.0;
-    return std::atof(value);
-}
 
 void
 writeJsonString(std::ostream& out, const std::string& s)
@@ -64,14 +53,11 @@ SloSpec::fromFlags(const util::Flags& flags)
     SloSpec spec;
     spec.collective_deadline_s =
         flags.getDouble("slo-collective-ms",
-                        envMs("CCUBE_SLO_COLLECTIVE_MS")) *
-        1e-3;
-    spec.iteration_deadline_s =
-        flags.getDouble("slo-iteration-ms",
-                        envMs("CCUBE_SLO_ITERATION_MS")) *
+                        util::envDouble("CCUBE_SLO_COLLECTIVE_MS", 0.0)) *
         1e-3;
     spec.mttr_budget_s =
-        flags.getDouble("slo-mttr-ms", envMs("CCUBE_SLO_MTTR_MS")) *
+        flags.getDouble("slo-mttr-ms",
+                        util::envDouble("CCUBE_SLO_MTTR_MS", 0.0)) *
         1e-3;
     return spec;
 }
@@ -166,20 +152,6 @@ Monitor::collectiveComplete(const std::string& name, double start_s,
 }
 
 void
-Monitor::iterationComplete(const std::string& name, double seconds)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++iterations_total_;
-    iteration_latency_s_.add(seconds);
-    if (slo_.iteration_deadline_s > 0.0 &&
-        seconds > slo_.iteration_deadline_s)
-        ++iteration_violations_;
-    auto values = sampleLocked(seconds);
-    values.emplace_back("iteration.latency_s", seconds);
-    snapshotLocked("iteration", name, seconds, std::move(values));
-}
-
-void
 Monitor::noteWatchdogTrip(int rank)
 {
     std::lock_guard<std::mutex> guard(mutex_);
@@ -250,13 +222,6 @@ Monitor::collectiveViolations() const
 }
 
 std::uint64_t
-Monitor::iterationViolations() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return iteration_violations_;
-}
-
-std::uint64_t
 Monitor::watchdogTrips() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
@@ -298,13 +263,6 @@ Monitor::collectiveLatency() const
     return collective_latency_s_;
 }
 
-LogHistogram
-Monitor::iterationLatency() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return iteration_latency_s_;
-}
-
 void
 Monitor::absorb(const Monitor& other)
 {
@@ -327,14 +285,11 @@ Monitor::absorb(const Monitor& other)
     dropped_snapshots_ += other.dropped_snapshots_;
     collectives_total_ += other.collectives_total_;
     collective_violations_ += other.collective_violations_;
-    iterations_total_ += other.iterations_total_;
-    iteration_violations_ += other.iteration_violations_;
     watchdog_trips_ += other.watchdog_trips_;
     recoveries_total_ += other.recoveries_total_;
     recovery_violations_ += other.recovery_violations_;
     recovery_retries_total_ += other.recovery_retries_total_;
     collective_latency_s_.merge(other.collective_latency_s_);
-    iteration_latency_s_.merge(other.iteration_latency_s_);
     recovery_mttr_s_.merge(other.recovery_mttr_s_);
 }
 
@@ -348,14 +303,11 @@ Monitor::clear()
     current_run_ = 0;
     collectives_total_ = 0;
     collective_violations_ = 0;
-    iterations_total_ = 0;
-    iteration_violations_ = 0;
     watchdog_trips_ = 0;
     recoveries_total_ = 0;
     recovery_violations_ = 0;
     recovery_retries_total_ = 0;
     collective_latency_s_.clear();
-    iteration_latency_s_.clear();
     recovery_mttr_s_.clear();
 }
 
@@ -396,13 +348,6 @@ Monitor::sampleLocked(double t_s)
                         static_cast<double>(collectives_total_));
     values.emplace_back("slo.collective.violations",
                         static_cast<double>(collective_violations_));
-    if (iterations_total_ > 0) {
-        values.emplace_back("slo.iteration.total",
-                            static_cast<double>(iterations_total_));
-        values.emplace_back(
-            "slo.iteration.violations",
-            static_cast<double>(iteration_violations_));
-    }
     if (!collective_latency_s_.empty()) {
         values.emplace_back("slo.collective.p50_s",
                             collective_latency_s_.quantile(0.50));
@@ -484,11 +429,6 @@ Monitor::writeOpenMetrics(std::ostream& out) const
     out << "# TYPE ccube_slo_collective_violations counter\n"
         << "ccube_slo_collective_violations_total "
         << collective_violations_ << "\n";
-    out << "# TYPE ccube_slo_iteration counter\n"
-        << "ccube_slo_iteration_total " << iterations_total_ << "\n";
-    out << "# TYPE ccube_slo_iteration_violations counter\n"
-        << "ccube_slo_iteration_violations_total "
-        << iteration_violations_ << "\n";
     out << "# TYPE ccube_watchdog_trips counter\n"
         << "ccube_watchdog_trips_total " << watchdog_trips_ << "\n";
     out << "# TYPE ccube_recoveries counter\n"
@@ -512,8 +452,6 @@ Monitor::writeOpenMetrics(std::ostream& out) const
     };
     writeSummary("ccube_collective_latency_seconds",
                  collective_latency_s_);
-    writeSummary("ccube_iteration_latency_seconds",
-                 iteration_latency_s_);
     writeSummary("ccube_recovery_mttr_seconds", recovery_mttr_s_);
     if (!snapshots_.empty()) {
         // Newest snapshot = the "current" value of every gauge.

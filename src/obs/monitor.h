@@ -55,14 +55,12 @@ namespace obs {
 
 /**
  * Deadline budgets for the SLO engine. A zero deadline disables that
- * budget. Resolved from flags (--slo-collective-ms,
- * --slo-iteration-ms, --slo-mttr-ms) with environment fallbacks
- * ($CCUBE_SLO_COLLECTIVE_MS, $CCUBE_SLO_ITERATION_MS,
- * $CCUBE_SLO_MTTR_MS).
+ * budget. Resolved from flags (--slo-collective-ms, --slo-mttr-ms)
+ * with environment fallbacks ($CCUBE_SLO_COLLECTIVE_MS,
+ * $CCUBE_SLO_MTTR_MS, parsed by util::envDouble).
  */
 struct SloSpec {
     double collective_deadline_s = 0.0;
-    double iteration_deadline_s = 0.0;
     /** Mean-time-to-recover budget: a supervised recovery whose MTTR
      *  exceeds this counts as an SLO violation. */
     double mttr_budget_s = 0.0;
@@ -71,8 +69,7 @@ struct SloSpec {
 
     bool any() const
     {
-        return collective_deadline_s > 0.0 ||
-               iteration_deadline_s > 0.0 || mttr_budget_s > 0.0;
+        return collective_deadline_s > 0.0 || mttr_budget_s > 0.0;
     }
 };
 
@@ -80,8 +77,8 @@ struct SloSpec {
 struct MonitorSnapshot {
     int run = 0;          ///< run ordinal (0 = wall-clock / no run)
     double t_s = 0.0;     ///< simulated seconds within the run
-    std::string trigger;  ///< "heartbeat", "collective", "iteration"
-    std::string label;    ///< collective / iteration name, if any
+    std::string trigger;  ///< "heartbeat", "collective", ...
+    std::string label;    ///< collective name, if any
     std::vector<std::pair<std::string, double>> values;
 };
 
@@ -173,9 +170,6 @@ class Monitor
                             double end_s, double bytes,
                             bool completed = true);
 
-    /** Iteration edge: latency + iteration SLO budget + snapshot. */
-    void iterationComplete(const std::string& name, double seconds);
-
     /** Records a watchdog trip attributed to @p rank. */
     void noteWatchdogTrip(int rank);
 
@@ -195,13 +189,11 @@ class Monitor
     std::vector<MonitorSnapshot> snapshots() const;
     std::uint64_t collectivesTotal() const;
     std::uint64_t collectiveViolations() const;
-    std::uint64_t iterationViolations() const;
     std::uint64_t watchdogTrips() const;
     std::uint64_t recoveriesTotal() const;
     std::uint64_t recoveryViolations() const;
     std::uint64_t recoveryRetriesTotal() const;
     LogHistogram collectiveLatency() const; ///< seconds
-    LogHistogram iterationLatency() const;  ///< seconds
     LogHistogram recoveryMttr() const;      ///< seconds
 
     /**
@@ -261,14 +253,11 @@ class Monitor
     std::uint64_t dropped_snapshots_ = 0;
     std::uint64_t collectives_total_ = 0;
     std::uint64_t collective_violations_ = 0;
-    std::uint64_t iterations_total_ = 0;
-    std::uint64_t iteration_violations_ = 0;
     std::uint64_t watchdog_trips_ = 0;
     std::uint64_t recoveries_total_ = 0;
     std::uint64_t recovery_violations_ = 0;
     std::uint64_t recovery_retries_total_ = 0;
     LogHistogram collective_latency_s_;
-    LogHistogram iteration_latency_s_;
     LogHistogram recovery_mttr_s_;
 };
 

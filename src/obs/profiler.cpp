@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <ostream>
-#include <sstream>
 
 #include "obs/context.h"
 #include "obs/metrics.h"
@@ -359,151 +358,6 @@ ScopedProfPhase::~ScopedProfPhase()
     if (active_) {
         Profiler::global().restore(previous_);
     }
-}
-
-// ---------------------------------------------------------------------------
-// WaitForRegistry
-// ---------------------------------------------------------------------------
-
-WaitForRegistry::WaitForRegistry(int num_ranks)
-    : slots_(static_cast<std::size_t>(std::max(num_ranks, 0)))
-{
-}
-
-void WaitForRegistry::noteWait(int rank, int peer, const char* label,
-                               int flow)
-{
-    if (rank < 0 || rank >= numRanks()) {
-        return;
-    }
-    Slot& slot = slots_[rank];
-    // peer/flow land before the label: the label doubles as the
-    // "this rank is waiting" flag, so a reader that sees it non-null
-    // (acquire) also sees a matching peer/flow pair.
-    slot.peer.store(peer, std::memory_order_relaxed);
-    slot.flow.store(flow, std::memory_order_relaxed);
-    slot.label.store(label, std::memory_order_release);
-}
-
-void WaitForRegistry::clearWait(int rank)
-{
-    if (rank < 0 || rank >= numRanks()) {
-        return;
-    }
-    slots_[rank].label.store(nullptr, std::memory_order_release);
-}
-
-void WaitForRegistry::markDead(int rank)
-{
-    if (rank < 0 || rank >= numRanks()) {
-        return;
-    }
-    slots_[rank].dead.store(true, std::memory_order_release);
-}
-
-bool WaitForRegistry::waiting(int rank) const
-{
-    if (rank < 0 || rank >= numRanks()) {
-        return false;
-    }
-    return slots_[rank].label.load(std::memory_order_acquire) !=
-           nullptr;
-}
-
-bool WaitForRegistry::dead(int rank) const
-{
-    if (rank < 0 || rank >= numRanks()) {
-        return false;
-    }
-    return slots_[rank].dead.load(std::memory_order_acquire);
-}
-
-void WaitForRegistry::reset()
-{
-    for (Slot& slot : slots_) {
-        slot.label.store(nullptr, std::memory_order_relaxed);
-        slot.peer.store(-1, std::memory_order_relaxed);
-        slot.flow.store(-1, std::memory_order_relaxed);
-        slot.dead.store(false, std::memory_order_relaxed);
-    }
-}
-
-WaitForRegistry::Chain WaitForRegistry::chain(int start) const
-{
-    Chain chain;
-    std::vector<bool> visited(slots_.size(), false);
-    int rank = start;
-    while (rank >= 0 && rank < numRanks()) {
-        const Slot& slot = slots_[rank];
-        const char* label =
-            slot.label.load(std::memory_order_acquire);
-        if (label == nullptr) {
-            // Not waiting: the chain terminates here.
-            chain.terminus = rank;
-            chain.terminus_dead =
-                slot.dead.load(std::memory_order_acquire);
-            return chain;
-        }
-        if (visited[rank]) {
-            chain.terminus = rank;
-            chain.cycle = true;
-            return chain;
-        }
-        visited[rank] = true;
-        Link link;
-        link.rank = rank;
-        link.peer = slot.peer.load(std::memory_order_relaxed);
-        link.label = label;
-        link.flow = slot.flow.load(std::memory_order_relaxed);
-        chain.links.push_back(std::move(link));
-        rank = chain.links.back().peer;
-    }
-    // Fell off the graph: expected poster unknown or out of range.
-    chain.terminus = -1;
-    return chain;
-}
-
-WaitForRegistry::Chain WaitForRegistry::longestChain() const
-{
-    Chain best;
-    for (int rank = 0; rank < numRanks(); ++rank) {
-        if (!waiting(rank)) {
-            continue;
-        }
-        Chain candidate = chain(rank);
-        if (candidate.length() > best.length()) {
-            best = std::move(candidate);
-        }
-    }
-    return best;
-}
-
-std::string WaitForRegistry::formatChain(const Chain& chain)
-{
-    if (chain.empty()) {
-        return std::string();
-    }
-    std::ostringstream out;
-    for (std::size_t i = 0; i < chain.links.size(); ++i) {
-        const Link& link = chain.links[i];
-        if (i > 0) {
-            out << " <- ";
-        }
-        out << 'r' << link.rank << " parked on " << link.label;
-    }
-    if (!chain.links.empty()) {
-        out << " <- ";
-    }
-    if (chain.cycle) {
-        out << 'r' << chain.terminus << " (wait cycle)";
-    } else if (chain.terminus < 0) {
-        out << "<external>";
-    } else if (chain.terminus_dead) {
-        out << 'r' << chain.terminus << " killed";
-    } else {
-        out << 'r' << chain.terminus << " running";
-    }
-    return out.str();
 }
 
 } // namespace obs

@@ -3,53 +3,40 @@
 
 /**
  * @file
- * obs::Profiler — always-on sampling profiler and wait-for-graph
- * introspection for the ccl runtime.
+ * obs::Profiler — always-on sampling profiler for the ccl runtime.
  *
  * The state-machine engine multiplexes hundreds of functional ranks
- * onto a handful of pool workers, which breaks the two debugging
- * tools the thread-per-rank runtime got for free: `top`-style "where
- * is the time going" (worker threads carry many ranks, so OS-level
- * profiles attribute everything to "sm worker 0"), and "who is
- * waiting on whom" (a parked task is not a blocked thread any
- * debugger can see). This header restores both:
+ * onto a handful of pool workers, which breaks `top`-style "where is
+ * the time going": worker threads carry many ranks, so OS-level
+ * profiles attribute everything to "sm worker 0". This header
+ * restores it. Instrumented sites publish their current (phase, rank)
+ * pair into a per-thread slot — one relaxed atomic store on
+ * entry/exit, nothing else — and a single sampler thread wakes at
+ * --profile-hz, reads every slot, and accumulates per-rank ×
+ * per-phase sample counts: step (reduce/copy inside a rank task),
+ * mailbox post, mailbox wait, steal scan, worker idle. Parked time
+ * cannot be sampled from thread slots (a parked task occupies no
+ * thread), so the engine feeds it exactly: the park/resume
+ * transitions in state_machine.cpp measure each park episode with a
+ * steady clock and add it per rank here. Results export as
+ * collapsed-stack flamegraph text (writeCollapsed,
+ * `flamegraph.pl`-compatible), as `profiler.*` counters in the
+ * MetricRegistry, and as live `ccl.prof.*` gauges in obs::Monitor
+ * while running.
  *
- *  - **Sampling profiler.** Instrumented sites publish their current
- *    (phase, rank) pair into a per-thread slot — one relaxed atomic
- *    store on entry/exit, nothing else — and a single sampler thread
- *    wakes at --profile-hz, reads every slot, and accumulates
- *    per-rank × per-phase sample counts: step (reduce/copy inside a
- *    rank task), mailbox post, mailbox wait, steal scan, worker
- *    idle. Parked time cannot be sampled from thread slots (a parked
- *    task occupies no thread), so the engine feeds it exactly:
- *    the park/resume transitions in state_machine.cpp measure each
- *    park episode with a steady clock and add it per rank here.
- *    Results export as collapsed-stack flamegraph text
- *    (writeCollapsed, `flamegraph.pl`-compatible), as
- *    `profiler.*` counters in the MetricRegistry, and as live
- *    `ccl.prof.*` gauges in obs::Monitor while running.
- *
- *  - **Wait-for graph registry.** WaitForRegistry records, per rank,
- *    which mailbox/semaphore the rank is blocked on and which peer
- *    rank is expected to post it (the mailbox table knows its
- *    endpoints). The registry can materialize the rank→rank wait-for
- *    graph at any instant, follow stall chains with cycle detection,
- *    and format the full blocked chain — which is what the
- *    CommWatchdog dumps on deadline expiry instead of a single
- *    blamed rank:
- *
- *        r17 parked on mb 3->17/f2 <- r3 parked on mb 9->3/f1
- *            <- r9 killed
+ * "Who is waiting on whom" — a parked task is not a blocked thread
+ * any debugger can see — is the other half of that debugging story;
+ * it lives with the fault runtime: ccl::CommFaultContext's per-rank
+ * table records each blocked rank's wait site and expected poster,
+ * and the watchdog walks it into a stall chain at deadline expiry.
  *
  * Overhead discipline: publication sites gate on one relaxed load
- * (enabled()) and are no-ops while no sampler is running; the
- * wait-for registry writes only on blocking slow paths (a rank about
- * to park or spin), so both halves stay always-on. The sampler is a
- * single thread regardless of rank count.
+ * (enabled()) and are no-ops while no sampler is running, so the
+ * profiler stays always-on. The sampler is a single thread
+ * regardless of rank count.
  *
- * Layering: this header has no ccl:: dependencies — the ccl runtime
- * calls in (CommFaultContext owns a WaitForRegistry; the mailbox and
- * state-machine publish phases), never the other way around.
+ * Layering: this header has no ccl:: dependencies — the mailbox and
+ * state-machine publish phases into it, never the other way around.
  */
 
 #include <atomic>
@@ -237,99 +224,6 @@ class ScopedProfPhase
   private:
     std::uint64_t previous_ = 0;
     bool active_ = false;
-};
-
-/**
- * Rank→rank wait-for graph: per-rank record of "blocked on mailbox L,
- * expecting rank P to post". Writers are the blocking ranks
- * themselves (one store on the slow path before blocking/parking, one
- * on wake); the reader is the watchdog thread materializing stall
- * chains at deadline expiry. Sized by the communicator's rank count —
- * no 64-rank cap, the P=512–1024 runtime is the target.
- *
- * Labels are stored by pointer (mailbox trace labels outlive the
- * communicator; tests use string literals). One slot per rank:
- * when several tasks of one rank block concurrently the last
- * writer wins — the graph is a best-effort snapshot, and a chain
- * simply ends early when an edge is missing.
- */
-class WaitForRegistry
-{
-  public:
-    explicit WaitForRegistry(int num_ranks);
-    WaitForRegistry(const WaitForRegistry&) = delete;
-    WaitForRegistry& operator=(const WaitForRegistry&) = delete;
-
-    int numRanks() const
-    {
-        return static_cast<int>(slots_.size());
-    }
-
-    /** Declares @p rank blocked on @p label, expecting @p peer to
-     *  post it (peer -1 = unknown poster). */
-    void noteWait(int rank, int peer, const char* label, int flow);
-
-    /** Clears @p rank's blocked record (woken / gave up). */
-    void clearWait(int rank);
-
-    /** Marks @p rank dead (killed or wedged by the injector). */
-    void markDead(int rank);
-
-    bool waiting(int rank) const;
-    bool dead(int rank) const;
-
-    /** Clears every edge and dead mark (next collective). */
-    void reset();
-
-    /** One wait-for edge snapshot. */
-    struct Link {
-        int rank = -1;     ///< the blocked rank
-        int peer = -1;     ///< rank expected to post (-1 unknown)
-        std::string label; ///< mailbox/semaphore label
-        int flow = -1;
-    };
-
-    /** A materialized stall chain. */
-    struct Chain {
-        std::vector<Link> links; ///< blocked ranks, waiter first
-        int terminus = -1;       ///< first non-waiting rank reached
-        bool terminus_dead = false;
-        bool cycle = false; ///< terminus closes a wait-for cycle
-
-        bool empty() const { return links.empty() && terminus < 0; }
-        std::size_t length() const { return links.size(); }
-    };
-
-    /**
-     * Follows wait-for edges from @p start until a rank that is not
-     * waiting (the terminus — dead, running, or outside the graph) or
-     * a previously-visited rank (a cycle). Each link is a snapshot;
-     * concurrent wakes can truncate the chain but never loop it.
-     */
-    Chain chain(int start) const;
-
-    /** The longest chain over all currently-waiting start ranks
-     *  (ties: lowest start rank). Empty when nobody waits. */
-    Chain longestChain() const;
-
-    /**
-     * One-line rendering of @p chain:
-     * `r17 parked on mb 3->17/f2 <- r3 parked on mb 9->3/f1
-     *  <- r9 killed`. The terminus renders as `killed` (dead),
-     * `running` (alive, not waiting), `wait cycle` (cycle), or the
-     * chain ends at `<external>` when the poster is unknown.
-     */
-    static std::string formatChain(const Chain& chain);
-
-  private:
-    struct alignas(64) Slot {
-        std::atomic<const char*> label{nullptr}; ///< null = not waiting
-        std::atomic<int> peer{-1};
-        std::atomic<int> flow{-1};
-        std::atomic<bool> dead{false};
-    };
-
-    std::vector<Slot> slots_;
 };
 
 } // namespace obs

@@ -27,22 +27,6 @@ endsWithJson(const std::string& path)
                         suffix) == 0;
 }
 
-/** Applies --trace-capacity / --trace-mode before capture starts. */
-void
-applyRetentionFlags(const util::Flags& flags)
-{
-    const int capacity = flags.getInt("trace-capacity", 0);
-    const std::string mode = flags.get("trace-mode");
-    TraceRecorder& recorder = Capture::current().trace();
-    if (mode == "flight") {
-        recorder.setFlightCapacity(
-            capacity > 0 ? static_cast<std::size_t>(capacity)
-                         : recorder.capacity());
-    } else if (capacity > 0) {
-        recorder.setCapacity(static_cast<std::size_t>(capacity));
-    }
-}
-
 } // namespace
 
 ObsSession::ObsSession(const util::Flags& flags)
@@ -55,8 +39,11 @@ ObsSession::ObsSession(const util::Flags& flags)
       profile_path_(flags.get("profile-out")),
       profile_hz_(flags.getDouble("profile-hz", 0.0))
 {
-    applyRetentionFlags(flags);
     const Capture& capture = Capture::current();
+    // --trace-capacity applies before capture starts.
+    if (const int capacity = flags.getInt("trace-capacity", 0);
+        capacity > 0)
+        capture.trace().setCapacity(static_cast<std::size_t>(capacity));
     if (tracing() || reporting() || rootCause())
         capture.trace().enable();
     if (metrics())
@@ -124,9 +111,6 @@ ObsSession::finish()
             registry.addCounter(
                 "slo.collective.violations",
                 static_cast<double>(monitor.collectiveViolations()));
-            registry.addCounter(
-                "slo.iteration.violations",
-                static_cast<double>(monitor.iterationViolations()));
             registry.mergeQuantileHistogram(
                 "slo.collective.latency_s",
                 monitor.collectiveLatency());

@@ -11,18 +11,16 @@
  * enables the global MetricRegistry and writes CSV (or JSON when the
  * path ends in `.json`), and `--report-out=FILE` enables the recorder
  * and writes the obs::TraceAnalyzer text report (channel utilization,
- * idle gaps, α-β fit, critical path). Two auxiliary flags shape
- * retention: `--trace-capacity=N` caps retained events and
- * `--trace-mode=flight` switches to the drop-oldest FlightRecorder
- * ring.
+ * idle gaps, α-β fit, critical path). `--trace-capacity=N` caps the
+ * retained events (newer ones are dropped and counted).
  *
  * Live monitoring: `--monitor-out=FILE` enables the global
  * obs::Monitor and writes its JSONL snapshot series plus an
  * OpenMetrics-style text endpoint (`FILE.om`, overridable with
  * `--monitor-openmetrics=FILE`); `--monitor-interval=SECONDS` sets the
  * DES heartbeat period (simulated seconds; 0 = collective edges only);
- * `--slo-collective-ms` / `--slo-iteration-ms` arm the SLO budgets
- * (env fallbacks $CCUBE_SLO_COLLECTIVE_MS / $CCUBE_SLO_ITERATION_MS).
+ * `--slo-collective-ms` / `--slo-mttr-ms` arm the SLO budgets
+ * (env fallbacks $CCUBE_SLO_COLLECTIVE_MS / $CCUBE_SLO_MTTR_MS).
  * `--rootcause-out=FILE` enables the recorder and writes the ranked
  * obs::diff root-cause report at the end of the run.
  *
@@ -54,9 +52,9 @@ class ObsSession
   public:
     /** Reads `--trace-out` / `--metrics-out` / `--report-out` /
      *  `--monitor-out` / `--monitor-interval` / `--monitor-openmetrics`
-     *  / `--rootcause-out` / `--slo-collective-ms` /
-     *  `--slo-iteration-ms` / `--trace-capacity` / `--trace-mode`
-     *  from @p flags. */
+     *  / `--rootcause-out` / `--slo-collective-ms` / `--slo-mttr-ms`
+     *  / `--trace-capacity` / `--profile-out` / `--profile-hz` from
+     *  @p flags. */
     explicit ObsSession(const util::Flags& flags);
 
     /** Flushes on scope exit when finish() was not called. */

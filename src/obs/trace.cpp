@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "obs/capture.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace ccube {
@@ -69,24 +68,15 @@ TraceRecorder::absorb(const TraceRecorder& other)
         return;
     std::scoped_lock guard(mutex_, other.mutex_);
     const double shift = sim_offset_us_;
-    const std::vector<TraceEvent> incoming_ring =
-        other.flight_ ? other.flight_->snapshot()
-                      : std::vector<TraceEvent>{};
-    const std::vector<TraceEvent>& incoming =
-        other.flight_ ? incoming_ring : other.events_;
-    for (const TraceEvent& source : incoming) {
-        TraceEvent event = source;
-        event.ts_us += shift;
-        if (flight_) {
-            flight_->record(std::move(event));
-        } else if (events_.size() < capacity_) {
-            events_.push_back(std::move(event));
-        } else {
+    for (const TraceEvent& source : other.events_) {
+        if (events_.size() >= capacity_) {
             ++dropped_;
+            continue;
         }
+        events_.push_back(source);
+        events_.back().ts_us += shift;
     }
-    dropped_ +=
-        other.dropped_ + (other.flight_ ? other.flight_->dropped() : 0);
+    dropped_ += other.dropped_;
     for (const auto& [pid, name] : other.process_names_)
         process_names_[pid] = name;
     for (const auto& [key, name] : other.thread_names_)
@@ -150,10 +140,6 @@ void
 TraceRecorder::push(TraceEvent&& event)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    if (flight_) {
-        flight_->record(std::move(event));
-        return;
-    }
     if (events_.size() >= capacity_) {
         ++dropped_;
         return;
@@ -216,14 +202,14 @@ std::size_t
 TraceRecorder::eventCount() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return flight_ ? flight_->size() : events_.size();
+    return events_.size();
 }
 
 std::vector<TraceEvent>
 TraceRecorder::snapshot() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return flight_ ? flight_->snapshot() : events_;
+    return events_;
 }
 
 void
@@ -231,8 +217,6 @@ TraceRecorder::clear()
 {
     std::lock_guard<std::mutex> guard(mutex_);
     events_.clear();
-    if (flight_)
-        flight_->clear();
     dropped_ = 0;
     process_names_.clear();
     thread_names_.clear();
@@ -245,13 +229,6 @@ TraceRecorder::setCapacity(std::size_t capacity)
     if (capacity == 0)
         capacity = 1;
     std::lock_guard<std::mutex> guard(mutex_);
-    if (flight_) {
-        // Carry ring contents back into the capped vector.
-        std::vector<TraceEvent> kept = flight_->snapshot();
-        dropped_ += flight_->dropped();
-        flight_.reset();
-        events_ = std::move(kept);
-    }
     capacity_ = capacity;
     while (events_.size() > capacity_) {
         events_.pop_back();
@@ -263,40 +240,14 @@ std::size_t
 TraceRecorder::capacity() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return flight_ ? flight_->capacity() : capacity_;
-}
-
-void
-TraceRecorder::setFlightCapacity(std::size_t capacity)
-{
-    if (capacity == 0)
-        capacity = 1;
-    std::lock_guard<std::mutex> guard(mutex_);
-    std::uint64_t prior_dropped = 0;
-    std::vector<TraceEvent> pending = std::move(events_);
-    events_.clear();
-    if (flight_) {
-        pending = flight_->snapshot();
-        prior_dropped = flight_->dropped();
-    }
-    flight_ = std::make_unique<FlightRecorder>(capacity);
-    dropped_ += prior_dropped;
-    for (TraceEvent& event : pending)
-        flight_->record(std::move(event));
-}
-
-bool
-TraceRecorder::flightMode() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return flight_ != nullptr;
+    return capacity_;
 }
 
 std::uint64_t
 TraceRecorder::droppedEvents() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return dropped_ + (flight_ ? flight_->dropped() : 0);
+    return dropped_;
 }
 
 void
@@ -312,9 +263,6 @@ void
 TraceRecorder::writeJson(std::ostream& out) const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    const std::vector<TraceEvent> ring =
-        flight_ ? flight_->snapshot() : std::vector<TraceEvent>{};
-    const std::vector<TraceEvent>& events = flight_ ? ring : events_;
     out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
     auto sep = [&]() {
@@ -338,7 +286,7 @@ TraceRecorder::writeJson(std::ostream& out) const
         writeJsonString(out, name);
         out << "}}";
     }
-    for (const TraceEvent& event : events) {
+    for (const TraceEvent& event : events_) {
         sep();
         writeEventCommon(out, event.name, event.cat, event.phase,
                          event.pid, event.tid, event.ts_us);

@@ -30,10 +30,7 @@
  * vector capped at `capacity()` (overridable with setCapacity(), which
  * ObsSession's `--trace-capacity` calls); events beyond the cap
  * are counted in droppedEvents() instead of accumulating without
- * limit, so long sweeps with tracing left on cannot OOM. Alternatively
- * setFlightCapacity() swaps the backend for an obs::FlightRecorder
- * ring that keeps the most recent events (drop-oldest) — the
- * always-on "flight recorder" capture mode.
+ * limit, so long sweeps with tracing left on cannot OOM.
  */
 
 #include <atomic>
@@ -42,7 +39,6 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -52,7 +48,6 @@
 namespace ccube {
 namespace obs {
 
-class FlightRecorder;
 class MetricRegistry;
 
 /** Pid namespaces separating the three producer layers in the UI. */
@@ -166,12 +161,11 @@ class TraceRecorder
     /** Number of recorded events (metadata excluded). */
     std::size_t eventCount() const;
 
-    /** Snapshot of all recorded events (metadata excluded); oldest
-     *  first in flight mode. */
+    /** Snapshot of all recorded events (metadata excluded). */
     std::vector<TraceEvent> snapshot() const;
 
     /** Drops all events, metadata, the sim epoch, and the dropped-
-     *  event counter (capacity and backend mode are kept). */
+     *  event counter (the capacity is kept). */
     void clear();
 
     /** Writes `{"traceEvents": [...]}` Chrome trace JSON. */
@@ -179,28 +173,14 @@ class TraceRecorder
 
     /**
      * Caps retained events at @p capacity (≥ 1). Events recorded past
-     * the cap are dropped (newest-dropped) and counted. Leaves flight
-     * mode if it was active.
+     * the cap are dropped (newest-dropped) and counted.
      */
     void setCapacity(std::size_t capacity);
 
-    /** Current retention cap (vector or ring, whichever is active). */
+    /** Current retention cap. */
     std::size_t capacity() const;
 
-    /**
-     * Switches the backend to a FlightRecorder ring of @p capacity
-     * events: recording never stops, the *oldest* events are evicted
-     * when full. Existing events are migrated into the ring.
-     */
-    void setFlightCapacity(std::size_t capacity);
-
-    /** True while the flight-ring backend is active. */
-    bool flightMode() const;
-
-    /**
-     * Events lost to the retention bound: drop-newest rejections in
-     * the default mode plus ring evictions in flight mode.
-     */
+    /** Events lost to the retention bound (drop-newest rejections). */
     std::uint64_t droppedEvents() const;
 
     /** Exports `trace.events`, `trace.dropped_events` counters into
@@ -216,8 +196,7 @@ class TraceRecorder
     mutable std::mutex mutex_;
     std::vector<TraceEvent> events_;
     std::size_t capacity_ = kDefaultCapacity;
-    std::uint64_t dropped_ = 0; ///< drop-newest count (default mode)
-    std::unique_ptr<FlightRecorder> flight_; ///< non-null in flight mode
+    std::uint64_t dropped_ = 0; ///< drop-newest count
     std::map<int, std::string> process_names_;
     std::map<std::pair<int, int>, std::string> thread_names_;
     double sim_offset_us_ = 0.0;

@@ -8,13 +8,14 @@ namespace topo {
 std::vector<ForwardingRule>
 extractForwardingRules(const TreeEmbedding& embedding, int tree_index)
 {
+    const int num_ranks = embedding.tree.numNodes();
     std::vector<ForwardingRule> rules;
     for (const Route& route : embedding.routes) {
-        if (!route.isDetour())
-            continue;
         // route.hops runs parent → child. Broadcast follows it
         // forward; reduction runs the reversed route.
         for (std::size_t i = 1; i + 1 < route.hops.size(); ++i) {
+            if (!isRankTransit(route.hops[i], num_ranks))
+                continue; // a switch forwards in hardware
             rules.push_back(ForwardingRule{
                 route.hops[i], route.hops[i - 1], route.hops[i + 1],
                 tree_index, PhaseDirection::kBroadcast});

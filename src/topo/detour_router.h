@@ -50,7 +50,12 @@ struct ForwardingRule {
     }
 };
 
-/** Extracts forwarding rules from a single embedded tree. */
+/**
+ * Extracts the forwarding rules of a single embedded tree: one per
+ * direction per rank transit (isRankTransit, with the tree's node
+ * count as the rank count). Switch hops forward in hardware and get
+ * no rule.
+ */
 std::vector<ForwardingRule>
 extractForwardingRules(const TreeEmbedding& embedding, int tree_index);
 

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -7,6 +8,70 @@
 
 namespace ccube {
 namespace util {
+
+namespace {
+
+/**
+ * Strict number parsing shared by Flags and the environment readers:
+ * all of @p text must parse, empty text is an error, and the value
+ * must fit (int range; a finite double). Dies with a message naming
+ * @p what (the flag or variable).
+ */
+int
+parseInt(const std::string& text, const std::string& what)
+{
+    char* end = nullptr;
+    const long value = std::strtol(text.c_str(), &end, 10);
+    CCUBE_CHECK(!text.empty() && *end == '\0' &&
+                    value >= std::numeric_limits<int>::min() &&
+                    value <= std::numeric_limits<int>::max(),
+                what << " wants an integer, got '" << text << "'");
+    return static_cast<int>(value);
+}
+
+double
+parseDouble(const std::string& text, const std::string& what)
+{
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    CCUBE_CHECK(!text.empty() && *end == '\0' && std::isfinite(value),
+                what << " wants a number, got '" << text << "'");
+    return value;
+}
+
+/** The set, non-empty value of environment variable @p name, or null. */
+const char*
+envValue(const char* name)
+{
+    const char* value = std::getenv(name);
+    return value != nullptr && *value != '\0' ? value : nullptr;
+}
+
+} // namespace
+
+int
+envInt(const char* name, int fallback)
+{
+    const char* text = envValue(name);
+    if (text == nullptr)
+        return fallback;
+    const int value = parseInt(text, name);
+    CCUBE_CHECK(value >= 0, name << " must not be negative, got '"
+                                 << text << "'");
+    return value;
+}
+
+double
+envDouble(const char* name, double fallback)
+{
+    const char* text = envValue(name);
+    if (text == nullptr)
+        return fallback;
+    const double value = parseDouble(text, name);
+    CCUBE_CHECK(value >= 0.0, name << " must not be negative, got '"
+                                   << text << "'");
+    return value;
+}
 
 Flags::Flags(int argc, const char* const* argv)
 {
@@ -66,14 +131,7 @@ Flags::getInt(const std::string& name, int fallback) const
     const Entry* entry = find(name);
     if (!entry || !entry->has_value)
         return fallback;
-    char* end = nullptr;
-    const long value = std::strtol(entry->value.c_str(), &end, 10);
-    CCUBE_CHECK(!entry->value.empty() && *end == '\0' &&
-                    value >= std::numeric_limits<int>::min() &&
-                    value <= std::numeric_limits<int>::max(),
-                "--" << name << " wants an integer, got '"
-                     << entry->value << "'");
-    return static_cast<int>(value);
+    return parseInt(entry->value, "--" + name);
 }
 
 double
@@ -82,12 +140,7 @@ Flags::getDouble(const std::string& name, double fallback) const
     const Entry* entry = find(name);
     if (!entry || !entry->has_value)
         return fallback;
-    char* end = nullptr;
-    const double value = std::strtod(entry->value.c_str(), &end);
-    CCUBE_CHECK(!entry->value.empty() && *end == '\0',
-                "--" << name << " wants a number, got '"
-                     << entry->value << "'");
-    return value;
+    return parseDouble(entry->value, "--" + name);
 }
 
 std::vector<std::string>

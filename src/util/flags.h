@@ -7,7 +7,8 @@
  *
  * Supports `--name=value`, `--name value`, bare `--name` booleans,
  * and positional arguments. Unknown flags are kept (callers may
- * validate); values are typed on access with defaults.
+ * validate); values are typed on access with defaults. The
+ * `CCUBE_*` environment knobs parse under the same strict rules.
  */
 
 #include <string>
@@ -15,6 +16,15 @@
 
 namespace ccube {
 namespace util {
+
+/**
+ * Environment variable @p name parsed as strictly as Flags::getInt /
+ * getDouble parse a flag, or @p fallback when it is unset or empty.
+ * Garbage, out-of-range and negative values die with a message naming
+ * the variable: every knob is a count or a duration.
+ */
+int envInt(const char* name, int fallback);
+double envDouble(const char* name, double fallback);
 
 /**
  * Parsed command line.
@@ -36,8 +46,8 @@ class Flags
      *  empty value, or a value outside int range. */
     int getInt(const std::string& name, int fallback) const;
 
-    /** Double value of --name, or @p fallback; dies on garbage or an
-     *  empty value. */
+    /** Double value of --name, or @p fallback; dies on garbage, an
+     *  empty value, or a value that is not finite. */
     double getDouble(const std::string& name, double fallback) const;
 
     /** Positional (non-flag) arguments in order. */

@@ -16,6 +16,7 @@
 #include "ccl/executor.h"
 #include "ccl/fault.h"
 #include "ccl/sync_primitives.h"
+#include "obs/context.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 
@@ -81,17 +82,24 @@ TEST(FaultInjector, FiresOnceAtTheArmedOperation)
     armed.action = FaultInjector::Action::kKill;
     armed.at_op = 1;
     injector.arm(armed);
+    CommFaultContext context(8);
+    context.setInjector(&injector);
 
-    FaultInjector::Fault fired;
-    EXPECT_FALSE(injector.onOp(2, &fired)); // op 0: not yet
-    EXPECT_TRUE(injector.onOp(2, &fired));  // op 1: fires
-    EXPECT_EQ(fired.rank, 2);
-    EXPECT_FALSE(injector.onOp(2, &fired)); // fires at most once
-    EXPECT_EQ(injector.opsSeen(2), 3);
-    EXPECT_EQ(injector.opsSeen(5), 0);
+    obs::setThreadRank(2);
+    EXPECT_NO_THROW(context.onMailboxOp(0));          // op 0: not yet
+    EXPECT_THROW(context.onMailboxOp(0), RankKilled); // op 1: fires
+    EXPECT_NO_THROW(context.onMailboxOp(0)); // fires at most once
+    obs::setThreadRank(-1);
+    EXPECT_EQ(context.opsSeen(2), 3);
+    EXPECT_EQ(context.opsSeen(5), 0);
+
+    // Re-attaching restarts the count the plan's at_op indexes.
+    context.setInjector(&injector);
+    EXPECT_EQ(context.opsSeen(2), 0);
+    context.setInjector(nullptr);
 }
 
-TEST(FaultInjectorDeathTest, AttachedOpCountersNeverGrow)
+TEST(FaultInjectorDeathTest, ArmOutsideTheAttachedCommunicatorDies)
 {
     FaultInjector injector;
     FaultInjector::Fault beyond;
@@ -100,19 +108,41 @@ TEST(FaultInjectorDeathTest, AttachedOpCountersNeverGrow)
 
     CommFaultContext small(4);
     small.setInjector(&injector);
-    EXPECT_DEATH(injector.arm(beyond), "injector attached");
-    CommFaultContext large(8);
-    EXPECT_DEATH(large.setInjector(&injector), "injector attached");
+    EXPECT_DEATH(injector.arm(beyond), "fault rank out of range");
 
-    // Detached, the counters grow for the larger communicator.
+    // Detached, any rank arms; a communicator that has it can fire it.
     small.setInjector(nullptr);
-    large.setInjector(&injector);
     injector.arm(beyond);
+    CommFaultContext large(8);
+    large.setInjector(&injector);
     FaultInjector::Fault fired;
-    EXPECT_TRUE(injector.onOp(4, &fired));
+    EXPECT_TRUE(injector.onOp(4, 0, &fired));
     EXPECT_EQ(fired.rank, 4);
-    EXPECT_EQ(injector.opsSeen(7), 0);
     large.setInjector(nullptr);
+}
+
+TEST(CommFaultContext, UntaggedThreadWritesNothing)
+{
+    // A thread with no rank tag must not alias rank 0's slot: the
+    // deadline report would otherwise blame rank 0 for a wait site
+    // that no rank is blocked on.
+    CommFaultContext context(4);
+    context.beginCollective("probe");
+    ASSERT_LT(obs::threadRank(), 0);
+    context.noteWaitBegin("mb untagged", 7, 2);
+    context.notePosted(11);
+
+    const CollectiveError::Info info = context.deadlineInfo(1.0);
+    EXPECT_EQ(info.failed_rank, 0); // every rank at 0 ops: lowest wins
+    EXPECT_EQ(info.mailbox, "");
+    EXPECT_EQ(info.flow, -1);
+    EXPECT_EQ(info.last_posted_seq, -1);
+    EXPECT_TRUE(info.stall_chain.empty()) << info.stall_chain;
+
+    // Nor is an untagged mailbox op counted against rank 0.
+    context.onMailboxOp(7);
+    EXPECT_EQ(context.deadlineInfo(1.0).failed_rank, 0);
+    EXPECT_EQ(context.deadlineInfo(1.0).ops_completed, 0);
 }
 
 TEST(CommWatchdog, FiresAfterDeadlineAndDisarmBlocksCallback)

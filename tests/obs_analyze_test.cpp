@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the obs::analyze trace-analysis engine: flight-recorder
- * and capacity semantics, channel timelines and idle detection on
+ * Tests for the obs::analyze trace-analysis engine: trace-recorder
+ * capacity semantics, channel timelines and idle detection on
  * golden traces, α-β fitting, critical-path extraction, and the
  * end-to-end reproduction of the paper's idle-down-channel
  * observation on a simulated DGX-1 tree AllReduce.
@@ -18,7 +18,6 @@
 
 #include "model/alpha_beta.h"
 #include "obs/analyze.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -58,29 +57,6 @@ channelSpan(int channel, double ts_us, double dur_us, double bytes,
                       {"bytes", bytes}});
 }
 
-// --- FlightRecorder --------------------------------------------------
-
-TEST(FlightRecorder, KeepsNewestDropsOldest)
-{
-    obs::FlightRecorder ring(3);
-    EXPECT_EQ(ring.capacity(), 3u);
-    for (int i = 0; i < 5; ++i)
-        ring.record(makeEvent("e" + std::to_string(i), "t", 1, 1,
-                              static_cast<double>(i), 1.0));
-    EXPECT_EQ(ring.size(), 3u);
-    EXPECT_EQ(ring.recorded(), 5u);
-    EXPECT_EQ(ring.dropped(), 2u);
-    const auto events = ring.snapshot();
-    ASSERT_EQ(events.size(), 3u);
-    // Oldest-first snapshot of the newest three.
-    EXPECT_EQ(events[0].name, "e2");
-    EXPECT_EQ(events[1].name, "e3");
-    EXPECT_EQ(events[2].name, "e4");
-    ring.clear();
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.dropped(), 0u);
-}
-
 // --- TraceRecorder retention -----------------------------------------
 
 TEST(TraceRecorderRetention, CapacityDropsNewestAndCounts)
@@ -103,35 +79,6 @@ TEST(TraceRecorderRetention, CapacityDropsNewestAndCounts)
     recorder.exportTo(registry);
     EXPECT_DOUBLE_EQ(registry.counter("trace.events"), 4.0);
     EXPECT_DOUBLE_EQ(registry.counter("trace.dropped_events"), 3.0);
-}
-
-TEST(TraceRecorderRetention, FlightModeKeepsNewest)
-{
-    obs::TraceRecorder recorder;
-    recorder.setFlightCapacity(4);
-    EXPECT_TRUE(recorder.flightMode());
-    recorder.enable();
-    for (int i = 0; i < 7; ++i)
-        recorder.record(makeEvent("e" + std::to_string(i), "t", 1, 1,
-                                  static_cast<double>(i), 1.0));
-    recorder.disable();
-    EXPECT_EQ(recorder.eventCount(), 4u);
-    EXPECT_EQ(recorder.droppedEvents(), 3u);
-    const auto events = recorder.snapshot();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events.front().name, "e3"); // drop-oldest keeps the tail
-    EXPECT_EQ(events.back().name, "e6");
-
-    // Flight-mode capture must survive writeJson (ring, not vector).
-    std::ostringstream json;
-    recorder.writeJson(json);
-    EXPECT_NE(json.str().find("e6"), std::string::npos);
-
-    // Leaving flight mode migrates events and preserves accounting.
-    recorder.setCapacity(8);
-    EXPECT_FALSE(recorder.flightMode());
-    EXPECT_EQ(recorder.eventCount(), 4u);
-    EXPECT_EQ(recorder.droppedEvents(), 3u);
 }
 
 // --- Channel timelines / idle detection ------------------------------

@@ -2,7 +2,7 @@
  * @file
  * obs::Profiler + wait-for-graph coverage.
  *
- * Unit side: WaitForRegistry chain walking on golden registries —
+ * Unit side: CommFaultContext chain walking on golden tables —
  * linear stall chains, wait cycles, self-post, edge clearing — plus a
  * sampler smoke capture (publish a phase, observe samples and the
  * collapsed-stack rendering). E2e side: a FaultInjector kill during a
@@ -34,21 +34,46 @@ namespace {
 using namespace std::chrono_literals;
 using obs::Profiler;
 using obs::ProfPhase;
-using obs::WaitForRegistry;
 
 // ---------------------------------------------------------------------------
-// WaitForRegistry golden-registry units
+// Wait-for graph units: golden CommFaultContext progress tables
 // ---------------------------------------------------------------------------
 
-TEST(WaitForRegistry, LinearChainTerminatesAtDeadRank)
+using Context = ccl::CommFaultContext;
+
+/** Declares @p rank blocked the way the rank itself does: from a
+ *  thread tagged with it. */
+void
+noteWait(Context& context, int rank, int peer, const char* label, int flow)
 {
-    WaitForRegistry registry(8);
-    registry.markDead(1);
-    registry.noteWait(2, 1, "mb 1->2/f0", 0);
-    registry.noteWait(3, 2, "mb 2->3/f0", 0);
-    registry.noteWait(4, 3, "mb 3->4/f0", 0);
+    obs::setThreadRank(rank);
+    context.noteWaitBegin(label, flow, peer);
+    obs::setThreadRank(-1);
+}
 
-    const WaitForRegistry::Chain chain = registry.chain(4);
+void
+clearWait(Context& context, int rank)
+{
+    obs::setThreadRank(rank);
+    context.noteWaitEnd();
+    obs::setThreadRank(-1);
+}
+
+bool
+waiting(const Context& context, int rank)
+{
+    return !context.chain(rank).links.empty();
+}
+
+TEST(WaitForGraph, LinearChainTerminatesAtDeadRank)
+{
+    Context context(8);
+    context.markDead(1);
+    noteWait(context, 2, 1, "mb 1->2/f0", 0);
+    noteWait(context, 3, 2, "mb 2->3/f0", 0);
+    noteWait(context, 4, 3, "mb 3->4/f0", 0);
+
+    const Context::WaitChain chain = context.chain(4);
     ASSERT_EQ(chain.length(), 3u);
     EXPECT_EQ(chain.links[0].rank, 4);
     EXPECT_EQ(chain.links[1].rank, 3);
@@ -57,81 +82,81 @@ TEST(WaitForRegistry, LinearChainTerminatesAtDeadRank)
     EXPECT_TRUE(chain.terminus_dead);
     EXPECT_FALSE(chain.cycle);
 
-    const std::string text = WaitForRegistry::formatChain(chain);
+    const std::string text = Context::formatChain(chain);
     EXPECT_NE(text.find("r4 parked on mb 3->4/f0"), std::string::npos)
         << text;
     EXPECT_NE(text.find("r1 killed"), std::string::npos) << text;
 }
 
-TEST(WaitForRegistry, LongestChainPicksTheDeepestWaiter)
+TEST(WaitForGraph, LongestChainPicksTheDeepestWaiter)
 {
-    WaitForRegistry registry(8);
-    registry.markDead(0);
-    registry.noteWait(1, 0, "mb 0->1/f0", 0);
-    registry.noteWait(2, 1, "mb 1->2/f0", 0);
-    registry.noteWait(5, 0, "mb 0->5/f1", 1); // short side branch
+    Context context(8);
+    context.markDead(0);
+    noteWait(context, 1, 0, "mb 0->1/f0", 0);
+    noteWait(context, 2, 1, "mb 1->2/f0", 0);
+    noteWait(context, 5, 0, "mb 0->5/f1", 1); // short side branch
 
-    const WaitForRegistry::Chain chain = registry.longestChain();
+    const Context::WaitChain chain = context.longestChain();
     ASSERT_EQ(chain.length(), 2u);
     EXPECT_EQ(chain.links[0].rank, 2);
     EXPECT_EQ(chain.terminus, 0);
 }
 
-TEST(WaitForRegistry, CycleIsDetectedNotFollowedForever)
+TEST(WaitForGraph, CycleIsDetectedNotFollowedForever)
 {
-    WaitForRegistry registry(4);
-    registry.noteWait(0, 1, "mb 1->0/f0", 0);
-    registry.noteWait(1, 0, "mb 0->1/f0", 0);
+    Context context(4);
+    noteWait(context, 0, 1, "mb 1->0/f0", 0);
+    noteWait(context, 1, 0, "mb 0->1/f0", 0);
 
-    const WaitForRegistry::Chain chain = registry.chain(0);
+    const Context::WaitChain chain = context.chain(0);
     EXPECT_TRUE(chain.cycle);
     EXPECT_EQ(chain.length(), 2u);
     EXPECT_EQ(chain.terminus, 0); // walk returned to its start
-    EXPECT_NE(WaitForRegistry::formatChain(chain).find("wait cycle"),
+    EXPECT_NE(Context::formatChain(chain).find("wait cycle"),
               std::string::npos);
 }
 
-TEST(WaitForRegistry, SelfPostIsAOneLinkCycle)
+TEST(WaitForGraph, SelfPostIsAOneLinkCycle)
 {
-    WaitForRegistry registry(8);
-    registry.noteWait(5, 5, "mb 5->5/f0", 0);
+    Context context(8);
+    noteWait(context, 5, 5, "mb 5->5/f0", 0);
 
-    const WaitForRegistry::Chain chain = registry.chain(5);
+    const Context::WaitChain chain = context.chain(5);
     EXPECT_TRUE(chain.cycle);
     EXPECT_EQ(chain.length(), 1u);
     EXPECT_EQ(chain.terminus, 5);
 }
 
-TEST(WaitForRegistry, ClearWaitRemovesTheEdge)
+TEST(WaitForGraph, ClearWaitRemovesTheEdge)
 {
-    WaitForRegistry registry(4);
-    registry.noteWait(2, 1, "mb 1->2/f0", 0);
-    EXPECT_TRUE(registry.waiting(2));
-    registry.clearWait(2);
-    EXPECT_FALSE(registry.waiting(2));
-    EXPECT_TRUE(registry.longestChain().empty());
+    Context context(4);
+    noteWait(context, 2, 1, "mb 1->2/f0", 0);
+    EXPECT_TRUE(waiting(context, 2));
+    clearWait(context, 2);
+    EXPECT_FALSE(waiting(context, 2));
+    EXPECT_TRUE(context.longestChain().empty());
 }
 
-TEST(WaitForRegistry, UnknownPeerEndsTheChainAtExternal)
+TEST(WaitForGraph, UnknownPeerEndsTheChainAtExternal)
 {
-    WaitForRegistry registry(4);
-    registry.noteWait(3, -1, "<stalled>", 2);
+    Context context(4);
+    noteWait(context, 3, -1, "<stalled>", 2);
 
-    const WaitForRegistry::Chain chain = registry.chain(3);
+    const Context::WaitChain chain = context.chain(3);
     EXPECT_EQ(chain.length(), 1u);
     EXPECT_EQ(chain.terminus, -1);
-    EXPECT_NE(WaitForRegistry::formatChain(chain).find("<external>"),
+    EXPECT_NE(Context::formatChain(chain).find("<external>"),
               std::string::npos);
 }
 
-TEST(WaitForRegistry, ResetDropsEdgesAndDeadMarks)
+TEST(WaitForGraph, BeginCollectiveDropsEdgesAndDeadMarks)
 {
-    WaitForRegistry registry(4);
-    registry.markDead(1);
-    registry.noteWait(2, 1, "mb 1->2/f0", 0);
-    registry.reset();
-    EXPECT_FALSE(registry.waiting(2));
-    EXPECT_FALSE(registry.dead(1));
+    Context context(4);
+    context.markDead(1);
+    noteWait(context, 2, 1, "mb 1->2/f0", 0);
+    context.beginCollective("next");
+    EXPECT_FALSE(waiting(context, 2));
+    EXPECT_FALSE(context.chain(1).terminus_dead);
 }
 
 // ---------------------------------------------------------------------------

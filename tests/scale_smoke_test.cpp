@@ -255,7 +255,7 @@ TEST(ScaleSmoke, KillAtTopRankOfP512FailsStructured)
             << error.info().stall_chain;
     }
     EXPECT_TRUE(caught) << "collective completed despite kill";
-    EXPECT_EQ(injector.opsSeen(kKilled), 6);
+    EXPECT_EQ(comm.faultContext().opsSeen(kKilled), 6);
     comm.clearAbort();
     comm.setFaultInjector(nullptr);
 }

@@ -326,7 +326,7 @@ TEST_P(SupervisedCollective, ExhaustedBudgetRestoresOriginalInputs)
     ResilienceSupervisor supervisor(comm, graph, options);
 
     // Every task of the victim rank (forwarders, both trees) ticks its
-    // injector op counter, so a second pre-armed op index could fire
+    // op counter, so a second pre-armed op index could fire
     // inside attempt 1. Arm the retry's kill from the clearAbort
     // window instead: at that point the engine is quiescent and
     // opsSeen() is exactly the next op the revived rank will issue,
@@ -338,7 +338,7 @@ TEST_P(SupervisedCollective, ExhaustedBudgetRestoresOriginalInputs)
         ccl::FaultInjector::Fault again;
         again.rank = 4;
         again.action = ccl::FaultInjector::Action::kKill;
-        again.at_op = injector.opsSeen(4);
+        again.at_op = comm.faultContext().opsSeen(4);
         injector.arm(again);
     });
 

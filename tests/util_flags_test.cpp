@@ -1,11 +1,17 @@
 /**
  * @file
- * Tests for the CLI flag parser and the new catalog models.
+ * Tests for the CLI flag parser, the strict `CCUBE_*` environment
+ * knobs, and the new catalog models.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "ccl/communicator.h"
+#include "ccl/state_machine.h"
 #include "dnn/catalog.h"
+#include "obs/monitor.h"
 #include "util/flags.h"
 
 namespace ccube {
@@ -91,6 +97,102 @@ TEST(Flags, AcceptsIntRangeEdges)
         parse({"--max=2147483647", "--min=-2147483648"});
     EXPECT_EQ(flags.getInt("max", 0), 2147483647);
     EXPECT_EQ(flags.getInt("min", 0), -2147483647 - 1);
+}
+
+/** Sets environment variable @p name for one scope. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char* name, const char* value) : name_(name)
+    {
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv() { ::unsetenv(name_); }
+
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  private:
+    const char* name_;
+};
+
+TEST(EnvKnobsDeathTest, SloBudgetsParseStrictly)
+{
+    const auto flags = parse({});
+    {
+        // A unit suffix used to read as 2 ms, garbage as 0 (SLO off).
+        ScopedEnv env("CCUBE_SLO_MTTR_MS", "2s");
+        EXPECT_DEATH(obs::SloSpec::fromFlags(flags),
+                     "CCUBE_SLO_MTTR_MS wants a number, got '2s'");
+    }
+    {
+        ScopedEnv env("CCUBE_SLO_MTTR_MS", "abc");
+        EXPECT_DEATH(obs::SloSpec::fromFlags(flags), "CCUBE_SLO_MTTR_MS");
+    }
+    {
+        ScopedEnv env("CCUBE_SLO_COLLECTIVE_MS", "-5");
+        EXPECT_DEATH(obs::SloSpec::fromFlags(flags),
+                     "CCUBE_SLO_COLLECTIVE_MS must not be negative");
+    }
+    {
+        ScopedEnv env("CCUBE_SLO_COLLECTIVE_MS", "1e999");
+        EXPECT_DEATH(obs::SloSpec::fromFlags(flags),
+                     "CCUBE_SLO_COLLECTIVE_MS");
+    }
+    {
+        ScopedEnv env("CCUBE_SLO_MTTR_MS", "2000");
+        EXPECT_DOUBLE_EQ(obs::SloSpec::fromFlags(flags).mttr_budget_s,
+                         2.0);
+    }
+    {
+        ScopedEnv env("CCUBE_SLO_MTTR_MS", ""); // empty = unset
+        EXPECT_FALSE(obs::SloSpec::fromFlags(flags).any());
+    }
+}
+
+TEST(EnvKnobsDeathTest, RuntimeKnobsParseStrictly)
+{
+    // Both defaults are read once per process; each death test runs
+    // them in a fresh child.
+    {
+        ScopedEnv env("CCUBE_CCL_DEADLINE_MS", "500ms");
+        EXPECT_DEATH(ccl::Communicator::defaultDeadline(),
+                     "CCUBE_CCL_DEADLINE_MS wants an integer");
+    }
+    {
+        ScopedEnv env("CCUBE_CCL_DEADLINE_MS", "-1");
+        EXPECT_DEATH(ccl::Communicator::defaultDeadline(),
+                     "CCUBE_CCL_DEADLINE_MS must not be negative");
+    }
+    {
+        ScopedEnv env("CCUBE_CCL_SM_WORKERS", "4294967297");
+        EXPECT_DEATH(ccl::StateMachineEngine::defaultWorkerCount(),
+                     "CCUBE_CCL_SM_WORKERS wants an integer");
+    }
+    {
+        ScopedEnv env("CCUBE_CCL_SM_WORKERS", "four");
+        EXPECT_DEATH(ccl::StateMachineEngine::defaultWorkerCount(),
+                     "CCUBE_CCL_SM_WORKERS");
+    }
+}
+
+TEST(EnvKnobs, ValidAndEmptyValues)
+{
+    EXPECT_EQ(util::envInt("CCUBE_TEST_KNOB", 7), 7); // unset
+    {
+        ScopedEnv env("CCUBE_TEST_KNOB", "");
+        EXPECT_EQ(util::envInt("CCUBE_TEST_KNOB", 7), 7);
+        EXPECT_DOUBLE_EQ(util::envDouble("CCUBE_TEST_KNOB", 1.5), 1.5);
+    }
+    {
+        ScopedEnv env("CCUBE_TEST_KNOB", "0"); // 0 disables, not unset
+        EXPECT_EQ(util::envInt("CCUBE_TEST_KNOB", 7), 0);
+    }
+    {
+        ScopedEnv env("CCUBE_TEST_KNOB", "4");
+        EXPECT_EQ(util::envInt("CCUBE_TEST_KNOB", 7), 4);
+        EXPECT_DOUBLE_EQ(util::envDouble("CCUBE_TEST_KNOB", 0.0), 4.0);
+    }
 }
 
 TEST(CatalogExtra, AlexNetParameterCount)
