@@ -42,8 +42,7 @@ main(int argc, char** argv)
     const double bytes = net.totalParamBytes();
     const auto schedule = engine.scheduler().commSchedule(
         core::Mode::kCCube, bytes, bw_scale);
-    const core::ChunkMapper mapper = core::ChunkMapper::doubleTree(
-        bytes, schedule.num_chunks / 2);
+    const core::ChunkMapper mapper(schedule.geometry);
     const std::vector<double> layer_bytes = net.layerParamBytes();
     const auto fwd = compute.layerForwardTimes(net, batch);
     const double bwd = compute.backwardTime(net, batch);

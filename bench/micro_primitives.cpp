@@ -33,7 +33,6 @@
 #include "ccl/communicator.h"
 #include "ccl/double_tree_allreduce.h"
 #include "ccl/mailbox.h"
-#include "ccl/overlapped_tree_allreduce.h"
 #include "ccl/primitives.h"
 #include "ccl/ring_allreduce.h"
 #include "ccl/protocol.h"
@@ -160,10 +159,10 @@ BM_GradientQueueIteration(benchmark::State& state)
     for (int l = 1; l <= layers; ++l)
         table.push_back(4 * l);
     for (auto _ : state) {
-        core::GradientQueue queue(table);
+        core::GradientQueue queue({{0, table}});
         for (int l = 0; l < layers; ++l) {
             for (int c = 0; c < 4; ++c)
-                queue.enqueueChunk();
+                queue.enqueueChunk(4 * l + c);
             queue.dequeueLayer(l);
         }
     }
@@ -225,8 +224,8 @@ runAllReduce(benchmark::State& state, Alg alg,
                                ccl::TreePhaseMode::kTwoPhase);
             break;
         case Alg::kOverlappedTree:
-            ccl::overlappedTreeAllReduce(comm, buffers, f.tree,
-                                         kAllReduceChunks);
+            ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
+                               ccl::TreePhaseMode::kOverlapped);
             break;
         case Alg::kDoubleTree:
             ccl::doubleTreeAllReduce(comm, buffers, f.double_tree,
@@ -311,8 +310,9 @@ runAllReduceProto(benchmark::State& state, Alg alg,
                                proto);
             break;
         case Alg::kOverlappedTree:
-            ccl::overlappedTreeAllReduce(comm, buffers, f.tree,
-                                         kAllReduceChunks, {}, proto);
+            ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
+                               ccl::TreePhaseMode::kOverlapped, {}, {},
+                               proto);
             break;
         case Alg::kDoubleTree:
             ccl::doubleTreeAllReduce(comm, buffers, f.double_tree,

@@ -14,6 +14,7 @@
 #include "ccl/tree_allreduce.h"
 #include "core/chunk_mapper.h"
 #include "core/gradient_queue.h"
+#include "sched/program.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/rng.h"
@@ -36,14 +37,22 @@ main()
         rng.fill(buf, -1.0f, 1.0f);
     }
 
+    // The collective: overlapped tree on the C-Cube DGX-1 embedding.
+    const topo::Graph dgx1 = topo::makeDgx1();
+    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
+    const sched::Program program =
+        sched::treeProgram(dt.tree0, sched::TreeDirection::kAllReduce,
+                           sched::PhaseMode::kOverlapped, kChunks);
+
     // Layer layout of the one-shot buffer (bytes per layer) and the
-    // Layer-Chunk Table derived from it.
+    // Layer-Chunk Table derived from it and the program's geometry.
     const std::vector<double> layer_bytes{
         kElems * 0.1 * 4, kElems * 0.2 * 4, kElems * 0.3 * 4,
         kElems * 0.4 * 4};
-    const core::ChunkMapper mapper =
-        core::ChunkMapper::singleTree(kElems * 4.0, kChunks);
-    const auto table = mapper.layerChunkTable(layer_bytes);
+    const core::ChunkMapper mapper(program.geometry(kElems * 4.0));
+    const std::vector<core::LayerChunkTable> tables =
+        mapper.layerChunkTables(layer_bytes);
+    const std::vector<std::int64_t>& table = tables[0].bounds;
     std::cout << "Layer-Chunk Table (cumulative chunk bounds): ";
     for (std::size_t l = 0; l < table.size(); ++l)
         std::cout << table[l] << (l + 1 < table.size() ? ", " : "\n");
@@ -51,7 +60,7 @@ main()
     // One gradient queue per rank; forward threads dequeue in order.
     std::vector<std::unique_ptr<core::GradientQueue>> queues;
     for (int r = 0; r < kRanks; ++r)
-        queues.push_back(std::make_unique<core::GradientQueue>(table));
+        queues.push_back(std::make_unique<core::GradientQueue>(tables));
 
     std::vector<std::thread> forward;
     for (int r = 0; r < kRanks; ++r) {
@@ -67,18 +76,16 @@ main()
         });
     }
 
-    // The collective: overlapped tree on the C-Cube DGX-1 embedding;
-    // the broadcast enqueues each fully reduced chunk as it lands.
-    const topo::Graph dgx1 = topo::makeDgx1();
-    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
+    // Run it; the broadcast enqueues each fully reduced chunk as it
+    // lands.
     ccl::Communicator comm(kRanks);
     std::cout << "Running overlapped tree AllReduce on "
               << kRanks << " rank threads...\n";
     const ccl::AllReduceTrace trace = ccl::treeAllReduce(
         comm, gradients, dt.tree0, kChunks,
         ccl::TreePhaseMode::kOverlapped, {},
-        [&queues](int rank, int) {
-            queues[static_cast<std::size_t>(rank)]->enqueueChunk();
+        [&queues](int rank, int chunk) {
+            queues[static_cast<std::size_t>(rank)]->enqueueChunk(chunk);
         });
 
     for (auto& t : forward)

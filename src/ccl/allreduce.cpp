@@ -52,43 +52,5 @@ AllReduceTrace::inOrder() const
     return true;
 }
 
-ChunkSplit::ChunkSplit(std::size_t total, int chunks)
-    : total_(total), chunks_(chunks)
-{
-    // Fewer elements than chunks leaves some chunks empty; they travel
-    // as zero-length messages, so the program keeps its shape.
-    CCUBE_CHECK(chunks >= 1, "need at least one chunk");
-}
-
-std::size_t
-ChunkSplit::begin(int chunk) const
-{
-    CCUBE_CHECK(chunk >= 0 && chunk < chunks_, "bad chunk " << chunk);
-    return total_ * static_cast<std::size_t>(chunk) /
-           static_cast<std::size_t>(chunks_);
-}
-
-std::size_t
-ChunkSplit::end(int chunk) const
-{
-    CCUBE_CHECK(chunk >= 0 && chunk < chunks_, "bad chunk " << chunk);
-    return total_ * (static_cast<std::size_t>(chunk) + 1) /
-           static_cast<std::size_t>(chunks_);
-}
-
-std::span<float>
-ChunkSplit::slice(std::span<float> buffer, int chunk) const
-{
-    CCUBE_CHECK(buffer.size() == total_, "buffer/split size mismatch");
-    return buffer.subspan(begin(chunk), end(chunk) - begin(chunk));
-}
-
-std::span<const float>
-ChunkSplit::slice(std::span<const float> buffer, int chunk) const
-{
-    CCUBE_CHECK(buffer.size() == total_, "buffer/split size mismatch");
-    return buffer.subspan(begin(chunk), end(chunk) - begin(chunk));
-}
-
 } // namespace ccl
 } // namespace ccube

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "ccl/sync_primitives.h"
@@ -65,34 +64,10 @@ class AllReduceTrace
 
 /**
  * Per-chunk skip mask for resumed collectives (global chunk ids; see
- * sched::SkipMask and ccl::ChunkCheckpoint). Every algorithm entry
- * point takes one; the default skips nothing.
+ * sched::SkipMask and ccl::ChunkCheckpoint), set on the copy of the
+ * program a resumed run executes.
  */
 using SkipMask = sched::SkipMask;
-
-/**
- * Splits [0, total) into @p chunks half-open subranges of near-equal
- * size; chunk c covers [begin(c), end(c)). With fewer elements than
- * chunks, some chunks are empty.
- */
-class ChunkSplit
-{
-  public:
-    ChunkSplit(std::size_t total, int chunks);
-
-    std::size_t begin(int chunk) const;
-    std::size_t end(int chunk) const;
-    int count() const { return chunks_; }
-
-    /** Subspan of @p buffer covering chunk @p chunk. */
-    std::span<float> slice(std::span<float> buffer, int chunk) const;
-    std::span<const float>
-    slice(std::span<const float> buffer, int chunk) const;
-
-  private:
-    std::size_t total_;
-    int chunks_;
-};
 
 } // namespace ccl
 } // namespace ccube

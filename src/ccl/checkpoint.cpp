@@ -8,54 +8,22 @@
 namespace ccube {
 namespace ccl {
 
-namespace {
-
 void
-appendSplit(std::vector<ChunkLayout::Range>& out, std::size_t offset,
-            std::size_t total, int chunks)
+ChunkCheckpoint::begin(const RankBuffers& buffers,
+                       const sched::Program& program)
 {
-    const ChunkSplit split(total, chunks);
-    for (int c = 0; c < chunks; ++c)
-        out.push_back(ChunkLayout::Range{offset + split.begin(c),
-                                         offset + split.end(c)});
-}
-
-} // namespace
-
-ChunkLayout
-ChunkLayout::ring(std::size_t total, int num_ranks)
-{
-    ChunkLayout layout;
-    appendSplit(layout.ranges_, 0, total, num_ranks);
-    return layout;
-}
-
-ChunkLayout
-ChunkLayout::tree(std::size_t total, int num_chunks)
-{
-    ChunkLayout layout;
-    appendSplit(layout.ranges_, 0, total, num_chunks);
-    return layout;
-}
-
-ChunkLayout
-ChunkLayout::doubleTree(std::size_t total, int chunks_per_tree)
-{
-    const std::size_t half = total / 2;
-    ChunkLayout layout;
-    appendSplit(layout.ranges_, 0, half, chunks_per_tree);
-    appendSplit(layout.ranges_, half, total - half, chunks_per_tree);
-    return layout;
-}
-
-void
-ChunkCheckpoint::begin(const RankBuffers& buffers, ChunkLayout layout)
-{
-    CCUBE_CHECK(!buffers.empty(), "checkpoint needs rank buffers");
-    num_ranks_ = static_cast<int>(buffers.size());
-    layout_ = std::move(layout);
+    CCUBE_CHECK(!buffers.empty() &&
+                    static_cast<int>(buffers.size()) == program.num_ranks,
+                "checkpoint needs one buffer per program rank ("
+                    << buffers.size() << " buffers, " << program.num_ranks
+                    << " ranks)");
+    for (const std::vector<float>& buffer : buffers)
+        CCUBE_CHECK(buffer.size() == buffers[0].size(),
+                    "checkpoint buffers must be equally sized");
+    num_ranks_ = program.num_ranks;
+    geometry_ = program.geometry(buffers[0].size());
     snapshot_ = buffers;
-    const int chunks = layout_.numChunks();
+    const int chunks = numChunks();
     CCUBE_CHECK(chunks > 0, "checkpoint needs at least one chunk");
     counts_ = std::make_unique<std::atomic<int>[]>(
         static_cast<std::size_t>(chunks));
@@ -75,7 +43,7 @@ ChunkCheckpoint::observer(AllReduceTrace::Observer downstream)
     CCUBE_CHECK(active(), "checkpoint observer before begin()");
     return [this, downstream = std::move(downstream)](int rank,
                                                       int chunk) {
-        if (chunk >= 0 && chunk < layout_.numChunks()) {
+        if (chunk >= 0 && chunk < numChunks()) {
             const int seen =
                 counts_[static_cast<std::size_t>(chunk)].fetch_add(
                     1, std::memory_order_acq_rel) +
@@ -96,7 +64,7 @@ ChunkCheckpoint::observer(AllReduceTrace::Observer downstream)
 bool
 ChunkCheckpoint::done(int chunk) const
 {
-    if (!active() || chunk < 0 || chunk >= layout_.numChunks())
+    if (!active() || chunk < 0 || chunk >= numChunks())
         return false;
     return done_[static_cast<std::size_t>(chunk)].load(
                std::memory_order_acquire) != 0;
@@ -108,7 +76,7 @@ ChunkCheckpoint::doneCount() const
     if (!active())
         return 0;
     int count = 0;
-    for (int c = 0; c < layout_.numChunks(); ++c)
+    for (int c = 0; c < numChunks(); ++c)
         count += done(c) ? 1 : 0;
     return count;
 }
@@ -116,7 +84,7 @@ ChunkCheckpoint::doneCount() const
 bool
 ChunkCheckpoint::complete() const
 {
-    return active() && doneCount() == layout_.numChunks();
+    return active() && doneCount() == numChunks();
 }
 
 SkipMask
@@ -125,8 +93,8 @@ ChunkCheckpoint::mask() const
     if (!active())
         return SkipMask{};
     std::vector<std::uint8_t> bits(
-        static_cast<std::size_t>(layout_.numChunks()), 0);
-    for (int c = 0; c < layout_.numChunks(); ++c)
+        static_cast<std::size_t>(numChunks()), 0);
+    for (int c = 0; c < numChunks(); ++c)
         bits[static_cast<std::size_t>(c)] = done(c) ? 1 : 0;
     return SkipMask(std::move(bits));
 }
@@ -137,10 +105,11 @@ ChunkCheckpoint::restoreIncomplete(RankBuffers& buffers) const
     CCUBE_CHECK(active(), "restore before begin()");
     CCUBE_CHECK(static_cast<int>(buffers.size()) == num_ranks_,
                 "rank count changed under the checkpoint");
-    for (int c = 0; c < layout_.numChunks(); ++c) {
+    for (int c = 0; c < numChunks(); ++c) {
         if (done(c))
             continue;
-        const ChunkLayout::Range& range = layout_.range(c);
+        const sched::ChunkRange<std::size_t>& range =
+            geometry_[static_cast<std::size_t>(c)];
         for (int r = 0; r < num_ranks_; ++r) {
             const std::vector<float>& src =
                 snapshot_[static_cast<std::size_t>(r)];
@@ -172,7 +141,7 @@ ChunkCheckpoint::rearm()
 {
     if (!active())
         return;
-    for (int c = 0; c < layout_.numChunks(); ++c) {
+    for (int c = 0; c < numChunks(); ++c) {
         if (!done(c))
             counts_[static_cast<std::size_t>(c)].store(
                 0, std::memory_order_relaxed);
@@ -183,7 +152,7 @@ void
 ChunkCheckpoint::reset()
 {
     num_ranks_ = 0;
-    layout_ = ChunkLayout{};
+    geometry_.clear();
     snapshot_.clear();
     counts_.reset();
     done_.reset();

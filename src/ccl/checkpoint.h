@@ -19,11 +19,13 @@
  * slice before a retry. The done bitmap lives outside the communicator
  * and therefore survives clearAbort().
  *
- * Geometry caveat: a resume mask is only valid when the retry runs the
- * SAME algorithm with the SAME chunk layout. On a recovery-ladder rung
- * change the supervisor must restoreAll() and begin() a fresh
- * checkpoint — re-running an allreduce over already-final chunks would
- * multiply them by P.
+ * Geometry: begin() takes the program the collective runs and reads
+ * each chunk's slice from Program::geometry — the same ranges the
+ * interpreter moves — so the mask and the restored slices match the
+ * run by construction. A mask is only valid for that program: on a
+ * recovery-ladder rung change the supervisor must restoreAll() and
+ * begin() a fresh checkpoint from the new program — re-running an
+ * allreduce over already-final chunks would multiply them by P.
  */
 
 #include <atomic>
@@ -38,47 +40,6 @@ namespace ccube {
 namespace ccl {
 
 /**
- * Element layout of the global chunk-id space of one collective —
- * which [begin, end) slice of every rank's buffer each global chunk
- * covers. Mirrors the splits the algorithms build internally.
- */
-class ChunkLayout
-{
-  public:
-    struct Range {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-    };
-
-    /** Ring AllReduce over @p total elements on @p num_ranks ranks:
-     *  chunk ids 0..P-1 from ChunkSplit(total, P). */
-    static ChunkLayout ring(std::size_t total, int num_ranks);
-
-    /** Single-tree AllReduce: chunk ids 0..num_chunks-1 from
-     *  ChunkSplit(total, num_chunks). */
-    static ChunkLayout tree(std::size_t total, int num_chunks);
-
-    /** Double-tree AllReduce: tree 0 covers [0, total/2) with ids
-     *  [0, chunks_per_tree), tree 1 the rest with ids
-     *  [chunks_per_tree, 2·chunks_per_tree). */
-    static ChunkLayout doubleTree(std::size_t total,
-                                  int chunks_per_tree);
-
-    int numChunks() const
-    {
-        return static_cast<int>(ranges_.size());
-    }
-
-    const Range& range(int chunk) const
-    {
-        return ranges_[static_cast<std::size_t>(chunk)];
-    }
-
-  private:
-    std::vector<Range> ranges_;
-};
-
-/**
  * Per-chunk completion bitmap + input snapshot of one supervised
  * collective across retries. Thread-safe on the record path (the
  * observer is invoked concurrently from every rank); begin/restore/
@@ -91,15 +52,16 @@ class ChunkCheckpoint
     ChunkCheckpoint(const ChunkCheckpoint&) = delete;
     ChunkCheckpoint& operator=(const ChunkCheckpoint&) = delete;
 
-    /** Arms the checkpoint for one collective over @p buffers with
-     *  chunk geometry @p layout: snapshots the inputs and zeroes the
-     *  bitmap. Any previous state is discarded. */
-    void begin(const RankBuffers& buffers, ChunkLayout layout);
+    /** Arms the checkpoint for one run of @p program over @p buffers
+     *  (one per program rank, equal length — both checked): snapshots
+     *  the inputs and zeroes the bitmap. Any previous state is
+     *  discarded. */
+    void begin(const RankBuffers& buffers, const sched::Program& program);
 
     /** Whether begin() armed the checkpoint. */
     bool active() const { return num_ranks_ > 0; }
 
-    int numChunks() const { return layout_.numChunks(); }
+    int numChunks() const { return static_cast<int>(geometry_.size()); }
 
     /**
      * Observer to install on the collective (chains to @p downstream
@@ -147,7 +109,7 @@ class ChunkCheckpoint
 
   private:
     int num_ranks_ = 0;
-    ChunkLayout layout_;
+    std::vector<sched::ChunkRange<std::size_t>> geometry_;
     RankBuffers snapshot_;
     /** Per-chunk count of ranks that recorded it this run. */
     std::unique_ptr<std::atomic<int>[]> counts_;

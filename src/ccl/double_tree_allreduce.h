@@ -22,17 +22,14 @@ namespace ccl {
 /**
  * Runs double-tree AllReduce over @p buffers. @p chunks_per_tree
  * chunks are used within each tree. On return every buffer holds the
- * elementwise sum. @p resume skips chunks already final at every rank
- * (a supervised retry; see ccl::ChunkCheckpoint) — global chunk ids
- * [0, 2×chunks_per_tree), tree 1's offset by chunks_per_tree.
+ * elementwise sum.
  */
 AllReduceTrace
 doubleTreeAllReduce(Communicator& comm, RankBuffers& buffers,
                     const topo::DoubleTreeEmbedding& embedding,
                     int chunks_per_tree, TreePhaseMode mode,
                     AllReduceTrace::Observer observer = {},
-                    Protocol proto = Protocol::kSimple,
-                    const SkipMask& resume = {});
+                    Protocol proto = Protocol::kSimple);
 
 } // namespace ccl
 } // namespace ccube

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "ccl/double_tree_allreduce.h"
-#include "ccl/overlapped_tree_allreduce.h"
 #include "ccl/program_task.h"
 #include "ccl/ring_allreduce.h"
 #include "ccl/tree_allreduce.h"
@@ -39,12 +38,10 @@ runAllReduce(Communicator& comm, RankBuffers& buffers,
 AllReduceTrace
 ringAllReduce(Communicator& comm, RankBuffers& buffers,
               const topo::RingEmbedding& ring,
-              AllReduceTrace::Observer observer, Protocol proto,
-              const SkipMask& resume)
+              AllReduceTrace::Observer observer, Protocol proto)
 {
     return runAllReduce(comm, buffers,
-                        sched::ringProgram(ring, sched::RingPhase::kAllReduce,
-                                           resume),
+                        sched::ringProgram(ring, sched::RingPhase::kAllReduce),
                         std::move(observer), proto, "ring_allreduce");
 }
 
@@ -52,41 +49,25 @@ AllReduceTrace
 treeAllReduce(Communicator& comm, RankBuffers& buffers,
               const topo::TreeEmbedding& embedding, int num_chunks,
               TreePhaseMode mode, TreeFlowIds flows,
-              AllReduceTrace::Observer observer, Protocol proto,
-              const SkipMask& resume)
+              AllReduceTrace::Observer observer, Protocol proto)
 {
     return runAllReduce(
         comm, buffers,
         sched::treeProgram(embedding, sched::TreeDirection::kAllReduce,
                            mode, num_chunks,
-                           sched::TreeFlows{flows.reduce, flows.broadcast},
-                           {}, resume),
+                           sched::TreeFlows{flows.reduce, flows.broadcast}),
         std::move(observer), proto, "tree_allreduce");
-}
-
-AllReduceTrace
-overlappedTreeAllReduce(Communicator& comm, RankBuffers& buffers,
-                        const topo::TreeEmbedding& embedding,
-                        int num_chunks, TreeFlowIds flows, Protocol proto,
-                        AllReduceTrace::Observer observer,
-                        const SkipMask& resume)
-{
-    return treeAllReduce(comm, buffers, embedding, num_chunks,
-                         TreePhaseMode::kOverlapped, flows,
-                         std::move(observer), proto, resume);
 }
 
 AllReduceTrace
 doubleTreeAllReduce(Communicator& comm, RankBuffers& buffers,
                     const topo::DoubleTreeEmbedding& embedding,
                     int chunks_per_tree, TreePhaseMode mode,
-                    AllReduceTrace::Observer observer, Protocol proto,
-                    const SkipMask& resume)
+                    AllReduceTrace::Observer observer, Protocol proto)
 {
     return runAllReduce(comm, buffers,
-                        sched::doubleTreeProgram(
-                            embedding, mode, chunks_per_tree,
-                            sched::LanePolicy::kPointToPoint, resume),
+                        sched::doubleTreeProgram(embedding, mode,
+                                                 chunks_per_tree),
                         std::move(observer), proto, "double_tree_allreduce");
 }
 

@@ -76,10 +76,8 @@ class PhaseSpan
 /** What every task of one collective shares. */
 struct Collective {
     sched::Program program;
-    std::vector<Mailbox*> boxes;   ///< per program edge
-    std::vector<ChunkSplit> splits; ///< per part
-    std::vector<std::size_t> offsets; ///< per part: region start
-    std::vector<std::size_t> sizes;   ///< per part: region length
+    std::vector<Mailbox*> boxes; ///< per program edge
+    std::vector<sched::ChunkRange<std::size_t>> geometry; ///< per chunk
     RankBuffers* buffers = nullptr;
     AllReduceTrace* trace = nullptr;
     Protocol proto = Protocol::kSimple;
@@ -92,15 +90,9 @@ class ProgramTask final : public RankTask
     ProgramTask(std::shared_ptr<const Collective> c, int thread)
         : RankTask(c->program.threads[static_cast<std::size_t>(thread)].rank,
                    c->program.threads[static_cast<std::size_t>(thread)].role),
-          c_(std::move(c)), cursor_(c_->program, thread)
+          c_(std::move(c)), cursor_(c_->program, thread),
+          buffer_((*c_->buffers)[static_cast<std::size_t>(rank())])
     {
-        const int part =
-            c_->program.threads[static_cast<std::size_t>(thread)].part;
-        const auto p = static_cast<std::size_t>(part);
-        split_ = &c_->splits[p];
-        region_ = std::span<float>(
-                      (*c_->buffers)[static_cast<std::size_t>(rank())])
-                      .subspan(c_->offsets[p], c_->sizes[p]);
     }
 
     StepStatus step(StepContext& ctx) override
@@ -115,9 +107,7 @@ class ProgramTask final : public RankTask
               case sched::Op::kSend: {
                 Mailbox& box = mailbox(s.edge);
                 begin(ctx, box, Mailbox::OpKind::kSend);
-                if (!box.trySend(split_->slice(
-                                     std::span<const float>(region_), chunk),
-                                 chunk, c_->proto))
+                if (!box.trySend(slice(), chunk, c_->proto))
                     return awaitFreeSlot(ctx, box, c_->proto);
                 break;
               }
@@ -125,7 +115,7 @@ class ProgramTask final : public RankTask
               case sched::Op::kRecvReduce: {
                 Mailbox& box = mailbox(s.edge);
                 begin(ctx, box, Mailbox::OpKind::kRecv);
-                const std::span<float> out = split_->slice(region_, chunk);
+                const std::span<float> out = slice();
                 int tag = -1;
                 const bool got =
                     s.op == sched::Op::kRecv
@@ -177,6 +167,14 @@ class ProgramTask final : public RankTask
     }
 
   private:
+    /** The current step's chunk of this rank's buffer. */
+    std::span<float> slice() const
+    {
+        const sched::ChunkRange<std::size_t>& range =
+            c_->geometry[static_cast<std::size_t>(cursor_.globalChunk())];
+        return buffer_.subspan(range.begin, range.end - range.begin);
+    }
+
     Mailbox& mailbox(int edge) const
     {
         return *c_->boxes[static_cast<std::size_t>(edge)];
@@ -211,8 +209,7 @@ class ProgramTask final : public RankTask
 
     std::shared_ptr<const Collective> c_;
     sched::Cursor cursor_;
-    const ChunkSplit* split_ = nullptr;
-    std::span<float> region_;
+    std::span<float> buffer_;
     bool op_begun_ = false;
     bool in_begun_ = false;   ///< forward: upstream op begun
     bool in_claimed_ = false; ///< forward: upstream chunk peeked
@@ -238,15 +235,7 @@ runProgram(Communicator& comm, RankBuffers& buffers, sched::Program program,
     c->buffers = &buffers;
     c->trace = trace;
     c->proto = proto;
-    const std::size_t total = buffers[0].size();
-    const std::size_t parts = program.parts.size();
-    for (std::size_t p = 0; p < parts; ++p) {
-        const std::size_t begin = total * p / parts;
-        const std::size_t end = total * (p + 1) / parts;
-        c->offsets.push_back(begin);
-        c->sizes.push_back(end - begin);
-        c->splits.emplace_back(end - begin, program.parts[p].chunks);
-    }
+    c->geometry = program.geometry(buffers[0].size());
     c->boxes.reserve(program.edges.size());
     for (const sched::Edge& edge : program.edges)
         c->boxes.push_back(&comm.mailbox(edge.src, edge.dst, edge.flow));

@@ -15,8 +15,9 @@
  * (so FaultInjector at-op indices do not depend on retries), a blocked
  * op parks on its semaphore (Simple) or asks to be retried (LL: no
  * semaphore is ever posted), and the task yields at the end of every
- * loop iteration. Edges resolve to mailboxes once, at build time, so
- * the chunk loops touch no registry and no routes. Reduction order
+ * loop iteration. Edges resolve to mailboxes and chunks to buffer
+ * slices (Program::geometry) once, at build time, so the chunk loops
+ * touch no registry and no routes. Reduction order
  * over children and chunk tags are fixed by the program, so float
  * results are byte-identical across engines and protocols.
  */

@@ -22,15 +22,12 @@ namespace ccl {
  * Runs ring AllReduce over @p buffers (one per rank, equal length).
  * On return every buffer holds the elementwise sum. @p ring gives the
  * logical rank order; buffers are indexed by rank id. @p proto picks
- * the mailbox wire protocol (LL or Simple) for every hop. @p resume
- * skips chunks already final at every rank (a supervised retry; see
- * ccl::ChunkCheckpoint) — ids are the ring's own chunk ids 0..P-1.
+ * the mailbox wire protocol (LL or Simple) for every hop.
  */
 AllReduceTrace ringAllReduce(Communicator& comm, RankBuffers& buffers,
                              const topo::RingEmbedding& ring,
                              AllReduceTrace::Observer observer = {},
-                             Protocol proto = Protocol::kSimple,
-                             const SkipMask& resume = {});
+                             Protocol proto = Protocol::kSimple);
 
 } // namespace ccl
 } // namespace ccube

@@ -35,17 +35,14 @@ struct TreeFlowIds {
 /**
  * Runs tree AllReduce over @p buffers (one per rank, equal length,
  * indexed by rank id) split into @p num_chunks chunks. On return every
- * buffer holds the elementwise sum. @p resume skips chunks already
- * final at every rank — a supervised retry resuming from a
- * ccl::ChunkCheckpoint; ids match the trace's (chunk_id_offset 0).
+ * buffer holds the elementwise sum.
  */
 AllReduceTrace treeAllReduce(Communicator& comm, RankBuffers& buffers,
                              const topo::TreeEmbedding& embedding,
                              int num_chunks, TreePhaseMode mode,
                              TreeFlowIds flows = {},
                              AllReduceTrace::Observer observer = {},
-                             Protocol proto = Protocol::kSimple,
-                             const SkipMask& resume = {});
+                             Protocol proto = Protocol::kSimple);
 
 } // namespace ccl
 } // namespace ccube

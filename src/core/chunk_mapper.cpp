@@ -7,47 +7,10 @@
 namespace ccube {
 namespace core {
 
-ChunkMapper::ChunkMapper(std::vector<std::pair<double, double>> ranges)
-    : ranges_(std::move(ranges))
+ChunkMapper::ChunkMapper(std::vector<sched::ChunkRange<double>> geometry)
+    : geometry_(std::move(geometry))
 {
-    CCUBE_CHECK(!ranges_.empty(), "mapper needs at least one chunk");
-}
-
-ChunkMapper
-ChunkMapper::singleTree(double total_bytes, int num_chunks)
-{
-    CCUBE_CHECK(total_bytes > 0.0, "non-positive buffer");
-    CCUBE_CHECK(num_chunks >= 1, "need at least one chunk");
-    std::vector<std::pair<double, double>> ranges;
-    for (int c = 0; c < num_chunks; ++c) {
-        ranges.emplace_back(total_bytes * c / num_chunks,
-                            total_bytes * (c + 1) / num_chunks);
-    }
-    return ChunkMapper(std::move(ranges));
-}
-
-ChunkMapper
-ChunkMapper::doubleTree(double total_bytes, int chunks_per_tree)
-{
-    CCUBE_CHECK(total_bytes > 0.0, "non-positive buffer");
-    CCUBE_CHECK(chunks_per_tree >= 1, "need at least one chunk");
-    const double half = total_bytes / 2.0;
-    std::vector<std::pair<double, double>> ranges;
-    for (int c = 0; c < chunks_per_tree; ++c) {
-        ranges.emplace_back(half * c / chunks_per_tree,
-                            half * (c + 1) / chunks_per_tree);
-    }
-    for (int c = 0; c < chunks_per_tree; ++c) {
-        ranges.emplace_back(half + half * c / chunks_per_tree,
-                            half + half * (c + 1) / chunks_per_tree);
-    }
-    return ChunkMapper(std::move(ranges));
-}
-
-ChunkMapper
-ChunkMapper::ring(double total_bytes, int num_ranks)
-{
-    return singleTree(total_bytes, num_ranks);
+    CCUBE_CHECK(!geometry_.empty(), "mapper needs at least one chunk");
 }
 
 std::pair<double, double>
@@ -55,22 +18,9 @@ ChunkMapper::chunkByteRange(int chunk) const
 {
     CCUBE_CHECK(chunk >= 0 && chunk < numChunks(),
                 "bad chunk " << chunk);
-    return ranges_[static_cast<std::size_t>(chunk)];
-}
-
-std::vector<int>
-ChunkMapper::chunksOfRange(double lo, double hi) const
-{
-    CCUBE_CHECK(lo <= hi, "inverted byte range");
-    std::vector<int> chunks;
-    if (lo == hi)
-        return chunks;
-    for (int c = 0; c < numChunks(); ++c) {
-        const auto& [clo, chi] = ranges_[static_cast<std::size_t>(c)];
-        if (clo < hi && lo < chi)
-            chunks.push_back(c);
-    }
-    return chunks;
+    const sched::ChunkRange<double>& range =
+        geometry_[static_cast<std::size_t>(chunk)];
+    return {range.begin, range.end};
 }
 
 std::vector<int>
@@ -84,7 +34,17 @@ ChunkMapper::chunksOfLayer(const std::vector<double>& layer_bytes,
     for (int l = 0; l < layer; ++l)
         lo += layer_bytes[static_cast<std::size_t>(l)];
     const double hi = lo + layer_bytes[static_cast<std::size_t>(layer)];
-    return chunksOfRange(lo, hi);
+    CCUBE_CHECK(lo <= hi, "inverted byte range");
+    std::vector<int> chunks;
+    if (lo == hi)
+        return chunks;
+    for (int c = 0; c < numChunks(); ++c) {
+        const sched::ChunkRange<double>& range =
+            geometry_[static_cast<std::size_t>(c)];
+        if (range.begin < hi && lo < range.end)
+            chunks.push_back(c);
+    }
+    return chunks;
 }
 
 double
@@ -100,44 +60,29 @@ ChunkMapper::layerReadyTime(const std::vector<double>& layer_bytes,
     return ready;
 }
 
-std::vector<std::int64_t>
-ChunkMapper::layerChunkTable(const std::vector<double>& layer_bytes) const
+std::vector<LayerChunkTable>
+ChunkMapper::layerChunkTables(const std::vector<double>& layer_bytes) const
 {
-    std::vector<std::int64_t> table;
-    table.reserve(layer_bytes.size());
-    std::int64_t bound = 0;
-    for (int l = 0; l < static_cast<int>(layer_bytes.size()); ++l) {
-        const std::vector<int> chunks = chunksOfLayer(layer_bytes, l);
-        if (!chunks.empty())
-            bound = std::max<std::int64_t>(bound, chunks.back() + 1);
-        table.push_back(bound);
+    std::vector<LayerChunkTable> tables;
+    for (int c = numChunks() - 1; c >= 0; --c) {
+        const auto part = static_cast<std::size_t>(
+            geometry_[static_cast<std::size_t>(c)].part);
+        if (tables.size() <= part)
+            tables.resize(part + 1);
+        tables[part].first_chunk = c;
     }
-    return table;
-}
-
-std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>>
-perTreeLayerChunkTables(double total_bytes, int chunks_per_tree,
-                        const std::vector<double>& layer_bytes)
-{
-    const ChunkMapper mapper =
-        ChunkMapper::doubleTree(total_bytes, chunks_per_tree);
-    std::vector<std::int64_t> table0;
-    std::vector<std::int64_t> table1;
-    std::int64_t bound0 = 0;
-    std::int64_t bound1 = 0;
+    std::vector<std::int64_t> bound(tables.size(), 0);
     for (int l = 0; l < static_cast<int>(layer_bytes.size()); ++l) {
-        for (int c : mapper.chunksOfLayer(layer_bytes, l)) {
-            if (c < chunks_per_tree) {
-                bound0 = std::max<std::int64_t>(bound0, c + 1);
-            } else {
-                bound1 = std::max<std::int64_t>(bound1,
-                                                c - chunks_per_tree + 1);
-            }
+        for (int c : chunksOfLayer(layer_bytes, l)) {
+            const auto part = static_cast<std::size_t>(
+                geometry_[static_cast<std::size_t>(c)].part);
+            bound[part] = std::max<std::int64_t>(
+                bound[part], c - tables[part].first_chunk + 1);
         }
-        table0.push_back(bound0);
-        table1.push_back(bound1);
+        for (std::size_t p = 0; p < tables.size(); ++p)
+            tables[p].bounds.push_back(bound[p]);
     }
-    return {std::move(table0), std::move(table1)};
+    return tables;
 }
 
 } // namespace core

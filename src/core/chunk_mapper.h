@@ -6,19 +6,34 @@
  * Maps gradient buffer bytes ↔ collective chunks ↔ layers.
  *
  * C-Cube introduces no extra partitioning: it reuses the chunks the
- * collective already pipelines (paper §III-D). This mapper knows the
- * chunk layout of each collective (single tree, double tree with its
- * half-split, ring with P slices) and answers, for a layer occupying
- * a byte range of the one-shot buffer, which chunks gate it — the
- * Layer-Chunk Table of Fig. 9 is derived from it.
+ * collective already pipelines (paper §III-D). The mapper holds no
+ * layout of its own — it is built from the byte geometry of the
+ * sched::Program that runs (Program::geometry, or the copy a timed
+ * run reports in ScheduleResult::geometry) and answers, for a layer
+ * occupying a byte range of the one-shot buffer, which chunks gate
+ * it. The Layer-Chunk Tables of Fig. 9, one per program part, are
+ * derived from it.
  */
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "sched/program.h"
+
 namespace ccube {
 namespace core {
+
+/**
+ * The Layer-Chunk Table (Fig. 9) of one program part. A part delivers
+ * its own chunks in order (Observation #3), so per layer the table
+ * holds how many of them must have arrived: one past the layer's last
+ * chunk in this part, cumulative (non-decreasing) over layers.
+ */
+struct LayerChunkTable {
+    int first_chunk = 0; ///< global id of the part's first chunk
+    std::vector<std::int64_t> bounds; ///< per layer
+};
 
 /**
  * Chunk layout of one collective over a gradient buffer.
@@ -26,38 +41,22 @@ namespace core {
 class ChunkMapper
 {
   public:
-    /** Single tree: @p num_chunks uniform chunks over the buffer. */
-    static ChunkMapper singleTree(double total_bytes, int num_chunks);
-
-    /**
-     * Double tree: the buffer is halved; tree 0's chunks
-     * [0, chunks_per_tree) cover the lower half, tree 1's chunks
-     * [chunks_per_tree, 2×chunks_per_tree) the upper half.
-     */
-    static ChunkMapper doubleTree(double total_bytes,
-                                  int chunks_per_tree);
-
-    /** Ring: P slices, slice k owned by ring position k. */
-    static ChunkMapper ring(double total_bytes, int num_ranks);
+    /** @p geometry: a program's chunk byte ranges, by global chunk id. */
+    explicit ChunkMapper(std::vector<sched::ChunkRange<double>> geometry);
 
     /** Number of global chunks. */
     int numChunks() const
     {
-        return static_cast<int>(ranges_.size());
+        return static_cast<int>(geometry_.size());
     }
 
     /** Byte range [lo, hi) of chunk @p chunk. */
     std::pair<double, double> chunkByteRange(int chunk) const;
 
     /**
-     * Chunks whose byte range intersects [@p lo, @p hi). Layers with
-     * zero bytes return an empty set.
-     */
-    std::vector<int> chunksOfRange(double lo, double hi) const;
-
-    /**
      * Chunks gating layer @p layer given per-layer buffer bytes in
-     * forward order (the buffer layout of Fig. 8).
+     * forward order (the buffer layout of Fig. 8). Layers with zero
+     * bytes are gated by no chunk.
      */
     std::vector<int>
     chunksOfLayer(const std::vector<double>& layer_bytes,
@@ -72,30 +71,13 @@ class ChunkMapper
                           int layer,
                           const std::vector<double>& chunk_ready) const;
 
-    /**
-     * The Layer-Chunk Table of Fig. 9 for a *single-tree* layout: per
-     * layer, the cumulative chunk count up to its last chunk. Only
-     * valid for layouts whose chunks are delivered in global order.
-     */
-    std::vector<std::int64_t>
-    layerChunkTable(const std::vector<double>& layer_bytes) const;
+    /** The Layer-Chunk Tables of Fig. 9, one per program part. */
+    std::vector<LayerChunkTable>
+    layerChunkTables(const std::vector<double>& layer_bytes) const;
 
   private:
-    explicit ChunkMapper(
-        std::vector<std::pair<double, double>> ranges);
-
-    std::vector<std::pair<double, double>> ranges_;
+    std::vector<sched::ChunkRange<double>> geometry_;
 };
-
-/**
- * Per-tree Layer-Chunk Tables for the double-tree layout: for each
- * layer, the cumulative count of that tree's chunks (tree-local ids)
- * required before the layer may dequeue — the input to
- * DualGradientQueue.
- */
-std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>>
-perTreeLayerChunkTables(double total_bytes, int chunks_per_tree,
-                        const std::vector<double>& layer_bytes);
 
 } // namespace core
 } // namespace ccube

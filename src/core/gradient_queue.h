@@ -17,6 +17,13 @@
  * dequeueLayer(L) blocks (paper's check) until every chunk of layer L
  * has been enqueued, then advances the LIC. Because memory is reused
  * in place, enqueue carries no payload — only the semaphore moves.
+ *
+ * A collective of several parts (the double tree's two halves) delivers
+ * each part's chunks in order, but interleaves the parts, so the queue
+ * keeps one enqueue semaphore and one Layer-Chunk Table per program
+ * part: a layer dequeues once every part delivered its chunks of it.
+ * The enqueue side passes the observer's global chunk id, which picks
+ * the part.
  */
 
 #include <atomic>
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "ccl/sync_primitives.h"
+#include "core/chunk_mapper.h"
 
 namespace ccube {
 namespace core {
@@ -35,11 +43,11 @@ class GradientQueue
 {
   public:
     /**
-     * @param layer_chunk_table  per layer, the cumulative chunk count
-     *        up to and including that layer (i.e. one past the last
-     *        chunk offset); must be non-decreasing.
+     * @param tables  one per program part (ChunkMapper::layerChunkTables),
+     *        in ascending first_chunk order, all over the same layers;
+     *        each must be non-decreasing.
      */
-    explicit GradientQueue(std::vector<std::int64_t> layer_chunk_table);
+    explicit GradientQueue(std::vector<LayerChunkTable> tables);
 
     GradientQueue(const GradientQueue&) = delete;
     GradientQueue& operator=(const GradientQueue&) = delete;
@@ -47,18 +55,16 @@ class GradientQueue
     /** Number of layers in the table. */
     int numLayers() const
     {
-        return static_cast<int>(layer_chunk_table_.size());
+        return static_cast<int>(parts_.front().table.bounds.size());
     }
 
-    /** Total chunks the queue expects in one iteration. */
-    std::int64_t totalChunks() const;
-
     /**
-     * Broadcast side: one fully reduced chunk arrived (in order); the
-     * enqueue semaphore advances. Called by the collective's broadcast
-     * phase as each chunk lands.
+     * Broadcast side: global chunk @p chunk arrived fully reduced; its
+     * part's enqueue semaphore advances. Called by the collective's
+     * observer as each chunk lands; a part's chunks must arrive in
+     * order.
      */
-    void enqueueChunk();
+    void enqueueChunk(int chunk);
 
     /**
      * Compute side: block until layer @p layer is fully enqueued, then
@@ -76,19 +82,23 @@ class GradientQueue
         return lic_.load(std::memory_order_acquire);
     }
 
-    /** Chunks enqueued so far (Enqueue Semaphore value). */
-    std::int64_t enqueued() const { return enqueue_semaphore_.value(); }
+    /** Chunks enqueued so far over all parts (Enqueue Semaphores). */
+    std::int64_t enqueued() const;
 
-    /** Last chunk offset (cumulative count) of @p layer. */
-    std::int64_t layerChunkBound(int layer) const;
-
-    /** Resets the semaphore and LIC for the next iteration. */
+    /** Resets the semaphores and LIC for the next iteration. */
     void resetIteration();
 
   private:
-    ccl::CheckableCounter enqueue_semaphore_;
+    struct Part {
+        LayerChunkTable table;
+        ccl::CheckableCounter enqueue_semaphore;
+    };
+
+    /** The bound of @p layer in @p part (layer checked). */
+    std::int64_t bound(const Part& part, int layer) const;
+
+    std::vector<Part> parts_;
     std::atomic<int> lic_{0};
-    std::vector<std::int64_t> layer_chunk_table_;
 };
 
 } // namespace core

@@ -153,9 +153,7 @@ IterationScheduler::evaluate(Mode mode, const IterationConfig& config,
         // Gradient queuing: layer L's forward launches once the
         // previous layer finished and L's chunks all arrived
         // (Fig. 8(b)).
-        const int chunks_per_tree = schedule.num_chunks / 2;
-        const ChunkMapper mapper =
-            ChunkMapper::doubleTree(bytes, chunks_per_tree);
+        const ChunkMapper mapper(schedule.geometry);
         const std::vector<double> layer_bytes =
             network_.layerParamBytes();
         double t = 0.0;

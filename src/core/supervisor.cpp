@@ -5,8 +5,7 @@
 #include <thread>
 #include <utility>
 
-#include "ccl/double_tree_allreduce.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
 #include "obs/monitor.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -70,6 +69,30 @@ ResilienceSupervisor::replanLocked()
     const RecoveryKind previous = plan_.kind;
     plan_ = recoverSchedule(graph_, plan_excluded_, options_.recovery);
     ++stats_.replans;
+    switch (plan_.kind) {
+      case RecoveryKind::kCCube:
+      case RecoveryKind::kDoubleTree:
+        // A contended embedding runs two-phase (the paper's baseline
+        // B) so reduction and broadcast never fight over one channel.
+        program_ = sched::doubleTreeProgram(
+            *plan_.double_tree,
+            plan_.kind == RecoveryKind::kCCube ? sched::PhaseMode::kOverlapped
+                                               : sched::PhaseMode::kTwoPhase,
+            options_.chunks_per_tree);
+        op_ = "double_tree_allreduce";
+        break;
+      case RecoveryKind::kRing:
+        CCUBE_CHECK(!plan_.rings.empty(),
+                    "ring rung without a ring embedding");
+        program_ = sched::ringProgram(plan_.rings[0],
+                                      sched::RingPhase::kAllReduce);
+        op_ = "ring_allreduce";
+        break;
+      case RecoveryKind::kNone:
+        program_ = sched::Program{};
+        op_ = "";
+        break;
+    }
     if (plan_.kind == previous)
         return false;
     // The ladder enum orders best (kCCube = 0) to worst (kNone).
@@ -92,13 +115,13 @@ ResilienceSupervisor::replanNow()
     return replanLocked();
 }
 
-ccl::ChunkLayout
-ResilienceSupervisor::layoutFor(std::size_t total) const
+void
+ResilienceSupervisor::armCheckpoint(const ccl::RankBuffers& buffers)
 {
-    if (plan_.kind == RecoveryKind::kRing)
-        return ccl::ChunkLayout::ring(total, comm_.numRanks());
-    return ccl::ChunkLayout::doubleTree(total,
-                                        options_.chunks_per_tree);
+    if (plan_.kind == RecoveryKind::kNone)
+        checkpoint_.reset();
+    else
+        checkpoint_.begin(buffers, program_);
 }
 
 void
@@ -134,46 +157,11 @@ ResilienceSupervisor::backoffDelay(int retry)
     return delay + jitter_.uniform(0.0, options_.backoff_base_s);
 }
 
-void
-ResilienceSupervisor::runPlanned(ccl::RankBuffers& buffers,
-                                 const ccl::SkipMask& resume,
-                                 ccl::AllReduceTrace::Observer observer)
-{
-    switch (plan_.kind) {
-      case RecoveryKind::kCCube:
-        ccl::doubleTreeAllReduce(comm_, buffers, *plan_.double_tree,
-                                 options_.chunks_per_tree,
-                                 ccl::TreePhaseMode::kOverlapped,
-                                 std::move(observer), options_.proto,
-                                 resume);
-        return;
-      case RecoveryKind::kDoubleTree:
-        // Contended embedding: run two-phase (the paper's baseline B)
-        // so reduction and broadcast never fight over one channel.
-        ccl::doubleTreeAllReduce(comm_, buffers, *plan_.double_tree,
-                                 options_.chunks_per_tree,
-                                 ccl::TreePhaseMode::kTwoPhase,
-                                 std::move(observer), options_.proto,
-                                 resume);
-        return;
-      case RecoveryKind::kRing:
-        CCUBE_CHECK(!plan_.rings.empty(),
-                    "ring rung without a ring embedding");
-        ccl::ringAllReduce(comm_, buffers, plan_.rings[0],
-                           std::move(observer), options_.proto,
-                           resume);
-        return;
-      case RecoveryKind::kNone:
-        CCUBE_CHECK(false, "runPlanned on an unroutable plan");
-    }
-}
-
 SupervisorReport
 ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
 {
     CCUBE_CHECK(static_cast<int>(buffers.size()) == comm_.numRanks(),
                 "one buffer per rank required");
-    const std::size_t total = buffers[0].size();
 
     SupervisorReport report;
     ++stats_.collectives;
@@ -192,7 +180,7 @@ ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
         ++report.replans;
     }
 
-    checkpoint_.begin(buffers, layoutFor(total));
+    armCheckpoint(buffers);
 
     using Clock = std::chrono::steady_clock;
     Clock::time_point first_error{};
@@ -208,10 +196,14 @@ ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
             break;
         }
         traceRung(attempt);
-        const ccl::SkipMask resume = checkpoint_.mask();
-        const int resumed = resume.doneCount();
+        sched::Program attempt_program = program_;
+        attempt_program.skip = checkpoint_.mask();
+        const int resumed = attempt_program.skip.doneCount();
         try {
-            runPlanned(buffers, resume, checkpoint_.observer());
+            ccl::AllReduceTrace trace(comm_.numRanks());
+            trace.setObserver(checkpoint_.observer());
+            ccl::runProgram(comm_, buffers, std::move(attempt_program),
+                            &trace, options_.proto, op_);
             report.completed = true;
             report.chunks_resumed = resumed;
             stats_.chunks_resumed +=
@@ -243,10 +235,11 @@ ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
                 ++report.replans;
                 // A rung/embedding change invalidates the chunk
                 // geometry: restore ALL original inputs and restart
-                // the checkpoint (resuming a different layout would
-                // double-count finished chunks).
+                // the checkpoint from the new program (resuming a
+                // different program would double-count finished
+                // chunks).
                 checkpoint_.restoreAll(buffers);
-                checkpoint_.begin(buffers, layoutFor(total));
+                armCheckpoint(buffers);
             } else {
                 std::this_thread::sleep_for(
                     std::chrono::duration<double>(
@@ -279,8 +272,10 @@ ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
     } else {
         ++stats_.failures;
         // Contract: a failed supervised collective never leaks partial
-        // sums — callers see their original inputs.
-        checkpoint_.restoreAll(buffers);
+        // sums — callers see their original inputs (an unroutable plan
+        // ran nothing since the last restore).
+        if (checkpoint_.active())
+            checkpoint_.restoreAll(buffers);
     }
     checkpoint_.reset();
     return report;

@@ -49,6 +49,7 @@
 #include "ccl/communicator.h"
 #include "ccl/mailbox.h"
 #include "core/recovery.h"
+#include "sched/program.h"
 #include "topo/graph.h"
 #include "topo/health.h"
 #include "util/rng.h"
@@ -183,16 +184,12 @@ class ResilienceSupervisor
 
   private:
     /** Re-plans from the tracker's current excluded set; updates
-     *  plan_/rung bookkeeping. Returns true on a rung change. */
+     *  plan_/program_/rung bookkeeping. Returns true on a rung change. */
     bool replanLocked();
 
-    /** Runs one attempt of the planned schedule (throws
-     *  ccl::CollectiveError on abort). */
-    void runPlanned(ccl::RankBuffers& buffers, const ccl::SkipMask& resume,
-                    ccl::AllReduceTrace::Observer observer);
-
-    /** Checkpoint layout of the current rung over @p total elements. */
-    ccl::ChunkLayout layoutFor(std::size_t total) const;
+    /** Arms the checkpoint from program_ (drops it on an unroutable
+     *  plan, which runs nothing). */
+    void armCheckpoint(const ccl::RankBuffers& buffers);
 
     /** Emits the `supervisor.rung` trace instant. */
     void traceRung(int attempt) const;
@@ -209,6 +206,10 @@ class ResilienceSupervisor
 
     RecoveryResult plan_;
     std::vector<int> plan_excluded_; ///< excluded set plan_ was built on
+    /** The rung's collective, built once per plan; every attempt runs
+     *  a copy with the checkpoint's mask (empty on kNone). */
+    sched::Program program_;
+    const char* op_ = ""; ///< its op name, for watchdog attribution
 
     // Event feed state (guarded; everything else is caller-serialized).
     mutable std::mutex events_mutex_;

@@ -72,8 +72,7 @@ TimelineBuilder::record(obs::TraceRecorder& recorder,
     const bool chained = mode == Mode::kComputeChaining ||
                          mode == Mode::kCCube;
     const std::vector<double> layer_bytes = network.layerParamBytes();
-    const ChunkMapper mapper =
-        ChunkMapper::doubleTree(bytes, std::max(1, chunks / 2));
+    const ChunkMapper mapper(schedule.geometry);
     double t = chained ? 0.0 : bwd + schedule.completion_time;
     for (int l = 0; l < network.numLayers(); ++l) {
         double start = t;

@@ -315,29 +315,25 @@ appendTree(Program& program, const topo::TreeEmbedding& embedding,
 } // namespace
 
 Program
-ringProgram(const topo::RingEmbedding& ring, RingPhase phase,
-            const SkipMask& skip)
+ringProgram(const topo::RingEmbedding& ring, RingPhase phase)
 {
     CCUBE_CHECK(ring.size() >= 1, "empty ring");
     Program program;
     program.num_ranks = ring.size();
     program.parts.push_back(Part{ring.size(), 0});
-    program.skip = skip;
     appendRing(program, ring, phase, 0, /*flow=*/0);
     return program;
 }
 
 Program
 treeProgram(const topo::TreeEmbedding& embedding, TreeDirection direction,
-            PhaseMode mode, int chunks, TreeFlows flows, TreeLanes lanes,
-            const SkipMask& skip)
+            PhaseMode mode, int chunks, TreeFlows flows, TreeLanes lanes)
 {
     CCUBE_CHECK(chunks >= 1, "need at least one chunk");
     CCUBE_CHECK(embedding.tree.valid(), "invalid tree");
     Program program;
     program.num_ranks = embedding.tree.numNodes();
     program.parts.push_back(Part{chunks, 0});
-    program.skip = skip;
     appendTree(program, embedding, direction, mode, chunks, flows, lanes,
                0, "tree");
     return program;
@@ -345,8 +341,7 @@ treeProgram(const topo::TreeEmbedding& embedding, TreeDirection direction,
 
 Program
 doubleTreeProgram(const topo::DoubleTreeEmbedding& embedding,
-                  PhaseMode mode, int chunks_per_tree, LanePolicy lanes,
-                  const SkipMask& skip)
+                  PhaseMode mode, int chunks_per_tree, LanePolicy lanes)
 {
     CCUBE_CHECK(chunks_per_tree >= 1, "need at least one chunk per tree");
     CCUBE_CHECK(embedding.tree0.tree.numNodes() ==
@@ -357,7 +352,6 @@ doubleTreeProgram(const topo::DoubleTreeEmbedding& embedding,
     program.num_ranks = embedding.tree0.tree.numNodes();
     program.parts = {Part{chunks_per_tree, 0},
                      Part{chunks_per_tree, chunks_per_tree}};
-    program.skip = skip;
     appendTree(program, embedding.tree0, TreeDirection::kAllReduce, mode,
                chunks_per_tree, TreeFlows{1, 2}, TreeLanes{0, p2p ? 0 : 1},
                0, "tree0");

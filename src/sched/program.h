@@ -24,6 +24,12 @@
  * a thread (loops, chunk rules, skip mask) is Cursor's job, shared by
  * every interpreter.
  *
+ * The program also owns the chunk geometry — which slice of a payload
+ * each global chunk covers (Program::geometry). The functional
+ * interpreter slices buffers with it, the timed one reports it in
+ * ScheduleResult, and the checkpoint and the Layer-Chunk Tables read
+ * it from the program that runs, so no consumer re-derives a split.
+ *
  * Semantics every interpreter honours:
  *  - the steps of a thread run strictly in order;
  *  - a send never waits for its receiver, except that a step marked
@@ -187,11 +193,19 @@ struct Thread {
 /**
  * A contiguous share of the payload: part p of n covers
  * [p/n, (p+1)/n) of every rank's buffer, split into `chunks` chunks
- * whose global ids start at chunk_offset.
+ * whose global ids start at chunk_offset (Program::geometry).
  */
 struct Part {
     int chunks = 1;
     int chunk_offset = 0;
+};
+
+/** Where one global chunk lies in a payload: its part and [begin, end). */
+template <typename T>
+struct ChunkRange {
+    int part = 0;
+    T begin{};
+    T end{};
 };
 
 /** Mailbox flow ids of one tree (the ccl:: flow-id convention). */
@@ -215,6 +229,7 @@ struct Program {
     std::vector<Thread> threads;
     std::vector<Loop> loops;
     std::vector<Step> steps;
+    /** Empty as built below; a resumed run sets it on its copy. */
     SkipMask skip;
 
     /** Global chunk count over all parts. */
@@ -222,6 +237,32 @@ struct Program {
 
     /** The physical route of @p edge (empty hops: shortest path). */
     topo::Route route(const Edge& edge) const;
+
+    /**
+     * The chunk geometry of a payload of @p total units (elements or
+     * bytes), indexed by global chunk id: part p of n starts at
+     * total·p/n, and its chunk c of K at part_begin + part_size·c/K.
+     * Every consumer of "which slice is chunk c" reads it here — the
+     * functional interpreter, the checkpoint, the Layer-Chunk Tables.
+     * For integers the chunks tile [0, total) exactly, some empty when
+     * a part has fewer elements than chunks.
+     */
+    template <typename T>
+    std::vector<ChunkRange<T>> geometry(T total) const
+    {
+        std::vector<ChunkRange<T>> out(static_cast<std::size_t>(numChunks()));
+        const T n = static_cast<T>(parts.size());
+        for (std::size_t p = 0; p < parts.size(); ++p) {
+            const T begin = total * static_cast<T>(p) / n;
+            const T size = total * static_cast<T>(p + 1) / n - begin;
+            const T k = static_cast<T>(parts[p].chunks);
+            for (int c = 0; c < parts[p].chunks; ++c)
+                out[static_cast<std::size_t>(parts[p].chunk_offset + c)] = {
+                    static_cast<int>(p), begin + size * static_cast<T>(c) / k,
+                    begin + size * static_cast<T>(c + 1) / k};
+        }
+        return out;
+    }
 };
 
 /**
@@ -279,8 +320,7 @@ class Cursor
  * Ring collective over @p ring (chunk k = the slice of ring position
  * k) on flow 0. One thread per rank, in ring-position order.
  */
-Program ringProgram(const topo::RingEmbedding& ring, RingPhase phase,
-                    const SkipMask& skip = {});
+Program ringProgram(const topo::RingEmbedding& ring, RingPhase phase);
 
 /**
  * One tree's collective in @p direction over @p chunks chunks. Detour
@@ -290,8 +330,7 @@ Program ringProgram(const topo::RingEmbedding& ring, RingPhase phase,
  */
 Program treeProgram(const topo::TreeEmbedding& embedding,
                     TreeDirection direction, PhaseMode mode, int chunks,
-                    TreeFlows flows = {}, TreeLanes lanes = {},
-                    const SkipMask& skip = {});
+                    TreeFlows flows = {}, TreeLanes lanes = {});
 
 /**
  * Double-tree AllReduce: tree0 over the lower payload half (chunks
@@ -300,8 +339,7 @@ Program treeProgram(const topo::TreeEmbedding& embedding,
  */
 Program doubleTreeProgram(const topo::DoubleTreeEmbedding& embedding,
                           PhaseMode mode, int chunks_per_tree,
-                          LanePolicy lanes = LanePolicy::kPointToPoint,
-                          const SkipMask& skip = {});
+                          LanePolicy lanes = LanePolicy::kPointToPoint);
 
 /**
  * NCCL-style multi-ring AllReduce: ring r carries payload part r

@@ -39,6 +39,10 @@ struct ScheduleResult {
     /** chunk_ready[k]: time chunk k was available at *every* rank. */
     std::vector<double> chunk_ready;
 
+    /** geometry[k]: the part and byte range of chunk k — the run's
+     *  Program::geometry, which core::ChunkMapper is built from. */
+    std::vector<sched::ChunkRange<double>> geometry;
+
     /**
      * Gradient turnaround time (paper §III-C): when the first chunk
      * finished the collective — the earliest entry of chunk_ready.

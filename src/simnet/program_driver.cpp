@@ -16,7 +16,7 @@ ProgramDriver::ProgramDriver(Network& network,
                              const sched::Program& program,
                              double total_bytes, ccl::Protocol proto)
     : net_(network), engine_(network), program_(program),
-      inbox_(program.edges.size()),
+      total_bytes_(total_bytes), inbox_(program.edges.size()),
       waiter_(program.edges.size(), -1),
       available_at_(static_cast<std::size_t>(program.num_ranks),
                     std::vector<double>(
@@ -30,8 +30,15 @@ ProgramDriver::ProgramDriver(Network& network,
     for (const sched::Part& part : program.parts)
         chunk_bytes_.push_back(part_bytes / part.chunks);
     routes_.reserve(program.edges.size());
-    for (const sched::Edge& edge : program.edges)
+    for (const sched::Edge& edge : program.edges) {
         routes_.push_back(program.route(edge));
+        if (routes_.back().hops.empty()) {
+            routes_.back().hops = network.graph().shortestPath(
+                edge.src, edge.dst, topo::LinkKind::kNvlink);
+            CCUBE_CHECK(!routes_.back().hops.empty(),
+                        "no NVLink path " << edge.src << " → " << edge.dst);
+        }
+    }
     // Every rank finalizes every chunk the skip mask keeps.
     for (int c = 0; c < program.numChunks(); ++c)
         pending_ += program.skip.done(c) ? 0 : program.num_ranks;
@@ -100,15 +107,12 @@ void
 ProgramDriver::issue(int thread, int edge)
 {
     ++threads_[static_cast<std::size_t>(thread)].in_flight;
-    const sched::Edge& e = program_.edges[static_cast<std::size_t>(edge)];
     const int part = program_.threads[static_cast<std::size_t>(thread)].part;
-    const double bytes = chunk_bytes_[static_cast<std::size_t>(part)];
-    auto done = [this, thread, edge]() { onComplete(thread, edge); };
-    const topo::Route& route = routes_[static_cast<std::size_t>(edge)];
-    if (route.hops.empty())
-        engine_.send(e.src, e.dst, bytes, std::move(done), e.lane);
-    else
-        engine_.sendAlongRoute(route, bytes, std::move(done), e.lane);
+    engine_.sendAlongRoute(
+        routes_[static_cast<std::size_t>(edge)],
+        chunk_bytes_[static_cast<std::size_t>(part)],
+        [this, thread, edge]() { onComplete(thread, edge); },
+        program_.edges[static_cast<std::size_t>(edge)].lane);
 }
 
 void
@@ -157,6 +161,7 @@ ProgramDriver::partialResult(double stalled_at) const
     out.num_chunks = program_.numChunks();
     out.completion_time = finished() ? completion_time_ : stalled_at;
     out.chunk_at_rank = available_at_;
+    out.geometry = program_.geometry(total_bytes_);
     out.chunk_ready.assign(static_cast<std::size_t>(out.num_chunks), -1.0);
     for (int c = 0; c < out.num_chunks; ++c) {
         double latest = 0.0;

@@ -8,7 +8,8 @@
  *
  * Each program thread walks its steps at simulated time: a send
  * issues a TransferEngine transfer along the edge's route (the
- * shortest NVLink path when the edge names none) on the edge's lane
+ * shortest NVLink path when the edge names none, looked up once at
+ * construction) on the edge's lane
  * and carries on without waiting, unless the step is marked
  * after_drain; recv, recvReduce and forward wait for the edge's next
  * arrival; a final marker stamps chunk_at_rank with the landing time
@@ -37,7 +38,8 @@ class ProgramDriver
 {
   public:
     /** @p total_bytes is split evenly over the program's parts, and
-     *  each part evenly over its chunks. */
+     *  each part evenly over its chunks; the result reports that
+     *  split as the program's geometry. */
     ProgramDriver(Network& network, const sched::Program& program,
                   double total_bytes,
                   ccl::Protocol proto = ccl::Protocol::kSimple);
@@ -92,8 +94,9 @@ class ProgramDriver
     Network& net_;
     TransferEngine engine_;
     const sched::Program& program_;
+    double total_bytes_;
     std::vector<double> chunk_bytes_; ///< per part
-    std::vector<topo::Route> routes_; ///< per edge
+    std::vector<topo::Route> routes_; ///< per edge, resolved once
     std::vector<ThreadState> threads_;
     std::vector<Inbox> inbox_; ///< per edge
     std::vector<int> waiter_;  ///< per edge: thread waiting, or -1

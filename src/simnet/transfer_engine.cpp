@@ -114,23 +114,5 @@ TransferEngine::runStage(const topo::Route& route, std::size_t index,
         lane);
 }
 
-void
-TransferEngine::send(topo::NodeId src, topo::NodeId dst, double bytes,
-                     DoneFn done, int lane)
-{
-    auto it = route_cache_.find({src, dst});
-    if (it == route_cache_.end()) {
-        topo::Route route;
-        route.hops = net_.graph().shortestPath(src, dst,
-                                               topo::LinkKind::kNvlink);
-        CCUBE_CHECK(!route.hops.empty(),
-                    "no NVLink path " << src << " → " << dst);
-        it = route_cache_.emplace(std::make_pair(src, dst),
-                                  std::move(route))
-                 .first;
-    }
-    sendAlongRoute(it->second, bytes, std::move(done), lane);
-}
-
 } // namespace simnet
 } // namespace ccube

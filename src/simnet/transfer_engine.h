@@ -11,9 +11,6 @@
  * received into the transit GPU's memory, then re-sent).
  */
 
-#include <map>
-#include <utility>
-
 #include "ccl/protocol.h"
 #include "simnet/channel.h"
 #include "topo/tree_embedding.h"
@@ -63,13 +60,6 @@ class TransferEngine
     /** Hop-count samples, one per send. */
     const util::RunningStats& hopStats() const { return hop_stats_; }
 
-    /**
-     * Sends @p bytes from @p src to @p dst along the shortest NVLink
-     * path (computed on demand and cached).
-     */
-    void send(topo::NodeId src, topo::NodeId dst, double bytes,
-              DoneFn done, int lane = 0);
-
   private:
     /**
      * Runs the stage starting at hop @p index. A stage spans
@@ -84,8 +74,6 @@ class TransferEngine
     Network& net_;
     ccl::Protocol proto_ = ccl::Protocol::kSimple;
     ccl::ProtocolCosts costs_;
-    std::map<std::pair<topo::NodeId, topo::NodeId>, topo::Route>
-        route_cache_;
     std::uint64_t sends_issued_ = 0;
     util::RunningStats hop_stats_;
 };

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "ccl/double_tree_allreduce.h"
-#include "ccl/overlapped_tree_allreduce.h"
 #include "ccl/ring_allreduce.h"
 #include "ccl/tree_allreduce.h"
 #include "topo/dgx1.h"
@@ -238,18 +237,6 @@ TEST(DoubleTreeAllReduce, PerTreeChunksStayInOrder)
             }
         }
     }
-}
-
-TEST(ChunkSplit, CoversBufferWithoutOverlap)
-{
-    const ChunkSplit split(100, 7);
-    std::size_t covered = 0;
-    for (int c = 0; c < 7; ++c) {
-        EXPECT_EQ(split.begin(c), covered);
-        EXPECT_GT(split.end(c), split.begin(c));
-        covered = split.end(c);
-    }
-    EXPECT_EQ(covered, 100u);
 }
 
 TEST(AllReduceTrace, InOrderDetection)

@@ -21,7 +21,6 @@
 #include "ccl/communicator.h"
 #include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
-#include "ccl/overlapped_tree_allreduce.h"
 #include "ccl/ring_allreduce.h"
 #include "ccl/tree_allreduce.h"
 #include "obs/context.h"
@@ -96,7 +95,8 @@ runAllAlgorithms(ccl::Communicator& comm, const Topologies& topo,
     }
     {
         ccl::RankBuffers buffers = randomBuffers(rng, expected);
-        ccl::overlappedTreeAllReduce(comm, buffers, topo.tree, kChunks);
+        ccl::treeAllReduce(comm, buffers, topo.tree, kChunks,
+                           ccl::TreePhaseMode::kOverlapped);
         expectAllReduced(buffers, expected);
     }
     {

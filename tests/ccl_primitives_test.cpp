@@ -138,13 +138,15 @@ TEST(RingReduceScatter, OwnedSliceIsFullyReduced)
     const topo::RingEmbedding ring = topo::makeSequentialRing(ranks);
     Communicator comm(ranks);
     ringReduceScatter(comm, buffers, ring);
-    const ChunkSplit split(16, ranks);
+    const auto geometry =
+        sched::ringProgram(ring, sched::RingPhase::kReduceScatter)
+            .geometry(std::size_t{16});
     for (int pos = 0; pos < ranks; ++pos) {
-        const int owned = (pos + 1) % ranks;
+        const auto& owned =
+            geometry[static_cast<std::size_t>((pos + 1) % ranks)];
         const auto& buf = buffers[static_cast<std::size_t>(
             ring.order[static_cast<std::size_t>(pos)])];
-        for (std::size_t i = split.begin(owned); i < split.end(owned);
-             ++i) {
+        for (std::size_t i = owned.begin; i < owned.end; ++i) {
             ASSERT_NEAR(buf[i], sum[i], 1e-4f)
                 << "pos " << pos << " elem " << i;
         }

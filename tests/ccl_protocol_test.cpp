@@ -22,7 +22,6 @@
 #include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
 #include "ccl/fault.h"
-#include "ccl/overlapped_tree_allreduce.h"
 #include "ccl/primitives.h"
 #include "ccl/protocol.h"
 #include "ccl/ring_allreduce.h"
@@ -160,8 +159,8 @@ dgx1Scenarios(const Dgx1Topologies& topo)
         {"tree_allreduce_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
-             ccl::overlappedTreeAllReduce(c, b, topo.tree, kChunks, {},
-                                          p);
+             ccl::treeAllReduce(c, b, topo.tree, kChunks,
+                                ccl::TreePhaseMode::kOverlapped, {}, {}, p);
          }},
         {"double_tree_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
@@ -344,8 +343,8 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
         {"tree_allreduce_overlapped_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
-             ccl::overlappedTreeAllReduce(c, b, topo.tree, kChunks, {},
-                                          p);
+             ccl::treeAllReduce(c, b, topo.tree, kChunks,
+                                ccl::TreePhaseMode::kOverlapped, {}, {}, p);
          }},
         {"double_tree_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,

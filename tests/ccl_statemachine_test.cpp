@@ -24,7 +24,6 @@
 #include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
 #include "ccl/fault.h"
-#include "ccl/overlapped_tree_allreduce.h"
 #include "ccl/primitives.h"
 #include "ccl/ring_allreduce.h"
 #include "ccl/state_machine.h"
@@ -190,7 +189,8 @@ dgx1Scenarios(const Dgx1Topologies& topo)
          }},
         {"tree_allreduce_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::overlappedTreeAllReduce(c, b, topo.tree, kChunks);
+             ccl::treeAllReduce(c, b, topo.tree, kChunks,
+                                ccl::TreePhaseMode::kOverlapped);
          }},
         {"double_tree_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
@@ -253,7 +253,8 @@ TEST(StateMachineByteIdentity, LogicalTopologiesAtSixtyFourRanks)
          }},
         {"tree_allreduce_overlapped_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::overlappedTreeAllReduce(c, b, topo.tree, kChunks);
+             ccl::treeAllReduce(c, b, topo.tree, kChunks,
+                                ccl::TreePhaseMode::kOverlapped);
          }},
         {"double_tree_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
@@ -339,8 +340,8 @@ TEST(StateMachineEngineSharing, ConcurrentCommunicatorsOneSharedPool)
             for (int iter = 0; iter < kIters; ++iter) {
                 ccl::RankBuffers buffers =
                     integerBuffers(kRanks, kElems);
-                ccl::overlappedTreeAllReduce(comm, buffers, topo.tree,
-                                             kChunks);
+                ccl::treeAllReduce(comm, buffers, topo.tree, kChunks,
+                                   ccl::TreePhaseMode::kOverlapped);
                 for (int r = 0; r < kRanks; ++r)
                     for (int i = 0; i < kElems; ++i)
                         if (buffers[static_cast<std::size_t>(r)]

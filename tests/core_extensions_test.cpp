@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the extension modules: the dual (per-tree) gradient
- * queue, per-tree layer-chunk tables, the multi-iteration Trainer,
+ * Tests for the extension modules: the gradient queue over the double
+ * tree's per-tree layer-chunk tables, the multi-iteration Trainer,
  * and heterogeneous-bandwidth (straggler) behaviour of the timed
  * schedules.
  */
@@ -9,13 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
-#include <thread>
 
 #include "core/ccube_engine.h"
 #include "core/chunk_mapper.h"
-#include "core/dual_gradient_queue.h"
+#include "core/gradient_queue.h"
 #include "core/timeline.h"
 #include "core/trainer.h"
 #include "simnet/channel.h"
@@ -28,87 +26,25 @@ namespace ccube {
 namespace core {
 namespace {
 
-TEST(DualGradientQueue, GatesOnBothTrees)
+TEST(GradientQueue, DoubleTreeTablesDrainOnResnet)
 {
-    // Layer 0 needs 2 chunks of tree 0 only; layer 1 needs one more
-    // from each tree.
-    DualGradientQueue queue({2, 3}, {0, 1});
-    queue.enqueueChunk(0);
-    EXPECT_FALSE(queue.tryDequeueLayer(0));
-    queue.enqueueChunk(0);
-    EXPECT_TRUE(queue.tryDequeueLayer(0));
-    // Layer 1: tree0 bound 3, tree1 bound 1.
-    queue.enqueueChunk(1);
-    EXPECT_FALSE(queue.tryDequeueLayer(1)); // tree0 still at 2
-    queue.enqueueChunk(0);
-    EXPECT_TRUE(queue.tryDequeueLayer(1));
-    EXPECT_EQ(queue.layerIndexCounter(), 2);
-}
-
-TEST(DualGradientQueue, BlockingDequeueAcrossThreads)
-{
-    DualGradientQueue queue({1, 1}, {1, 2});
-    std::atomic<int> done{0};
-    std::thread compute([&]() {
-        queue.dequeueLayer(0);
-        done.store(1);
-        queue.dequeueLayer(1);
-        done.store(2);
-    });
-    queue.enqueueChunk(0);
-    EXPECT_EQ(done.load(), 0); // layer 0 also needs tree1 chunk 1
-    queue.enqueueChunk(1);
-    while (done.load() < 1)
-        std::this_thread::yield();
-    queue.enqueueChunk(1);
-    compute.join();
-    EXPECT_EQ(done.load(), 2);
-    queue.resetIteration();
-    EXPECT_EQ(queue.enqueued(0), 0);
-    EXPECT_EQ(queue.enqueued(1), 0);
-}
-
-TEST(DualGradientQueue, RejectsMalformedTables)
-{
-    EXPECT_DEATH(DualGradientQueue({}, {}), "empty");
-    EXPECT_DEATH(DualGradientQueue({1, 2}, {1}), "same layer count");
-    EXPECT_DEATH(DualGradientQueue({2, 1}, {1, 1}), "non-decreasing");
-}
-
-TEST(PerTreeLayerChunkTables, SplitsAtTheHalfBoundary)
-{
-    // 100 bytes, 2 chunks per tree (each 25 bytes). Layers of
-    // 50 / 25 / 25 bytes: layer 0 fills tree 0 exactly; layer 1 is
-    // tree 1's first chunk; layer 2 its second.
-    const auto [t0, t1] =
-        perTreeLayerChunkTables(100.0, 2, {50.0, 25.0, 25.0});
-    EXPECT_EQ(t0, (std::vector<std::int64_t>{2, 2, 2}));
-    EXPECT_EQ(t1, (std::vector<std::int64_t>{0, 1, 2}));
-}
-
-TEST(PerTreeLayerChunkTables, StraddlingLayerNeedsBothTrees)
-{
-    // One layer of 60 bytes and one of 40: the first straddles the
-    // 50-byte half boundary.
-    const auto [t0, t1] =
-        perTreeLayerChunkTables(100.0, 2, {60.0, 40.0});
-    EXPECT_EQ(t0, (std::vector<std::int64_t>{2, 2}));
-    EXPECT_EQ(t1, (std::vector<std::int64_t>{1, 2}));
-}
-
-TEST(PerTreeLayerChunkTables, ConsistentWithDualQueueOnResnet)
-{
+    // Per-tree tables of the DGX-1 double tree's geometry over
+    // ResNet-50: delivering every chunk, interleaved across the trees
+    // as the observer would, lets every layer dequeue in order.
     const dnn::NetworkModel net = dnn::buildResnet50();
-    const auto layer_bytes = net.layerParamBytes();
+    const topo::Graph dgx1 = topo::makeDgx1();
     const int chunks_per_tree = 32;
-    const auto [t0, t1] = perTreeLayerChunkTables(
-        net.totalParamBytes(), chunks_per_tree, layer_bytes);
-    ASSERT_EQ(static_cast<int>(t0.size()), net.numLayers());
-    DualGradientQueue queue(t0, t1);
-    // Deliver everything; all layers must dequeue in order.
+    const sched::Program program = sched::doubleTreeProgram(
+        topo::makeDgx1DoubleTree(dgx1), sched::PhaseMode::kOverlapped,
+        chunks_per_tree);
+    const ChunkMapper mapper(program.geometry(net.totalParamBytes()));
+    const auto tables = mapper.layerChunkTables(net.layerParamBytes());
+    ASSERT_EQ(tables.size(), 2u);
+    ASSERT_EQ(static_cast<int>(tables[0].bounds.size()), net.numLayers());
+    GradientQueue queue(tables);
     for (int c = 0; c < chunks_per_tree; ++c) {
-        queue.enqueueChunk(0);
-        queue.enqueueChunk(1);
+        queue.enqueueChunk(c);
+        queue.enqueueChunk(chunks_per_tree + c);
     }
     for (int l = 0; l < net.numLayers(); ++l)
         EXPECT_TRUE(queue.tryDequeueLayer(l)) << "layer " << l;

@@ -177,16 +177,18 @@ TEST_F(EngineTest, AccuracyNeutralLayerOrder)
     // Invariant #9: chaining changes *when* layers run, never their
     // order — layer ready times are consumed strictly in layer order
     // by construction of the chained recurrence; verify via the
-    // mapper table being monotone for the real workload.
+    // mapper tables (one per tree) being monotone for the real
+    // workload.
     const auto schedule =
         engine_.commOnly(Mode::kCCube, engine_.network()
                                            .totalParamBytes());
-    const ChunkMapper mapper = ChunkMapper::doubleTree(
-        engine_.network().totalParamBytes(), schedule.num_chunks / 2);
-    const auto table =
-        mapper.layerChunkTable(engine_.network().layerParamBytes());
-    for (std::size_t i = 1; i < table.size(); ++i)
-        EXPECT_GE(table[i], table[i - 1]);
+    const ChunkMapper mapper(schedule.geometry);
+    const auto tables =
+        mapper.layerChunkTables(engine_.network().layerParamBytes());
+    ASSERT_EQ(tables.size(), 2u);
+    for (const LayerChunkTable& table : tables)
+        for (std::size_t i = 1; i < table.bounds.size(); ++i)
+            EXPECT_GE(table.bounds[i], table.bounds[i - 1]);
 }
 
 TEST(EngineWorkloads, ZfNetSmallBatchFavorsRing)

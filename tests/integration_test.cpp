@@ -21,9 +21,8 @@
 #include <vector>
 
 #include "ccl/double_tree_allreduce.h"
-#include "ccl/overlapped_tree_allreduce.h"
+#include "ccl/tree_allreduce.h"
 #include "core/chunk_mapper.h"
-#include "core/dual_gradient_queue.h"
 #include "core/gradient_queue.h"
 #include "model/overlapped_tree_model.h"
 #include "model/tree_model.h"
@@ -45,6 +44,8 @@ TEST(FunctionalCCube, TrainingStepWithGradientQueuing)
     constexpr int kLayers = 3;
     constexpr std::size_t kElems = 60; // 10 per chunk
     const std::vector<double> layer_bytes{10.0, 20.0, 30.0};
+    const topo::Graph dgx1 = topo::makeDgx1();
+    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
 
     // Per-rank gradient buffers ("weights' gradients").
     ccl::RankBuffers gradients(kRanks);
@@ -62,8 +63,8 @@ TEST(FunctionalCCube, TrainingStepWithGradientQueuing)
     // memory; we key enqueues off the broadcast's record events).
     std::vector<std::unique_ptr<core::GradientQueue>> queues;
     for (int r = 0; r < kRanks; ++r)
-        queues.push_back(
-            std::make_unique<core::GradientQueue>(layer_table));
+        queues.push_back(std::make_unique<core::GradientQueue>(
+            std::vector<core::LayerChunkTable>{{0, layer_table}}));
 
     // Compute threads: dequeue layers in order; record, per layer,
     // how many chunks had been enqueued at dequeue time.
@@ -82,14 +83,12 @@ TEST(FunctionalCCube, TrainingStepWithGradientQueuing)
 
     // The collective: overlapped tree on the C-Cube DGX-1 tree 0,
     // with the broadcast enqueuing each chunk as it lands.
-    const topo::Graph dgx1 = topo::makeDgx1();
-    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
     ccl::Communicator comm(kRanks);
     const ccl::AllReduceTrace trace = ccl::treeAllReduce(
         comm, gradients, dt.tree0, kChunks,
         ccl::TreePhaseMode::kOverlapped, {},
-        [&queues](int rank, int) {
-            queues[static_cast<std::size_t>(rank)]->enqueueChunk();
+        [&queues](int rank, int chunk) {
+            queues[static_cast<std::size_t>(rank)]->enqueueChunk(chunk);
         });
 
     for (auto& t : compute)
@@ -121,20 +120,23 @@ TEST(FunctionalCCube, TrainingStepWithGradientQueuing)
                   kLayers);
     }
     // (d) The layer table used here matches what the chunk mapper
-    //     derives from the layer byte layout.
-    const core::ChunkMapper mapper =
-        core::ChunkMapper::singleTree(60.0, kChunks);
-    EXPECT_EQ(mapper.layerChunkTable(layer_bytes), layer_table);
+    //     derives from the program's geometry and the byte layout.
+    const core::ChunkMapper mapper(
+        sched::treeProgram(dt.tree0, sched::TreeDirection::kAllReduce,
+                           sched::PhaseMode::kOverlapped, kChunks)
+            .geometry(60.0));
+    const auto tables = mapper.layerChunkTables(layer_bytes);
+    ASSERT_EQ(tables.size(), 1u);
+    EXPECT_EQ(tables[0].bounds, layer_table);
 }
 
 TEST(FunctionalCCube, MultipleIterationsWithReset)
 {
-    const std::vector<std::int64_t> table{2, 4};
-    core::GradientQueue queue(table);
+    core::GradientQueue queue({{0, {2, 4}}});
     for (int iter = 0; iter < 3; ++iter) {
         std::thread broadcaster([&queue]() {
             for (int c = 0; c < 4; ++c)
-                queue.enqueueChunk();
+                queue.enqueueChunk(c);
         });
         queue.dequeueLayer(0);
         queue.dequeueLayer(1);
@@ -144,11 +146,12 @@ TEST(FunctionalCCube, MultipleIterationsWithReset)
     }
 }
 
-TEST(FunctionalCCube, DoubleTreeWithDualGradientQueue)
+TEST(FunctionalCCube, DoubleTreeWithGradientQueue)
 {
     // The full C-Cube data path: overlapped *double* tree (both trees
     // concurrent on the DGX-1 embedding, detour forwarders on
-    // GPU0/GPU1) feeding per-rank dual gradient queues keyed by the
+    // GPU0/GPU1) feeding per-rank gradient queues — one Layer-Chunk
+    // Table per tree, from the program's geometry — keyed by the
     // observer's global chunk ids; forward threads dequeue layers in
     // order.
     constexpr int kRanks = 8;
@@ -157,8 +160,13 @@ TEST(FunctionalCCube, DoubleTreeWithDualGradientQueue)
     const std::vector<double> layer_bytes{80.0, 120.0, 120.0};
     const double total_bytes = kElems * 4.0;
 
-    const auto [t0, t1] = core::perTreeLayerChunkTables(
-        total_bytes, kChunksPerTree, layer_bytes);
+    const topo::Graph dgx1 = topo::makeDgx1();
+    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
+    const core::ChunkMapper mapper(
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped,
+                                 kChunksPerTree)
+            .geometry(total_bytes));
+    const auto tables = mapper.layerChunkTables(layer_bytes);
 
     ccl::RankBuffers gradients(kRanks);
     util::Rng rng(501);
@@ -171,10 +179,9 @@ TEST(FunctionalCCube, DoubleTreeWithDualGradientQueue)
         for (std::size_t i = 0; i < kElems; ++i)
             expected[i] += buf[i];
 
-    std::vector<std::unique_ptr<core::DualGradientQueue>> queues;
+    std::vector<std::unique_ptr<core::GradientQueue>> queues;
     for (int r = 0; r < kRanks; ++r)
-        queues.push_back(
-            std::make_unique<core::DualGradientQueue>(t0, t1));
+        queues.push_back(std::make_unique<core::GradientQueue>(tables));
 
     std::vector<std::thread> forward;
     std::atomic<int> layers_done{0};
@@ -188,15 +195,11 @@ TEST(FunctionalCCube, DoubleTreeWithDualGradientQueue)
         });
     }
 
-    const topo::Graph dgx1 = topo::makeDgx1();
-    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
     ccl::Communicator comm(kRanks);
     ccl::doubleTreeAllReduce(
         comm, gradients, dt, kChunksPerTree,
-        ccl::TreePhaseMode::kOverlapped,
-        [&queues, kChunksPerTree](int rank, int chunk) {
-            queues[static_cast<std::size_t>(rank)]->enqueueChunk(
-                chunk < kChunksPerTree ? 0 : 1);
+        ccl::TreePhaseMode::kOverlapped, [&queues](int rank, int chunk) {
+            queues[static_cast<std::size_t>(rank)]->enqueueChunk(chunk);
         });
 
     for (auto& t : forward)
@@ -210,10 +213,8 @@ TEST(FunctionalCCube, DoubleTreeWithDualGradientQueue)
                         expected[i], 1e-4f)
                 << "rank " << r;
         }
-        EXPECT_EQ(queues[static_cast<std::size_t>(r)]->enqueued(0),
-                  kChunksPerTree);
-        EXPECT_EQ(queues[static_cast<std::size_t>(r)]->enqueued(1),
-                  kChunksPerTree);
+        EXPECT_EQ(queues[static_cast<std::size_t>(r)]->enqueued(),
+                  2 * kChunksPerTree);
     }
 }
 

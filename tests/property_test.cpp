@@ -112,6 +112,9 @@ TEST(PropertyComm, OverlapNeverSlowerAcrossRandomSizes)
 TEST(PropertyMapper, TablesMonotoneAndCoverAllChunks)
 {
     util::Rng rng(11);
+    const topo::Graph dgx1 = topo::makeDgx1();
+    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
+    const topo::TreeEmbedding& tree = dt.tree0;
     for (int trial = 0; trial < 20; ++trial) {
         const int layers = static_cast<int>(rng.uniformInt(1, 30));
         std::vector<double> layer_bytes;
@@ -128,9 +131,13 @@ TEST(PropertyMapper, TablesMonotoneAndCoverAllChunks)
             total = 1e6;
         }
         const int chunks = static_cast<int>(rng.uniformInt(1, 64));
-        const core::ChunkMapper mapper =
-            core::ChunkMapper::singleTree(total, chunks);
-        const auto table = mapper.layerChunkTable(layer_bytes);
+        const core::ChunkMapper mapper(
+            sched::treeProgram(tree, sched::TreeDirection::kAllReduce,
+                               sched::PhaseMode::kOverlapped, chunks)
+                .geometry(total));
+        const auto tables = mapper.layerChunkTables(layer_bytes);
+        ASSERT_EQ(tables.size(), 1u);
+        const std::vector<std::int64_t>& table = tables[0].bounds;
         for (std::size_t i = 1; i < table.size(); ++i)
             ASSERT_GE(table[i], table[i - 1]);
         ASSERT_EQ(table.back(), chunks);
@@ -142,16 +149,20 @@ TEST(PropertyMapper, TablesMonotoneAndCoverAllChunks)
                 covered.insert(c);
         ASSERT_EQ(static_cast<int>(covered.size()), chunks);
 
-        // Per-tree tables agree with the dual layout.
-        const auto [t0, t1] = core::perTreeLayerChunkTables(
-            total, std::max(1, chunks / 2), layer_bytes);
-        ASSERT_EQ(t0.size(), layer_bytes.size());
-        for (std::size_t i = 1; i < t0.size(); ++i) {
-            ASSERT_GE(t0[i], t0[i - 1]);
-            ASSERT_GE(t1[i], t1[i - 1]);
+        // Per-tree tables of the double-tree layout.
+        const int per_tree = std::max(1, chunks / 2);
+        const core::ChunkMapper dual(
+            sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped,
+                                     per_tree)
+                .geometry(total));
+        const auto per_part = dual.layerChunkTables(layer_bytes);
+        ASSERT_EQ(per_part.size(), 2u);
+        for (const core::LayerChunkTable& t : per_part) {
+            ASSERT_EQ(t.bounds.size(), layer_bytes.size());
+            for (std::size_t i = 1; i < t.bounds.size(); ++i)
+                ASSERT_GE(t.bounds[i], t.bounds[i - 1]);
+            ASSERT_EQ(t.bounds.back(), per_tree);
         }
-        ASSERT_EQ(t0.back(), std::max(1, chunks / 2));
-        ASSERT_EQ(t1.back(), std::max(1, chunks / 2));
     }
 }
 

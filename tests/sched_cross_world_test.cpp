@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/double_tree_allreduce.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
 #include "sched/program.h"
 #include "simnet/channel.h"
 #include "simnet/program_driver.h"
@@ -135,13 +134,22 @@ maskOf(std::vector<int> done, int chunks)
     return sched::SkipMask(bits);
 }
 
-void
-expectSameOrders(const sched::Program& program, const Orders& functional,
-                 const Orders& des, const std::string& name)
+/** Runs @p program in both worlds and compares both orders with its
+ *  own; returns the functional world's buffers. */
+ccl::RankBuffers
+expectSameOrders(const sched::Program& program, const topo::Graph& graph,
+                 ccl::Communicator& comm, int elems, const std::string& name)
 {
+    ccl::RankBuffers data = buffers(program.num_ranks, elems);
+    ccl::AllReduceTrace trace(program.num_ranks);
+    ccl::runProgram(comm, data, program, &trace, ccl::Protocol::kSimple,
+                    "allreduce");
     const Orders want = programOrders(program);
-    EXPECT_EQ(functional, want) << name << ": functional world";
-    EXPECT_EQ(des, want) << name << ": timed world";
+    EXPECT_EQ(functionalOrders(program, trace), want)
+        << name << ": functional world";
+    EXPECT_EQ(desOrders(program, graph, 4e6), want)
+        << name << ": timed world";
+    return data;
 }
 
 void
@@ -154,21 +162,17 @@ checkDoubleTree(const topo::Graph& graph,
          {sched::SkipMask(), maskOf({1, chunks, 2 * chunks - 1}, 2 * chunks)}) {
         const std::string label =
             name + (skip.any() ? " masked" : "");
-        const sched::Program program = sched::doubleTreeProgram(
-            dt, sched::PhaseMode::kOverlapped, chunks,
-            sched::LanePolicy::kPointToPoint, skip);
+        sched::Program program = sched::doubleTreeProgram(
+            dt, sched::PhaseMode::kOverlapped, chunks);
+        program.skip = skip;
         ccl::Communicator comm(p, 4, mode);
-        ccl::RankBuffers data = buffers(p, 64 * chunks);
-        const ccl::AllReduceTrace trace = ccl::doubleTreeAllReduce(
-            comm, data, dt, chunks, sched::PhaseMode::kOverlapped, {},
-            ccl::Protocol::kSimple, skip);
+        const ccl::RankBuffers data =
+            expectSameOrders(program, graph, comm, 64 * chunks, label);
         if (!skip.any()) {
             const float sum = static_cast<float>(p * (p + 1) / 2);
             for (const std::vector<float>& b : data)
                 EXPECT_EQ(b, std::vector<float>(b.size(), sum)) << label;
         }
-        expectSameOrders(program, functionalOrders(program, trace),
-                         desOrders(program, graph, 4e6), label);
     }
 }
 
@@ -194,14 +198,11 @@ TEST(CrossWorld, Dgx1RingP8)
     const topo::RingEmbedding ring = topo::findHamiltonianRing(dgx1, 8);
     for (const sched::SkipMask& skip :
          {sched::SkipMask(), maskOf({0, 5}, 8)}) {
-        const sched::Program program =
-            sched::ringProgram(ring, sched::RingPhase::kAllReduce, skip);
+        sched::Program program =
+            sched::ringProgram(ring, sched::RingPhase::kAllReduce);
+        program.skip = skip;
         ccl::Communicator comm(8);
-        ccl::RankBuffers data = buffers(8, 256);
-        const ccl::AllReduceTrace trace = ccl::ringAllReduce(
-            comm, data, ring, {}, ccl::Protocol::kSimple, skip);
-        expectSameOrders(program, functionalOrders(program, trace),
-                         desOrders(program, dgx1, 4e6),
+        expectSameOrders(program, dgx1, comm, 256,
                          skip.any() ? "ring masked" : "ring");
     }
 }

@@ -17,8 +17,12 @@
 
 #include <deque>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "ccl/checkpoint.h"
+#include "ccl/communicator.h"
+#include "ccl/program_task.h"
 #include "sched/program.h"
 #include "topo/dgx1.h"
 #include "topo/dgx2.h"
@@ -250,13 +254,16 @@ directDoubleTree(int p)
         topo::directEmbedding(topo::BinaryTree::inorder(p).mirrored()));
 }
 
-SkipMask
-maskOf(std::vector<int> done, int chunks)
+/** @p program resuming with chunks @p done already final. */
+Program
+masked(Program program, std::vector<int> done)
 {
-    std::vector<std::uint8_t> bits(static_cast<std::size_t>(chunks), 0);
+    std::vector<std::uint8_t> bits(
+        static_cast<std::size_t>(program.numChunks()), 0);
     for (int c : done)
         bits[static_cast<std::size_t>(c)] = 1;
-    return SkipMask(bits);
+    program.skip = SkipMask(bits);
+    return program;
 }
 
 const PhaseMode kModes[] = {PhaseMode::kTwoPhase, PhaseMode::kOverlapped};
@@ -330,20 +337,17 @@ TEST(SymbolicChecker, SkipMasksKeepThePostcondition)
     const topo::Graph dgx1 = topo::makeDgx1();
     const auto dt = topo::makeDgx1DoubleTree(dgx1);
     for (PhaseMode mode : kModes) {
-        expectAllReduce(doubleTreeProgram(dt, mode, 6,
-                                          LanePolicy::kPointToPoint,
-                                          maskOf({0, 3, 7, 11}, 12)),
+        expectAllReduce(masked(doubleTreeProgram(dt, mode, 6),
+                               {0, 3, 7, 11}),
                         "dgx1 double tree, masked");
-        expectAllReduce(doubleTreeProgram(dt, mode, 4,
-                                          LanePolicy::kPointToPoint,
-                                          maskOf({0, 1, 2, 3, 4, 5, 6, 7},
-                                                 8)),
+        expectAllReduce(masked(doubleTreeProgram(dt, mode, 4),
+                               {0, 1, 2, 3, 4, 5, 6, 7}),
                         "dgx1 double tree, all masked");
     }
     for (int p : {2, 5, 8}) {
-        expectAllReduce(ringProgram(topo::makeSequentialRing(p),
-                                    RingPhase::kAllReduce,
-                                    maskOf({1, p - 1}, p)),
+        expectAllReduce(masked(ringProgram(topo::makeSequentialRing(p),
+                                           RingPhase::kAllReduce),
+                               {1, p - 1}),
                         "ring masked p=" + std::to_string(p));
     }
 }
@@ -408,6 +412,136 @@ TEST(SymbolicChecker, DroppedOrDuplicatedRecvReduceIsRejected)
                                  << index << (kind == Mutation::Kind::kDrop
                                                   ? " dropped"
                                                   : " duplicated");
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------- geometry
+
+/** A ring and a tree (one part), a double tree (two), a multi-ring
+ *  (four). */
+std::vector<std::pair<std::string, Program>>
+geometryCorpus()
+{
+    const topo::Graph dgx1 = topo::makeDgx1();
+    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
+    return {
+        {"ring", ringProgram(topo::makeSequentialRing(5),
+                             RingPhase::kAllReduce)},
+        {"tree", treeProgram(dt.tree0, TreeDirection::kAllReduce,
+                             PhaseMode::kOverlapped, 6)},
+        {"double tree", doubleTreeProgram(dt, PhaseMode::kOverlapped, 4)},
+        {"multi-ring", multiRingProgram(topo::findDisjointRings(dgx1, 8, 4))},
+    };
+}
+
+template <typename T>
+void
+expectTiles(const Program& program, T total, const std::string& name)
+{
+    const std::vector<ChunkRange<T>> geometry = program.geometry(total);
+    ASSERT_EQ(static_cast<int>(geometry.size()), program.numChunks());
+    const T n = static_cast<T>(program.parts.size());
+    for (std::size_t p = 0; p < program.parts.size(); ++p) {
+        const Part& part = program.parts[p];
+        T at = total * static_cast<T>(p) / n;
+        for (int c = 0; c < part.chunks; ++c) {
+            const ChunkRange<T>& range =
+                geometry[static_cast<std::size_t>(part.chunk_offset + c)];
+            EXPECT_EQ(range.part, static_cast<int>(p)) << name;
+            EXPECT_EQ(range.begin, at) << name << " chunk " << c;
+            EXPECT_LE(range.begin, range.end) << name << " chunk " << c;
+            at = range.end;
+        }
+        const T part_end = total * static_cast<T>(p + 1) / n;
+        if constexpr (std::is_floating_point_v<T>)
+            EXPECT_DOUBLE_EQ(at, part_end) << name << " part " << p;
+        else
+            EXPECT_EQ(at, part_end) << name << " part " << p;
+    }
+}
+
+TEST(Geometry, ChunksTileEachPartAndPartsSplitAtTotalPOverN)
+{
+    for (const auto& [name, program] : geometryCorpus()) {
+        for (std::size_t total : {0, 1, 3, 7, 100, 4096})
+            expectTiles(program, total, name + " elements");
+        for (double bytes : {1.0, 3.0, 1e6 / 3.0, 25.6e6, 102.4e6})
+            expectTiles(program, bytes, name + " bytes");
+    }
+}
+
+TEST(Geometry, DoubleTreeBytesMatchTheHalfSplitBitForBit)
+{
+    // Chained iteration times read these byte ranges, and the DES
+    // outputs pin them bit for bit: tree 0's chunk c spans half·c/K,
+    // tree 1's half + half·c/K, with half = bytes/2.
+    const topo::Graph dgx1 = topo::makeDgx1();
+    for (int k : {1, 3, 7, 32}) {
+        const Program program = doubleTreeProgram(
+            topo::makeDgx1DoubleTree(dgx1), PhaseMode::kOverlapped, k);
+        for (double bytes : {100.0, 1e6 / 3.0, 97.49e6}) {
+            const double half = bytes / 2.0;
+            const auto geometry = program.geometry(bytes);
+            for (int c = 0; c < k; ++c) {
+                const auto& lo = geometry[static_cast<std::size_t>(c)];
+                const auto& hi = geometry[static_cast<std::size_t>(k + c)];
+                EXPECT_EQ(lo.begin, half * c / k);
+                EXPECT_EQ(lo.end, half * (c + 1) / k);
+                EXPECT_EQ(hi.begin, half + half * c / k);
+                EXPECT_EQ(hi.end, half + half * (c + 1) / k);
+            }
+        }
+    }
+}
+
+TEST(Geometry, InterpreterAndCheckpointAgreeOnEverySlice)
+{
+    // Resume every chunk but c: the interpreter may write only c's
+    // slice, and a checkpoint armed from the same program, with every
+    // other chunk committed, must restore exactly what it wrote.
+    const topo::Graph dgx1 = topo::makeDgx1();
+    const std::vector<Program> programs = {
+        ringProgram(topo::makeSequentialRing(4), RingPhase::kAllReduce),
+        doubleTreeProgram(topo::makeDgx1DoubleTree(dgx1),
+                          PhaseMode::kOverlapped, 2),
+    };
+    for (const Program& program : programs) {
+        ccl::Communicator comm(program.num_ranks);
+        for (std::size_t total : {1, 7, 100}) {
+            const auto geometry = program.geometry(total);
+            ccl::RankBuffers input(
+                static_cast<std::size_t>(program.num_ranks));
+            for (std::size_t r = 0; r < input.size(); ++r)
+                input[r].assign(total, static_cast<float>(r + 1));
+            for (int c = 0; c < program.numChunks(); ++c) {
+                std::vector<int> others;
+                for (int o = 0; o < program.numChunks(); ++o)
+                    if (o != c)
+                        others.push_back(o);
+                ccl::RankBuffers data = input;
+                ccl::runProgram(comm, data, masked(program, others),
+                                nullptr, ccl::Protocol::kSimple,
+                                "geometry");
+                const ChunkRange<std::size_t>& slice =
+                    geometry[static_cast<std::size_t>(c)];
+                for (std::size_t r = 0; r < data.size(); ++r)
+                    for (std::size_t i = 0; i < total; ++i)
+                        EXPECT_EQ(data[r][i] != input[r][i],
+                                  i >= slice.begin && i < slice.end)
+                            << "total " << total << " chunk " << c
+                            << " rank " << r << " element " << i;
+
+                ccl::ChunkCheckpoint checkpoint;
+                checkpoint.begin(input, program);
+                const auto observer = checkpoint.observer();
+                for (int o : others)
+                    for (int r = 0; r < program.num_ranks; ++r)
+                        observer(r, o);
+                checkpoint.restoreIncomplete(data);
+                EXPECT_EQ(data, input) << "total " << total << " chunk "
+                                       << c;
             }
         }
     }

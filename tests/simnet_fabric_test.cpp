@@ -52,7 +52,9 @@ TEST(CutThrough, SwitchRouteChargesOnlyEndpointPorts)
     TransferEngine engine(net);
     double done_at = -1.0;
     const double bytes = 1e6;
-    engine.send(0, 15, bytes, [&]() { done_at = sim.now(); });
+    engine.sendAlongRoute(
+        topo::Route{g.shortestPath(0, 15)}, bytes,
+        [&]() { done_at = sim.now(); });
     sim.run();
     const double x = bytes / kBw;
     // Spine uplinks are widened (radix × bw): the exit channel into
@@ -95,8 +97,10 @@ TEST(CutThrough, EndpointPortStillContends)
     Network net(sim, g);
     TransferEngine engine(net);
     std::vector<double> done;
-    engine.send(0, 15, 1e6, [&]() { done.push_back(sim.now()); });
-    engine.send(0, 14, 1e6, [&]() { done.push_back(sim.now()); });
+    for (topo::NodeId dst : {15, 14})
+        engine.sendAlongRoute(
+            topo::Route{g.shortestPath(0, dst)},
+            1e6, [&]() { done.push_back(sim.now()); });
     sim.run();
     ASSERT_EQ(done.size(), 2u);
     const double x = 1e6 / kBw;

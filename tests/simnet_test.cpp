@@ -128,7 +128,9 @@ TEST(TransferEngine, SendFindsRouteOnFabric)
     Network net(sim, g);
     TransferEngine engine(net);
     double done_at = -1.0;
-    engine.send(0, 2, 1e6, [&]() { done_at = sim.now(); });
+    engine.sendAlongRoute(
+        topo::Route{g.shortestPath(0, 2)}, 1e6,
+        [&]() { done_at = sim.now(); });
     sim.run();
     EXPECT_NEAR(done_at, 2 * (kAlpha + 1e6 / kBw), 1e-12);
 }

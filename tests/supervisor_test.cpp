@@ -21,8 +21,10 @@
 #include "core/supervisor.h"
 #include "obs/monitor.h"
 #include "obs/trace.h"
+#include "sched/program.h"
 #include "topo/dgx1.h"
 #include "topo/graph.h"
+#include "topo/ring_embedding.h"
 
 namespace ccube {
 namespace core {
@@ -381,6 +383,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------- checkpoint details
 
+/** The two-rank ring AllReduce a checkpoint is armed from. */
+sched::Program
+twoRankRing()
+{
+    return sched::ringProgram(topo::makeSequentialRing(2),
+                              sched::RingPhase::kAllReduce);
+}
+
 TEST(ChunkCheckpoint, CommittedChunksSkipAndIncompleteOnesRestore)
 {
     ccl::RankBuffers buffers(2);
@@ -388,7 +398,7 @@ TEST(ChunkCheckpoint, CommittedChunksSkipAndIncompleteOnesRestore)
     buffers[1].assign(8, 2.0f);
 
     ccl::ChunkCheckpoint checkpoint;
-    checkpoint.begin(buffers, ccl::ChunkLayout::ring(8, 2));
+    checkpoint.begin(buffers, twoRankRing());
     ASSERT_TRUE(checkpoint.active());
 
     // Chunk 0 becomes final at every rank; chunk 1 only partially.
@@ -435,7 +445,7 @@ TEST(ChunkCheckpoint, RearmVoidsPartialRecordsFromTheDeadAttempt)
     buffers[1].assign(4, 2.0f);
 
     ccl::ChunkCheckpoint checkpoint;
-    checkpoint.begin(buffers, ccl::ChunkLayout::ring(4, 2));
+    checkpoint.begin(buffers, twoRankRing());
     ccl::AllReduceTrace::Observer observer = checkpoint.observer();
 
     // One rank recorded chunk 0, then the attempt died. rearm() must
@@ -448,6 +458,23 @@ TEST(ChunkCheckpoint, RearmVoidsPartialRecordsFromTheDeadAttempt)
     EXPECT_FALSE(checkpoint.done(0));
     observer(1, 0);
     EXPECT_TRUE(checkpoint.done(0));
+}
+
+TEST(ChunkCheckpointDeathTest, BuffersMustMatchTheProgram)
+{
+    // Unequal lengths: chunk 1 of the 8-element geometry is [4, 8),
+    // past the end of rank 1's buffer — restoreIncomplete would copy
+    // out of bounds, so begin() refuses.
+    ccl::RankBuffers ragged(2);
+    ragged[0].assign(8, 1.0f);
+    ragged[1].assign(4, 2.0f);
+    ccl::ChunkCheckpoint checkpoint;
+    EXPECT_DEATH(checkpoint.begin(ragged, twoRankRing()), "equally sized");
+
+    // One buffer per program rank.
+    ccl::RankBuffers three(3, std::vector<float>(8, 1.0f));
+    EXPECT_DEATH(checkpoint.begin(three, twoRankRing()),
+                 "one buffer per program rank");
 }
 
 TEST(SupervisorBackoff, DeterministicPerSeed)
