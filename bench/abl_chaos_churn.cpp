@@ -14,7 +14,8 @@
  *      from first failure to the completed retry) and, after
  *      re-promotion, the DES bandwidth of the supervisor's live plan
  *      relative to the healthy C-Cube plan — the >=95% recovery
- *      criterion.
+ *      criterion. The DES times the plan's own sched::Program, so the
+ *      gate measures exactly what the supervisor runs.
  *
  *   2. Chaos-fuzz summary: seeded simnet::ChaosPlan schedules against
  *      the DES fabric, counting completions, casualties, and dropped
@@ -50,7 +51,7 @@
 #include "simnet/channel.h"
 #include "simnet/double_tree_schedule.h"
 #include "simnet/fault_plan.h"
-#include "simnet/multi_ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/graph.h"
@@ -85,40 +86,6 @@ makeTestbed()
     return graph;
 }
 
-/** DES completion time of @p recovery's schedule at @p bytes. */
-double
-planTime(const core::RecoveryResult& recovery, double bytes)
-{
-    sim::Simulation sim;
-    simnet::Network net(sim, recovery.graph);
-    switch (recovery.kind) {
-    case core::RecoveryKind::kCCube:
-        return simnet::runDoubleTreeSchedule(
-                   sim, net, *recovery.double_tree, bytes,
-                   simnet::PhaseMode::kOverlapped, 32)
-            .completion_time;
-    case core::RecoveryKind::kDoubleTree:
-        return simnet::runDoubleTreeSchedule(
-                   sim, net, *recovery.double_tree, bytes,
-                   simnet::PhaseMode::kTwoPhase, 32)
-            .completion_time;
-    case core::RecoveryKind::kRing:
-        // The DES transfer engine routes NVLink-only; a fallback ring
-        // over PCIe peer links is not simulable. The churn loop only
-        // measures the plan after re-promotion, so this is a guard,
-        // not a path the bench expects to take.
-        if (recovery.graph.shortestPath(0, 1, topo::LinkKind::kNvlink)
-                .empty())
-            return 0.0;
-        return simnet::runMultiRingSchedule(sim, net, recovery.rings,
-                                            bytes)
-            .completion_time;
-    case core::RecoveryKind::kNone:
-        break;
-    }
-    return 0.0;
-}
-
 } // namespace
 
 int
@@ -136,12 +103,25 @@ main(int argc, char** argv)
     core::RecoveryOptions recovery_options;
     recovery_options.search.num_ranks = graph.nodeCount();
     recovery_options.search.seed = 7;
+    recovery_options.chunks_per_tree = 32;
+
+    // DES completion time of a plan's program: the very program the
+    // supervisor runs on that plan (0 when nothing is routable).
+    auto desTime = [bytes](const core::RecoveryResult& plan) {
+        if (!plan.usable())
+            return 0.0;
+        sim::Simulation sim;
+        simnet::Network net(sim, plan.graph);
+        return simnet::runProgram(sim, net, plan.program, bytes,
+                                  ccl::Protocol::kSimple, plan.op)
+            .completion_time;
+    };
 
     // Healthy reference: the C-Cube plan's DES bandwidth — the 100%
     // mark the re-promoted plan is measured against.
     const core::RecoveryResult healthy =
         core::recoverSchedule(graph, {}, recovery_options);
-    const double healthy_time = planTime(healthy, bytes);
+    const double healthy_time = desTime(healthy);
     const double healthy_bw = bytes / healthy_time;
     std::cout << "healthy C-Cube plan: "
               << util::formatDouble(healthy_time * 1e3, 3) << " ms ("
@@ -226,8 +206,7 @@ main(int argc, char** argv)
 
         // Bandwidth of the LIVE plan after re-promotion, versus the
         // healthy C-Cube plan — the >=95% recovery criterion.
-        const double recovered_time =
-            planTime(supervisor.plan(), bytes);
+        const double recovered_time = desTime(supervisor.plan());
         const double ratio =
             recovered_time > 0.0 ? healthy_time / recovered_time : 0.0;
 

@@ -34,7 +34,7 @@ main(int argc, char** argv)
 
     core::CCubeEngine engine(dnn::buildResnet50());
     const double bytes = util::mib(64);
-    const model::TreeModel model(engine.scheduler().linkModel());
+    const model::TreeModel model(engine.linkModel());
     const int kopt = model.optimalChunksInt(8, bytes / 2.0);
 
     util::Table table({"K_per_tree", "completion_ms", "bandwidth_GBps",

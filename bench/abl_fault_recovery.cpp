@@ -13,11 +13,18 @@
  *      detection, then calls core::recoverSchedule over the survivor
  *      graph,
  *   4. re-runs the collective on whatever rung the ladder landed on
- *      (C-Cube overlapped, contended double tree two-phase, or
- *      disjoint rings),
+ *      (C-Cube overlapped, contended double tree two-phase, or the
+ *      fallback ring),
  *
  * and reports time-to-recover (detect + search + re-run) and
- * post-recovery bandwidth per fault scenario, as a table.
+ * post-recovery bandwidth per fault scenario, as a table. The re-run
+ * times the sched::Program the ladder returned — the one the
+ * resilience supervisor would run.
+ *
+ * Exit status: 1 when any pair re-plans to `none`, a root-cause
+ * report misses the injected channel or a pair endpoint, obs::diff
+ * attributes less than 80% of a healthy-vs-faulted delta, or a
+ * degrade/slowdown run does not complete; the reasons go to stderr.
  */
 
 #include <algorithm>
@@ -38,7 +45,7 @@
 #include "simnet/channel.h"
 #include "simnet/double_tree_schedule.h"
 #include "simnet/fault_plan.h"
-#include "simnet/multi_ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/flags.h"
@@ -79,35 +86,6 @@ pairChannelIds(const topo::Graph& graph,
     for (int id : graph.channelIds(pair.second, pair.first))
         ids.push_back(id);
     return ids;
-}
-
-/** Simulated completion time of the recovered schedule. */
-double
-rerunRecovered(const core::RecoveryResult& recovery, double bytes)
-{
-    sim::Simulation sim;
-    simnet::Network net(sim, recovery.graph);
-    switch (recovery.kind) {
-    case core::RecoveryKind::kCCube:
-        // Conflict-free: the overlapped schedule is valid again.
-        return simnet::runDoubleTreeSchedule(
-                   sim, net, *recovery.double_tree, bytes,
-                   simnet::PhaseMode::kOverlapped, 32)
-            .completion_time;
-    case core::RecoveryKind::kDoubleTree:
-        // Contended embedding: overlap premise is gone, run two-phase.
-        return simnet::runDoubleTreeSchedule(
-                   sim, net, *recovery.double_tree, bytes,
-                   simnet::PhaseMode::kTwoPhase, 32)
-            .completion_time;
-    case core::RecoveryKind::kRing:
-        return simnet::runMultiRingSchedule(sim, net, recovery.rings,
-                                            bytes)
-            .completion_time;
-    case core::RecoveryKind::kNone:
-        break;
-    }
-    return 0.0;
 }
 
 } // namespace
@@ -167,6 +145,7 @@ main(int argc, char** argv)
     int blamed_rank_ok = 0;
     int diff_ok = 0;
     int scenarios = 0;
+    int unrecovered = 0;
 
     // Serial scenario loop: recoverSchedule fans its own embedding
     // attempts across workers, so the sweep stays single-stream here.
@@ -223,11 +202,21 @@ main(int argc, char** argv)
 
         core::RecoveryOptions options;
         options.search.num_ranks = graph.nodeCount();
+        options.chunks_per_tree = 32;
         const core::RecoveryResult recovery =
             core::recoverSchedule(graph, failed, options);
 
-        const double rerun_time =
-            recovery.usable() ? rerunRecovered(recovery, bytes) : 0.0;
+        // Re-run: time the very program the ladder returned.
+        double rerun_time = 0.0;
+        if (recovery.usable()) {
+            sim::Simulation sim;
+            simnet::Network net(sim, recovery.graph);
+            rerun_time = simnet::runProgram(sim, net, recovery.program,
+                                            bytes, ccl::Protocol::kSimple,
+                                            recovery.op)
+                             .completion_time;
+        }
+        unrecovered += recovery.usable() ? 0 : 1;
         const double recover_s =
             detect_s + recovery.search_seconds + rerun_time;
         const double post_bw =
@@ -275,11 +264,12 @@ main(int argc, char** argv)
         std::cout << "\n";
         quantiles.print(std::cout);
     }
-    std::cout << "\nEvery single-link failure on the DGX-1 leaves a "
-                 "usable schedule: most survivor graphs still embed a "
-                 "conflict-free double tree (full C-Cube bandwidth), "
-                 "and the rest fall back down the ladder rather than "
-                 "hanging the job.\n";
+    if (unrecovered == 0)
+        std::cout << "\nEvery single-link failure on the DGX-1 leaves a "
+                     "usable schedule: most survivor graphs still embed "
+                     "a conflict-free double tree (full C-Cube "
+                     "bandwidth), and the rest fall back down the "
+                     "ladder rather than hanging the job.\n";
 
     // Degraded-but-alive sweeps: kChannelDegrade and kNodeSlowdown
     // never drop traffic, so the schedule must complete on the SAME
@@ -290,6 +280,7 @@ main(int argc, char** argv)
     util::Table degrade_table({"scenario", "factor", "runs",
                                "completed", "median_ms", "worst_ms",
                                "worst_bw_retained_%"});
+    int incomplete_runs = 0;
     auto runFaulted = [&](const simnet::FaultPlan& plan) {
         sim::Simulation sim;
         simnet::Network net(sim, graph);
@@ -300,6 +291,7 @@ main(int argc, char** argv)
     auto addDegradeRow = [&](const std::string& scenario, double factor,
                              int runs, int completed,
                              std::vector<double> times) {
+        incomplete_runs += runs - completed;
         std::sort(times.begin(), times.end());
         const double median = times[times.size() / 2];
         const double worst = times.back();
@@ -344,10 +336,12 @@ main(int argc, char** argv)
                       std::move(times));
     }
     degrade_table.print(std::cout);
-    std::cout << "\nDegrades and slowdowns are survivable by "
-                 "construction: every sweep run completed without a "
-                 "re-plan, so the resilience supervisor treats them as "
-                 "health-score inputs rather than exclusions.\n";
+    if (incomplete_runs == 0)
+        std::cout << "\nDegrades and slowdowns are survivable by "
+                     "construction: every sweep run completed without "
+                     "a re-plan, so the resilience supervisor treats "
+                     "them as health-score inputs rather than "
+                     "exclusions.\n";
 
     obs_session.finish();
     // Per-scenario root-cause + diff reports replace the session's
@@ -360,5 +354,21 @@ main(int argc, char** argv)
         std::cout << "wrote per-scenario root-cause reports to "
                   << rootcause_path << "\n";
     }
-    return 0;
+
+    bool pass = true;
+    auto fail = [&pass](int misses, const char* what) {
+        if (misses == 0)
+            return;
+        std::cerr << "FAIL: " << misses << " " << what << "\n";
+        pass = false;
+    };
+    fail(unrecovered, "NVLink pair failures re-planned to none");
+    fail(scenarios - blamed_channel_ok,
+         "root-cause reports missed the injected channel");
+    fail(scenarios - blamed_rank_ok,
+         "root-cause reports missed a pair endpoint");
+    fail(scenarios - diff_ok,
+         "obs::diff reports attributed < 80% of the delta");
+    fail(incomplete_runs, "degrade/slowdown runs did not complete");
+    return pass ? 0 : 1;
 }

@@ -40,8 +40,8 @@ main(int argc, char** argv)
     const double bw_scale = 0.25;
 
     const double bytes = net.totalParamBytes();
-    const auto schedule = engine.scheduler().commSchedule(
-        core::Mode::kCCube, bytes, bw_scale);
+    const auto schedule =
+        engine.commOnly(core::Mode::kCCube, bytes, bw_scale);
     const core::ChunkMapper mapper(schedule.geometry);
     const std::vector<double> layer_bytes = net.layerParamBytes();
     const auto fwd = compute.layerForwardTimes(net, batch);

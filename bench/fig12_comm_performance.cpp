@@ -31,7 +31,7 @@ main(int argc, char** argv)
                  "B vs C1 ===\n\n";
 
     core::CCubeEngine engine(dnn::buildResnet50());
-    const model::AlphaBeta link = engine.scheduler().linkModel();
+    const model::AlphaBeta link = engine.linkModel();
     const model::TreeModel tree_model(link);
     const model::OverlappedTreeModel over_model(link);
 

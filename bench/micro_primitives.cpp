@@ -306,12 +306,11 @@ runAllReduceProto(benchmark::State& state, Alg alg,
             break;
         case Alg::kTree:
             ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
-                               ccl::TreePhaseMode::kTwoPhase, {}, {},
-                               proto);
+                               ccl::TreePhaseMode::kTwoPhase, {}, proto);
             break;
         case Alg::kOverlappedTree:
             ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
-                               ccl::TreePhaseMode::kOverlapped, {}, {},
+                               ccl::TreePhaseMode::kOverlapped, {},
                                proto);
             break;
         case Alg::kDoubleTree:

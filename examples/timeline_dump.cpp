@@ -94,12 +94,12 @@ main(int argc, char** argv)
             // One trace process per mode so Perfetto shows the three
             // iteration timelines side by side.
             core::TimelineBuilder::record(
-                obs::TraceRecorder::global(), engine.scheduler(), mode,
+                obs::TraceRecorder::global(), engine, mode,
                 config, obs::pids::core() + mode_index);
         }
         ++mode_index;
-        const auto events = core::TimelineBuilder::build(
-            engine.scheduler(), mode, config);
+        const auto events =
+            core::TimelineBuilder::build(engine, mode, config);
         if (csv) {
             std::cout << "# mode " << core::modeName(mode) << "\n";
             core::TimelineBuilder::writeCsv(std::cout, events);

@@ -48,14 +48,13 @@ ringAllReduce(Communicator& comm, RankBuffers& buffers,
 AllReduceTrace
 treeAllReduce(Communicator& comm, RankBuffers& buffers,
               const topo::TreeEmbedding& embedding, int num_chunks,
-              TreePhaseMode mode, TreeFlowIds flows,
-              AllReduceTrace::Observer observer, Protocol proto)
+              TreePhaseMode mode, AllReduceTrace::Observer observer,
+              Protocol proto)
 {
     return runAllReduce(
         comm, buffers,
         sched::treeProgram(embedding, sched::TreeDirection::kAllReduce,
-                           mode, num_chunks,
-                           sched::TreeFlows{flows.reduce, flows.broadcast}),
+                           mode, num_chunks),
         std::move(observer), proto, "tree_allreduce");
 }
 
@@ -144,8 +143,8 @@ allReduce(Communicator& comm, RankBuffers& buffers,
                 ? TreePhaseMode::kTwoPhase
                 : TreePhaseMode::kOverlapped;
         return treeAllReduce(comm, buffers, embedding,
-                             options.num_chunks, mode, {},
-                             options.observer, proto);
+                             options.num_chunks, mode, options.observer,
+                             proto);
       }
       case AllReduceAlgorithm::kDoubleTree:
       case AllReduceAlgorithm::kCCubeDoubleTree: {

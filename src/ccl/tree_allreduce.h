@@ -26,21 +26,15 @@ namespace ccl {
 /** Phase organisation of the tree algorithm (see sched::). */
 using TreePhaseMode = sched::PhaseMode;
 
-/** Flow ids used by one tree instance. */
-struct TreeFlowIds {
-    FlowId reduce = kFlowTree0Reduce;
-    FlowId broadcast = kFlowTree0Broadcast;
-};
-
 /**
  * Runs tree AllReduce over @p buffers (one per rank, equal length,
  * indexed by rank id) split into @p num_chunks chunks. On return every
- * buffer holds the elementwise sum.
+ * buffer holds the elementwise sum. The tree runs on the tree-0
+ * flows (kFlowTree0Reduce / kFlowTree0Broadcast).
  */
 AllReduceTrace treeAllReduce(Communicator& comm, RankBuffers& buffers,
                              const topo::TreeEmbedding& embedding,
                              int num_chunks, TreePhaseMode mode,
-                             TreeFlowIds flows = {},
                              AllReduceTrace::Observer observer = {},
                              Protocol proto = Protocol::kSimple);
 

@@ -77,21 +77,31 @@ recoverSchedule(const topo::Graph& graph,
         out.kind = RecoveryKind::kCCube;
         out.double_tree = std::move(*embedding);
     } else if (allPairsNvlinkReachable(out.graph, num_ranks)) {
-        // Rung 2: any routable mirrored double tree. Contended
-        // channels mean the overlap premise is gone — callers should
-        // run it two-phase — but the collective still completes.
+        // Rung 2: any routable mirrored double tree; the collective
+        // completes despite channel contention.
         out.kind = RecoveryKind::kDoubleTree;
         out.double_tree =
             topo::makeMirroredDoubleTree(out.graph, num_ranks);
-    } else {
-        // Rung 3: disjoint rings (a ring only needs neighbor
-        // adjacency along one Hamiltonian cycle, not all-pairs
-        // reachability).
-        out.rings =
-            topo::findDisjointRings(out.graph, num_ranks,
-                                    options.ring_count);
-        out.kind = out.rings.empty() ? RecoveryKind::kNone
-                                     : RecoveryKind::kRing;
+    } else if (std::vector<topo::RingEmbedding> rings =
+                   topo::findDisjointRings(out.graph, num_ranks, 1);
+               !rings.empty()) {
+        // Rung 3: a ring only needs neighbor adjacency along one
+        // Hamiltonian cycle, not all-pairs reachability.
+        out.kind = RecoveryKind::kRing;
+        out.ring = std::move(rings.front());
+        out.program =
+            sched::ringProgram(out.ring, sched::RingPhase::kAllReduce);
+        out.op = "ring_allreduce";
+    }
+    if (out.double_tree) {
+        // A contended embedding runs two-phase (the paper's baseline
+        // B) so reduction and broadcast never fight over one channel.
+        out.program = sched::doubleTreeProgram(
+            *out.double_tree,
+            out.kind == RecoveryKind::kCCube ? sched::PhaseMode::kOverlapped
+                                             : sched::PhaseMode::kTwoPhase,
+            options.chunks_per_tree);
+        out.op = "double_tree_allreduce";
     }
 
     out.search_seconds =

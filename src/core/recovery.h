@@ -23,6 +23,11 @@
  *   4. kNone       — the surviving graph cannot route a collective
  *                    at all (e.g. a partitioned fabric).
  *
+ * The ladder also turns the rung into the sched::Program that runs
+ * it, in one place: the supervisor runs that program on the
+ * functional runtime, and the fault benches time the same program in
+ * the DES (simnet::runProgram), so both worlds run one schedule.
+ *
  * bench/abl_fault_recovery drives this end-to-end: fail a link →
  * detect → recoverSchedule → re-run the collective, reporting
  * time-to-recover and post-recovery bandwidth per fault scenario.
@@ -31,6 +36,7 @@
 #include <optional>
 #include <vector>
 
+#include "sched/program.h"
 #include "topo/double_tree.h"
 #include "topo/embedding_search.h"
 #include "topo/graph.h"
@@ -56,8 +62,8 @@ struct RecoveryOptions {
      *  keeps "all graph nodes are ranks". */
     topo::EmbeddingSearchOptions search;
 
-    /** Ring fallback budget (max disjoint rings to look for). */
-    int ring_count = 4;
+    /** Chunks per tree of the double-tree rungs' program. */
+    int chunks_per_tree = 8;
 };
 
 /** Outcome of one re-plan over a degraded topology. */
@@ -71,7 +77,19 @@ struct RecoveryResult {
     std::optional<topo::DoubleTreeEmbedding> double_tree;
 
     /** Ring fallback (kRing; empty otherwise). */
-    std::vector<topo::RingEmbedding> rings;
+    topo::RingEmbedding ring;
+
+    /**
+     * The rung's collective: kCCube runs the double tree overlapped,
+     * kDoubleTree two-phase (contended channels break the overlap
+     * premise, as in the paper's baseline B), kRing the ring
+     * AllReduce; empty on kNone.
+     */
+    sched::Program program;
+
+    /** Op name the program runs under (watchdog attribution, monitor
+     *  label); "" on kNone. */
+    const char* op = "";
 
     /** Wall-clock seconds the re-plan (search + fallbacks) took. */
     double search_seconds = 0.0;

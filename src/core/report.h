@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/iteration_scheduler.h"
+#include "core/ccube_engine.h"
 #include "util/table.h"
 
 namespace ccube {

@@ -25,7 +25,6 @@ ResilienceSupervisor::ResilienceSupervisor(ccl::Communicator& comm,
                     << comm_.numRanks() << " ranks vs "
                     << graph_.nodeCount() << " nodes)");
     CCUBE_CHECK(options_.max_retries >= 0, "negative retry budget");
-    CCUBE_CHECK(options_.chunks_per_tree >= 1, "need >= 1 chunk");
     // Initial plan over the healthy graph (kCCube when it embeds);
     // planning is not an observable recovery, so the counters reset.
     replanLocked();
@@ -69,30 +68,6 @@ ResilienceSupervisor::replanLocked()
     const RecoveryKind previous = plan_.kind;
     plan_ = recoverSchedule(graph_, plan_excluded_, options_.recovery);
     ++stats_.replans;
-    switch (plan_.kind) {
-      case RecoveryKind::kCCube:
-      case RecoveryKind::kDoubleTree:
-        // A contended embedding runs two-phase (the paper's baseline
-        // B) so reduction and broadcast never fight over one channel.
-        program_ = sched::doubleTreeProgram(
-            *plan_.double_tree,
-            plan_.kind == RecoveryKind::kCCube ? sched::PhaseMode::kOverlapped
-                                               : sched::PhaseMode::kTwoPhase,
-            options_.chunks_per_tree);
-        op_ = "double_tree_allreduce";
-        break;
-      case RecoveryKind::kRing:
-        CCUBE_CHECK(!plan_.rings.empty(),
-                    "ring rung without a ring embedding");
-        program_ = sched::ringProgram(plan_.rings[0],
-                                      sched::RingPhase::kAllReduce);
-        op_ = "ring_allreduce";
-        break;
-      case RecoveryKind::kNone:
-        program_ = sched::Program{};
-        op_ = "";
-        break;
-    }
     if (plan_.kind == previous)
         return false;
     // The ladder enum orders best (kCCube = 0) to worst (kNone).
@@ -121,7 +96,7 @@ ResilienceSupervisor::armCheckpoint(const ccl::RankBuffers& buffers)
     if (plan_.kind == RecoveryKind::kNone)
         checkpoint_.reset();
     else
-        checkpoint_.begin(buffers, program_);
+        checkpoint_.begin(buffers, plan_.program);
 }
 
 void
@@ -196,14 +171,14 @@ ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
             break;
         }
         traceRung(attempt);
-        sched::Program attempt_program = program_;
+        sched::Program attempt_program = plan_.program;
         attempt_program.skip = checkpoint_.mask();
         const int resumed = attempt_program.skip.doneCount();
         try {
             ccl::AllReduceTrace trace(comm_.numRanks());
             trace.setObserver(checkpoint_.observer());
             ccl::runProgram(comm_, buffers, std::move(attempt_program),
-                            &trace, options_.proto, op_);
+                            &trace, options_.proto, plan_.op);
             report.completed = true;
             report.chunks_resumed = resumed;
             stats_.chunks_resumed +=

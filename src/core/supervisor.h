@@ -5,8 +5,10 @@
  * @file
  * Self-healing resilience supervisor.
  *
- * PR 5's recovery ladder (core::recoverSchedule) answers "what schedule
- * still works after THIS failure" — a one-shot re-plan. Real training
+ * The recovery ladder (core::recoverSchedule) answers "what schedule
+ * still works after THIS failure" — a one-shot re-plan that returns
+ * the rung's sched::Program. The supervisor runs exactly that program
+ * (the fault benches time the same one in the DES). Real training
  * runs face *churn*: links flap, a retry hits a second fault, a
  * restored link must not be trusted immediately. The supervisor is the
  * long-lived state machine that owns a Communicator + schedule across
@@ -49,7 +51,6 @@
 #include "ccl/communicator.h"
 #include "ccl/mailbox.h"
 #include "core/recovery.h"
-#include "sched/program.h"
 #include "topo/graph.h"
 #include "topo/health.h"
 #include "util/rng.h"
@@ -74,11 +75,8 @@ struct SupervisorOptions {
     /** Health scoring / probation knobs. */
     topo::HealthOptions health;
 
-    /** Re-plan budget (embedding search + ring fallback). */
+    /** Re-plan budget and chunking of the rung's program. */
     RecoveryOptions recovery;
-
-    /** Chunking of the supervised double-tree AllReduce. */
-    int chunks_per_tree = 8;
 
     /** Wire protocol of every supervised collective. */
     ccl::Protocol proto = ccl::Protocol::kSimple;
@@ -173,7 +171,7 @@ class ResilienceSupervisor
     /** Current ladder rung. */
     RecoveryKind rung() const { return plan_.kind; }
 
-    /** Current schedule (graph, embeddings). */
+    /** Current schedule (graph, embeddings, the rung's program). */
     const RecoveryResult& plan() const { return plan_; }
 
     /** Health scores (original-graph channel ids). */
@@ -184,11 +182,11 @@ class ResilienceSupervisor
 
   private:
     /** Re-plans from the tracker's current excluded set; updates
-     *  plan_/program_/rung bookkeeping. Returns true on a rung change. */
+     *  plan_ and the rung bookkeeping. Returns true on a rung change. */
     bool replanLocked();
 
-    /** Arms the checkpoint from program_ (drops it on an unroutable
-     *  plan, which runs nothing). */
+    /** Arms the checkpoint from plan_.program (drops it on an
+     *  unroutable plan, which runs nothing). */
     void armCheckpoint(const ccl::RankBuffers& buffers);
 
     /** Emits the `supervisor.rung` trace instant. */
@@ -204,12 +202,10 @@ class ResilienceSupervisor
     topo::ChannelHealthTracker health_;
     util::Rng jitter_;
 
+    /** The current plan; every attempt runs a copy of its program
+     *  with the checkpoint's mask. */
     RecoveryResult plan_;
     std::vector<int> plan_excluded_; ///< excluded set plan_ was built on
-    /** The rung's collective, built once per plan; every attempt runs
-     *  a copy with the checkpoint's mask (empty on kNone). */
-    sched::Program program_;
-    const char* op_ = ""; ///< its op name, for watchdog attribution
 
     // Event feed state (guarded; everything else is caller-serialized).
     mutable std::mutex events_mutex_;

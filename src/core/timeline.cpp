@@ -29,20 +29,20 @@ trackName(int tid)
 
 void
 TimelineBuilder::record(obs::TraceRecorder& recorder,
-                        const IterationScheduler& scheduler, Mode mode,
+                        const CCubeEngine& engine, Mode mode,
                         const IterationConfig& config, int pid)
 {
     if (!recorder.enabled())
         return;
 
-    const dnn::NetworkModel& network = scheduler.network();
-    const dnn::ComputeModel compute(scheduler.gpuParams());
+    const dnn::NetworkModel& network = engine.network();
+    const dnn::ComputeModel compute(engine.gpuParams());
     const std::vector<double> fwd_times =
         compute.layerForwardTimes(network, config.batch);
     const double bwd = compute.backwardTime(network, config.batch);
     const double bytes = network.totalParamBytes();
     const simnet::ScheduleResult schedule =
-        scheduler.commSchedule(mode, bytes, config.bandwidth_scale);
+        engine.commOnly(mode, bytes, config.bandwidth_scale);
 
     recorder.setProcessName(pid, std::string("core iteration ") +
                                      modeName(mode));
@@ -92,14 +92,14 @@ TimelineBuilder::record(obs::TraceRecorder& recorder,
 }
 
 std::vector<TimelineEvent>
-TimelineBuilder::build(const IterationScheduler& scheduler, Mode mode,
+TimelineBuilder::build(const CCubeEngine& engine, Mode mode,
                        const IterationConfig& config)
 {
     // The recorder is the single source of truth: record into a local
     // one and project its spans back onto the flat event list.
     obs::TraceRecorder recorder;
     recorder.enable();
-    record(recorder, scheduler, mode, config);
+    record(recorder, engine, mode, config);
 
     std::vector<TimelineEvent> events;
     for (const obs::TraceEvent& e : recorder.snapshot()) {

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/iteration_scheduler.h"
+#include "core/ccube_engine.h"
 #include "obs/trace.h"
 
 namespace ccube {
@@ -55,7 +55,7 @@ class TimelineBuilder
      * when the recorder is disabled.
      */
     static void record(obs::TraceRecorder& recorder,
-                       const IterationScheduler& scheduler, Mode mode,
+                       const CCubeEngine& engine, Mode mode,
                        const IterationConfig& config,
                        int pid = obs::pids::core());
 
@@ -64,7 +64,7 @@ class TimelineBuilder
      * recorder-derived view the CSV/ASCII renderers consume.
      */
     static std::vector<TimelineEvent>
-    build(const IterationScheduler& scheduler, Mode mode,
+    build(const CCubeEngine& engine, Mode mode,
           const IterationConfig& config);
 
     /** Writes "track,label,start,end" rows. */

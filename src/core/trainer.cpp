@@ -14,7 +14,7 @@ Trainer::run(Mode mode, const IterationConfig& config,
 {
     CCUBE_CHECK(iterations >= 1, "need at least one iteration");
 
-    const IterationResult steady = scheduler_.run(mode, config);
+    const IterationResult steady = engine_.evaluate(mode, config);
 
     // Cold start: iteration 0 has no previous collective to chain
     // against, so its forward runs unchained; its backward and

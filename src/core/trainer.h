@@ -15,7 +15,7 @@
 
 #include <vector>
 
-#include "core/iteration_scheduler.h"
+#include "core/ccube_engine.h"
 
 namespace ccube {
 namespace core {
@@ -42,8 +42,8 @@ class Trainer
      *  distinct from TimelineBuilder's phase tracks. */
     static constexpr int kTrainerTrack = 3;
 
-    Trainer(const IterationScheduler& scheduler, int num_gpus)
-        : scheduler_(scheduler), num_gpus_(num_gpus)
+    Trainer(const CCubeEngine& engine, int num_gpus)
+        : engine_(engine), num_gpus_(num_gpus)
     {
     }
 
@@ -52,7 +52,7 @@ class Trainer
                           int iterations) const;
 
   private:
-    const IterationScheduler& scheduler_;
+    const CCubeEngine& engine_;
     int num_gpus_;
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "util/logging.h"
@@ -172,6 +174,29 @@ appendRing(Program& program, const topo::RingEmbedding& ring,
     }
 }
 
+/** First flow id above the built-in ones (ccl's kFlow*, 0–4). */
+constexpr int kFirstSpareFlow = 5;
+
+/**
+ * The functional world binds each edge to the mailbox (src, dst,
+ * flow), so no two edges of a program may share that key. A contended
+ * embedding (the recovery ladder's mirrored double tree) can split a
+ * detour into a hop that another edge of the same flow already takes;
+ * the later edge then moves to the pair's first free spare flow.
+ */
+void
+separateMailboxes(Program& program)
+{
+    std::set<std::tuple<NodeId, NodeId, int>> taken;
+    for (Edge& edge : program.edges) {
+        if (taken.emplace(edge.src, edge.dst, edge.flow).second)
+            continue;
+        edge.flow = kFirstSpareFlow;
+        while (!taken.emplace(edge.src, edge.dst, edge.flow).second)
+            ++edge.flow;
+    }
+}
+
 /**
  * Splits @p path (travel order) at its rank transits into edges, in
  * travel order; other inner nodes stay on the edge's physical route.
@@ -211,7 +236,9 @@ appendTree(Program& program, const topo::TreeEmbedding& embedding,
 
     // Edges, and a forwarder per rank transit and direction (the
     // paper's static forwarding kernels, §IV-A), broadcast first.
+    bool detoured = false;
     const auto forwarder = [&](int in, int out) {
+        detoured = true;
         const Edge& from = program.edges[static_cast<std::size_t>(in)];
         const Edge& to = program.edges[static_cast<std::size_t>(out)];
         b.thread(from.dst, "forward", part);
@@ -310,6 +337,9 @@ appendTree(Program& program, const topo::TreeEmbedding& embedding,
             broadcastLoop();
         }
     }
+    // Only a detour split at a rank transit can repeat a mailbox key.
+    if (detoured)
+        separateMailboxes(program);
 }
 
 } // namespace

@@ -32,12 +32,15 @@ ProgramDriver::ProgramDriver(Network& network,
     routes_.reserve(program.edges.size());
     for (const sched::Edge& edge : program.edges) {
         routes_.push_back(program.route(edge));
-        if (routes_.back().hops.empty()) {
-            routes_.back().hops = network.graph().shortestPath(
-                edge.src, edge.dst, topo::LinkKind::kNvlink);
-            CCUBE_CHECK(!routes_.back().hops.empty(),
-                        "no NVLink path " << edge.src << " → " << edge.dst);
-        }
+        std::vector<topo::NodeId>& hops = routes_.back().hops;
+        if (hops.empty())
+            hops = network.graph().shortestPath(edge.src, edge.dst,
+                                                topo::LinkKind::kNvlink);
+        if (hops.empty())
+            hops = network.graph().shortestPath(edge.src, edge.dst,
+                                                topo::LinkKind::kPcie);
+        CCUBE_CHECK(!hops.empty(), "no NVLink or PCIe path "
+                                       << edge.src << " → " << edge.dst);
     }
     // Every rank finalizes every chunk the skip mask keeps.
     for (int c = 0; c < program.numChunks(); ++c)

@@ -7,18 +7,20 @@
  * behind every run*Schedule() entry point.
  *
  * Each program thread walks its steps at simulated time: a send
- * issues a TransferEngine transfer along the edge's route (the
- * shortest NVLink path when the edge names none, looked up once at
- * construction) on the edge's lane
- * and carries on without waiting, unless the step is marked
- * after_drain; recv, recvReduce and forward wait for the edge's next
- * arrival; a final marker stamps chunk_at_rank with the landing time
- * of the latest chunk the thread has taken (a ring rank still waiting
- * for its own send to drain has the chunk from the moment it lands).
- * A transfer's completion first resumes its sender if it waits for the drain, then
- * delivers the arrival and resumes the thread waiting on that edge —
- * all inside the completion event, so a forwarder re-sends a detour
- * chunk exactly when store-and-forward would.
+ * issues a TransferEngine transfer on the edge's lane along the
+ * edge's route. An edge that names no route takes the shortest NVLink
+ * path, or the shortest PCIe path when no NVLink path exists (so a
+ * fallback ring over PCIe peer links simulates too); either is looked
+ * up once at construction. A send carries on without waiting, unless
+ * the step is marked after_drain; recv, recvReduce and forward wait
+ * for the edge's next arrival; a final marker stamps chunk_at_rank
+ * with the landing time of the latest chunk the thread has taken (a
+ * ring rank still waiting for its own send to drain has the chunk
+ * from the moment it lands). A transfer's completion first resumes
+ * its sender if it waits for the drain, then delivers the arrival and
+ * resumes the thread waiting on that edge — all inside the completion
+ * event, so a forwarder re-sends a detour chunk exactly when
+ * store-and-forward would.
  */
 
 #include <vector>

@@ -153,14 +153,13 @@ dgx1Scenarios(const Dgx1Topologies& topo)
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
              ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kTwoPhase, {}, {},
-                                p);
+                                ccl::TreePhaseMode::kTwoPhase, {}, p);
          }},
         {"tree_allreduce_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
              ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kOverlapped, {}, {}, p);
+                                ccl::TreePhaseMode::kOverlapped, {}, p);
          }},
         {"double_tree_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
@@ -337,14 +336,13 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
              ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kTwoPhase, {}, {},
-                                p);
+                                ccl::TreePhaseMode::kTwoPhase, {}, p);
          }},
         {"tree_allreduce_overlapped_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
              ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kOverlapped, {}, {}, p);
+                                ccl::TreePhaseMode::kOverlapped, {}, p);
          }},
         {"double_tree_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
@@ -400,7 +398,7 @@ class LLFault : public ::testing::Test
         bool caught = false;
         try {
             ccl::treeAllReduce(comm, buffers, topo.tree, kChunks,
-                               ccl::TreePhaseMode::kTwoPhase, {}, {},
+                               ccl::TreePhaseMode::kTwoPhase, {},
                                Protocol::kLL);
         } catch (const ccl::CollectiveError& error) {
             caught = true;
@@ -414,13 +412,13 @@ class LLFault : public ::testing::Test
         EXPECT_THROW(ccl::treeAllReduce(comm, buffers, topo.tree,
                                         kChunks,
                                         ccl::TreePhaseMode::kTwoPhase,
-                                        {}, {}, Protocol::kLL),
+                                        {}, Protocol::kLL),
                      ccl::CollectiveError);
         comm.clearAbort();
         comm.setFaultInjector(nullptr);
         ccl::RankBuffers retry = integerBuffers(kRanks, kElems);
         ccl::treeAllReduce(comm, retry, topo.tree, kChunks,
-                           ccl::TreePhaseMode::kTwoPhase, {}, {},
+                           ccl::TreePhaseMode::kTwoPhase, {},
                            Protocol::kLL);
         const std::vector<float> expected =
             integerSums(kRanks, kElems);

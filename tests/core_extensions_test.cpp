@@ -53,7 +53,7 @@ TEST(GradientQueue, DoubleTreeTablesDrainOnResnet)
 TEST(Trainer, SteadyStateDominatesLongRuns)
 {
     CCubeEngine engine(dnn::buildResnet50());
-    Trainer trainer(engine.scheduler(), 8);
+    Trainer trainer(engine, 8);
     IterationConfig config;
     config.batch = 32;
     const auto short_run =
@@ -74,7 +74,7 @@ TEST(Trainer, SteadyStateDominatesLongRuns)
 TEST(Trainer, CCubeOutperformsBaselineThroughput)
 {
     CCubeEngine engine(dnn::buildVgg16());
-    Trainer trainer(engine.scheduler(), 8);
+    Trainer trainer(engine, 8);
     IterationConfig config;
     config.batch = 32;
     config.bandwidth_scale = 0.25;
@@ -91,8 +91,7 @@ TEST(Timeline, EventsAreWellFormedAndOrdered)
     config.batch = 16;
     config.bandwidth_scale = 0.25;
     for (Mode mode : allModes()) {
-        const auto events = TimelineBuilder::build(engine.scheduler(),
-                                                   mode, config);
+        const auto events = TimelineBuilder::build(engine, mode, config);
         ASSERT_FALSE(events.empty()) << modeName(mode);
         double fwd_prev_end = 0.0;
         bool saw_backward = false;
@@ -117,8 +116,8 @@ TEST(Timeline, ChainedForwardStartsBeforeCommCompletes)
     IterationConfig config;
     config.batch = 16;
     config.bandwidth_scale = 0.25;
-    const auto events = TimelineBuilder::build(
-        engine.scheduler(), Mode::kCCube, config);
+    const auto events =
+        TimelineBuilder::build(engine, Mode::kCCube, config);
     double comm_end = 0.0;
     double first_forward = 1e99;
     for (const TimelineEvent& e : events) {
@@ -134,8 +133,8 @@ TEST(Timeline, CsvHasHeaderAndRows)
 {
     CCubeEngine engine(dnn::buildZfNet());
     IterationConfig config;
-    const auto events = TimelineBuilder::build(
-        engine.scheduler(), Mode::kBaseline, config);
+    const auto events =
+        TimelineBuilder::build(engine, Mode::kBaseline, config);
     std::ostringstream oss;
     TimelineBuilder::writeCsv(oss, events);
     const std::string out = oss.str();

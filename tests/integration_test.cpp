@@ -86,7 +86,7 @@ TEST(FunctionalCCube, TrainingStepWithGradientQueuing)
     ccl::Communicator comm(kRanks);
     const ccl::AllReduceTrace trace = ccl::treeAllReduce(
         comm, gradients, dt.tree0, kChunks,
-        ccl::TreePhaseMode::kOverlapped, {},
+        ccl::TreePhaseMode::kOverlapped,
         [&queues](int rank, int chunk) {
             queues[static_cast<std::size_t>(rank)]->enqueueChunk(chunk);
         });

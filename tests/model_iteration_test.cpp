@@ -20,8 +20,8 @@ model::IterationModelParams
 machineParams(const core::CCubeEngine& engine, double bw_scale)
 {
     model::IterationModelParams params;
-    params.link = engine.scheduler().linkModel();
-    params.gpu = engine.scheduler().gpuParams();
+    params.link = engine.linkModel();
+    params.gpu = engine.gpuParams();
     params.num_gpus = 8;
     params.ring_count =
         static_cast<int>(engine.rings().size());

@@ -90,9 +90,8 @@ TEST(PropertyComm, OverlapNeverSlowerAcrossRandomSizes)
         const double bytes = rng.uniform(1e6, 3e8);
         const double bw = rng.uniform(0.2, 1.0);
         const auto base =
-            engine.scheduler().commSchedule(core::Mode::kBaseline,
-                                            bytes, bw);
-        const auto over = engine.scheduler().commSchedule(
+            engine.commOnly(core::Mode::kBaseline, bytes, bw);
+        const auto over = engine.commOnly(
             core::Mode::kOverlappedTree, bytes, bw);
         ASSERT_LE(over.completion_time,
                   base.completion_time * (1.0 + 1e-9))

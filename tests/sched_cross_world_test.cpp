@@ -5,8 +5,9 @@
  * the functional runtime (AllReduceTrace::order) and in the DES
  * (chunk_at_rank sorted by time) must both equal the order of the
  * program's final markers — with and without a skip mask. Corpus: the
- * DGX-1 double tree with detours, a DGX-1 ring (P=8), and a P=32
- * switch-fabric double tree.
+ * DGX-1 double tree with detours, a DGX-1 ring (P=8), a P=32
+ * switch-fabric double tree, and the program of every recovery-ladder
+ * rung (including the fallback ring over PCIe peer links).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "ccl/communicator.h"
 #include "ccl/program_task.h"
+#include "core/recovery.h"
 #include "sched/program.h"
 #include "simnet/channel.h"
 #include "simnet/program_driver.h"
@@ -204,6 +206,57 @@ TEST(CrossWorld, Dgx1RingP8)
         ccl::Communicator comm(8);
         expectSameOrders(program, dgx1, comm, 256,
                          skip.any() ? "ring masked" : "ring");
+    }
+}
+
+/**
+ * Every rung's program runs in both worlds. Testbed: the DGX-1 plus a
+ * PCIe peer ring (as in supervisor_test), on which the whole NVLink
+ * fabric failing leaves only the fallback ring over PCIe. No fail set
+ * of topo_recovery_test lands on kDoubleTree, so that rung is reached
+ * with a zero search budget instead.
+ */
+TEST(CrossWorld, RecoveryRungs)
+{
+    topo::Graph graph = topo::makeDgx1();
+    const topo::Dgx1Params params;
+    for (int g = 0; g < 8; ++g)
+        graph.addLink(g, (g + 1) % 8, params.pcie_bandwidth,
+                      params.pcie_latency, topo::LinkKind::kPcie);
+    std::vector<int> nvlink;
+    for (int id = 0; id < graph.channelCount(); ++id)
+        if (graph.channel(id).kind == topo::LinkKind::kNvlink)
+            nvlink.push_back(id);
+
+    core::RecoveryOptions options;
+    options.search.num_ranks = graph.nodeCount();
+    options.search.max_attempts = 500;
+    options.search.seed = 7;
+    core::RecoveryOptions no_search = options;
+    no_search.search.max_attempts = 0;
+
+    struct Rung {
+        std::vector<int> failed;
+        core::RecoveryOptions options;
+        core::RecoveryKind kind;
+    };
+    for (const Rung& rung :
+         {Rung{{}, options, core::RecoveryKind::kCCube},
+          Rung{{}, no_search, core::RecoveryKind::kDoubleTree},
+          Rung{nvlink, options, core::RecoveryKind::kRing}}) {
+        const core::RecoveryResult result =
+            core::recoverSchedule(graph, rung.failed, rung.options);
+        const std::string name = core::recoveryKindName(rung.kind);
+        ASSERT_EQ(result.kind, rung.kind) << name;
+        const int chunks = result.program.numChunks();
+        for (const sched::SkipMask& skip :
+             {sched::SkipMask(), maskOf({0, chunks - 1}, chunks)}) {
+            sched::Program program = result.program;
+            program.skip = skip;
+            ccl::Communicator comm(program.num_ranks);
+            expectSameOrders(program, result.graph, comm, 64 * chunks,
+                             name + (skip.any() ? " masked" : ""));
+        }
     }
 }
 

@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <set>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -299,6 +301,7 @@ TEST(SymbolicChecker, DoubleTreesAllReduceInBothPhaseModes)
     };
     const std::vector<Case> cases = {
         {"dgx1 (detours)", topo::makeDgx1DoubleTree(dgx1), 8},
+        {"dgx1 contended", topo::makeMirroredDoubleTree(dgx1, 8), 4},
         {"dgx2", topo::makeDgx2DoubleTree(dgx2, dgx2_params), 4},
         {"fabric p=64", topo::makeMirroredDoubleTree(fabric, 64), 3},
         {"direct p=256", directDoubleTree(256), 2},
@@ -313,6 +316,22 @@ TEST(SymbolicChecker, DoubleTreesAllReduceInBothPhaseModes)
                                         c.chunks),
                             c.name + " single tree");
         }
+    }
+}
+
+TEST(SymbolicChecker, EdgesOfOneProgramNeverShareAMailbox)
+{
+    // The contended DGX-1 mirrored double tree routes a detour hop
+    // over a pair a direct edge of the same flow already takes; the
+    // functional world keys mailboxes by (src, dst, flow).
+    const topo::Graph dgx1 = topo::makeDgx1();
+    for (PhaseMode mode : kModes) {
+        const Program program = doubleTreeProgram(
+            topo::makeMirroredDoubleTree(dgx1, 8), mode, 4);
+        std::set<std::tuple<int, int, int>> keys;
+        for (const Edge& edge : program.edges)
+            EXPECT_TRUE(keys.emplace(edge.src, edge.dst, edge.flow).second)
+                << edge.src << "->" << edge.dst << " flow " << edge.flow;
     }
 }
 

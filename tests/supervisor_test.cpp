@@ -69,9 +69,10 @@ testRecovery(const topo::Graph& graph)
  * DGX-1 graph is NVLink-only, so losing every NVLink on one node
  * disconnects it outright and the ladder bottoms out at kNone — the
  * ring rung is unreachable. The PCIe ring models the host-mediated
- * fallback path real boxes keep: tree embeddings route NVLink-only,
- * so NVLink-isolating a node skips both tree rungs while a
- * Hamiltonian ring over the PCIe channels stays routable.
+ * fallback path real boxes keep: the conflict-free search may route a
+ * tree edge over it, and once no double tree is routable at all a
+ * Hamiltonian ring over the PCIe channels still is (see
+ * ringForcingSet).
  */
 topo::Graph
 makeTestbed()
@@ -139,6 +140,27 @@ TEST_P(SupervisedCollective, HealthyRunCompletesOnCCube)
     EXPECT_TRUE(report.error.empty());
     expectReduced(buffers);
     EXPECT_EQ(supervisor.stats().completions, 1u);
+}
+
+TEST_P(SupervisedCollective, ContendedDoubleTreeRungCompletes)
+{
+    // A zero search budget skips the conflict-free rung: the plan is
+    // the contended mirrored double tree, whose detour hops reuse
+    // pairs its direct edges take.
+    const topo::Graph graph = topo::makeDgx1();
+    ccl::Communicator comm(kRanks, 4, GetParam());
+    comm.setDeadline(10s);
+    SupervisorOptions options = baseOptions(graph);
+    options.recovery.search.max_attempts = 0;
+    ResilienceSupervisor supervisor(comm, graph, options);
+
+    EXPECT_EQ(supervisor.rung(), RecoveryKind::kDoubleTree);
+    ccl::RankBuffers buffers = makeBuffers();
+    const SupervisorReport report = supervisor.allReduce(buffers);
+    EXPECT_TRUE(report.completed) << report.error;
+    EXPECT_EQ(report.attempts, 1);
+    EXPECT_EQ(report.rung, RecoveryKind::kDoubleTree);
+    expectReduced(buffers);
 }
 
 TEST_P(SupervisedCollective, TransientKillRetriesOnSameTopology)
