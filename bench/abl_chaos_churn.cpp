@@ -49,7 +49,6 @@
 #include "obs/monitor.h"
 #include "simnet/chaos.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
 #include "simnet/fault_plan.h"
 #include "simnet/program_driver.h"
 #include "topo/dgx1.h"
@@ -112,8 +111,7 @@ main(int argc, char** argv)
             return 0.0;
         sim::Simulation sim;
         simnet::Network net(sim, plan.graph);
-        return simnet::runProgram(sim, net, plan.program, bytes,
-                                  ccl::Protocol::kSimple, plan.op)
+        return simnet::runProgram(sim, net, plan.program, bytes)
             .completion_time;
     };
 
@@ -248,14 +246,13 @@ main(int argc, char** argv)
     // Chaos-fuzz summary: seeded DES chaos plans, the liveness/safety
     // counts for the CI artifact.
     const topo::Graph dgx1 = topo::makeDgx1();
-    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(dgx1);
+    const sched::Program fuzz_program = sched::doubleTreeProgram(
+        topo::makeDgx1DoubleTree(dgx1), sched::PhaseMode::kOverlapped, 8);
     double des_healthy = 0.0;
     {
         sim::Simulation sim;
         simnet::Network net(sim, dgx1);
-        des_healthy = simnet::runDoubleTreeSchedule(
-                          sim, net, dt, util::mib(1),
-                          simnet::PhaseMode::kOverlapped, 8)
+        des_healthy = simnet::runProgram(sim, net, fuzz_program, util::mib(1))
                           .completion_time;
     }
     int fuzz_completions = 0;
@@ -270,10 +267,8 @@ main(int argc, char** argv)
             dgx1, static_cast<std::uint64_t>(seed), chaos_options);
         sim::Simulation sim;
         simnet::Network net(sim, dgx1);
-        const simnet::FaultedRunResult run =
-            simnet::runDoubleTreeWithFaults(
-                sim, net, dt, util::mib(1),
-                simnet::PhaseMode::kOverlapped, 8, chaos.plan());
+        const simnet::FaultedRunResult run = simnet::runProgramWithFaults(
+            sim, net, fuzz_program, util::mib(1), chaos.plan());
         fuzz_completions += run.completed ? 1 : 0;
         fuzz_casualties += run.completed ? 0 : 1;
         fuzz_dropped += run.dropped_transfers;

@@ -16,7 +16,7 @@
 #include "model/tree_model.h"
 #include "obs/session.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "sweep/sweep.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -51,9 +51,12 @@ main(int argc, char** argv)
         [&](std::size_t i) {
             sim::Simulation sim;
             simnet::Network net(sim, engine.graph());
-            results[i] = simnet::runDoubleTreeSchedule(
-                sim, net, engine.doubleTree(), bytes,
-                simnet::PhaseMode::kOverlapped, chunk_counts[i]);
+            results[i] = simnet::runProgram(
+                sim, net,
+                sched::doubleTreeProgram(engine.doubleTree(),
+                                         sched::PhaseMode::kOverlapped,
+                                         chunk_counts[i]),
+                bytes);
         });
 
     double best_time = 1e99;

@@ -13,7 +13,7 @@
 
 #include "obs/session.h"
 #include "simnet/channel.h"
-#include "simnet/tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "sweep/sweep.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
@@ -44,6 +44,13 @@ main(int argc, char** argv)
                           route.hops.back()};
     }
 
+    const auto overlapped = [](const topo::TreeEmbedding& tree) {
+        return sched::treeProgram(tree, sched::TreeDirection::kAllReduce,
+                                  sched::PhaseMode::kOverlapped, 32);
+    };
+    const sched::Program detour_program = overlapped(dt.tree0);
+    const sched::Program pcie_program = overlapped(pcie_tree);
+
     util::Table table(
         {"size", "detour_ms", "pcie_ms", "detour_advantage_%"});
     const std::vector<double> sizes_mb{8.0, 32.0, 128.0};
@@ -53,22 +60,17 @@ main(int argc, char** argv)
         sweep::Options::fromFlags(flags), sizes_mb.size(),
         [&](std::size_t i) {
             const double bytes = util::mib(sizes_mb[i]);
-            const int chunks = 32;
 
             sim::Simulation sim_a;
             simnet::Network net_a(sim_a, graph);
             const double detour =
-                simnet::runTreeSchedule(sim_a, net_a, dt.tree0, bytes,
-                                        simnet::PhaseMode::kOverlapped,
-                                        chunks)
+                simnet::runProgram(sim_a, net_a, detour_program, bytes)
                     .completion_time;
 
             sim::Simulation sim_b;
             simnet::Network net_b(sim_b, graph);
             const double pcie =
-                simnet::runTreeSchedule(sim_b, net_b, pcie_tree, bytes,
-                                        simnet::PhaseMode::kOverlapped,
-                                        chunks)
+                simnet::runProgram(sim_b, net_b, pcie_program, bytes)
                     .completion_time;
 
             rows[i] = {util::formatBytes(bytes),

@@ -15,7 +15,7 @@
 #include "obs/session.h"
 #include "sweep/sweep.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/detour_router.h"
 #include "topo/dgx1.h"
 #include "topo/embedding_search.h"
@@ -34,8 +34,10 @@ addRow(util::Table& table, const std::string& name,
 {
     sim::Simulation sim;
     simnet::Network net(sim, graph);
-    const auto result = simnet::runDoubleTreeSchedule(
-        sim, net, embedding, bytes, simnet::PhaseMode::kOverlapped, 32);
+    const auto result = simnet::runProgram(
+        sim, net,
+        sched::doubleTreeProgram(embedding, sched::PhaseMode::kOverlapped, 32),
+        bytes);
     int detours = 0;
     int max_height = 0;
     for (const topo::TreeEmbedding* emb :

@@ -43,7 +43,6 @@
 #include "obs/session.h"
 #include "obs/trace.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
 #include "simnet/fault_plan.h"
 #include "simnet/program_driver.h"
 #include "topo/dgx1.h"
@@ -103,8 +102,8 @@ main(int argc, char** argv)
                  "NVLink pair failed mid-collective) ===\n\n";
 
     const topo::Graph graph = topo::makeDgx1();
-    const topo::DoubleTreeEmbedding healthy_tree =
-        topo::makeDgx1DoubleTree(graph);
+    const sched::Program healthy_program = sched::doubleTreeProgram(
+        topo::makeDgx1DoubleTree(graph), sched::PhaseMode::kOverlapped, 32);
 
     // Healthy baseline: what the fabric delivers with no faults. The
     // trace is kept (a trace-only capture) as the obs::diff
@@ -116,11 +115,8 @@ main(int argc, char** argv)
         obs::ScopedCapture capture{obs::Capture(&healthy_recorder)};
         sim::Simulation sim;
         simnet::Network net(sim, graph);
-        healthy_time =
-            simnet::runDoubleTreeSchedule(
-                sim, net, healthy_tree, bytes,
-                simnet::PhaseMode::kOverlapped, 32)
-                .completion_time;
+        healthy_time = simnet::runProgram(sim, net, healthy_program, bytes)
+                           .completion_time;
     }
     healthy_recorder.disable();
     const obs::TraceAnalyzer healthy_analysis(
@@ -165,9 +161,8 @@ main(int argc, char** argv)
             simnet::FaultPlan plan;
             for (int id : failed)
                 plan.failChannel(t_fail, id);
-            faulted = simnet::runDoubleTreeWithFaults(
-                sim, net, healthy_tree, bytes,
-                simnet::PhaseMode::kOverlapped, 32, plan);
+            faulted = simnet::runProgramWithFaults(sim, net, healthy_program,
+                                                   bytes, plan);
         }
         faulted_recorder.disable();
 
@@ -211,10 +206,9 @@ main(int argc, char** argv)
         if (recovery.usable()) {
             sim::Simulation sim;
             simnet::Network net(sim, recovery.graph);
-            rerun_time = simnet::runProgram(sim, net, recovery.program,
-                                            bytes, ccl::Protocol::kSimple,
-                                            recovery.op)
-                             .completion_time;
+            rerun_time =
+                simnet::runProgram(sim, net, recovery.program, bytes)
+                    .completion_time;
         }
         unrecovered += recovery.usable() ? 0 : 1;
         const double recover_s =
@@ -284,9 +278,8 @@ main(int argc, char** argv)
     auto runFaulted = [&](const simnet::FaultPlan& plan) {
         sim::Simulation sim;
         simnet::Network net(sim, graph);
-        return simnet::runDoubleTreeWithFaults(
-            sim, net, healthy_tree, bytes,
-            simnet::PhaseMode::kOverlapped, 32, plan);
+        return simnet::runProgramWithFaults(sim, net, healthy_program, bytes,
+                                            plan);
     };
     auto addDegradeRow = [&](const std::string& scenario, double factor,
                              int runs, int completed,

@@ -13,8 +13,7 @@
 
 #include "obs/session.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/multi_ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "sweep/sweep.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
@@ -40,9 +39,10 @@ main(int argc, char** argv)
     sim::Simulation sim_c;
     simnet::Network net_c(sim_c, dgx1);
     const double t_c1 =
-        simnet::runDoubleTreeSchedule(sim_c, net_c, dt, bytes,
-                                      simnet::PhaseMode::kOverlapped,
-                                      32)
+        simnet::runProgram(sim_c, net_c,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 32),
+                           bytes)
             .completion_time;
 
     util::Table table({"rings", "ring_ms", "ring_GBps",
@@ -59,8 +59,8 @@ main(int argc, char** argv)
                 all_rings.begin() + static_cast<std::ptrdiff_t>(i + 1));
             sim::Simulation sim;
             simnet::Network net(sim, dgx1);
-            results[i] =
-                simnet::runMultiRingSchedule(sim, net, rings, bytes);
+            results[i] = simnet::runProgram(
+                sim, net, sched::multiRingProgram(rings), bytes);
         });
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto& result = results[i];

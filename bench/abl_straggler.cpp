@@ -15,8 +15,7 @@
 #include "obs/session.h"
 #include "sweep/sweep.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/multi_ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -42,15 +41,16 @@ measure(const topo::Graph& graph, double bytes)
     sim::Simulation sim_r;
     simnet::Network net_r(sim_r, graph);
     const double ring =
-        simnet::runMultiRingSchedule(sim_r, net_r, rings, bytes)
+        simnet::runProgram(sim_r, net_r, sched::multiRingProgram(rings), bytes)
             .completion_time;
 
     sim::Simulation sim_t;
     simnet::Network net_t(sim_t, graph);
     const double tree =
-        simnet::runDoubleTreeSchedule(sim_t, net_t, dt, bytes,
-                                      simnet::PhaseMode::kOverlapped,
-                                      32)
+        simnet::runProgram(sim_t, net_t,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 32),
+                           bytes)
             .completion_time;
     return Timing{ring, tree};
 }

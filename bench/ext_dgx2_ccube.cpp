@@ -15,8 +15,7 @@
 
 #include "obs/session.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/detour_router.h"
 #include "topo/dgx2.h"
 #include "topo/ring_embedding.h"
@@ -55,22 +54,26 @@ main(int argc, char** argv)
 
         sim::Simulation sim_b;
         simnet::Network net_b(sim_b, dgx2);
-        const auto base = simnet::runDoubleTreeSchedule(
-            sim_b, net_b, dt, bytes, simnet::PhaseMode::kTwoPhase,
-            chunks);
+        const auto base = simnet::runProgram(
+            sim_b, net_b,
+            sched::doubleTreeProgram(dt, sched::PhaseMode::kTwoPhase, chunks),
+            bytes);
 
         sim::Simulation sim_c;
         simnet::Network net_c(sim_c, dgx2);
-        const auto over = simnet::runDoubleTreeSchedule(
-            sim_c, net_c, dt, bytes, simnet::PhaseMode::kOverlapped,
-            chunks);
+        const auto over = simnet::runProgram(
+            sim_c, net_c,
+            sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, chunks),
+            bytes);
 
         // Ring striped across all 6 planes: by symmetry each plane's
         // ring carries bytes/6 and they finish together.
         sim::Simulation sim_r;
         simnet::Network net_r(sim_r, dgx2);
-        const auto ring = simnet::runRingSchedule(
-            sim_r, net_r, topo::makeSequentialRing(params.num_gpus),
+        const auto ring = simnet::runProgram(
+            sim_r, net_r,
+            sched::ringProgram(topo::makeSequentialRing(params.num_gpus),
+                               sched::RingPhase::kAllReduce),
             bytes / params.num_switch_planes);
 
         table.addRow(

@@ -24,7 +24,7 @@
 #include "obs/session.h"
 #include "obs/trace.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/flags.h"
@@ -44,7 +44,7 @@ struct Utilization {
 };
 
 Utilization
-measure(simnet::PhaseMode mode, const std::string& metric_prefix)
+measure(sched::PhaseMode mode, const std::string& metric_prefix)
 {
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     const std::size_t events_before = recorder.eventCount();
@@ -53,8 +53,8 @@ measure(simnet::PhaseMode mode, const std::string& metric_prefix)
     const auto dt = topo::makeDgx1DoubleTree(graph);
     sim::Simulation sim;
     simnet::Network net(sim, graph);
-    const auto result = simnet::runDoubleTreeSchedule(
-        sim, net, dt, util::mib(64), mode, 32);
+    const auto result = simnet::runProgram(
+        sim, net, sched::doubleTreeProgram(dt, mode, 32), util::mib(64));
 
     Utilization u;
     u.completion = result.completion_time;
@@ -117,9 +117,9 @@ main(int argc, char** argv)
                  "(DGX-1, 64 MiB) ===\n\n";
 
     const Utilization base =
-        measure(simnet::PhaseMode::kTwoPhase, "simnet.B");
+        measure(sched::PhaseMode::kTwoPhase, "simnet.B");
     const Utilization over =
-        measure(simnet::PhaseMode::kOverlapped, "simnet.C1");
+        measure(sched::PhaseMode::kOverlapped, "simnet.C1");
 
     util::Table table({"algorithm", "completion_ms", "busy_channels",
                        "mean_utilization", "max_utilization"});

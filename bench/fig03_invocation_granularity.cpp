@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/double_tree_allreduce.h"
+#include "ccl/program_task.h"
 #include "dnn/catalog.h"
 #include "model/invocation_model.h"
 #include "topo/dgx1.h"
@@ -86,10 +86,11 @@ measureSweep(ccl::Communicator& comm,
     for (std::size_t elems : invocations)
         buffers.emplace_back(kRanks, std::vector<float>(elems, 0.0f));
 
+    const sched::Program program = sched::doubleTreeProgram(
+        embedding, sched::PhaseMode::kOverlapped, kChunksPerTree);
     auto sweep = [&]() {
         for (ccl::RankBuffers& b : buffers)
-            ccl::doubleTreeAllReduce(comm, b, embedding, kChunksPerTree,
-                                     ccl::TreePhaseMode::kOverlapped);
+            ccl::runProgram(comm, b, program);
     };
     sweep(); // warm up mailboxes, rank threads, forwarding-rule cache
 

@@ -14,8 +14,7 @@
 
 #include "obs/session.h"
 #include "simnet/channel.h"
-#include "simnet/ring_schedule.h"
-#include "simnet/tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
 #include "util/flags.h"
@@ -54,9 +53,11 @@ main(int argc, char** argv)
     {
         sim::Simulation sim;
         simnet::Network net(sim, clique);
-        const auto r = simnet::runTreeSchedule(
-            sim, net, tree, bytes, simnet::PhaseMode::kTwoPhase,
-            kChunks);
+        const auto r = simnet::runProgram(
+            sim, net,
+            sched::treeProgram(tree, sched::TreeDirection::kAllReduce,
+                               sched::PhaseMode::kTwoPhase, kChunks),
+            bytes);
         table.addRow({"tree (conventional)", "10",
                       util::formatDouble(r.completion_time / step, 1),
                       util::formatDouble(r.turnaroundTime() / step, 1)});
@@ -64,9 +65,11 @@ main(int argc, char** argv)
     {
         sim::Simulation sim;
         simnet::Network net(sim, clique);
-        const auto r = simnet::runTreeSchedule(
-            sim, net, tree, bytes, simnet::PhaseMode::kOverlapped,
-            kChunks);
+        const auto r = simnet::runProgram(
+            sim, net,
+            sched::treeProgram(tree, sched::TreeDirection::kAllReduce,
+                               sched::PhaseMode::kOverlapped, kChunks),
+            bytes);
         table.addRow({"tree (overlapped, C-Cube)", "7",
                       util::formatDouble(r.completion_time / step, 1),
                       util::formatDouble(r.turnaroundTime() / step, 1)});
@@ -75,8 +78,11 @@ main(int argc, char** argv)
         sim::Simulation sim;
         simnet::Network net(sim, clique);
         // Ring moves N/P per step; express in the same chunk units.
-        const auto r = simnet::runRingSchedule(
-            sim, net, topo::makeSequentialRing(kP), bytes);
+        const auto r = simnet::runProgram(
+            sim, net,
+            sched::ringProgram(topo::makeSequentialRing(kP),
+                               sched::RingPhase::kAllReduce),
+            bytes);
         table.addRow({"ring", "7",
                       util::formatDouble(r.completion_time / step, 1),
                       util::formatDouble(r.turnaroundTime() / step, 1)});

@@ -10,7 +10,7 @@
 
 #include "obs/session.h"
 #include "simnet/channel.h"
-#include "simnet/tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/tree_embedding.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -41,14 +41,17 @@ main(int argc, char** argv)
     const topo::TreeEmbedding tree =
         topo::embedTree(clique, topo::BinaryTree::inorder(kP));
 
-    auto run = [&](simnet::PhaseMode mode) {
+    auto run = [&](sched::PhaseMode mode) {
         sim::Simulation sim;
         simnet::Network net(sim, clique);
-        return simnet::runTreeSchedule(sim, net, tree, bytes, mode,
-                                       kChunks);
+        return simnet::runProgram(
+            sim, net,
+            sched::treeProgram(tree, sched::TreeDirection::kAllReduce, mode,
+                               kChunks),
+            bytes);
     };
-    const auto base = run(simnet::PhaseMode::kTwoPhase);
-    const auto over = run(simnet::PhaseMode::kOverlapped);
+    const auto base = run(sched::PhaseMode::kTwoPhase);
+    const auto over = run(sched::PhaseMode::kOverlapped);
 
     const int root = tree.tree.root();
     util::Table table({"chunk", "B_root_us", "B_all_ranks_us",

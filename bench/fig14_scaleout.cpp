@@ -20,9 +20,7 @@
 #include "model/tree_model.h"
 #include "obs/session.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/ring_schedule.h"
-#include "simnet/tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "sweep/sweep.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -112,22 +110,26 @@ main(int argc, char** argv)
 
         sim::Simulation sim_r;
         simnet::Network net_r(sim_r, fabric.graph);
-        const auto ring = simnet::runRingSchedule(
-            sim_r, net_r, fabric.ring, bytes);
+        const auto ring = simnet::runProgram(
+            sim_r, net_r,
+            sched::ringProgram(fabric.ring, sched::RingPhase::kAllReduce),
+            bytes);
 
         sim::Simulation sim_c;
         simnet::Network net_c(sim_c, fabric.graph);
-        const auto c1 = simnet::runDoubleTreeSchedule(
-            sim_c, net_c, fabric.double_tree, bytes,
-            simnet::PhaseMode::kOverlapped, chunks,
-            simnet::LanePolicy::kPointToPoint);
+        const auto c1 = simnet::runProgram(
+            sim_c, net_c,
+            sched::doubleTreeProgram(fabric.double_tree,
+                                     sched::PhaseMode::kOverlapped, chunks),
+            bytes);
 
         sim::Simulation sim_b;
         simnet::Network net_b(sim_b, fabric.graph);
-        const auto base = simnet::runDoubleTreeSchedule(
-            sim_b, net_b, fabric.double_tree, bytes,
-            simnet::PhaseMode::kTwoPhase, chunks,
-            simnet::LanePolicy::kPointToPoint);
+        const auto base = simnet::runProgram(
+            sim_b, net_b,
+            sched::doubleTreeProgram(fabric.double_tree,
+                                     sched::PhaseMode::kTwoPhase, chunks),
+            bytes);
 
         // Contention-free per-edge model (the paper's ASTRA-sim
         // abstraction): (2logP + K) / (2logP + 1).

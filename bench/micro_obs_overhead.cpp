@@ -44,13 +44,13 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/double_tree_allreduce.h"
+#include "ccl/program_task.h"
 #include "obs/capture.h"
 #include "obs/monitor.h"
 #include "obs/profiler.h"
 #include "sim/simulation.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/tree_embedding.h"
@@ -193,9 +193,10 @@ main(int argc, char** argv)
     ccl::RankBuffers buffers(8, std::vector<float>(elems, 0.0f));
     const PairedResult functional = measurePaired(
         monitor, rounds, reps, warmup, [&]() {
-            ccl::doubleTreeAllReduce(comm, buffers, embedding,
-                                     /*num_chunks=*/4,
-                                     ccl::TreePhaseMode::kOverlapped);
+            ccl::runProgram(comm, buffers,
+                            sched::doubleTreeProgram(
+                                embedding, sched::PhaseMode::kOverlapped,
+                                /*chunks_per_tree=*/4));
             return 1.0;
         });
     const std::uint64_t functional_collectives =
@@ -206,9 +207,12 @@ main(int argc, char** argv)
         monitor, rounds, reps, warmup, [&]() {
             sim::Simulation sim;
             simnet::Network net(sim, graph);
-            return simnet::runDoubleTreeSchedule(
-                       sim, net, embedding, des_bytes,
-                       simnet::PhaseMode::kOverlapped, des_chunks)
+            return simnet::runProgram(
+                       sim, net,
+                       sched::doubleTreeProgram(
+                           embedding, sched::PhaseMode::kOverlapped,
+                           des_chunks),
+                       des_bytes)
                 .completion_time;
         });
     monitor.disable();
@@ -234,9 +238,10 @@ main(int argc, char** argv)
         std::vector<float>(prof_elems, 1.0f));
     const PairedResult profiled = measurePairedProfiler(
         prof_hz, rounds, reps, warmup, [&]() {
-            ccl::doubleTreeAllReduce(sm_comm, sm_buffers, prof_tree,
-                                     /*num_chunks=*/2,
-                                     ccl::TreePhaseMode::kTwoPhase);
+            ccl::runProgram(sm_comm, sm_buffers,
+                            sched::doubleTreeProgram(
+                                prof_tree, sched::PhaseMode::kTwoPhase,
+                                /*chunks_per_tree=*/2));
             return 1.0;
         });
     if (sink_ < 0.0)

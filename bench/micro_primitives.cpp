@@ -31,14 +31,11 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/double_tree_allreduce.h"
 #include "ccl/mailbox.h"
-#include "ccl/primitives.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
 #include "ccl/protocol.h"
 #include "ccl/state_machine.h"
 #include "ccl/sync_primitives.h"
-#include "ccl/tree_allreduce.h"
 #include "core/gradient_queue.h"
 #include "sim/event_queue.h"
 #include "sim/resource.h"
@@ -204,9 +201,32 @@ fixture()
 
 constexpr int kAllReduceChunks = 4;
 
+/** The AllReduce program @p alg runs over the fixture's embeddings. */
+sched::Program
+programFor(const AllReduceFixture& f, Alg alg)
+{
+    switch (alg) {
+    case Alg::kRing:
+        return sched::ringProgram(f.ring, sched::RingPhase::kAllReduce);
+    case Alg::kTree:
+    case Alg::kOverlappedTree:
+        return sched::treeProgram(f.tree, sched::TreeDirection::kAllReduce,
+                                  alg == Alg::kTree
+                                      ? sched::PhaseMode::kTwoPhase
+                                      : sched::PhaseMode::kOverlapped,
+                                  kAllReduceChunks);
+    case Alg::kDoubleTree:
+        return sched::doubleTreeProgram(f.double_tree,
+                                        sched::PhaseMode::kOverlapped,
+                                        kAllReduceChunks);
+    }
+    return {};
+}
+
 void
 runAllReduce(benchmark::State& state, Alg alg,
-             ccl::RankExecutor::Mode mode)
+             ccl::RankExecutor::Mode mode,
+             ccl::Protocol proto = ccl::Protocol::kSimple)
 {
     AllReduceFixture& f = fixture();
     ccl::Communicator& comm =
@@ -214,26 +234,8 @@ runAllReduce(benchmark::State& state, Alg alg,
                                                      : f.statemachine;
     const auto elems = static_cast<std::size_t>(state.range(0));
     ccl::RankBuffers buffers(8, std::vector<float>(elems, 0.0f));
-    for (auto _ : state) {
-        switch (alg) {
-        case Alg::kRing:
-            ccl::ringAllReduce(comm, buffers, f.ring);
-            break;
-        case Alg::kTree:
-            ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
-                               ccl::TreePhaseMode::kTwoPhase);
-            break;
-        case Alg::kOverlappedTree:
-            ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
-                               ccl::TreePhaseMode::kOverlapped);
-            break;
-        case Alg::kDoubleTree:
-            ccl::doubleTreeAllReduce(comm, buffers, f.double_tree,
-                                     kAllReduceChunks,
-                                     ccl::TreePhaseMode::kOverlapped);
-            break;
-        }
-    }
+    for (auto _ : state)
+        ccl::runProgram(comm, buffers, programFor(f, alg), proto);
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * state.range(0) *
         static_cast<std::int64_t>(sizeof(float)));
@@ -290,43 +292,6 @@ registerAllReduceBenchmarks()
 // ---------------------------------------------------------------------------
 
 void
-runAllReduceProto(benchmark::State& state, Alg alg,
-                  ccl::RankExecutor::Mode mode, ccl::Protocol proto)
-{
-    AllReduceFixture& f = fixture();
-    ccl::Communicator& comm =
-        mode == ccl::RankExecutor::Mode::kPersistent ? f.persistent
-                                                     : f.statemachine;
-    const auto elems = static_cast<std::size_t>(state.range(0));
-    ccl::RankBuffers buffers(8, std::vector<float>(elems, 0.0f));
-    for (auto _ : state) {
-        switch (alg) {
-        case Alg::kRing:
-            ccl::ringAllReduce(comm, buffers, f.ring, {}, proto);
-            break;
-        case Alg::kTree:
-            ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
-                               ccl::TreePhaseMode::kTwoPhase, {}, proto);
-            break;
-        case Alg::kOverlappedTree:
-            ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
-                               ccl::TreePhaseMode::kOverlapped, {},
-                               proto);
-            break;
-        case Alg::kDoubleTree:
-            ccl::doubleTreeAllReduce(comm, buffers, f.double_tree,
-                                     kAllReduceChunks,
-                                     ccl::TreePhaseMode::kOverlapped,
-                                     {}, proto);
-            break;
-        }
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) * state.range(0) *
-        static_cast<std::int64_t>(sizeof(float)));
-}
-
-void
 registerProtocolBenchmarks()
 {
     struct AlgEntry {
@@ -364,7 +329,7 @@ registerProtocolBenchmarks()
                 benchmark::RegisterBenchmark(
                     name.c_str(),
                     [alg, proto, mode](benchmark::State& state) {
-                        runAllReduceProto(state, alg.alg, mode.mode,
+                        runAllReduce(state, alg.alg, mode.mode,
                                           proto.proto);
                     })
                     ->Arg(256)   // 1 KiB
@@ -426,9 +391,10 @@ runRankScaling(benchmark::State& state,
         static_cast<std::size_t>(ranks),
         std::vector<float>(kScalingElems, 0.0f));
     for (auto _ : state)
-        ccl::doubleTreeAllReduce(comm, buffers, dt,
-                                 kScalingChunksPerTree,
-                                 ccl::TreePhaseMode::kTwoPhase);
+        ccl::runProgram(comm, buffers,
+                        sched::doubleTreeProgram(
+                            dt, sched::PhaseMode::kTwoPhase,
+                            kScalingChunksPerTree));
 
     const int threads =
         mode == ccl::RankExecutor::Mode::kStateMachine

@@ -14,8 +14,7 @@
 #include <iostream>
 
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/detour_router.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -113,7 +112,9 @@ main()
     {
         sim::Simulation sim;
         simnet::Network net(sim, box);
-        const auto r = simnet::runRingSchedule(sim, net, ring, bytes);
+        const auto r = simnet::runProgram(
+            sim, net, sched::ringProgram(ring, sched::RingPhase::kAllReduce),
+            bytes);
         table.addRow({"ring",
                       util::formatDouble(r.completion_time * 1e3, 3),
                       util::formatDouble(
@@ -121,16 +122,16 @@ main()
                       util::formatDouble(r.turnaroundTime() * 1e3, 3)});
     }
     for (const auto& [name, mode] :
-         {std::pair<const char*, simnet::PhaseMode>{
+         {std::pair<const char*, sched::PhaseMode>{
               "double tree (two-phase)",
-              simnet::PhaseMode::kTwoPhase},
-          std::pair<const char*, simnet::PhaseMode>{
+              sched::PhaseMode::kTwoPhase},
+          std::pair<const char*, sched::PhaseMode>{
               "double tree (overlapped)",
-              simnet::PhaseMode::kOverlapped}}) {
+              sched::PhaseMode::kOverlapped}}) {
         sim::Simulation sim;
         simnet::Network net(sim, box);
-        const auto r = simnet::runDoubleTreeSchedule(sim, net, dt,
-                                                     bytes, mode, 32);
+        const auto r = simnet::runProgram(
+            sim, net, sched::doubleTreeProgram(dt, mode, 32), bytes);
         table.addRow({name,
                       util::formatDouble(r.completion_time * 1e3, 3),
                       util::formatDouble(

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "ccl/tree_allreduce.h"
+#include "ccl/program_task.h"
 #include "core/chunk_mapper.h"
 #include "core/gradient_queue.h"
 #include "sched/program.h"
@@ -81,9 +81,8 @@ main()
     ccl::Communicator comm(kRanks);
     std::cout << "Running overlapped tree AllReduce on "
               << kRanks << " rank threads...\n";
-    const ccl::AllReduceTrace trace = ccl::treeAllReduce(
-        comm, gradients, dt.tree0, kChunks,
-        ccl::TreePhaseMode::kOverlapped,
+    const ccl::AllReduceTrace trace = ccl::runProgram(
+        comm, gradients, program, ccl::Protocol::kSimple,
         [&queues](int rank, int chunk) {
             queues[static_cast<std::size_t>(rank)]->enqueueChunk(chunk);
         });

@@ -11,8 +11,7 @@
 
 #include "model/tree_model.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
 #include "topo/switch_fabric.h"
@@ -56,25 +55,32 @@ main()
             sim::Simulation sim_r;
             simnet::Network net_r(sim_r, graph);
             const double t_ring =
-                simnet::runRingSchedule(sim_r, net_r, ring, bytes)
+                simnet::runProgram(sim_r, net_r,
+                                   sched::ringProgram(
+                                       ring, sched::RingPhase::kAllReduce),
+                                   bytes)
                     .completion_time;
 
             sim::Simulation sim_b;
             simnet::Network net_b(sim_b, graph);
             const double t_base =
-                simnet::runDoubleTreeSchedule(
-                    sim_b, net_b, double_tree, bytes,
-                    simnet::PhaseMode::kTwoPhase, chunks,
-                    simnet::LanePolicy::kSharedPort)
+                simnet::runProgram(
+                    sim_b, net_b,
+                    sched::doubleTreeProgram(
+                        double_tree, sched::PhaseMode::kTwoPhase, chunks,
+                        sched::LanePolicy::kSharedPort),
+                    bytes)
                     .completion_time;
 
             sim::Simulation sim_c;
             simnet::Network net_c(sim_c, graph);
             const double t_over =
-                simnet::runDoubleTreeSchedule(
-                    sim_c, net_c, double_tree, bytes,
-                    simnet::PhaseMode::kOverlapped, chunks,
-                    simnet::LanePolicy::kSharedPort)
+                simnet::runProgram(
+                    sim_c, net_c,
+                    sched::doubleTreeProgram(
+                        double_tree, sched::PhaseMode::kOverlapped, chunks,
+                        sched::LanePolicy::kSharedPort),
+                    bytes)
                     .completion_time;
 
             const char* winner = "overlapped tree (C1)";

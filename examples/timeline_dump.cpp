@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
 #include "core/ccube_engine.h"
 #include "core/timeline.h"
 #include "obs/session.h"
@@ -53,7 +53,8 @@ runFunctionalSample()
     }
     const topo::RingEmbedding ring = topo::makeSequentialRing(kRanks);
     ccl::Communicator comm(kRanks);
-    ccl::ringAllReduce(comm, buffers, ring);
+    ccl::runProgram(comm, buffers,
+                    sched::ringProgram(ring, sched::RingPhase::kAllReduce));
 }
 
 } // namespace

@@ -1,20 +1,17 @@
 #include "ccl/allreduce.h"
 
+#include <utility>
+
 #include "util/logging.h"
 
 namespace ccube {
 namespace ccl {
 
-AllReduceTrace::AllReduceTrace(int num_ranks)
-    : per_rank_(static_cast<std::size_t>(num_ranks))
+AllReduceTrace::AllReduceTrace(int num_ranks, Observer observer)
+    : per_rank_(static_cast<std::size_t>(num_ranks)),
+      observer_(std::move(observer))
 {
     CCUBE_CHECK(num_ranks >= 1, "trace needs at least one rank");
-}
-
-void
-AllReduceTrace::setObserver(Observer observer)
-{
-    observer_ = std::move(observer);
 }
 
 void

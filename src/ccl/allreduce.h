@@ -33,15 +33,13 @@ class AllReduceTrace
     /** Live notification: chunk became available at rank. */
     using Observer = std::function<void(int rank, int chunk)>;
 
-    /** Creates a trace for @p num_ranks ranks. */
-    explicit AllReduceTrace(int num_ranks);
-
     /**
-     * Installs a live observer invoked on every record() — the hook
-     * gradient queuing attaches its enqueue to. Must be set before
-     * the collective starts; invoked under the per-rank lock.
+     * Creates a trace for @p num_ranks ranks. @p observer, when set, is
+     * invoked on every record() — the hook gradient queuing attaches
+     * its enqueue to — after the per-rank lock is released, so it may
+     * run concurrently for different ranks and must be thread-safe.
      */
-    void setObserver(Observer observer);
+    explicit AllReduceTrace(int num_ranks, Observer observer = {});
 
     /** Records that @p chunk became available at @p rank (thread-safe
      *  across the concurrent tasks of a single rank). */

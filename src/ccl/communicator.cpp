@@ -183,8 +183,8 @@ Communicator::clearAbort()
 namespace {
 
 /** One counter per (protocol) so traces/benchmarks can confirm which
- *  wire protocol a collective actually ran (the tuner's pick under
- *  kAuto is otherwise invisible from outside). */
+ *  wire protocol a collective actually ran (runAuto's pick is
+ *  otherwise invisible from outside). */
 void
 noteProtocol(Protocol proto)
 {

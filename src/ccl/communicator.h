@@ -80,9 +80,6 @@ class Communicator
     /** Number of participating ranks. */
     int numRanks() const { return num_ranks_; }
 
-    /** Receive-buffer count per mailbox. */
-    int mailboxSlots() const { return mailbox_slots_; }
-
     /**
      * The mailbox carrying flow @p flow from @p src to @p dst;
      * created on first use (thread-safe; lock-free after creation).

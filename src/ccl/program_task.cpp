@@ -15,6 +15,12 @@ namespace ccl {
 
 namespace {
 
+// sched::ringProgram and sched::doubleTreeProgram hard-code the ccl
+// flow-id convention.
+static_assert(kFlowRing == 0);
+static_assert(kFlowTree0Reduce == 1 && kFlowTree0Broadcast == 2 &&
+              kFlowTree1Reduce == 3 && kFlowTree1Broadcast == 4);
+
 /**
  * Blocked-op disposition: under Simple the task waits on the mailbox
  * semaphore (woken by the peer's post); under LL no semaphore will ever
@@ -79,7 +85,7 @@ struct Collective {
     std::vector<Mailbox*> boxes; ///< per program edge
     std::vector<sched::ChunkRange<std::size_t>> geometry; ///< per chunk
     RankBuffers* buffers = nullptr;
-    AllReduceTrace* trace = nullptr;
+    AllReduceTrace* trace = nullptr; ///< the run's final markers
     Protocol proto = Protocol::kSimple;
 };
 
@@ -154,8 +160,7 @@ class ProgramTask final : public RankTask
                 break;
               }
               case sched::Op::kFinal:
-                if (c_->trace)
-                    c_->trace->record(rank(), cursor_.globalChunk());
+                c_->trace->record(rank(), cursor_.globalChunk());
                 break;
             }
             op_begun_ = false;
@@ -219,9 +224,9 @@ class ProgramTask final : public RankTask
 
 } // namespace
 
-void
+AllReduceTrace
 runProgram(Communicator& comm, RankBuffers& buffers, sched::Program program,
-           AllReduceTrace* trace, Protocol proto, const char* op)
+           Protocol proto, AllReduceTrace::Observer observer)
 {
     CCUBE_CHECK(program.num_ranks == comm.numRanks(),
                 "schedule/communicator size mismatch");
@@ -231,9 +236,10 @@ runProgram(Communicator& comm, RankBuffers& buffers, sched::Program program,
         CCUBE_CHECK(b.size() == buffers[0].size(),
                     "all buffers must be equally sized");
     }
+    AllReduceTrace trace(comm.numRanks(), std::move(observer));
     auto c = std::make_shared<Collective>();
     c->buffers = &buffers;
-    c->trace = trace;
+    c->trace = &trace;
     c->proto = proto;
     c->geometry = program.geometry(buffers[0].size());
     c->boxes.reserve(program.edges.size());
@@ -246,7 +252,8 @@ runProgram(Communicator& comm, RankBuffers& buffers, sched::Program program,
     for (std::size_t t = 0; t < c->program.threads.size(); ++t)
         tasks.push_back(
             std::make_unique<ProgramTask>(c, static_cast<int>(t)));
-    comm.runTasks(std::move(tasks), op, proto);
+    comm.runTasks(std::move(tasks), c->program.op, proto);
+    return trace;
 }
 
 } // namespace ccl

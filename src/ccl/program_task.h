@@ -3,12 +3,12 @@
 
 /**
  * @file
- * The functional interpreter of sched::Program — the one
- * implementation of every ccl:: collective. Every entry point
- * (primitives.cpp) builds a program and hands it here; each
- * program thread becomes one RankTask driven by Communicator::runTasks()
- * on the persistent rank threads or the shared pool
- * (ccl/state_machine.h).
+ * The functional interpreter of sched::Program — the one entry point
+ * of every ccl:: collective. Callers build the program with a
+ * sched:: builder (Communicator::runAuto builds the tuner's pick) and
+ * hand it here; each program thread becomes one RankTask driven by
+ * Communicator::runTasks() on the persistent rank threads or the
+ * shared pool (ccl/state_machine.h).
  *
  * A task walks its thread's steps with the non-blocking mailbox ops:
  * every logical op starts through StepContext::beginOp() exactly once
@@ -31,13 +31,17 @@ namespace ccl {
 
 /**
  * Runs @p program over @p buffers (one per rank, equal length — both
- * checked, as is the program's rank count) as the collective @p op (a
- * string literal, for watchdog attribution). Final markers are
- * recorded into @p trace when non-null.
+ * checked, as is the program's rank count) as the collective
+ * program.op (watchdog attribution) with wire protocol @p proto.
+ * Returns the final markers in completion order; @p observer sees
+ * each one as it is recorded (AllReduceTrace). Programs without final
+ * markers (reduce, broadcast, reduce-scatter, all-gather) return an
+ * empty trace.
  */
-void runProgram(Communicator& comm, RankBuffers& buffers,
-                sched::Program program, AllReduceTrace* trace,
-                Protocol proto, const char* op);
+AllReduceTrace runProgram(Communicator& comm, RankBuffers& buffers,
+                          sched::Program program,
+                          Protocol proto = Protocol::kSimple,
+                          AllReduceTrace::Observer observer = {});
 
 } // namespace ccl
 } // namespace ccube

@@ -16,8 +16,9 @@
  *    and no semaphore is touched on the data path. Latency drops to a
  *    couple of cache-line round-trips; effective bandwidth halves
  *    (half of every line is flags).
- *  - kAuto: defer the choice to the tuner (ccl/tuner.h), which picks
- *    (algorithm x protocol x chunking) per message-size bucket.
+ *
+ * Communicator::runAuto takes the protocol, with the algorithm and the
+ * chunking, from the tuner's per-size selection table (ccl/tuner.h).
  *
  * The analytic-model / DES view of the same tradeoff lives in
  * ProtocolCosts: Simple is the identity (existing baselines are
@@ -32,7 +33,6 @@ namespace ccl {
 enum class Protocol {
     kSimple, ///< fenced bulk transfers through the semaphore ring
     kLL,     ///< inline flag-per-word spinning, no semaphores
-    kAuto,   ///< let the tuner pick per (size, topology, algorithm)
 };
 
 inline const char*
@@ -43,8 +43,6 @@ protocolName(Protocol proto)
         return "simple";
     case Protocol::kLL:
         return "ll";
-    case Protocol::kAuto:
-        return "auto";
     }
     return "?";
 }
@@ -72,7 +70,6 @@ protocolCosts(Protocol proto)
         // trip, modelled as a 4x cut in the alpha term.
         return ProtocolCosts{2.0, 0.25};
     case Protocol::kSimple:
-    case Protocol::kAuto: // resolved before costs are consulted
         break;
     }
     return ProtocolCosts{1.0, 1.0};

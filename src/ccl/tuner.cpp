@@ -5,10 +5,12 @@
 #include <limits>
 #include <sstream>
 
+#include "ccl/program_task.h"
 #include "model/overlapped_tree_model.h"
 #include "model/ring_model.h"
 #include "model/tree_model.h"
 #include "obs/metrics.h"
+#include "topo/embedding_search.h"
 #include "topo/graph.h"
 #include "util/logging.h"
 
@@ -169,6 +171,45 @@ algorithmName(AllReduceAlgorithm algorithm)
     return "?";
 }
 
+sched::Program
+allReduceProgram(const topo::Graph& graph, int p,
+                 AllReduceAlgorithm algorithm, int num_chunks)
+{
+    switch (algorithm) {
+      case AllReduceAlgorithm::kRing: {
+        const topo::RingEmbedding ring =
+            topo::findHamiltonianRing(graph, p);
+        CCUBE_CHECK(ring.size() == p,
+                    "no Hamiltonian ring on this topology");
+        return sched::ringProgram(ring, sched::RingPhase::kAllReduce);
+      }
+      case AllReduceAlgorithm::kTree:
+      case AllReduceAlgorithm::kOverlappedTree:
+        return sched::treeProgram(
+            topo::embedTree(graph, topo::BinaryTree::inorder(p)),
+            sched::TreeDirection::kAllReduce,
+            algorithm == AllReduceAlgorithm::kTree
+                ? sched::PhaseMode::kTwoPhase
+                : sched::PhaseMode::kOverlapped,
+            num_chunks);
+      case AllReduceAlgorithm::kDoubleTree:
+      case AllReduceAlgorithm::kCCubeDoubleTree: {
+        topo::EmbeddingSearchOptions search;
+        search.num_ranks = p;
+        const auto found = topo::findConflictFreeDoubleTree(graph, search);
+        CCUBE_CHECK(found.has_value(),
+                    "no conflict-free double tree on this topology");
+        return sched::doubleTreeProgram(
+            *found,
+            algorithm == AllReduceAlgorithm::kDoubleTree
+                ? sched::PhaseMode::kTwoPhase
+                : sched::PhaseMode::kOverlapped,
+            num_chunks);
+      }
+    }
+    util::panic("unknown AllReduce algorithm");
+}
+
 Tuner&
 Tuner::global()
 {
@@ -309,11 +350,10 @@ Communicator::runAuto(RankBuffers& buffers, const topo::Graph& graph)
     metrics.addCounter(std::string("ccl.tuner.proto.") +
                            protocolName(cell.protocol),
                        1.0);
-    AllReduceOptions options;
-    options.algorithm = cell.algorithm;
-    options.num_chunks = cell.num_chunks;
-    options.protocol = cell.protocol;
-    return allReduce(*this, buffers, graph, options);
+    return runProgram(*this, buffers,
+                      allReduceProgram(graph, numRanks(), cell.algorithm,
+                                       cell.num_chunks),
+                      cell.protocol);
 }
 
 } // namespace ccl

@@ -13,8 +13,9 @@
  * model::applyProtocol for the LL/Simple cost shapes) against the
  * slowest NVLink channel of the physical topology, and cached per
  * (topology signature, P). Lookups after the first are a mutex-guarded
- * map find plus a bucket index — cheap enough to sit on the allReduce
- * dispatch path for Protocol::kAuto.
+ * map find plus a bucket index — cheap enough to sit on the dispatch
+ * path of every Communicator::runAuto call, which runs the pick as
+ * allReduceProgram() → ccl::runProgram.
  *
  * Determinism: the table is a pure function of the graph and P (no
  * wall clock), so tuner tables are identical across runs and across
@@ -28,8 +29,9 @@
 #include <utility>
 #include <vector>
 
-#include "ccl/primitives.h"
+#include "ccl/protocol.h"
 #include "model/alpha_beta.h"
+#include "sched/program.h"
 
 namespace ccube {
 
@@ -38,6 +40,15 @@ class Graph;
 }
 
 namespace ccl {
+
+/** The AllReduce algorithms the tuner chooses between. */
+enum class AllReduceAlgorithm {
+    kRing,           ///< 2(P−1)-step ring (R)
+    kTree,           ///< two-phase single tree
+    kOverlappedTree, ///< reduction-broadcast chained single tree (C1)
+    kDoubleTree,     ///< two-phase double tree (B)
+    kCCubeDoubleTree,///< overlapped double tree (C-Cube)
+};
 
 /** One selection-table cell: what to run for one size bucket. */
 struct TunerChoice {
@@ -50,6 +61,17 @@ struct TunerChoice {
 /** Short display name: "ring", "tree", "overlapped_tree",
  *  "double_tree", "ccube_double_tree". */
 const char* algorithmName(AllReduceAlgorithm algorithm);
+
+/**
+ * The AllReduce program of @p algorithm on the physical topology
+ * @p graph with @p p ranks: embeds the logical topology it needs (a
+ * Hamiltonian ring, an inorder tree with detours, or a conflict-free
+ * double tree — checked to exist) and builds it with @p num_chunks
+ * chunks (per tree for the tree algorithms).
+ */
+sched::Program allReduceProgram(const topo::Graph& graph, int p,
+                                AllReduceAlgorithm algorithm,
+                                int num_chunks);
 
 /**
  * The process-wide selection-table cache.
@@ -72,11 +94,7 @@ class Tuner
     TunerChoice choose(const topo::Graph& graph, int p,
                        std::size_t elems);
 
-    /**
-     * Best protocol for a *fixed* algorithm at this size — the hook
-     * the allReduce dispatcher uses to resolve Protocol::kAuto while
-     * honoring the caller's algorithm pick.
-     */
+    /** Best protocol for a *fixed* algorithm at this size. */
     Protocol chooseProtocol(const topo::Graph& graph, int p,
                             std::size_t elems,
                             AllReduceAlgorithm algorithm);

@@ -9,8 +9,7 @@
 #include "model/tree_model.h"
 #include "obs/metrics.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/multi_ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "sweep/sweep.h"
 #include "topo/detour_router.h"
 #include "util/logging.h"
@@ -112,27 +111,28 @@ CCubeEngine::commOnly(Mode mode, double bytes,
 {
     sim::Simulation simulation;
     simnet::Network network(simulation, machine_.graph, bandwidth_scale);
-    simnet::ScheduleResult result;
+    sched::Program program;
     switch (mode) {
       case Mode::kRing:
-        result = simnet::runMultiRingSchedule(simulation, network,
-                                              machine_.rings, bytes);
+        program = sched::multiRingProgram(machine_.rings);
         break;
       case Mode::kBaseline:
       case Mode::kComputeChaining:
-        result = simnet::runDoubleTreeSchedule(
-            simulation, network, machine_.double_tree, bytes,
-            simnet::PhaseMode::kTwoPhase, chunksPerTree(bytes / 2.0));
+        program = sched::doubleTreeProgram(machine_.double_tree,
+                                           sched::PhaseMode::kTwoPhase,
+                                           chunksPerTree(bytes / 2.0));
         break;
       case Mode::kOverlappedTree:
       case Mode::kCCube:
-        result = simnet::runDoubleTreeSchedule(
-            simulation, network, machine_.double_tree, bytes,
-            simnet::PhaseMode::kOverlapped, chunksPerTree(bytes / 2.0));
+        program = sched::doubleTreeProgram(machine_.double_tree,
+                                           sched::PhaseMode::kOverlapped,
+                                           chunksPerTree(bytes / 2.0));
         break;
       default:
         util::panic("unknown mode");
     }
+    const simnet::ScheduleResult result =
+        simnet::runProgram(simulation, network, program, bytes);
 
     // Observability: serialize this DES run on the trace timeline and
     // export per-channel telemetry when a metrics capture is active.

@@ -91,7 +91,6 @@ recoverSchedule(const topo::Graph& graph,
         out.ring = std::move(rings.front());
         out.program =
             sched::ringProgram(out.ring, sched::RingPhase::kAllReduce);
-        out.op = "ring_allreduce";
     }
     if (out.double_tree) {
         // A contended embedding runs two-phase (the paper's baseline
@@ -101,7 +100,6 @@ recoverSchedule(const topo::Graph& graph,
             out.kind == RecoveryKind::kCCube ? sched::PhaseMode::kOverlapped
                                              : sched::PhaseMode::kTwoPhase,
             options.chunks_per_tree);
-        out.op = "double_tree_allreduce";
     }
 
     out.search_seconds =

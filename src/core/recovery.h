@@ -83,13 +83,9 @@ struct RecoveryResult {
      * The rung's collective: kCCube runs the double tree overlapped,
      * kDoubleTree two-phase (contended channels break the overlap
      * premise, as in the paper's baseline B), kRing the ring
-     * AllReduce; empty on kNone.
+     * AllReduce; empty on kNone (program.op "").
      */
     sched::Program program;
-
-    /** Op name the program runs under (watchdog attribution, monitor
-     *  label); "" on kNone. */
-    const char* op = "";
 
     /** Wall-clock seconds the re-plan (search + fallbacks) took. */
     double search_seconds = 0.0;

@@ -175,10 +175,8 @@ ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
         attempt_program.skip = checkpoint_.mask();
         const int resumed = attempt_program.skip.doneCount();
         try {
-            ccl::AllReduceTrace trace(comm_.numRanks());
-            trace.setObserver(checkpoint_.observer());
             ccl::runProgram(comm_, buffers, std::move(attempt_program),
-                            &trace, options_.proto, plan_.op);
+                            options_.proto, checkpoint_.observer());
             report.completed = true;
             report.chunks_resumed = resumed;
             stats_.chunks_resumed +=

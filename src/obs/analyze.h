@@ -115,12 +115,6 @@ struct AlphaBetaFit {
         return beta_s_per_byte > 0.0 ? 1.0 / beta_s_per_byte : 0.0;
     }
 
-    /** As a model parameter set. */
-    model::AlphaBeta asModel() const
-    {
-        return model::AlphaBeta{alpha_s, beta_s_per_byte};
-    }
-
     /** |fit α − reference α| / reference α. */
     double alphaRelError(const model::AlphaBeta& reference) const;
 

@@ -174,6 +174,12 @@ appendRing(Program& program, const topo::RingEmbedding& ring,
     }
 }
 
+/** Mailbox flow ids of one tree (the ccl:: flow-id convention). */
+struct TreeFlows {
+    int reduce = 1;
+    int broadcast = 2;
+};
+
 /** First flow id above the built-in ones (ccl's kFlow*, 0–4). */
 constexpr int kFirstSpareFlow = 5;
 
@@ -349,6 +355,9 @@ ringProgram(const topo::RingEmbedding& ring, RingPhase phase)
 {
     CCUBE_CHECK(ring.size() >= 1, "empty ring");
     Program program;
+    program.op = phase == RingPhase::kAllReduce       ? "ring_allreduce"
+                 : phase == RingPhase::kReduceScatter ? "ring_reduce_scatter"
+                                                      : "ring_all_gather";
     program.num_ranks = ring.size();
     program.parts.push_back(Part{ring.size(), 0});
     appendRing(program, ring, phase, 0, /*flow=*/0);
@@ -357,15 +366,18 @@ ringProgram(const topo::RingEmbedding& ring, RingPhase phase)
 
 Program
 treeProgram(const topo::TreeEmbedding& embedding, TreeDirection direction,
-            PhaseMode mode, int chunks, TreeFlows flows, TreeLanes lanes)
+            PhaseMode mode, int chunks, TreeLanes lanes)
 {
     CCUBE_CHECK(chunks >= 1, "need at least one chunk");
     CCUBE_CHECK(embedding.tree.valid(), "invalid tree");
     Program program;
+    program.op = direction == TreeDirection::kAllReduce ? "tree_allreduce"
+                 : direction == TreeDirection::kReduce  ? "tree_reduce"
+                                                        : "tree_broadcast";
     program.num_ranks = embedding.tree.numNodes();
     program.parts.push_back(Part{chunks, 0});
-    appendTree(program, embedding, direction, mode, chunks, flows, lanes,
-               0, "tree");
+    appendTree(program, embedding, direction, mode, chunks, TreeFlows{},
+               lanes, 0, "tree");
     return program;
 }
 
@@ -379,6 +391,7 @@ doubleTreeProgram(const topo::DoubleTreeEmbedding& embedding,
                 "double tree over different rank counts");
     const bool p2p = lanes == LanePolicy::kPointToPoint;
     Program program;
+    program.op = "double_tree_allreduce";
     program.num_ranks = embedding.tree0.tree.numNodes();
     program.parts = {Part{chunks_per_tree, 0},
                      Part{chunks_per_tree, chunks_per_tree}};
@@ -396,6 +409,7 @@ multiRingProgram(const std::vector<topo::RingEmbedding>& rings)
 {
     CCUBE_CHECK(!rings.empty(), "need at least one ring");
     Program program;
+    program.op = "multi_ring_allreduce";
     program.num_ranks = rings.front().size();
     for (std::size_t r = 0; r < rings.size(); ++r) {
         program.parts.push_back(Part{rings[r].size(), program.numChunks()});

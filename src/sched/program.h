@@ -77,16 +77,23 @@ enum class LanePolicy {
 
 /** Which phases of the ring protocol a ring program runs. */
 enum class RingPhase {
-    kReduceScatter, ///< ringReduceScatter primitive
-    kAllGather,     ///< ringAllGather primitive
-    kAllReduce,     ///< full AllReduce (RS + AG, final markers)
+    /** ring_reduce_scatter: after P−1 steps position i holds the fully
+     *  reduced slice (i+1) mod P. */
+    kReduceScatter,
+    /** ring_all_gather: position i starts owning slice (i+1) mod P and
+     *  circulates it; every rank ends with every slice. */
+    kAllGather,
+    kAllReduce, ///< ring_allreduce: RS + AG, final markers
 };
 
 /** Which direction(s) of the tree protocol a tree program runs. */
 enum class TreeDirection {
-    kReduce,    ///< treeReduce primitive (up only)
-    kBroadcast, ///< treeBroadcast primitive (down only)
-    kAllReduce, ///< full AllReduce (reduction chained into broadcast)
+    /** tree_reduce: the root ends with the sum (others with partial
+     *  sums). */
+    kReduce,
+    /** tree_broadcast: every rank ends with the root's buffer. */
+    kBroadcast,
+    kAllReduce, ///< tree_allreduce: reduction chained into broadcast
 };
 
 /**
@@ -208,12 +215,6 @@ struct ChunkRange {
     T end{};
 };
 
-/** Mailbox flow ids of one tree (the ccl:: flow-id convention). */
-struct TreeFlows {
-    int reduce = 1;
-    int broadcast = 2;
-};
-
 /** Channel lanes of one tree, per direction. */
 struct TreeLanes {
     int up = 0;   ///< reduction (child → parent)
@@ -222,6 +223,9 @@ struct TreeLanes {
 
 /** A complete collective schedule (see the file comment). */
 struct Program {
+    /** The collective's name (a string literal set by its builder):
+     *  the watchdog's op attribution and the DES monitor label. */
+    const char* op = "";
     int num_ranks = 0;
     std::vector<Part> parts;
     std::vector<Edge> edges;
@@ -323,14 +327,15 @@ class Cursor
 Program ringProgram(const topo::RingEmbedding& ring, RingPhase phase);
 
 /**
- * One tree's collective in @p direction over @p chunks chunks. Detour
- * routes through ranks become forwarder threads on the transit ranks;
- * a non-root rank of an overlapped AllReduce runs two concurrent
- * pipelines (reducer, broadcaster).
+ * One tree's collective in @p direction over @p chunks chunks, on
+ * flows 1 (reduce) and 2 (broadcast). Detour routes through ranks
+ * become forwarder threads on the transit ranks; a non-root rank of an
+ * overlapped AllReduce runs two concurrent pipelines (reducer,
+ * broadcaster).
  */
 Program treeProgram(const topo::TreeEmbedding& embedding,
                     TreeDirection direction, PhaseMode mode, int chunks,
-                    TreeFlows flows = {}, TreeLanes lanes = {});
+                    TreeLanes lanes = {});
 
 /**
  * Double-tree AllReduce: tree0 over the lower payload half (chunks

@@ -79,23 +79,9 @@ Simulation::at(Time when, EventFn fn, int priority)
 }
 
 void
-Simulation::addStat(const std::string& name, double delta)
-{
-    stats_[name] += delta;
-}
-
-double
-Simulation::stat(const std::string& name) const
-{
-    auto it = stats_.find(name);
-    return it == stats_.end() ? 0.0 : it->second;
-}
-
-void
 Simulation::reset()
 {
     queue_.reset();
-    stats_.clear();
 }
 
 } // namespace sim

@@ -10,8 +10,6 @@
  */
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 
 #include "sim/event_queue.h"
 
@@ -58,24 +56,11 @@ class Simulation
      */
     Time run();
 
-    /** Adds @p delta to the named statistic counter. */
-    void addStat(const std::string& name, double delta);
-
-    /** Reads a named statistic counter (0 when never written). */
-    double stat(const std::string& name) const;
-
-    /** All statistics gathered so far. */
-    const std::unordered_map<std::string, double>& stats() const
-    {
-        return stats_;
-    }
-
-    /** Clears events, time, and statistics. */
+    /** Clears events and time. */
     void reset();
 
   private:
     EventQueue queue_;
-    std::unordered_map<std::string, double> stats_;
 };
 
 } // namespace sim

@@ -161,7 +161,6 @@ Network::transferOnChannel(int channel_id, double bytes, DoneFn done,
         return;
     }
     const double hold = occupancy(channel_id, bytes, latency_factor);
-    net_bytes_ += bytes;
     ++net_transfers_;
     resources_[static_cast<std::size_t>(channel_id)]->request(
         [hold]() { return hold; }, std::move(done), bytes);

@@ -142,9 +142,6 @@ class Network
     /** Bytes dropped on failed channels. */
     double droppedBytes() const { return dropped_bytes_; }
 
-    /** Total bytes pushed through the fabric (every channel). */
-    double totalBytes() const { return net_bytes_; }
-
     /** Total transfers issued on the fabric. */
     std::uint64_t totalTransfers() const { return net_transfers_; }
 
@@ -201,7 +198,6 @@ class Network
     std::vector<std::unique_ptr<sim::FifoResource>> resources_;
     std::unordered_map<std::uint64_t, std::vector<int>> pair_channels_;
     std::vector<ChannelState> channel_state_;
-    double net_bytes_ = 0.0;
     std::uint64_t net_transfers_ = 0;
     std::uint64_t dropped_transfers_ = 0;
     double dropped_bytes_ = 0.0;

@@ -19,9 +19,6 @@
 namespace ccube {
 namespace simnet {
 
-/** Phase organisation of a timed tree schedule (see sched::). */
-using PhaseMode = sched::PhaseMode;
-
 /** Outcome of one timed collective run. */
 struct ScheduleResult {
     /** Number of global chunks. */

@@ -1,7 +1,6 @@
 #include "simnet/fault_plan.h"
 
 #include "obs/monitor.h"
-#include "simnet/program_driver.h"
 #include "util/logging.h"
 
 namespace ccube {
@@ -86,14 +85,10 @@ applyFaultPlan(Network& network, const FaultPlan& plan)
 }
 
 FaultedRunResult
-runDoubleTreeWithFaults(sim::Simulation& simulation, Network& network,
-                        const topo::DoubleTreeEmbedding& embedding,
-                        double total_bytes, PhaseMode mode,
-                        int chunks_per_tree, const FaultPlan& plan,
-                        LanePolicy lanes)
+runProgramWithFaults(sim::Simulation& simulation, Network& network,
+                     const sched::Program& program, double total_bytes,
+                     const FaultPlan& plan)
 {
-    const sched::Program program = sched::doubleTreeProgram(
-        embedding, mode, chunks_per_tree, lanes);
     ProgramDriver driver(network, program, total_bytes);
     const std::uint64_t dropped_before = network.droppedTransfers();
     const double at = simulation.now();
@@ -114,8 +109,7 @@ runDoubleTreeWithFaults(sim::Simulation& simulation, Network& network,
 
     obs::Monitor& monitor = obs::Monitor::global();
     if (monitor.enabled())
-        monitor.collectiveComplete("allreduce.double_tree_faulted",
-                                   at, end, total_bytes,
+        monitor.collectiveComplete(program.op, at, end, total_bytes,
                                    out.completed);
     return out;
 }

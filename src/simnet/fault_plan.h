@@ -15,17 +15,17 @@
  * infrastructure-failure modeling that ASTRA-sim 3.0 motivates,
  * grafted onto the channel/FifoResource fabric.
  *
- * runDoubleTreeWithFaults() is the faulted analog of
- * runDoubleTreeSchedule(): it reports whether the collective survived
- * the plan and returns partial per-chunk results when it did not —
- * the detection signal bench/abl_fault_recovery feeds into
- * core::recoverSchedule.
+ * runProgramWithFaults() is the faulted analog of runProgram(): it
+ * reports whether the collective survived the plan and returns
+ * partial per-chunk results when it did not — the detection signal
+ * bench/abl_fault_recovery feeds into core::recoverSchedule. Any
+ * program runs under a plan, a recovery rung's included.
  */
 
 #include <vector>
 
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/graph.h"
 
 namespace ccube {
@@ -100,16 +100,15 @@ struct FaultedRunResult {
 };
 
 /**
- * Runs a double-tree AllReduce of @p total_bytes under @p plan. Same
- * lane assignment as runDoubleTreeSchedule(); tolerates a plan that
- * kills the collective (the DES drains with arrivals outstanding) and
- * reports partial results instead of panicking.
+ * Runs @p program over @p total_bytes under @p plan; tolerates a plan
+ * that kills the collective (the DES drains with arrivals
+ * outstanding) and reports partial results instead of panicking.
  */
-FaultedRunResult runDoubleTreeWithFaults(
-    sim::Simulation& simulation, Network& network,
-    const topo::DoubleTreeEmbedding& embedding, double total_bytes,
-    PhaseMode mode, int chunks_per_tree, const FaultPlan& plan,
-    LanePolicy lanes = LanePolicy::kPointToPoint);
+FaultedRunResult runProgramWithFaults(sim::Simulation& simulation,
+                                      Network& network,
+                                      const sched::Program& program,
+                                      double total_bytes,
+                                      const FaultPlan& plan);
 
 } // namespace simnet
 } // namespace ccube

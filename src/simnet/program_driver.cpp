@@ -3,10 +3,6 @@
 #include <algorithm>
 
 #include "obs/monitor.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/multi_ring_schedule.h"
-#include "simnet/ring_schedule.h"
-#include "simnet/tree_schedule.h"
 #include "util/logging.h"
 
 namespace ccube {
@@ -31,6 +27,9 @@ ProgramDriver::ProgramDriver(Network& network,
         chunk_bytes_.push_back(part_bytes / part.chunks);
     routes_.reserve(program.edges.size());
     for (const sched::Edge& edge : program.edges) {
+        CCUBE_CHECK(edge.src != edge.dst,
+                    "edge " << edge.src
+                            << " → itself: a ring needs at least two ranks");
         routes_.push_back(program.route(edge));
         std::vector<topo::NodeId>& hops = routes_.back().hops;
         if (hops.empty())
@@ -186,7 +185,7 @@ ProgramDriver::partialResult(double stalled_at) const
 ScheduleResult
 runProgram(sim::Simulation& simulation, Network& network,
            const sched::Program& program, double total_bytes,
-           ccl::Protocol proto, const char* name)
+           ccl::Protocol proto)
 {
     ProgramDriver driver(network, program, total_bytes, proto);
     const double at = simulation.now();
@@ -195,59 +194,9 @@ runProgram(sim::Simulation& simulation, Network& network,
     ScheduleResult result = driver.result();
     obs::Monitor& monitor = obs::Monitor::global();
     if (monitor.enabled())
-        monitor.collectiveComplete(name, at, result.completion_time,
+        monitor.collectiveComplete(program.op, at, result.completion_time,
                                    total_bytes);
     return result;
-}
-
-ScheduleResult
-runRingSchedule(sim::Simulation& simulation, Network& network,
-                const topo::RingEmbedding& ring, double total_bytes,
-                ccl::Protocol proto)
-{
-    CCUBE_CHECK(ring.size() >= 2, "ring needs at least two ranks");
-    return runProgram(simulation, network,
-                      sched::ringProgram(ring, sched::RingPhase::kAllReduce),
-                      total_bytes, proto, "allreduce.ring");
-}
-
-ScheduleResult
-runMultiRingSchedule(sim::Simulation& simulation, Network& network,
-                     const std::vector<topo::RingEmbedding>& rings,
-                     double total_bytes, ccl::Protocol proto)
-{
-    for (const topo::RingEmbedding& ring : rings)
-        CCUBE_CHECK(ring.size() >= 2, "ring needs at least two ranks");
-    return runProgram(simulation, network, sched::multiRingProgram(rings),
-                      total_bytes, proto, "allreduce.multi_ring");
-}
-
-ScheduleResult
-runTreeSchedule(sim::Simulation& simulation, Network& network,
-                const topo::TreeEmbedding& embedding, double total_bytes,
-                PhaseMode mode, int num_chunks, int up_lane,
-                int down_lane, ccl::Protocol proto)
-{
-    const sched::Program program = sched::treeProgram(
-        embedding, sched::TreeDirection::kAllReduce, mode, num_chunks, {},
-        sched::TreeLanes{up_lane, down_lane < 0 ? up_lane : down_lane});
-    return runProgram(simulation, network, program, total_bytes, proto,
-                      mode == PhaseMode::kOverlapped
-                          ? "allreduce.tree_overlapped"
-                          : "allreduce.tree");
-}
-
-ScheduleResult
-runDoubleTreeSchedule(sim::Simulation& simulation, Network& network,
-                      const topo::DoubleTreeEmbedding& embedding,
-                      double total_bytes, PhaseMode mode,
-                      int chunks_per_tree, LanePolicy lanes,
-                      ccl::Protocol proto)
-{
-    return runProgram(simulation, network,
-                      sched::doubleTreeProgram(embedding, mode,
-                                               chunks_per_tree, lanes),
-                      total_bytes, proto, "allreduce.double_tree");
 }
 
 std::vector<int>

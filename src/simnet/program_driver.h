@@ -3,8 +3,10 @@
 
 /**
  * @file
- * The timed interpreter of sched::Program — the one DES schedule
- * behind every run*Schedule() entry point.
+ * The timed interpreter of sched::Program — the one entry point of
+ * every DES collective: callers build the program with a sched::
+ * builder and hand it to runProgram (or, under a fault plan, to
+ * runProgramWithFaults in simnet/fault_plan.h).
  *
  * Each program thread walks its steps at simulated time: a send
  * issues a TransferEngine transfer on the edge's lane along the
@@ -109,11 +111,25 @@ class ProgramDriver
 
 /**
  * Runs @p program to completion on @p simulation's clock and reports
- * it to obs::Monitor as the collective @p name.
+ * it to obs::Monitor under program.op.
  */
 ScheduleResult runProgram(sim::Simulation& simulation, Network& network,
                           const sched::Program& program, double total_bytes,
-                          ccl::Protocol proto, const char* name);
+                          ccl::Protocol proto = ccl::Protocol::kSimple);
+
+/**
+ * The physical channel ids a tree program on @p embedding occupies in
+ * one direction, replicating the driver's lane selection exactly
+ * (channelIds(a, b) indexed by @p lane clamped to the parallel-channel
+ * count). @p down selects broadcast-direction (parent → child) routes;
+ * false selects reduction-direction (child → parent). Sorted, deduped.
+ * Channels inside switch cut-through runs are included even though the
+ * engine models them as pure delay; analyzers that skip traffic-less
+ * channels are unaffected.
+ */
+std::vector<int> treeChannelIds(const topo::Graph& graph,
+                                const topo::TreeEmbedding& embedding,
+                                int lane, bool down);
 
 } // namespace simnet
 } // namespace ccube

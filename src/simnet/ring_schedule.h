@@ -3,13 +3,8 @@
 
 /**
  * @file
- * Timed ring AllReduce (the paper's R baseline).
- *
- * 2(P−1) steps of neighbor exchange with N/P-byte chunks; each rank
- * advances to step s+1 once its step-s send has drained and its step-s
- * chunk has arrived. Matches Eq. (2) on uniform links while capturing
- * skew on non-uniform routes (e.g. switch fabrics). The schedule is
- * sched::ringProgram run by simnet::ProgramDriver.
+ * A per-algorithm simnet:: wrapper left. Everything else builds the
+ * program with sched::ringProgram and calls runProgram.
  */
 
 #include "simnet/program_driver.h"
@@ -18,14 +13,17 @@
 namespace ccube {
 namespace simnet {
 
-/** Runs one ring AllReduce to completion; chunk k is the slice owned
- *  by ring position k. */
-ScheduleResult runRingSchedule(sim::Simulation& simulation,
-                               Network& network,
-                               const topo::RingEmbedding& ring,
-                               double total_bytes,
-                               ccl::Protocol proto =
-                                   ccl::Protocol::kSimple);
+/** Remains for perfbench/perf_ladder until the next [benchmark] change:
+ *  runProgram(ringProgram(@p ring, kAllReduce), @p proto). */
+inline ScheduleResult
+runRingSchedule(sim::Simulation& simulation, Network& network,
+                const topo::RingEmbedding& ring, double total_bytes,
+                ccl::Protocol proto = ccl::Protocol::kSimple)
+{
+    return runProgram(simulation, network,
+                      sched::ringProgram(ring, sched::RingPhase::kAllReduce),
+                      total_bytes, proto);
+}
 
 } // namespace simnet
 } // namespace ccube

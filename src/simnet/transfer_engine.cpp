@@ -15,7 +15,6 @@ TransferEngine::sendAlongRoute(const topo::Route& route, double bytes,
 {
     CCUBE_CHECK(route.hops.size() >= 2, "route needs at least two hops");
     ++sends_issued_;
-    hop_stats_.add(static_cast<double>(route.hops.size() - 1));
     // Wire bytes: LL carries one flag word per payload word, so the
     // fabric sees payload_factor × the logical size (inflated once
     // here — runStage re-sends the same wire bytes on every segment).

@@ -57,9 +57,6 @@ class TransferEngine
     /** Multi-hop sends issued (store-and-forward or cut-through). */
     std::uint64_t sendsIssued() const { return sends_issued_; }
 
-    /** Hop-count samples, one per send. */
-    const util::RunningStats& hopStats() const { return hop_stats_; }
-
   private:
     /**
      * Runs the stage starting at hop @p index. A stage spans
@@ -75,7 +72,6 @@ class TransferEngine
     ccl::Protocol proto_ = ccl::Protocol::kSimple;
     ccl::ProtocolCosts costs_;
     std::uint64_t sends_issued_ = 0;
-    util::RunningStats hop_stats_;
 };
 
 } // namespace simnet

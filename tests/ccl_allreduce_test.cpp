@@ -15,9 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "ccl/double_tree_allreduce.h"
-#include "ccl/ring_allreduce.h"
-#include "ccl/tree_allreduce.h"
+#include "ccl/program_task.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/rng.h"
@@ -75,7 +73,9 @@ TEST_P(RingSweep, EveryRankGetsTheSum)
     RankBuffers buffers = makeBuffers(ranks, elems, 101);
     const std::vector<float> sum = expectedSum(buffers);
     Communicator comm(ranks);
-    ringAllReduce(comm, buffers, topo::makeSequentialRing(ranks));
+    ccl::runProgram(comm, buffers,
+                    sched::ringProgram(topo::makeSequentialRing(ranks),
+                                       sched::RingPhase::kAllReduce));
     expectAllEqualSum(buffers, sum);
 }
 
@@ -90,7 +90,9 @@ TEST(RingAllReduce, ChunksCompleteOutOfOrderAcrossRanks)
     RankBuffers buffers = makeBuffers(ranks, 64, 5);
     Communicator comm(ranks);
     const AllReduceTrace trace =
-        ringAllReduce(comm, buffers, topo::makeSequentialRing(ranks));
+        ccl::runProgram(comm, buffers,
+                        sched::ringProgram(topo::makeSequentialRing(ranks),
+                                           sched::RingPhase::kAllReduce));
     // Each rank sees a rotation starting at (pos+1): only the rank at
     // position P−1 sees 0,1,...,P−1 in ascending order; globally the
     // ring violates the in-order property.
@@ -107,14 +109,15 @@ TEST(RingAllReduce, WorksOnDgx1HamiltonianRing)
     RankBuffers buffers = makeBuffers(8, 128, 17);
     const std::vector<float> sum = expectedSum(buffers);
     Communicator comm(8);
-    ringAllReduce(comm, buffers, ring);
+    ccl::runProgram(comm, buffers,
+                    sched::ringProgram(ring, sched::RingPhase::kAllReduce));
     expectAllEqualSum(buffers, sum);
 }
 
 // ---------------------------------------------------------------- tree
 
 class TreeSweep
-    : public ::testing::TestWithParam<std::tuple<int, int, TreePhaseMode>>
+    : public ::testing::TestWithParam<std::tuple<int, int, sched::PhaseMode>>
 {
 };
 
@@ -128,7 +131,10 @@ TEST_P(TreeSweep, EveryRankGetsTheSumInOrder)
     const topo::TreeEmbedding embedding =
         topo::directEmbedding(topo::BinaryTree::inorder(ranks));
     const AllReduceTrace trace =
-        treeAllReduce(comm, buffers, embedding, chunks, mode);
+        ccl::runProgram(comm, buffers,
+                        sched::treeProgram(embedding,
+                                           sched::TreeDirection::kAllReduce,
+                                           mode, chunks));
     expectAllEqualSum(buffers, sum);
     // Observation #3: in-order delivery at every rank.
     EXPECT_TRUE(trace.inOrder());
@@ -141,8 +147,8 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, TreeSweep,
     ::testing::Combine(::testing::Values(2, 3, 5, 8, 16),
                        ::testing::Values(1, 4, 16),
-                       ::testing::Values(TreePhaseMode::kTwoPhase,
-                                         TreePhaseMode::kOverlapped)));
+                       ::testing::Values(sched::PhaseMode::kTwoPhase,
+                                         sched::PhaseMode::kOverlapped)));
 
 TEST(TreeAllReduce, OverlappedMatchesTwoPhaseResults)
 {
@@ -153,12 +159,17 @@ TEST(TreeAllReduce, OverlappedMatchesTwoPhaseResults)
         topo::directEmbedding(topo::BinaryTree::inorder(ranks));
     {
         Communicator comm(ranks);
-        treeAllReduce(comm, a, embedding, 8, TreePhaseMode::kTwoPhase);
+        ccl::runProgram(comm, a,
+                        sched::treeProgram(embedding,
+                                           sched::TreeDirection::kAllReduce,
+                                           sched::PhaseMode::kTwoPhase, 8));
     }
     {
         Communicator comm(ranks);
-        treeAllReduce(comm, b, embedding, 8,
-                      TreePhaseMode::kOverlapped);
+        ccl::runProgram(comm, b,
+                        sched::treeProgram(embedding,
+                                           sched::TreeDirection::kAllReduce,
+                                           sched::PhaseMode::kOverlapped, 8));
     }
     for (int r = 0; r < ranks; ++r)
         EXPECT_EQ(a[static_cast<std::size_t>(r)],
@@ -174,8 +185,10 @@ TEST(TreeAllReduce, DetourForwardingOnDgx1)
     RankBuffers buffers = makeBuffers(8, 64, 41);
     const std::vector<float> sum = expectedSum(buffers);
     Communicator comm(8);
-    const AllReduceTrace trace = treeAllReduce(
-        comm, buffers, dt.tree0, 4, TreePhaseMode::kOverlapped);
+    const AllReduceTrace trace = ccl::runProgram(
+        comm, buffers,
+        sched::treeProgram(dt.tree0, sched::TreeDirection::kAllReduce,
+                           sched::PhaseMode::kOverlapped, 4));
     expectAllEqualSum(buffers, sum);
     EXPECT_TRUE(trace.inOrder());
 }
@@ -183,7 +196,7 @@ TEST(TreeAllReduce, DetourForwardingOnDgx1)
 // ---------------------------------------------------------- double tree
 
 class DoubleTreeSweep
-    : public ::testing::TestWithParam<std::tuple<int, TreePhaseMode>>
+    : public ::testing::TestWithParam<std::tuple<int, sched::PhaseMode>>
 {
 };
 
@@ -198,7 +211,8 @@ TEST_P(DoubleTreeSweep, EveryRankGetsTheSum)
     const std::vector<float> sum = expectedSum(buffers);
     Communicator comm(8);
     const AllReduceTrace trace =
-        doubleTreeAllReduce(comm, buffers, dt, chunks_per_tree, mode);
+        ccl::runProgram(comm, buffers,
+                        sched::doubleTreeProgram(dt, mode, chunks_per_tree));
     expectAllEqualSum(buffers, sum);
     // Every rank sees every global chunk exactly once.
     for (int r = 0; r < 8; ++r)
@@ -209,8 +223,8 @@ TEST_P(DoubleTreeSweep, EveryRankGetsTheSum)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DoubleTreeSweep,
     ::testing::Combine(::testing::Values(1, 3, 8),
-                       ::testing::Values(TreePhaseMode::kTwoPhase,
-                                         TreePhaseMode::kOverlapped)));
+                       ::testing::Values(sched::PhaseMode::kTwoPhase,
+                                         sched::PhaseMode::kOverlapped)));
 
 TEST(DoubleTreeAllReduce, PerTreeChunksStayInOrder)
 {
@@ -219,9 +233,10 @@ TEST(DoubleTreeAllReduce, PerTreeChunksStayInOrder)
     const int chunks_per_tree = 6;
     RankBuffers buffers = makeBuffers(8, 48, 71);
     Communicator comm(8);
-    const AllReduceTrace trace = doubleTreeAllReduce(
-        comm, buffers, dt, chunks_per_tree,
-        TreePhaseMode::kOverlapped);
+    const AllReduceTrace trace = ccl::runProgram(
+        comm, buffers,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped,
+                                 chunks_per_tree));
     // Within each tree's id range, arrival order is ascending at
     // every rank (the property gradient queuing relies on).
     for (int r = 0; r < 8; ++r) {

@@ -19,10 +19,8 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
-#include "ccl/ring_allreduce.h"
-#include "ccl/tree_allreduce.h"
+#include "ccl/program_task.h"
 #include "obs/context.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
@@ -84,25 +82,35 @@ runAllAlgorithms(ccl::Communicator& comm, const Topologies& topo,
     std::vector<float> expected;
     {
         ccl::RankBuffers buffers = randomBuffers(rng, expected);
-        ccl::ringAllReduce(comm, buffers, topo.ring);
+        ccl::runProgram(comm, buffers,
+                        sched::ringProgram(topo.ring,
+                                           sched::RingPhase::kAllReduce));
         expectAllReduced(buffers, expected);
     }
     {
         ccl::RankBuffers buffers = randomBuffers(rng, expected);
-        ccl::treeAllReduce(comm, buffers, topo.tree, kChunks,
-                           ccl::TreePhaseMode::kTwoPhase);
+        ccl::runProgram(comm, buffers,
+                        sched::treeProgram(topo.tree,
+                                           sched::TreeDirection::kAllReduce,
+                                           sched::PhaseMode::kTwoPhase,
+                                           kChunks));
         expectAllReduced(buffers, expected);
     }
     {
         ccl::RankBuffers buffers = randomBuffers(rng, expected);
-        ccl::treeAllReduce(comm, buffers, topo.tree, kChunks,
-                           ccl::TreePhaseMode::kOverlapped);
+        ccl::runProgram(comm, buffers,
+                        sched::treeProgram(topo.tree,
+                                           sched::TreeDirection::kAllReduce,
+                                           sched::PhaseMode::kOverlapped,
+                                           kChunks));
         expectAllReduced(buffers, expected);
     }
     {
         ccl::RankBuffers buffers = randomBuffers(rng, expected);
-        ccl::doubleTreeAllReduce(comm, buffers, topo.double_tree,
-                                 kChunks, ccl::TreePhaseMode::kOverlapped);
+        ccl::runProgram(comm, buffers,
+                        sched::doubleTreeProgram(topo.double_tree,
+                                                 sched::PhaseMode::kOverlapped,
+                                                 kChunks));
         expectAllReduced(buffers, expected);
     }
 }

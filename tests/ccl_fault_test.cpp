@@ -12,9 +12,9 @@
 #include <chrono>
 #include <thread>
 
-#include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
 #include "ccl/fault.h"
+#include "ccl/program_task.h"
 #include "ccl/sync_primitives.h"
 #include "obs/context.h"
 #include "topo/dgx1.h"
@@ -198,8 +198,9 @@ class FaultedCollective
         RankBuffers buffers = makeBuffers(32);
         bool caught = false;
         try {
-            doubleTreeAllReduce(comm, buffers, dt, 2,
-                                TreePhaseMode::kOverlapped);
+            ccl::runProgram(comm, buffers,
+                            sched::doubleTreeProgram(
+                                dt, sched::PhaseMode::kOverlapped, 2));
         } catch (const CollectiveError& error) {
             caught = true;
             EXPECT_EQ(error.info().failed_rank, fault.rank);
@@ -218,8 +219,10 @@ class FaultedCollective
         // suite time-shares a loaded CPU.
         comm.setDeadline(10s);
         RankBuffers retry = makeBuffers(32);
-        doubleTreeAllReduce(comm, retry, dt, 2,
-                            TreePhaseMode::kOverlapped);
+        ccl::runProgram(comm, retry,
+                        sched::doubleTreeProgram(dt,
+                                                 sched::PhaseMode::kOverlapped,
+                                                 2));
         for (std::size_t r = 0; r < retry.size(); ++r)
             EXPECT_FLOAT_EQ(retry[r][0], 36.0f); // 1+2+...+8
     }
@@ -269,8 +272,9 @@ TEST_P(FaultedCollective, DelayedRankStillCompletes)
     comm.setFaultInjector(&injector);
 
     RankBuffers buffers = makeBuffers(32);
-    doubleTreeAllReduce(comm, buffers, dt, 2,
-                        TreePhaseMode::kOverlapped);
+    ccl::runProgram(comm, buffers,
+                    sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped,
+                                             2));
     for (std::size_t r = 0; r < buffers.size(); ++r)
         EXPECT_FLOAT_EQ(buffers[r][0], 36.0f);
 }
@@ -346,8 +350,9 @@ TEST_P(FaultedCollective, AbortRacingClearNeverLeaksStaleGeneration)
         topo::makeDgx1DoubleTree(graph);
     comm.setDeadline(10s);
     RankBuffers buffers = makeBuffers(32);
-    doubleTreeAllReduce(comm, buffers, dt, 2,
-                        TreePhaseMode::kOverlapped);
+    ccl::runProgram(comm, buffers,
+                    sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped,
+                                             2));
     for (std::size_t r = 0; r < buffers.size(); ++r)
         for (float v : buffers[r])
             EXPECT_FLOAT_EQ(v, 36.0f);

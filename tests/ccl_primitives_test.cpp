@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the standalone collective primitives (tree broadcast /
- * reduce, ring Reduce-Scatter / AllGather) and the one-call AllReduce
- * dispatcher — including the identity
+ * Tests for the standalone collective programs (tree broadcast /
+ * reduce, ring Reduce-Scatter / AllGather) and ccl::allReduceProgram,
+ * the tuner's algorithm → program map — including the identity
  * ReduceScatter ∘ AllGather ≡ AllReduce and broadcast-after-reduce
  * composition.
  */
@@ -12,8 +12,8 @@
 #include <cmath>
 #include <vector>
 
-#include "ccl/primitives.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
+#include "ccl/tuner.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/rng.h"
@@ -53,7 +53,10 @@ TEST(TreeBroadcast, EveryRankGetsTheRootBuffer)
     const std::vector<float> root_data =
         buffers[static_cast<std::size_t>(embedding.tree.root())];
     Communicator comm(ranks);
-    treeBroadcast(comm, buffers, embedding, 4);
+    ccl::runProgram(comm, buffers,
+                    sched::treeProgram(embedding,
+                                       sched::TreeDirection::kBroadcast,
+                                       sched::PhaseMode::kTwoPhase, 4));
     for (int r = 0; r < ranks; ++r)
         EXPECT_EQ(buffers[static_cast<std::size_t>(r)], root_data);
 }
@@ -66,7 +69,10 @@ TEST(TreeBroadcast, WorksThroughDgx1Detours)
     const std::vector<float> root_data =
         buffers[static_cast<std::size_t>(dt.tree0.tree.root())];
     Communicator comm(8);
-    treeBroadcast(comm, buffers, dt.tree0, 4);
+    ccl::runProgram(comm, buffers,
+                    sched::treeProgram(dt.tree0,
+                                       sched::TreeDirection::kBroadcast,
+                                       sched::PhaseMode::kTwoPhase, 4));
     for (int r = 0; r < 8; ++r)
         EXPECT_EQ(buffers[static_cast<std::size_t>(r)], root_data);
 }
@@ -79,7 +85,9 @@ TEST(TreeReduce, RootHoldsTheSum)
     const topo::TreeEmbedding embedding =
         topo::directEmbedding(topo::BinaryTree::inorder(ranks));
     Communicator comm(ranks);
-    treeReduce(comm, buffers, embedding, 8);
+    ccl::runProgram(comm, buffers,
+                    sched::treeProgram(embedding, sched::TreeDirection::kReduce,
+                                       sched::PhaseMode::kTwoPhase, 8));
     const auto& root_buf =
         buffers[static_cast<std::size_t>(embedding.tree.root())];
     for (std::size_t i = 0; i < sum.size(); ++i)
@@ -95,11 +103,17 @@ TEST(TreeReduceThenBroadcast, ComposesIntoAllReduce)
         topo::directEmbedding(topo::BinaryTree::inorder(ranks));
     {
         Communicator comm(ranks);
-        treeReduce(comm, buffers, embedding, 6);
+        ccl::runProgram(comm, buffers,
+                        sched::treeProgram(embedding,
+                                           sched::TreeDirection::kReduce,
+                                           sched::PhaseMode::kTwoPhase, 6));
     }
     {
         Communicator comm(ranks);
-        treeBroadcast(comm, buffers, embedding, 6);
+        ccl::runProgram(comm, buffers,
+                        sched::treeProgram(embedding,
+                                           sched::TreeDirection::kBroadcast,
+                                           sched::PhaseMode::kTwoPhase, 6));
     }
     for (int r = 0; r < ranks; ++r)
         for (std::size_t i = 0; i < sum.size(); ++i)
@@ -115,15 +129,19 @@ TEST(RingPhases, ReduceScatterThenAllGatherIsAllReduce)
     const topo::RingEmbedding ring = topo::makeSequentialRing(ranks);
     {
         Communicator comm(ranks);
-        ringReduceScatter(comm, via_phases, ring);
+        ccl::runProgram(comm, via_phases,
+                        sched::ringProgram(ring,
+                                           sched::RingPhase::kReduceScatter));
     }
     {
         Communicator comm(ranks);
-        ringAllGather(comm, via_phases, ring);
+        ccl::runProgram(comm, via_phases,
+                        sched::ringProgram(ring, sched::RingPhase::kAllGather));
     }
     {
         Communicator comm(ranks);
-        ringAllReduce(comm, via_allreduce, ring);
+        ccl::runProgram(comm, via_allreduce,
+                        sched::ringProgram(ring, sched::RingPhase::kAllReduce));
     }
     for (int r = 0; r < ranks; ++r)
         EXPECT_EQ(via_phases[static_cast<std::size_t>(r)],
@@ -137,7 +155,8 @@ TEST(RingReduceScatter, OwnedSliceIsFullyReduced)
     const std::vector<float> sum = expectedSum(buffers);
     const topo::RingEmbedding ring = topo::makeSequentialRing(ranks);
     Communicator comm(ranks);
-    ringReduceScatter(comm, buffers, ring);
+    ccl::runProgram(comm, buffers,
+                    sched::ringProgram(ring, sched::RingPhase::kReduceScatter));
     const auto geometry =
         sched::ringProgram(ring, sched::RingPhase::kReduceScatter)
             .geometry(std::size_t{16});
@@ -164,10 +183,7 @@ TEST_P(DispatcherSweep, AllAlgorithmsCorrectOnDgx1)
     RankBuffers buffers = makeBuffers(8, 64, 23);
     const std::vector<float> sum = expectedSum(buffers);
     Communicator comm(8);
-    AllReduceOptions options;
-    options.algorithm = GetParam();
-    options.num_chunks = 4;
-    allReduce(comm, buffers, dgx1, options);
+    runProgram(comm, buffers, allReduceProgram(dgx1, 8, GetParam(), 4));
     for (int r = 0; r < 8; ++r)
         for (std::size_t i = 0; i < sum.size(); ++i)
             ASSERT_NEAR(buffers[static_cast<std::size_t>(r)][i], sum[i],
@@ -188,13 +204,12 @@ TEST(Dispatcher, ObserverSeesEveryChunkOnEveryRank)
     RankBuffers buffers = makeBuffers(8, 64, 29);
     Communicator comm(8);
     std::vector<std::atomic<int>> seen(8);
-    AllReduceOptions options;
-    options.algorithm = AllReduceAlgorithm::kCCubeDoubleTree;
-    options.num_chunks = 4;
-    options.observer = [&seen](int rank, int) {
-        seen[static_cast<std::size_t>(rank)]++;
-    };
-    allReduce(comm, buffers, dgx1, options);
+    runProgram(comm, buffers,
+               allReduceProgram(dgx1, 8, AllReduceAlgorithm::kCCubeDoubleTree,
+                                4),
+               Protocol::kSimple, [&seen](int rank, int) {
+                   seen[static_cast<std::size_t>(rank)]++;
+               });
     for (const auto& s : seen)
         EXPECT_EQ(s.load(), 8); // 2 trees × 4 chunks
 }

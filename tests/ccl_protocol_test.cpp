@@ -14,25 +14,21 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
 #include "ccl/fault.h"
-#include "ccl/primitives.h"
+#include "ccl/program_task.h"
 #include "ccl/protocol.h"
-#include "ccl/ring_allreduce.h"
-#include "ccl/tree_allreduce.h"
 #include "ccl/tuner.h"
 #include "model/ring_model.h"
 #include "obs/capture.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
 #include "simnet/channel.h"
-#include "simnet/ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -133,11 +129,10 @@ expectBytesIdentical(const ccl::RankBuffers& got,
     }
 }
 
-/** One collective body, parameterized on the wire protocol. */
+/** One collective, run under each wire protocol. */
 struct Scenario {
     const char* name;
-    std::function<void(ccl::Communicator&, ccl::RankBuffers&, Protocol)>
-        run;
+    sched::Program program;
 };
 
 std::vector<Scenario>
@@ -145,29 +140,16 @@ dgx1Scenarios(const Dgx1Topologies& topo)
 {
     return {
         {"ring_allreduce",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
-                 Protocol p) {
-             ccl::ringAllReduce(c, b, topo.ring, {}, p);
-         }},
+         sched::ringProgram(topo.ring, sched::RingPhase::kAllReduce)},
         {"tree_allreduce_two_phase",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
-                 Protocol p) {
-             ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kTwoPhase, {}, p);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kAllReduce,
+                            sched::PhaseMode::kTwoPhase, kChunks)},
         {"tree_allreduce_overlapped",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
-                 Protocol p) {
-             ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kOverlapped, {}, p);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kAllReduce,
+                            sched::PhaseMode::kOverlapped, kChunks)},
         {"double_tree_overlapped",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
-                 Protocol p) {
-             ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
-                                      ccl::TreePhaseMode::kOverlapped,
-                                      {}, p);
-         }},
+         sched::doubleTreeProgram(topo.double_tree,
+                                  sched::PhaseMode::kOverlapped, kChunks)},
     };
 }
 
@@ -187,14 +169,14 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAllEnginesOnDgx1)
         {
             ccl::Communicator comm(8, kSlots,
                                    RankExecutor::Mode::kPersistent);
-            scenario.run(comm, reference, Protocol::kSimple);
+            ccl::runProgram(comm, reference, scenario.program);
         }
         for (RankExecutor::Mode mode : modes) {
             for (Protocol proto :
                  {Protocol::kSimple, Protocol::kLL}) {
                 ccl::RankBuffers buffers = seededBuffers(8, 64, seed);
                 ccl::Communicator comm(8, kSlots, mode);
-                scenario.run(comm, buffers, proto);
+                ccl::runProgram(comm, buffers, scenario.program, proto);
                 expectBytesIdentical(
                     buffers, reference,
                     std::string(scenario.name) + "/" +
@@ -205,9 +187,9 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAllEnginesOnDgx1)
     }
 }
 
-// ------------------------------- auto protocol through the dispatcher
+// ------------------------------------ the tuner's per-algorithm protocol
 
-TEST(ProtocolByteIdentity, AutoMatchesSimpleThroughDispatcher)
+TEST(ProtocolByteIdentity, TunerProtocolMatchesSimple)
 {
     const Dgx1Topologies topo;
     const std::vector<ccl::AllReduceAlgorithm> algorithms = {
@@ -226,20 +208,19 @@ TEST(ProtocolByteIdentity, AutoMatchesSimpleThroughDispatcher)
         {
             ccl::Communicator comm(8, kSlots,
                                    RankExecutor::Mode::kPersistent);
-            ccl::AllReduceOptions options;
-            options.algorithm = algorithm;
-            options.num_chunks = kChunks;
-            options.protocol = Protocol::kSimple;
-            ccl::allReduce(comm, reference, topo.graph, options);
+            ccl::runProgram(comm, reference,
+                            ccl::allReduceProgram(topo.graph, 8, algorithm,
+                                                  kChunks));
         }
+        const Protocol proto = ccl::Tuner::global().chooseProtocol(
+            topo.graph, 8, 96, algorithm);
         for (RankExecutor::Mode mode : modes) {
             ccl::RankBuffers buffers = seededBuffers(8, 96, seed);
             ccl::Communicator comm(8, kSlots, mode);
-            ccl::AllReduceOptions options;
-            options.algorithm = algorithm;
-            options.num_chunks = kChunks;
-            options.protocol = Protocol::kAuto;
-            ccl::allReduce(comm, buffers, topo.graph, options);
+            ccl::runProgram(comm, buffers,
+                            ccl::allReduceProgram(topo.graph, 8, algorithm,
+                                                  kChunks),
+                            proto);
             expectBytesIdentical(buffers, reference,
                                  std::string("auto/") +
                                      ccl::algorithmName(algorithm));
@@ -282,8 +263,7 @@ TEST(ProtocolByteIdentity, SmallBuffersComputeExactSums)
 {
     // Fewer floats than chunks leaves chunks empty; they travel as
     // zero-length messages. The ring splits into P = 8 chunks, the
-    // trees into 8 per tree (the dispatcher default), the double trees
-    // into two parts of 8 each.
+    // trees into 8, the double trees into two parts of 8 each.
     const topo::Graph graph = topo::makeDgx1();
     const ccl::AllReduceAlgorithm algorithms[] = {
         ccl::AllReduceAlgorithm::kRing,
@@ -299,10 +279,10 @@ TEST(ProtocolByteIdentity, SmallBuffersComputeExactSums)
             for (ccl::AllReduceAlgorithm algorithm : algorithms) {
                 for (Protocol proto : {Protocol::kSimple, Protocol::kLL}) {
                     ccl::RankBuffers buffers = integerBuffers(8, elems);
-                    ccl::AllReduceOptions options;
-                    options.algorithm = algorithm;
-                    options.protocol = proto;
-                    ccl::allReduce(comm, buffers, graph, options);
+                    ccl::runProgram(
+                        comm, buffers,
+                        ccl::allReduceProgram(graph, 8, algorithm, 8),
+                        proto);
                     expectIntegerSums(
                         buffers, elems,
                         std::string(ccl::algorithmName(algorithm)) + "/" +
@@ -328,29 +308,16 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
     const LogicalTopologies topo(kRanks);
     const std::vector<Scenario> scenarios = {
         {"ring_allreduce_p64",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
-                 Protocol p) {
-             ccl::ringAllReduce(c, b, topo.ring, {}, p);
-         }},
+         sched::ringProgram(topo.ring, sched::RingPhase::kAllReduce)},
         {"tree_allreduce_two_phase_p64",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
-                 Protocol p) {
-             ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kTwoPhase, {}, p);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kAllReduce,
+                            sched::PhaseMode::kTwoPhase, kChunks)},
         {"tree_allreduce_overlapped_p64",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
-                 Protocol p) {
-             ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kOverlapped, {}, p);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kAllReduce,
+                            sched::PhaseMode::kOverlapped, kChunks)},
         {"double_tree_p64",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
-                 Protocol p) {
-             ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
-                                      ccl::TreePhaseMode::kOverlapped,
-                                      {}, p);
-         }},
+         sched::doubleTreeProgram(topo.double_tree,
+                                  sched::PhaseMode::kOverlapped, kChunks)},
     };
     std::uint64_t seed = 501;
     for (const Scenario& scenario : scenarios) {
@@ -358,12 +325,12 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
         {
             ccl::Communicator comm(kRanks, kSlots,
                                    RankExecutor::Mode::kPersistent);
-            scenario.run(comm, reference, Protocol::kSimple);
+            ccl::runProgram(comm, reference, scenario.program);
         }
         ccl::RankBuffers buffers = seededBuffers(kRanks, 128, seed);
         ccl::Communicator comm(kRanks, kSlots,
                                RankExecutor::Mode::kStateMachine);
-        scenario.run(comm, buffers, Protocol::kLL);
+        ccl::runProgram(comm, buffers, scenario.program, Protocol::kLL);
         expectBytesIdentical(buffers, reference, scenario.name);
         ++seed;
     }
@@ -397,9 +364,12 @@ class LLFault : public ::testing::Test
         ccl::RankBuffers buffers = integerBuffers(kRanks, kElems);
         bool caught = false;
         try {
-            ccl::treeAllReduce(comm, buffers, topo.tree, kChunks,
-                               ccl::TreePhaseMode::kTwoPhase, {},
-                               Protocol::kLL);
+            ccl::runProgram(comm, buffers,
+                            sched::treeProgram(topo.tree,
+                                               sched::TreeDirection::kAllReduce,
+                                               sched::PhaseMode::kTwoPhase,
+                                               kChunks),
+                            Protocol::kLL);
         } catch (const ccl::CollectiveError& error) {
             caught = true;
             EXPECT_EQ(error.info().failed_rank, fault.rank);
@@ -409,17 +379,26 @@ class LLFault : public ::testing::Test
         EXPECT_TRUE(caught) << "LL collective completed despite fault";
 
         // Poisoned until cleared; then a clean LL retry must succeed.
-        EXPECT_THROW(ccl::treeAllReduce(comm, buffers, topo.tree,
-                                        kChunks,
-                                        ccl::TreePhaseMode::kTwoPhase,
-                                        {}, Protocol::kLL),
+        EXPECT_THROW(ccl::runProgram(comm, buffers,
+                                     sched::treeProgram(
+                                         topo.tree,
+                                         sched::TreeDirection::kAllReduce,
+                                         sched::PhaseMode::kTwoPhase, kChunks),
+                                     Protocol::kLL),
                      ccl::CollectiveError);
         comm.clearAbort();
         comm.setFaultInjector(nullptr);
+        // The retry only needs the watchdog as a hang backstop; the
+        // tight deadline above trips spuriously when LL pollers
+        // time-share a loaded CPU.
+        comm.setDeadline(10s);
         ccl::RankBuffers retry = integerBuffers(kRanks, kElems);
-        ccl::treeAllReduce(comm, retry, topo.tree, kChunks,
-                           ccl::TreePhaseMode::kTwoPhase, {},
-                           Protocol::kLL);
+        ccl::runProgram(comm, retry,
+                        sched::treeProgram(topo.tree,
+                                           sched::TreeDirection::kAllReduce,
+                                           sched::PhaseMode::kTwoPhase,
+                                           kChunks),
+                        Protocol::kLL);
         const std::vector<float> expected =
             integerSums(kRanks, kElems);
         for (int r = 0; r < kRanks; ++r)
@@ -574,7 +553,10 @@ desRingCompletion(double total_bytes, Protocol proto)
     simnet::Network net(sim, graph);
     const topo::RingEmbedding ring =
         topo::findHamiltonianRing(graph, 8);
-    return simnet::runRingSchedule(sim, net, ring, total_bytes, proto)
+    return simnet::runProgram(sim, net,
+                              sched::ringProgram(ring,
+                                                 sched::RingPhase::kAllReduce),
+                              total_bytes, proto)
         .completion_time;
 }
 

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,13 +20,10 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
 #include "ccl/fault.h"
-#include "ccl/primitives.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
 #include "ccl/state_machine.h"
-#include "ccl/tree_allreduce.h"
 #include "obs/capture.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
@@ -141,10 +137,10 @@ expectBytesIdentical(const ccl::RankBuffers& got,
     }
 }
 
-/** One collective body, run identically under every engine mode. */
+/** One collective, run identically under every engine mode. */
 struct Scenario {
     const char* name;
-    std::function<void(ccl::Communicator&, ccl::RankBuffers&)> run;
+    sched::Program program;
 };
 
 /**
@@ -161,13 +157,13 @@ expectModesAgree(int ranks, int elems, const Scenario& scenario,
     {
         ccl::Communicator comm(ranks, kSlots,
                                RankExecutor::Mode::kPersistent);
-        scenario.run(comm, reference);
+        ccl::runProgram(comm, reference, scenario.program);
     }
     for (RankExecutor::Mode mode : modes) {
         ccl::RankBuffers buffers = seededBuffers(ranks, elems, seed);
         ccl::Communicator comm(ranks, kSlots, mode);
         ASSERT_EQ(comm.engineMode(), mode);
-        scenario.run(comm, buffers);
+        ccl::runProgram(comm, buffers, scenario.program);
         expectBytesIdentical(buffers, reference, scenario.name);
     }
 }
@@ -179,45 +175,29 @@ dgx1Scenarios(const Dgx1Topologies& topo)
 {
     return {
         {"ring_allreduce",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::ringAllReduce(c, b, topo.ring);
-         }},
+         sched::ringProgram(topo.ring, sched::RingPhase::kAllReduce)},
         {"tree_allreduce_two_phase",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kTwoPhase);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kAllReduce,
+                            sched::PhaseMode::kTwoPhase, kChunks)},
         {"tree_allreduce_overlapped",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kOverlapped);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kAllReduce,
+                            sched::PhaseMode::kOverlapped, kChunks)},
         {"double_tree_overlapped",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
-                                      ccl::TreePhaseMode::kOverlapped);
-         }},
+         sched::doubleTreeProgram(topo.double_tree,
+                                  sched::PhaseMode::kOverlapped, kChunks)},
         {"double_tree_two_phase",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
-                                      ccl::TreePhaseMode::kTwoPhase);
-         }},
+         sched::doubleTreeProgram(topo.double_tree, sched::PhaseMode::kTwoPhase,
+                                  kChunks)},
         {"tree_broadcast",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::treeBroadcast(c, b, topo.tree, kChunks);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kBroadcast,
+                            sched::PhaseMode::kTwoPhase, kChunks)},
         {"tree_reduce",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::treeReduce(c, b, topo.tree, kChunks);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kReduce,
+                            sched::PhaseMode::kTwoPhase, kChunks)},
         {"ring_reduce_scatter",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::ringReduceScatter(c, b, topo.ring);
-         }},
+         sched::ringProgram(topo.ring, sched::RingPhase::kReduceScatter)},
         {"ring_all_gather",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::ringAllGather(c, b, topo.ring);
-         }},
+         sched::ringProgram(topo.ring, sched::RingPhase::kAllGather)},
     };
 }
 
@@ -243,24 +223,16 @@ TEST(StateMachineByteIdentity, LogicalTopologiesAtSixtyFourRanks)
     };
     const std::vector<Scenario> scenarios = {
         {"ring_allreduce_p64",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::ringAllReduce(c, b, topo.ring);
-         }},
+         sched::ringProgram(topo.ring, sched::RingPhase::kAllReduce)},
         {"tree_allreduce_two_phase_p64",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kTwoPhase);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kAllReduce,
+                            sched::PhaseMode::kTwoPhase, kChunks)},
         {"tree_allreduce_overlapped_p64",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::treeAllReduce(c, b, topo.tree, kChunks,
-                                ccl::TreePhaseMode::kOverlapped);
-         }},
+         sched::treeProgram(topo.tree, sched::TreeDirection::kAllReduce,
+                            sched::PhaseMode::kOverlapped, kChunks)},
         {"double_tree_p64",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
-                                      ccl::TreePhaseMode::kOverlapped);
-         }},
+         sched::doubleTreeProgram(topo.double_tree,
+                                  sched::PhaseMode::kOverlapped, kChunks)},
     };
     std::uint64_t seed = 201;
     for (const Scenario& scenario : scenarios)
@@ -286,20 +258,16 @@ TEST(StateMachineScaling, TwoHundredFiftySixRanksExactSums)
 
     const std::vector<Scenario> scenarios = {
         {"ring_allreduce_p256",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::ringAllReduce(c, b, topo.ring);
-         }},
+         sched::ringProgram(topo.ring, sched::RingPhase::kAllReduce)},
         {"double_tree_p256",
-         [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
-             ccl::doubleTreeAllReduce(c, b, topo.double_tree, 2,
-                                      ccl::TreePhaseMode::kOverlapped);
-         }},
+         sched::doubleTreeProgram(topo.double_tree,
+                                  sched::PhaseMode::kOverlapped, 2)},
     };
     for (const Scenario& scenario : scenarios) {
         ccl::RankBuffers buffers = integerBuffers(kRanks, kElems);
         ccl::Communicator comm(kRanks, kSlots,
                                RankExecutor::Mode::kStateMachine);
-        scenario.run(comm, buffers);
+        ccl::runProgram(comm, buffers, scenario.program);
         for (int r = 0; r < kRanks; ++r)
             for (int i = 0; i < kElems; ++i)
                 ASSERT_EQ(buffers[static_cast<std::size_t>(r)]
@@ -340,8 +308,10 @@ TEST(StateMachineEngineSharing, ConcurrentCommunicatorsOneSharedPool)
             for (int iter = 0; iter < kIters; ++iter) {
                 ccl::RankBuffers buffers =
                     integerBuffers(kRanks, kElems);
-                ccl::treeAllReduce(comm, buffers, topo.tree, kChunks,
-                                   ccl::TreePhaseMode::kOverlapped);
+                ccl::runProgram(comm, buffers,
+                                sched::treeProgram(
+                                    topo.tree, sched::TreeDirection::kAllReduce,
+                                    sched::PhaseMode::kOverlapped, kChunks));
                 for (int r = 0; r < kRanks; ++r)
                     for (int i = 0; i < kElems; ++i)
                         if (buffers[static_cast<std::size_t>(r)]
@@ -388,8 +358,11 @@ class StateMachineFault : public ::testing::Test
         ccl::RankBuffers buffers = integerBuffers(kRanks, kElems);
         bool caught = false;
         try {
-            ccl::treeAllReduce(comm, buffers, topo.tree, kChunks,
-                               ccl::TreePhaseMode::kTwoPhase);
+            ccl::runProgram(comm, buffers,
+                            sched::treeProgram(topo.tree,
+                                               sched::TreeDirection::kAllReduce,
+                                               sched::PhaseMode::kTwoPhase,
+                                               kChunks));
         } catch (const ccl::CollectiveError& error) {
             caught = true;
             EXPECT_EQ(error.info().failed_rank, fault.rank);
@@ -399,15 +372,20 @@ class StateMachineFault : public ::testing::Test
         EXPECT_TRUE(caught) << "collective completed despite fault";
 
         // Poisoned until cleared; then a clean retry must succeed.
-        EXPECT_THROW(ccl::treeAllReduce(comm, buffers, topo.tree,
-                                        kChunks,
-                                        ccl::TreePhaseMode::kTwoPhase),
+        EXPECT_THROW(ccl::runProgram(comm, buffers,
+                                     sched::treeProgram(
+                                         topo.tree,
+                                         sched::TreeDirection::kAllReduce,
+                                         sched::PhaseMode::kTwoPhase, kChunks)),
                      ccl::CollectiveError);
         comm.clearAbort();
         comm.setFaultInjector(nullptr);
         ccl::RankBuffers retry = integerBuffers(kRanks, kElems);
-        ccl::treeAllReduce(comm, retry, topo.tree, kChunks,
-                           ccl::TreePhaseMode::kTwoPhase);
+        ccl::runProgram(comm, retry,
+                        sched::treeProgram(topo.tree,
+                                           sched::TreeDirection::kAllReduce,
+                                           sched::PhaseMode::kTwoPhase,
+                                           kChunks));
         const std::vector<float> expected =
             integerSums(kRanks, kElems);
         for (int r = 0; r < kRanks; ++r)
@@ -454,7 +432,9 @@ TEST(StateMachineTelemetry, ParkResumeCountersReachObs)
     ccl::Communicator comm(kRanks, kSlots,
                            RankExecutor::Mode::kStateMachine);
     ccl::RankBuffers buffers = integerBuffers(kRanks, 128);
-    ccl::ringAllReduce(comm, buffers, topo.ring);
+    ccl::runProgram(
+        comm, buffers,
+        sched::ringProgram(topo.ring, sched::RingPhase::kAllReduce));
 
     // 64 ranks on a handful of workers: parks are certain, and every
     // successful park is eventually resumed exactly once.
@@ -479,7 +459,9 @@ TEST(StateMachineTelemetry, EngineGaugesAppearInMonitorSnapshots)
     ccl::Communicator comm(kRanks, kSlots,
                            RankExecutor::Mode::kStateMachine);
     ccl::RankBuffers buffers = integerBuffers(kRanks, 64);
-    ccl::ringAllReduce(comm, buffers, topo.ring);
+    ccl::runProgram(
+        comm, buffers,
+        sched::ringProgram(topo.ring, sched::RingPhase::kAllReduce));
     monitor.disable();
 
     const auto snapshots = monitor.snapshots();
@@ -515,7 +497,9 @@ TEST(StateMachineTelemetry, RanksPastSixtyFourGetTheirOwnSlots)
     ccl::Communicator comm(kRanks, kSlots,
                            RankExecutor::Mode::kPersistent);
     ccl::RankBuffers buffers = integerBuffers(kRanks, 256);
-    ccl::ringAllReduce(comm, buffers, topo.ring);
+    ccl::runProgram(
+        comm, buffers,
+        sched::ringProgram(topo.ring, sched::RingPhase::kAllReduce));
 
     obs::MetricRegistry registry;
     counters.exportTo(registry);

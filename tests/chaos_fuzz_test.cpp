@@ -36,10 +36,10 @@
 #include "ccl/protocol.h"
 #include "core/supervisor.h"
 #include "sim/simulation.h"
-#include "simnet/chaos.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/chaos.h"
 #include "simnet/fault_plan.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/graph.h"
@@ -109,8 +109,10 @@ TEST(ChaosFuzzDes, EightyChaosPlansNeverHangOrLieAboutCompletion)
     sim::Simulation sim_ref;
     simnet::Network net_ref(sim_ref, graph);
     const double healthy_time =
-        simnet::runDoubleTreeSchedule(sim_ref, net_ref, dt, bytes,
-                                      simnet::PhaseMode::kOverlapped, 8)
+        simnet::runProgram(sim_ref, net_ref,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 8),
+                           bytes)
             .completion_time;
     ASSERT_GT(healthy_time, 0.0);
 
@@ -128,9 +130,11 @@ TEST(ChaosFuzzDes, EightyChaosPlansNeverHangOrLieAboutCompletion)
         // Liveness: the DES always drains — a hang here trips the
         // ctest timeout, which is the failure mode this guards.
         const simnet::FaultedRunResult run =
-            simnet::runDoubleTreeWithFaults(
-                sim, net, dt, bytes, simnet::PhaseMode::kOverlapped, 8,
-                chaos.plan());
+            simnet::runProgramWithFaults(sim, net,
+                                         sched::doubleTreeProgram(
+                                             dt, sched::PhaseMode::kOverlapped,
+                                             8),
+                                         bytes, chaos.plan());
 
         if (run.completed) {
             ++completions;

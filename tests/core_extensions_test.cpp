@@ -17,7 +17,7 @@
 #include "core/timeline.h"
 #include "core/trainer.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/units.h"
@@ -154,10 +154,10 @@ TEST(StragglerChannel, SlowsTheWholeCollective)
     sim::Simulation sim_h;
     simnet::Network net_h(sim_h, healthy);
     const double t_healthy =
-        simnet::runDoubleTreeSchedule(sim_h, net_h, dt_h,
-                                      util::mib(64),
-                                      simnet::PhaseMode::kOverlapped,
-                                      32)
+        simnet::runProgram(sim_h, net_h,
+                           sched::doubleTreeProgram(
+                               dt_h, sched::PhaseMode::kOverlapped, 32),
+                           util::mib(64))
             .completion_time;
 
     topo::Graph degraded = topo::makeDgx1();
@@ -170,10 +170,10 @@ TEST(StragglerChannel, SlowsTheWholeCollective)
     sim::Simulation sim_d;
     simnet::Network net_d(sim_d, degraded);
     const double t_degraded =
-        simnet::runDoubleTreeSchedule(sim_d, net_d, dt_d,
-                                      util::mib(64),
-                                      simnet::PhaseMode::kOverlapped,
-                                      32)
+        simnet::runProgram(sim_d, net_d,
+                           sched::doubleTreeProgram(
+                               dt_d, sched::PhaseMode::kOverlapped, 32),
+                           util::mib(64))
             .completion_time;
     EXPECT_GT(t_degraded, t_healthy * 1.2);
 }
@@ -202,18 +202,20 @@ TEST(StragglerChannel, UnusedChannelIsHarmless)
     sim::Simulation sim_a;
     simnet::Network net_a(sim_a, degraded);
     const double before =
-        simnet::runDoubleTreeSchedule(sim_a, net_a, dt, util::mib(16),
-                                      simnet::PhaseMode::kOverlapped,
-                                      16)
+        simnet::runProgram(sim_a, net_a,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 16),
+                           util::mib(16))
             .completion_time;
     for (int id : degraded.channelIds(6, 7))
         degraded.scaleChannelBandwidth(id, 0.01);
     sim::Simulation sim_b;
     simnet::Network net_b(sim_b, degraded);
     const double after =
-        simnet::runDoubleTreeSchedule(sim_b, net_b, dt, util::mib(16),
-                                      simnet::PhaseMode::kOverlapped,
-                                      16)
+        simnet::runProgram(sim_b, net_b,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 16),
+                           util::mib(16))
             .completion_time;
     EXPECT_DOUBLE_EQ(before, after);
 }

@@ -20,14 +20,13 @@
 #include <thread>
 #include <vector>
 
-#include "ccl/double_tree_allreduce.h"
-#include "ccl/tree_allreduce.h"
+#include "ccl/program_task.h"
 #include "core/chunk_mapper.h"
 #include "core/gradient_queue.h"
 #include "model/overlapped_tree_model.h"
 #include "model/tree_model.h"
 #include "simnet/channel.h"
-#include "simnet/tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/rng.h"
@@ -84,9 +83,11 @@ TEST(FunctionalCCube, TrainingStepWithGradientQueuing)
     // The collective: overlapped tree on the C-Cube DGX-1 tree 0,
     // with the broadcast enqueuing each chunk as it lands.
     ccl::Communicator comm(kRanks);
-    const ccl::AllReduceTrace trace = ccl::treeAllReduce(
-        comm, gradients, dt.tree0, kChunks,
-        ccl::TreePhaseMode::kOverlapped,
+    const ccl::AllReduceTrace trace = ccl::runProgram(
+        comm, gradients,
+        sched::treeProgram(dt.tree0, sched::TreeDirection::kAllReduce,
+                           sched::PhaseMode::kOverlapped, kChunks),
+        ccl::Protocol::kSimple,
         [&queues](int rank, int chunk) {
             queues[static_cast<std::size_t>(rank)]->enqueueChunk(chunk);
         });
@@ -196,9 +197,12 @@ TEST(FunctionalCCube, DoubleTreeWithGradientQueue)
     }
 
     ccl::Communicator comm(kRanks);
-    ccl::doubleTreeAllReduce(
-        comm, gradients, dt, kChunksPerTree,
-        ccl::TreePhaseMode::kOverlapped, [&queues](int rank, int chunk) {
+    ccl::runProgram(
+        comm, gradients,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped,
+                                 kChunksPerTree),
+        ccl::Protocol::kSimple,
+        [&queues](int rank, int chunk) {
             queues[static_cast<std::size_t>(rank)]->enqueueChunk(chunk);
         });
 
@@ -245,15 +249,21 @@ TEST(SimVsModel, OverlapBenefitMatchesFig12b)
         sim::Simulation sim_b;
         simnet::Network net_b(sim_b, clique);
         const double sim_base =
-            simnet::runTreeSchedule(sim_b, net_b, embedding, n,
-                                    simnet::PhaseMode::kTwoPhase, k)
+            simnet::runProgram(sim_b, net_b,
+                               sched::treeProgram(
+                                   embedding, sched::TreeDirection::kAllReduce,
+                                   sched::PhaseMode::kTwoPhase, k),
+                               n)
                 .completion_time;
 
         sim::Simulation sim_c;
         simnet::Network net_c(sim_c, clique);
         const double sim_over =
-            simnet::runTreeSchedule(sim_c, net_c, embedding, n,
-                                    simnet::PhaseMode::kOverlapped, k)
+            simnet::runProgram(sim_c, net_c,
+                               sched::treeProgram(
+                                   embedding, sched::TreeDirection::kAllReduce,
+                                   sched::PhaseMode::kOverlapped, k),
+                               n)
                 .completion_time;
 
         const double model_ratio =

@@ -23,7 +23,7 @@
 #include "obs/trace.h"
 #include "sim/simulation.h"
 #include "simnet/channel.h"
-#include "simnet/tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 
@@ -322,8 +322,11 @@ TEST_F(Dgx1Analysis, TwoPhaseLeavesDownChannelsIdleOverlappedDoesNot)
     {
         sim::Simulation sim;
         simnet::Network net(sim, graph);
-        simnet::runTreeSchedule(sim, net, dt.tree0, bytes,
-                                simnet::PhaseMode::kTwoPhase, 32);
+        simnet::runProgram(sim, net,
+                           sched::treeProgram(dt.tree0,
+                                              sched::TreeDirection::kAllReduce,
+                                              sched::PhaseMode::kTwoPhase, 32),
+                           bytes);
     }
     const obs::TraceAnalyzer two_phase(recorder.snapshot());
     const double idle_two_phase = two_phase.idleFraction(down);
@@ -335,8 +338,12 @@ TEST_F(Dgx1Analysis, TwoPhaseLeavesDownChannelsIdleOverlappedDoesNot)
     {
         sim::Simulation sim;
         simnet::Network net(sim, graph);
-        simnet::runTreeSchedule(sim, net, dt.tree0, bytes,
-                                simnet::PhaseMode::kOverlapped, 192);
+        simnet::runProgram(sim, net,
+                           sched::treeProgram(dt.tree0,
+                                              sched::TreeDirection::kAllReduce,
+                                              sched::PhaseMode::kOverlapped,
+                                              192),
+                           bytes);
     }
     const obs::TraceAnalyzer overlapped(recorder.snapshot());
     const double idle_overlapped = overlapped.idleFraction(down);
@@ -356,9 +363,11 @@ TEST_F(Dgx1Analysis, FitMatchesConfiguredModelWithinTenPercent)
     for (int chunks : {64, 32}) {
         sim::Simulation sim;
         simnet::Network net(sim, graph);
-        const auto result = simnet::runTreeSchedule(
-            sim, net, dt.tree0, bytes,
-            simnet::PhaseMode::kOverlapped, chunks);
+        const auto result = simnet::runProgram(
+            sim, net,
+            sched::treeProgram(dt.tree0, sched::TreeDirection::kAllReduce,
+                               sched::PhaseMode::kOverlapped, chunks),
+            bytes);
         net.closeTraceEpoch(result.completion_time);
     }
     const obs::TraceAnalyzer analyzer(
@@ -388,8 +397,11 @@ TEST_F(Dgx1Analysis, TimelinesMatchDesBusyIntervals)
 
     sim::Simulation sim;
     simnet::Network net(sim, graph);
-    simnet::runTreeSchedule(sim, net, dt.tree0, 8.0 * (1 << 20),
-                            simnet::PhaseMode::kOverlapped, 16);
+    simnet::runProgram(sim, net,
+                       sched::treeProgram(dt.tree0,
+                                          sched::TreeDirection::kAllReduce,
+                                          sched::PhaseMode::kOverlapped, 16),
+                       8.0 * (1 << 20));
 
     const obs::TraceAnalyzer analyzer(
         obs::TraceRecorder::global().snapshot());

@@ -317,9 +317,11 @@ TEST(RootCause, NamesInjectedDgx1Failure)
         simnet::FaultPlan plan;
         for (int id : failed)
             plan.failChannel(2e-4, id);
-        simnet::runDoubleTreeWithFaults(
-            sim, net, embedding, util::mib(16),
-            simnet::PhaseMode::kOverlapped, 16, plan);
+        simnet::runProgramWithFaults(sim, net,
+                                     sched::doubleTreeProgram(
+                                         embedding,
+                                         sched::PhaseMode::kOverlapped, 16),
+                                     util::mib(16), plan);
     }
     const obs::TraceAnalyzer analyzer(recorder.snapshot());
     const obs::RootCauseReport report = obs::analyzeRootCause(analyzer);

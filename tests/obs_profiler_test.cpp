@@ -23,7 +23,7 @@
 #include "ccl/communicator.h"
 #include "ccl/executor.h"
 #include "ccl/fault.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
 #include "obs/context.h"
 #include "obs/profiler.h"
 #include "topo/ring_embedding.h"
@@ -275,7 +275,8 @@ TEST_P(StallReportE2e, KillAtP64RingChainTerminatesAtKilledRank)
 
     bool caught = false;
     try {
-        ccl::ringAllReduce(comm, buffers, ring);
+        ccl::runProgram(comm, buffers,
+                        sched::ringProgram(ring, sched::RingPhase::kAllReduce));
     } catch (const ccl::CollectiveError& error) {
         caught = true;
         const ccl::CollectiveError::Info& info = error.info();

@@ -15,13 +15,13 @@
 #include <gtest/gtest.h>
 
 #include "ccl/communicator.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -348,7 +348,8 @@ TEST(RankCounters, TwoRankRingAllReduceMatchesHandCount)
 
     const topo::RingEmbedding ring = topo::makeSequentialRing(kRanks);
     ccl::Communicator comm(kRanks);
-    ccl::ringAllReduce(comm, buffers, ring);
+    ccl::runProgram(comm, buffers,
+                    sched::ringProgram(ring, sched::RingPhase::kAllReduce));
 
     recorder.disable();
 
@@ -429,8 +430,10 @@ TEST(NetworkMetrics, ExportAgreesWithChannelTelemetry)
     const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(graph);
     sim::Simulation sim;
     simnet::Network net(sim, graph);
-    const simnet::ScheduleResult result = simnet::runDoubleTreeSchedule(
-        sim, net, dt, 1 << 20, simnet::PhaseMode::kOverlapped, 4);
+    const simnet::ScheduleResult result = simnet::runProgram(
+        sim, net,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, 4),
+        1 << 20);
     obs::MetricRegistry::global().disable();
     ASSERT_GT(result.completion_time, 0.0);
 

@@ -10,11 +10,12 @@
 #include <algorithm>
 #include <set>
 
+#include "ccl/program_task.h"
+#include "ccl/tuner.h"
 #include "core/ccube_engine.h"
 #include "core/chunk_mapper.h"
-#include "ccl/primitives.h"
 #include "simnet/channel.h"
-#include "simnet/tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/embedding_search.h"
@@ -184,10 +185,8 @@ TEST(PropertyDispatcher, AlgorithmsAgreeOnRandomBuffers)
               ccl::AllReduceAlgorithm::kCCubeDoubleTree}) {
             ccl::RankBuffers buffers = reference;
             ccl::Communicator comm(8);
-            ccl::AllReduceOptions options;
-            options.algorithm = algorithm;
-            options.num_chunks = 4;
-            ccl::allReduce(comm, buffers, dgx1, options);
+            ccl::runProgram(comm, buffers,
+                            ccl::allReduceProgram(dgx1, 8, algorithm, 4));
             if (first_result.empty()) {
                 first_result = buffers[0];
             } else {

@@ -10,11 +10,10 @@
 
 #include <map>
 
-#include "ccl/double_tree_allreduce.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/program_task.h"
 #include "core/ccube_engine.h"
 #include "simnet/channel.h"
-#include "simnet/multi_ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/rng.h"
@@ -41,8 +40,11 @@ TEST(CommunicatorReuse, BackToBackTreeCollectives)
         for (const auto& b : buffers)
             for (std::size_t i = 0; i < sum.size(); ++i)
                 sum[i] += b[i];
-        const auto trace = ccl::doubleTreeAllReduce(
-            comm, buffers, dt, 3, ccl::TreePhaseMode::kOverlapped);
+        const auto trace = ccl::runProgram(comm, buffers,
+                                           sched::doubleTreeProgram(
+                                               dt,
+                                               sched::PhaseMode::kOverlapped,
+                                               3));
         for (int r = 0; r < 8; ++r) {
             for (std::size_t i = 0; i < sum.size(); ++i) {
                 ASSERT_NEAR(buffers[static_cast<std::size_t>(r)][i],
@@ -88,10 +90,13 @@ TEST(CommunicatorReuse, MixedAlgorithmsShareFlows)
             for (std::size_t i = 0; i < sum.size(); ++i)
                 sum[i] += b[i];
         if (round == 0)
-            ccl::ringAllReduce(comm, buffers, ring);
+            ccl::runProgram(comm, buffers,
+                            sched::ringProgram(ring,
+                                               sched::RingPhase::kAllReduce));
         else
-            ccl::doubleTreeAllReduce(comm, buffers, dt, 4,
-                                     ccl::TreePhaseMode::kTwoPhase);
+            ccl::runProgram(comm, buffers,
+                            sched::doubleTreeProgram(
+                                dt, sched::PhaseMode::kTwoPhase, 4));
         for (int r = 0; r < 8; ++r)
             for (std::size_t i = 0; i < sum.size(); ++i)
                 ASSERT_NEAR(buffers[static_cast<std::size_t>(r)][i],
@@ -109,7 +114,7 @@ TEST(MultiRingBudget, NoChannelOversubscribedOnDgx1)
     ASSERT_EQ(rings.size(), 4u);
     sim::Simulation sim;
     simnet::Network net(sim, dgx1);
-    simnet::runMultiRingSchedule(sim, net, rings, util::mib(8));
+    simnet::runProgram(sim, net, sched::multiRingProgram(rings), util::mib(8));
     const std::uint64_t steps = 2 * (8 - 1);
     for (int id = 0; id < dgx1.channelCount(); ++id) {
         const std::uint64_t grants = net.channelGrants(id);

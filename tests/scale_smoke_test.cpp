@@ -20,12 +20,11 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/fault.h"
-#include "obs/profiler.h"
-#include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
-#include "ccl/ring_allreduce.h"
+#include "ccl/fault.h"
+#include "ccl/program_task.h"
 #include "ccl/state_machine.h"
+#include "obs/profiler.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
@@ -71,8 +70,10 @@ TEST(ScaleSmoke, DoubleTreeP512ByteIdenticalToThreadPerRank)
     {
         ccl::Communicator comm(kRanks, kSlots,
                                RankExecutor::Mode::kPersistent);
-        ccl::doubleTreeAllReduce(comm, reference, dt, kChunksPerTree,
-                                 ccl::TreePhaseMode::kTwoPhase);
+        ccl::runProgram(comm, reference,
+                        sched::doubleTreeProgram(dt,
+                                                 sched::PhaseMode::kTwoPhase,
+                                                 kChunksPerTree));
     }
 
     // Same collective on the state-machine pool.
@@ -80,8 +81,10 @@ TEST(ScaleSmoke, DoubleTreeP512ByteIdenticalToThreadPerRank)
     {
         ccl::Communicator comm(kRanks, kSlots,
                                RankExecutor::Mode::kStateMachine);
-        ccl::doubleTreeAllReduce(comm, buffers, dt, kChunksPerTree,
-                                 ccl::TreePhaseMode::kTwoPhase);
+        ccl::runProgram(comm, buffers,
+                        sched::doubleTreeProgram(dt,
+                                                 sched::PhaseMode::kTwoPhase,
+                                                 kChunksPerTree));
     }
 
     for (int r = 0; r < kRanks; ++r) {
@@ -143,15 +146,18 @@ TEST(ScaleSmoke, OverlappedDoubleTreeAndRingP512RunOnTheSharedPool)
                            RankExecutor::Mode::kStateMachine);
     {
         ccl::RankBuffers buffers = makeBuffers(kElems);
-        ccl::doubleTreeAllReduce(comm, buffers, dt, kChunksPerTree,
-                                 ccl::TreePhaseMode::kOverlapped);
+        ccl::runProgram(comm, buffers,
+                        sched::doubleTreeProgram(dt,
+                                                 sched::PhaseMode::kOverlapped,
+                                                 kChunksPerTree));
         expectExact(buffers, exactSums(kElems), "double tree");
     }
     {
         // The ring slices the buffer into P pieces, so it needs at
         // least one element per rank.
         ccl::RankBuffers buffers = makeBuffers(kRanks);
-        ccl::ringAllReduce(comm, buffers, ring);
+        ccl::runProgram(comm, buffers,
+                        sched::ringProgram(ring, sched::RingPhase::kAllReduce));
         expectExact(buffers, exactSums(kRanks), "ring");
     }
 
@@ -194,7 +200,8 @@ TEST(ScaleSmoke, WatchdogKillEmitsStallChainAtP512)
     bool caught = false;
     std::string report;
     try {
-        ccl::ringAllReduce(comm, buffers, ring);
+        ccl::runProgram(comm, buffers,
+                        sched::ringProgram(ring, sched::RingPhase::kAllReduce));
     } catch (const ccl::CollectiveError& error) {
         caught = true;
         const ccl::CollectiveError::Info& info = error.info();
@@ -247,7 +254,8 @@ TEST(ScaleSmoke, KillAtTopRankOfP512FailsStructured)
 
     bool caught = false;
     try {
-        ccl::ringAllReduce(comm, buffers, ring);
+        ccl::runProgram(comm, buffers,
+                        sched::ringProgram(ring, sched::RingPhase::kAllReduce));
     } catch (const ccl::CollectiveError& error) {
         caught = true;
         EXPECT_EQ(error.info().failed_rank, kKilled);

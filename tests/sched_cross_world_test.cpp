@@ -143,9 +143,7 @@ expectSameOrders(const sched::Program& program, const topo::Graph& graph,
                  ccl::Communicator& comm, int elems, const std::string& name)
 {
     ccl::RankBuffers data = buffers(program.num_ranks, elems);
-    ccl::AllReduceTrace trace(program.num_ranks);
-    ccl::runProgram(comm, data, program, &trace, ccl::Protocol::kSimple,
-                    "allreduce");
+    const ccl::AllReduceTrace trace = ccl::runProgram(comm, data, program);
     const Orders want = programOrders(program);
     EXPECT_EQ(functionalOrders(program, trace), want)
         << name << ": functional world";
@@ -212,40 +210,49 @@ TEST(CrossWorld, Dgx1RingP8)
 /**
  * Every rung's program runs in both worlds. Testbed: the DGX-1 plus a
  * PCIe peer ring (as in supervisor_test), on which the whole NVLink
- * fabric failing leaves only the fallback ring over PCIe. No fail set
- * of topo_recovery_test lands on kDoubleTree, so that rung is reached
- * with a zero search budget instead.
+ * fabric failing leaves only the fallback ring over PCIe. The PCIe
+ * ring lets the search find a conflict-free double tree after any
+ * three NVLink pairs fail, so the kDoubleTree rung runs on the plain
+ * DGX-1 with the cross-board pairs 0–4, 1–5 and 2–6 failed: the two
+ * boards then meet only at 3–7, and no conflict-free double tree
+ * survives.
  */
 TEST(CrossWorld, RecoveryRungs)
 {
-    topo::Graph graph = topo::makeDgx1();
+    const topo::Graph dgx1 = topo::makeDgx1();
+    topo::Graph testbed = dgx1;
     const topo::Dgx1Params params;
     for (int g = 0; g < 8; ++g)
-        graph.addLink(g, (g + 1) % 8, params.pcie_bandwidth,
-                      params.pcie_latency, topo::LinkKind::kPcie);
+        testbed.addLink(g, (g + 1) % 8, params.pcie_bandwidth,
+                        params.pcie_latency, topo::LinkKind::kPcie);
     std::vector<int> nvlink;
-    for (int id = 0; id < graph.channelCount(); ++id)
-        if (graph.channel(id).kind == topo::LinkKind::kNvlink)
+    for (int id = 0; id < testbed.channelCount(); ++id)
+        if (testbed.channel(id).kind == topo::LinkKind::kNvlink)
             nvlink.push_back(id);
+    std::vector<int> cross_board;
+    for (const auto& [a, b] :
+         {std::pair{0, 4}, std::pair{1, 5}, std::pair{2, 6}}) {
+        for (int id : dgx1.channelIds(a, b))
+            cross_board.push_back(id);
+        for (int id : dgx1.channelIds(b, a))
+            cross_board.push_back(id);
+    }
 
     core::RecoveryOptions options;
-    options.search.num_ranks = graph.nodeCount();
-    options.search.max_attempts = 500;
+    options.search.num_ranks = 8;
     options.search.seed = 7;
-    core::RecoveryOptions no_search = options;
-    no_search.search.max_attempts = 0;
 
     struct Rung {
+        const topo::Graph& graph;
         std::vector<int> failed;
-        core::RecoveryOptions options;
         core::RecoveryKind kind;
     };
     for (const Rung& rung :
-         {Rung{{}, options, core::RecoveryKind::kCCube},
-          Rung{{}, no_search, core::RecoveryKind::kDoubleTree},
-          Rung{nvlink, options, core::RecoveryKind::kRing}}) {
+         {Rung{testbed, {}, core::RecoveryKind::kCCube},
+          Rung{dgx1, cross_board, core::RecoveryKind::kDoubleTree},
+          Rung{testbed, nvlink, core::RecoveryKind::kRing}}) {
         const core::RecoveryResult result =
-            core::recoverSchedule(graph, rung.failed, rung.options);
+            core::recoverSchedule(rung.graph, rung.failed, options);
         const std::string name = core::recoveryKindName(rung.kind);
         ASSERT_EQ(result.kind, rung.kind) << name;
         const int chunks = result.program.numChunks();

@@ -20,11 +20,8 @@
 #include <vector>
 
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
 #include "simnet/fault_plan.h"
-#include "simnet/multi_ring_schedule.h"
-#include "simnet/ring_schedule.h"
-#include "simnet/tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/dgx2.h"
 #include "topo/double_tree.h"
@@ -64,9 +61,9 @@ dump(std::ostringstream& out, const std::string& name,
 }
 
 const char*
-modeName(PhaseMode mode)
+modeName(sched::PhaseMode mode)
 {
-    return mode == PhaseMode::kOverlapped ? "overlapped" : "twophase";
+    return mode == sched::PhaseMode::kOverlapped ? "overlapped" : "twophase";
 }
 
 std::string
@@ -87,7 +84,10 @@ corpusText()
             dump(out,
                  std::string("ring_dgx1_") +
                      (proto == ccl::Protocol::kLL ? "ll" : "simple"),
-                 runRingSchedule(sim, net, ring, mib4, proto));
+                 simnet::runProgram(sim, net,
+                                    sched::ringProgram(
+                                        ring, sched::RingPhase::kAllReduce),
+                                    mib4, proto));
         }
         topo::SwitchFabricParams params;
         params.num_nodes = 16;
@@ -95,8 +95,11 @@ corpusText()
         sim::Simulation sim;
         Network net(sim, fabric);
         dump(out, "ring_fabric16",
-             runRingSchedule(sim, net, topo::makeSequentialRing(16),
-                             8e6));
+             simnet::runProgram(sim, net,
+                                sched::ringProgram(
+                                    topo::makeSequentialRing(16),
+                                    sched::RingPhase::kAllReduce),
+                                8e6));
     }
 
     // Multi-ring: channel-disjoint rings sharing double links.
@@ -105,55 +108,71 @@ corpusText()
         sim::Simulation sim;
         Network net(sim, dgx1);
         dump(out, "multiring_dgx1",
-             runMultiRingSchedule(sim, net, rings, 64e6));
+             simnet::runProgram(sim, net, sched::multiRingProgram(rings),
+                                64e6));
     }
 
     // Single trees with detours (tree0 of the DGX-1 double tree routes
     // GPU2 → GPU0 → GPU4), both phase modes, split and shared lanes.
     {
         const auto dt = topo::makeDgx1DoubleTree(dgx1);
-        for (PhaseMode mode :
-             {PhaseMode::kTwoPhase, PhaseMode::kOverlapped}) {
+        for (sched::PhaseMode mode :
+             {sched::PhaseMode::kTwoPhase, sched::PhaseMode::kOverlapped}) {
             sim::Simulation sim;
             Network net(sim, dgx1);
             dump(out, std::string("tree0_dgx1_") + modeName(mode),
-                 runTreeSchedule(sim, net, dt.tree0, mib4, mode, 8));
+                 simnet::runProgram(sim, net,
+                                    sched::treeProgram(
+                                        dt.tree0,
+                                        sched::TreeDirection::kAllReduce, mode,
+                                        8),
+                                    mib4));
             sim::Simulation sim_lanes;
             Network net_lanes(sim_lanes, dgx1);
             dump(out, std::string("tree1_dgx1_lanes_ll_") + modeName(mode),
-                 runTreeSchedule(sim_lanes, net_lanes, dt.tree1, mib4,
-                                 mode, 6, 0, 1, ccl::Protocol::kLL));
+                 simnet::runProgram(sim_lanes, net_lanes,
+                                    sched::treeProgram(
+                                        dt.tree1,
+                                        sched::TreeDirection::kAllReduce, mode,
+                                        6, sched::TreeLanes{0, 1}),
+                                    mib4, ccl::Protocol::kLL));
         }
         const auto inorder =
             topo::embedTree(dgx1, topo::BinaryTree::inorder(8));
         sim::Simulation sim;
         Network net(sim, dgx1);
         dump(out, "tree_inorder_dgx1_overlapped",
-             runTreeSchedule(sim, net, inorder, mib4,
-                             PhaseMode::kOverlapped, 5));
+             simnet::runProgram(sim, net,
+                                sched::treeProgram(
+                                    inorder, sched::TreeDirection::kAllReduce,
+                                    sched::PhaseMode::kOverlapped, 5),
+                                mib4));
     }
 
     // DGX-1 double tree: phase mode × lane policy × protocol, plus the
     // naive (conflicting) embedding.
     {
         const auto dt = topo::makeDgx1DoubleTree(dgx1);
-        for (PhaseMode mode :
-             {PhaseMode::kTwoPhase, PhaseMode::kOverlapped}) {
-            for (LanePolicy lanes :
-                 {LanePolicy::kPointToPoint, LanePolicy::kSharedPort}) {
+        for (sched::PhaseMode mode :
+             {sched::PhaseMode::kTwoPhase, sched::PhaseMode::kOverlapped}) {
+            for (sched::LanePolicy lanes :
+                 {sched::LanePolicy::kPointToPoint,
+                  sched::LanePolicy::kSharedPort}) {
                 for (ccl::Protocol proto :
                      {ccl::Protocol::kSimple, ccl::Protocol::kLL}) {
                     sim::Simulation sim;
                     Network net(sim, dgx1);
                     dump(out,
                          std::string("dt_dgx1_") + modeName(mode) +
-                             (lanes == LanePolicy::kPointToPoint
+                             (lanes == sched::LanePolicy::kPointToPoint
                                   ? "_p2p"
                                   : "_shared") +
                              (proto == ccl::Protocol::kLL ? "_ll"
                                                           : "_simple"),
-                         runDoubleTreeSchedule(sim, net, dt, mib4, mode,
-                                               8, lanes, proto));
+                         simnet::runProgram(sim, net,
+                                            sched::doubleTreeProgram(dt, mode,
+                                                                     8, lanes),
+                                            mib4, proto));
                 }
             }
         }
@@ -161,8 +180,10 @@ corpusText()
         sim::Simulation sim;
         Network net(sim, dgx1);
         dump(out, "dt_dgx1_naive_overlapped",
-             runDoubleTreeSchedule(sim, net, naive, mib4,
-                                   PhaseMode::kOverlapped, 8));
+             simnet::runProgram(sim, net,
+                                sched::doubleTreeProgram(
+                                    naive, sched::PhaseMode::kOverlapped, 8),
+                                mib4));
     }
 
     // DGX-2: switch planes, no detour kernels.
@@ -170,13 +191,16 @@ corpusText()
         const topo::Dgx2Params params;
         const topo::Graph dgx2 = topo::makeDgx2(params);
         const auto dt = topo::makeDgx2DoubleTree(dgx2, params);
-        for (PhaseMode mode :
-             {PhaseMode::kTwoPhase, PhaseMode::kOverlapped}) {
+        for (sched::PhaseMode mode :
+             {sched::PhaseMode::kTwoPhase, sched::PhaseMode::kOverlapped}) {
             sim::Simulation sim;
             Network net(sim, dgx2);
             dump(out, std::string("dt_dgx2_") + modeName(mode),
-                 runDoubleTreeSchedule(sim, net, dt, util::mib(16), mode,
-                                       8, LanePolicy::kSharedPort));
+                 simnet::runProgram(sim, net,
+                                    sched::doubleTreeProgram(
+                                        dt, mode, 8,
+                                        sched::LanePolicy::kSharedPort),
+                                    util::mib(16)));
         }
     }
 
@@ -186,13 +210,16 @@ corpusText()
         params.num_nodes = 64;
         const topo::Graph fabric = topo::makeSwitchFabric(params);
         const auto dt = topo::makeMirroredDoubleTree(fabric, 64);
-        for (PhaseMode mode :
-             {PhaseMode::kTwoPhase, PhaseMode::kOverlapped}) {
+        for (sched::PhaseMode mode :
+             {sched::PhaseMode::kTwoPhase, sched::PhaseMode::kOverlapped}) {
             sim::Simulation sim;
             Network net(sim, fabric);
             dump(out, std::string("dt_fabric64_") + modeName(mode),
-                 runDoubleTreeSchedule(sim, net, dt, 8e6, mode, 4,
-                                       LanePolicy::kSharedPort));
+                 simnet::runProgram(sim, net,
+                                    sched::doubleTreeProgram(
+                                        dt, mode, 4,
+                                        sched::LanePolicy::kSharedPort),
+                                    8e6));
         }
     }
 
@@ -203,8 +230,10 @@ corpusText()
         sim::Simulation sim_ref;
         Network net_ref(sim_ref, dgx1);
         const double healthy =
-            runDoubleTreeSchedule(sim_ref, net_ref, dt, mib4,
-                                  PhaseMode::kOverlapped, 8)
+            simnet::runProgram(sim_ref, net_ref,
+                               sched::doubleTreeProgram(
+                                   dt, sched::PhaseMode::kOverlapped, 8),
+                               mib4)
                 .completion_time;
         FaultPlan plan;
         for (int id : dgx1.channelIds(2, 3))
@@ -213,8 +242,10 @@ corpusText()
             plan.failChannel(0.3 * healthy, id);
         sim::Simulation sim;
         Network net(sim, dgx1);
-        const FaultedRunResult faulted = runDoubleTreeWithFaults(
-            sim, net, dt, mib4, PhaseMode::kOverlapped, 8, plan);
+        const FaultedRunResult faulted = simnet::runProgramWithFaults(
+            sim, net,
+            sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, 8),
+            mib4, plan);
         out << "faulted completed " << faulted.completed << " end "
             << hex(faulted.end_time) << " dropped "
             << faulted.dropped_transfers << "\n";

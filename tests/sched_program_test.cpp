@@ -9,7 +9,7 @@
  * end with every rank holding every contribution exactly once and a
  * final marker per (rank, chunk) placed only once the chunk is
  * complete; reduce-scatter leaves each slice complete at its owner
- * only; treeReduce leaves the full sum at the root only. Mutants that
+ * only; tree_reduce leaves the full sum at the root only. Mutants that
  * drop or duplicate a single dynamic recvReduce must be rejected.
  */
 
@@ -540,9 +540,7 @@ TEST(Geometry, InterpreterAndCheckpointAgreeOnEverySlice)
                     if (o != c)
                         others.push_back(o);
                 ccl::RankBuffers data = input;
-                ccl::runProgram(comm, data, masked(program, others),
-                                nullptr, ccl::Protocol::kSimple,
-                                "geometry");
+                ccl::runProgram(comm, data, masked(program, others));
                 const ChunkRange<std::size_t>& slice =
                     geometry[static_cast<std::size_t>(c)];
                 for (std::size_t r = 0; r < data.size(); ++r)

@@ -106,15 +106,6 @@ TEST(Simulation, AfterIsRelative)
     EXPECT_DOUBLE_EQ(fired_at, 5.0);
 }
 
-TEST(Simulation, StatsAccumulate)
-{
-    Simulation sim;
-    sim.addStat("bytes", 10.0);
-    sim.addStat("bytes", 5.0);
-    EXPECT_DOUBLE_EQ(sim.stat("bytes"), 15.0);
-    EXPECT_DOUBLE_EQ(sim.stat("missing"), 0.0);
-}
-
 TEST(FifoResource, SerializesRequests)
 {
     Simulation sim;

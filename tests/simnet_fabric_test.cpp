@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "simnet/transfer_engine.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
@@ -126,15 +126,21 @@ TEST(LanePolicy, PerTreeLanesBeatPerRoleLanesOnTurnaround)
 
     sim::Simulation sim_a;
     Network net_a(sim_a, g);
-    const auto p2p = runDoubleTreeSchedule(
-        sim_a, net_a, dt, bytes, PhaseMode::kOverlapped, 64,
-        LanePolicy::kPointToPoint);
+    const auto p2p = simnet::runProgram(sim_a, net_a,
+                                        sched::doubleTreeProgram(
+                                            dt, sched::PhaseMode::kOverlapped,
+                                            64),
+                                        bytes);
 
     sim::Simulation sim_b;
     Network net_b(sim_b, g);
-    const auto shared = runDoubleTreeSchedule(
-        sim_b, net_b, dt, bytes, PhaseMode::kOverlapped, 64,
-        LanePolicy::kSharedPort);
+    const auto shared = simnet::runProgram(sim_b, net_b,
+                                           sched::doubleTreeProgram(
+                                               dt,
+                                               sched::PhaseMode::kOverlapped,
+                                               64,
+                                               sched::LanePolicy::kSharedPort),
+                                           bytes);
 
     EXPECT_LT(p2p.turnaroundTime(), shared.turnaroundTime());
     // Completion is within ~2x either way — the policies trade
@@ -153,17 +159,20 @@ TEST(LanePolicy, PointToPointRightForDgx1)
 
     sim::Simulation sim_a;
     Network net_a(sim_a, dgx1);
-    const double base = runDoubleTreeSchedule(
-                            sim_a, net_a, dt, bytes,
-                            PhaseMode::kTwoPhase, 32,
-                            LanePolicy::kPointToPoint)
+    const double base = simnet::runProgram(sim_a, net_a,
+                                           sched::doubleTreeProgram(
+                                               dt, sched::PhaseMode::kTwoPhase,
+                                               32),
+                                           bytes)
                             .completion_time;
     sim::Simulation sim_b;
     Network net_b(sim_b, dgx1);
-    const double over = runDoubleTreeSchedule(
-                            sim_b, net_b, dt, bytes,
-                            PhaseMode::kOverlapped, 32,
-                            LanePolicy::kPointToPoint)
+    const double over = simnet::runProgram(sim_b, net_b,
+                                           sched::doubleTreeProgram(
+                                               dt,
+                                               sched::PhaseMode::kOverlapped,
+                                               32),
+                                           bytes)
                             .completion_time;
     EXPECT_GT(base / over, 1.6);
 }
@@ -182,10 +191,13 @@ TEST(FabricScaling, TreeCompletionGrowsLogarithmically)
         const auto dt = topo::makeMirroredDoubleTree(g, p);
         sim::Simulation sim;
         Network net(sim, g);
-        const double t = runDoubleTreeSchedule(
-                             sim, net, dt, bytes,
-                             PhaseMode::kOverlapped, 16,
-                             LanePolicy::kSharedPort)
+        const double t = simnet::runProgram(sim, net,
+                                            sched::doubleTreeProgram(
+                                                dt,
+                                                sched::PhaseMode::kOverlapped,
+                                                16,
+                                                sched::LanePolicy::kSharedPort),
+                                            bytes)
                              .completion_time;
         if (prev > 0.0) {
             EXPECT_LT(t, prev * 1.5) << "p=" << p;

@@ -2,7 +2,7 @@
  * @file
  * Fault injection in the simulated fabric: failed channels drop
  * transfers (their completion never fires), degraded channels slow
- * down, restores re-enable traffic, and runDoubleTreeWithFaults
+ * down, restores re-enable traffic, and runProgramWithFaults
  * reports partial results instead of panicking when a plan kills the
  * collective mid-flight.
  */
@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
 #include "simnet/fault_plan.h"
+#include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "util/units.h"
@@ -115,13 +115,16 @@ TEST(FaultedRun, EmptyPlanMatchesTheHealthySchedule)
 
     sim::Simulation sim_ref;
     Network net_ref(sim_ref, graph);
-    const ScheduleResult healthy = runDoubleTreeSchedule(
-        sim_ref, net_ref, dt, bytes, PhaseMode::kOverlapped, 8);
+    const ScheduleResult healthy = simnet::runProgram(
+        sim_ref, net_ref,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, 8), bytes);
 
     sim::Simulation sim;
     Network net(sim, graph);
-    const FaultedRunResult faulted = runDoubleTreeWithFaults(
-        sim, net, dt, bytes, PhaseMode::kOverlapped, 8, FaultPlan());
+    const FaultedRunResult faulted = simnet::runProgramWithFaults(
+        sim, net,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, 8), bytes,
+        FaultPlan());
     EXPECT_TRUE(faulted.completed);
     EXPECT_EQ(faulted.dropped_transfers, 0u);
     EXPECT_DOUBLE_EQ(faulted.result.completion_time,
@@ -137,8 +140,10 @@ TEST(FaultedRun, MidCollectiveLinkFailureYieldsPartialResult)
     sim::Simulation sim_ref;
     Network net_ref(sim_ref, graph);
     const double healthy_time =
-        runDoubleTreeSchedule(sim_ref, net_ref, dt, bytes,
-                              PhaseMode::kOverlapped, 8)
+        simnet::runProgram(sim_ref, net_ref,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 8),
+                           bytes)
             .completion_time;
 
     // Kill both directions of a tree-carrying pair mid-flight.
@@ -150,8 +155,10 @@ TEST(FaultedRun, MidCollectiveLinkFailureYieldsPartialResult)
 
     sim::Simulation sim;
     Network net(sim, graph);
-    const FaultedRunResult faulted = runDoubleTreeWithFaults(
-        sim, net, dt, bytes, PhaseMode::kOverlapped, 8, plan);
+    const FaultedRunResult faulted = simnet::runProgramWithFaults(
+        sim, net,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, 8), bytes,
+        plan);
     EXPECT_FALSE(faulted.completed);
     EXPECT_GT(faulted.dropped_transfers, 0u);
 
@@ -176,8 +183,10 @@ TEST(FaultedRun, DegradePlanSlowsCompletionWithoutKillingIt)
     sim::Simulation sim_ref;
     Network net_ref(sim_ref, graph);
     const double healthy_time =
-        runDoubleTreeSchedule(sim_ref, net_ref, dt, bytes,
-                              PhaseMode::kOverlapped, 8)
+        simnet::runProgram(sim_ref, net_ref,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 8),
+                           bytes)
             .completion_time;
 
     FaultPlan plan;
@@ -188,8 +197,10 @@ TEST(FaultedRun, DegradePlanSlowsCompletionWithoutKillingIt)
 
     sim::Simulation sim;
     Network net(sim, graph);
-    const FaultedRunResult faulted = runDoubleTreeWithFaults(
-        sim, net, dt, bytes, PhaseMode::kOverlapped, 8, plan);
+    const FaultedRunResult faulted = simnet::runProgramWithFaults(
+        sim, net,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, 8), bytes,
+        plan);
     EXPECT_TRUE(faulted.completed);
     EXPECT_EQ(faulted.dropped_transfers, 0u);
     EXPECT_GT(faulted.result.completion_time, healthy_time);

@@ -14,11 +14,8 @@
 #include "model/ring_model.h"
 #include "model/tree_model.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/multi_ring_schedule.h"
-#include "simnet/ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "simnet/transfer_engine.h"
-#include "simnet/tree_schedule.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -146,13 +143,29 @@ TEST(RingScheduleVsModel, MatchesEquationTwoExactly)
         const topo::Graph g = makeRingGraph(p);
         Network net(sim, g);
         const double n = 8e6;
-        const ScheduleResult result = runRingSchedule(
-            sim, net, topo::makeSequentialRing(p), n);
+        const ScheduleResult result = simnet::runProgram(
+            sim, net,
+            sched::ringProgram(topo::makeSequentialRing(p),
+                               sched::RingPhase::kAllReduce),
+            n);
         EXPECT_NEAR(result.completion_time,
                     ring_model.allReduceTime(p, n),
                     ring_model.allReduceTime(p, n) * 1e-9)
             << "p=" << p;
     }
+}
+
+TEST(RingSchedule, OneRankRingIsRejected)
+{
+    sim::Simulation sim;
+    const topo::Graph g = makeRingGraph(2);
+    Network net(sim, g);
+    EXPECT_DEATH(simnet::runProgram(
+                     sim, net,
+                     sched::ringProgram(topo::makeSequentialRing(1),
+                                        sched::RingPhase::kAllReduce),
+                     4e6),
+                 "ring needs at least two ranks");
 }
 
 TEST(RingSchedule, ChunkTimesOutOfOrderAcrossRanks)
@@ -161,7 +174,10 @@ TEST(RingSchedule, ChunkTimesOutOfOrderAcrossRanks)
     const topo::Graph g = makeRingGraph(4);
     Network net(sim, g);
     const ScheduleResult result =
-        runRingSchedule(sim, net, topo::makeSequentialRing(4), 4e6);
+        simnet::runProgram(sim, net,
+                           sched::ringProgram(topo::makeSequentialRing(4),
+                                              sched::RingPhase::kAllReduce),
+                           4e6);
     // Rank 0's earliest chunk is chunk 1, rank 3's is chunk 0 —
     // different ranks get different chunks first.
     int earliest_rank0 = -1;
@@ -198,13 +214,17 @@ TEST(MultiRingSchedule, ScalesWithRingCount)
     sim::Simulation sim_one;
     Network net_one(sim_one, g);
     const double t_one =
-        runRingSchedule(sim_one, net_one, rings.front(), n)
+        simnet::runProgram(sim_one, net_one,
+                           sched::ringProgram(rings.front(),
+                                              sched::RingPhase::kAllReduce),
+                           n)
             .completion_time;
 
     sim::Simulation sim_multi;
     Network net_multi(sim_multi, g);
     const double t_multi =
-        runMultiRingSchedule(sim_multi, net_multi, rings, n)
+        simnet::runProgram(sim_multi, net_multi, sched::multiRingProgram(rings),
+                           n)
             .completion_time;
     // Disjoint rings divide the payload — speedup ≈ ring count.
     const double speedup = t_one / t_multi;
@@ -232,8 +252,11 @@ TEST(TreeScheduleVsModel, TwoPhaseMatchesChunkedPipelineExactly)
     Network net(sim, g);
     const auto embedding =
         topo::embedTree(g, topo::BinaryTree::inorder(p));
-    const ScheduleResult result = runTreeSchedule(
-        sim, net, embedding, n, PhaseMode::kTwoPhase, k);
+    const ScheduleResult result = simnet::runProgram(
+        sim, net,
+        sched::treeProgram(embedding, sched::TreeDirection::kAllReduce,
+                           sched::PhaseMode::kTwoPhase, k),
+        n);
     const double s = kAlpha + (n / k) / kBw;
     // Reduction (K−1+D)s, then broadcast (K−1+D)s.
     EXPECT_NEAR(result.completion_time, 2.0 * (k - 1 + 2) * s, s * 1e-9);
@@ -249,8 +272,11 @@ TEST(TreeScheduleVsModel, OverlappedMatchesChunkedPipelineExactly)
     Network net(sim, g);
     const auto embedding =
         topo::embedTree(g, topo::BinaryTree::inorder(p));
-    const ScheduleResult result = runTreeSchedule(
-        sim, net, embedding, n, PhaseMode::kOverlapped, k);
+    const ScheduleResult result = simnet::runProgram(
+        sim, net,
+        sched::treeProgram(embedding, sched::TreeDirection::kAllReduce,
+                           sched::PhaseMode::kOverlapped, k),
+        n);
     const double s = kAlpha + (n / k) / kBw;
     // Single chained pipeline: (K−1+2D) steps.
     EXPECT_NEAR(result.completion_time, (k - 1 + 2.0 * 2) * s,
@@ -269,15 +295,23 @@ TEST(TreeSchedule, OverlappedNeverSlowerAcrossSweep)
             sim::Simulation sim_a;
             Network net_a(sim_a, g);
             const double base =
-                runTreeSchedule(sim_a, net_a, topo::embedTree(g, tree),
-                                4e6, PhaseMode::kTwoPhase, k)
+                simnet::runProgram(sim_a, net_a,
+                                   sched::treeProgram(
+                                       topo::embedTree(g, tree),
+                                       sched::TreeDirection::kAllReduce,
+                                       sched::PhaseMode::kTwoPhase, k),
+                                   4e6)
                     .completion_time;
 
             sim::Simulation sim_b;
             Network net_b(sim_b, g);
             const double over =
-                runTreeSchedule(sim_b, net_b, topo::embedTree(g, tree),
-                                4e6, PhaseMode::kOverlapped, k)
+                simnet::runProgram(sim_b, net_b,
+                                   sched::treeProgram(
+                                       topo::embedTree(g, tree),
+                                       sched::TreeDirection::kAllReduce,
+                                       sched::PhaseMode::kOverlapped, k),
+                                   4e6)
                     .completion_time;
             EXPECT_LE(over, base * (1.0 + 1e-9))
                 << "p=" << p << " k=" << k;
@@ -290,9 +324,12 @@ TEST(TreeSchedule, InOrderChunkReadyTimes)
     sim::Simulation sim;
     const topo::Graph g = makeClique(8);
     Network net(sim, g);
-    const ScheduleResult result = runTreeSchedule(
-        sim, net, topo::embedTree(g, topo::BinaryTree::inorder(8)), 8e6,
-        PhaseMode::kOverlapped, 16);
+    const ScheduleResult result = simnet::runProgram(
+        sim, net,
+        sched::treeProgram(topo::embedTree(g, topo::BinaryTree::inorder(8)),
+                           sched::TreeDirection::kAllReduce,
+                           sched::PhaseMode::kOverlapped, 16),
+        8e6);
     for (int c = 1; c < result.num_chunks; ++c) {
         EXPECT_LE(result.chunk_ready[static_cast<std::size_t>(c - 1)],
                   result.chunk_ready[static_cast<std::size_t>(c)]);
@@ -309,13 +346,15 @@ TEST(DoubleTreeSchedule, OverlappedBeatsTwoPhaseOnDgx1)
 
     sim::Simulation sim_a;
     Network net_a(sim_a, g);
-    const ScheduleResult base = runDoubleTreeSchedule(
-        sim_a, net_a, dt, n, PhaseMode::kTwoPhase, 32);
+    const ScheduleResult base = simnet::runProgram(
+        sim_a, net_a,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kTwoPhase, 32), n);
 
     sim::Simulation sim_b;
     Network net_b(sim_b, g);
-    const ScheduleResult over = runDoubleTreeSchedule(
-        sim_b, net_b, dt, n, PhaseMode::kOverlapped, 32);
+    const ScheduleResult over = simnet::runProgram(
+        sim_b, net_b,
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, 32), n);
 
     // Paper Fig. 12(a): ≥ 75% communication speedup at 64 MB.
     EXPECT_GT(base.completion_time / over.completion_time, 1.6);
@@ -335,16 +374,22 @@ TEST(DoubleTreeSchedule, NaiveEmbeddingContendsUnderOverlap)
 
     sim::Simulation sim_a;
     Network net_a(sim_a, g);
-    const double t_good = runDoubleTreeSchedule(
-                              sim_a, net_a, good, n,
-                              PhaseMode::kOverlapped, 32)
+    const double t_good = simnet::runProgram(sim_a, net_a,
+                                             sched::doubleTreeProgram(
+                                                 good,
+                                                 sched::PhaseMode::kOverlapped,
+                                                 32),
+                                             n)
                               .completion_time;
 
     sim::Simulation sim_b;
     Network net_b(sim_b, g);
-    const double t_naive = runDoubleTreeSchedule(
-                               sim_b, net_b, naive, n,
-                               PhaseMode::kOverlapped, 32)
+    const double t_naive = simnet::runProgram(sim_b, net_b,
+                                              sched::doubleTreeProgram(
+                                                  naive,
+                                                  sched::PhaseMode::kOverlapped,
+                                                  32),
+                                              n)
                                .completion_time;
     EXPECT_LT(t_good, t_naive);
 }
@@ -356,8 +401,10 @@ TEST(DoubleTreeSchedule, MergedChunkIdsCoverBothTrees)
     sim::Simulation sim;
     Network net(sim, g);
     const ScheduleResult result =
-        runDoubleTreeSchedule(sim, net, dt, 8e6,
-                              PhaseMode::kOverlapped, 4);
+        simnet::runProgram(sim, net,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 4),
+                           8e6);
     EXPECT_EQ(result.num_chunks, 8);
     EXPECT_EQ(result.chunk_ready.size(), 8u);
     for (const auto& per_rank : result.chunk_at_rank) {

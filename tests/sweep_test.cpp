@@ -26,8 +26,7 @@
 #include "obs/trace.h"
 #include "sim/simulation.h"
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
-#include "simnet/ring_schedule.h"
+#include "simnet/program_driver.h"
 #include "sweep/sweep.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
@@ -139,9 +138,12 @@ runGrid(int jobs, std::vector<Cell>& cells)
                     chunk_counts[i % chunk_counts.size()];
                 sim::Simulation sim;
                 simnet::Network net(sim, graph);
-                const auto result = simnet::runDoubleTreeSchedule(
-                    sim, net, embedding, bytes,
-                    simnet::PhaseMode::kOverlapped, chunks);
+                const auto result = simnet::runProgram(
+                    sim, net,
+                    sched::doubleTreeProgram(embedding,
+                                             sched::PhaseMode::kOverlapped,
+                                             chunks),
+                    bytes);
                 net.closeTraceEpoch(result.completion_time);
                 cells[i] =
                     Cell{result.completion_time,
@@ -221,9 +223,11 @@ TEST(SweepRun, MonitorSnapshotsAreJobsInvariant)
             sweep::runIndexed(withJobs(jobs), 4, [&](std::size_t i) {
                 sim::Simulation sim;
                 simnet::Network net(sim, graph);
-                simnet::runDoubleTreeSchedule(
-                    sim, net, embedding, util::mib(1 << i),
-                    simnet::PhaseMode::kOverlapped, 8);
+                simnet::runProgram(sim, net,
+                                   sched::doubleTreeProgram(
+                                       embedding, sched::PhaseMode::kOverlapped,
+                                       8),
+                                   util::mib(1 << i));
             });
         }
         std::ostringstream out;
@@ -234,7 +238,7 @@ TEST(SweepRun, MonitorSnapshotsAreJobsInvariant)
     EXPECT_NE(serial.find("\"trigger\": \"heartbeat\""),
               std::string::npos);
     EXPECT_NE(serial.find("chan."), std::string::npos);
-    EXPECT_NE(serial.find("allreduce.double_tree"), std::string::npos);
+    EXPECT_NE(serial.find("double_tree_allreduce"), std::string::npos);
     for (int jobs : {2, 8})
         EXPECT_EQ(serial, run(jobs)) << "jobs=" << jobs;
 }
@@ -273,9 +277,12 @@ TEST(SweepRun, WholeCaptureWithNestedSweepsIsJobsInvariant)
                     withJobs(jobs), 2, [&](std::size_t inner) {
                         sim::Simulation sim;
                         simnet::Network net(sim, graph);
-                        const auto result = simnet::runDoubleTreeSchedule(
-                            sim, net, embedding, util::mib(1 + outer),
-                            simnet::PhaseMode::kOverlapped, 4 << inner);
+                        const auto result = simnet::runProgram(
+                            sim, net,
+                            sched::doubleTreeProgram(
+                                embedding, sched::PhaseMode::kOverlapped,
+                                4 << inner),
+                            util::mib(1 + outer));
                         net.closeTraceEpoch(result.completion_time);
                         obs::MetricRegistry::global().observe(
                             "sweep.test.completion_s",
@@ -336,8 +343,9 @@ TEST(SweepRun, TunerTablesAreJobsInvariant)
             const topo::RingEmbedding ring =
                 topo::findHamiltonianRing(graph, 8);
             completions[i] =
-                simnet::runRingSchedule(
-                    sim, net, ring,
+                simnet::runProgram(
+                    sim, net,
+                    sched::ringProgram(ring, sched::RingPhase::kAllReduce),
                     static_cast<double>(elems) * sizeof(float), proto)
                     .completion_time;
         });

@@ -10,7 +10,7 @@
 #include <set>
 
 #include "simnet/channel.h"
-#include "simnet/double_tree_schedule.h"
+#include "simnet/program_driver.h"
 #include "topo/detour_router.h"
 #include "topo/dgx2.h"
 #include "util/units.h"
@@ -113,15 +113,19 @@ TEST(Dgx2, OverlappedBeatsTwoPhase)
     sim::Simulation sim_a;
     simnet::Network net_a(sim_a, g);
     const double base =
-        simnet::runDoubleTreeSchedule(sim_a, net_a, dt, bytes,
-                                      simnet::PhaseMode::kTwoPhase, 32)
+        simnet::runProgram(sim_a, net_a,
+                           sched::doubleTreeProgram(dt,
+                                                    sched::PhaseMode::kTwoPhase,
+                                                    32),
+                           bytes)
             .completion_time;
     sim::Simulation sim_b;
     simnet::Network net_b(sim_b, g);
     const double over =
-        simnet::runDoubleTreeSchedule(sim_b, net_b, dt, bytes,
-                                      simnet::PhaseMode::kOverlapped,
-                                      32)
+        simnet::runProgram(sim_b, net_b,
+                           sched::doubleTreeProgram(
+                               dt, sched::PhaseMode::kOverlapped, 32),
+                           bytes)
             .completion_time;
     // Same ≥1.6x communication win as on the DGX-1.
     EXPECT_GT(base / over, 1.6);
