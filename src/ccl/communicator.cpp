@@ -5,6 +5,7 @@
 #include <string>
 
 #include "ccl/state_machine.h"
+#include "ccl/tuner.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"

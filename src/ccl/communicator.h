@@ -42,6 +42,7 @@ class Graph;
 
 namespace ccl {
 
+class AllReducePlan;
 class RankTask;
 
 /** Identifies a logical flow multiplexed over a physical direction. */
@@ -130,9 +131,22 @@ class Communicator
      * (algorithm × protocol × chunking) cell — the NCCL-style "just
      * give me the fastest schedule" entry point. Defined in
      * tuner.cpp.
+     *
+     * The cell's program comes from this communicator's plan
+     * (AllReducePlan, ccl/tuner.h), kept for the graph of the last
+     * call: the embeddings are searched once per graph and each
+     * (algorithm, chunk count) program is built and bound to its
+     * mailboxes once, then shared by every later call (a
+     * `ccl.plan.hit`; a build counts `ccl.plan.miss`). A @p graph
+     * whose content (name, switch flags, any channel's endpoints,
+     * kind, bandwidth or latency) differs from the plan's drops the
+     * plan and starts a new one. The plan survives clearAbort().
      */
     AllReduceTrace runAuto(RankBuffers& buffers,
                            const topo::Graph& graph);
+
+    /** runAuto's current plan (null before the first runAuto). */
+    const AllReducePlan* autoPlan() const { return plan_.get(); }
 
     // ---- fault tolerance ----
 
@@ -221,6 +235,9 @@ class Communicator
     // Test-only interposition point inside clearAbort() (see
     // setClearAbortHook).
     std::function<void()> clear_abort_hook_;
+
+    /** runAuto's plan for the graph of its last call. */
+    std::unique_ptr<AllReducePlan> plan_;
 };
 
 } // namespace ccl

@@ -81,8 +81,10 @@ class PhaseSpan
 
 /** What every task of one collective shares. */
 struct Collective {
-    sched::Program program;
-    std::vector<Mailbox*> boxes; ///< per program edge
+    std::shared_ptr<const BoundProgram> bound;
+    /** bound->boxes.data(), so the step loop reaches a mailbox
+     *  without a second indirection. */
+    Mailbox* const* boxes = nullptr;
     std::vector<sched::ChunkRange<std::size_t>> geometry; ///< per chunk
     RankBuffers* buffers = nullptr;
     AllReduceTrace* trace = nullptr; ///< the run's final markers
@@ -94,9 +96,10 @@ class ProgramTask final : public RankTask
 {
   public:
     ProgramTask(std::shared_ptr<const Collective> c, int thread)
-        : RankTask(c->program.threads[static_cast<std::size_t>(thread)].rank,
-                   c->program.threads[static_cast<std::size_t>(thread)].role),
-          c_(std::move(c)), cursor_(c_->program, thread),
+        : RankTask(
+              c->bound->program.threads[static_cast<std::size_t>(thread)].rank,
+              c->bound->program.threads[static_cast<std::size_t>(thread)].role),
+          c_(std::move(c)), cursor_(c_->bound->program, thread),
           buffer_((*c_->buffers)[static_cast<std::size_t>(rank())])
     {
     }
@@ -182,7 +185,7 @@ class ProgramTask final : public RankTask
 
     Mailbox& mailbox(int edge) const
     {
-        return *c_->boxes[static_cast<std::size_t>(edge)];
+        return *c_->boxes[edge];
     }
 
     /** beginOp once per logical op, however often it is retried. */
@@ -209,7 +212,7 @@ class ProgramTask final : public RankTask
 
     const sched::Loop& loopAt(int loop) const
     {
-        return c_->program.loops[static_cast<std::size_t>(loop)];
+        return c_->bound->program.loops[static_cast<std::size_t>(loop)];
     }
 
     std::shared_ptr<const Collective> c_;
@@ -224,10 +227,35 @@ class ProgramTask final : public RankTask
 
 } // namespace
 
+std::shared_ptr<const BoundProgram>
+bindProgram(Communicator& comm, sched::Program program)
+{
+    auto bound = std::make_shared<BoundProgram>();
+    bound->comm = &comm;
+    bound->boxes.reserve(program.edges.size());
+    for (const sched::Edge& edge : program.edges)
+        bound->boxes.push_back(
+            &comm.mailbox(edge.src, edge.dst, edge.flow));
+    bound->program = std::move(program);
+    return bound;
+}
+
 AllReduceTrace
 runProgram(Communicator& comm, RankBuffers& buffers, sched::Program program,
            Protocol proto, AllReduceTrace::Observer observer)
 {
+    return runProgram(comm, buffers, bindProgram(comm, std::move(program)),
+                      proto, std::move(observer));
+}
+
+AllReduceTrace
+runProgram(Communicator& comm, RankBuffers& buffers,
+           std::shared_ptr<const BoundProgram> bound, Protocol proto,
+           AllReduceTrace::Observer observer)
+{
+    CCUBE_CHECK(bound->comm == &comm,
+                "program bound to another communicator");
+    const sched::Program& program = bound->program;
     CCUBE_CHECK(program.num_ranks == comm.numRanks(),
                 "schedule/communicator size mismatch");
     CCUBE_CHECK(static_cast<int>(buffers.size()) == comm.numRanks(),
@@ -242,17 +270,15 @@ runProgram(Communicator& comm, RankBuffers& buffers, sched::Program program,
     c->trace = &trace;
     c->proto = proto;
     c->geometry = program.geometry(buffers[0].size());
-    c->boxes.reserve(program.edges.size());
-    for (const sched::Edge& edge : program.edges)
-        c->boxes.push_back(&comm.mailbox(edge.src, edge.dst, edge.flow));
-    c->program = std::move(program);
+    c->bound = std::move(bound);
+    c->boxes = c->bound->boxes.data();
 
     std::vector<std::unique_ptr<RankTask>> tasks;
-    tasks.reserve(c->program.threads.size());
-    for (std::size_t t = 0; t < c->program.threads.size(); ++t)
+    tasks.reserve(program.threads.size());
+    for (std::size_t t = 0; t < program.threads.size(); ++t)
         tasks.push_back(
             std::make_unique<ProgramTask>(c, static_cast<int>(t)));
-    comm.runTasks(std::move(tasks), c->program.op, proto);
+    comm.runTasks(std::move(tasks), program.op, proto);
     return trace;
 }
 

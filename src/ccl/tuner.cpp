@@ -175,32 +175,87 @@ sched::Program
 allReduceProgram(const topo::Graph& graph, int p,
                  AllReduceAlgorithm algorithm, int num_chunks)
 {
+    return AllReducePlan(graph, p).build(algorithm, num_chunks);
+}
+
+AllReducePlan::AllReducePlan(const topo::Graph& graph, int p)
+    : graph_(graph), p_(p)
+{
+}
+
+bool
+AllReducePlan::matches(const topo::Graph& graph) const
+{
+    if (graph.name() != graph_.name() ||
+        graph.nodeCount() != graph_.nodeCount() ||
+        graph.channelCount() != graph_.channelCount())
+        return false;
+    for (topo::NodeId node = 0; node < graph.nodeCount(); ++node) {
+        if (graph.isSwitch(node) != graph_.isSwitch(node))
+            return false;
+    }
+    return std::equal(
+        graph.channels().begin(), graph.channels().end(),
+        graph_.channels().begin(),
+        [](const topo::ChannelDesc& a, const topo::ChannelDesc& b) {
+            return a.src == b.src && a.dst == b.dst && a.kind == b.kind &&
+                   a.bandwidth == b.bandwidth && a.latency == b.latency;
+        });
+}
+
+std::shared_ptr<const BoundProgram>
+AllReducePlan::find(AllReduceAlgorithm algorithm, int num_chunks) const
+{
+    const auto it = programs_.find({algorithm, num_chunks});
+    return it == programs_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const BoundProgram>
+AllReducePlan::add(Communicator& comm, AllReduceAlgorithm algorithm,
+                   int num_chunks)
+{
+    // The bound mailboxes outlive every abort (bindProgram), so the
+    // plan survives clearAbort() unchanged.
+    std::shared_ptr<const BoundProgram> bound =
+        bindProgram(comm, build(algorithm, num_chunks));
+    programs_[{algorithm, num_chunks}] = bound;
+    return bound;
+}
+
+sched::Program
+AllReducePlan::build(AllReduceAlgorithm algorithm, int num_chunks)
+{
     switch (algorithm) {
       case AllReduceAlgorithm::kRing: {
-        const topo::RingEmbedding ring =
-            topo::findHamiltonianRing(graph, p);
-        CCUBE_CHECK(ring.size() == p,
+        if (!ring_)
+            ring_ = topo::findHamiltonianRing(graph_, p_);
+        CCUBE_CHECK(ring_->size() == p_,
                     "no Hamiltonian ring on this topology");
-        return sched::ringProgram(ring, sched::RingPhase::kAllReduce);
+        return sched::ringProgram(*ring_, sched::RingPhase::kAllReduce);
       }
       case AllReduceAlgorithm::kTree:
       case AllReduceAlgorithm::kOverlappedTree:
+        if (!tree_)
+            tree_ = topo::embedTree(graph_, topo::BinaryTree::inorder(p_));
         return sched::treeProgram(
-            topo::embedTree(graph, topo::BinaryTree::inorder(p)),
-            sched::TreeDirection::kAllReduce,
+            *tree_, sched::TreeDirection::kAllReduce,
             algorithm == AllReduceAlgorithm::kTree
                 ? sched::PhaseMode::kTwoPhase
                 : sched::PhaseMode::kOverlapped,
             num_chunks);
       case AllReduceAlgorithm::kDoubleTree:
       case AllReduceAlgorithm::kCCubeDoubleTree: {
-        topo::EmbeddingSearchOptions search;
-        search.num_ranks = p;
-        const auto found = topo::findConflictFreeDoubleTree(graph, search);
-        CCUBE_CHECK(found.has_value(),
-                    "no conflict-free double tree on this topology");
+        if (!double_tree_) {
+            topo::EmbeddingSearchOptions search;
+            search.num_ranks = p_;
+            const auto found =
+                topo::findConflictFreeDoubleTree(graph_, search);
+            CCUBE_CHECK(found.has_value(),
+                        "no conflict-free double tree on this topology");
+            double_tree_ = *found;
+        }
         return sched::doubleTreeProgram(
-            *found,
+            *double_tree_,
             algorithm == AllReduceAlgorithm::kDoubleTree
                 ? sched::PhaseMode::kTwoPhase
                 : sched::PhaseMode::kOverlapped,
@@ -283,22 +338,6 @@ Tuner::choose(const topo::Graph& graph, int p, std::size_t elems)
     return choice;
 }
 
-Protocol
-Tuner::chooseProtocol(const topo::Graph& graph, int p, std::size_t elems,
-                      AllReduceAlgorithm algorithm)
-{
-    const double bytes =
-        static_cast<double>(elems) * sizeof(float);
-    std::lock_guard<std::mutex> lock(mutex_);
-    Table& table = tableFor(graph, p);
-    const Cell& cell =
-        table.buckets[static_cast<std::size_t>(bucketFor(bytes))];
-    const int a = static_cast<int>(algorithm);
-    if (a < 0 || a >= kNumAlgorithms)
-        return Protocol::kSimple;
-    return cell.proto_by_alg[static_cast<std::size_t>(a)];
-}
-
 std::string
 Tuner::formatTable(const topo::Graph& graph, int p)
 {
@@ -350,10 +389,14 @@ Communicator::runAuto(RankBuffers& buffers, const topo::Graph& graph)
     metrics.addCounter(std::string("ccl.tuner.proto.") +
                            protocolName(cell.protocol),
                        1.0);
-    return runProgram(*this, buffers,
-                      allReduceProgram(graph, numRanks(), cell.algorithm,
-                                       cell.num_chunks),
-                      cell.protocol);
+    if (!plan_ || !plan_->matches(graph))
+        plan_ = std::make_unique<AllReducePlan>(graph, numRanks());
+    std::shared_ptr<const BoundProgram> bound =
+        plan_->find(cell.algorithm, cell.num_chunks);
+    metrics.addCounter(bound ? "ccl.plan.hit" : "ccl.plan.miss", 1.0);
+    if (!bound)
+        bound = plan_->add(*this, cell.algorithm, cell.num_chunks);
+    return runProgram(*this, buffers, std::move(bound), cell.protocol);
 }
 
 } // namespace ccl

@@ -14,7 +14,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -31,6 +35,7 @@
 #include "simnet/program_driver.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
+#include "topo/graph.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
 #include "util/rng.h"
@@ -129,6 +134,34 @@ expectBytesIdentical(const ccl::RankBuffers& got,
     }
 }
 
+/** Column @p column of row @p row of a Tuner::formatTable dump;
+ *  empty when either is missing. */
+std::string
+tunerTableCell(const std::string& table, const std::string& row,
+               const std::string& column)
+{
+    std::istringstream lines(table);
+    std::vector<std::string> header;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::vector<std::string> fields;
+        std::istringstream cells(line);
+        for (std::string cell; std::getline(cells, cell, '\t');)
+            fields.push_back(cell);
+        if (header.empty()) {
+            header = fields;
+            continue;
+        }
+        if (fields[0] != row)
+            continue;
+        for (std::size_t c = 0; c < header.size() && c < fields.size(); ++c)
+            if (header[c] == column)
+                return fields[c];
+    }
+    return "";
+}
+
 /** One collective, run under each wire protocol. */
 struct Scenario {
     const char* name;
@@ -191,11 +224,15 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAllEnginesOnDgx1)
 
 TEST(ProtocolByteIdentity, TunerProtocolMatchesSimple)
 {
+    // At 96 floats (384 B, the 256B row) the tuner's protocol column
+    // reads LL for every algorithm; run each one's program under LL.
     const Dgx1Topologies topo;
+    const std::string table = ccl::Tuner::global().formatTable(topo.graph, 8);
     const std::vector<ccl::AllReduceAlgorithm> algorithms = {
         ccl::AllReduceAlgorithm::kRing,
         ccl::AllReduceAlgorithm::kTree,
         ccl::AllReduceAlgorithm::kOverlappedTree,
+        ccl::AllReduceAlgorithm::kDoubleTree,
         ccl::AllReduceAlgorithm::kCCubeDoubleTree,
     };
     const std::vector<RankExecutor::Mode> modes = {
@@ -204,6 +241,9 @@ TEST(ProtocolByteIdentity, TunerProtocolMatchesSimple)
     };
     std::uint64_t seed = 401;
     for (ccl::AllReduceAlgorithm algorithm : algorithms) {
+        EXPECT_EQ(tunerTableCell(table, "256B",
+                                 ccl::algorithmName(algorithm)),
+                  "ll");
         ccl::RankBuffers reference = seededBuffers(8, 96, seed);
         {
             ccl::Communicator comm(8, kSlots,
@@ -212,17 +252,15 @@ TEST(ProtocolByteIdentity, TunerProtocolMatchesSimple)
                             ccl::allReduceProgram(topo.graph, 8, algorithm,
                                                   kChunks));
         }
-        const Protocol proto = ccl::Tuner::global().chooseProtocol(
-            topo.graph, 8, 96, algorithm);
         for (RankExecutor::Mode mode : modes) {
             ccl::RankBuffers buffers = seededBuffers(8, 96, seed);
             ccl::Communicator comm(8, kSlots, mode);
             ccl::runProgram(comm, buffers,
                             ccl::allReduceProgram(topo.graph, 8, algorithm,
                                                   kChunks),
-                            proto);
+                            Protocol::kLL);
             expectBytesIdentical(buffers, reference,
-                                 std::string("auto/") +
+                                 std::string("ll/") +
                                      ccl::algorithmName(algorithm));
         }
         ++seed;
@@ -443,20 +481,20 @@ TEST(Tuner, PicksLLBelowCrossoverAndSimpleAbove)
     const topo::Graph graph = topo::makeDgx1();
     ccl::Tuner& tuner = ccl::Tuner::global();
     tuner.clearCache();
-    // 1 KiB (256 floats): per-step chunks are far below the
-    // 0.75·α/β ≈ 86 KB crossover of the DGX-1 NVLink — LL wins.
+    const std::string table = tuner.formatTable(graph, 8);
     for (ccl::AllReduceAlgorithm algorithm :
          {ccl::AllReduceAlgorithm::kRing,
           ccl::AllReduceAlgorithm::kCCubeDoubleTree}) {
-        EXPECT_EQ(tuner.chooseProtocol(graph, 8, 256, algorithm),
-                  Protocol::kLL)
-            << ccl::algorithmName(algorithm) << " small";
-        // 256 MiB: chunks are megabytes — the 2x LL wire inflation
-        // dominates and Simple wins.
-        EXPECT_EQ(tuner.chooseProtocol(graph, 8, 64 * 1024 * 1024,
-                                       algorithm),
-                  Protocol::kSimple)
-            << ccl::algorithmName(algorithm) << " large";
+        const std::string column = ccl::algorithmName(algorithm);
+        // 1 KiB (256 floats): per-step chunks are far below the
+        // 0.75·α/β ≈ 86 KB crossover of the DGX-1 NVLink — LL wins.
+        EXPECT_EQ(tunerTableCell(table, "1KiB", column), "ll")
+            << column << " small";
+        // 64 MiB and 256 MiB: chunks are megabytes — the 2x LL wire
+        // inflation dominates and Simple wins.
+        for (const char* row : {"64MiB", "256MiB"})
+            EXPECT_EQ(tunerTableCell(table, row, column), "simple")
+                << column << " " << row;
     }
     // The full-cell pick agrees on protocol at the extremes.
     EXPECT_EQ(tuner.choose(graph, 8, 256).protocol, Protocol::kLL);
@@ -518,6 +556,236 @@ TEST(Tuner, TableIsCachedAndDeterministic)
     tuner.clearCache();
     EXPECT_EQ(tuner.formatTable(graph, 8), table1)
         << "rebuilt table diverges from the cached one";
+}
+
+// ------------------------------------------------ runAuto's plan
+
+/** runAuto's plan counters over one call. */
+struct PlanCounts {
+    double hit = 0.0;
+    double miss = 0.0;
+};
+
+/** runAuto on @p comm under a fresh metrics capture; returns its
+ *  ccl.plan.* counts. @p error, when set, receives whether the call
+ *  failed on a fault — a CollectiveError, or the bare RankKilled of
+ *  a killed task none of whose peers waited for it — which otherwise
+ *  propagates. */
+PlanCounts
+countedRunAuto(ccl::Communicator& comm, ccl::RankBuffers& buffers,
+               const topo::Graph& graph, bool* error = nullptr)
+{
+    obs::MetricRegistry registry;
+    registry.enable();
+    {
+        obs::ScopedCapture capture{obs::Capture(nullptr, &registry)};
+        try {
+            comm.runAuto(buffers, graph);
+        } catch (const ccl::CollectiveError&) {
+            if (error == nullptr)
+                throw;
+            *error = true;
+        } catch (const ccl::RankKilled&) {
+            if (error == nullptr)
+                throw;
+            *error = true;
+        }
+    }
+    return {registry.counter("ccl.plan.hit"),
+            registry.counter("ccl.plan.miss")};
+}
+
+/** Whether @p a and @p b have the same edges and physical routes. */
+bool
+sameEdges(const sched::Program& a, const sched::Program& b)
+{
+    if (a.edges.size() != b.edges.size())
+        return false;
+    for (std::size_t e = 0; e < a.edges.size(); ++e) {
+        const sched::Edge& x = a.edges[e];
+        const sched::Edge& y = b.edges[e];
+        if (x.src != y.src || x.dst != y.dst || x.flow != y.flow ||
+            x.lane != y.lane || a.route(x).hops != b.route(y).hops)
+            return false;
+    }
+    return true;
+}
+
+/** The program runAuto runs for @p elems floats on @p graph, as a
+ *  fresh allReduceProgram builds it. */
+sched::Program
+freshAutoProgram(const topo::Graph& graph, std::size_t elems)
+{
+    const ccl::TunerChoice choice =
+        ccl::Tuner::global().choose(graph, 8, elems);
+    return ccl::allReduceProgram(graph, 8, choice.algorithm,
+                                 choice.num_chunks);
+}
+
+/** The directed channel ids of the physical pair {a, b}. */
+std::vector<int>
+pairChannels(const topo::Graph& graph, int a, int b)
+{
+    std::vector<int> ids = graph.channelIds(a, b);
+    for (int id : graph.channelIds(b, a))
+        ids.push_back(id);
+    return ids;
+}
+
+TEST(Plan, StalePlanIsNeverUsed)
+{
+    // Functional mailboxes do not care which physical link they stand
+    // for, so a stale embedding still sums exactly: each step checks
+    // the plan's program against a fresh one, edge for edge.
+    constexpr int kElems = 256;
+    const topo::Graph dgx1 = topo::makeDgx1();
+    const topo::Graph minus04 =
+        topo::withoutChannels(dgx1, pairChannels(dgx1, 0, 4));
+    topo::Graph minus15 =
+        topo::withoutChannels(dgx1, pairChannels(dgx1, 1, 5));
+    ccl::Tuner& tuner = ccl::Tuner::global();
+    // The trap: both degraded graphs share one tuner table, but not
+    // one embedding.
+    ASSERT_EQ(tuner.formatTable(minus04, 8), tuner.formatTable(minus15, 8));
+    ASSERT_FALSE(sameEdges(freshAutoProgram(minus04, kElems),
+                           freshAutoProgram(minus15, kElems)));
+    ASSERT_FALSE(sameEdges(freshAutoProgram(dgx1, kElems),
+                           freshAutoProgram(minus04, kElems)));
+
+    ccl::Communicator comm(8, kSlots);
+    auto step = [&](const topo::Graph& graph, double hit, double miss,
+                    const std::string& what) {
+        SCOPED_TRACE(what);
+        ccl::RankBuffers buffers = integerBuffers(8, kElems);
+        const PlanCounts counts = countedRunAuto(comm, buffers, graph);
+        EXPECT_EQ(counts.hit, hit);
+        EXPECT_EQ(counts.miss, miss);
+        expectIntegerSums(buffers, kElems, what);
+        EXPECT_TRUE(comm.autoPlan()->matches(graph));
+        const ccl::TunerChoice choice =
+            ccl::Tuner::global().choose(graph, 8, kElems);
+        const std::shared_ptr<const ccl::BoundProgram> planned =
+            comm.autoPlan()->find(choice.algorithm, choice.num_chunks);
+        ASSERT_NE(planned, nullptr);
+        EXPECT_TRUE(sameEdges(planned->program,
+                              freshAutoProgram(graph, kElems)));
+    };
+    step(dgx1, 0, 1, "dgx1");
+    step(dgx1, 1, 0, "dgx1 again");
+    step(minus04, 0, 1, "dgx1 - {0,4}");
+    step(minus15, 0, 1, "dgx1 - {1,5}");
+    // The same object, changed in place: its tuner table stays the
+    // same (every NVLink already runs at the bottleneck rate or
+    // faster), its content does not.
+    const std::string table = tuner.formatTable(minus15, 8);
+    minus15.scaleChannelBandwidth(0, 2.0);
+    ASSERT_EQ(tuner.formatTable(minus15, 8), table);
+    EXPECT_FALSE(comm.autoPlan()->matches(minus15));
+    step(minus15, 0, 1, "dgx1 - {1,5}, channel 0 scaled");
+    // Only the last graph is kept.
+    step(dgx1, 0, 1, "dgx1 after the others");
+}
+
+TEST(Plan, ReusedAfterAbort)
+{
+    // A killed rank aborts a runAuto; after clearAbort() the next
+    // runAuto on the same graph runs the plan's program, bound before
+    // the abort, and sums exactly. (On the pool the killed task may be
+    // one no peer waits for; the run then fails with the bare
+    // RankKilled, and clearAbort() still flushes what it left.)
+    const topo::Graph graph = topo::makeDgx1();
+    for (RankExecutor::Mode mode : {RankExecutor::Mode::kPersistent,
+                                    RankExecutor::Mode::kStateMachine}) {
+        // 1 KiB picks LL, 2 MiB Simple.
+        for (int elems : {256, 1 << 19}) {
+            const Protocol proto =
+                ccl::Tuner::global()
+                    .choose(graph, 8, static_cast<std::size_t>(elems))
+                    .protocol;
+            SCOPED_TRACE(std::string(ccl::protocolName(proto)) + "/" +
+                         (mode == RankExecutor::Mode::kPersistent
+                              ? "persistent"
+                              : "state_machine"));
+            EXPECT_EQ(proto, elems == 256 ? Protocol::kLL
+                                          : Protocol::kSimple);
+            ccl::Communicator comm(8, kSlots, mode);
+            comm.setDeadline(300ms);
+            ccl::FaultInjector injector;
+            ccl::FaultInjector::Fault fault;
+            fault.rank = 3;
+            fault.action = ccl::FaultInjector::Action::kKill;
+            fault.at_op = 0; // before its first post: the rest wait
+            injector.arm(fault);
+            comm.setFaultInjector(&injector);
+
+            ccl::RankBuffers buffers = integerBuffers(8, elems);
+            bool aborted = false;
+            const PlanCounts first =
+                countedRunAuto(comm, buffers, graph, &aborted);
+            EXPECT_TRUE(aborted) << "runAuto completed despite the kill";
+            EXPECT_EQ(first.miss, 1.0);
+
+            comm.clearAbort();
+            comm.setFaultInjector(nullptr);
+            comm.setDeadline(10s); // a hang backstop only
+            ccl::RankBuffers retry = integerBuffers(8, elems);
+            const PlanCounts second = countedRunAuto(comm, retry, graph);
+            EXPECT_EQ(second.hit, 1.0);
+            EXPECT_EQ(second.miss, 0.0);
+            expectIntegerSums(retry, elems, "retry");
+        }
+    }
+}
+
+TEST(Plan, HitsAreByteIdenticalToAFreshProgram)
+{
+    // perfbench's ccl_latency sizes, then its ccl_bandwidth sizes, on
+    // one communicator per placement: the second and third runAuto of
+    // a size are plan hits and must match the fresh program on a fresh
+    // communicator byte for byte. Each distinct tuner cell is built
+    // once per communicator.
+    const topo::Graph graph = topo::makeDgx1();
+    const std::size_t sizes[] = {256, 1024, 4096, 16384, 1u << 20,
+                                 4u << 20};
+    ccl::Communicator comms[] = {
+        ccl::Communicator(8, kSlots, RankExecutor::Mode::kPersistent),
+        ccl::Communicator(8, kSlots, RankExecutor::Mode::kStateMachine),
+    };
+    double misses[] = {0.0, 0.0};
+    std::set<std::pair<ccl::AllReduceAlgorithm, int>> cells;
+    std::uint64_t seed = 601;
+    for (std::size_t elems : sizes) {
+        SCOPED_TRACE(elems);
+        const ccl::TunerChoice choice =
+            ccl::Tuner::global().choose(graph, 8, elems);
+        cells.insert({choice.algorithm, choice.num_chunks});
+        const ccl::RankBuffers input =
+            seededBuffers(8, static_cast<int>(elems), seed++);
+        ccl::RankBuffers reference = input;
+        {
+            ccl::Communicator fresh(8, kSlots);
+            ccl::runProgram(fresh, reference,
+                            ccl::allReduceProgram(graph, 8,
+                                                  choice.algorithm,
+                                                  choice.num_chunks),
+                            choice.protocol);
+        }
+        for (std::size_t m = 0; m < 2; ++m) {
+            SCOPED_TRACE(m == 0 ? "persistent" : "state_machine");
+            for (int call = 0; call < 3; ++call) {
+                ccl::RankBuffers buffers = input;
+                const PlanCounts counts =
+                    countedRunAuto(comms[m], buffers, graph);
+                misses[m] += counts.miss;
+                if (call > 0) {
+                    EXPECT_EQ(counts.hit, 1.0) << "call " << call;
+                    expectBytesIdentical(buffers, reference,
+                                         "call " + std::to_string(call));
+                }
+            }
+            EXPECT_EQ(misses[m], static_cast<double>(cells.size()));
+        }
+    }
 }
 
 // ------------------------- crossover on the analytic-model path

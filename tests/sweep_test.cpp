@@ -335,9 +335,7 @@ TEST(SweepRun, TunerTablesAreJobsInvariant)
             tables[i] = ccl::Tuner::global().formatTable(graph, 8);
             const std::size_t elems = std::size_t{256} << (4 * i);
             const ccl::Protocol proto =
-                ccl::Tuner::global().chooseProtocol(
-                    graph, 8, elems,
-                    ccl::AllReduceAlgorithm::kRing);
+                ccl::Tuner::global().choose(graph, 8, elems).protocol;
             sim::Simulation sim;
             simnet::Network net(sim, graph);
             const topo::RingEmbedding ring =
