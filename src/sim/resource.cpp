@@ -24,7 +24,7 @@ FifoResource::request(HoldFn hold, DoneFn done, double payload)
     Pending pending{std::move(hold), std::move(done), payload,
                     sim_.now()};
     if (busy_) {
-        waiting_.push_back(std::move(pending));
+        enqueue(std::move(pending));
         return;
     }
     grant(std::move(pending));
@@ -95,11 +95,45 @@ FifoResource::release()
 {
     CCUBE_CHECK(busy_, "release while idle on " << name_);
     busy_ = false;
-    if (!waiting_.empty()) {
-        Pending next = std::move(waiting_.front());
-        waiting_.pop_front();
-        grant(std::move(next));
+    if (waiting_count_ > 0)
+        grant(dequeue());
+}
+
+void
+FifoResource::enqueue(Pending pending)
+{
+    if (wait_tail_ == nullptr || wait_end_ == WaitBlock::kSlots) {
+        std::unique_ptr<WaitBlock> block = std::move(wait_spare_);
+        if (!block)
+            block = std::make_unique<WaitBlock>();
+        WaitBlock* fresh = block.get();
+        if (wait_tail_ == nullptr)
+            wait_head_ = std::move(block);
+        else
+            wait_tail_->next = std::move(block);
+        wait_tail_ = fresh;
+        wait_end_ = 0;
     }
+    wait_tail_->slots[wait_end_++] = std::move(pending);
+    ++waiting_count_;
+}
+
+FifoResource::Pending
+FifoResource::dequeue()
+{
+    Pending next = std::move(wait_head_->slots[wait_begin_++]);
+    if (--waiting_count_ == 0) {
+        // Drained: the head is the tail; rewind it, drop the spare.
+        wait_begin_ = 0;
+        wait_end_ = 0;
+        wait_spare_.reset();
+    } else if (wait_begin_ == WaitBlock::kSlots) {
+        std::unique_ptr<WaitBlock> spent = std::move(wait_head_);
+        wait_head_ = std::move(spent->next);
+        wait_begin_ = 0;
+        wait_spare_ = std::move(spent);
+    }
+    return next;
 }
 
 } // namespace sim

@@ -11,7 +11,7 @@
  */
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,7 +73,7 @@ class FifoResource
     bool busy() const { return busy_; }
 
     /** Number of queued (not yet granted) requests. */
-    std::size_t queueLength() const { return waiting_.size(); }
+    std::size_t queueLength() const { return waiting_count_; }
 
     /** Cumulative busy time, for utilization reporting. */
     Time busyTime() const { return busy_time_; }
@@ -127,8 +127,17 @@ class FifoResource
         Time requested_at = 0.0;
     };
 
+    /** A fixed run of waiting requests; blocks chain head to tail. */
+    struct WaitBlock {
+        static constexpr std::size_t kSlots = 8;
+        Pending slots[kSlots];
+        std::unique_ptr<WaitBlock> next;
+    };
+
     void grant(Pending pending);
     void release();
+    void enqueue(Pending pending);
+    Pending dequeue();
 
     Simulation& sim_;
     std::string name_;
@@ -136,7 +145,19 @@ class FifoResource
     DoneFn active_done_; ///< completion callback of the current grant;
                          ///< stashed here so the scheduled release
                          ///< event captures only `this` (inline-sized)
-    std::deque<Pending> waiting_;
+    /// Waiting requests in FIFO order: a chain of blocks, read from
+    /// wait_head_[wait_begin_] and written at wait_tail_[wait_end_].
+    /// The head block, once read through, becomes the spare the next
+    /// full tail takes, so a backed-up channel cycles through its
+    /// blocks without allocating; a drained queue frees the spare and
+    /// keeps one block, so memory stays within two blocks of the live
+    /// queue.
+    std::unique_ptr<WaitBlock> wait_head_;
+    WaitBlock* wait_tail_ = nullptr;
+    std::unique_ptr<WaitBlock> wait_spare_;
+    std::size_t wait_begin_ = 0;
+    std::size_t wait_end_ = 0;
+    std::size_t waiting_count_ = 0;
     Time busy_time_ = 0.0;
     std::uint64_t grants_ = 0;
     double total_payload_ = 0.0;

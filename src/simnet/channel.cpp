@@ -24,11 +24,6 @@ Network::Network(sim::Simulation& simulation, const topo::Graph& graph,
                             std::to_string(id)));
         resources_.back()->setTraceIdentity(
             obs::pids::simNode(desc.src), id);
-        pair_channels_[(static_cast<std::uint64_t>(
-                            static_cast<std::uint32_t>(desc.src))
-                        << 32) |
-                       static_cast<std::uint32_t>(desc.dst)]
-            .push_back(id);
     }
     announceTraceTopology();
 
@@ -96,18 +91,6 @@ Network::sampleMonitorGauges(
     monitor_last_t_ = t_s;
 }
 
-const std::vector<int>&
-Network::pairChannels(topo::NodeId src, topo::NodeId dst) const
-{
-    const auto it = pair_channels_.find(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-         << 32) |
-        static_cast<std::uint32_t>(dst));
-    CCUBE_CHECK(it != pair_channels_.end(),
-                "no channel " << src << " → " << dst);
-    return it->second;
-}
-
 void
 Network::announceTraceTopology() const
 {
@@ -133,7 +116,7 @@ Network::closeTraceEpoch(double run_end) const
         recorder.advanceSimEpoch(run_end * 1e6);
 }
 
-void
+bool
 Network::transferOnChannel(int channel_id, double bytes, DoneFn done,
                            double latency_factor)
 {
@@ -158,22 +141,13 @@ Network::transferOnChannel(int channel_id, double bytes, DoneFn done,
                                   recorder.simOffsetUs() +
                                       sim_.now() * 1e6);
         }
-        return;
+        return false;
     }
     const double hold = occupancy(channel_id, bytes, latency_factor);
     ++net_transfers_;
     resources_[static_cast<std::size_t>(channel_id)]->request(
         [hold]() { return hold; }, std::move(done), bytes);
-}
-
-void
-Network::transfer(topo::NodeId src, topo::NodeId dst, double bytes,
-                  DoneFn done, int lane, double latency_factor)
-{
-    const std::vector<int>& ids = pairChannels(src, dst);
-    const int pick = std::clamp(lane, 0, static_cast<int>(ids.size()) - 1);
-    transferOnChannel(ids[static_cast<std::size_t>(pick)], bytes,
-                      std::move(done), latency_factor);
+    return true;
 }
 
 double

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,20 +59,11 @@ class Network
      * @p latency_factor scales the channel's fixed latency term — the
      * wire-protocol knob (LL skips the fenced sync round-trip, so its
      * transfers pay only a fraction of α; bytes are inflated by the
-     * caller).
+     * caller). Returns false when the channel has failed and the
+     * transfer was dropped (see failChannel()).
      */
-    void transferOnChannel(int channel_id, double bytes, DoneFn done,
+    bool transferOnChannel(int channel_id, double bytes, DoneFn done,
                            double latency_factor = 1.0);
-
-    /**
-     * Queues a transfer between adjacent nodes. When several parallel
-     * channels connect the pair, @p lane selects one (clamped) — the
-     * mechanism by which the two trees of the C-Cube double tree each
-     * claim a private channel on double-NVLink pairs.
-     */
-    void transfer(topo::NodeId src, topo::NodeId dst, double bytes,
-                  DoneFn done, int lane = 0,
-                  double latency_factor = 1.0);
 
     /** Cumulative busy time of a channel (utilization telemetry). */
     double channelBusyTime(int channel_id) const;
@@ -180,12 +170,6 @@ class Network
         double t_s,
         std::vector<std::pair<std::string, double>>& out);
 
-    /** Channel ids src → dst in graph order, cached at construction so
-     *  the per-transfer lane pick is one hash probe instead of a
-     *  heap-allocated Graph::channelIds() vector. */
-    const std::vector<int>& pairChannels(topo::NodeId src,
-                                         topo::NodeId dst) const;
-
     /** Per-channel mutable fault state (indexed by channel id). */
     struct ChannelState {
         bool failed = false;
@@ -196,7 +180,6 @@ class Network
     const topo::Graph& graph_;
     double bandwidth_scale_;
     std::vector<std::unique_ptr<sim::FifoResource>> resources_;
-    std::unordered_map<std::uint64_t, std::vector<int>> pair_channels_;
     std::vector<ChannelState> channel_state_;
     std::uint64_t net_transfers_ = 0;
     std::uint64_t dropped_transfers_ = 0;

@@ -11,7 +11,7 @@ namespace simnet {
 ProgramDriver::ProgramDriver(Network& network,
                              const sched::Program& program,
                              double total_bytes, ccl::Protocol proto)
-    : net_(network), engine_(network), program_(program),
+    : net_(network), engine_(network, proto), program_(program),
       total_bytes_(total_bytes), inbox_(program.edges.size()),
       waiter_(program.edges.size(), -1),
       available_at_(static_cast<std::size_t>(program.num_ranks),
@@ -20,18 +20,17 @@ ProgramDriver::ProgramDriver(Network& network,
                         -1.0))
 {
     CCUBE_CHECK(total_bytes > 0.0, "non-positive payload");
-    engine_.setProtocol(proto);
     const double part_bytes =
         total_bytes / static_cast<double>(program.parts.size());
     for (const sched::Part& part : program.parts)
         chunk_bytes_.push_back(part_bytes / part.chunks);
-    routes_.reserve(program.edges.size());
+    // Edge e compiles to route handle e (handles count up from 0).
     for (const sched::Edge& edge : program.edges) {
         CCUBE_CHECK(edge.src != edge.dst,
                     "edge " << edge.src
                             << " → itself: a ring needs at least two ranks");
-        routes_.push_back(program.route(edge));
-        std::vector<topo::NodeId>& hops = routes_.back().hops;
+        topo::Route route = program.route(edge);
+        std::vector<topo::NodeId>& hops = route.hops;
         if (hops.empty())
             hops = network.graph().shortestPath(edge.src, edge.dst,
                                                 topo::LinkKind::kNvlink);
@@ -40,6 +39,7 @@ ProgramDriver::ProgramDriver(Network& network,
                                                 topo::LinkKind::kPcie);
         CCUBE_CHECK(!hops.empty(), "no NVLink or PCIe path "
                                        << edge.src << " → " << edge.dst);
+        engine_.compile(route, edge.lane);
     }
     // Every rank finalizes every chunk the skip mask keeps.
     for (int c = 0; c < program.numChunks(); ++c)
@@ -110,11 +110,8 @@ ProgramDriver::issue(int thread, int edge)
 {
     ++threads_[static_cast<std::size_t>(thread)].in_flight;
     const int part = program_.threads[static_cast<std::size_t>(thread)].part;
-    engine_.sendAlongRoute(
-        routes_[static_cast<std::size_t>(edge)],
-        chunk_bytes_[static_cast<std::size_t>(part)],
-        [this, thread, edge]() { onComplete(thread, edge); },
-        program_.edges[static_cast<std::size_t>(edge)].lane);
+    engine_.send(edge, chunk_bytes_[static_cast<std::size_t>(part)],
+                 [this, thread, edge]() { onComplete(thread, edge); });
 }
 
 void
@@ -206,14 +203,9 @@ treeChannelIds(const topo::Graph& graph,
     std::vector<int> out;
     for (const topo::Route& edge_route : embedding.routes) {
         const topo::Route route = down ? edge_route : edge_route.reversed();
-        for (std::size_t h = 0; h + 1 < route.hops.size(); ++h) {
-            const std::vector<int> ids =
-                graph.channelIds(route.hops[h], route.hops[h + 1]);
-            CCUBE_CHECK(!ids.empty(), "broken route in embedding");
-            const int pick = std::clamp(
-                lane, 0, static_cast<int>(ids.size()) - 1);
-            out.push_back(ids[static_cast<std::size_t>(pick)]);
-        }
+        for (std::size_t h = 0; h + 1 < route.hops.size(); ++h)
+            out.push_back(laneChannel(graph, route.hops[h],
+                                      route.hops[h + 1], lane));
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());

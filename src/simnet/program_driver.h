@@ -100,7 +100,6 @@ class ProgramDriver
     const sched::Program& program_;
     double total_bytes_;
     std::vector<double> chunk_bytes_; ///< per part
-    std::vector<topo::Route> routes_; ///< per edge, resolved once
     std::vector<ThreadState> threads_;
     std::vector<Inbox> inbox_; ///< per edge
     std::vector<int> waiter_;  ///< per edge: thread waiting, or -1

@@ -1,5 +1,6 @@
 #include "simnet/transfer_engine.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -9,108 +10,175 @@
 namespace ccube {
 namespace simnet {
 
-void
-TransferEngine::sendAlongRoute(const topo::Route& route, double bytes,
-                               DoneFn done, int lane)
+int
+laneChannel(const topo::Graph& graph, topo::NodeId src, topo::NodeId dst,
+            int lane)
 {
-    CCUBE_CHECK(route.hops.size() >= 2, "route needs at least two hops");
-    ++sends_issued_;
-    // Wire bytes: LL carries one flag word per payload word, so the
-    // fabric sees payload_factor × the logical size (inflated once
-    // here — runStage re-sends the same wire bytes on every segment).
-    bytes *= costs_.payload_factor;
-
-    if (route.hops.size() > 2 &&
-        obs::TraceRecorder::global().enabled()) {
-        // End-to-end flow span for multi-hop routes (single-channel
-        // sends are already covered by the channel occupancy span).
-        obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-        const topo::NodeId src = route.hops.front();
-        const topo::NodeId dst = route.hops.back();
-        const double start = net_.simulation().now();
-        const double offset = recorder.simOffsetUs();
-        const int hops = static_cast<int>(route.hops.size() - 1);
-        done = [this, src, dst, start, offset, bytes, hops, lane,
-                inner = std::move(done), &recorder]() mutable {
-            const double end = net_.simulation().now();
-            recorder.completeEvent(
-                "flow " + net_.graph().nodeLabel(src) + "->" +
-                    net_.graph().nodeLabel(dst),
-                "simnet.flow", obs::pids::simNode(src),
-                obs::kFlowTrackBase + lane, offset + start * 1e6,
-                (end - start) * 1e6,
-                {{"bytes", bytes}, {"hops", hops}});
-            if (inner)
-                inner();
-        };
+    // The lane-th src → dst channel in graph order, or the last one
+    // when the lane exceeds the parallel-channel count.
+    const int want = std::max(lane, 0);
+    int pick = -1;
+    int seen = 0;
+    for (int id : graph.outChannels(src)) {
+        if (graph.channel(id).dst != dst)
+            continue;
+        pick = id;
+        if (seen++ == want)
+            break;
     }
-    runStage(route, 0, bytes, std::move(done), lane);
+    CCUBE_CHECK(pick >= 0, "no channel " << src << " → " << dst);
+    return pick;
+}
+
+TransferEngine::TransferEngine(Network& network, ccl::Protocol proto)
+    : net_(network), costs_(ccl::protocolCosts(proto))
+{
+}
+
+int
+TransferEngine::compile(const topo::Route& route, int lane)
+{
+    const std::vector<topo::NodeId>& hops = route.hops;
+    CCUBE_CHECK(hops.size() >= 2, "route needs at least two hops");
+    const topo::Graph& graph = net_.graph();
+    const int handle = static_cast<int>(routes_.size());
+    routes_.push_back(RouteInfo{static_cast<int>(stages_.size()),
+                                hops.front(), hops.back(),
+                                static_cast<int>(hops.size() - 1), lane});
+    for (std::size_t index = 0; index + 1 < hops.size();) {
+        // Extend the stage across consecutive switch transits.
+        std::size_t end = index + 1;
+        while (end + 1 < hops.size() && graph.isSwitch(hops[end]))
+            ++end;
+        Stage stage;
+        stage.route = handle;
+        stage.entry = laneChannel(graph, hops[index], hops[index + 1], lane);
+        if (end > index + 1) {
+            // The switch-to-switch channels are pure delay (their
+            // first parallel channel's latency).
+            for (std::size_t m = index + 1; m + 1 < end; ++m)
+                stage.mid_latency +=
+                    graph.channel(laneChannel(graph, hops[m], hops[m + 1], 0))
+                        .latency;
+            stage.mid_latency *= costs_.alpha_factor;
+            stage.exit = laneChannel(graph, hops[end - 1], hops[end], lane);
+        }
+        stage.last = end + 1 == hops.size();
+        stages_.push_back(stage);
+        index = end;
+    }
+    return handle;
 }
 
 void
-TransferEngine::runStage(const topo::Route& route, std::size_t index,
-                         double bytes, DoneFn done, int lane)
+TransferEngine::send(int route, double bytes, ArrivalFn done)
 {
-    const topo::Graph& graph = net_.graph();
-    // Extend the stage across consecutive switch transits.
-    std::size_t end = index + 1;
-    while (end + 1 < route.hops.size() && graph.isSwitch(route.hops[end]))
-        ++end;
-
-    if (end == index + 1 && end + 1 == route.hops.size()) {
-        // Final single-channel stage: the channel invokes done
-        // directly — no continuation wrapper (and no callback heap
-        // fallback) for the common single-hop send.
-        net_.transfer(route.hops[index], route.hops[index + 1], bytes,
-                      std::move(done), lane, costs_.alpha_factor);
-        return;
-    }
-
-    auto continuation = [this, route, end, bytes,
-                         done = std::move(done), lane]() mutable {
-        if (end + 1 == route.hops.size()) {
-            if (done)
-                done();
+    CCUBE_CHECK(route >= 0 && route < static_cast<int>(routes_.size()),
+                "bad route handle " << route);
+    ++sends_issued_;
+    const RouteInfo& info = routes_[static_cast<std::size_t>(route)];
+    Flight flight;
+    flight.engine = this;
+    flight.stage = info.first_stage;
+    // Wire bytes: LL carries one flag word per payload word, so the
+    // fabric sees payload_factor × the logical size (inflated once
+    // here — every stage re-sends the same wire bytes).
+    flight.bytes = bytes * costs_.payload_factor;
+    flight.done = std::move(done);
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    if (info.hops > 1 && recorder.enabled()) {
+        // End-to-end flow span for multi-hop routes (single-channel
+        // sends are already covered by the channel occupancy span).
+        const FlowStart start{net_.simulation().now(),
+                              recorder.simOffsetUs()};
+        if (free_flows_.empty()) {
+            flight.flow = static_cast<int>(flows_.size());
+            flows_.push_back(start);
         } else {
-            // A non-switch transit: store-and-forward into the next
-            // stage (the paper's GPU forwarding kernels).
-            runStage(route, end, bytes, std::move(done), lane);
+            flight.flow = free_flows_.back();
+            free_flows_.pop_back();
+            flows_[static_cast<std::size_t>(flight.flow)] = start;
         }
-    };
+    }
+    issueStage(std::move(flight));
+}
 
-    if (end == index + 1) {
-        // Single channel.
-        net_.transfer(route.hops[index], route.hops[index + 1], bytes,
-                      std::move(continuation), lane,
-                      costs_.alpha_factor);
+template <void (TransferEngine::*Next)(TransferEngine::Flight)>
+void
+TransferEngine::occupy(int channel, double latency_factor, Flight flight)
+{
+    const int flow = flight.flow;
+    const double bytes = flight.bytes;
+    const bool queued = net_.transferOnChannel(
+        channel, bytes,
+        [flight = std::move(flight)]() mutable {
+            (flight.engine->*Next)(std::move(flight));
+        },
+        latency_factor);
+    if (!queued && flow >= 0)
+        free_flows_.push_back(flow); // dropped: the span never ends
+}
+
+void
+TransferEngine::issueStage(Flight flight)
+{
+    const Stage& stage = stages_[static_cast<std::size_t>(flight.stage)];
+    if (stage.exit < 0)
+        occupy<&TransferEngine::onStageDone>(
+            stage.entry, costs_.alpha_factor, std::move(flight));
+    else
+        occupy<&TransferEngine::onEntryDone>(stage.entry, 1.0,
+                                             std::move(flight));
+}
+
+void
+TransferEngine::onEntryDone(Flight flight)
+{
+    // Always an event, even for a zero delay (a leaf-only run), so
+    // the event order does not depend on the fabric's depth.
+    const double delay =
+        stages_[static_cast<std::size_t>(flight.stage)].mid_latency;
+    net_.simulation().after(delay, [flight = std::move(flight)]() mutable {
+        flight.engine->onSwitchesCrossed(std::move(flight));
+    });
+}
+
+void
+TransferEngine::onSwitchesCrossed(Flight flight)
+{
+    const int exit = stages_[static_cast<std::size_t>(flight.stage)].exit;
+    occupy<&TransferEngine::onStageDone>(exit, costs_.alpha_factor,
+                                         std::move(flight));
+}
+
+void
+TransferEngine::onStageDone(Flight flight)
+{
+    const Stage& stage = stages_[static_cast<std::size_t>(flight.stage)];
+    if (!stage.last) {
+        // A non-switch transit: store-and-forward into the next stage
+        // (the paper's GPU forwarding kernels).
+        ++flight.stage;
+        issueStage(std::move(flight));
         return;
     }
-
-    // Cut-through across switches: occupy the entry channel, add the
-    // intermediate switch latencies as pure delay, then occupy the
-    // exit channel (the receiver's port is a real contention point).
-    double mid_latency = 0.0;
-    for (std::size_t m = index + 1; m + 1 < end; ++m) {
-        const auto ids = graph.channelIds(route.hops[m],
-                                          route.hops[m + 1]);
-        CCUBE_CHECK(!ids.empty(), "broken route");
-        mid_latency += graph.channel(ids.front()).latency;
+    if (flight.flow >= 0) {
+        const RouteInfo& route = routes_[static_cast<std::size_t>(stage.route)];
+        const FlowStart& start =
+            flows_[static_cast<std::size_t>(flight.flow)];
+        const double end = net_.simulation().now();
+        const topo::Graph& graph = net_.graph();
+        obs::TraceRecorder::global().completeEvent(
+            "flow " + graph.nodeLabel(route.src) + "->" +
+                graph.nodeLabel(route.dst),
+            "simnet.flow", obs::pids::simNode(route.src),
+            obs::kFlowTrackBase + route.lane,
+            start.offset_us + start.start * 1e6, (end - start.start) * 1e6,
+            {{"bytes", flight.bytes}, {"hops", route.hops}});
+        free_flows_.push_back(flight.flow);
     }
-    mid_latency *= costs_.alpha_factor;
-    net_.transfer(
-        route.hops[index], route.hops[index + 1], bytes,
-        [this, route, index, end, bytes, mid_latency,
-         continuation = std::move(continuation), lane]() mutable {
-            net_.simulation().after(
-                mid_latency,
-                [this, route, end, bytes,
-                 continuation = std::move(continuation), lane]() mutable {
-                    net_.transfer(route.hops[end - 1], route.hops[end],
-                                  bytes, std::move(continuation), lane,
-                                  costs_.alpha_factor);
-                });
-        },
-        lane);
+    if (flight.done)
+        flight.done();
 }
 
 } // namespace simnet

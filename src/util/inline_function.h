@@ -14,7 +14,9 @@
  * pool, and invoking it are all moves.
  *
  * The per-object overhead is one operations-table pointer (invoke /
- * relocate / destroy); an empty function has a null table, making
+ * relocate / destroy), and the buffer is pointer-aligned, so the object
+ * is exactly Capacity + 8 bytes (an over-aligned callable takes the
+ * heap path); an empty function has a null table, making
  * `bool(fn)` and destruction branch-cheap. Relocation is noexcept by
  * construction, which is what lets the event pool keep callables in a
  * plain std::vector slab.
@@ -128,8 +130,7 @@ class InlineFunction<R(Args...), Capacity>
 
     template <typename D>
     static constexpr bool kFitsInline =
-        sizeof(D) <= Capacity &&
-        alignof(D) <= alignof(std::max_align_t) &&
+        sizeof(D) <= Capacity && alignof(D) <= alignof(void*) &&
         std::is_nothrow_move_constructible_v<D>;
 
     template <typename D>
@@ -197,7 +198,7 @@ class InlineFunction<R(Args...), Capacity>
         }
     }
 
-    alignas(std::max_align_t) unsigned char storage_[Capacity];
+    alignas(void*) unsigned char storage_[Capacity];
     const Ops* ops_ = nullptr;
 };
 

@@ -76,8 +76,10 @@ TEST(Network, TransfersOnOneChannelSerialize)
     const topo::Graph g = makeClique(2);
     Network net(sim, g);
     std::vector<double> done;
+    const int ch = g.channelIds(0, 1).front();
     for (int i = 0; i < 3; ++i)
-        net.transfer(0, 1, 1e6, [&]() { done.push_back(sim.now()); });
+        net.transferOnChannel(ch, 1e6,
+                              [&]() { done.push_back(sim.now()); });
     sim.run();
     const double step = kAlpha + 1e6 / kBw;
     ASSERT_EQ(done.size(), 3u);
@@ -96,8 +98,11 @@ TEST(Network, ParallelLanesDoNotContend)
     g.addLink(0, 1, kBw, kAlpha);
     Network net(sim, g);
     std::vector<double> done;
-    net.transfer(0, 1, 1e6, [&]() { done.push_back(sim.now()); }, 0);
-    net.transfer(0, 1, 1e6, [&]() { done.push_back(sim.now()); }, 1);
+    const std::vector<int> lanes = g.channelIds(0, 1);
+    ASSERT_EQ(lanes.size(), 2u);
+    for (int ch : lanes)
+        net.transferOnChannel(ch, 1e6,
+                              [&]() { done.push_back(sim.now()); });
     sim.run();
     const double step = kAlpha + 1e6 / kBw;
     ASSERT_EQ(done.size(), 2u);
