@@ -282,14 +282,27 @@ Communicator::runEnvelope(const char* op,
     }
 
     std::exception_ptr err;
+    bool killed = false;
     try {
         launch();
+    } catch (const RankKilled&) {
+        err = std::current_exception();
+        killed = true;
     } catch (...) {
         err = std::current_exception();
     }
 
     if (watchdog != nullptr)
         watchdog->disarm(); // blocks out an in-flight expiry callback
+    if (killed) {
+        // A killed task no peer waited for ends the collective without
+        // tripping the epoch, yet its mailboxes may still hold chunks
+        // it never delivered or consumed: poison the communicator, so
+        // clearAbort() flushes them before it is reused. The dead rank
+        // is blamed (no-op when the watchdog already tripped).
+        abort(fault_.deadlineInfo(
+            std::chrono::duration<double>(deadline).count()));
+    }
     fault_.endCollective();
 
     if (monitored) {

@@ -99,8 +99,10 @@ class Communicator
      * wedges past the deadline the abort epoch trips, every bounded
      * spin unblocks, and run() throws a structured CollectiveError
      * naming the failed rank, op, and blocked mailbox — instead of
-     * hanging. An abort poisons the communicator (like NCCL after
-     * ncclCommAbort): further run() calls rethrow until clearAbort().
+     * hanging. A rank killed by the FaultInjector trips the same
+     * abort, blaming that rank, even when no peer waited for it. An
+     * abort poisons the communicator (like NCCL after ncclCommAbort):
+     * further run() calls rethrow until clearAbort().
      *
      * @p proto is the wire protocol the collective's mailbox traffic
      * uses — recorded as a `ccl.proto.<name>` telemetry counter so

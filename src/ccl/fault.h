@@ -307,10 +307,11 @@ class CommFaultContext
     // ---- watchdog side ----
 
     /**
-     * Attribution snapshot for a deadline overrun: blames the first
-     * rank marked dead by the injector, else the running rank with the
-     * fewest completed mailbox ops, and reports that rank's blocked
-     * wait site and last posted sequence number.
+     * Attribution snapshot for a deadline overrun, or for a killed
+     * rank no peer waited for: blames the first rank marked dead by
+     * the injector, else the running rank with the fewest completed
+     * mailbox ops, and reports that rank's blocked wait site and last
+     * posted sequence number.
      */
     CollectiveError::Info deadlineInfo(double deadline_s) const;
 

@@ -116,15 +116,22 @@ Network::closeTraceEpoch(double run_end) const
         recorder.advanceSimEpoch(run_end * 1e6);
 }
 
-bool
-Network::transferOnChannel(int channel_id, double bytes, DoneFn done,
-                           double latency_factor)
+std::size_t
+Network::checkedChannel(int channel_id) const
 {
     CCUBE_CHECK(channel_id >= 0 &&
                     channel_id < static_cast<int>(resources_.size()),
                 "bad channel id " << channel_id);
+    return static_cast<std::size_t>(channel_id);
+}
+
+bool
+Network::transferOnChannel(int channel_id, double bytes, DoneFn done,
+                           double latency_factor)
+{
+    const std::size_t id = checkedChannel(channel_id);
     CCUBE_CHECK(bytes > 0.0, "non-positive transfer size");
-    if (channel_state_[static_cast<std::size_t>(channel_id)].failed) {
+    if (channel_state_[id].failed) {
         // Dead link: the transfer is lost and its completion callback
         // never fires, so everything downstream of it stalls — the
         // DES analog of traffic into a failed NVLink. The schedule
@@ -145,57 +152,33 @@ Network::transferOnChannel(int channel_id, double bytes, DoneFn done,
     }
     const double hold = occupancy(channel_id, bytes, latency_factor);
     ++net_transfers_;
-    resources_[static_cast<std::size_t>(channel_id)]->request(
-        [hold]() { return hold; }, std::move(done), bytes);
+    resources_[id]->request([hold]() { return hold; }, std::move(done),
+                            bytes);
     return true;
 }
 
 double
 Network::channelBusyTime(int channel_id) const
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    return resources_[static_cast<std::size_t>(channel_id)]->busyTime();
+    return resources_[checkedChannel(channel_id)]->busyTime();
 }
 
 std::uint64_t
 Network::channelGrants(int channel_id) const
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    return resources_[static_cast<std::size_t>(channel_id)]->grants();
+    return resources_[checkedChannel(channel_id)]->grants();
 }
 
 double
 Network::channelBytes(int channel_id) const
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    return resources_[static_cast<std::size_t>(channel_id)]
-        ->totalPayload();
-}
-
-const util::RunningStats&
-Network::channelQueueWait(int channel_id) const
-{
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    return resources_[static_cast<std::size_t>(channel_id)]
-        ->queueWaitStats();
+    return resources_[checkedChannel(channel_id)]->totalPayload();
 }
 
 const std::vector<std::pair<double, double>>&
 Network::channelBusyIntervals(int channel_id) const
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    return resources_[static_cast<std::size_t>(channel_id)]
-        ->busyIntervals();
+    return resources_[checkedChannel(channel_id)]->busyIntervals();
 }
 
 void
@@ -242,10 +225,7 @@ Network::occupancy(int channel_id, double bytes,
 void
 Network::failChannel(int channel_id)
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    channel_state_[static_cast<std::size_t>(channel_id)].failed = true;
+    channel_state_[checkedChannel(channel_id)].failed = true;
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (recorder.enabled()) {
         const topo::ChannelDesc& desc = graph_.channel(channel_id);
@@ -268,10 +248,7 @@ Network::failChannel(int channel_id)
 void
 Network::restoreChannel(int channel_id)
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    channel_state_[static_cast<std::size_t>(channel_id)].failed = false;
+    channel_state_[checkedChannel(channel_id)].failed = false;
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (recorder.enabled()) {
         const topo::ChannelDesc& desc = graph_.channel(channel_id);
@@ -285,12 +262,9 @@ Network::restoreChannel(int channel_id)
 void
 Network::setChannelBandwidthFactor(int channel_id, double factor)
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
+    const std::size_t id = checkedChannel(channel_id);
     CCUBE_CHECK(factor > 0.0, "bandwidth factor must be positive");
-    channel_state_[static_cast<std::size_t>(channel_id)].factor *=
-        factor;
+    channel_state_[id].factor *= factor;
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (recorder.enabled() && factor != 1.0) {
         const topo::ChannelDesc& desc = graph_.channel(channel_id);
@@ -320,19 +294,13 @@ Network::slowNode(topo::NodeId node, double factor)
 bool
 Network::channelFailed(int channel_id) const
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    return channel_state_[static_cast<std::size_t>(channel_id)].failed;
+    return channel_state_[checkedChannel(channel_id)].failed;
 }
 
 double
 Network::channelBandwidthFactor(int channel_id) const
 {
-    CCUBE_CHECK(channel_id >= 0 &&
-                    channel_id < static_cast<int>(resources_.size()),
-                "bad channel id " << channel_id);
-    return channel_state_[static_cast<std::size_t>(channel_id)].factor;
+    return channel_state_[checkedChannel(channel_id)].factor;
 }
 
 } // namespace simnet

@@ -74,10 +74,6 @@ class Network
     /** Total bytes granted on a channel. */
     double channelBytes(int channel_id) const;
 
-    /** Queue-wait statistics of a channel (time requests spent
-     *  serialized behind earlier transfers). */
-    const util::RunningStats& channelQueueWait(int channel_id) const;
-
     /**
      * Per-grant busy intervals [start, end] of a channel in simulated
      * seconds (grant order). Captured only while tracing or a metrics
@@ -169,6 +165,9 @@ class Network
     void sampleMonitorGauges(
         double t_s,
         std::vector<std::pair<std::string, double>>& out);
+
+    /** @p channel_id as an index, checked against the channel count. */
+    std::size_t checkedChannel(int channel_id) const;
 
     /** Per-channel mutable fault state (indexed by channel id). */
     struct ChannelState {

@@ -8,21 +8,23 @@
  * builder and hand it to runProgram (or, under a fault plan, to
  * runProgramWithFaults in simnet/fault_plan.h).
  *
- * Each program thread walks its steps at simulated time: a send
- * issues a TransferEngine transfer on the edge's lane along the
- * edge's route. An edge that names no route takes the shortest NVLink
- * path, or the shortest PCIe path when no NVLink path exists (so a
- * fallback ring over PCIe peer links simulates too); either is looked
- * up once at construction. A send carries on without waiting, unless
- * the step is marked after_drain; recv, recvReduce and forward wait
- * for the edge's next arrival; a final marker stamps chunk_at_rank
- * with the landing time of the latest chunk the thread has taken (a
- * ring rank still waiting for its own send to drain has the chunk
- * from the moment it lands). A transfer's completion first resumes
- * its sender if it waits for the drain, then delivers the arrival and
- * resumes the thread waiting on that edge — all inside the completion
- * event, so a forwarder re-sends a detour chunk exactly when
- * store-and-forward would.
+ * Construction compiles every edge's route on the edge's lane into
+ * TransferEngine stages (route handle = edge index); an edge that
+ * names no route takes the shortest NVLink path, or the shortest PCIe
+ * path when no NVLink path exists (so a fallback ring over PCIe peer
+ * links simulates too). Each program thread then walks its steps at
+ * simulated time: a send hands the engine the edge's handle, the
+ * part's chunk bytes and a (driver, thread, edge) arrival — no route,
+ * lane or channel is looked up per send. A send carries on without
+ * waiting, unless the step is marked after_drain; recv, recvReduce
+ * and forward wait for the edge's next arrival; a final marker stamps
+ * chunk_at_rank with the landing time of the latest chunk the thread
+ * has taken (a ring rank still waiting for its own send to drain has
+ * the chunk from the moment it lands). A transfer's completion first
+ * resumes its sender if it waits for the drain, then delivers the
+ * arrival and resumes the thread waiting on that edge — all inside the
+ * completion event, so a forwarder re-sends a detour chunk exactly
+ * when store-and-forward would.
  */
 
 #include <vector>
@@ -118,10 +120,10 @@ ScheduleResult runProgram(sim::Simulation& simulation, Network& network,
 
 /**
  * The physical channel ids a tree program on @p embedding occupies in
- * one direction, replicating the driver's lane selection exactly
- * (channelIds(a, b) indexed by @p lane clamped to the parallel-channel
- * count). @p down selects broadcast-direction (parent → child) routes;
- * false selects reduction-direction (child → parent). Sorted, deduped.
+ * one direction: laneChannel() on @p lane for every hop, the lane
+ * pick the driver's route compiler makes. @p down selects
+ * broadcast-direction (parent → child) routes; false selects
+ * reduction-direction (child → parent). Sorted, deduped.
  * Channels inside switch cut-through runs are included even though the
  * engine models them as pure delay; analyzers that skip traffic-less
  * channels are unaffected.

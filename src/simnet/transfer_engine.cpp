@@ -14,20 +14,10 @@ int
 laneChannel(const topo::Graph& graph, topo::NodeId src, topo::NodeId dst,
             int lane)
 {
-    // The lane-th src → dst channel in graph order, or the last one
-    // when the lane exceeds the parallel-channel count.
-    const int want = std::max(lane, 0);
-    int pick = -1;
-    int seen = 0;
-    for (int id : graph.outChannels(src)) {
-        if (graph.channel(id).dst != dst)
-            continue;
-        pick = id;
-        if (seen++ == want)
-            break;
-    }
-    CCUBE_CHECK(pick >= 0, "no channel " << src << " → " << dst);
-    return pick;
+    const std::vector<int> ids = graph.channelIds(src, dst);
+    CCUBE_CHECK(!ids.empty(), "no channel " << src << " → " << dst);
+    return ids[static_cast<std::size_t>(
+        std::clamp(lane, 0, static_cast<int>(ids.size()) - 1))];
 }
 
 TransferEngine::TransferEngine(Network& network, ccl::Protocol proto)
@@ -54,8 +44,7 @@ TransferEngine::compile(const topo::Route& route, int lane)
         stage.route = handle;
         stage.entry = laneChannel(graph, hops[index], hops[index + 1], lane);
         if (end > index + 1) {
-            // The switch-to-switch channels are pure delay (their
-            // first parallel channel's latency).
+            // Switch-to-switch channels: their first channel's latency.
             for (std::size_t m = index + 1; m + 1 < end; ++m)
                 stage.mid_latency +=
                     graph.channel(laneChannel(graph, hops[m], hops[m + 1], 0))
@@ -75,22 +64,17 @@ TransferEngine::send(int route, double bytes, ArrivalFn done)
 {
     CCUBE_CHECK(route >= 0 && route < static_cast<int>(routes_.size()),
                 "bad route handle " << route);
-    ++sends_issued_;
     const RouteInfo& info = routes_[static_cast<std::size_t>(route)];
-    Flight flight;
-    flight.engine = this;
-    flight.stage = info.first_stage;
-    // Wire bytes: LL carries one flag word per payload word, so the
-    // fabric sees payload_factor × the logical size (inflated once
-    // here — every stage re-sends the same wire bytes).
-    flight.bytes = bytes * costs_.payload_factor;
-    flight.done = std::move(done);
+    // Wire bytes: LL carries one flag word per payload word, so every
+    // stage moves payload_factor × the logical size.
+    Flight flight{this, info.first_stage, -1,
+                  bytes * costs_.payload_factor, std::move(done)};
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (info.hops > 1 && recorder.enabled()) {
-        // End-to-end flow span for multi-hop routes (single-channel
-        // sends are already covered by the channel occupancy span).
-        const FlowStart start{net_.simulation().now(),
-                              recorder.simOffsetUs()};
+        // End-to-end flow span for multi-hop routes (a single-channel
+        // send is already covered by the channel occupancy span).
+        const std::pair<double, double> start{net_.simulation().now(),
+                                              recorder.simOffsetUs()};
         if (free_flows_.empty()) {
             flight.flow = static_cast<int>(flows_.size());
             flows_.push_back(start);
@@ -105,7 +89,7 @@ TransferEngine::send(int route, double bytes, ArrivalFn done)
 
 template <void (TransferEngine::*Next)(TransferEngine::Flight)>
 void
-TransferEngine::occupy(int channel, double latency_factor, Flight flight)
+TransferEngine::occupy(int channel, Flight flight)
 {
     const int flow = flight.flow;
     const double bytes = flight.bytes;
@@ -114,7 +98,7 @@ TransferEngine::occupy(int channel, double latency_factor, Flight flight)
         [flight = std::move(flight)]() mutable {
             (flight.engine->*Next)(std::move(flight));
         },
-        latency_factor);
+        costs_.alpha_factor);
     if (!queued && flow >= 0)
         free_flows_.push_back(flow); // dropped: the span never ends
 }
@@ -124,31 +108,24 @@ TransferEngine::issueStage(Flight flight)
 {
     const Stage& stage = stages_[static_cast<std::size_t>(flight.stage)];
     if (stage.exit < 0)
-        occupy<&TransferEngine::onStageDone>(
-            stage.entry, costs_.alpha_factor, std::move(flight));
+        occupy<&TransferEngine::onStageDone>(stage.entry, std::move(flight));
     else
-        occupy<&TransferEngine::onEntryDone>(stage.entry, 1.0,
-                                             std::move(flight));
+        occupy<&TransferEngine::onEntryDone>(stage.entry, std::move(flight));
 }
 
 void
 TransferEngine::onEntryDone(Flight flight)
 {
-    // Always an event, even for a zero delay (a leaf-only run), so
-    // the event order does not depend on the fabric's depth.
+    // Always an event, even for a zero delay (a leaf-only run), so the
+    // event order does not depend on the fabric's depth.
     const double delay =
         stages_[static_cast<std::size_t>(flight.stage)].mid_latency;
     net_.simulation().after(delay, [flight = std::move(flight)]() mutable {
-        flight.engine->onSwitchesCrossed(std::move(flight));
+        TransferEngine& engine = *flight.engine;
+        const int exit =
+            engine.stages_[static_cast<std::size_t>(flight.stage)].exit;
+        engine.occupy<&TransferEngine::onStageDone>(exit, std::move(flight));
     });
-}
-
-void
-TransferEngine::onSwitchesCrossed(Flight flight)
-{
-    const int exit = stages_[static_cast<std::size_t>(flight.stage)].exit;
-    occupy<&TransferEngine::onStageDone>(exit, costs_.alpha_factor,
-                                         std::move(flight));
 }
 
 void
@@ -156,24 +133,22 @@ TransferEngine::onStageDone(Flight flight)
 {
     const Stage& stage = stages_[static_cast<std::size_t>(flight.stage)];
     if (!stage.last) {
-        // A non-switch transit: store-and-forward into the next stage
-        // (the paper's GPU forwarding kernels).
+        // A GPU transit: store-and-forward into the next stage.
         ++flight.stage;
         issueStage(std::move(flight));
         return;
     }
     if (flight.flow >= 0) {
         const RouteInfo& route = routes_[static_cast<std::size_t>(stage.route)];
-        const FlowStart& start =
+        const auto [start, offset_us] =
             flows_[static_cast<std::size_t>(flight.flow)];
-        const double end = net_.simulation().now();
         const topo::Graph& graph = net_.graph();
         obs::TraceRecorder::global().completeEvent(
             "flow " + graph.nodeLabel(route.src) + "->" +
                 graph.nodeLabel(route.dst),
             "simnet.flow", obs::pids::simNode(route.src),
-            obs::kFlowTrackBase + route.lane,
-            start.offset_us + start.start * 1e6, (end - start.start) * 1e6,
+            obs::kFlowTrackBase + route.lane, offset_us + start * 1e6,
+            (net_.simulation().now() - start) * 1e6,
             {{"bytes", flight.bytes}, {"hops", route.hops}});
         free_flows_.push_back(flight.flow);
     }

@@ -5,24 +5,19 @@
  * @file
  * Multi-hop transfers along routes compiled once.
  *
- * Detour routes (§IV-A) and switch-fabric paths move a chunk through
- * intermediate nodes. compile() turns a route into stages of resolved
- * channel ids; send() then walks those stages with continuations that
- * carry only the send's flight (engine, stage index, wire bytes and the
- * caller's small arrival callback), so a timed send copies no route,
- * builds no heap closure and looks up no channel.
- *
- * A stage is either one channel, or a cut-through run across
- * consecutive switches: only its entry and exit channels are occupied
- * (the sender's and the receiver's ports are the real contention
- * points), and the switch-to-switch channels between them add their
- * latency as one pure delay. A non-switch transit (a GPU detour) ends
- * a stage — it stores and forwards, a full channel occupancy per
- * segment, exactly how the paper's forwarding kernels behave (the
- * chunk is received into the transit GPU's memory, then re-sent).
+ * compile() splits a route into stages of resolved channel ids. A
+ * stage is one channel, or a cut-through run across consecutive
+ * switches: only its entry and exit channels (the endpoint ports) are
+ * occupied, and the switch-to-switch channels add their latency as one
+ * pure delay. A non-switch transit (a §IV-A GPU detour) ends a stage:
+ * the chunk lands in the transit GPU's memory and is re-sent, like the
+ * paper's forwarding kernels. send() walks the stages with
+ * continuations that carry only the send's flight (engine, stage,
+ * wire bytes, the caller's small arrival callback): no route copy, no
+ * channel lookup, no heap closure.
  */
 
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ccl/protocol.h"
@@ -35,19 +30,16 @@ namespace simnet {
 
 /**
  * The channel a send on @p lane takes from @p src to the adjacent
- * @p dst: channelIds(src, dst) indexed by @p lane clamped to the
- * parallel-channel count — the mechanism by which the two trees of the
- * C-Cube double tree each claim a private channel on double-NVLink
- * pairs. The one lane pick of the timed world.
+ * @p dst: channelIds(src, dst)[lane], the lane clamped to the
+ * parallel-channel count (so each tree of a double tree can claim a
+ * private channel of a double-NVLink pair). The timed world's one
+ * lane pick.
  */
 int laneChannel(const topo::Graph& graph, topo::NodeId src,
                 topo::NodeId dst, int lane);
 
-/**
- * What a send runs when its last stage lands: move-only, with 16 bytes
- * in place — a pointer and two ints, e.g. (driver, thread, edge). A
- * bigger capture still works but heap-allocates.
- */
+/** What a send runs when its last stage lands: move-only, 16 bytes in
+ *  place — e.g. (driver, thread, edge); a bigger capture allocates. */
 using ArrivalFn = util::InlineFunction<void(), 16>;
 
 /**
@@ -60,10 +52,10 @@ class TransferEngine
      * Binds the engine to @p network. @p proto is the wire protocol
      * every send models (ccl::protocolCosts): LL inflates the payload
      * by its payload_factor once per send — one inline flag word per
-     * data word — and scales every fixed latency term (channel α,
-     * switch transit latency) by its alpha_factor, because the
-     * receiver spins on the flags directly instead of taking the
-     * fenced semaphore round-trip. Simple is the identity.
+     * data word — and scales every fixed latency term (each occupied
+     * channel's α, the switch cut-through delay) by its alpha_factor,
+     * because the receiver spins on the flags directly instead of
+     * taking the fenced semaphore round-trip. Simple is the identity.
      */
     explicit TransferEngine(Network& network,
                             ccl::Protocol proto = ccl::Protocol::kSimple);
@@ -72,48 +64,37 @@ class TransferEngine
     TransferEngine(const TransferEngine&) = delete;
     TransferEngine& operator=(const TransferEngine&) = delete;
 
-    /**
-     * Compiles @p route (node sequence, at least two hops) into
-     * stages on @p lane (see laneChannel; every occupied channel takes
-     * that lane) and returns its handle for send(). Handles count up
-     * from 0 in compile order.
-     */
+    /** Compiles @p route (at least two hops) on @p lane; returns its
+     *  handle for send(). Handles count up from 0 in compile order. */
     int compile(const topo::Route& route, int lane = 0);
 
     /**
      * Sends @p bytes along compiled route @p route; @p done fires when
-     * the final stage completes. A stage whose channel has failed
-     * drops the send: @p done never fires. With tracing enabled a
-     * multi-hop send also emits one end-to-end flow span (src pid,
-     * flow track of its lane) covering queueing and every hop.
+     * the last stage lands. A failed channel drops the send (@p done
+     * never fires). While tracing, a multi-hop send also emits one
+     * end-to-end flow span (src pid, flow track of its lane).
      */
     void send(int route, double bytes, ArrivalFn done);
 
-    /** Compiles @p route on @p lane, then sends — for one-off sends;
-     *  a repeated route is compiled once and sent by handle. */
+    /** compile(), then send(): for a route sent once. */
     void sendAlongRoute(const topo::Route& route, double bytes,
                         ArrivalFn done, int lane = 0)
     {
         send(compile(route, lane), bytes, std::move(done));
     }
 
-    /** Multi-hop sends issued (store-and-forward or cut-through). */
-    std::uint64_t sendsIssued() const { return sends_issued_; }
-
   private:
-    /** One store-and-forward segment: the entry channel, and for a
-     *  cut-through run the switch delay (× alpha_factor) and the exit
-     *  channel (-1 for a single-channel stage). */
+    /** Entry channel; for a cut-through run also the switch delay
+     *  (× alpha_factor) and the exit channel (else -1). */
     struct Stage {
         int entry = -1;
         int exit = -1;
         double mid_latency = 0.0;
-        int route = 0;     ///< compiled route the stage belongs to
+        int route = 0;     ///< handle of the route it belongs to
         bool last = false; ///< the route's final stage
     };
 
-    /** A compiled route: its first stage (the rest follow, up to the
-     *  one marked last) and what its flow span names. */
+    /** A compiled route's first stage and what its flow span names. */
     struct RouteInfo {
         int first_stage = 0;
         topo::NodeId src = 0;
@@ -122,17 +103,8 @@ class TransferEngine
         int lane = 0;
     };
 
-    /** Start of a traced send's flow span. */
-    struct FlowStart {
-        double start = 0.0;     ///< simulated seconds
-        double offset_us = 0.0; ///< trace epoch offset at the start
-    };
-
-    /**
-     * The whole state of one send, moved from continuation to
-     * continuation; it fits sim::EventFn's inline buffer, so no stage
-     * allocates.
-     */
+    /** One send's whole state, moved from continuation to
+     *  continuation; sized to ride in an event's inline buffer. */
     struct Flight {
         TransferEngine* engine = nullptr;
         int stage = 0;      ///< index into stages_
@@ -141,28 +113,25 @@ class TransferEngine
         ArrivalFn done;
     };
     static_assert(sizeof(Flight) <= sim::EventFn::kCapacity,
-                  "a flight must ride in an event's inline buffer");
+                  "a flight must fit an event's inline buffer");
 
-    /** Issues the flight's current stage (its entry channel). */
+    /** Occupies the flight's stage entry channel. */
     void issueStage(Flight flight);
-    /** Cut-through: the entry channel drained; wait out the switches. */
+    /** Cut-through: waits out the switches, then the exit channel. */
     void onEntryDone(Flight flight);
-    /** Cut-through: the switch delay elapsed; occupy the exit channel. */
-    void onSwitchesCrossed(Flight flight);
-    /** The stage's last channel drained: next stage, or arrival. */
+    /** Next stage, or the arrival. */
     void onStageDone(Flight flight);
-    /** Queues the flight's wire bytes on @p channel, continuing with
-     *  @p Next when the occupancy ends. */
+    /** Queues the flight on @p channel; @p Next runs when it drains. */
     template <void (TransferEngine::*Next)(Flight)>
-    void occupy(int channel, double latency_factor, Flight flight);
+    void occupy(int channel, Flight flight);
 
     Network& net_;
     ccl::ProtocolCosts costs_;
     std::vector<Stage> stages_;
     std::vector<RouteInfo> routes_;
-    std::vector<FlowStart> flows_; ///< traced sends in flight
+    /// (start s, trace offset µs) of traced sends in flight.
+    std::vector<std::pair<double, double>> flows_;
     std::vector<int> free_flows_;
-    std::uint64_t sends_issued_ = 0;
 };
 
 } // namespace simnet

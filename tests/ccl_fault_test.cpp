@@ -382,6 +382,66 @@ TEST_P(FaultedCollective, ClearAbortIsIdempotent)
     comm.run([](int) {}, "noop");
 }
 
+TEST(KilledRank, EveryKillPoisonsTheCommunicator)
+{
+    // Every rank of a P=8 DGX-1 double tree on the state-machine pool,
+    // killed at each of its first four mailbox ops, three tries each.
+    // Some killed tasks are ones no peer waits for (a leaf's broadcast
+    // receiver): the collective then ends without a deadline overrun,
+    // and the communicator must still be poisoned, blaming the killed
+    // rank, so clearAbort() flushes what the dead task left in its
+    // mailboxes and the next AllReduce sums exactly.
+    constexpr int kRanks = 8;
+    const topo::Graph graph = topo::makeDgx1();
+    const topo::DoubleTreeEmbedding dt = topo::makeDgx1DoubleTree(graph);
+    const sched::Program program =
+        sched::doubleTreeProgram(dt, sched::PhaseMode::kOverlapped, 2);
+    auto buffers = [&]() {
+        RankBuffers out(kRanks);
+        for (int r = 0; r < kRanks; ++r)
+            out[static_cast<std::size_t>(r)].assign(
+                32, static_cast<float>(r + 1));
+        return out;
+    };
+    Communicator comm(kRanks, 4, RankExecutor::Mode::kStateMachine);
+    for (int rank = 0; rank < kRanks; ++rank) {
+        for (int op = 0; op < 4; ++op) {
+            for (int attempt = 0; attempt < 3; ++attempt) {
+                SCOPED_TRACE(::testing::Message()
+                             << "rank " << rank << " op " << op
+                             << " try " << attempt);
+                FaultInjector injector;
+                FaultInjector::Fault fault;
+                fault.rank = rank;
+                fault.action = FaultInjector::Action::kKill;
+                fault.at_op = op;
+                injector.arm(fault);
+                comm.setFaultInjector(&injector);
+                comm.setDeadline(100ms);
+                RankBuffers faulted = buffers();
+                bool caught = false;
+                try {
+                    ccl::runProgram(comm, faulted, program);
+                } catch (const CollectiveError& error) {
+                    caught = true;
+                    EXPECT_EQ(error.info().failed_rank, rank);
+                }
+                EXPECT_TRUE(caught) << "the kill did not fail the run";
+                EXPECT_TRUE(comm.aborted());
+
+                comm.clearAbort();
+                comm.setFaultInjector(nullptr);
+                comm.setDeadline(10s); // a hang backstop only
+                RankBuffers clean = buffers();
+                ccl::runProgram(comm, clean, program);
+                for (const std::vector<float>& row : clean)
+                    for (float v : row)
+                        ASSERT_FLOAT_EQ(v, 36.0f); // 1+2+...+8
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, FaultedCollective,
     ::testing::Values(RankExecutor::Mode::kPersistent,

@@ -568,9 +568,8 @@ struct PlanCounts {
 
 /** runAuto on @p comm under a fresh metrics capture; returns its
  *  ccl.plan.* counts. @p error, when set, receives whether the call
- *  failed on a fault — a CollectiveError, or the bare RankKilled of
- *  a killed task none of whose peers waited for it — which otherwise
- *  propagates. */
+ *  failed with a CollectiveError, which otherwise propagates (so does
+ *  any other exception, such as a bare RankKilled). */
 PlanCounts
 countedRunAuto(ccl::Communicator& comm, ccl::RankBuffers& buffers,
                const topo::Graph& graph, bool* error = nullptr)
@@ -582,10 +581,6 @@ countedRunAuto(ccl::Communicator& comm, ccl::RankBuffers& buffers,
         try {
             comm.runAuto(buffers, graph);
         } catch (const ccl::CollectiveError&) {
-            if (error == nullptr)
-                throw;
-            *error = true;
-        } catch (const ccl::RankKilled&) {
             if (error == nullptr)
                 throw;
             *error = true;
@@ -688,11 +683,10 @@ TEST(Plan, StalePlanIsNeverUsed)
 
 TEST(Plan, ReusedAfterAbort)
 {
-    // A killed rank aborts a runAuto; after clearAbort() the next
-    // runAuto on the same graph runs the plan's program, bound before
-    // the abort, and sums exactly. (On the pool the killed task may be
-    // one no peer waits for; the run then fails with the bare
-    // RankKilled, and clearAbort() still flushes what it left.)
+    // A killed rank aborts a runAuto with a CollectiveError — also on
+    // the pool, when the killed task is one no peer waits for; after
+    // clearAbort() the next runAuto on the same graph runs the plan's
+    // program, bound before the abort, and sums exactly.
     const topo::Graph graph = topo::makeDgx1();
     for (RankExecutor::Mode mode : {RankExecutor::Mode::kPersistent,
                                     RankExecutor::Mode::kStateMachine}) {
@@ -723,6 +717,7 @@ TEST(Plan, ReusedAfterAbort)
             const PlanCounts first =
                 countedRunAuto(comm, buffers, graph, &aborted);
             EXPECT_TRUE(aborted) << "runAuto completed despite the kill";
+            EXPECT_TRUE(comm.aborted());
             EXPECT_EQ(first.miss, 1.0);
 
             comm.clearAbort();

@@ -3,10 +3,11 @@
  * Golden DES timestamps: every ScheduleResult field (completion time,
  * per-rank chunk times, per-chunk ready times) of a fixed corpus of
  * timed collectives, compared bit for bit against hex floats checked
- * in under tests/data/sched_golden.txt. The corpus covers the ring and
- * multi-ring, single trees (two-phase and overlapped, with detours),
- * the DGX-1 double tree in both phase modes × both lane policies ×
- * Simple/LL, DGX-2, a P=64 switch fabric, and one faulted double tree
+ * in under tests/data/sched_golden.txt. The corpus covers the ring
+ * (DGX-1 and a switch fabric, each under Simple and LL) and multi-ring,
+ * single trees (two-phase and overlapped, with detours), the DGX-1
+ * double tree in both phase modes × both lane policies × Simple/LL,
+ * DGX-2, a P=64 switch fabric, and one faulted double tree
  * whose plan kills the collective (partial results). Any change to
  * the DES that moves a single simulated timestamp fails here.
  */
@@ -92,14 +93,19 @@ corpusText()
         topo::SwitchFabricParams params;
         params.num_nodes = 16;
         const topo::Graph fabric = topo::makeSwitchFabric(params);
-        sim::Simulation sim;
-        Network net(sim, fabric);
-        dump(out, "ring_fabric16",
-             simnet::runProgram(sim, net,
-                                sched::ringProgram(
-                                    topo::makeSequentialRing(16),
-                                    sched::RingPhase::kAllReduce),
-                                8e6));
+        for (ccl::Protocol proto :
+             {ccl::Protocol::kSimple, ccl::Protocol::kLL}) {
+            sim::Simulation sim;
+            Network net(sim, fabric);
+            dump(out,
+                 proto == ccl::Protocol::kLL ? "ring_fabric16_ll"
+                                             : "ring_fabric16",
+                 simnet::runProgram(sim, net,
+                                    sched::ringProgram(
+                                        topo::makeSequentialRing(16),
+                                        sched::RingPhase::kAllReduce),
+                                    8e6, proto));
+        }
     }
 
     // Multi-ring: channel-disjoint rings sharing double links.
