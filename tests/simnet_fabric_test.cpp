@@ -105,7 +105,7 @@ TEST(CutThrough, DetourThenSwitchRunOnAClampedLane)
 {
     // g0 ⇉ g1 ⇉ s0 ⇉ s1 ⇉ g2: a GPU detour (store-and-forward at g1)
     // followed by a two-switch cut-through run, every pair doubled.
-    // Lane 3 exceeds the two parallel channels, so every occupied
+    // Lane 2 exceeds the two parallel channels, so every occupied
     // channel is the second (lane 1) of its pair; the switch-to-switch
     // delay is its first channel's latency. Each lane-1 channel has its
     // own α and bandwidth, so a wrong pick moves the completion time.
@@ -123,7 +123,7 @@ TEST(CutThrough, DetourThenSwitchRunOnAClampedLane)
     g.addLink(3, 4, kBw, 1e-6);
     g.addLink(3, 4, kBw / 2, 4e-6);
     const topo::Route route{{0, 1, 2, 3, 4}};
-    constexpr int kLane = 3;
+    constexpr int kLane = 2;
 
     sim::Simulation sim;
     Network net(sim, g);
