@@ -116,8 +116,9 @@ TransferEngine::issueStage(Flight flight)
 void
 TransferEngine::onEntryDone(Flight flight)
 {
-    // Always an event, even for a zero delay (a leaf-only run), so the
-    // event order does not depend on the fabric's depth.
+    // Always an event, even for a zero delay (a leaf-only run):
+    // dropping it would reorder same-time events, and so move
+    // tie-broken timestamps.
     const double delay =
         stages_[static_cast<std::size_t>(flight.stage)].mid_latency;
     net_.simulation().after(delay, [flight = std::move(flight)]() mutable {
@@ -139,7 +140,8 @@ TransferEngine::onStageDone(Flight flight)
         return;
     }
     if (flight.flow >= 0) {
-        const RouteInfo& route = routes_[static_cast<std::size_t>(stage.route)];
+        const RouteInfo& route =
+            routes_[static_cast<std::size_t>(stage.route)];
         const auto [start, offset_us] =
             flows_[static_cast<std::size_t>(flight.flow)];
         const topo::Graph& graph = net_.graph();

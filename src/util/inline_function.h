@@ -15,11 +15,11 @@
  *
  * The per-object overhead is one operations-table pointer (invoke /
  * relocate / destroy), and the buffer is pointer-aligned, so the object
- * is exactly Capacity + 8 bytes (an over-aligned callable takes the
- * heap path); an empty function has a null table, making
- * `bool(fn)` and destruction branch-cheap. Relocation is noexcept by
- * construction, which is what lets the event pool keep callables in a
- * plain std::vector slab.
+ * is Capacity plus one pointer for a Capacity that is a multiple of 8
+ * (an over-aligned callable takes the heap path); an empty function
+ * has a null table, making `bool(fn)` and destruction branch-cheap.
+ * Relocation is noexcept by construction, which is what lets the event
+ * pool keep callables in a plain std::vector slab.
  */
 
 #include <cstddef>
