@@ -9,7 +9,7 @@
  * runProgramWithFaults in simnet/fault_plan.h).
  *
  * Construction compiles every edge's route on the edge's lane into
- * TransferEngine stages (route handle = edge index); an edge that
+ * TransferEngine steps (route handle = edge index); an edge that
  * names no route takes the shortest NVLink path, or the shortest PCIe
  * path when no NVLink path exists (so a fallback ring over PCIe peer
  * links simulates too). Each program thread then walks its steps at

@@ -31,32 +31,31 @@ TransferEngine::compile(const topo::Route& route, int lane)
     const std::vector<topo::NodeId>& hops = route.hops;
     CCUBE_CHECK(hops.size() >= 2, "route needs at least two hops");
     const topo::Graph& graph = net_.graph();
-    const int handle = static_cast<int>(routes_.size());
-    routes_.push_back(RouteInfo{static_cast<int>(stages_.size()),
+    routes_.push_back(RouteInfo{static_cast<int>(steps_.size()),
                                 hops.front(), hops.back(),
                                 static_cast<int>(hops.size() - 1), lane});
     for (std::size_t index = 0; index + 1 < hops.size();) {
-        // Extend the stage across consecutive switch transits.
+        // A cut-through run spans consecutive switch transits.
         std::size_t end = index + 1;
         while (end + 1 < hops.size() && graph.isSwitch(hops[end]))
             ++end;
-        Stage stage;
-        stage.route = handle;
-        stage.entry = laneChannel(graph, hops[index], hops[index + 1], lane);
+        steps_.push_back(
+            Step{laneChannel(graph, hops[index], hops[index + 1], lane)});
         if (end > index + 1) {
             // Switch-to-switch channels: their first channel's latency.
+            double delay = 0.0;
             for (std::size_t m = index + 1; m + 1 < end; ++m)
-                stage.mid_latency +=
+                delay +=
                     graph.channel(laneChannel(graph, hops[m], hops[m + 1], 0))
                         .latency;
-            stage.mid_latency *= costs_.alpha_factor;
-            stage.exit = laneChannel(graph, hops[end - 1], hops[end], lane);
+            steps_.push_back(Step{kWait, delay * costs_.alpha_factor});
+            steps_.push_back(
+                Step{laneChannel(graph, hops[end - 1], hops[end], lane)});
         }
-        stage.last = end + 1 == hops.size();
-        stages_.push_back(stage);
         index = end;
     }
-    return handle;
+    steps_.push_back(Step{kArrive});
+    return static_cast<int>(routes_.size()) - 1;
 }
 
 void
@@ -66,15 +65,15 @@ TransferEngine::send(int route, double bytes, ArrivalFn done)
                 "bad route handle " << route);
     const RouteInfo& info = routes_[static_cast<std::size_t>(route)];
     // Wire bytes: LL carries one flag word per payload word, so every
-    // stage moves payload_factor × the logical size.
-    Flight flight{this, info.first_stage, -1,
-                  bytes * costs_.payload_factor, std::move(done)};
+    // step moves payload_factor × the logical size.
+    Flight flight{this, info.first_step, -1, bytes * costs_.payload_factor,
+                  std::move(done)};
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (info.hops > 1 && recorder.enabled()) {
         // End-to-end flow span for multi-hop routes (a single-channel
         // send is already covered by the channel occupancy span).
-        const std::pair<double, double> start{net_.simulation().now(),
-                                              recorder.simOffsetUs()};
+        const FlowStart start{route, net_.simulation().now(),
+                              recorder.simOffsetUs()};
         if (free_flows_.empty()) {
             flight.flow = static_cast<int>(flows_.size());
             flows_.push_back(start);
@@ -84,73 +83,45 @@ TransferEngine::send(int route, double bytes, ArrivalFn done)
             flows_[static_cast<std::size_t>(flight.flow)] = start;
         }
     }
-    issueStage(std::move(flight));
-}
-
-template <void (TransferEngine::*Next)(TransferEngine::Flight)>
-void
-TransferEngine::occupy(int channel, Flight flight)
-{
-    const int flow = flight.flow;
-    const double bytes = flight.bytes;
-    const bool queued = net_.transferOnChannel(
-        channel, bytes,
-        [flight = std::move(flight)]() mutable {
-            (flight.engine->*Next)(std::move(flight));
-        },
-        costs_.alpha_factor);
-    if (!queued && flow >= 0)
-        free_flows_.push_back(flow); // dropped: the span never ends
+    advance(std::move(flight));
 }
 
 void
-TransferEngine::issueStage(Flight flight)
+TransferEngine::advance(Flight flight)
 {
-    const Stage& stage = stages_[static_cast<std::size_t>(flight.stage)];
-    if (stage.exit < 0)
-        occupy<&TransferEngine::onStageDone>(stage.entry, std::move(flight));
-    else
-        occupy<&TransferEngine::onEntryDone>(stage.entry, std::move(flight));
-}
-
-void
-TransferEngine::onEntryDone(Flight flight)
-{
-    // Always an event, even for a zero delay (a leaf-only run):
-    // dropping it would reorder same-time events, and so move
-    // tie-broken timestamps.
-    const double delay =
-        stages_[static_cast<std::size_t>(flight.stage)].mid_latency;
-    net_.simulation().after(delay, [flight = std::move(flight)]() mutable {
-        TransferEngine& engine = *flight.engine;
-        const int exit =
-            engine.stages_[static_cast<std::size_t>(flight.stage)].exit;
-        engine.occupy<&TransferEngine::onStageDone>(exit, std::move(flight));
-    });
-}
-
-void
-TransferEngine::onStageDone(Flight flight)
-{
-    const Stage& stage = stages_[static_cast<std::size_t>(flight.stage)];
-    if (!stage.last) {
-        // A GPU transit: store-and-forward into the next stage.
-        ++flight.stage;
-        issueStage(std::move(flight));
+    const Step step = steps_[static_cast<std::size_t>(flight.step++)];
+    if (step.channel != kArrive) {
+        const int flow = flight.flow;
+        const double bytes = flight.bytes;
+        sim::EventFn next = [flight = std::move(flight)]() mutable {
+            flight.engine->advance(std::move(flight));
+        };
+        if (step.channel == kWait) {
+            // An event even for a zero delay (a leaf-only run):
+            // dropping it would reorder same-time events, and so move
+            // tie-broken timestamps.
+            net_.simulation().after(step.delay, std::move(next));
+        } else if (!net_.transferOnChannel(step.channel, bytes,
+                                           std::move(next),
+                                           costs_.alpha_factor) &&
+                   flow >= 0) {
+            free_flows_.push_back(flow); // dropped: the span never ends
+        }
         return;
     }
     if (flight.flow >= 0) {
-        const RouteInfo& route =
-            routes_[static_cast<std::size_t>(stage.route)];
-        const auto [start, offset_us] =
+        const FlowStart& start =
             flows_[static_cast<std::size_t>(flight.flow)];
+        const RouteInfo& route =
+            routes_[static_cast<std::size_t>(start.route)];
         const topo::Graph& graph = net_.graph();
         obs::TraceRecorder::global().completeEvent(
             "flow " + graph.nodeLabel(route.src) + "->" +
                 graph.nodeLabel(route.dst),
             "simnet.flow", obs::pids::simNode(route.src),
-            obs::kFlowTrackBase + route.lane, offset_us + start * 1e6,
-            (net_.simulation().now() - start) * 1e6,
+            obs::kFlowTrackBase + route.lane,
+            start.offset_us + start.start * 1e6,
+            (net_.simulation().now() - start.start) * 1e6,
             {{"bytes", flight.bytes}, {"hops", route.hops}});
         free_flows_.push_back(flight.flow);
     }

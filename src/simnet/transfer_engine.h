@@ -5,15 +5,15 @@
  * @file
  * Multi-hop transfers along routes compiled once.
  *
- * compile() splits a route into stages of resolved channel ids. A
- * stage is one channel, or a cut-through run across consecutive
- * switches: only its entry and exit channels (the endpoint ports) are
- * occupied, and the switch-to-switch channels add their latency as one
- * pure delay. A non-switch transit (a §IV-A GPU detour) ends a stage:
- * the chunk lands in the transit GPU's memory and is re-sent, like the
- * paper's forwarding kernels. send() walks the stages with
- * continuations that carry only the send's flight (engine, stage,
- * wire bytes, the caller's small arrival callback): no route copy, no
+ * compile() splits a route into steps over resolved channel ids. A
+ * GPU transit (a §IV-A detour) stores and forwards: the chunk lands in
+ * the transit GPU's memory and is re-sent, like the paper's forwarding
+ * kernels, so each of its channels is a step. A run across
+ * consecutive switches cuts through: only its entry and exit channels
+ * (the endpoint ports) are occupied, with one wait step between them
+ * for the switch-to-switch latencies. send() walks the steps with
+ * continuations that carry only the send's flight (engine, step, wire
+ * bytes, the caller's small arrival callback): no route copy, no
  * channel lookup, no heap closure.
  */
 
@@ -38,8 +38,8 @@ namespace simnet {
 int laneChannel(const topo::Graph& graph, topo::NodeId src,
                 topo::NodeId dst, int lane);
 
-/** What a send runs when its last stage lands: move-only, 16 bytes in
- *  place — e.g. (driver, thread, edge); a bigger capture allocates. */
+/** What a send runs when it arrives: move-only, 16 bytes in place —
+ *  e.g. (driver, thread, edge); a bigger capture allocates. */
 using ArrivalFn = util::InlineFunction<void(), 16>;
 
 /**
@@ -70,7 +70,7 @@ class TransferEngine
 
     /**
      * Sends @p bytes along compiled route @p route; @p done fires when
-     * the last stage lands. A failed channel drops the send (@p done
+     * its last channel drains. A failed channel drops the send (@p done
      * never fires). While tracing, a multi-hop send also emits one
      * end-to-end flow span (src pid, flow track of its lane).
      */
@@ -84,30 +84,36 @@ class TransferEngine
     }
 
   private:
-    /** Entry channel; for a cut-through run also the switch delay
-     *  (× alpha_factor) and the exit channel (else -1). */
-    struct Stage {
-        int entry = -1;
-        int exit = -1;
-        double mid_latency = 0.0;
-        int route = 0;     ///< handle of the route it belongs to
-        bool last = false; ///< the route's final stage
+    /** One step of a compiled route: occupy a channel, wait out a
+     *  switch run's cut-through delay (× alpha_factor), or arrive. */
+    struct Step {
+        int channel = kArrive; ///< channel id, kWait or kArrive
+        double delay = 0.0;    ///< kWait only
     };
+    static constexpr int kWait = -1;
+    static constexpr int kArrive = -2;
 
-    /** A compiled route's first stage and what its flow span names. */
+    /** A compiled route's first step and what its flow span names. */
     struct RouteInfo {
-        int first_stage = 0;
+        int first_step = 0;
         topo::NodeId src = 0;
         topo::NodeId dst = 0;
         int hops = 0;
         int lane = 0;
     };
 
+    /** A traced send in flight: its route and flow span start. */
+    struct FlowStart {
+        int route = 0;
+        double start = 0.0;     ///< simulated seconds
+        double offset_us = 0.0; ///< trace epoch offset
+    };
+
     /** One send's whole state, moved from continuation to
      *  continuation; sized to ride in an event's inline buffer. */
     struct Flight {
         TransferEngine* engine = nullptr;
-        int stage = 0;      ///< index into stages_
+        int step = 0;       ///< index into steps_
         int flow = -1;      ///< slot in flows_; -1 = untraced
         double bytes = 0.0; ///< wire bytes
         ArrivalFn done;
@@ -115,22 +121,14 @@ class TransferEngine
     static_assert(sizeof(Flight) <= sim::EventFn::kCapacity,
                   "a flight must fit an event's inline buffer");
 
-    /** Occupies the flight's stage entry channel. */
-    void issueStage(Flight flight);
-    /** Cut-through: waits out the switches, then the exit channel. */
-    void onEntryDone(Flight flight);
-    /** Next stage, or the arrival. */
-    void onStageDone(Flight flight);
-    /** Queues the flight on @p channel; @p Next runs when it drains. */
-    template <void (TransferEngine::*Next)(Flight)>
-    void occupy(int channel, Flight flight);
+    /** Runs the flight's next step. */
+    void advance(Flight flight);
 
     Network& net_;
     ccl::ProtocolCosts costs_;
-    std::vector<Stage> stages_;
+    std::vector<Step> steps_;
     std::vector<RouteInfo> routes_;
-    /// (start s, trace offset µs) of traced sends in flight.
-    std::vector<std::pair<double, double>> flows_;
+    std::vector<FlowStart> flows_;
     std::vector<int> free_flows_;
 };
 
