@@ -24,8 +24,8 @@
  *
  * Exit status: 1 when obs::Monitor counted any MTTR-budget violation
  * or the worst post-churn bandwidth ratio is below kMinRecoveredRatio
- * (95%), 0 otherwise. The MTTR budget comes from --slo-mttr-ms /
- * $CCUBE_SLO_MTTR_MS; without one no violation is counted. The ratio
+ * (95%), 0 otherwise. The MTTR budget comes from --slo-mttr-ms;
+ * without one no violation is counted. The ratio
  * is a DES quotient, so it is the same on every host.
  *
  * Artifacts, only when asked for: --mttr-out (MTTR table),
@@ -146,7 +146,7 @@ main(int argc, char** argv)
     options.recovery = recovery_options;
     options.backoff_base_s = 0.001;
     options.backoff_max_s = 0.01;
-    options.health.probation_runs = 2;
+    options.probation_runs = 2;
     core::ResilienceSupervisor supervisor(comm, graph, options);
 
     auto runOnce = [&]() {

@@ -463,13 +463,6 @@ abortPoll()
         throw AbortedWait();
 }
 
-bool
-abortPending()
-{
-    CommFaultContext* context = t_fault_context;
-    return context != nullptr && context->abortState().aborted();
-}
-
 std::string
 formatStallReport(const CollectiveError::Info& info)
 {

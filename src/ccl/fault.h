@@ -420,9 +420,6 @@ class ScopedFaultContext
  */
 void abortPoll();
 
-/** Non-throwing form of abortPoll(). */
-bool abortPending();
-
 /**
  * Multi-line, human-facing stall report for a watchdog abort: the
  * blamed rank, its wait site, and the full wait-for chain when one

@@ -13,12 +13,15 @@
 namespace ccube {
 namespace core {
 
+/** Seed of the backoff jitter stream (deterministic per supervisor). */
+constexpr std::uint64_t kJitterSeed = 0xC0FFEEull;
+
 ResilienceSupervisor::ResilienceSupervisor(ccl::Communicator& comm,
                                            const topo::Graph& graph,
                                            SupervisorOptions options)
     : comm_(comm), graph_(graph), options_(std::move(options)),
-      health_(graph_.channelCount(), options_.health),
-      jitter_(options_.jitter_seed)
+      health_(graph_.channelCount(), options_.probation_runs),
+      jitter_(kJitterSeed)
 {
     CCUBE_CHECK(comm_.numRanks() == graph_.nodeCount(),
                 "communicator/topology size mismatch ("
@@ -125,7 +128,7 @@ ResilienceSupervisor::backoffDelay(int retry)
 {
     double delay = options_.backoff_base_s;
     for (int i = 1; i < retry; ++i)
-        delay *= options_.backoff_factor;
+        delay *= 2.0;
     delay = std::min(delay, options_.backoff_max_s);
     // Deterministic jitter decorrelates retry storms across
     // supervisors without sacrificing reproducibility.

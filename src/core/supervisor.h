@@ -63,17 +63,14 @@ struct SupervisorOptions {
     /** Retry budget per allReduce() call (attempts = retries + 1). */
     int max_retries = 4;
 
-    /** Backoff before retry r (1-based): min(base·factor^(r−1), max)
-     *  plus a deterministic jitter in [0, base). */
+    /** Backoff before retry r (1-based): min(base·2^(r−1), max) plus
+     *  a deterministic jitter in [0, base). */
     double backoff_base_s = 0.002;
-    double backoff_factor = 2.0;
     double backoff_max_s = 0.05;
 
-    /** Seed of the jitter stream (deterministic per supervisor). */
-    std::uint64_t jitter_seed = 0xC0FFEEull;
-
-    /** Health scoring / probation knobs. */
-    topo::HealthOptions health;
+    /** Successful collectives a restored channel sits out before it
+     *  may be re-admitted (topo::ChannelHealthTracker). */
+    int probation_runs = 3;
 
     /** Re-plan budget and chunking of the rung's program. */
     RecoveryOptions recovery;
@@ -173,9 +170,6 @@ class ResilienceSupervisor
 
     /** Current schedule (graph, embeddings, the rung's program). */
     const RecoveryResult& plan() const { return plan_; }
-
-    /** Health scores (original-graph channel ids). */
-    const topo::ChannelHealthTracker& health() const { return health_; }
 
     /** Lifetime counters. */
     const SupervisorStats& stats() const { return stats_; }

@@ -77,16 +77,5 @@ ComputeModel::layerForwardTimes(const NetworkModel& network,
     return times;
 }
 
-std::vector<double>
-ComputeModel::layerBackwardTimes(const NetworkModel& network,
-                                 int batch) const
-{
-    std::vector<double> times;
-    times.reserve(static_cast<std::size_t>(network.numLayers()));
-    for (const Layer& layer : network.layers())
-        times.push_back(backwardTime(layer, batch));
-    return times;
-}
-
 } // namespace dnn
 } // namespace ccube

@@ -55,10 +55,6 @@ class ComputeModel
     std::vector<double>
     layerForwardTimes(const NetworkModel& network, int batch) const;
 
-    /** Per-layer backward times in forward order. */
-    std::vector<double>
-    layerBackwardTimes(const NetworkModel& network, int batch) const;
-
     const GpuComputeParams& params() const { return params_; }
 
   private:

@@ -45,18 +45,6 @@ endUs(const TraceEvent& event)
 // --- ChannelTimeline -------------------------------------------------
 
 double
-ChannelTimeline::firstBusyUs() const
-{
-    return busy.empty() ? 0.0 : busy.front().start_us;
-}
-
-double
-ChannelTimeline::lastBusyUs() const
-{
-    return busy.empty() ? 0.0 : busy.back().end_us;
-}
-
-double
 ChannelTimeline::busyWithinUs(const TimeInterval& window) const
 {
     double total = 0.0;

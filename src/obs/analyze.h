@@ -64,12 +64,6 @@ struct ChannelTimeline {
     double bytes = 0.0;             ///< total payload carried
     int transfers = 0;              ///< occupancy spans seen
 
-    /** First busy instant (0 when never busy). */
-    double firstBusyUs() const;
-
-    /** Last busy instant (0 when never busy). */
-    double lastBusyUs() const;
-
     /** Busy time that falls inside @p window. */
     double busyWithinUs(const TimeInterval& window) const;
 

@@ -184,12 +184,6 @@ RankCounters::casRetries(int rank) const
 }
 
 std::uint64_t
-RankCounters::postStalls(int rank) const
-{
-    return slot(rank).post_stalls.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
 RankCounters::waitStalls(int rank) const
 {
     return slot(rank).wait_stalls.load(std::memory_order_relaxed);
@@ -244,145 +238,105 @@ RankCounters::executorUnparks(int rank) const
 }
 
 std::uint64_t
-RankCounters::llSpins(int rank) const
+RankCounters::total(Field field) const
 {
-    return slot(rank).ll_spins.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-RankCounters::llSpinNs(int rank) const
-{
-    return slot(rank).ll_spin_ns.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-RankCounters::smParks(int rank) const
-{
-    return slot(rank).sm_parks.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-RankCounters::smResumes(int rank) const
-{
-    return slot(rank).sm_resumes.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-RankCounters::smSteals(int rank) const
-{
-    return slot(rank).sm_steals.load(std::memory_order_relaxed);
-}
-
-namespace {
-
-template <typename Member>
-std::uint64_t
-sumSlots(const RankCounters& counters, Member member)
-{
-    const int bound = RankCounters::rankBound();
-    std::uint64_t total = 0;
+    const int bound = rankBound();
+    std::uint64_t sum = 0;
     for (int rank = -1; rank < bound; ++rank)
-        total += (counters.*member)(rank);
-    return total;
+        sum += (slot(rank).*field).load(std::memory_order_relaxed);
+    return sum;
 }
-
-} // namespace
 
 std::uint64_t
 RankCounters::totalCasRetries() const
 {
-    return sumSlots(*this, &RankCounters::casRetries);
+    return total(&Slot::cas_retries);
 }
 
 std::uint64_t
 RankCounters::totalSlotFullStalls() const
 {
-    return sumSlots(*this, &RankCounters::slotFullStalls);
+    return total(&Slot::slot_full_stalls);
 }
 
 std::uint64_t
 RankCounters::totalMailboxSends() const
 {
-    return sumSlots(*this, &RankCounters::mailboxSends);
+    return total(&Slot::mailbox_sends);
 }
 
 std::uint64_t
 RankCounters::totalMailboxRecvs() const
 {
-    return sumSlots(*this, &RankCounters::mailboxRecvs);
-}
-
-std::uint64_t
-RankCounters::totalLLSpins() const
-{
-    return sumSlots(*this, &RankCounters::llSpins);
+    return total(&Slot::mailbox_recvs);
 }
 
 std::uint64_t
 RankCounters::totalLLSpinNs() const
 {
-    return sumSlots(*this, &RankCounters::llSpinNs);
+    return total(&Slot::ll_spin_ns);
 }
 
 std::uint64_t
 RankCounters::totalSmParks() const
 {
-    return sumSlots(*this, &RankCounters::smParks);
+    return total(&Slot::sm_parks);
 }
 
 std::uint64_t
 RankCounters::totalSmResumes() const
 {
-    return sumSlots(*this, &RankCounters::smResumes);
+    return total(&Slot::sm_resumes);
 }
 
 std::uint64_t
 RankCounters::totalSmSteals() const
 {
-    return sumSlots(*this, &RankCounters::smSteals);
+    return total(&Slot::sm_steals);
 }
 
 void
 RankCounters::exportTo(MetricRegistry& registry) const
 {
-    struct Field {
+    struct Named {
         const char* name;
-        std::uint64_t (RankCounters::*read)(int) const;
+        Field field;
     };
-    static constexpr Field kFields[] = {
-        {"cas_retries", &RankCounters::casRetries},
-        {"post_stalls", &RankCounters::postStalls},
-        {"wait_stalls", &RankCounters::waitStalls},
-        {"post_stall_ns", &RankCounters::postStallNs},
-        {"wait_stall_ns", &RankCounters::waitStallNs},
-        {"slot_full_stalls", &RankCounters::slotFullStalls},
-        {"mailbox_sends", &RankCounters::mailboxSends},
-        {"mailbox_recvs", &RankCounters::mailboxRecvs},
-        {"executor_tasks", &RankCounters::executorTasks},
-        {"executor_parks", &RankCounters::executorParks},
-        {"executor_unparks", &RankCounters::executorUnparks},
-        {"sm_parks", &RankCounters::smParks},
-        {"sm_resumes", &RankCounters::smResumes},
-        {"sm_steals", &RankCounters::smSteals},
-        {"ll_spins", &RankCounters::llSpins},
-        {"ll_spin_ns", &RankCounters::llSpinNs},
+    static constexpr Named kFields[] = {
+        {"cas_retries", &Slot::cas_retries},
+        {"post_stalls", &Slot::post_stalls},
+        {"wait_stalls", &Slot::wait_stalls},
+        {"post_stall_ns", &Slot::post_stall_ns},
+        {"wait_stall_ns", &Slot::wait_stall_ns},
+        {"slot_full_stalls", &Slot::slot_full_stalls},
+        {"mailbox_sends", &Slot::mailbox_sends},
+        {"mailbox_recvs", &Slot::mailbox_recvs},
+        {"executor_tasks", &Slot::executor_tasks},
+        {"executor_parks", &Slot::executor_parks},
+        {"executor_unparks", &Slot::executor_unparks},
+        {"sm_parks", &Slot::sm_parks},
+        {"sm_resumes", &Slot::sm_resumes},
+        {"sm_steals", &Slot::sm_steals},
+        {"ll_spins", &Slot::ll_spins},
+        {"ll_spin_ns", &Slot::ll_spin_ns},
     };
     const int bound = rankBound();
-    for (const Field& field : kFields) {
-        std::uint64_t total = 0;
+    for (const Named& named : kFields) {
+        std::uint64_t sum = 0;
         for (int rank = -1; rank < bound; ++rank) {
-            const std::uint64_t value = (this->*field.read)(rank);
-            total += value;
+            const std::uint64_t value =
+                (slot(rank).*named.field).load(std::memory_order_relaxed);
+            sum += value;
             if (value == 0)
                 continue;
             const std::string label =
                 rank >= 0 ? "rank" + std::to_string(rank) : "unknown";
             registry.addCounter(
-                "ccl." + label + "." + field.name,
+                "ccl." + label + "." + named.name,
                 static_cast<double>(value));
         }
-        registry.addCounter("ccl.total." + std::string(field.name),
-                            static_cast<double>(total));
+        registry.addCounter("ccl.total." + std::string(named.name),
+                            static_cast<double>(sum));
     }
 }
 

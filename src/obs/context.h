@@ -150,7 +150,6 @@ class RankCounters
 
     /** Per-rank reads; @p rank -1 reads the unknown-rank slot. */
     std::uint64_t casRetries(int rank) const;
-    std::uint64_t postStalls(int rank) const;
     std::uint64_t waitStalls(int rank) const;
     std::uint64_t postStallNs(int rank) const;
     std::uint64_t waitStallNs(int rank) const;
@@ -160,18 +159,12 @@ class RankCounters
     std::uint64_t executorTasks(int rank) const;
     std::uint64_t executorParks(int rank) const;
     std::uint64_t executorUnparks(int rank) const;
-    std::uint64_t llSpins(int rank) const;
-    std::uint64_t llSpinNs(int rank) const;
-    std::uint64_t smParks(int rank) const;
-    std::uint64_t smResumes(int rank) const;
-    std::uint64_t smSteals(int rank) const;
 
     /** Sums across all rank slots (including unknown). */
     std::uint64_t totalCasRetries() const;
     std::uint64_t totalSlotFullStalls() const;
     std::uint64_t totalMailboxSends() const;
     std::uint64_t totalMailboxRecvs() const;
-    std::uint64_t totalLLSpins() const;
     std::uint64_t totalLLSpinNs() const;
     std::uint64_t totalSmParks() const;
     std::uint64_t totalSmResumes() const;
@@ -206,9 +199,15 @@ class RankCounters
         std::atomic<std::uint64_t> sm_steals{0};
     };
 
+    /** One counter of every slot. */
+    using Field = std::atomic<std::uint64_t> Slot::*;
+
     /** Slot for the calling thread (0 = unknown rank). */
     Slot& current();
     const Slot& slot(int rank) const;
+
+    /** @p field summed across all rank slots (including unknown). */
+    std::uint64_t total(Field field) const;
 
     Slot slots_[kMaxRanks + 1];
 };

@@ -45,6 +45,16 @@ escapeLabel(const std::string& s)
     return out;
 }
 
+/** Budget flag --@p name in ms (0 when absent); dies when negative. */
+double
+budgetMs(const util::Flags& flags, const char* name)
+{
+    const double ms = flags.getDouble(name, 0.0);
+    CCUBE_CHECK(ms >= 0.0, "--" << name << " must not be negative, got '"
+                                << flags.get(name) << "'");
+    return ms;
+}
+
 } // namespace
 
 SloSpec
@@ -52,13 +62,8 @@ SloSpec::fromFlags(const util::Flags& flags)
 {
     SloSpec spec;
     spec.collective_deadline_s =
-        flags.getDouble("slo-collective-ms",
-                        util::envDouble("CCUBE_SLO_COLLECTIVE_MS", 0.0)) *
-        1e-3;
-    spec.mttr_budget_s =
-        flags.getDouble("slo-mttr-ms",
-                        util::envDouble("CCUBE_SLO_MTTR_MS", 0.0)) *
-        1e-3;
+        budgetMs(flags, "slo-collective-ms") * 1e-3;
+    spec.mttr_budget_s = budgetMs(flags, "slo-mttr-ms") * 1e-3;
     return spec;
 }
 
@@ -193,13 +198,6 @@ Monitor::snapshotCount() const
     return snapshots_.size();
 }
 
-std::uint64_t
-Monitor::droppedSnapshots() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return dropped_snapshots_;
-}
-
 std::vector<MonitorSnapshot>
 Monitor::snapshots() const
 {
@@ -219,13 +217,6 @@ Monitor::collectiveViolations() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
     return collective_violations_;
-}
-
-std::uint64_t
-Monitor::watchdogTrips() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return watchdog_trips_;
 }
 
 std::uint64_t
@@ -271,10 +262,8 @@ Monitor::absorb(const Monitor& other)
     std::scoped_lock guard(mutex_, other.mutex_);
     const int run_base = run_counter_;
     for (const MonitorSnapshot& snapshot : other.snapshots_) {
-        if (snapshots_.size() >= kMaxSnapshots) {
-            ++dropped_snapshots_;
-            continue;
-        }
+        if (snapshots_.size() >= kMaxSnapshots)
+            break;
         MonitorSnapshot copy = snapshot;
         if (copy.run > 0)
             copy.run += run_base;
@@ -282,7 +271,6 @@ Monitor::absorb(const Monitor& other)
     }
     run_counter_ += other.run_counter_;
     current_run_ = run_counter_;
-    dropped_snapshots_ += other.dropped_snapshots_;
     collectives_total_ += other.collectives_total_;
     collective_violations_ += other.collective_violations_;
     watchdog_trips_ += other.watchdog_trips_;
@@ -298,7 +286,6 @@ Monitor::clear()
 {
     std::lock_guard<std::mutex> guard(mutex_);
     snapshots_.clear();
-    dropped_snapshots_ = 0;
     run_counter_ = 0;
     current_run_ = 0;
     collectives_total_ = 0;
@@ -317,10 +304,8 @@ Monitor::snapshotLocked(const char* trigger, const std::string& label,
                         std::vector<std::pair<std::string, double>>
                             values)
 {
-    if (snapshots_.size() >= kMaxSnapshots) {
-        ++dropped_snapshots_;
+    if (snapshots_.size() >= kMaxSnapshots)
         return;
-    }
     std::stable_sort(values.begin(), values.end(),
                      [](const auto& a, const auto& b) {
                          return a.first < b.first;

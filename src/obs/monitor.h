@@ -55,9 +55,8 @@ namespace obs {
 
 /**
  * Deadline budgets for the SLO engine. A zero deadline disables that
- * budget. Resolved from flags (--slo-collective-ms, --slo-mttr-ms)
- * with environment fallbacks ($CCUBE_SLO_COLLECTIVE_MS,
- * $CCUBE_SLO_MTTR_MS, parsed by util::envDouble).
+ * budget. Resolved from flags (--slo-collective-ms, --slo-mttr-ms);
+ * a negative or non-numeric value dies naming the flag.
  */
 struct SloSpec {
     double collective_deadline_s = 0.0;
@@ -90,7 +89,7 @@ class Monitor
 {
   public:
     /// Bound on the retained snapshot series; later snapshots are
-    /// counted in droppedSnapshots() instead of stored.
+    /// dropped.
     static constexpr std::size_t kMaxSnapshots = std::size_t{1} << 16;
 
     using SampleFn = std::function<void(
@@ -185,11 +184,9 @@ class Monitor
     // ---- accessors (reports, tests) ----
 
     std::size_t snapshotCount() const;
-    std::uint64_t droppedSnapshots() const;
     std::vector<MonitorSnapshot> snapshots() const;
     std::uint64_t collectivesTotal() const;
     std::uint64_t collectiveViolations() const;
-    std::uint64_t watchdogTrips() const;
     std::uint64_t recoveriesTotal() const;
     std::uint64_t recoveryViolations() const;
     std::uint64_t recoveryRetriesTotal() const;
@@ -250,7 +247,6 @@ class Monitor
     int run_counter_ = 0;
     int current_run_ = 0;
     std::vector<MonitorSnapshot> snapshots_;
-    std::uint64_t dropped_snapshots_ = 0;
     std::uint64_t collectives_total_ = 0;
     std::uint64_t collective_violations_ = 0;
     std::uint64_t watchdog_trips_ = 0;

@@ -57,12 +57,18 @@ writeBreakdownRow(std::ostream& out, const char* label, double us,
     out << "\n";
 }
 
+/** Channel-table row cap. */
+constexpr int kMaxChannels = 32;
+
+/** Critical-path rows printed. */
+constexpr int kMaxSteps = 24;
+
 } // namespace
 
 void
 writeAnalysisReport(std::ostream& out, const TraceAnalyzer& analyzer,
                     const MetricRegistry* registry,
-                    const ReportOptions& options)
+                    const model::AlphaBeta* reference)
 {
     const TimeInterval window = analyzer.channelWindow();
 
@@ -94,14 +100,13 @@ writeAnalysisReport(std::ostream& out, const TraceAnalyzer& analyzer,
             << "max_idle_us" << "  name\n";
         int rows = 0;
         for (const ChannelTimeline& channel : analyzer.channels()) {
-            if (rows++ >= options.max_channels) {
+            if (rows++ >= kMaxChannels) {
                 out << "  ... "
-                    << analyzer.channels().size() - options.max_channels
+                    << analyzer.channels().size() - kMaxChannels
                     << " more channels elided\n";
                 break;
             }
-            const auto gaps =
-                channel.idleIntervals(window, options.min_idle_gap_us);
+            const auto gaps = channel.idleIntervals(window);
             double max_gap = 0.0;
             for (const TimeInterval& gap : gaps)
                 max_gap = std::max(max_gap, gap.durationUs());
@@ -133,18 +138,18 @@ writeAnalysisReport(std::ostream& out, const TraceAnalyzer& analyzer,
             << " s/B  (bandwidth " << std::fixed
             << std::setprecision(2) << fit.bandwidth() / 1e9
             << " GB/s)\n";
-        if (options.reference) {
+        if (reference) {
             out << "reference alpha: " << std::scientific
-                << std::setprecision(3) << options.reference->alpha
+                << std::setprecision(3) << reference->alpha
                 << " s  (rel err " << std::fixed
                 << std::setprecision(1)
-                << 100.0 * fit.alphaRelError(*options.reference)
+                << 100.0 * fit.alphaRelError(*reference)
                 << "%)\n";
             out << "reference beta:  " << std::scientific
-                << std::setprecision(3) << options.reference->beta
+                << std::setprecision(3) << reference->beta
                 << " s/B  (rel err " << std::fixed
                 << std::setprecision(1)
-                << 100.0 * fit.betaRelError(*options.reference)
+                << 100.0 * fit.betaRelError(*reference)
                 << "%)\n";
         }
     }
@@ -171,17 +176,17 @@ writeAnalysisReport(std::ostream& out, const TraceAnalyzer& analyzer,
                           path.breakdown.reduction_us, total);
         writeBreakdownRow(out, "other", path.breakdown.other_us,
                           total);
-        out << "steps (first " << options.max_steps << "):\n";
+        out << "steps (first " << kMaxSteps << "):\n";
         out << std::right << std::setw(5) << "#" << std::setw(15)
             << "kind" << std::setw(12) << "ts_us" << std::setw(12)
             << "dur_us" << std::setw(12) << "stall_us"
             << "  pid/tid  name\n";
         int rows = 0;
         for (const PathStep& step : path.steps) {
-            if (rows >= options.max_steps) {
+            if (rows >= kMaxSteps) {
                 out << "  ... "
                     << path.steps.size() -
-                           static_cast<std::size_t>(options.max_steps)
+                           static_cast<std::size_t>(kMaxSteps)
                     << " more steps elided\n";
                 break;
             }

@@ -22,26 +22,17 @@ namespace obs {
 class MetricRegistry;
 class TraceAnalyzer;
 
-/** Knobs for writeAnalysisReport. */
-struct ReportOptions {
-    /** When set, the α-β fit section reports relative error against
-     *  this configured model (sim-vs-model divergence). */
-    const model::AlphaBeta* reference = nullptr;
-
-    int max_channels = 32;       ///< channel-table row cap
-    int max_steps = 24;          ///< critical-path rows printed
-    double min_idle_gap_us = 0.0; ///< idle gaps below this are noise
-};
-
 /**
  * Writes the full analysis report for @p analyzer to @p out. When
  * @p registry is non-null its counters are appended as a final
- * section (trace drop accounting, rank counters, ...).
+ * section (trace drop accounting, rank counters, ...). When
+ * @p reference is set, the α-β fit section reports relative error
+ * against this configured model (sim-vs-model divergence).
  */
 void writeAnalysisReport(std::ostream& out,
                          const TraceAnalyzer& analyzer,
                          const MetricRegistry* registry = nullptr,
-                         const ReportOptions& options = {});
+                         const model::AlphaBeta* reference = nullptr);
 
 } // namespace obs
 } // namespace ccube

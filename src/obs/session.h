@@ -19,8 +19,7 @@
  * OpenMetrics-style text endpoint (`FILE.om`, overridable with
  * `--monitor-openmetrics=FILE`); `--monitor-interval=SECONDS` sets the
  * DES heartbeat period (simulated seconds; 0 = collective edges only);
- * `--slo-collective-ms` / `--slo-mttr-ms` arm the SLO budgets
- * (env fallbacks $CCUBE_SLO_COLLECTIVE_MS / $CCUBE_SLO_MTTR_MS).
+ * `--slo-collective-ms` / `--slo-mttr-ms` arm the SLO budgets.
  * `--rootcause-out=FILE` enables the recorder and writes the ranked
  * obs::diff root-cause report at the end of the run.
  *

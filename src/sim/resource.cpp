@@ -1,5 +1,6 @@
 #include "sim/resource.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -49,31 +50,27 @@ FifoResource::grant(Pending pending)
     const bool want_metrics =
         recorder_.enabled() || registry_.enabled();
     if (want_metrics || monitor_.enabled()) {
-        // Busy intervals feed both the trace/metrics reports and the
-        // monitor's busy-fraction gauges; the heavier per-grant
-        // accounting (payload totals, queue-wait histogram) is only
-        // for the report paths, so live monitoring alone stays cheap.
-        if (busy_intervals_.size() < kMaxBusyIntervals) {
-            if (busy_intervals_.capacity() == 0)
-                busy_intervals_.reserve(64); // skip the tiny-regrowth
-                                             // malloc ladder
-            busy_intervals_.emplace_back(sim_.now(),
-                                         sim_.now() + duration);
-        } else {
-            ++busy_intervals_dropped_;
-        }
-    }
-    if (want_metrics) {
-        total_payload_ += pending.payload;
-        const Time queue_wait = sim_.now() - pending.requested_at;
-        queue_wait_.add(queue_wait);
-        if (trace_pid_ >= 0 && recorder_.enabled()) {
-            const double offset = recorder_.simOffsetUs();
-            recorder_.completeEvent(
-                name_, "simnet.channel", trace_pid_, trace_tid_,
-                offset + sim_.now() * 1e6, duration * 1e6,
-                {{"queue_wait_us", queue_wait * 1e6},
-                 {"bytes", pending.payload}});
+        // The window accounting feeds the monitor's busy-fraction
+        // gauges; the heavier per-grant accounting (payload totals,
+        // queue-wait histogram, span) is only for the report paths, so
+        // live monitoring alone stays cheap. The previous grant ended
+        // by now (unit capacity): its share of the window is final.
+        if (last_end_ > window_start_)
+            window_busy_ += last_end_ - std::max(last_start_, window_start_);
+        last_start_ = sim_.now();
+        last_end_ = sim_.now() + duration;
+        if (want_metrics) {
+            total_payload_ += pending.payload;
+            const Time queue_wait = sim_.now() - pending.requested_at;
+            queue_wait_.add(queue_wait);
+            if (trace_pid_ >= 0 && recorder_.enabled()) {
+                const double offset = recorder_.simOffsetUs();
+                recorder_.completeEvent(
+                    name_, "simnet.channel", trace_pid_, trace_tid_,
+                    offset + sim_.now() * 1e6, duration * 1e6,
+                    {{"queue_wait_us", queue_wait * 1e6},
+                     {"bytes", pending.payload}});
+            }
         }
     }
 
@@ -88,6 +85,20 @@ FifoResource::grant(Pending pending)
         if (done)
             done();
     });
+}
+
+Time
+FifoResource::takeWindowBusy(Time until)
+{
+    // The latest grant adds its share up to @p until; one that
+    // straddles @p until stays open for the next window to finish.
+    Time busy = window_busy_;
+    if (last_end_ > window_start_ && last_start_ < until)
+        busy += std::min(last_end_, until) -
+                std::max(last_start_, window_start_);
+    window_busy_ = 0.0;
+    window_start_ = until;
+    return busy;
 }
 
 void

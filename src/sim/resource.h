@@ -14,7 +14,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/simulation.h"
 #include "util/inline_function.h"
@@ -93,28 +92,11 @@ class FifoResource
         return queue_wait_;
     }
 
-    /** Cap on retained busy intervals; later grants only add to
-     *  busyTime(), so utilization stays exact while memory stays
-     *  bounded. */
-    static constexpr std::size_t kMaxBusyIntervals = 1u << 16;
-
-    /**
-     * Per-grant busy intervals [start, end] in simulated seconds,
-     * grant order. Captured only while tracing or a metrics capture
-     * is enabled, and capped at kMaxBusyIntervals (the overflow is
-     * counted in busyIntervalsDropped()). This is the ground truth the
-     * trace-derived obs::ChannelTimeline is cross-checked against.
-     */
-    const std::vector<std::pair<Time, Time>>& busyIntervals() const
-    {
-        return busy_intervals_;
-    }
-
-    /** Busy intervals lost to the kMaxBusyIntervals cap. */
-    std::uint64_t busyIntervalsDropped() const
-    {
-        return busy_intervals_dropped_;
-    }
+    /** Busy time in (previous call's @p until or 0, @p until], from
+     *  the grants made while tracing, metrics or the monitor is on;
+     *  then starts the next window. @p until must not decrease. The
+     *  monitor's busy-fraction gauges read it once per heartbeat. */
+    Time takeWindowBusy(Time until);
 
     /** Debug name. */
     const std::string& name() const { return name_; }
@@ -162,8 +144,13 @@ class FifoResource
     std::uint64_t grants_ = 0;
     double total_payload_ = 0.0;
     util::RunningStats queue_wait_;
-    std::vector<std::pair<Time, Time>> busy_intervals_;
-    std::uint64_t busy_intervals_dropped_ = 0;
+    /// takeWindowBusy() state: the window's start, the busy time in it
+    /// of the grants before the latest, and the latest grant, whose
+    /// share is still open while it ends after the window's start.
+    Time window_start_ = 0.0;
+    Time window_busy_ = 0.0;
+    Time last_start_ = 0.0;
+    Time last_end_ = 0.0;
     obs::TraceRecorder& recorder_; ///< cached globals: the per-grant
     obs::MetricRegistry& registry_; ///< cost is three relaxed loads
     obs::Monitor& monitor_;

@@ -29,8 +29,6 @@ Network::Network(sim::Simulation& simulation, const topo::Graph& graph,
 
     obs::Monitor& monitor = obs::Monitor::global();
     if (monitor.enabled()) {
-        monitor_cursor_.assign(
-            static_cast<std::size_t>(graph.channelCount()), 0);
         monitor_source_ = monitor.addSource(
             [this](double t_s,
                    std::vector<std::pair<std::string, double>>& out) {
@@ -57,27 +55,9 @@ Network::sampleMonitorGauges(
 
     const double window = t_s - monitor_last_t_;
     for (int id = 0; id < graph_.channelCount(); ++id) {
-        const sim::FifoResource& res =
+        sim::FifoResource& res =
             *resources_[static_cast<std::size_t>(id)];
-        const auto& intervals = res.busyIntervals();
-        std::size_t& cursor =
-            monitor_cursor_[static_cast<std::size_t>(id)];
-        double busy = 0.0;
-        // Intervals are in grant order and non-overlapping (unit
-        // capacity), so one forward cursor per channel amortizes the
-        // walk to O(total grants) across all snapshots; an interval
-        // straddling t_s is left for the next window to finish.
-        for (std::size_t i = cursor; i < intervals.size(); ++i) {
-            const auto& [start, end] = intervals[i];
-            if (start >= t_s)
-                break;
-            busy += std::min(end, t_s) - std::max(start,
-                                                  monitor_last_t_);
-            if (end <= t_s)
-                cursor = i + 1;
-            else
-                break;
-        }
+        const double busy = res.takeWindowBusy(t_s);
         const std::size_t queue = res.queueLength();
         if (busy <= 0.0 && queue == 0)
             continue; // idle channel: keep the snapshot row sparse
@@ -173,12 +153,6 @@ double
 Network::channelBytes(int channel_id) const
 {
     return resources_[checkedChannel(channel_id)]->totalPayload();
-}
-
-const std::vector<std::pair<double, double>>&
-Network::channelBusyIntervals(int channel_id) const
-{
-    return resources_[checkedChannel(channel_id)]->busyIntervals();
 }
 
 void

@@ -74,16 +74,6 @@ class Network
     /** Total bytes granted on a channel. */
     double channelBytes(int channel_id) const;
 
-    /**
-     * Per-grant busy intervals [start, end] of a channel in simulated
-     * seconds (grant order). Captured only while tracing or a metrics
-     * capture is enabled and bounded by
-     * sim::FifoResource::kMaxBusyIntervals; the DES-side ground truth
-     * for trace-derived channel timelines (obs::TraceAnalyzer).
-     */
-    const std::vector<std::pair<double, double>>&
-    channelBusyIntervals(int channel_id) const;
-
     /** Time one transfer of @p bytes occupies channel @p channel_id;
      *  @p latency_factor as in transferOnChannel(). */
     double occupancy(int channel_id, double bytes,
@@ -159,7 +149,7 @@ class Network
     /**
      * obs::Monitor gauge source: per-channel busy fraction over the
      * window since this network's previous sample (from
-     * sim::FifoResource::busyIntervals), plus live queue depth.
+     * sim::FifoResource::takeWindowBusy), plus live queue depth.
      * Registered at construction while the monitor is enabled.
      */
     void sampleMonitorGauges(
@@ -183,8 +173,6 @@ class Network
     std::uint64_t net_transfers_ = 0;
     std::uint64_t dropped_transfers_ = 0;
     double dropped_bytes_ = 0.0;
-    std::vector<std::size_t> monitor_cursor_; ///< per-channel interval
-                                              ///< index already sampled
     double monitor_last_t_ = 0.0;
     /// Live-monitor gauge source; last, so it goes first.
     obs::Monitor::SourceHandle monitor_source_;

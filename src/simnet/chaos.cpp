@@ -39,6 +39,26 @@ pairedReverse(const topo::Graph& graph, int channel_id)
     return reverse[std::min(index, reverse.size() - 1)];
 }
 
+/** Fewest independent fault draws per scenario. */
+constexpr int kMinFaults = 1;
+
+/** Relative draw weights of the fault kinds. */
+constexpr double kLinkFailWeight = 0.5; ///< kill a link (maybe restore)
+constexpr double kDegradeWeight = 0.3;  ///< degrade a link's bandwidth
+constexpr double kSlowNodeWeight = 0.2; ///< slow every link of one node
+
+/** Probability a killed link restores within the horizon. */
+constexpr double kRestoreProbability = 0.6;
+
+/** Probability a restored link immediately flaps (fails again, then
+ *  restores again); applied repeatedly, so flap cycles have
+ *  geometrically distributed length. */
+constexpr double kFlapProbability = 0.35;
+
+/** Bandwidth factor range for degrade / slowdown draws. */
+constexpr double kMinFactor = 0.25;
+constexpr double kMaxFactor = 0.85;
+
 } // namespace
 
 ChaosPlan::ChaosPlan(const topo::Graph& graph, std::uint64_t seed,
@@ -48,17 +68,14 @@ ChaosPlan::ChaosPlan(const topo::Graph& graph, std::uint64_t seed,
     CCUBE_CHECK(graph.channelCount() > 0,
                 "chaos plan needs a topology with channels");
     CCUBE_CHECK(options.horizon_s > 0.0, "chaos horizon must be > 0");
-    CCUBE_CHECK(options.min_faults >= 0 &&
-                    options.max_faults >= options.min_faults,
-                "bad chaos fault-count range");
+    CCUBE_CHECK(options.max_faults >= kMinFaults,
+                "chaos max_faults must be at least " << kMinFaults);
 
     util::Rng rng(seed);
-    const int draws = static_cast<int>(rng.uniformInt(
-        options.min_faults, options.max_faults));
-    const double total_weight = options.link_fail_weight +
-                                options.degrade_weight +
-                                options.slow_node_weight;
-    CCUBE_CHECK(total_weight > 0.0, "all chaos weights are zero");
+    const int draws = static_cast<int>(
+        rng.uniformInt(kMinFaults, options.max_faults));
+    const double total_weight =
+        kLinkFailWeight + kDegradeWeight + kSlowNodeWeight;
 
     // Live failed-state per channel id, replayed as events are drawn,
     // so deadAtHorizon() reflects the net effect of flap cycles.
@@ -91,24 +108,22 @@ ChaosPlan::ChaosPlan(const topo::Graph& graph, std::uint64_t seed,
             rng.uniformInt(0, graph.channelCount() - 1));
         double at = rng.uniform(0.0, options.horizon_s);
 
-        if (pick < options.link_fail_weight) {
+        if (pick < kLinkFailWeight) {
             // Link kill, with optional restore and flap cycles. Each
             // follow-up lands strictly later within the horizon.
             fail_link(at, channel);
-            while (rng.uniform() < options.restore_probability &&
+            while (rng.uniform() < kRestoreProbability &&
                    at < options.horizon_s) {
                 at = rng.uniform(at, options.horizon_s);
                 restore_link(at, channel);
-                if (rng.uniform() >= options.flap_probability ||
+                if (rng.uniform() >= kFlapProbability ||
                     at >= options.horizon_s)
                     break;
                 at = rng.uniform(at, options.horizon_s);
                 fail_link(at, channel);
             }
-        } else if (pick <
-                   options.link_fail_weight + options.degrade_weight) {
-            const double factor =
-                rng.uniform(options.min_factor, options.max_factor);
+        } else if (pick < kLinkFailWeight + kDegradeWeight) {
+            const double factor = rng.uniform(kMinFactor, kMaxFactor);
             plan_.degradeChannel(at, channel, factor);
             const int twin = pairedReverse(graph, channel);
             if (twin >= 0 && twin != channel)
@@ -117,9 +132,7 @@ ChaosPlan::ChaosPlan(const topo::Graph& graph, std::uint64_t seed,
         } else {
             const topo::NodeId node = static_cast<topo::NodeId>(
                 rng.uniformInt(0, graph.nodeCount() - 1));
-            plan_.slowNode(at, node,
-                           rng.uniform(options.min_factor,
-                                       options.max_factor));
+            plan_.slowNode(at, node, rng.uniform(kMinFactor, kMaxFactor));
             ++slowdowns_;
         }
     }

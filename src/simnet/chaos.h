@@ -41,27 +41,10 @@ struct ChaosOptions {
      *  drawn uniformly from (0, horizon_s). */
     double horizon_s = 0.05;
 
-    /** Scenario size: number of independent fault draws (each draw may
-     *  expand into several events, e.g. a flap cycle). */
-    int min_faults = 1;
+    /** Scenario size: the number of independent fault draws is
+     *  uniform in [1, max_faults] (each draw may expand into several
+     *  events, e.g. a flap cycle). */
     int max_faults = 3;
-
-    /** Relative draw weights of the fault kinds. */
-    double link_fail_weight = 0.5;  ///< kill a link (maybe restore)
-    double degrade_weight = 0.3;    ///< degrade a link's bandwidth
-    double slow_node_weight = 0.2;  ///< slow every link of one node
-
-    /** Probability a killed link restores within the horizon. */
-    double restore_probability = 0.6;
-
-    /** Probability a restored link immediately flaps (fails again,
-     *  then restores again); applied repeatedly, so flap cycles have
-     *  geometrically distributed length. */
-    double flap_probability = 0.35;
-
-    /** Bandwidth factor range for degrade / slowdown draws. */
-    double min_factor = 0.25;
-    double max_factor = 0.85;
 };
 
 /**

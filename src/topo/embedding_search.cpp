@@ -132,26 +132,24 @@ class Budget
 };
 
 /**
- * Candidate routes from @p from to @p to within the hop budget and
- * channel budget: the direct channel if present, else all two-hop
- * GPU detours with available capacity.
+ * Candidate routes from @p from to @p to within the channel budget:
+ * the direct channel if present, and every two-hop GPU detour (one
+ * transit GPU, as in C-Cube's detour) with available capacity.
  */
 std::vector<Route>
 candidateRoutes(const ChannelIndex& index, const Budget& budget,
-                NodeId from, NodeId to, int max_hops)
+                NodeId from, NodeId to)
 {
     std::vector<Route> routes;
     Route direct{{from, to}};
     if (budget.canTake(direct))
         routes.push_back(std::move(direct));
-    if (max_hops >= 2) {
-        for (NodeId mid : index.neighbors(from)) {
-            if (mid == to)
-                continue;
-            Route detour{{from, mid, to}};
-            if (budget.canTake(detour))
-                routes.push_back(std::move(detour));
-        }
+    for (NodeId mid : index.neighbors(from)) {
+        if (mid == to)
+            continue;
+        Route detour{{from, mid, to}};
+        if (budget.canTake(detour))
+            routes.push_back(std::move(detour));
     }
     return routes;
 }
@@ -159,16 +157,12 @@ candidateRoutes(const ChannelIndex& index, const Budget& budget,
 /**
  * Grows one spanning binary tree from @p root, preferring direct
  * edges, consuming @p budget. @p cost is advanced by the hop count of
- * every accepted route; growth aborts (nullopt) as soon as the
- * optimistic completion bound — current cost plus one hop for each
- * still-unplaced rank — exceeds @p cost_cap, so attempts that cannot
- * beat an already-found embedding stop early. Returns nullopt when
- * the tree cannot span all ranks within the budget.
+ * every accepted route. Returns nullopt when the tree cannot span all
+ * ranks within the budget.
  */
 std::optional<TreeEmbedding>
 growTree(const ChannelIndex& index, Budget& budget, int num_ranks,
-         NodeId root, util::Rng& rng, int max_hops, int cost_cap,
-         int& cost)
+         NodeId root, util::Rng& rng, int& cost)
 {
     BinaryTree tree(num_ranks);
     tree.setRoot(root);
@@ -182,8 +176,6 @@ growTree(const ChannelIndex& index, Budget& budget, int num_ranks,
     int placed = 1;
 
     while (placed < num_ranks) {
-        if (cost + (num_ranks - placed) > cost_cap)
-            return std::nullopt; // cannot beat the incumbent
         // Collect all feasible (parent, child, route) extensions.
         struct Extension {
             NodeId parent;
@@ -197,9 +189,8 @@ growTree(const ChannelIndex& index, Budget& budget, int num_ranks,
             for (NodeId child = 0; child < num_ranks; ++child) {
                 if (in_tree[static_cast<std::size_t>(child)])
                     continue;
-                for (Route& route : candidateRoutes(index, budget,
-                                                    parent, child,
-                                                    max_hops)) {
+                for (Route& route :
+                     candidateRoutes(index, budget, parent, child)) {
                     extensions.push_back(
                         Extension{parent, child, std::move(route)});
                 }
@@ -263,11 +254,10 @@ attemptRng(std::uint64_t seed, int attempt)
 
 AttemptResult
 runAttempt(const Graph& graph, const ChannelIndex& index,
-           int num_ranks, const EmbeddingSearchOptions& options,
-           int attempt, int cost_cap)
+           int num_ranks, std::uint64_t seed, int attempt)
 {
     AttemptResult result;
-    util::Rng rng = attemptRng(options.seed, attempt);
+    util::Rng rng = attemptRng(seed, attempt);
     Budget budget(index);
     const NodeId root0 =
         static_cast<NodeId>(rng.uniformInt(0, num_ranks - 1));
@@ -277,15 +267,10 @@ runAttempt(const Graph& graph, const ChannelIndex& index,
         root1 = (root1 + 1) % num_ranks;
 
     int cost = 0;
-    auto tree0 = growTree(index, budget, num_ranks, root0, rng,
-                          options.max_detour_hops, cost_cap, cost);
+    auto tree0 = growTree(index, budget, num_ranks, root0, rng, cost);
     if (!tree0)
         return result;
-    // The second tree adds at least one hop per non-root rank.
-    if (cost + (num_ranks - 1) > cost_cap)
-        return result;
-    auto tree1 = growTree(index, budget, num_ranks, root1, rng,
-                          options.max_detour_hops, cost_cap, cost);
+    auto tree1 = growTree(index, budget, num_ranks, root1, rng, cost);
     if (!tree1)
         return result;
 
@@ -299,7 +284,7 @@ runAttempt(const Graph& graph, const ChannelIndex& index,
 }
 
 /** Attempts per parallel batch; fixed so results never depend on the
- *  worker count (the prune bound only advances between batches). */
+ *  worker count. */
 constexpr int kAttemptBatch = 32;
 
 } // namespace
@@ -319,39 +304,32 @@ findConflictFreeDoubleTree(const Graph& graph,
     pool.jobs = options.jobs;
     pool.capture_obs = false; // compute-only; nothing records
 
-    std::optional<DoubleTreeEmbedding> best;
-    int best_cost = std::numeric_limits<int>::max();
     for (int base = 0; base < options.max_attempts;
          base += kAttemptBatch) {
         const int batch =
             std::min(kAttemptBatch, options.max_attempts - base);
-        // Prune against the best of *previous* batches only: the bound
-        // is fixed before the batch starts, so concurrent attempts
-        // cannot observe each other and the outcome is independent of
-        // scheduling order.
-        const int cost_cap = best ? best_cost - 1
-                                  : std::numeric_limits<int>::max();
         std::vector<AttemptResult> results(
             static_cast<std::size_t>(batch));
         sweep::runIndexed(
             pool, static_cast<std::size_t>(batch),
             [&](std::size_t i) {
                 results[i] = runAttempt(graph, index, num_ranks,
-                                        options,
-                                        base + static_cast<int>(i),
-                                        cost_cap);
+                                        options.seed,
+                                        base + static_cast<int>(i));
             });
         // Merge in attempt order: cheapest cost, earliest index wins.
+        std::optional<DoubleTreeEmbedding> best;
+        int best_cost = std::numeric_limits<int>::max();
         for (AttemptResult& result : results) {
             if (result.embedding && result.cost < best_cost) {
                 best_cost = result.cost;
                 best = std::move(result.embedding);
             }
         }
-        if (best && !options.exhaustive)
+        if (best)
             return best;
     }
-    return best;
+    return std::nullopt;
 }
 
 } // namespace topo

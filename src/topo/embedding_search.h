@@ -14,16 +14,15 @@
  * enough parallel links.
  *
  * Randomized-greedy with restarts: trees are grown from random roots
- * by BFS over edges with remaining capacity; detour routes consume
- * capacity on every segment. Each attempt draws from its own RNG
- * stream derived from (seed, attempt), so attempts are independent
- * and the search can fan restarts across the sweep thread pool while
- * staying deterministic: attempts run in fixed batches, the winner is
- * the cheapest (total route hops, then lowest attempt index) success
- * of the earliest batch containing one, and the result is identical
- * for every `jobs` value. Channel budgets are flat arrays indexed by
- * channel id, and tree growth prunes against the best cost found in
- * *previous* batches (never the current one, which would race).
+ * by BFS over edges with remaining capacity; detour routes (through
+ * one transit GPU) consume capacity on every segment. Each attempt
+ * draws from its own RNG stream derived from (seed, attempt), so
+ * attempts are independent and the search can fan restarts across
+ * the sweep thread pool while staying deterministic: attempts run in
+ * fixed batches, the winner is the cheapest (total route hops, then
+ * lowest attempt index) success of the earliest batch containing
+ * one, and the result is identical for every `jobs` value. Channel
+ * budgets are flat arrays indexed by channel id.
  */
 
 #include <optional>
@@ -39,11 +38,7 @@ struct EmbeddingSearchOptions {
     int num_ranks = 0;        ///< 0 = all graph nodes are ranks
     int max_attempts = 2000;  ///< randomized restarts
     std::uint64_t seed = 1;   ///< RNG seed (deterministic)
-    int max_detour_hops = 2;  ///< longest allowed detour route
     int jobs = 1;             ///< attempt workers; <=0 = hardware
-    /** Keep searching all attempts for the cheapest embedding instead
-     *  of stopping at the first batch that contains a success. */
-    bool exhaustive = false;
 };
 
 /**

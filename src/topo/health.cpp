@@ -1,20 +1,30 @@
 #include "topo/health.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace ccube {
 namespace topo {
 
+namespace {
+
+/** EWMA step: score ← score + alpha·(target − score). */
+constexpr double kEwmaAlpha = 0.35;
+
+/** Score below which an up channel is still quarantined. */
+constexpr double kQuarantineThreshold = 0.5;
+
+/** Fail events at or above this count mark the channel flapping (its
+ *  probation is doubled on every subsequent restore). */
+constexpr int kFlapLimit = 3;
+
+} // namespace
+
 ChannelHealthTracker::ChannelHealthTracker(int num_channels,
-                                           HealthOptions options)
-    : options_(options),
+                                           int probation_runs)
+    : probation_runs_(probation_runs),
       channels_(static_cast<std::size_t>(num_channels))
 {
     CCUBE_CHECK(num_channels >= 0, "negative channel count");
-    CCUBE_CHECK(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0,
-                "ewma_alpha must be in (0, 1]");
 }
 
 void
@@ -26,7 +36,7 @@ ChannelHealthTracker::noteFail(int channel)
     c.up = false;
     c.probation_left = 0;
     ++c.fail_count;
-    c.score += options_.ewma_alpha * (0.0 - c.score);
+    c.score += kEwmaAlpha * (0.0 - c.score);
 }
 
 void
@@ -40,9 +50,8 @@ ChannelHealthTracker::noteRestore(int channel)
     c.up = true;
     // A flapping link earns a longer sit-out: probation doubles once
     // the fail count crosses the flap limit.
-    const bool flap = c.fail_count >= options_.flap_limit;
-    c.probation_left =
-        options_.probation_runs * (flap ? 2 : 1);
+    const bool flap = c.fail_count >= kFlapLimit;
+    c.probation_left = probation_runs_ * (flap ? 2 : 1);
 }
 
 void
@@ -53,7 +62,7 @@ ChannelHealthTracker::noteDegrade(int channel, double factor)
     if (factor >= 1.0)
         return; // speed-up / restore-to-nominal is not suspicious
     Channel& c = channels_[static_cast<std::size_t>(channel)];
-    c.score += 0.5 * options_.ewma_alpha * (factor - c.score);
+    c.score += 0.5 * kEwmaAlpha * (factor - c.score);
     if (c.score < 0.0)
         c.score = 0.0;
 }
@@ -66,64 +75,15 @@ ChannelHealthTracker::noteRunSuccess()
             continue;
         if (c.probation_left > 0)
             --c.probation_left;
-        c.score += options_.ewma_alpha * (1.0 - c.score);
+        c.score += kEwmaAlpha * (1.0 - c.score);
     }
-}
-
-double
-ChannelHealthTracker::score(int channel) const
-{
-    if (channel < 0 || channel >= numChannels())
-        return 1.0;
-    return channels_[static_cast<std::size_t>(channel)].score;
-}
-
-bool
-ChannelHealthTracker::failed(int channel) const
-{
-    if (channel < 0 || channel >= numChannels())
-        return false;
-    return !channels_[static_cast<std::size_t>(channel)].up;
-}
-
-bool
-ChannelHealthTracker::onProbation(int channel) const
-{
-    if (channel < 0 || channel >= numChannels())
-        return false;
-    const Channel& c = channels_[static_cast<std::size_t>(channel)];
-    return c.up && c.probation_left > 0;
-}
-
-bool
-ChannelHealthTracker::quarantined(int channel) const
-{
-    if (channel < 0 || channel >= numChannels())
-        return false;
-    const Channel& c = channels_[static_cast<std::size_t>(channel)];
-    return c.up && c.probation_left == 0 &&
-           c.score < options_.quarantine_threshold;
-}
-
-int
-ChannelHealthTracker::failCount(int channel) const
-{
-    if (channel < 0 || channel >= numChannels())
-        return 0;
-    return channels_[static_cast<std::size_t>(channel)].fail_count;
-}
-
-bool
-ChannelHealthTracker::flapping(int channel) const
-{
-    return failCount(channel) >= options_.flap_limit;
 }
 
 bool
 ChannelHealthTracker::excludedLocked(const Channel& channel) const
 {
     return !channel.up || channel.probation_left > 0 ||
-           channel.score < options_.quarantine_threshold;
+           channel.score < kQuarantineThreshold;
 }
 
 std::vector<int>

@@ -13,8 +13,8 @@
  * so the resilience supervisor can (a) exclude flapping links from
  * re-embedding even while they are nominally up, and (b) climb the
  * recovery ladder back to the C-Cube embedding only once a restored
- * link has stayed healthy through a configurable number of successful
- * collectives.
+ * link has stayed healthy through a given number of successful
+ * collectives (its probation).
  *
  * Channel ids are the ids of the ORIGINAL graph the tracker was sized
  * for. topo::withoutChannels re-densifies ids on the survivor graph,
@@ -22,28 +22,10 @@
  * translate into a failed-channel list for recoverSchedule.
  */
 
-#include <cstdint>
 #include <vector>
 
 namespace ccube {
 namespace topo {
-
-/** Knobs for ChannelHealthTracker. */
-struct HealthOptions {
-    /** EWMA step: score ← score + alpha·(target − score). */
-    double ewma_alpha = 0.35;
-
-    /** Score below which an up channel is still quarantined. */
-    double quarantine_threshold = 0.5;
-
-    /** Successful collectives a restored channel must sit out before
-     *  it becomes eligible for re-admission. */
-    int probation_runs = 3;
-
-    /** Fail events at or above this count mark the channel flapping
-     *  (its probation is doubled on every subsequent restore). */
-    int flap_limit = 3;
-};
 
 /**
  * EWMA health score + probation state for every channel of a graph.
@@ -52,24 +34,23 @@ struct HealthOptions {
 class ChannelHealthTracker
 {
   public:
-    explicit ChannelHealthTracker(int num_channels,
-                                  HealthOptions options = {});
+    /** @p probation_runs: successful collectives a restored channel
+     *  must sit out before it becomes eligible for re-admission. */
+    ChannelHealthTracker(int num_channels, int probation_runs);
 
     int numChannels() const
     {
         return static_cast<int>(channels_.size());
     }
 
-    const HealthOptions& options() const { return options_; }
-
     // ---- event feed (fabric side) ----
 
     /** Channel went down. Score decays toward 0. */
     void noteFail(int channel);
 
-    /** Channel came back. Starts the probation window (doubled for a
-     *  flapping channel); the score is NOT restored — only successful
-     *  runs rebuild it. */
+    /** Channel came back. Starts the probation window (doubled from
+     *  the channel's third fail on: a flapping link); the score is NOT
+     *  restored — only successful runs rebuild it. */
     void noteRestore(int channel);
 
     /** Channel degraded to @p factor of nominal bandwidth (< 1). The
@@ -83,30 +64,13 @@ class ChannelHealthTracker
 
     // ---- queries (planner side) ----
 
-    /** EWMA health in [0, 1]; 1 = never faulted. */
-    double score(int channel) const;
-
-    /** Whether the channel is currently down. */
-    bool failed(int channel) const;
-
-    /** Up, but still serving its post-restore probation window. */
-    bool onProbation(int channel) const;
-
-    /** Up and past probation, but score below the quarantine
-     *  threshold: a flapping link the planner must keep avoiding. */
-    bool quarantined(int channel) const;
-
-    /** Fail events seen for the channel. */
-    int failCount(int channel) const;
-
-    /** True once failCount reached HealthOptions::flap_limit. */
-    bool flapping(int channel) const;
-
     /**
      * Channels the planner must avoid: down ∪ on-probation ∪
-     * quarantined. This is the failed-channel list handed to
-     * core::recoverSchedule (original-graph ids, both directions —
-     * callers feed both directed ids of a failed link).
+     * quarantined (up and past probation, but with an EWMA health
+     * score — 1 = never faulted — still below 0.5: a flapping link
+     * the planner must keep avoiding). This is the failed-channel
+     * list handed to core::recoverSchedule (original-graph ids, both
+     * directions — callers feed both directed ids of a failed link).
      */
     std::vector<int> excludedChannels() const;
 
@@ -126,7 +90,7 @@ class ChannelHealthTracker
 
     bool excludedLocked(const Channel& channel) const;
 
-    HealthOptions options_;
+    int probation_runs_;
     std::vector<Channel> channels_;
 };
 

@@ -61,18 +61,6 @@ envInt(const char* name, int fallback)
     return value;
 }
 
-double
-envDouble(const char* name, double fallback)
-{
-    const char* text = envValue(name);
-    if (text == nullptr)
-        return fallback;
-    const double value = parseDouble(text, name);
-    CCUBE_CHECK(value >= 0.0, name << " must not be negative, got '"
-                                   << text << "'");
-    return value;
-}
-
 Flags::Flags(int argc, const char* const* argv)
 {
     for (int i = 1; i < argc; ++i) {

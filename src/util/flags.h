@@ -18,13 +18,12 @@ namespace ccube {
 namespace util {
 
 /**
- * Environment variable @p name parsed as strictly as Flags::getInt /
- * getDouble parse a flag, or @p fallback when it is unset or empty.
- * Garbage, out-of-range and negative values die with a message naming
- * the variable: every knob is a count or a duration.
+ * Environment variable @p name parsed as strictly as Flags::getInt
+ * parses a flag, or @p fallback when it is unset or empty. Garbage,
+ * out-of-range and negative values die with a message naming the
+ * variable: every knob is a count or a duration.
  */
 int envInt(const char* name, int fallback);
-double envDouble(const char* name, double fallback);
 
 /**
  * Parsed command line.

@@ -33,8 +33,6 @@ constexpr double gib(double v) { return v * kGiB; }
 
 /** Converts microseconds to seconds. */
 constexpr double usec(double v) { return v * 1e-6; }
-/** Converts milliseconds to seconds. */
-constexpr double msec(double v) { return v * 1e-3; }
 
 /** Converts GB/s (decimal, as vendors quote NVLink) to bytes/second. */
 constexpr double gbps(double v) { return v * 1e9; }

@@ -77,6 +77,18 @@ makeTestbed()
 
 TEST(ChaosPlanDeterminism, SameSeedSameSchedule)
 {
+    // The generator's fault mix, restore/flap odds and factor range
+    // are constants; these summaries pin them (and the draw order).
+    const char* const kExpected[] = {
+        "seed=1 events=4 fail=1 restore=0 degrade=1 slow=0 dead=2",
+        "seed=2 events=7 fail=1 restore=0 degrade=2 slow=1 dead=2",
+        "seed=3 events=2 fail=0 restore=0 degrade=1 slow=0 dead=0",
+        "seed=4 events=21 fail=5 restore=4 degrade=1 slow=1 dead=2",
+        "seed=5 events=4 fail=0 restore=0 degrade=2 slow=0 dead=0",
+        "seed=6 events=3 fail=1 restore=0 degrade=0 slow=1 dead=2",
+        "seed=7 events=5 fail=1 restore=0 degrade=1 slow=1 dead=2",
+        "seed=8 events=6 fail=1 restore=0 degrade=1 slow=2 dead=2",
+    };
     const topo::Graph graph = topo::makeDgx1();
     simnet::ChaosOptions options;
     options.max_faults = 4;
@@ -85,6 +97,7 @@ TEST(ChaosPlanDeterminism, SameSeedSameSchedule)
         const simnet::ChaosPlan b(graph, seed, options);
         ASSERT_EQ(a.eventCount(), b.eventCount()) << "seed " << seed;
         ASSERT_EQ(a.summary(), b.summary()) << "seed " << seed;
+        EXPECT_EQ(a.summary(), kExpected[seed - 1]);
         const auto& ea = a.plan().events();
         const auto& eb = b.plan().events();
         for (std::size_t i = 0; i < ea.size(); ++i) {
@@ -218,7 +231,7 @@ TEST_P(ChaosFuzzFunctional, SupervisedCollectivesNeverLieOrHang)
         options.backoff_base_s = 0.001;
         options.backoff_max_s = 0.005;
         options.max_retries = 3;
-        options.health.probation_runs = 1;
+        options.probation_runs = 1;
         core::ResilienceSupervisor supervisor(comm, graph, options);
 
         // Scenario draw: 0-2 rank kills, sometimes ladder churn.

@@ -179,9 +179,44 @@ TEST(Monitor, HeartbeatSnapshotsFromSimulation)
     for (std::size_t i = 0; i < snapshots.size(); ++i) {
         EXPECT_EQ(snapshots[i].run, 1);
         EXPECT_EQ(snapshots[i].trigger, "heartbeat");
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(snapshots[i].t_s, snapshots[i - 1].t_s);
+        }
     }
+}
+
+TEST(Monitor, SaturatedChannelReadsFullyBusyPastManyGrants)
+{
+    // One DGX-1 channel kept busy back to back for 70,000 grants:
+    // every heartbeat window must read it fully busy, up to the last.
+    constexpr int kTransfers = 70000;
+    constexpr double kBytes = 1 << 20;
+    obs::Monitor monitor;
+    monitor.enable();
+    obs::ScopedCapture capture{obs::Capture(nullptr, nullptr, &monitor)};
+
+    const topo::Graph graph = topo::makeDgx1();
+    sim::Simulation sim;
+    simnet::Network net(sim, graph);
+    monitor.setInterval(net.occupancy(0, kBytes) * kTransfers / 16);
+    for (int i = 0; i < kTransfers; ++i)
+        ASSERT_TRUE(net.transferOnChannel(0, kBytes, {}));
+    sim.run();
+    ASSERT_EQ(net.channelGrants(0), static_cast<std::uint64_t>(kTransfers));
+
+    int heartbeats = 0;
+    for (const obs::MonitorSnapshot& snapshot : monitor.snapshots()) {
+        if (snapshot.trigger != "heartbeat")
+            continue;
+        ++heartbeats;
+        double busy_frac = -1.0;
+        for (const auto& [name, value] : snapshot.values) {
+            if (name == "chan.0.busy_frac")
+                busy_frac = value;
+        }
+        EXPECT_NEAR(busy_frac, 1.0, 1e-9) << "at t=" << snapshot.t_s;
+    }
+    EXPECT_GE(heartbeats, 15);
 }
 
 TEST(Monitor, SloViolationsAndLatencyHistogram)

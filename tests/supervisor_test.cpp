@@ -117,7 +117,7 @@ class SupervisedCollective
         options.recovery = testRecovery(graph);
         options.backoff_base_s = 0.001;
         options.backoff_max_s = 0.01;
-        options.health.probation_runs = 2;
+        options.probation_runs = 2;
         return options;
     }
 };
@@ -257,7 +257,8 @@ TEST_P(SupervisedCollective, ReAdmissionClimbsBackToCCube)
 
     ccl::Communicator comm(kRanks, 4, GetParam());
     comm.setDeadline(10s);
-    ResilienceSupervisor supervisor(comm, graph, baseOptions(graph));
+    const SupervisorOptions options = baseOptions(graph);
+    ResilienceSupervisor supervisor(comm, graph, options);
 
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     recorder.clear();
@@ -285,8 +286,7 @@ TEST_P(SupervisedCollective, ReAdmissionClimbsBackToCCube)
     // probation_runs successful collectives have passed.
     for (int id : dead)
         supervisor.noteChannelRestore(id);
-    for (int run = 0;
-         run < supervisor.health().options().probation_runs; ++run) {
+    for (int run = 0; run < options.probation_runs; ++run) {
         ccl::RankBuffers probation = makeBuffers();
         const SupervisorReport report =
             supervisor.allReduce(probation);

@@ -5,6 +5,8 @@
  * core::recoverSchedule with a valid schedule — a conflict-free
  * double tree, a routable contended one, or a ring fallback — and
  * never an unroutable panic. Property-style over all channel ids.
+ * Also: the topo::ChannelHealthTracker re-admission rules the
+ * supervisor re-plans from.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/graph.h"
+#include "topo/health.h"
 #include "topo/ring_embedding.h"
 
 namespace ccube {
@@ -132,6 +135,65 @@ TEST(RecoverSchedule, UnroutableSurvivorReportsNoneWithoutPanicking)
         recoverSchedule(graph, all, testOptions(graph));
     EXPECT_EQ(result.kind, RecoveryKind::kNone);
     EXPECT_FALSE(result.usable());
+}
+
+// --- ChannelHealthTracker ---------------------------------------------
+
+TEST(ChannelHealth, RestoredLinkReadmittedAfterExactlyProbationRuns)
+{
+    topo::ChannelHealthTracker health(4, 2);
+    EXPECT_TRUE(health.excludedChannels().empty());
+    health.noteFail(1);
+    EXPECT_EQ(health.excludedChannels(), std::vector<int>{1});
+    health.noteRestore(1);
+    const std::vector<int> excluded = health.excludedChannels();
+    EXPECT_EQ(excluded, std::vector<int>{1}); // probation starts
+    health.noteRunSuccess();
+    EXPECT_EQ(health.excludedChannels(), std::vector<int>{1});
+    EXPECT_FALSE(health.anyReadmittable(excluded));
+    health.noteRunSuccess(); // score 0.85 by now: no quarantine
+    EXPECT_TRUE(health.excludedChannels().empty());
+    EXPECT_TRUE(health.anyReadmittable(excluded));
+}
+
+TEST(ChannelHealth, ProbationDoublesFromTheThirdFail)
+{
+    topo::ChannelHealthTracker health(2, 1);
+    // The first two fail/restore cycles sit out one run each; the
+    // score stays above 0.5 after every run, so only probation
+    // excludes the link.
+    for (int cycle = 1; cycle <= 2; ++cycle) {
+        health.noteFail(0);
+        health.noteRestore(0);
+        EXPECT_EQ(health.excludedChannels(), std::vector<int>{0});
+        health.noteRunSuccess();
+        EXPECT_TRUE(health.excludedChannels().empty())
+            << "cycle " << cycle;
+    }
+    // The third fail marks the link flapping: two runs of probation.
+    health.noteFail(0);
+    health.noteRestore(0);
+    health.noteRunSuccess(); // score 0.64
+    EXPECT_EQ(health.excludedChannels(), std::vector<int>{0});
+    health.noteRunSuccess();
+    EXPECT_TRUE(health.excludedChannels().empty());
+}
+
+TEST(ChannelHealth, LowScoreKeepsLinkExcludedPastProbation)
+{
+    topo::ChannelHealthTracker health(1, 1);
+    health.noteFail(0);
+    health.noteFail(0); // score 0.4225
+    health.noteRestore(0);
+    for (int i = 0; i < 4; ++i)
+        health.noteDegrade(0, 0.0); // score 0.196
+    const std::vector<int> excluded = health.excludedChannels();
+    health.noteRunSuccess(); // probation served; score 0.477 < 0.5
+    EXPECT_EQ(health.excludedChannels(), std::vector<int>{0});
+    EXPECT_FALSE(health.anyReadmittable(excluded));
+    health.noteRunSuccess(); // score 0.66
+    EXPECT_TRUE(health.excludedChannels().empty());
+    EXPECT_TRUE(health.anyReadmittable(excluded));
 }
 
 } // namespace

@@ -116,38 +116,26 @@ class ScopedEnv
     const char* name_;
 };
 
-TEST(EnvKnobsDeathTest, SloBudgetsParseStrictly)
+TEST(SloFlagsDeathTest, BudgetsParseStrictly)
 {
-    const auto flags = parse({});
-    {
-        // A unit suffix used to read as 2 ms, garbage as 0 (SLO off).
-        ScopedEnv env("CCUBE_SLO_MTTR_MS", "2s");
-        EXPECT_DEATH(obs::SloSpec::fromFlags(flags),
-                     "CCUBE_SLO_MTTR_MS wants a number, got '2s'");
-    }
-    {
-        ScopedEnv env("CCUBE_SLO_MTTR_MS", "abc");
-        EXPECT_DEATH(obs::SloSpec::fromFlags(flags), "CCUBE_SLO_MTTR_MS");
-    }
-    {
-        ScopedEnv env("CCUBE_SLO_COLLECTIVE_MS", "-5");
-        EXPECT_DEATH(obs::SloSpec::fromFlags(flags),
-                     "CCUBE_SLO_COLLECTIVE_MS must not be negative");
-    }
-    {
-        ScopedEnv env("CCUBE_SLO_COLLECTIVE_MS", "1e999");
-        EXPECT_DEATH(obs::SloSpec::fromFlags(flags),
-                     "CCUBE_SLO_COLLECTIVE_MS");
-    }
-    {
-        ScopedEnv env("CCUBE_SLO_MTTR_MS", "2000");
-        EXPECT_DOUBLE_EQ(obs::SloSpec::fromFlags(flags).mttr_budget_s,
-                         2.0);
-    }
-    {
-        ScopedEnv env("CCUBE_SLO_MTTR_MS", ""); // empty = unset
-        EXPECT_FALSE(obs::SloSpec::fromFlags(flags).any());
-    }
+    // A unit suffix used to read as 2 ms, garbage as 0 (SLO off).
+    EXPECT_DEATH(obs::SloSpec::fromFlags(parse({"--slo-mttr-ms=2s"})),
+                 "--slo-mttr-ms wants a number, got '2s'");
+    EXPECT_DEATH(obs::SloSpec::fromFlags(parse({"--slo-mttr-ms=abc"})),
+                 "--slo-mttr-ms");
+    EXPECT_DEATH(
+        obs::SloSpec::fromFlags(parse({"--slo-collective-ms=-5"})),
+        "--slo-collective-ms must not be negative, got '-5'");
+    EXPECT_DEATH(obs::SloSpec::fromFlags(parse({"--slo-mttr-ms=-5"})),
+                 "--slo-mttr-ms must not be negative");
+    EXPECT_DEATH(
+        obs::SloSpec::fromFlags(parse({"--slo-collective-ms=1e999"})),
+        "--slo-collective-ms");
+    EXPECT_DOUBLE_EQ(
+        obs::SloSpec::fromFlags(parse({"--slo-mttr-ms=2000"}))
+            .mttr_budget_s,
+        2.0);
+    EXPECT_FALSE(obs::SloSpec::fromFlags(parse({})).any()); // unset
 }
 
 TEST(EnvKnobsDeathTest, RuntimeKnobsParseStrictly)
@@ -182,7 +170,6 @@ TEST(EnvKnobs, ValidAndEmptyValues)
     {
         ScopedEnv env("CCUBE_TEST_KNOB", "");
         EXPECT_EQ(util::envInt("CCUBE_TEST_KNOB", 7), 7);
-        EXPECT_DOUBLE_EQ(util::envDouble("CCUBE_TEST_KNOB", 1.5), 1.5);
     }
     {
         ScopedEnv env("CCUBE_TEST_KNOB", "0"); // 0 disables, not unset
@@ -191,7 +178,6 @@ TEST(EnvKnobs, ValidAndEmptyValues)
     {
         ScopedEnv env("CCUBE_TEST_KNOB", "4");
         EXPECT_EQ(util::envInt("CCUBE_TEST_KNOB", 7), 4);
-        EXPECT_DOUBLE_EQ(util::envDouble("CCUBE_TEST_KNOB", 0.0), 4.0);
     }
 }
 
