@@ -224,9 +224,7 @@ Communicator::run(const std::function<void(int rank)>& body,
     for (int r = 0; r < num_ranks_; ++r)
         tasks.push_back(std::make_unique<BodyStep>(r, body));
     noteProtocol(proto);
-    runEnvelope(op, [this, &tasks]() {
-        executor().run(std::move(tasks), &fault_);
-    });
+    runEnvelope(op, executor(), std::move(tasks));
 }
 
 void
@@ -241,14 +239,12 @@ Communicator::runTasks(std::vector<std::unique_ptr<RankTask>> tasks,
         exec_mode_ == RankExecutor::Mode::kStateMachine
             ? StateMachineEngine::shared()
             : executor();
-    runEnvelope(op, [&engine, this, &tasks]() {
-        engine.run(std::move(tasks), &fault_);
-    });
+    runEnvelope(op, engine, std::move(tasks));
 }
 
 void
-Communicator::runEnvelope(const char* op,
-                          const std::function<void()>& launch)
+Communicator::runEnvelope(const char* op, StateMachineEngine& engine,
+                          std::vector<std::unique_ptr<RankTask>> tasks)
 {
     // A tripped epoch poisons the communicator until clearAbort(),
     // mirroring NCCL's post-abort semantics.
@@ -264,27 +260,23 @@ Communicator::runEnvelope(const char* op,
     const bool monitored = monitor.enabled();
     const auto wall_start = std::chrono::steady_clock::now();
 
-    CommWatchdog* watchdog = nullptr;
     const std::chrono::nanoseconds deadline = deadline_;
-    if (deadline.count() > 0) {
-        std::call_once(watchdog_once_, [this]() {
-            watchdog_ = std::make_unique<CommWatchdog>();
-        });
-        watchdog = watchdog_.get();
-        const double deadline_s =
-            std::chrono::duration<double>(deadline).count();
-        watchdog->arm(deadline, [this, deadline_s]() {
-            // Watchdog thread: snapshot progress, blame the slowest
-            // (or injector-killed) rank, trip the epoch so every
-            // bounded spin unblocks.
-            abort(fault_.deadlineInfo(deadline_s));
-        });
-    }
-
+    const double deadline_s =
+        std::chrono::duration<double>(deadline).count();
     std::exception_ptr err;
     bool killed = false;
     try {
-        launch();
+        // On expiry the engine's wait loop runs the watchdog action on
+        // this thread: snapshot progress, blame the slowest (or
+        // injector-killed) rank, trip the epoch so every bounded spin
+        // unblocks.
+        engine.run(std::move(tasks), &fault_,
+                   deadline.count() > 0
+                       ? wall_start + deadline
+                       : StateMachineEngine::kNoDeadline,
+                   [this, deadline_s]() {
+                       abort(fault_.deadlineInfo(deadline_s));
+                   });
     } catch (const RankKilled&) {
         err = std::current_exception();
         killed = true;
@@ -292,18 +284,14 @@ Communicator::runEnvelope(const char* op,
         err = std::current_exception();
     }
 
-    if (watchdog != nullptr)
-        watchdog->disarm(); // blocks out an in-flight expiry callback
     if (killed) {
         // A killed task no peer waited for ends the collective without
         // tripping the epoch, yet its mailboxes may still hold chunks
         // it never delivered or consumed: poison the communicator, so
         // clearAbort() flushes them before it is reused. The dead rank
-        // is blamed (no-op when the watchdog already tripped).
-        abort(fault_.deadlineInfo(
-            std::chrono::duration<double>(deadline).count()));
+        // is blamed (no-op when the deadline already tripped).
+        abort(fault_.deadlineInfo(deadline_s));
     }
-    fault_.endCollective();
 
     if (monitored) {
         const std::chrono::duration<double> wall =

@@ -7,13 +7,13 @@
  * collective library.
  *
  * One persistent thread per rank plays the role of one GPU running
- * persistent kernels (see ccl/executor.h), driving that rank's
- * RankTasks of every collective; mailboxes play the role of
- * NVLink P2P receive buffers. Mailboxes are keyed by (src, dst, flow)
- * because one physical link may carry several logical flows (e.g. the
- * two trees of a double tree, or a detour passing through a transit
- * GPU) with independent buffer pools — exactly as NCCL allocates
- * per-channel buffers.
+ * persistent kernels (ccl::RankExecutor, see ccl/state_machine.h),
+ * driving that rank's RankTasks of every collective; mailboxes play
+ * the role of NVLink P2P receive buffers. Mailboxes are keyed by
+ * (src, dst, flow) because one physical link may carry several
+ * logical flows (e.g. the two trees of a double tree, or a detour
+ * passing through a transit GPU) with independent buffer pools —
+ * exactly as NCCL allocates per-channel buffers.
  *
  * The mailbox registry is a dense flat table indexed by
  * (src, dst, flow): after a mailbox's first use the per-chunk lookup
@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "ccl/allreduce.h"
-#include "ccl/executor.h"
 #include "ccl/fault.h"
 #include "ccl/mailbox.h"
+#include "ccl/state_machine.h"
 
 namespace ccube {
 
@@ -95,12 +95,13 @@ class Communicator
      *
      * @p op names the collective for watchdog/abort attribution (a
      * string literal; stored by pointer). When a deadline is set (see
-     * setDeadline) a CommWatchdog watches the whole run: if any rank
-     * wedges past the deadline the abort epoch trips, every bounded
-     * spin unblocks, and run() throws a structured CollectiveError
-     * naming the failed rank, op, and blocked mailbox — instead of
-     * hanging. A rank killed by the FaultInjector trips the same
-     * abort, blaming that rank, even when no peer waited for it. An
+     * setDeadline) the calling thread watches the whole run while it
+     * waits for it (StateMachineEngine::run): if any rank wedges past
+     * the deadline the abort epoch trips, every bounded spin
+     * unblocks, and run() throws a structured CollectiveError naming
+     * the failed rank, op, and blocked mailbox — instead of hanging.
+     * A rank killed by the FaultInjector trips the same abort,
+     * blaming that rank, even when no peer waited for it. An
      * abort poisons the communicator (like NCCL after ncclCommAbort):
      * further run() calls rethrow until clearAbort().
      *
@@ -120,8 +121,8 @@ class Communicator
      * Drives @p tasks to completion on this communicator's engine —
      * the persistent rank threads, or the shared StateMachineEngine
      * pool under Mode::kStateMachine — under the same envelope as
-     * run(): poison check, watchdog arm/disarm, monitor collective
-     * edge, abort-wins error surfacing. @p op as in run().
+     * run(): poison check, deadline, monitor collective edge,
+     * abort-wins error surfacing. @p op as in run().
      */
     void runTasks(std::vector<std::unique_ptr<RankTask>> tasks,
                   const char* op = "collective",
@@ -171,7 +172,7 @@ class Communicator
      * Trips the abort epoch with @p info: every rank blocked in a
      * bounded spin throws AbortedWait, the in-flight (or next) run()
      * surfaces a CollectiveError. Callable from any thread — this is
-     * the ncclCommAbort analog the watchdog also uses.
+     * the ncclCommAbort analog a deadline overrun also uses.
      */
     void abort(CollectiveError::Info info);
 
@@ -209,10 +210,10 @@ class Communicator
     RankExecutor& executor();
 
     /** Shared collective envelope of run()/runTasks(): poison check,
-     *  watchdog arm/disarm, monitor edge, abort-wins surfacing around
-     *  @p launch (which blocks until the collective finishes). */
-    void runEnvelope(const char* op,
-                     const std::function<void()>& launch);
+     *  monitor edge, abort-wins surfacing around @p engine running
+     *  @p tasks under this communicator's deadline. */
+    void runEnvelope(const char* op, StateMachineEngine& engine,
+                     std::vector<std::unique_ptr<RankTask>> tasks);
 
     const int num_ranks_;
     const int mailbox_slots_;
@@ -227,12 +228,10 @@ class Communicator
     std::once_flag executor_once_;
     std::unique_ptr<RankExecutor> executor_;
 
-    // Fault tolerance: abort epoch + per-rank progress table, the
-    // watchdog (created on first deadline-armed run), the deadline.
+    // Fault tolerance: abort epoch + per-rank progress table, and the
+    // per-collective deadline.
     CommFaultContext fault_;
     std::chrono::nanoseconds deadline_ = defaultDeadline();
-    std::once_flag watchdog_once_;
-    std::unique_ptr<CommWatchdog> watchdog_;
 
     // Test-only interposition point inside clearAbort() (see
     // setClearAbortHook).

@@ -173,13 +173,6 @@ CommFaultContext::beginCollective(const char* op)
     op_.store(op, std::memory_order_release);
 }
 
-void
-CommFaultContext::endCollective()
-{
-    // Progress table and op name are kept for post-mortem reads; the
-    // next beginCollective resets them.
-}
-
 const char*
 CommFaultContext::currentOp() const
 {
@@ -254,9 +247,10 @@ CommFaultContext::noteWaitBegin(const char* label, int flow, int peer)
     slot->wait_peer.store(peer, std::memory_order_relaxed);
     slot->wait_flow.store(flow, std::memory_order_relaxed);
     // Release: the label doubles as the "this rank is waiting" flag
-    // and the watchdog dereferences it (the mailbox's label string)
-    // from its own thread, so publishing it must carry the peer/flow
-    // pair and the string contents with it.
+    // and the watchdog (the collective's caller, in its wait loop)
+    // dereferences it (the mailbox's label string) from its own
+    // thread, so publishing it must carry the peer/flow pair and the
+    // string contents with it.
     slot->wait_label.store(label, std::memory_order_release);
 }
 
@@ -285,8 +279,9 @@ CommFaultContext::deadlineInfo(double deadline_s) const
     info.deadline_s = deadline_s;
 
     // Walk the wait-for graph first, while every blocked rank's edge
-    // is still registered: this runs inside the watchdog callback
-    // before the abort epoch trips and wakes the waiters.
+    // is still registered: this runs in the engine's wait loop on
+    // deadline expiry, before the abort epoch trips and wakes the
+    // waiters.
     const WaitChain chain = longestChain();
     if (!chain.empty()) {
         info.stall_chain = formatChain(chain);

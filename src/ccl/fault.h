@@ -41,8 +41,9 @@
  *
  * Threading: every step of a collective's rank tasks runs with the
  * communicator's context installed via ScopedFaultContext (the
- * StateMachineEngine does this automatically); the watchdog thread
- * only reads atomics and trips the epoch.
+ * StateMachineEngine does this automatically); the watchdog — the
+ * thread that launched the collective, waiting for it — only reads
+ * atomics and trips the epoch.
  */
 
 #include <atomic>
@@ -267,12 +268,10 @@ class CommFaultContext
     }
 
     /** Marks the start of a collective named @p op (a string literal —
-     *  the pointer is stored, not the contents). */
+     *  the pointer is stored, not the contents). The progress table
+     *  and op name of the previous collective stay readable until
+     *  then, for post-mortem reads. */
     void beginCollective(const char* op);
-
-    /** Marks the end of the collective (progress table kept for
-     *  post-mortem reads until the next beginCollective). */
-    void endCollective();
 
     /** Name of the running (or last) collective. */
     const char* currentOp() const;

@@ -154,7 +154,6 @@ Mailbox::reset()
     ll_scratch_.size = 0;
     ll_scratch_.tag = 0;
     ll_front_ = false;
-    delivered_.reset();
 }
 
 void
@@ -325,7 +324,6 @@ Mailbox::llFinishConsume()
 {
     ++ll_wait_seq_;
     ll_consumed_.store(ll_wait_seq_, std::memory_order_release);
-    delivered_.post();
 }
 
 template <typename Claim>
@@ -375,7 +373,6 @@ Mailbox::finishConsume()
 {
     tail_ = (tail_ + 1) % ring_.size();
     empty_.post();
-    delivered_.post();
 }
 
 bool

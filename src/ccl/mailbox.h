@@ -39,12 +39,12 @@
  * word rides in a 64-bit line next to an inline flag word carrying
  * the message sequence number: the receiver spins on the flags
  * directly and no semaphore is posted or waited on the data path.
- * The two rings share the fault hooks, trace sequence numbers and
- * delivered() count, so watchdog blame and post/wait span pairing
- * behave identically on both paths — but an LL message can only be
- * received by an LL op (the protocol is a property of the collective,
- * not negotiated per message). LL ops never touch arrival/free-slot
- * semaphores, so state-machine tasks poll instead of parking.
+ * The two rings share the fault hooks and trace sequence numbers,
+ * so watchdog blame and post/wait span pairing behave identically on
+ * both paths — but an LL message can only be received by an LL op
+ * (the protocol is a property of the collective, not negotiated per
+ * message). LL ops never touch arrival/free-slot semaphores, so
+ * state-machine tasks poll instead of parking.
  */
 
 #include <atomic>
@@ -188,9 +188,6 @@ class Mailbox
 
     /** Number of receive buffers. */
     int slots() const { return static_cast<int>(ring_.size()); }
-
-    /** Total chunks delivered (for telemetry/tests). */
-    std::int64_t delivered() const { return delivered_.value(); }
 
     /**
      * Names this mailbox for trace spans (e.g. "mb 0->1/f2", set by
@@ -344,7 +341,6 @@ class Mailbox
     std::atomic<std::int64_t> ll_consumed_{0};
     Slot ll_scratch_;       ///< consumer staging (tryPeek)
     bool ll_front_ = false; ///< tryPeek front came from the LL lane
-    CheckableCounter delivered_;
     std::string trace_label_ = "mb ?";
     int flow_ = -1;
     int src_ = -1;

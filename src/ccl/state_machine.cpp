@@ -59,7 +59,8 @@ StateMachineEngine::StateMachineEngine(int num_workers,
         return;
 
     // Live engine gauges for obs::Monitor snapshots: pool size,
-    // parked/runnable task counts, cumulative park/steal activity.
+    // parked/runnable task counts, and the process-wide park/steal
+    // totals of obs::RankCounters (every pooled engine reports them).
     monitor_source_ = obs::Monitor::global().addSource(
         [this](double,
                std::vector<std::pair<std::string, double>>& out) {
@@ -69,10 +70,14 @@ StateMachineEngine::StateMachineEngine(int num_workers,
                              static_cast<double>(parkedNow()));
             out.emplace_back("ccl.sm.runnable",
                              static_cast<double>(runnableNow()));
-            out.emplace_back("ccl.sm.parks",
-                             static_cast<double>(parks()));
-            out.emplace_back("ccl.sm.steals",
-                             static_cast<double>(steals()));
+            const obs::RankCounters& counters =
+                obs::RankCounters::global();
+            out.emplace_back(
+                "ccl.sm.parks",
+                static_cast<double>(counters.totalSmParks()));
+            out.emplace_back(
+                "ccl.sm.steals",
+                static_cast<double>(counters.totalSmSteals()));
         });
 }
 
@@ -373,10 +378,6 @@ StateMachineEngine::stepTask(RankTask& task, StepContext& ctx)
     } catch (...) {
         error = std::current_exception();
     }
-    // A retry that found its op still blocked is not counted: on a
-    // pinned engine it is the analog of a pooled task sitting parked.
-    if (!ctx.blocked_)
-        steps_.fetch_add(1, std::memory_order_relaxed);
     if (error || !(ctx.blocked_ || status == StepStatus::kParked))
         endStall(task);
     if (error) {
@@ -407,14 +408,11 @@ StateMachineEngine::runTask(RankTask& task, int worker, bool stolen)
 
     obs::setThreadRank(task.rank());
     obs::RankCounters& counters = obs::RankCounters::global();
-    if (stolen) {
+    if (stolen)
         counters.addSmSteal();
-        steals_.fetch_add(1, std::memory_order_relaxed);
-    }
     if (task.resuming_) {
         task.resuming_ = false;
         counters.addSmResume();
-        resumes_.fetch_add(1, std::memory_order_relaxed);
         if (batch->fault != nullptr)
             batch->fault->noteWaitEnd();
         // Exact parked-time attribution: a parked task occupies no
@@ -470,7 +468,9 @@ StateMachineEngine::finishTask(RankTask& task, std::exception_ptr error)
 
 void
 StateMachineEngine::run(std::vector<std::unique_ptr<RankTask>> tasks,
-                        CommFaultContext* fault)
+                        CommFaultContext* fault,
+                        Clock::time_point deadline,
+                        const std::function<void()>& on_deadline)
 {
     if (tasks.empty())
         return;
@@ -504,11 +504,22 @@ StateMachineEngine::run(std::vector<std::unique_ptr<RankTask>> tasks,
     for (const std::unique_ptr<RankTask>& task : batch.tasks)
         enqueue(*task);
 
+    bool armed = deadline != kNoDeadline && on_deadline;
     std::unique_lock<std::mutex> lock(batch.mutex);
     while (batch.remaining > 0) {
         batch.cv.wait_for(lock, std::chrono::milliseconds(1));
+        if (armed && batch.remaining > 0 && Clock::now() >= deadline) {
+            // The watchdog: the deadline passed with tasks still
+            // running. The action (the Communicator's abort) walks the
+            // wait-for graph before it trips the epoch, so it runs
+            // ahead of this wakeup's abort check and sweep.
+            armed = false;
+            lock.unlock();
+            on_deadline();
+            lock.lock();
+        }
         if (fault != nullptr && fault->abortState().aborted()) {
-            // A watchdog or manual abort tripped the epoch: wake the
+            // A deadline or manual abort tripped the epoch: wake the
             // batch's parked tasks so their next step unwinds with
             // AbortedWait instead of waiting for a post that will
             // never come.
@@ -599,7 +610,6 @@ StepContext::parkOn(BoundedSemaphore& sem, const char* label, int flow,
     // path clears it). The worker publishes kParked on return.
     task_.resuming_ = true;
     obs::RankCounters::global().addSmPark();
-    engine_.parks_.fetch_add(1, std::memory_order_relaxed);
     engine_.parked_now_.fetch_add(1, std::memory_order_relaxed);
     return StepStatus::kParked;
 }

@@ -18,7 +18,9 @@
  *    its steps: a blocked task simply yields the loop to the rank's
  *    next task, and once every task is blocked the worker backs off on
  *    the util::SpinWait ladder. Nothing parks, so a post never pays a
- *    wake. A ccl::RankExecutor owned by each Communicator is this form.
+ *    wake. The RankExecutor each Communicator owns is this form: the
+ *    host-side analog of the paper's persistent kernels, launched once
+ *    and then driven through every collective.
  *  - Placement::kPooled — thread-per-rank caps the runtime at a few
  *    dozen ranks, so the process-wide shared() pool multiplexes tasks
  *    onto a handful of workers. NCCL multiplexes many channels'
@@ -54,22 +56,30 @@
  *      fault semantics carry over: the fault context travels with the
  *      batch (installed around every step), deadline/abort checks run
  *      at every park and resume point, and a parked task keeps its
- *      wait-site label published so the watchdog blames the right
- *      rank.
+ *      wait-site label published so a deadline overrun blames the
+ *      right rank.
  *
  * Work stealing (pooled): each worker owns a deque; enqueues go to the
  * task's home worker, idle workers steal from the back of other
  * queues. Steals, parks, and resumes land in obs::RankCounters and the
  * engine exports live ccl.sm.* gauges to obs::Monitor.
  *
- * Along with executor.cpp, this is a translation unit in src/ccl/
- * allowed to construct std::thread (the workers).
+ * Deadlines: run() is also the collective's watchdog. The caller
+ * already wakes every millisecond while its batch runs (to notice a
+ * tripped abort epoch); once the batch's deadline has passed it runs
+ * the expiry action there, on its own thread, before it returns.
+ *
+ * This is the only translation unit in src/ccl/ that constructs
+ * std::thread (the workers); the Release CI job's thread census
+ * enforces it.
  */
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -104,6 +114,12 @@ enum class StepStatus {
 class StateMachineEngine
 {
   public:
+    using Clock = std::chrono::steady_clock;
+
+    /** run()'s deadline when the batch has none. */
+    static constexpr Clock::time_point kNoDeadline =
+        Clock::time_point::max();
+
     /** How tasks map onto workers (see the file comment). */
     enum class Placement {
         kPooled,     ///< any worker; steal, park on block
@@ -144,9 +160,19 @@ class StateMachineEngine
      * unwinds instead of hanging. Rethrows the first exception any
      * task threw — after every task of the batch has finished or
      * aborted.
+     *
+     * Once @p deadline has passed with tasks still running, run()
+     * calls @p on_deadline (which must not throw) once on the calling
+     * thread, without any engine lock held and before it looks at the
+     * abort epoch in the same wakeup — so an expiry action that trips
+     * the epoch (the Communicator's abort) sees every blocked task's
+     * wait-for edge still registered, and its own trip is swept at
+     * once.
      */
     void run(std::vector<std::unique_ptr<RankTask>> tasks,
-             CommFaultContext* fault);
+             CommFaultContext* fault,
+             Clock::time_point deadline = kNoDeadline,
+             const std::function<void()>& on_deadline = nullptr);
 
     // ---- telemetry ----
 
@@ -156,27 +182,6 @@ class StateMachineEngine
     }
 
     Placement placement() const { return placement_; }
-
-    /** step() invocations executed, not counting retries that found
-     *  their op still blocked (StepContext::retryLater). */
-    std::uint64_t stepsExecuted() const
-    {
-        return steps_.load(std::memory_order_relaxed);
-    }
-
-    /** Successful parks / resumes / steals across the pool. */
-    std::uint64_t parks() const
-    {
-        return parks_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t resumes() const
-    {
-        return resumes_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t steals() const
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
 
     /** Tasks currently parked on a semaphore. */
     int parkedNow() const
@@ -251,14 +256,34 @@ class StateMachineEngine
      *  queue mutex before notifying, so no pinned worker misses it. */
     std::atomic<bool> stop_{false};
 
-    std::atomic<std::uint64_t> steps_{0};
-    std::atomic<std::uint64_t> parks_{0};
-    std::atomic<std::uint64_t> resumes_{0};
-    std::atomic<std::uint64_t> steals_{0};
     std::atomic<int> parked_now_{0};
 
     /// Live ccl.sm.* gauges (pooled engines only).
     obs::Monitor::SourceHandle monitor_source_;
+};
+
+/**
+ * A Communicator's persistent rank threads: a rank-pinned engine with
+ * one worker per rank, asleep between collectives.
+ */
+class RankExecutor : public StateMachineEngine
+{
+  public:
+    /** Which engine a Communicator's collectives run on. */
+    enum class Mode {
+        kPersistent,   ///< this executor: one pinned thread per rank
+        kStateMachine, ///< StateMachineEngine::shared(): pooled workers
+    };
+
+    /** kPersistent; Communicator's Mode argument overrides it for
+     *  A/B runs of the two placements. */
+    static Mode defaultMode() { return Mode::kPersistent; }
+
+    /** Starts @p num_ranks threads, asleep until the first run(). */
+    explicit RankExecutor(int num_ranks)
+        : StateMachineEngine(num_ranks, Placement::kRankPinned)
+    {
+    }
 };
 
 /**

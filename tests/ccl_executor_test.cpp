@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/executor.h"
 #include "ccl/program_task.h"
 #include "obs/context.h"
 #include "topo/dgx1.h"

@@ -10,9 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 
-#include "ccl/executor.h"
 #include "ccl/fault.h"
 #include "ccl/program_task.h"
 #include "ccl/sync_primitives.h"
@@ -143,23 +144,6 @@ TEST(CommFaultContext, UntaggedThreadWritesNothing)
     context.onMailboxOp(7);
     EXPECT_EQ(context.deadlineInfo(1.0).failed_rank, 0);
     EXPECT_EQ(context.deadlineInfo(1.0).ops_completed, 0);
-}
-
-TEST(CommWatchdog, FiresAfterDeadlineAndDisarmBlocksCallback)
-{
-    CommWatchdog watchdog;
-    std::atomic<int> fired{0};
-    watchdog.arm(10ms, [&]() { fired.fetch_add(1); });
-    std::this_thread::sleep_for(50ms);
-    watchdog.disarm();
-    EXPECT_EQ(fired.load(), 1);
-    EXPECT_TRUE(watchdog.fired());
-
-    // A disarm before the deadline suppresses the callback.
-    watchdog.arm(10s, [&]() { fired.fetch_add(1); });
-    watchdog.disarm();
-    EXPECT_EQ(fired.load(), 1);
-    EXPECT_FALSE(watchdog.fired());
 }
 
 // ------------------------------------------- collective abort paths
@@ -380,6 +364,38 @@ TEST_P(FaultedCollective, ClearAbortIsIdempotent)
     EXPECT_THROW(comm.run([](int) {}, "noop"), CollectiveError);
     comm.clearAbort();
     comm.run([](int) {}, "noop");
+}
+
+/** Live threads of this process: the entries of /proc/self/task. */
+int
+threadCount()
+{
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<int>(std::distance(
+        tasks, std::filesystem::directory_iterator()));
+}
+
+TEST_P(FaultedCollective, DeadlineArmedCollectiveStartsNoThread)
+{
+    // The thread that waits for the collective also watches its
+    // deadline: arming one adds no thread to those the warm-up run
+    // started (the rank threads, or the shared pool).
+    const topo::Graph graph = topo::makeDgx1();
+    const sched::Program program = sched::doubleTreeProgram(
+        topo::makeDgx1DoubleTree(graph), sched::PhaseMode::kOverlapped, 2);
+    Communicator comm(kRanks, 4, GetParam());
+    comm.setDeadline(0ns);
+    RankBuffers warmup = makeBuffers(32);
+    ccl::runProgram(comm, warmup, program);
+    const int before = threadCount();
+
+    comm.setDeadline(10s);
+    RankBuffers buffers = makeBuffers(32);
+    ccl::runProgram(comm, buffers, program);
+    EXPECT_EQ(threadCount(), before);
+    for (const std::vector<float>& row : buffers)
+        for (float v : row)
+            EXPECT_FLOAT_EQ(v, 36.0f); // 1+2+...+8
 }
 
 TEST(KilledRank, EveryKillPoisonsTheCommunicator)

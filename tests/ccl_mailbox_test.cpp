@@ -32,7 +32,6 @@ TEST(Mailbox, SendRecvRoundTrip)
     std::vector<float> out{9.0f, 9.0f, 9.0f, 9.0f}; // overwritten
     EXPECT_EQ(box.recv(out), 7);
     EXPECT_EQ(out, payload);
-    EXPECT_EQ(box.delivered(), 1);
 
     // The non-blocking copy overwrites a sized buffer in place.
     box.noteOpBegin(Mailbox::OpKind::kSend);
@@ -136,7 +135,6 @@ TEST(Mailbox, BlockingAndTryFormsAgree)
     EXPECT_EQ(blocking.ll_posts, 0);
     EXPECT_EQ(simple.ll_posts, 0);
     EXPECT_EQ(ll.ll_posts, 3);
-    EXPECT_EQ(box.delivered(), 9);
 }
 
 TEST(Mailbox, BlockedRecvCountsAWaitStall)
@@ -176,7 +174,6 @@ TEST(Mailbox, PreservesFifoOrderAcrossThreads)
         EXPECT_EQ(out[0], static_cast<float>(c));
     }
     producer.join();
-    EXPECT_EQ(box.delivered(), kChunks);
 }
 
 TEST(Mailbox, BackpressureWithOneSlot)

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/executor.h"
 #include "ccl/fault.h"
 #include "ccl/program_task.h"
 #include "ccl/protocol.h"
@@ -38,7 +37,8 @@
 #include "topo/graph.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
-#include "util/rng.h"
+
+#include "ccl_test_util.h"
 
 namespace ccube {
 namespace {
@@ -58,64 +58,6 @@ struct Dgx1Topologies {
     topo::DoubleTreeEmbedding double_tree =
         topo::makeDgx1DoubleTree(graph);
 };
-
-/** Direct-route logical topologies at arbitrary P (no physical graph
- *  needed), as in ccl_statemachine_test. */
-struct LogicalTopologies {
-    explicit LogicalTopologies(int ranks)
-        : ring(topo::makeSequentialRing(ranks)),
-          tree(topo::directEmbedding(topo::BinaryTree::inorder(ranks))),
-          double_tree(
-              topo::directEmbedding(topo::BinaryTree::inorder(ranks)),
-              topo::directEmbedding(
-                  topo::BinaryTree::inorder(ranks).mirrored()))
-    {
-    }
-
-    topo::RingEmbedding ring;
-    topo::TreeEmbedding tree;
-    topo::DoubleTreeEmbedding double_tree;
-};
-
-ccl::RankBuffers
-seededBuffers(int ranks, int elems, std::uint64_t seed)
-{
-    util::Rng rng(seed);
-    ccl::RankBuffers buffers(static_cast<std::size_t>(ranks));
-    for (auto& b : buffers) {
-        b.resize(static_cast<std::size_t>(elems));
-        rng.fill(b, -1.0f, 1.0f);
-    }
-    return buffers;
-}
-
-ccl::RankBuffers
-integerBuffers(int ranks, int elems)
-{
-    ccl::RankBuffers buffers(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-        auto& b = buffers[static_cast<std::size_t>(r)];
-        b.resize(static_cast<std::size_t>(elems));
-        for (int i = 0; i < elems; ++i)
-            b[static_cast<std::size_t>(i)] =
-                static_cast<float>((r * 7 + i * 13) % 17 - 8);
-    }
-    return buffers;
-}
-
-std::vector<float>
-integerSums(int ranks, int elems)
-{
-    std::vector<float> expected(static_cast<std::size_t>(elems));
-    for (int i = 0; i < elems; ++i) {
-        long sum = 0;
-        for (int r = 0; r < ranks; ++r)
-            sum += (r * 7 + i * 13) % 17 - 8;
-        expected[static_cast<std::size_t>(i)] =
-            static_cast<float>(sum);
-    }
-    return expected;
-}
 
 void
 expectBytesIdentical(const ccl::RankBuffers& got,

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/executor.h"
 #include "ccl/fault.h"
 #include "ccl/program_task.h"
 #include "ccl/state_machine.h"
@@ -32,7 +31,8 @@
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
-#include "util/rng.h"
+
+#include "ccl_test_util.h"
 
 namespace ccube {
 namespace {
@@ -53,71 +53,14 @@ struct Dgx1Topologies {
         topo::makeDgx1DoubleTree(graph);
 };
 
-/**
- * Purely logical topologies at arbitrary P: every logical edge is a
- * direct route, so the protocol exercises mailboxes and ordering
- * without needing a physical graph of that size.
- */
-struct LogicalTopologies {
-    explicit LogicalTopologies(int ranks)
-        : ring(topo::makeSequentialRing(ranks)),
-          tree(topo::directEmbedding(topo::BinaryTree::inorder(ranks))),
-          double_tree(
-              topo::directEmbedding(topo::BinaryTree::inorder(ranks)),
-              topo::directEmbedding(
-                  topo::BinaryTree::inorder(ranks).mirrored()))
-    {
-    }
-
-    topo::RingEmbedding ring;
-    topo::TreeEmbedding tree;
-    topo::DoubleTreeEmbedding double_tree;
-};
-
-ccl::RankBuffers
-seededBuffers(int ranks, int elems, std::uint64_t seed)
+/** Rank tasks finished so far on ranks [0, @p ranks). */
+std::uint64_t
+tasksFinished(int ranks)
 {
-    util::Rng rng(seed);
-    ccl::RankBuffers buffers(static_cast<std::size_t>(ranks));
-    for (auto& b : buffers) {
-        b.resize(static_cast<std::size_t>(elems));
-        rng.fill(b, -1.0f, 1.0f);
-    }
-    return buffers;
-}
-
-/**
- * Integer-valued buffers: every element is a small integer, so every
- * partial sum at P ≤ 1024 is exactly representable in float and the
- * reduced result is independent of reduction order, bit for bit.
- */
-ccl::RankBuffers
-integerBuffers(int ranks, int elems)
-{
-    ccl::RankBuffers buffers(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-        auto& b = buffers[static_cast<std::size_t>(r)];
-        b.resize(static_cast<std::size_t>(elems));
-        for (int i = 0; i < elems; ++i)
-            b[static_cast<std::size_t>(i)] =
-                static_cast<float>((r * 7 + i * 13) % 17 - 8);
-    }
-    return buffers;
-}
-
-/** Exact (order-independent) AllReduce expectation for integerBuffers. */
-std::vector<float>
-integerSums(int ranks, int elems)
-{
-    std::vector<float> expected(static_cast<std::size_t>(elems));
-    for (int i = 0; i < elems; ++i) {
-        long sum = 0;
-        for (int r = 0; r < ranks; ++r)
-            sum += (r * 7 + i * 13) % 17 - 8;
-        expected[static_cast<std::size_t>(i)] =
-            static_cast<float>(sum);
-    }
-    return expected;
+    std::uint64_t total = 0;
+    for (int r = 0; r < ranks; ++r)
+        total += obs::RankCounters::global().executorTasks(r);
+    return total;
 }
 
 void
@@ -253,8 +196,9 @@ TEST(StateMachineScaling, TwoHundredFiftySixRanksExactSums)
     const LogicalTopologies topo(kRanks);
     const std::vector<float> expected = integerSums(kRanks, kElems);
     ccl::StateMachineEngine& engine = ccl::StateMachineEngine::shared();
-    const std::uint64_t parks_before = engine.parks();
-    const std::uint64_t steps_before = engine.stepsExecuted();
+    const obs::RankCounters& counters = obs::RankCounters::global();
+    const std::uint64_t parks_before = counters.totalSmParks();
+    const std::uint64_t tasks_before = tasksFinished(kRanks);
 
     const std::vector<Scenario> scenarios = {
         {"ring_allreduce_p256",
@@ -279,8 +223,9 @@ TEST(StateMachineScaling, TwoHundredFiftySixRanksExactSums)
 
     // With 256+ tasks on a handful of workers, tasks must have parked
     // (blocked ops with a busy pool skip the spin fast path).
-    EXPECT_GT(engine.parks(), parks_before);
-    EXPECT_GT(engine.stepsExecuted(), steps_before);
+    EXPECT_GT(counters.totalSmParks(), parks_before);
+    EXPECT_GE(tasksFinished(kRanks) - tasks_before,
+              static_cast<std::uint64_t>(scenarios.size()) * kRanks);
     EXPECT_GE(engine.workerCount(), 1);
 }
 
@@ -295,7 +240,7 @@ TEST(StateMachineEngineSharing, ConcurrentCommunicatorsOneSharedPool)
     const LogicalTopologies topo(kRanks);
     ccl::StateMachineEngine& engine = ccl::StateMachineEngine::shared();
     const int workers_before = engine.workerCount();
-    const std::uint64_t steps_before = engine.stepsExecuted();
+    const std::uint64_t tasks_before = tasksFinished(kRanks);
     const std::vector<float> expected = integerSums(kRanks, kElems);
 
     std::atomic<int> failures{0};
@@ -327,7 +272,8 @@ TEST(StateMachineEngineSharing, ConcurrentCommunicatorsOneSharedPool)
     EXPECT_EQ(failures.load(), 0);
     // All batches multiplexed onto the same pool: no thread growth.
     EXPECT_EQ(engine.workerCount(), workers_before);
-    EXPECT_GT(engine.stepsExecuted(), steps_before);
+    EXPECT_GE(tasksFinished(kRanks) - tasks_before,
+              static_cast<std::uint64_t>(kClients * kIters * kRanks));
 }
 
 // -------------------------------------- faults in state-machine mode
@@ -426,8 +372,6 @@ TEST(StateMachineTelemetry, ParkResumeCountersReachObs)
     obs::RankCounters& counters = obs::RankCounters::global();
     counters.reset();
     ccl::StateMachineEngine& engine = ccl::StateMachineEngine::shared();
-    const std::uint64_t parks_before = engine.parks();
-    const std::uint64_t resumes_before = engine.resumes();
 
     ccl::Communicator comm(kRanks, kSlots,
                            RankExecutor::Mode::kStateMachine);
@@ -438,11 +382,9 @@ TEST(StateMachineTelemetry, ParkResumeCountersReachObs)
 
     // 64 ranks on a handful of workers: parks are certain, and every
     // successful park is eventually resumed exactly once.
-    EXPECT_GT(engine.parks(), parks_before);
-    EXPECT_GT(engine.resumes(), resumes_before);
     EXPECT_EQ(engine.parkedNow(), 0);
     EXPECT_GT(counters.totalSmParks(), 0u);
-    EXPECT_GT(counters.totalSmResumes(), 0u);
+    EXPECT_EQ(counters.totalSmResumes(), counters.totalSmParks());
 }
 
 TEST(StateMachineTelemetry, EngineGaugesAppearInMonitorSnapshots)

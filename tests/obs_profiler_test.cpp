@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/executor.h"
 #include "ccl/fault.h"
 #include "ccl/program_task.h"
 #include "obs/context.h"

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "ccl/executor.h"
 #include "ccl/fault.h"
 #include "ccl/program_task.h"
 #include "ccl/state_machine.h"
@@ -28,7 +27,8 @@
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
-#include "util/rng.h"
+
+#include "ccl_test_util.h"
 
 namespace ccube {
 namespace {
@@ -47,18 +47,6 @@ logicalDoubleTree(int ranks)
         topo::directEmbedding(topo::BinaryTree::inorder(ranks)),
         topo::directEmbedding(
             topo::BinaryTree::inorder(ranks).mirrored()));
-}
-
-ccl::RankBuffers
-seededBuffers(int ranks, int elems, std::uint64_t seed)
-{
-    util::Rng rng(seed);
-    ccl::RankBuffers buffers(static_cast<std::size_t>(ranks));
-    for (auto& b : buffers) {
-        b.resize(static_cast<std::size_t>(elems));
-        rng.fill(b, -1.0f, 1.0f);
-    }
-    return buffers;
 }
 
 TEST(ScaleSmoke, DoubleTreeP512ByteIdenticalToThreadPerRank)
