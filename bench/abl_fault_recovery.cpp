@@ -217,7 +217,7 @@ main(int argc, char** argv)
             rerun_time > 0.0 ? bytes / rerun_time : 0.0;
 
         table.addRow(
-            {"(" + std::to_string(pair.first) + "," +
+            {std::string("(").append(std::to_string(pair.first)) + "," +
                  std::to_string(pair.second) + ")",
              std::to_string(faulted.dropped_transfers),
              core::recoveryKindName(recovery.kind),

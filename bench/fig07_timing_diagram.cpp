@@ -34,7 +34,7 @@ main(int argc, char** argv)
 
     topo::Graph clique("clique");
     for (int n = 0; n < kP; ++n)
-        clique.addNode("N" + std::to_string(n));
+        clique.addNode(std::string("N").append(std::to_string(n)));
     for (int a = 0; a < kP; ++a)
         for (int b = a + 1; b < kP; ++b)
             clique.addLink(a, b, kBw, kAlpha);

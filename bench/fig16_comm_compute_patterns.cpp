@@ -35,7 +35,7 @@ makeCase(const std::string& name,
     int index = 0;
     for (const auto& [mparams, gflops] : layers) {
         dnn::Layer layer;
-        layer.name = "L" + std::to_string(++index);
+        layer.name = std::string("L").append(std::to_string(++index));
         layer.kind = dnn::LayerKind::kConv;
         layer.param_count =
             static_cast<std::int64_t>(mparams * 1e6);

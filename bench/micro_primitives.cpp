@@ -134,13 +134,45 @@ BM_EventQueueScheduleRun(benchmark::State& state)
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
 void
+BM_EventQueueSteadyHeap(benchmark::State& state)
+{
+    // The long-pole DES cell's shape: about 1,664 pending events whose
+    // times tie in runs, each fired event scheduling one more, so every
+    // pop sifts a leaf down through a full heap (monotone times, as in
+    // BM_EventQueueScheduleRun, never descend).
+    constexpr int kPending = 1664;
+    constexpr double kTick = 1.0 / 1024;
+    sim::EventQueue queue;
+    std::uint64_t fired = 0;
+    struct Refill {
+        sim::EventQueue* queue;
+        std::uint64_t* fired;
+        void
+        operator()() const
+        {
+            const std::uint64_t n = ++*fired;
+            queue->schedule(queue->now() + kTick * static_cast<double>(
+                                               1 + (n * 2654435761u) % 16),
+                            *this);
+        }
+    };
+    for (int i = 0; i < kPending; ++i)
+        queue.schedule(kTick * (i % 16), Refill{&queue, &fired});
+    for (auto _ : state)
+        queue.step();
+    benchmark::DoNotOptimize(fired);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueSteadyHeap);
+
+void
 BM_FifoResourcePipeline(benchmark::State& state)
 {
     for (auto _ : state) {
         sim::Simulation sim;
         sim::FifoResource res(sim, "ch");
         for (int i = 0; i < 1000; ++i)
-            res.request([]() { return 1.0; }, nullptr);
+            res.request(1.0, nullptr);
         sim.run();
     }
     state.SetItemsProcessed(

@@ -20,15 +20,21 @@ FifoResource::FifoResource(Simulation& simulation, std::string name)
 }
 
 void
-FifoResource::request(HoldFn hold, DoneFn done, double payload)
+FifoResource::request(Time hold, DoneFn done, double payload)
 {
-    Pending pending{std::move(hold), std::move(done), payload,
-                    sim_.now()};
-    if (busy_) {
-        enqueue(std::move(pending));
+    CCUBE_CHECK(hold >= 0.0, "negative hold on " << name_);
+    if (!busy_) {
+        Pending pending{std::move(done), hold, payload, sim_.now()};
+        grant(pending);
         return;
     }
-    grant(std::move(pending));
+    // Filled in place: a waiting request moves its callback once in and
+    // once out (at its grant).
+    Pending& slot = enqueue();
+    slot.done = std::move(done);
+    slot.hold = hold;
+    slot.payload = payload;
+    slot.requested_at = sim_.now();
 }
 
 void
@@ -39,13 +45,12 @@ FifoResource::setTraceIdentity(int pid, int tid)
 }
 
 void
-FifoResource::grant(Pending pending)
+FifoResource::grant(Pending& pending)
 {
     CCUBE_CHECK(!busy_, "grant while busy on " << name_);
     busy_ = true;
     ++grants_;
-    const Time duration = pending.hold();
-    CCUBE_CHECK(duration >= 0.0, "negative hold on " << name_);
+    const Time duration = pending.hold;
     busy_time_ += duration;
     const bool want_metrics =
         recorder_.enabled() || registry_.enabled();
@@ -106,12 +111,14 @@ FifoResource::release()
 {
     CCUBE_CHECK(busy_, "release while idle on " << name_);
     busy_ = false;
-    if (waiting_count_ > 0)
-        grant(dequeue());
+    if (waiting_count_ > 0) {
+        grant(wait_head_->slots[wait_begin_]);
+        dequeue();
+    }
 }
 
-void
-FifoResource::enqueue(Pending pending)
+FifoResource::Pending&
+FifoResource::enqueue()
 {
     if (wait_tail_ == nullptr || wait_end_ == WaitBlock::kSlots) {
         std::unique_ptr<WaitBlock> block = std::move(wait_spare_);
@@ -125,14 +132,14 @@ FifoResource::enqueue(Pending pending)
         wait_tail_ = fresh;
         wait_end_ = 0;
     }
-    wait_tail_->slots[wait_end_++] = std::move(pending);
     ++waiting_count_;
+    return wait_tail_->slots[wait_end_++];
 }
 
-FifoResource::Pending
+void
 FifoResource::dequeue()
 {
-    Pending next = std::move(wait_head_->slots[wait_begin_++]);
+    ++wait_begin_;
     if (--waiting_count_ == 0) {
         // Drained: the head is the tail; rewind it, drop the spare.
         wait_begin_ = 0;
@@ -144,7 +151,6 @@ FifoResource::dequeue()
         wait_begin_ = 0;
         wait_spare_ = std::move(spent);
     }
-    return next;
 }
 
 } // namespace sim

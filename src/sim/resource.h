@@ -13,10 +13,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "sim/simulation.h"
-#include "util/inline_function.h"
 #include "util/stats.h"
 
 namespace ccube {
@@ -32,17 +32,13 @@ namespace sim {
 /**
  * A resource with unit capacity and FIFO admission.
  *
- * Usage: call request() with a function that returns the busy duration;
- * the resource runs it when granted and frees itself that much later.
- * An optional completion callback fires when the occupancy ends.
+ * Usage: call request() with the busy duration; the resource holds it
+ * that long from the grant and then frees itself. An optional
+ * completion callback fires when the occupancy ends.
  */
 class FifoResource
 {
   public:
-    /** Computes the occupancy duration, called at grant time.
-     *  Move-only small-buffer callable (see sim::EventFn). */
-    using HoldFn = util::InlineFunction<Time()>;
-
     /** Invoked when the occupancy ends (resource freed). */
     using DoneFn = EventFn;
 
@@ -53,12 +49,25 @@ class FifoResource
     FifoResource& operator=(const FifoResource&) = delete;
 
     /**
-     * Requests the resource. When granted, @p hold is evaluated to get
-     * the busy duration; @p done fires when the busy period elapses.
-     * @p payload (bytes, or any workload measure) is recorded for
-     * telemetry and attached to the occupancy trace span.
+     * Requests the resource for @p hold (>= 0) from its grant; @p done
+     * fires when the busy period elapses. @p payload (bytes, or any
+     * workload measure) is recorded for telemetry and attached to the
+     * occupancy trace span.
      */
-    void request(HoldFn hold, DoneFn done, double payload = 0.0);
+    void request(Time hold, DoneFn done, double payload = 0.0);
+
+    /**
+     * Forwards a callable hold, evaluated now, to request(Time, ...).
+     * Exists only for perfbench's FIFO rung, which still passes a
+     * lambda; ROADMAP item 1's `[benchmark]` PR deletes it.
+     */
+    template <typename HoldFn>
+        requires std::is_invocable_r_v<Time, HoldFn&>
+    void
+    request(HoldFn&& hold, DoneFn done, double payload = 0.0)
+    {
+        request(static_cast<Time>(hold()), std::move(done), payload);
+    }
 
     /**
      * Binds this resource to a (pid, tid) identity in the global
@@ -103,11 +112,12 @@ class FifoResource
 
   private:
     struct Pending {
-        HoldFn hold;
         DoneFn done;
+        Time hold = 0.0;
         double payload = 0.0;
         Time requested_at = 0.0;
     };
+    static_assert(sizeof(Pending) == 80, "a waiting request is 80 bytes");
 
     /** A fixed run of waiting requests; blocks chain head to tail. */
     struct WaitBlock {
@@ -116,10 +126,13 @@ class FifoResource
         std::unique_ptr<WaitBlock> next;
     };
 
-    void grant(Pending pending);
+    /** Starts the occupancy of @p pending, moving its callback out. */
+    void grant(Pending& pending);
     void release();
-    void enqueue(Pending pending);
-    Pending dequeue();
+    /** Appends a waiting slot at the tail for the caller to fill. */
+    Pending& enqueue();
+    /** Drops the head slot once its request has been granted. */
+    void dequeue();
 
     Simulation& sim_;
     std::string name_;

@@ -132,8 +132,7 @@ Network::transferOnChannel(int channel_id, double bytes, DoneFn done,
     }
     const double hold = occupancy(channel_id, bytes, latency_factor);
     ++net_transfers_;
-    resources_[id]->request([hold]() { return hold; }, std::move(done),
-                            bytes);
+    resources_[id]->request(hold, std::move(done), bytes);
     return true;
 }
 

@@ -15,7 +15,7 @@ makeSwitchFabric(const SwitchFabricParams& params)
 
     Graph graph("switch_fabric");
     for (int n = 0; n < params.num_nodes; ++n)
-        graph.addNode("N" + std::to_string(n));
+        graph.addNode(std::string("N").append(std::to_string(n)));
 
     const int num_leaves =
         (params.num_nodes + params.leaf_radix - 1) / params.leaf_radix;

@@ -21,11 +21,9 @@
 #include "ccl/communicator.h"
 #include "ccl/program_task.h"
 #include "obs/context.h"
-#include "topo/dgx1.h"
-#include "topo/double_tree.h"
-#include "topo/ring_embedding.h"
-#include "topo/tree_embedding.h"
 #include "util/rng.h"
+
+#include "ccl_test_util.h"
 
 namespace ccube {
 namespace {
@@ -33,15 +31,6 @@ namespace {
 constexpr int kRanks = 8;
 constexpr int kElems = 64;
 constexpr int kChunks = 4;
-
-struct Topologies {
-    topo::Graph dgx1 = topo::makeDgx1();
-    topo::RingEmbedding ring = topo::findHamiltonianRing(dgx1, kRanks);
-    topo::TreeEmbedding tree =
-        topo::embedTree(dgx1, topo::BinaryTree::inorder(kRanks));
-    topo::DoubleTreeEmbedding double_tree =
-        topo::makeDgx1DoubleTree(dgx1);
-};
 
 ccl::RankBuffers
 randomBuffers(util::Rng& rng, std::vector<float>& expected)
@@ -75,7 +64,7 @@ expectAllReduced(const ccl::RankBuffers& buffers,
 
 /** Runs one collective of each algorithm, verifying the sums. */
 void
-runAllAlgorithms(ccl::Communicator& comm, const Topologies& topo,
+runAllAlgorithms(ccl::Communicator& comm, const Dgx1Topologies& topo,
                  util::Rng& rng)
 {
     std::vector<float> expected;
@@ -116,7 +105,7 @@ runAllAlgorithms(ccl::Communicator& comm, const Topologies& topo,
 
 TEST(RankExecutor, PersistentModeAllAlgorithmsCorrect)
 {
-    const Topologies topo;
+    const Dgx1Topologies topo;
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kPersistent);
     util::Rng rng(11);
@@ -125,7 +114,7 @@ TEST(RankExecutor, PersistentModeAllAlgorithmsCorrect)
 
 TEST(RankExecutor, SharedPoolModeAllAlgorithmsCorrect)
 {
-    const Topologies topo;
+    const Dgx1Topologies topo;
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kStateMachine);
     util::Rng rng(12);
@@ -158,7 +147,7 @@ TEST(RankExecutor, NoThreadGrowthAcrossBackToBackCollectives)
     // Forwarders, overlapped reducers and the second tree are tasks on
     // their rank's thread, so the census is exact for every algorithm:
     // one thread per rank, forever, while the task count keeps growing.
-    const Topologies topo;
+    const Dgx1Topologies topo;
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kPersistent);
     const std::vector<std::thread::id> threads = rankThreads(comm);
@@ -238,7 +227,7 @@ TEST(RankExecutor, RunFinishesOneTaskPerRank)
 
 TEST(RankExecutor, RankBodyExceptionPropagatesAndExecutorSurvives)
 {
-    const Topologies topo;
+    const Dgx1Topologies topo;
     ccl::Communicator comm(kRanks, 4,
                            ccl::RankExecutor::Mode::kPersistent);
 

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -49,32 +48,6 @@ using ccl::RankExecutor;
 
 constexpr int kChunks = 4;
 constexpr int kSlots = 4;
-
-struct Dgx1Topologies {
-    topo::Graph graph = topo::makeDgx1();
-    topo::RingEmbedding ring = topo::findHamiltonianRing(graph, 8);
-    topo::TreeEmbedding tree =
-        topo::embedTree(graph, topo::BinaryTree::inorder(8));
-    topo::DoubleTreeEmbedding double_tree =
-        topo::makeDgx1DoubleTree(graph);
-};
-
-void
-expectBytesIdentical(const ccl::RankBuffers& got,
-                     const ccl::RankBuffers& want, const std::string& what)
-{
-    ASSERT_EQ(got.size(), want.size()) << what;
-    for (std::size_t r = 0; r < got.size(); ++r) {
-        ASSERT_EQ(got[r].size(), want[r].size()) << what;
-        if (std::memcmp(got[r].data(), want[r].data(),
-                        got[r].size() * sizeof(float)) != 0) {
-            for (std::size_t i = 0; i < got[r].size(); ++i)
-                ASSERT_EQ(got[r][i], want[r][i])
-                    << what << ": rank " << r << " elem " << i
-                    << " diverges between protocols";
-        }
-    }
-}
 
 /** Column @p column of row @p row of a Tuner::formatTable dump;
  *  empty when either is missing. */

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,10 +26,6 @@
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
-#include "topo/dgx1.h"
-#include "topo/double_tree.h"
-#include "topo/ring_embedding.h"
-#include "topo/tree_embedding.h"
 
 #include "ccl_test_util.h"
 
@@ -43,16 +38,6 @@ using ccl::RankExecutor;
 constexpr int kChunks = 4;
 constexpr int kSlots = 4;
 
-/** DGX-1 topologies (P=8), as in ccl_executor_test. */
-struct Dgx1Topologies {
-    topo::Graph graph = topo::makeDgx1();
-    topo::RingEmbedding ring = topo::findHamiltonianRing(graph, 8);
-    topo::TreeEmbedding tree =
-        topo::embedTree(graph, topo::BinaryTree::inorder(8));
-    topo::DoubleTreeEmbedding double_tree =
-        topo::makeDgx1DoubleTree(graph);
-};
-
 /** Rank tasks finished so far on ranks [0, @p ranks). */
 std::uint64_t
 tasksFinished(int ranks)
@@ -61,23 +46,6 @@ tasksFinished(int ranks)
     for (int r = 0; r < ranks; ++r)
         total += obs::RankCounters::global().executorTasks(r);
     return total;
-}
-
-void
-expectBytesIdentical(const ccl::RankBuffers& got,
-                     const ccl::RankBuffers& want, const char* what)
-{
-    ASSERT_EQ(got.size(), want.size()) << what;
-    for (std::size_t r = 0; r < got.size(); ++r) {
-        ASSERT_EQ(got[r].size(), want[r].size()) << what;
-        if (std::memcmp(got[r].data(), want[r].data(),
-                        got[r].size() * sizeof(float)) != 0) {
-            for (std::size_t i = 0; i < got[r].size(); ++i)
-                ASSERT_EQ(got[r][i], want[r][i])
-                    << what << ": rank " << r << " elem " << i
-                    << " diverges between engine modes";
-        }
-    }
 }
 
 /** One collective, run identically under every engine mode. */

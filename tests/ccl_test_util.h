@@ -3,22 +3,37 @@
 
 /**
  * @file
- * Inputs shared by the functional collective tests: direct-route
- * logical topologies at any P, and rank buffers with random or exact
- * integer contents.
+ * Inputs shared by the functional collective tests: the DGX-1
+ * embeddings, direct-route logical topologies at any P, rank buffers
+ * with random or exact integer contents, and a byte-exact comparison.
  */
+
+#include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "ccl/allreduce.h"
+#include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
 #include "util/rng.h"
 
 namespace ccube {
+
+/** The DGX-1 (P=8) and its ring, tree and double-tree embeddings. */
+struct Dgx1Topologies {
+    topo::Graph graph = topo::makeDgx1();
+    topo::RingEmbedding ring = topo::findHamiltonianRing(graph, 8);
+    topo::TreeEmbedding tree =
+        topo::embedTree(graph, topo::BinaryTree::inorder(8));
+    topo::DoubleTreeEmbedding double_tree =
+        topo::makeDgx1DoubleTree(graph);
+};
 
 /**
  * Purely logical topologies at arbitrary P: every logical edge is a
@@ -86,6 +101,25 @@ integerSums(int ranks, int elems)
             static_cast<float>(sum);
     }
     return expected;
+}
+
+/** Requires @p got to equal @p want byte for byte; @p what names the
+ *  run in the failure message. */
+inline void
+expectBytesIdentical(const ccl::RankBuffers& got,
+                     const ccl::RankBuffers& want, const std::string& what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got[r].size(), want[r].size()) << what;
+        if (std::memcmp(got[r].data(), want[r].data(),
+                        got[r].size() * sizeof(float)) != 0) {
+            for (std::size_t i = 0; i < got[r].size(); ++i)
+                ASSERT_EQ(got[r][i], want[r][i])
+                    << what << ": rank " << r << " elem " << i
+                    << " diverges from the reference";
+        }
+    }
 }
 
 } // namespace ccube

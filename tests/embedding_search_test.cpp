@@ -88,7 +88,7 @@ TEST(EmbeddingSearch, FailsGracefullyWhenImpossible)
     // A path graph: two link-disjoint spanning trees cannot exist.
     Graph path("path");
     for (int n = 0; n < 4; ++n)
-        path.addNode("N" + std::to_string(n));
+        path.addNode(std::string("N").append(std::to_string(n)));
     path.addLink(0, 1, 25e9, 1e-6);
     path.addLink(1, 2, 25e9, 1e-6);
     path.addLink(2, 3, 25e9, 1e-6);

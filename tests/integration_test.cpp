@@ -236,7 +236,7 @@ TEST(SimVsModel, OverlapBenefitMatchesFig12b)
 
     topo::Graph clique("clique");
     for (int n = 0; n < 8; ++n)
-        clique.addNode("N" + std::to_string(n));
+        clique.addNode(std::string("N").append(std::to_string(n)));
     for (int a = 0; a < 8; ++a)
         for (int b = a + 1; b < 8; ++b)
             clique.addLink(a, b, bw, alpha);

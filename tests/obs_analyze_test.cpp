@@ -65,7 +65,8 @@ TEST(TraceRecorderRetention, CapacityDropsNewestAndCounts)
     recorder.setCapacity(4);
     recorder.enable();
     for (int i = 0; i < 7; ++i)
-        recorder.record(makeEvent("e" + std::to_string(i), "t", 1, 1,
+        recorder.record(makeEvent(std::string("e").append(std::to_string(i)),
+                                  "t", 1, 1,
                                   static_cast<double>(i), 1.0));
     recorder.disable();
     EXPECT_EQ(recorder.eventCount(), 4u);

@@ -33,7 +33,7 @@ randomNetwork(util::Rng& rng)
     std::vector<dnn::Layer> result;
     for (int l = 0; l < layers; ++l) {
         dnn::Layer layer;
-        layer.name = "L" + std::to_string(l);
+        layer.name = std::string("L").append(std::to_string(l));
         layer.kind = dnn::LayerKind::kConv;
         layer.param_count = rng.uniformInt(0, 4000000);
         layer.forward_flops_per_sample =

@@ -12,7 +12,9 @@
  */
 
 #include <cstdint>
+#include <limits>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -285,6 +287,130 @@ TEST(EventQueueStress, RunUntilHonorsDeadlineLikeTheModel)
         }
         EXPECT_TRUE(queue.empty());
     }
+}
+
+/**
+ * A hand-written event: fires at `when`; when `reentrant`, its callback
+ * schedules one more event at the same instant with `child_priority`.
+ */
+struct TieEvent {
+    sim::Time when;
+    int priority;
+    bool reentrant = false;
+    int child_priority = 0;
+};
+
+/** (id, time) of each firing; children of event i have id n + i. */
+using FiringLog = std::vector<std::pair<int, sim::Time>>;
+
+/** Runs @p events through the real queue and the model and expects
+ *  both to fire the same ids at the same times. Returns the real log. */
+FiringLog
+expectModelOrder(const std::vector<TieEvent>& events)
+{
+    const int n = static_cast<int>(events.size());
+    sim::EventQueue queue;
+    FiringLog real;
+    for (int i = 0; i < n; ++i) {
+        queue.schedule(events[i].when, [&, i]() {
+            real.emplace_back(i, queue.now());
+            if (events[i].reentrant)
+                queue.schedule(queue.now(), [&, i]() {
+                    real.emplace_back(n + i, queue.now());
+                }, events[i].child_priority);
+        }, events[i].priority);
+    }
+    queue.run();
+
+    ModelQueue model;
+    for (int i = 0; i < n; ++i)
+        model.schedule(events[i].when, i, events[i].priority);
+    FiringLog expected;
+    int id = -1;
+    while (model.step(id)) {
+        expected.emplace_back(id, model.now());
+        if (id < n && events[id].reentrant)
+            model.schedule(model.now(), n + id, events[id].child_priority);
+    }
+    EXPECT_EQ(real, expected);
+    return real;
+}
+
+TEST(EventQueueKeys, SignedZerosAtOneInstantFireInFifoOrder)
+{
+    // -0.0 must order as the same instant as 0.0, not after every
+    // positive time as its raw bit pattern would.
+    const FiringLog log = expectModelOrder(
+        {{0.0, 0}, {-0.0, 0}, {0.0, 0}, {0.5, 0}, {-0.0, 0}});
+    const std::vector<int> ids = {0, 1, 2, 4, 3};
+    ASSERT_EQ(log.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        EXPECT_EQ(log[i].first, ids[i]) << "firing " << i;
+}
+
+TEST(EventQueueKeys, ExtremeTimesOrderLikeTheModel)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+    constexpr double kHuge = std::numeric_limits<double>::max();
+    const FiringLog log = expectModelOrder({
+        {kInf, 0},
+        {kTiny, 0},
+        {kHuge, 1},
+        {2 * kTiny, -1},
+        {std::numeric_limits<double>::min(), 0},
+        {kHuge, 0},
+        {1e300, 0, true, -1},
+        {kTiny, -1},
+        {kInf, -1},
+        {0.0, 0},
+        {1.0, 0},
+    });
+    ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log.front().first, 9);
+    EXPECT_EQ(log.back().second, kInf);
+}
+
+TEST(EventQueueKeys, PriorityExtremesOrderLikeTheModel)
+{
+    constexpr int kLow = std::numeric_limits<std::int16_t>::min();
+    constexpr int kHigh = std::numeric_limits<std::int16_t>::max();
+    const FiringLog log = expectModelOrder({
+        {1.0, kHigh},
+        {1.0, 0},
+        {1.0, kLow, true, kHigh},
+        {1.0, -1},
+        {1.0, kLow},
+        {1.0, kHigh, true, kLow},
+        {0.5, kHigh},
+    });
+    const std::vector<int> ids = {6, 2, 4, 3, 1, 0, 5, 12, 9};
+    ASSERT_EQ(log.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        EXPECT_EQ(log[i].first, ids[i]) << "firing " << i;
+}
+
+TEST(EventQueueKeys, ThousandEventsAtOneInstantWithReentrantChildren)
+{
+    util::Rng rng(27);
+    std::vector<TieEvent> events;
+    for (int i = 0; i < 1000; ++i) {
+        TieEvent event{2.5, static_cast<int>(rng.uniformInt(-3, 3))};
+        if (rng.uniformInt(0, 3) == 0) {
+            event.reentrant = true;
+            event.child_priority = static_cast<int>(rng.uniformInt(-3, 3));
+        }
+        events.push_back(event);
+    }
+    const FiringLog log = expectModelOrder(events);
+    EXPECT_GT(log.size(), 1000u);
+}
+
+TEST(EventQueueKeysDeathTest, PriorityOutsideInt16Panics)
+{
+    sim::EventQueue queue;
+    EXPECT_DEATH(queue.schedule(1.0, []() {}, 32768), "int16_t");
+    EXPECT_DEATH(queue.schedule(1.0, []() {}, -32769), "int16_t");
 }
 
 } // namespace

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -112,8 +116,7 @@ TEST(FifoResource, SerializesRequests)
     FifoResource res(sim, "ch");
     std::vector<double> done_times;
     for (int i = 0; i < 3; ++i) {
-        res.request([]() { return 2.0; },
-                    [&]() { done_times.push_back(sim.now()); });
+        res.request(2.0, [&]() { done_times.push_back(sim.now()); });
     }
     sim.run();
     ASSERT_EQ(done_times.size(), 3u);
@@ -128,15 +131,14 @@ TEST(FifoResource, OccupancyIntervalsNeverOverlap)
 {
     Simulation sim;
     FifoResource res(sim, "ch");
+    // Each interval is read back from its completion: it ends when
+    // `done` fires and started one hold earlier.
     std::vector<std::pair<double, double>> intervals;
     for (int i = 0; i < 5; ++i) {
         const double hold = 0.5 + 0.25 * i;
-        res.request(
-            [&, hold]() {
-                intervals.emplace_back(sim.now(), sim.now() + hold);
-                return hold;
-            },
-            nullptr);
+        res.request(hold, [&, hold]() {
+            intervals.emplace_back(sim.now() - hold, sim.now());
+        });
     }
     sim.run();
     ASSERT_EQ(intervals.size(), 5u);
@@ -144,12 +146,60 @@ TEST(FifoResource, OccupancyIntervalsNeverOverlap)
         EXPECT_GE(intervals[i].first, intervals[i - 1].second);
 }
 
+TEST(FifoResource, HundredWaitersFinishInRequestOrder)
+{
+    // 96 requests at once leave 95 waiting, 12 blocks of 8; four more
+    // issued from the eighth completion, after the head block was read
+    // through, fill the tail block and spill into the spare, the
+    // chain's 13th block.
+    Simulation sim;
+    FifoResource res(sim, "ch");
+    constexpr int kRequests = 100;
+    constexpr int kFirstWave = 96;
+    std::vector<int> finished;
+    std::vector<double> done_times;
+    std::vector<std::size_t> queue_lengths;
+    int requested = 0;
+    auto hold_of = [](int i) { return 0.5 + 0.125 * i; };
+    std::function<void()> issue = [&]() {
+        const int i = requested++;
+        res.request(hold_of(i), [&, i]() {
+            finished.push_back(i);
+            done_times.push_back(sim.now());
+            if (i == 7)
+                while (requested < kRequests)
+                    issue();
+            queue_lengths.push_back(res.queueLength());
+        });
+    };
+    while (requested < kFirstWave)
+        issue();
+    EXPECT_EQ(res.queueLength(), static_cast<std::size_t>(kFirstWave - 1));
+    sim.run();
+
+    ASSERT_EQ(finished.size(), static_cast<std::size_t>(kRequests));
+    double end = 0.0;
+    for (int i = 0; i < kRequests; ++i) {
+        end += hold_of(i);
+        EXPECT_EQ(finished[i], i);
+        EXPECT_EQ(done_times[i], end) << "request " << i;
+        // Request i + 1 is granted before request i's callback fires.
+        const int issued = i < 7 ? kFirstWave : kRequests;
+        EXPECT_EQ(queue_lengths[i],
+                  static_cast<std::size_t>(std::max(0, issued - i - 2)))
+            << "request " << i;
+    }
+    EXPECT_EQ(res.queueLength(), 0u);
+    EXPECT_EQ(res.grants(), static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(res.busyTime(), end);
+}
+
 TEST(FifoResource, ZeroHoldIsImmediate)
 {
     Simulation sim;
     FifoResource res(sim, "ch");
     bool done = false;
-    res.request([]() { return 0.0; }, [&]() { done = true; });
+    res.request(0.0, [&]() { done = true; });
     sim.run();
     EXPECT_TRUE(done);
     EXPECT_DOUBLE_EQ(sim.now(), 0.0);
@@ -160,7 +210,7 @@ TEST(FifoResource, InterleavesWithEvents)
     Simulation sim;
     FifoResource res(sim, "ch");
     std::vector<int> order;
-    res.request([]() { return 3.0; }, [&]() { order.push_back(1); });
+    res.request(3.0, [&]() { order.push_back(1); });
     sim.at(1.0, [&]() { order.push_back(0); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1}));

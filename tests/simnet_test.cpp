@@ -33,7 +33,7 @@ makeClique(int p)
 {
     topo::Graph g("clique");
     for (int n = 0; n < p; ++n)
-        g.addNode("N" + std::to_string(n));
+        g.addNode(std::string("N").append(std::to_string(n)));
     for (int a = 0; a < p; ++a)
         for (int b = a + 1; b < p; ++b)
             g.addLink(a, b, kBw, kAlpha);
@@ -46,7 +46,7 @@ makeRingGraph(int p)
 {
     topo::Graph g("ring");
     for (int n = 0; n < p; ++n)
-        g.addNode("N" + std::to_string(n));
+        g.addNode(std::string("N").append(std::to_string(n)));
     for (int n = 0; n < p; ++n)
         g.addLink(n, (n + 1) % p, kBw, kAlpha);
     return g;
