@@ -21,52 +21,32 @@ Communicator::Communicator(int num_ranks, int mailbox_slots,
     : num_ranks_(num_ranks),
       mailbox_slots_(mailbox_slots),
       exec_mode_(exec_mode),
-      table_(static_cast<std::size_t>(num_ranks) *
-             static_cast<std::size_t>(num_ranks) * kMaxFlows),
       fault_(num_ranks)
 {
     CCUBE_CHECK(num_ranks >= 1, "need at least one rank");
+    // A mailbox key packs src·P + dst into 32 bits.
+    CCUBE_CHECK(num_ranks <= 65536, "too many ranks " << num_ranks);
     CCUBE_CHECK(mailbox_slots >= 1, "need at least one mailbox slot");
-    for (auto& entry : table_)
-        entry.store(nullptr, std::memory_order_relaxed);
 }
 
 Communicator::~Communicator() = default;
 
-std::size_t
-Communicator::tableIndex(int src, int dst, FlowId flow) const
-{
-    return (static_cast<std::size_t>(src) *
-                static_cast<std::size_t>(num_ranks_) +
-            static_cast<std::size_t>(dst)) *
-               kMaxFlows +
-           static_cast<std::size_t>(flow);
-}
-
 Mailbox&
-Communicator::mailbox(int src, int dst, FlowId flow)
+Communicator::mailbox(int src, int dst, int flow)
 {
     CCUBE_CHECK(src >= 0 && src < num_ranks_, "bad src rank " << src);
     CCUBE_CHECK(dst >= 0 && dst < num_ranks_, "bad dst rank " << dst);
     CCUBE_CHECK(src != dst, "no self mailboxes");
-    CCUBE_CHECK(flow >= 0 && flow < kMaxFlows,
-                "flow id " << flow << " out of range (max "
-                           << kMaxFlows - 1 << ")");
-    std::atomic<Mailbox*>& entry = table_[tableIndex(src, dst, flow)];
-    // Fast path: one acquire load on an already-built channel.
-    if (Mailbox* box = entry.load(std::memory_order_acquire))
-        return *box;
-    std::lock_guard<std::mutex> guard(create_mutex_);
-    if (Mailbox* box = entry.load(std::memory_order_acquire))
-        return *box;
-    owned_.push_back(std::make_unique<Mailbox>(mailbox_slots_));
-    Mailbox* box = owned_.back().get();
-    box->setTraceLabel("mb " + std::to_string(src) + "->" +
-                       std::to_string(dst) + "/f" +
-                       std::to_string(flow));
-    box->setFlowId(flow);
-    box->setEndpoints(src, dst);
-    entry.store(box, std::memory_order_release);
+    CCUBE_CHECK(flow >= 0, "negative flow id " << flow);
+    const std::uint64_t pair = static_cast<std::uint64_t>(src) *
+                                   static_cast<std::uint64_t>(num_ranks_) +
+                               static_cast<std::uint64_t>(dst);
+    const std::uint64_t key =
+        (pair << 32) | static_cast<std::uint64_t>(flow);
+    std::lock_guard<std::mutex> guard(mailboxes_mutex_);
+    std::unique_ptr<Mailbox>& box = mailboxes_[key];
+    if (!box)
+        box = std::make_unique<Mailbox>(mailbox_slots_, src, dst, flow);
     return *box;
 }
 
@@ -169,8 +149,8 @@ Communicator::clearAbort()
             fault_.abortState().tripAttempts();
         const std::uint64_t observed = fault_.abortState().epoch();
         {
-            std::lock_guard<std::mutex> guard(create_mutex_);
-            for (const std::unique_ptr<Mailbox>& box : owned_)
+            std::lock_guard<std::mutex> guard(mailboxes_mutex_);
+            for (const auto& [key, box] : mailboxes_)
                 box->reset();
         }
         if (clear_abort_hook_)

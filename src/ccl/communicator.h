@@ -15,18 +15,19 @@
  * passing through a transit GPU) with independent buffer pools —
  * exactly as NCCL allocates per-channel buffers.
  *
- * The mailbox registry is a dense flat table indexed by
- * (src, dst, flow): after a mailbox's first use the per-chunk lookup
- * is one relaxed-ish atomic load plus an index computation — no mutex,
- * no std::map — matching the paper's statically-built channel plan.
+ * The communicator holds exactly the mailboxes its bound programs use:
+ * ccl::bindProgram resolves each program edge to its mailbox once,
+ * creating it on first use, and the per-chunk loops never look one up
+ * — the paper's statically built channel plan. Flow ids are assigned
+ * by the sched:: program builders (sched/program.cpp).
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "ccl/allreduce.h"
@@ -45,27 +46,12 @@ namespace ccl {
 class AllReducePlan;
 class RankTask;
 
-/** Identifies a logical flow multiplexed over a physical direction. */
-using FlowId = int;
-
-/** Well-known flow ids used by the built-in algorithms. */
-enum : FlowId {
-    kFlowRing = 0,          ///< ring neighbor traffic
-    kFlowTree0Reduce = 1,   ///< tree 0, reduction direction
-    kFlowTree0Broadcast = 2,///< tree 0, broadcast direction
-    kFlowTree1Reduce = 3,   ///< tree 1, reduction direction
-    kFlowTree1Broadcast = 4,///< tree 1, broadcast direction
-};
-
 /**
  * A group of ranks that communicate through mailboxes.
  */
 class Communicator
 {
   public:
-    /** Flow ids must be in [0, kMaxFlows). */
-    static constexpr int kMaxFlows = 8;
-
     /**
      * Creates a communicator of @p num_ranks ranks whose mailboxes
      * have @p mailbox_slots receive buffers each. @p exec_mode selects
@@ -82,10 +68,13 @@ class Communicator
     int numRanks() const { return num_ranks_; }
 
     /**
-     * The mailbox carrying flow @p flow from @p src to @p dst;
-     * created on first use (thread-safe; lock-free after creation).
+     * The mailbox carrying flow @p flow (>= 0) from @p src to @p dst,
+     * created on first use. Thread-safe: every call takes the
+     * registry mutex, so callers resolve a mailbox once (bindProgram)
+     * rather than per chunk. Its address never changes for the
+     * communicator's lifetime.
      */
-    Mailbox& mailbox(int src, int dst, FlowId flow);
+    Mailbox& mailbox(int src, int dst, int flow);
 
     /**
      * Runs @p body concurrently on every rank's persistent thread (in
@@ -159,9 +148,6 @@ class Communicator
      */
     void setDeadline(std::chrono::nanoseconds deadline);
 
-    /** Current watchdog deadline (zero = disabled). */
-    std::chrono::nanoseconds deadline() const { return deadline_; }
-
     /** Process default: CCUBE_CCL_DEADLINE_MS, else zero (disabled). */
     static std::chrono::nanoseconds defaultDeadline();
 
@@ -203,8 +189,6 @@ class Communicator
     CommFaultContext& faultContext() { return fault_; }
 
   private:
-    std::size_t tableIndex(int src, int dst, FlowId flow) const;
-
     /** The persistent rank threads (created on first use; one
      *  long-lived thread per rank). */
     RankExecutor& executor();
@@ -219,11 +203,11 @@ class Communicator
     const int mailbox_slots_;
     const RankExecutor::Mode exec_mode_;
 
-    /** Dense (src, dst, flow) → Mailbox* table; slots fill on first
-     *  use and stay valid for the communicator's lifetime. */
-    std::vector<std::atomic<Mailbox*>> table_;
-    std::mutex create_mutex_;
-    std::vector<std::unique_ptr<Mailbox>> owned_;
+    /** Every mailbox created so far, keyed by (src·P + dst) << 32 |
+     *  flow; guarded by mailboxes_mutex_. */
+    std::unordered_map<std::uint64_t, std::unique_ptr<Mailbox>>
+        mailboxes_;
+    std::mutex mailboxes_mutex_;
 
     std::once_flag executor_once_;
     std::unique_ptr<RankExecutor> executor_;

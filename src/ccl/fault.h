@@ -262,11 +262,6 @@ class CommFaultContext
      *  every rank's opsSeen() count. No collective may be running. */
     void setInjector(FaultInjector* injector);
 
-    FaultInjector* injector() const
-    {
-        return injector_.load(std::memory_order_acquire);
-    }
-
     /** Marks the start of a collective named @p op (a string literal —
      *  the pointer is stored, not the contents). The progress table
      *  and op name of the previous collective stay readable until

@@ -89,39 +89,35 @@ llSpinUntil(Pred&& pred)
             .count()));
 }
 
+/** "mb src->dst/fN", or "mb ?" for a mailbox with no endpoints. */
+std::string
+traceLabelOf(int src, int dst, int flow)
+{
+    if (src < 0)
+        return "mb ?";
+    std::string label = "mb ";
+    label += std::to_string(src);
+    label += "->";
+    label += std::to_string(dst);
+    label += "/f";
+    label += std::to_string(flow);
+    return label;
+}
+
 } // namespace
 
-Mailbox::Mailbox(int slots)
+Mailbox::Mailbox(int slots, int src, int dst, int flow)
     : ring_(static_cast<std::size_t>(slots)),
       full_(slots, 0),
       empty_(slots, slots),
       ll_ring_(std::make_unique<LLSlot[]>(
-          static_cast<std::size_t>(slots)))
+          static_cast<std::size_t>(slots))),
+      trace_label_(traceLabelOf(src, dst, flow)),
+      flow_(flow),
+      src_(src),
+      dst_(dst)
 {
     CCUBE_CHECK(slots >= 1, "mailbox needs at least one slot");
-}
-
-void
-Mailbox::reserve(std::size_t elems)
-{
-    for (Slot& slot : ring_) {
-        if (slot.data.size() < elems)
-            slot.data.resize(elems);
-    }
-    for (int i = 0; i < slots(); ++i) {
-        LLSlot& slot = ll_ring_[static_cast<std::size_t>(i)];
-        if (slot.capacity < elems) {
-            slot.lines =
-                std::make_unique<std::atomic<std::uint64_t>[]>(elems);
-            slot.capacity = elems;
-        }
-    }
-}
-
-void
-Mailbox::setTraceLabel(std::string label)
-{
-    trace_label_ = std::move(label);
 }
 
 void
@@ -154,19 +150,6 @@ Mailbox::reset()
     ll_scratch_.size = 0;
     ll_scratch_.tag = 0;
     ll_front_ = false;
-}
-
-void
-Mailbox::setFlowId(int flow)
-{
-    flow_ = flow;
-}
-
-void
-Mailbox::setEndpoints(int src, int dst)
-{
-    src_ = src;
-    dst_ = dst;
 }
 
 void

@@ -10,12 +10,12 @@
  * producer / single-consumer ring of float chunks. Flow control uses
  * exactly the post/wait protocol of Fig. 11.
  *
- * Fast path: slots are fixed-capacity buffers that are allocated once
- * (first use, or via reserve()) and then reused forever — a send never
- * resizes, and every receive variant reads in place out of the slot
- * buffer. tryPeek() exposes the slot to the caller directly, so
- * forwarders move chunks downstream without a staging copy, mirroring
- * the LL-style "operate on the receive buffer" protocols of real NCCL.
+ * Fast path: slot buffers keep their capacity across reuse, so once a
+ * slot has carried a chunk of a given size a send never resizes it,
+ * and every receive variant reads in place out of the slot buffer.
+ * tryPeek() exposes the slot to the caller directly, so forwarders
+ * move chunks downstream without a staging copy, mirroring the
+ * LL-style "operate on the receive buffer" protocols of real NCCL.
  *
  * Two calling conventions share one ring:
  *
@@ -63,21 +63,26 @@ namespace ccl {
 
 /**
  * Bounded SPSC queue of float chunks with an integer tag.
+ *
+ * Cache-line aligned: the semaphores and cursors its producer and
+ * consumer write never share a line with whatever the allocator puts
+ * next to it (another mailbox, a rank task), so a collective's speed
+ * does not depend on where the communicator's bookkeeping lands.
  */
-class Mailbox
+class alignas(64) Mailbox
 {
   public:
-    /** Creates a mailbox with @p slots receive buffers. */
-    explicit Mailbox(int slots);
+    /**
+     * Creates a mailbox with @p slots receive buffers carrying flow
+     * @p flow from rank @p src to rank @p dst. Its trace label is
+     * "mb src->dst/fN"; a mailbox outside a communicator keeps the
+     * defaults (-1) and traces as "mb ?".
+     */
+    explicit Mailbox(int slots, int src = -1, int dst = -1,
+                     int flow = -1);
 
     Mailbox(const Mailbox&) = delete;
     Mailbox& operator=(const Mailbox&) = delete;
-
-    /**
-     * Preallocates every slot buffer to hold @p elems floats, so the
-     * steady state never allocates (slot capacity only ever grows).
-     */
-    void reserve(std::size_t elems);
 
     /**
      * Copies @p data into the next free slot (blocking while all
@@ -166,44 +171,28 @@ class Mailbox
     /** Free-slot semaphore (producer side parks here on full ring). */
     BoundedSemaphore& freeSlotSemaphore() { return empty_; }
 
-    /** Trace label ("mb src->dst/fN"), for park blame reporting. */
+    /** Trace label ("mb src->dst/fN", or "mb ?" outside a
+     *  communicator): names post/wait spans and park blame. */
     const std::string& traceLabel() const { return trace_label_; }
 
     /**
-     * Names the producer and consumer ranks (set by the Communicator
-     * at creation, like the trace label). These are the wait-for
-     * graph edges: a consumer blocked here waits on srcRank(), a
-     * producer blocked on a full ring waits on dstRank(). -1 when the
-     * mailbox lives outside a communicator.
+     * Producer rank; -1 outside a communicator. The endpoints are the
+     * wait-for graph edges: a consumer blocked here waits on
+     * srcRank(), a producer blocked on a full ring waits on dstRank().
      */
-    void setEndpoints(int src, int dst);
-
-    /** Producer rank; -1 outside a communicator. */
     int srcRank() const { return src_; }
 
     /** Consumer rank; -1 outside a communicator. */
     int dstRank() const { return dst_; }
 
+    /** Flow id this mailbox carries, reported in CollectiveError when
+     *  a rank is caught blocked here; -1 outside a communicator. */
+    int flowId() const { return flow_; }
+
     // ---- introspection ----
 
     /** Number of receive buffers. */
     int slots() const { return static_cast<int>(ring_.size()); }
-
-    /**
-     * Names this mailbox for trace spans (e.g. "mb 0->1/f2", set by
-     * the Communicator at creation). Post/wait spans then carry the
-     * label; an unlabeled mailbox still traces as "mb ?".
-     */
-    void setTraceLabel(std::string label);
-
-    /**
-     * Flow id this mailbox carries (Communicator::Flow), reported in
-     * CollectiveError when a rank is caught blocked here. -1 when the
-     * mailbox lives outside a communicator.
-     */
-    void setFlowId(int flow);
-
-    int flowId() const { return flow_; }
 
     /**
      * Discards any undelivered chunks and reinitializes the flow-
@@ -341,10 +330,10 @@ class Mailbox
     std::atomic<std::int64_t> ll_consumed_{0};
     Slot ll_scratch_;       ///< consumer staging (tryPeek)
     bool ll_front_ = false; ///< tryPeek front came from the LL lane
-    std::string trace_label_ = "mb ?";
-    int flow_ = -1;
-    int src_ = -1;
-    int dst_ = -1;
+    const std::string trace_label_;
+    const int flow_;
+    const int src_;
+    const int dst_;
 };
 
 } // namespace ccl

@@ -15,12 +15,6 @@ namespace ccl {
 
 namespace {
 
-// sched::ringProgram and sched::doubleTreeProgram hard-code the ccl
-// flow-id convention.
-static_assert(kFlowRing == 0);
-static_assert(kFlowTree0Reduce == 1 && kFlowTree0Broadcast == 2 &&
-              kFlowTree1Reduce == 3 && kFlowTree1Broadcast == 4);
-
 /**
  * Blocked-op disposition: under Simple the task waits on the mailbox
  * semaphore (woken by the peer's post); under LL no semaphore will ever

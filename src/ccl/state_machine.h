@@ -181,8 +181,6 @@ class StateMachineEngine
         return static_cast<int>(workers_.size());
     }
 
-    Placement placement() const { return placement_; }
-
     /** Tasks currently parked on a semaphore. */
     int parkedNow() const
     {
@@ -398,9 +396,6 @@ class StepContext
         blocked_ = true;
         return StepStatus::kContinue;
     }
-
-    /** Whether this step already ended in a wait (retryLater()). */
-    bool blocked() const { return blocked_; }
 
   private:
     friend class StateMachineEngine;

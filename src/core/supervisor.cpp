@@ -30,7 +30,7 @@ ResilienceSupervisor::ResilienceSupervisor(ccl::Communicator& comm,
     CCUBE_CHECK(options_.max_retries >= 0, "negative retry budget");
     // Initial plan over the healthy graph (kCCube when it embeds);
     // planning is not an observable recovery, so the counters reset.
-    replanLocked();
+    replanNow();
     stats_ = SupervisorStats{};
 }
 
@@ -60,7 +60,7 @@ ResilienceSupervisor::noteChannelDegrade(int channel_id, double factor)
 }
 
 bool
-ResilienceSupervisor::replanLocked()
+ResilienceSupervisor::replanNow()
 {
     {
         std::lock_guard<std::mutex> guard(events_mutex_);
@@ -85,12 +85,6 @@ ResilienceSupervisor::replanLocked()
                       std::to_string(plan_excluded_.size()) +
                       " channels)");
     return true;
-}
-
-bool
-ResilienceSupervisor::replanNow()
-{
-    return replanLocked();
 }
 
 void
@@ -154,7 +148,7 @@ ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
             topology_dirty_ || health_.anyReadmittable(plan_excluded_);
     }
     if (need_replan) {
-        replanLocked();
+        replanNow();
         ++report.replans;
     }
 
@@ -207,7 +201,7 @@ ResilienceSupervisor::allReduce(ccl::RankBuffers& buffers)
                 persistent = topology_dirty_;
             }
             if (persistent) {
-                replanLocked();
+                replanNow();
                 ++report.replans;
                 // A rung/embedding change invalidates the chunk
                 // geometry: restore ALL original inputs and restart

@@ -159,9 +159,10 @@ class ResilienceSupervisor
     SupervisorReport allReduce(ccl::RankBuffers& buffers);
 
     /**
-     * Consumes pending channel events and re-plans immediately
-     * (normally lazy at the next allReduce()). Returns true when the
-     * plan changed rung.
+     * Consumes pending channel events and re-plans immediately from
+     * the tracker's excluded set (normally lazy at the next
+     * allReduce()): updates the plan and the rung bookkeeping.
+     * Returns true when the plan changed rung.
      */
     bool replanNow();
 
@@ -175,10 +176,6 @@ class ResilienceSupervisor
     const SupervisorStats& stats() const { return stats_; }
 
   private:
-    /** Re-plans from the tracker's current excluded set; updates
-     *  plan_ and the rung bookkeeping. Returns true on a rung change. */
-    bool replanLocked();
-
     /** Arms the checkpoint from plan_.program (drops it on an
      *  unroutable plan, which runs nothing). */
     void armCheckpoint(const ccl::RankBuffers& buffers);

@@ -111,9 +111,6 @@ class Profiler
     /** Stops and joins the sampler; accumulated samples are kept. */
     void stop();
 
-    /** Sampling rate of the current/last capture. */
-    double hz() const { return hz_; }
-
     /** Sampler wakeups so far. */
     std::uint64_t ticks() const
     {

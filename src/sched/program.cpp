@@ -174,13 +174,18 @@ appendRing(Program& program, const topo::RingEmbedding& ring,
     }
 }
 
-/** Mailbox flow ids of one tree (the ccl:: flow-id convention). */
+/**
+ * Mailbox flow ids of one tree. The builders here own the flow-id
+ * convention: a ring runs on flow 0, tree 0 on flows 1/2 and tree 1
+ * on flows 3/4 (reduce/broadcast); the functional world only keys
+ * mailboxes by whatever flow an edge carries.
+ */
 struct TreeFlows {
     int reduce = 1;
     int broadcast = 2;
 };
 
-/** First flow id above the built-in ones (ccl's kFlow*, 0–4). */
+/** First flow id above the ring's and the trees' (0–4). */
 constexpr int kFirstSpareFlow = 5;
 
 /**

@@ -191,7 +191,7 @@ struct Loop {
 /** One per-rank pipeline. */
 struct Thread {
     topo::NodeId rank = topo::kInvalidNode;
-    const char* role = ""; ///< watchdog blame label (string literal)
+    const char* role = ""; ///< label handed to the rank task; unread
     int part = 0;          ///< payload part it moves
     int first_loop = 0;
     int num_loops = 0;

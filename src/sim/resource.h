@@ -77,9 +77,6 @@ class FifoResource
      */
     void setTraceIdentity(int pid, int tid);
 
-    /** True while a grant is outstanding. */
-    bool busy() const { return busy_; }
-
     /** Number of queued (not yet granted) requests. */
     std::size_t queueLength() const { return waiting_count_; }
 

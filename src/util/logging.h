@@ -48,12 +48,6 @@ class Logger
         level_.store(level, std::memory_order_relaxed);
     }
 
-    /** Returns the current minimum severity. */
-    LogLevel level() const
-    {
-        return level_.load(std::memory_order_relaxed);
-    }
-
     /** Redirects output to the given stream (not owned); null restores
      *  std::cerr. */
     void setSink(std::ostream* sink)

@@ -200,13 +200,44 @@ TEST(Mailbox, BackpressureWithOneSlot)
 TEST(Communicator, MailboxIdentityPerFlow)
 {
     Communicator comm(4);
-    Mailbox& a = comm.mailbox(0, 1, kFlowTree0Reduce);
-    Mailbox& b = comm.mailbox(0, 1, kFlowTree0Reduce);
-    Mailbox& c = comm.mailbox(0, 1, kFlowTree0Broadcast);
-    Mailbox& d = comm.mailbox(1, 0, kFlowTree0Reduce);
+    Mailbox& a = comm.mailbox(0, 1, 1);
+    Mailbox& b = comm.mailbox(0, 1, 1);
+    Mailbox& c = comm.mailbox(0, 1, 2);
+    Mailbox& d = comm.mailbox(1, 0, 1);
+    // Flow ids are not capped: spare flows beyond the ring's and the
+    // trees' get their own mailboxes too.
+    Mailbox& e = comm.mailbox(0, 1, 8);
+    Mailbox& f = comm.mailbox(0, 1, 12);
     EXPECT_EQ(&a, &b);
     EXPECT_NE(&a, &c);
     EXPECT_NE(&a, &d);
+    EXPECT_NE(&e, &f);
+    EXPECT_NE(&a, &e);
+    EXPECT_EQ(&comm.mailbox(0, 1, 12), &f);
+
+    // Each mailbox is built whole: label, flow and endpoints.
+    struct Want {
+        const Mailbox* box;
+        const char* label;
+        int flow, src, dst;
+    };
+    for (const Want& want : {Want{&a, "mb 0->1/f1", 1, 0, 1},
+                             Want{&c, "mb 0->1/f2", 2, 0, 1},
+                             Want{&d, "mb 1->0/f1", 1, 1, 0},
+                             Want{&e, "mb 0->1/f8", 8, 0, 1},
+                             Want{&f, "mb 0->1/f12", 12, 0, 1}}) {
+        EXPECT_EQ(want.box->traceLabel(), want.label);
+        EXPECT_EQ(want.box->flowId(), want.flow) << want.label;
+        EXPECT_EQ(want.box->srcRank(), want.src) << want.label;
+        EXPECT_EQ(want.box->dstRank(), want.dst) << want.label;
+    }
+
+    // A mailbox outside a communicator has no endpoints.
+    const Mailbox loose(2);
+    EXPECT_EQ(loose.traceLabel(), "mb ?");
+    EXPECT_EQ(loose.flowId(), -1);
+    EXPECT_EQ(loose.srcRank(), -1);
+    EXPECT_EQ(loose.dstRank(), -1);
 }
 
 TEST(Communicator, RunExecutesEveryRank)

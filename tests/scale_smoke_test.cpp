@@ -4,7 +4,8 @@
  * acceptance of the async rank-task engine: a double-tree AllReduce
  * with 512 logical ranks runs on a handful of pool threads and
  * produces byte-identical results to the persistent one-thread-per-
- * rank engine.
+ * rank engine. One case runs P=1024 on the pool alone, with per-rank
+ * telemetry and a fault injected at the top rank.
  *
  * Labeled "scale" in tests/CMakeLists.txt; CI runs it in the Release
  * bench-gates job (`ctest -L scale`) where the thread-per-rank reference
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -23,6 +25,7 @@
 #include "ccl/fault.h"
 #include "ccl/program_task.h"
 #include "ccl/state_machine.h"
+#include "obs/context.h"
 #include "obs/profiler.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -253,6 +256,62 @@ TEST(ScaleSmoke, KillAtTopRankOfP512FailsStructured)
     EXPECT_TRUE(caught) << "collective completed despite kill";
     EXPECT_EQ(comm.faultContext().opsSeen(kKilled), 6);
     comm.clearAbort();
+    comm.setFaultInjector(nullptr);
+}
+
+TEST(ScaleSmoke, OverlappedDoubleTreeP1024WithTelemetryAndDelayFault)
+{
+    // P=1024 on the shared pool only (rank-pinned would start 1,024
+    // threads): an exact sum, per-rank telemetry in the top rank's own
+    // slot, and a fault injected at the top rank.
+    constexpr int kBig = 1024;
+    constexpr int kTop = kBig - 1;
+    const topo::DoubleTreeEmbedding dt = logicalDoubleTree(kBig);
+
+    ccl::RankBuffers buffers(kBig);
+    std::vector<float> expected(kElems, 0.0f);
+    for (int r = 0; r < kBig; ++r) {
+        auto& b = buffers[static_cast<std::size_t>(r)];
+        b.resize(kElems);
+        for (int i = 0; i < kElems; ++i) {
+            // Small integers: every partial sum is exact in float.
+            const float v = static_cast<float>((r * 5 + i * 3) % 11 - 5);
+            b[static_cast<std::size_t>(i)] = v;
+            expected[static_cast<std::size_t>(i)] += v;
+        }
+    }
+
+    ccl::Communicator comm(kBig, kSlots,
+                           RankExecutor::Mode::kStateMachine);
+    ccl::FaultInjector injector;
+    ccl::FaultInjector::Fault fault;
+    fault.rank = kTop;
+    fault.action = ccl::FaultInjector::Action::kDelay;
+    fault.at_op = 0;
+    fault.delay_s = 0.001;
+    injector.arm(fault);
+    comm.setFaultInjector(&injector);
+
+    obs::RankCounters& counters = obs::RankCounters::global();
+    const std::uint64_t top_sends = counters.mailboxSends(kTop);
+    const std::uint64_t unknown_sends = counters.mailboxSends(-1);
+    ccl::runProgram(comm, buffers,
+                    sched::doubleTreeProgram(dt,
+                                             sched::PhaseMode::kOverlapped,
+                                             kChunksPerTree));
+
+    for (int r = 0; r < kBig; ++r)
+        for (int i = 0; i < kElems; ++i)
+            ASSERT_EQ(buffers[static_cast<std::size_t>(r)]
+                             [static_cast<std::size_t>(i)],
+                      expected[static_cast<std::size_t>(i)])
+                << "rank " << r << " elem " << i;
+    EXPECT_GT(counters.mailboxSends(kTop), top_sends);
+    EXPECT_EQ(counters.mailboxSends(-1), unknown_sends);
+    EXPECT_GT(comm.faultContext().opsSeen(kTop), 0);
+    // The delay fired during the run: an armed fault fires only once.
+    ccl::FaultInjector::Fault fired;
+    EXPECT_FALSE(injector.onOp(kTop, 0, &fired));
     comm.setFaultInjector(nullptr);
 }
 
