@@ -19,7 +19,6 @@
 #include "core/chunk_mapper.h"
 #include "dnn/compute_model.h"
 #include "obs/session.h"
-#include "sweep/sweep.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -77,23 +76,9 @@ main(int argc, char** argv)
     double fwd_total = 0.0;
     for (double f : fwd)
         fwd_total += f;
-    // The three granularity variants are independent given the shared
-    // read-only schedule; evaluate them through the sweep pool.
-    std::vector<double> times(3, 0.0);
-    sweep::runIndexed(
-        sweep::Options::fromFlags(flags), times.size(),
-        [&](std::size_t i) {
-            switch (i) {
-              case 0:
-                times[0] = bwd + schedule.completion_time + fwd_total;
-                break;
-              case 1: times[1] = chained_end(false); break;
-              default: times[2] = chained_end(true); break;
-            }
-        });
-    const double none = times[0];
-    const double layer = times[1];
-    const double chunk = times[2];
+    const double none = bwd + schedule.completion_time + fwd_total;
+    const double layer = chained_end(false);
+    const double chunk = chained_end(true);
 
     util::Table table({"granularity", "iteration_ms", "vs_none_%"});
     table.addRow({"none (wait for collective, = C1)",

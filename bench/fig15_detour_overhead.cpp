@@ -12,7 +12,6 @@
 
 #include "core/ccube_engine.h"
 #include "obs/session.h"
-#include "sweep/sweep.h"
 #include "topo/detour_router.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -32,10 +31,8 @@ main(int argc, char** argv)
     config.batch = 64;
     config.bandwidth_scale = 1.0;
 
-    // The per-GPU taxed evaluations are independent; fan them over
-    // the sweep pool (identical output for every --jobs value).
-    const auto perf = engine.perGpuNormalizedPerf(
-        core::Mode::kCCube, config, sweep::Options::fromFlags(flags));
+    const auto perf =
+        engine.perGpuNormalizedPerf(core::Mode::kCCube, config);
     const auto rules =
         topo::extractForwardingRules(engine.doubleTree());
 

@@ -65,7 +65,7 @@ main(int argc, char** argv)
     // Whole-run throughput over 100 iterations (cold start included).
     std::cout << "\nSimulated 100-iteration run (batch 64, high "
                  "bandwidth):\n";
-    core::Trainer trainer(engine, 8);
+    core::Trainer trainer(engine);
     core::IterationConfig run_config;
     run_config.batch = 64;
     util::Table run_table({"mode", "total_s", "samples_per_s",

@@ -6,16 +6,24 @@
 #include <utility>
 
 #include "core/chunk_mapper.h"
+#include "dnn/compute_model.h"
 #include "model/tree_model.h"
 #include "obs/metrics.h"
 #include "simnet/channel.h"
 #include "simnet/program_driver.h"
-#include "sweep/sweep.h"
 #include "topo/detour_router.h"
 #include "util/logging.h"
 
 namespace ccube {
 namespace core {
+
+namespace {
+
+/** SM fraction each hosted forwarding kernel takes from its GPU's
+ *  compute throughput (Fig. 15). */
+constexpr double kDetourTaxPerKernel = 0.02;
+
+} // namespace
 
 const char*
 modeName(Mode mode)
@@ -50,7 +58,7 @@ makeDgx1Machine(const topo::Dgx1Params& params, int ring_count)
     CCUBE_CHECK(!rings.empty(),
                 "no Hamiltonian NVLink ring found on the DGX-1");
     return MachineModel{std::move(graph), std::move(double_tree),
-                        std::move(rings), params.num_gpus};
+                        std::move(rings)};
 }
 
 MachineModel
@@ -64,21 +72,11 @@ makeDgx2Machine(const topo::Dgx2Params& params)
     std::vector<topo::RingEmbedding> rings{
         topo::makeSequentialRing(params.num_gpus)};
     return MachineModel{std::move(graph), std::move(double_tree),
-                        std::move(rings), params.num_gpus};
+                        std::move(rings)};
 }
 
-CCubeEngine::CCubeEngine(dnn::NetworkModel network, EngineConfig config)
-    : CCubeEngine(std::move(network),
-                  makeDgx1Machine(config.dgx1, config.ring_count),
-                  config)
-{
-}
-
-CCubeEngine::CCubeEngine(dnn::NetworkModel network, MachineModel machine,
-                         EngineConfig config)
-    : machine_(std::move(machine)), network_(std::move(network)),
-      gpu_(config.gpu),
-      detour_tax_per_kernel_(config.detour_tax_per_kernel)
+CCubeEngine::CCubeEngine(dnn::NetworkModel network, MachineModel machine)
+    : machine_(std::move(machine)), network_(std::move(network))
 {
     CCUBE_CHECK(!machine_.rings.empty() &&
                     machine_.rings.front().size() >= 2,
@@ -101,8 +99,7 @@ int
 CCubeEngine::chunksPerTree(double bytes_per_tree) const
 {
     const model::TreeModel tree(linkModel());
-    return tree.optimalChunksInt(machine_.rings.front().size(),
-                                 bytes_per_tree);
+    return tree.optimalChunksInt(numGpus(), bytes_per_tree);
 }
 
 simnet::ScheduleResult
@@ -148,60 +145,59 @@ CCubeEngine::commOnly(Mode mode, double bytes,
 IterationResult
 CCubeEngine::evaluate(Mode mode, const IterationConfig& config) const
 {
-    return evaluate(mode, config, /*compute_slowdown=*/1.0);
+    return compose(mode, config.batch,
+                   commOnly(mode, network_.totalParamBytes(),
+                            config.bandwidth_scale))
+        .result;
 }
 
-IterationResult
-CCubeEngine::evaluate(Mode mode, const IterationConfig& config,
-                      double compute_slowdown) const
+ComposedIteration
+CCubeEngine::compose(Mode mode, int batch,
+                     const simnet::ScheduleResult& schedule,
+                     double compute_slowdown) const
 {
-    CCUBE_CHECK(config.batch >= 1, "batch must be positive");
-    CCUBE_CHECK(config.bandwidth_scale > 0.0,
-                "bandwidth scale must be positive");
+    CCUBE_CHECK(batch >= 1, "batch must be positive");
 
-    const dnn::ComputeModel compute(gpu_);
+    const dnn::ComputeModel compute;
     std::vector<double> fwd_times =
-        compute.layerForwardTimes(network_, config.batch);
+        compute.layerForwardTimes(network_, batch);
     for (double& t : fwd_times)
         t *= compute_slowdown;
     const double fwd =
         std::accumulate(fwd_times.begin(), fwd_times.end(), 0.0);
     const double bwd =
-        compute.backwardTime(network_, config.batch) * compute_slowdown;
+        compute.backwardTime(network_, batch) * compute_slowdown;
 
-    const double bytes = network_.totalParamBytes();
-    const simnet::ScheduleResult schedule =
-        commOnly(mode, bytes, config.bandwidth_scale);
-
-    IterationResult result;
+    ComposedIteration iteration;
+    IterationResult& result = iteration.result;
     result.forward_time = fwd;
     result.backward_time = bwd;
     result.comm_time = schedule.completion_time;
     result.turnaround_time = schedule.turnaroundTime();
 
+    // Unchained modes run the one-shot AllReduce strictly between
+    // backward and the next forward (Fig. 2(a)). With gradient
+    // queuing, layer L's forward launches once the previous layer
+    // finished and L's chunks all arrived (Fig. 8(b)).
     const bool chained = mode == Mode::kComputeChaining ||
                          mode == Mode::kCCube;
-    if (!chained) {
-        // One-shot AllReduce strictly between backward and the next
-        // forward (Fig. 2(a) dependencies, no chaining).
-        result.iteration_time = bwd + schedule.completion_time + fwd;
-    } else {
-        // Gradient queuing: layer L's forward launches once the
-        // previous layer finished and L's chunks all arrived
-        // (Fig. 8(b)).
-        const ChunkMapper mapper(schedule.geometry);
-        const std::vector<double> layer_bytes =
-            network_.layerParamBytes();
-        double t = 0.0;
-        for (int l = 0; l < network_.numLayers(); ++l) {
-            const double ready =
-                bwd + mapper.layerReadyTime(layer_bytes, l,
-                                            schedule.chunk_ready);
-            t = std::max(t, ready) +
-                fwd_times[static_cast<std::size_t>(l)];
+    const ChunkMapper mapper(schedule.geometry);
+    const std::vector<double> layer_bytes = network_.layerParamBytes();
+    double t = chained ? 0.0 : bwd + schedule.completion_time;
+    for (int l = 0; l < network_.numLayers(); ++l) {
+        double start = t;
+        if (chained) {
+            start = std::max(
+                t, bwd + mapper.layerReadyTime(layer_bytes, l,
+                                               schedule.chunk_ready));
         }
-        result.iteration_time = t;
+        t = start + fwd_times[static_cast<std::size_t>(l)];
+        iteration.forward_start.push_back(start);
+        iteration.forward_end.push_back(t);
     }
+    // The unchained period adds the forward total in one step.
+    result.iteration_time =
+        chained ? t : bwd + schedule.completion_time + fwd;
 
     const double ideal = fwd + bwd;
     result.normalized_perf = ideal / result.iteration_time;
@@ -210,44 +206,36 @@ CCubeEngine::evaluate(Mode mode, const IterationConfig& config,
         result.comm_time > 0.0
             ? 1.0 - result.exposed_comm / result.comm_time
             : 1.0;
-    return result;
-}
-
-std::vector<double>
-CCubeEngine::perGpuNormalizedPerf(Mode mode,
-                                  const IterationConfig& config,
-                                  const sweep::Options& pool) const
-{
-    // Count forwarding kernels per GPU from the detour rules (switch
-    // transits forward in hardware and have no rule).
-    const int num_gpus = machine_.rings.front().size();
-    std::vector<int> kernels(static_cast<std::size_t>(num_gpus), 0);
-    for (const topo::ForwardingRule& rule :
-         topo::extractForwardingRules(machine_.double_tree))
-        ++kernels[static_cast<std::size_t>(rule.transit)];
-
-    const IterationResult nominal =
-        evaluate(mode, config, /*compute_slowdown=*/1.0);
-
-    std::vector<double> perf(static_cast<std::size_t>(num_gpus), 0.0);
-    sweep::runIndexed(
-        pool, static_cast<std::size_t>(num_gpus),
-        [&](std::size_t g) {
-            const double tax = detour_tax_per_kernel_ * kernels[g];
-            CCUBE_CHECK(tax < 1.0, "forwarding tax too large");
-            const IterationResult taxed =
-                evaluate(mode, config, 1.0 / (1.0 - tax));
-            // Per-GPU throughput normalized to an untaxed GPU.
-            perf[g] = nominal.iteration_time / taxed.iteration_time;
-        });
-    return perf;
+    return iteration;
 }
 
 std::vector<double>
 CCubeEngine::perGpuNormalizedPerf(Mode mode,
                                   const IterationConfig& config) const
 {
-    return perGpuNormalizedPerf(mode, config, sweep::Options{});
+    // Count forwarding kernels per GPU from the detour rules (switch
+    // transits forward in hardware and have no rule).
+    std::vector<int> kernels(static_cast<std::size_t>(numGpus()), 0);
+    for (const topo::ForwardingRule& rule :
+         topo::extractForwardingRules(machine_.double_tree))
+        ++kernels[static_cast<std::size_t>(rule.transit)];
+
+    const simnet::ScheduleResult schedule = commOnly(
+        mode, network_.totalParamBytes(), config.bandwidth_scale);
+    const double nominal =
+        compose(mode, config.batch, schedule).result.iteration_time;
+
+    std::vector<double> perf;
+    for (int count : kernels) {
+        const double tax = kDetourTaxPerKernel * count;
+        CCUBE_CHECK(tax < 1.0, "forwarding tax too large");
+        const double taxed =
+            compose(mode, config.batch, schedule, 1.0 / (1.0 - tax))
+                .result.iteration_time;
+        // Per-GPU throughput normalized to an untaxed GPU.
+        perf.push_back(nominal / taxed);
+    }
+    return perf;
 }
 
 } // namespace core

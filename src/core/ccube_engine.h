@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "dnn/catalog.h"
-#include "dnn/compute_model.h"
 #include "dnn/network.h"
 #include "model/alpha_beta.h"
 #include "simnet/collective_schedule.h"
@@ -35,11 +34,6 @@
 #include "topo/ring_embedding.h"
 
 namespace ccube {
-
-namespace sweep {
-struct Options;
-}
-
 namespace core {
 
 /** Evaluation configurations of §V-B. */
@@ -79,14 +73,12 @@ struct IterationResult {
     double chain_efficiency = 0.0;
 };
 
-/** Engine construction parameters. */
-struct EngineConfig {
-    topo::Dgx1Params dgx1;       ///< machine model
-    dnn::GpuComputeParams gpu;   ///< per-GPU compute model
-    /** SM fraction consumed per hosted forwarding kernel (Fig. 15). */
-    double detour_tax_per_kernel = 0.02;
-    /** Logical rings striped by the R baseline (NCCL-style). */
-    int ring_count = 4;
+/** One iteration composed around a simulated AllReduce. */
+struct ComposedIteration {
+    IterationResult result;
+    /** Forward layer l runs [forward_start[l], forward_end[l]]. */
+    std::vector<double> forward_start;
+    std::vector<double> forward_end;
 };
 
 /**
@@ -97,7 +89,6 @@ struct MachineModel {
     topo::Graph graph;
     topo::DoubleTreeEmbedding double_tree;
     std::vector<topo::RingEmbedding> rings;
-    int num_gpus = 0;
 };
 
 /** The paper's platform: DGX-1 with the Fig. 10 embedding and
@@ -118,33 +109,37 @@ MachineModel makeDgx2Machine(const topo::Dgx2Params& params = {});
 class CCubeEngine
 {
   public:
-    /** Builds the DGX-1 and binds @p network as the workload. */
-    CCubeEngine(dnn::NetworkModel network, EngineConfig config = {});
+    /** Binds @p network as the workload on @p machine (see
+     *  makeDgx1Machine / makeDgx2Machine). */
+    CCubeEngine(dnn::NetworkModel network,
+                MachineModel machine = makeDgx1Machine());
 
-    /** Runs on a custom machine (see makeDgx1Machine / ...Dgx2...). */
-    CCubeEngine(dnn::NetworkModel network, MachineModel machine,
-                EngineConfig config = {});
-
-    /** Steady-state iteration result for @p mode. */
+    /** Steady-state iteration result for @p mode: commOnly of the
+     *  workload's gradients, then compose. */
     IterationResult evaluate(Mode mode,
                              const IterationConfig& config) const;
 
     /**
      * Fig. 15: per-GPU normalized performance under @p mode. GPUs
-     * hosting detour forwarding kernels pay the configured tax of
-     * their compute throughput per hosted kernel.
+     * hosting detour forwarding kernels lose 2% of their compute
+     * throughput per hosted kernel; the tax slows compute only, so
+     * every GPU's iteration is composed around one simulated
+     * AllReduce.
      */
     std::vector<double>
     perGpuNormalizedPerf(Mode mode, const IterationConfig& config) const;
 
     /**
-     * Same, with the per-GPU evaluations fanned across the sweep
-     * pool (each GPU's taxed run is independent). Identical output
-     * for every job count.
+     * Lays compute at @p batch around the simulated AllReduce
+     * @p schedule of @p mode: backward, the AllReduce, then forward,
+     * with each layer of a chained mode gated on its gradients
+     * (Fig. 8(b)) and the unchained ones waiting for the whole
+     * collective (Fig. 2(a)). Compute runs @p compute_slowdown times
+     * slower than nominal (the detour tax).
      */
-    std::vector<double>
-    perGpuNormalizedPerf(Mode mode, const IterationConfig& config,
-                         const sweep::Options& pool) const;
+    ComposedIteration compose(Mode mode, int batch,
+                              const simnet::ScheduleResult& schedule,
+                              double compute_slowdown = 1.0) const;
 
     /**
      * Communication-only schedule for @p mode moving @p bytes at
@@ -172,27 +167,18 @@ class CCubeEngine
         return machine_.rings;
     }
 
+    /** GPUs in the machine: every ring visits each one once. */
+    int numGpus() const { return machine_.rings.front().size(); }
+
     /** The workload. */
     const dnn::NetworkModel& network() const { return network_; }
-
-    /** GPU compute parameters in use. */
-    const dnn::GpuComputeParams& gpuParams() const { return gpu_; }
 
   private:
     /** K_opt per tree for a payload of @p bytes_per_tree. */
     int chunksPerTree(double bytes_per_tree) const;
 
-    /**
-     * Full evaluation with a compute slowdown factor (1.0 = nominal);
-     * the slowdown models the SM tax of detour forwarding kernels.
-     */
-    IterationResult evaluate(Mode mode, const IterationConfig& config,
-                             double compute_slowdown) const;
-
     MachineModel machine_;
     dnn::NetworkModel network_;
-    dnn::GpuComputeParams gpu_;
-    double detour_tax_per_kernel_;
 };
 
 } // namespace core

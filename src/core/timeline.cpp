@@ -4,7 +4,6 @@
 #include <map>
 #include <ostream>
 
-#include "core/chunk_mapper.h"
 #include "util/logging.h"
 #include "util/table.h"
 
@@ -36,13 +35,11 @@ TimelineBuilder::record(obs::TraceRecorder& recorder,
         return;
 
     const dnn::NetworkModel& network = engine.network();
-    const dnn::ComputeModel compute(engine.gpuParams());
-    const std::vector<double> fwd_times =
-        compute.layerForwardTimes(network, config.batch);
-    const double bwd = compute.backwardTime(network, config.batch);
-    const double bytes = network.totalParamBytes();
-    const simnet::ScheduleResult schedule =
-        engine.commOnly(mode, bytes, config.bandwidth_scale);
+    const simnet::ScheduleResult schedule = engine.commOnly(
+        mode, network.totalParamBytes(), config.bandwidth_scale);
+    const ComposedIteration iteration =
+        engine.compose(mode, config.batch, schedule);
+    const double bwd = iteration.result.backward_time;
 
     recorder.setProcessName(pid, std::string("core iteration ") +
                                      modeName(mode));
@@ -68,26 +65,15 @@ TimelineBuilder::record(obs::TraceRecorder& recorder,
         prev = ready;
     }
 
-    // Forward: chained modes gate each layer on its gradients.
-    const bool chained = mode == Mode::kComputeChaining ||
-                         mode == Mode::kCCube;
-    const std::vector<double> layer_bytes = network.layerParamBytes();
-    const ChunkMapper mapper(schedule.geometry);
-    double t = chained ? 0.0 : bwd + schedule.completion_time;
+    // Forward: one span per layer as the engine composed it.
     for (int l = 0; l < network.numLayers(); ++l) {
-        double start = t;
-        if (chained) {
-            const double ready =
-                bwd + mapper.layerReadyTime(layer_bytes, l,
-                                            schedule.chunk_ready);
-            start = std::max(t, ready);
-        }
+        const double start =
+            iteration.forward_start[static_cast<std::size_t>(l)];
         const double end =
-            start + fwd_times[static_cast<std::size_t>(l)];
+            iteration.forward_end[static_cast<std::size_t>(l)];
         recorder.completeEvent(network.layer(l).name, cat, pid,
                                kForwardTrack, start * 1e6,
                                (end - start) * 1e6);
-        t = end;
     }
 }
 

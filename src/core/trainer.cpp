@@ -32,7 +32,7 @@ Trainer::run(Mode mode, const IterationConfig& config,
 
     const double samples_per_iteration =
         static_cast<double>(config.batch) *
-        static_cast<double>(num_gpus_);
+        static_cast<double>(engine_.numGpus());
     result.samples_per_second =
         samples_per_iteration * static_cast<double>(iterations) /
         result.total_time;
@@ -44,7 +44,7 @@ Trainer::run(Mode mode, const IterationConfig& config,
         (steady.forward_time + steady.backward_time);
     result.scaling_efficiency =
         result.samples_per_second /
-        (single_gpu_rate * static_cast<double>(num_gpus_));
+        (single_gpu_rate * static_cast<double>(engine_.numGpus()));
 
     // One span per simulated iteration on the trainer track, so a
     // `--trace-out=` capture shows the cold start next to the steady

@@ -27,8 +27,8 @@ struct TrainingRunResult {
     double cold_start_time = 0.0;       ///< first iteration (unchained)
     double steady_iteration_time = 0.0; ///< per-iteration period after
     double samples_per_second = 0.0;    ///< global throughput
-    /** Throughput relative to num_gpus × single-GPU (Fig. 13's
-     *  normalization). */
+    /** Throughput relative to the engine's GPUs × single-GPU
+     *  (Fig. 13's normalization). */
     double scaling_efficiency = 0.0;
 };
 
@@ -42,10 +42,7 @@ class Trainer
      *  distinct from TimelineBuilder's phase tracks. */
     static constexpr int kTrainerTrack = 3;
 
-    Trainer(const CCubeEngine& engine, int num_gpus)
-        : engine_(engine), num_gpus_(num_gpus)
-    {
-    }
+    explicit Trainer(const CCubeEngine& engine) : engine_(engine) {}
 
     /** Runs @p iterations iterations in @p mode. */
     TrainingRunResult run(Mode mode, const IterationConfig& config,
@@ -53,7 +50,6 @@ class Trainer
 
   private:
     const CCubeEngine& engine_;
-    int num_gpus_;
 };
 
 } // namespace core

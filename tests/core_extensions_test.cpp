@@ -53,7 +53,7 @@ TEST(GradientQueue, DoubleTreeTablesDrainOnResnet)
 TEST(Trainer, SteadyStateDominatesLongRuns)
 {
     CCubeEngine engine(dnn::buildResnet50());
-    Trainer trainer(engine, 8);
+    Trainer trainer(engine);
     IterationConfig config;
     config.batch = 32;
     const auto short_run =
@@ -74,7 +74,7 @@ TEST(Trainer, SteadyStateDominatesLongRuns)
 TEST(Trainer, CCubeOutperformsBaselineThroughput)
 {
     CCubeEngine engine(dnn::buildVgg16());
-    Trainer trainer(engine, 8);
+    Trainer trainer(engine);
     IterationConfig config;
     config.batch = 32;
     config.bandwidth_scale = 0.25;
@@ -127,6 +127,36 @@ TEST(Timeline, ChainedForwardStartsBeforeCommCompletes)
             first_forward = std::min(first_forward, e.start);
     }
     EXPECT_LT(first_forward, comm_end); // the chaining, visible
+}
+
+TEST(Timeline, ForwardEndsAtEvaluatedIterationTime)
+{
+    // The drawn iteration is the evaluated one: the last forward layer
+    // ends at the steady-state period and backward spans its compute.
+    CCubeEngine engine(dnn::buildResnet50());
+    for (double bw : {1.0, 0.25}) {
+        IterationConfig config;
+        config.batch = 64;
+        config.bandwidth_scale = bw;
+        for (Mode mode : allModes()) {
+            const IterationResult result = engine.evaluate(mode, config);
+            double forward_end = 0.0;
+            double backward_end = -1.0;
+            for (const TimelineEvent& e :
+                 TimelineBuilder::build(engine, mode, config)) {
+                if (e.track == "forward")
+                    forward_end = e.end;
+                if (e.track == "backward") {
+                    EXPECT_EQ(e.start, 0.0);
+                    backward_end = e.end;
+                }
+            }
+            EXPECT_NEAR(forward_end, result.iteration_time, 1e-12)
+                << modeName(mode) << " bw " << bw;
+            EXPECT_DOUBLE_EQ(backward_end, result.backward_time)
+                << modeName(mode) << " bw " << bw;
+        }
+    }
 }
 
 TEST(Timeline, CsvHasHeaderAndRows)

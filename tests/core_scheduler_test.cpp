@@ -14,6 +14,8 @@
 
 #include "core/ccube_engine.h"
 #include "core/chunk_mapper.h"
+#include "obs/capture.h"
+#include "obs/monitor.h"
 #include "util/units.h"
 
 namespace ccube {
@@ -170,6 +172,29 @@ TEST_F(EngineTest, PerGpuDetourPenaltySmall)
     // Detour GPUs are strictly slower than non-detour GPUs.
     EXPECT_LT(perf[0], perf[2]);
     EXPECT_LT(perf[1], perf[2]);
+}
+
+TEST_F(EngineTest, PerGpuEvaluationSimulatesOnce)
+{
+    // The detour tax slows compute only, so the per-GPU figure reuses
+    // one simulated AllReduce, the same as one evaluation.
+    IterationConfig config;
+    config.batch = 64;
+    auto collectives = [](auto&& run) {
+        obs::Monitor monitor;
+        monitor.enable();
+        obs::ScopedCapture capture{
+            obs::Capture(nullptr, nullptr, &monitor)};
+        run();
+        return monitor.collectivesTotal();
+    };
+    EXPECT_EQ(collectives(
+                  [&] { engine_.evaluate(Mode::kCCube, config); }),
+              1u);
+    EXPECT_EQ(collectives([&] {
+                  engine_.perGpuNormalizedPerf(Mode::kCCube, config);
+              }),
+              1u);
 }
 
 TEST_F(EngineTest, AccuracyNeutralLayerOrder)

@@ -21,8 +21,7 @@ machineParams(const core::CCubeEngine& engine, double bw_scale)
 {
     model::IterationModelParams params;
     params.link = engine.linkModel();
-    params.gpu = engine.gpuParams();
-    params.num_gpus = 8;
+    params.num_gpus = engine.numGpus();
     params.ring_count =
         static_cast<int>(engine.rings().size());
     params.bandwidth_scale = bw_scale;

@@ -2,8 +2,8 @@
  * @file
  * Reuse and stress tests: a long-lived communicator running many
  * back-to-back collectives (the steady-state training pattern), the
- * multi-ring channel budget on the DGX-1, and engine configuration
- * knobs.
+ * multi-ring channel budget on the DGX-1, and the DGX-1 machine's
+ * ring-striping knob.
  */
 
 #include <gtest/gtest.h>
@@ -125,12 +125,10 @@ TEST(MultiRingBudget, NoChannelOversubscribedOnDgx1)
 
 TEST(EngineKnobs, RingCountChangesRBaselineOnly)
 {
-    core::EngineConfig three;
-    three.ring_count = 3;
-    core::EngineConfig four;
-    four.ring_count = 4;
-    core::CCubeEngine engine3(dnn::buildResnet50(), three);
-    core::CCubeEngine engine4(dnn::buildResnet50(), four);
+    core::CCubeEngine engine3(dnn::buildResnet50(),
+                              core::makeDgx1Machine({}, 3));
+    core::CCubeEngine engine4(dnn::buildResnet50(),
+                              core::makeDgx1Machine({}, 4));
     const double bytes = util::mib(64);
     const double r3 =
         engine3.commOnly(core::Mode::kRing, bytes).completion_time;
@@ -144,24 +142,6 @@ TEST(EngineKnobs, RingCountChangesRBaselineOnly)
                                        bytes)
                           .completion_time;
     EXPECT_DOUBLE_EQ(c3, c4); // trees unaffected
-}
-
-TEST(EngineKnobs, DetourTaxScalesPerGpuPenalty)
-{
-    core::EngineConfig light;
-    light.detour_tax_per_kernel = 0.01;
-    core::EngineConfig heavy;
-    heavy.detour_tax_per_kernel = 0.04;
-    core::CCubeEngine engine_light(dnn::buildResnet50(), light);
-    core::CCubeEngine engine_heavy(dnn::buildResnet50(), heavy);
-    core::IterationConfig config;
-    const auto p_light =
-        engine_light.perGpuNormalizedPerf(core::Mode::kCCube, config);
-    const auto p_heavy =
-        engine_heavy.perGpuNormalizedPerf(core::Mode::kCCube, config);
-    EXPECT_LT(p_heavy[0], p_light[0]);
-    EXPECT_NEAR(p_light[2], 1.0, 1e-9);
-    EXPECT_NEAR(p_heavy[2], 1.0, 1e-9);
 }
 
 } // namespace
